@@ -1,7 +1,8 @@
 """Brute-force enumeration of inscribed rectangles over a prime field.
 
-The parameter plane (x_A : x_B : w) is walked point by point; each parameter
-is completed to a parallelogram and kept when the rectangle condition holds.
+The parameter plane (x_A : x_B : w) is walked point by point on plain ints
+mod p; each parameter is completed to a parallelogram and kept when the
+rectangle condition holds, without touching the path code it checks.
 The census is then replayed against the slope and aspect paths: together the
 two paths must find every rectangle, degenerate configurations must show the
 constant-aspect / constant-slope split, and non-degenerate ones a single
@@ -12,43 +13,61 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain, product
 
 from .configuration import NormalizedConfig, classify
 from .errors import PreconditionError
 from .paths import all_ratios, aspect_path_polys, eval_path, slope_path_polys
 from .rectangles import (
     INDETERMINATE,
+    ProjectiveRectangle,
     Ratio,
     aspect_of,
-    complete_parallelogram,
-    is_rectangle,
     quadric_h,
     slope_of,
 )
-from .scalars import ratio_format
+from .scalars import FpElement, ratio_format
 
 
-def _parameter_points(field):
-    """Duplicate-free representatives of the projective parameter plane:
-    (x_A, x_B, 1) first, then (x_A, 1, 0), then (1, 0, 0)."""
-    zero, one = field.zero(), field.one()
-    for x_a in field.elements():
-        for x_b in field.elements():
-            yield x_a, x_b, one
-    for x_a in field.elements():
-        yield x_a, one, zero
-    yield one, zero, zero
+def _parameter_points(p: int):
+    """Duplicate-free representatives of the projective parameter plane over
+    F_p as plain ints: (x_A, x_B, 1) first, then (x_A, 1, 0), then (1, 0, 0)."""
+    return chain(
+        product(range(p), range(p), (1,)), product(range(p), (1,), (0,)), ((1, 0, 0),)
+    )
+
+
+def _residues(*values):
+    return tuple(v.value for v in values)
 
 
 def enumerate_rectangles(cfg: NormalizedConfig):
-    """The set of all rectangles in the configuration space over F_p."""
-    if not cfg.field.char:
+    """The set of all rectangles in the configuration space over F_p.
+
+    Each parameter point is completed to a parallelogram on ints mod p, with
+    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C.  The
+    rectangle condition is homogeneous, so it is tested on the unscaled
+    coordinates; only the hits are scaled to their canonical form.
+    """
+    field = cfg.field
+    if not field.char:
         raise PreconditionError("census enumeration needs a prime field")
+    p = field.char
+    m_a, m_b, m_c, m_d, b_a = _residues(cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a)
+    inv = pow(m_d - m_c, -1, p)
+    k_a, k_b, k_w = (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
     found = set()
-    for x_a, x_b, w in _parameter_points(cfg.field):
-        p = complete_parallelogram(cfg, x_a, x_b, w)
-        if is_rectangle(p):
-            found.add(p)
+    for x_a, x_b, w in _parameter_points(p):
+        x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
+        y_a = m_a * x_a + b_a * w
+        y_b = m_b * x_b + w
+        y_c = m_c * x_c
+        if ((x_c - x_b) * (x_b - x_a) + (y_c - y_b) * (y_b - y_a)) % p:
+            continue
+        x_d = x_a - x_b + x_c
+        coords = [c % p for c in (x_a, y_a, x_b, y_b, x_c, y_c, x_d, m_d * x_d, w)]
+        scale = pow(next(c for c in coords if c), -1, p)
+        found.add(ProjectiveRectangle(tuple(FpElement(c * scale, field) for c in coords)))
     return found
 
 
@@ -160,8 +179,16 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
 
 def quadric_point_count(cfg: NormalizedConfig) -> int:
     """Zeros of the rectangle quadric over the parameter plane (cross-check)."""
+    p = cfg.field.char
+    if not p:
+        raise PreconditionError("census enumeration needs a prime field")
     h = quadric_h(cfg)
-    return sum(1 for x_a, x_b, w in _parameter_points(cfg.field) if not h.evaluate(x_a, x_b, w))
+    aa, ab, bb, aw, bw, ww = _residues(h.aa, h.ab, h.bb, h.aw, h.bw, h.ww)
+    return sum(
+        1
+        for x_a, x_b, w in _parameter_points(p)
+        if not (x_a * (aa * x_a + ab * x_b + aw * w) + x_b * (bb * x_b + bw * w) + ww * w * w) % p
+    )
 
 
 def random_normalized_config(field, rng):

@@ -54,17 +54,30 @@ from .svgfig import render
 ROLES = ("A", "B", "C", "D")
 
 
+def _prime_modulus(path: str, value) -> int:
+    """The modulus as written: a JSON integer (not a bool) or a string of digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ParseError(
+        f"{path}: prime must be an integer or a string of digits, not {json.dumps(value)}"
+    )
+
+
 def load_config(path: str) -> ConfigurationInput:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: the configuration must be a JSON object")
     field_tag = raw.get("field")
     if field_tag == "rational":
         field = QQ
     elif isinstance(field_tag, dict) and "prime" in field_tag:
-        field = PrimeField(int(field_tag["prime"]))
+        field = PrimeField(_prime_modulus(path, field_tag["prime"]))
     else:
         raise ParseError(f"{path}: field must be \"rational\" or {{\"prime\": p}}")
     pairs = raw.get("pairs")
@@ -235,6 +248,8 @@ def cmd_rect(args) -> dict:
 
 
 def cmd_path(args) -> dict:
+    if args.samples < 1:
+        raise PreconditionError("--samples must be at least 1")
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
     evaluator = slope_path_eval if args.kind == "slope" else aspect_path_eval
@@ -302,6 +317,8 @@ def cmd_census(args) -> dict:
 
 
 def cmd_render(args) -> dict:
+    if args.samples < 0:
+        raise PreconditionError("--samples must not be negative")
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
     render(cfg_input, cfg, pm, args.out, samples=args.samples, diagonals=args.diagonals)

@@ -1,5 +1,6 @@
 """Brute-force finite-field oracle versus the path parameterizations."""
 
+import itertools
 import random
 
 import pytest
@@ -11,10 +12,13 @@ from quadriline import (
     all_ratios,
     aspect_path_polys,
     classify,
+    complete_parallelogram,
     enumerate_rectangles,
     eval_path,
     has_aspect,
     has_slope,
+    is_rectangle,
+    quadric_h,
     quadric_point_count,
     random_normalized_config,
     rectangle_from_aspect,
@@ -26,6 +30,63 @@ from quadriline import (
 
 def cfg_over(p, ints):
     return NormalizedConfig.from_ints(PrimeField(p), *ints)
+
+
+def reference_parameter_points(field):
+    """The parameter plane as FpElements, in the census kernel's order."""
+    zero, one = field.zero(), field.one()
+    for x_a in field.elements():
+        for x_b in field.elements():
+            yield x_a, x_b, one
+    for x_a in field.elements():
+        yield x_a, one, zero
+    yield one, zero, zero
+
+
+def reference_rectangles(cfg):
+    """Reference census: complete and test every parameter point in FpElements."""
+    found = set()
+    for x_a, x_b, w in reference_parameter_points(cfg.field):
+        p = complete_parallelogram(cfg, x_a, x_b, w)
+        if is_rectangle(p):
+            found.add(p)
+    return found
+
+
+def reference_quadric_count(cfg):
+    h = quadric_h(cfg)
+    return sum(1 for point in reference_parameter_points(cfg.field) if not h.evaluate(*point))
+
+
+def assert_matches_reference(cfg):
+    census = enumerate_rectangles(cfg)
+    assert census == reference_rectangles(cfg), cfg
+    assert quadric_point_count(cfg) == reference_quadric_count(cfg) == len(census), cfg
+
+
+class TestKernelAgainstReference:
+    def test_every_config_over_f3(self):
+        count = 0
+        for m_a, m_b, m_c, m_d, b_a in itertools.product(range(3), repeat=5):
+            if m_c != m_d:
+                assert_matches_reference(cfg_over(3, (m_a, m_b, m_c, m_d, b_a)))
+                count += 1
+        assert count == 3**5 - 3**4
+
+    def test_seeded_sample(self):
+        rng = random.Random(181)
+        for p, samples in ((5, 20), (7, 20), (31, 6)):
+            field = PrimeField(p)
+            for _ in range(samples):
+                cfg, _ = random_normalized_config(field, rng)
+                assert_matches_reference(cfg)
+
+    def test_kernel_uses_no_path_code(self, monkeypatch):
+        import quadriline.census as census_module
+
+        for name in ("all_ratios", "aspect_path_polys", "eval_path", "slope_path_polys"):
+            monkeypatch.setattr(census_module, name, None)
+        assert_matches_reference(cfg_over(11, (2, 3, 0, 1, 1)))
 
 
 class TestEnumerate:
@@ -50,6 +111,8 @@ class TestEnumerate:
     def test_rational_field_rejected(self, cfg1):
         with pytest.raises(PreconditionError):
             enumerate_rectangles(cfg1)
+        with pytest.raises(PreconditionError):
+            quadric_point_count(cfg1)
 
     def test_cardinality_matches_quadric_everywhere(self):
         rng = random.Random(163)

@@ -4,6 +4,8 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 from quadriline import QQ
 from quadriline.cli import main, parse_rectangle_json
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, write_config
@@ -222,3 +224,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classify", "--input", str(path))
         assert code == 2
         assert "characteristic 2" in err
+
+    @pytest.mark.parametrize("prime", [7.9, True, "7.9", "-7", " 7", None, [7]], ids=repr)
+    def test_prime_must_be_an_integer(self, tmp_path, capsys, prime):
+        path = write_config(tmp_path, "p.json", {"prime": prime}, CFG1_PAIRS)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and "prime must be an integer" in err
+
+    def test_prime_as_digit_string(self, tmp_path, capsys):
+        as_int = write_config(tmp_path, "int.json", {"prime": 11}, CFG1_PAIRS)
+        as_text = write_config(tmp_path, "text.json", {"prime": "11"}, CFG1_PAIRS)
+        assert run_json(capsys, "classify", "--input", as_text) == run_json(
+            capsys, "classify", "--input", as_int
+        )
+
+    def test_top_level_array(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and "JSON object" in err
+
+    @pytest.mark.parametrize("command, samples", [("path", "0"), ("path", "-3"), ("render", "-3")])
+    def test_samples_out_of_range(self, tmp_path, capsys, command, samples):
+        path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
+        svg = tmp_path / "never.svg"
+        extra = ["--out", str(svg)] if command == "render" else []
+        code, out, err = run_cli(capsys, command, "--input", path, *extra, "--samples", samples)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and "--samples" in err
+        assert not svg.exists()

@@ -116,11 +116,32 @@ class FpElement:
         return f"FpElement({self.value} mod {self.field.p})"
 
 
-def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
+# Miller-Rabin to the 13 prime bases 2..41 is exact below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+# Twelve bases are not enough there: psi_12 = 318665857834031151167461 is a
+# strong pseudoprime to every prime base up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def _is_odd_prime(n):
+    """Whether n is an odd prime, exactly for n < psi_13, in O(log n) products mod n."""
+    if n < 3 or n % 2 == 0:
         return False
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    e = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^e * q with q odd
+    q = (n - 1) >> e
+    for a in _MR_BASES:
+        x = pow(a, q, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(e - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -194,6 +215,10 @@ class PrimeField:
     def __init__(self, p: int):
         if p == 2:
             raise FieldError("characteristic 2 is not supported")
+        if p >= _PSI_13:
+            raise FieldError(
+                f"modulus {p} is too large: only odd primes below {_PSI_13} are supported"
+            )
         if not _is_odd_prime(p):
             raise FieldError(f"modulus {p} is not an odd prime")
         self.p = p
@@ -223,15 +248,37 @@ class PrimeField:
         return pow(x.value, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x: FpElement) -> Optional[FpElement]:
-        """Exact square root via Euler's criterion plus deterministic search."""
-        if x.value == 0:
+        """The least square root r <= p // 2 of x, or None when x is not a square.
+
+        Euler's criterion rejects non-squares; Tonelli-Shanks (Cohen, *A Course
+        in Computational Algebraic Number Theory*, Alg. 1.5.1) finds a root in
+        O(log^2 p) multiplications mod p, with the quadratic non-residue it
+        needs found by counting up from 2.
+        """
+        p, a = self.p, x.value
+        if a == 0:
             return self.zero()
         if not self.is_square(x):
             return None
-        for r in range(1, self.p // 2 + 1):
-            if r * r % self.p == x.value:
-                return FpElement(r, self)
-        raise FieldError(f"square root search failed in F_{self.p}")  # unreachable
+        e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e * q with q odd
+        q = (p - 1) >> e
+        n = 2
+        while pow(n, (p - 1) // 2, p) != p - 1:
+            n += 1
+        y = pow(n, q, p)  # generates the 2-Sylow subgroup of F_p^*
+        r = pow(a, (q + 1) // 2, p)
+        b = pow(a, q, p)  # r^2 = a * b, with b in the 2-Sylow subgroup
+        while b != 1:
+            m, b2 = 0, b
+            while b2 != 1:
+                b2 = b2 * b2 % p
+                m += 1
+            t = pow(y, 1 << (e - m - 1), p)
+            y = t * t % p
+            e = m
+            r = r * t % p
+            b = b * y % p
+        return FpElement(min(r, p - r), self)
 
     def elements(self):
         return (FpElement(v, self) for v in range(self.p))

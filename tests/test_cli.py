@@ -152,6 +152,37 @@ class TestPathLocusCensus:
         assert "prime" in err
 
 
+class TestLargePrime:
+    """Every non-census command costs time polynomial in log p."""
+
+    P = 10**18 + 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["rect", "--slope=3/7"], ["rect", "--aspect=-1/2"], ["path"], ["locus"]],
+        ids=" ".join,
+    )
+    def test_commands_finish(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, "big.json", {"prime": self.P}, CFG1_PAIRS)
+        run_json(capsys, *argv, "--input", path)
+
+    def test_slopes_at_infinity_give_rectangles_at_infinity(self, tmp_path, capsys):
+        # 52 is a square mod P, so classify needs a square root in F_P.
+        path = write_config(tmp_path, "big.json", {"prime": self.P}, CFG1_PAIRS)
+        slopes = run_json(capsys, "classify", "--input", path)["at_infinity"]["slopes"]
+        assert len(slopes) == 2
+        for s in slopes:
+            assert run_json(capsys, "rect", "--input", path, f"--slope={s}")["at_infinity"]
+
+    def test_modulus_beyond_primality_proof_rejected(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, "huge.json", {"prime": "3317044064679887385961981"}, CFG1_PAIRS
+        )
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and "too large" in err and "Traceback" not in err
+
+
 class TestRender:
     def test_cfg2_two_dotted_lines(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg2.json", "rational", CFG2_PAIRS)

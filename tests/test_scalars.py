@@ -1,5 +1,6 @@
 """Exact scalar layer: parsing, square roots, quadratics, projective ratios."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,18 @@ from quadriline import (
     scalar_parse,
     solve_quadratic,
 )
+from quadriline.scalars import _is_odd_prime
+
+PSI_11 = 3825123056546413051
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def trial_division(n):
+    return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+ODD_PRIMES_BELOW_300 = [n for n in range(300) if trial_division(n)]
 
 
 class TestParsing:
@@ -96,16 +109,43 @@ class TestFieldArithmetic:
         assert QQ.sqrt(Fraction(2)) is None
 
     def test_is_square_fp_matches_brute_force(self):
-        for p in (3, 5, 7, 11, 13):
+        # Every odd prime below 300, including p = 1 mod 8 (17, 97, 193, 257)
+        # where the Tonelli-Shanks loop runs more than once.
+        for p in ODD_PRIMES_BELOW_300:
             field = PrimeField(p)
-            squares = {(v * v) % p for v in range(p)}
+            least_root = {}
+            for v in range(p // 2, -1, -1):
+                least_root[v * v % p] = v
             for x in field.elements():
-                assert field.is_square(x) == (x.value in squares)
+                assert field.is_square(x) == (x.value in least_root)
                 r = field.sqrt(x)
-                if x.value in squares:
-                    assert r is not None and r * r == x
+                if x.value in least_root:
+                    assert r is not None and r.value == least_root[x.value], (p, x)
                 else:
-                    assert r is None
+                    assert r is None, (p, x)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for n in range(100_000):
+            assert _is_odd_prime(n) == trial_division(n), n
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265])
+    def test_rejects_carmichael_numbers(self, n):
+        assert not _is_odd_prime(n)
+
+    @pytest.mark.parametrize("n", [3215031751, PSI_11, PSI_12], ids=["3215031751", "psi11", "psi12"])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not _is_odd_prime(n)
+
+    @pytest.mark.parametrize("p", [10**9 + 7, 2**61 - 1, 10**18 + 3])
+    def test_accepts_large_primes(self, p):
+        assert _is_odd_prime(p)
+        assert PrimeField(p).p == p
+
+    def test_modulus_at_psi13_rejected(self):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(PSI_13)
 
 
 class TestSolveQuadratic:
@@ -146,6 +186,22 @@ class TestSolveQuadratic:
             for root in solve_quadratic(QQ, a, b, c):
                 x = root.value
                 assert a * x * x + b * x + c == 0
+
+    def test_fp_root_order(self):
+        # (-b + r) / 2a comes first, with r the least square root.
+        rng = random.Random(17)
+        for p in (7, 17, 97, 257):
+            field = PrimeField(p)
+            for _ in range(60):
+                a, b, c = (field.from_int(rng.randrange(p)) for _ in range(3))
+                if not a:
+                    continue
+                disc = (b * b - 4 * a * c).value
+                r = min((v for v in range(1, p // 2 + 1) if v * v % p == disc), default=None)
+                if r is None:
+                    continue
+                roots = solve_quadratic(field, a, b, c)
+                assert [root.value for root in roots] == [(-b + r) / (2 * a), (-b - r) / (2 * a)]
 
     def test_fp_agrees_with_brute_force(self):
         rng = random.Random(13)

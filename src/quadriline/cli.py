@@ -14,11 +14,13 @@ failure (a theorem-backed check went wrong, i.e. a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .census import quadric_point_count, verify_against_paths
 from .configuration import (
+    ROLES,
     ConfigurationInput,
     DiagonalMarker,
     InputLine,
@@ -36,8 +38,11 @@ from .errors import (
 from .locus import all_parallel_analysis, center_of, centers_paths, special_rectangles
 from .paths import (
     aspect_path_eval,
+    aspect_path_polys,
+    eval_path,
     ratio_samples,
     slope_path_eval,
+    slope_path_polys,
 )
 from .rectangles import (
     ALL_RATIOS,
@@ -48,10 +53,16 @@ from .rectangles import (
     slope_of,
     slopes_at_infinity,
 )
-from .scalars import PrimeField, QQ, ratio_format, ratio_parse
+from .scalars import PSI_13, PrimeField, QQ, ratio_format, ratio_parse
 from .svgfig import render
 
-ROLES = ("A", "B", "C", "D")
+
+def _json_int(text: str):
+    """A JSON integer literal; past int()'s digit limit it stays text, for its field to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _prime_modulus(path: str, value) -> int:
@@ -59,7 +70,14 @@ def _prime_modulus(path: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        digits = value.lstrip("0")
+        # More digits than PSI_13 is too large for PrimeField, and possibly for int().
+        if len(digits) > len(str(PSI_13)):
+            raise ParseError(
+                f"{path}: field.prime has {len(digits)} digits: "
+                f"only odd primes below {PSI_13} are supported"
+            )
+        return int(digits or "0")
     raise ParseError(
         f"{path}: prime must be an integer or a string of digits, not {json.dumps(value)}"
     )
@@ -68,8 +86,8 @@ def _prime_modulus(path: str, value) -> int:
 def load_config(path: str) -> ConfigurationInput:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+            raw = json.load(fh, parse_int=_json_int)
+    except ValueError as exc:  # JSONDecodeError, or a file that is not UTF-8
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: the configuration must be a JSON object")
@@ -252,11 +270,11 @@ def cmd_path(args) -> dict:
         raise PreconditionError("--samples must be at least 1")
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
-    evaluator = slope_path_eval if args.kind == "slope" else aspect_path_eval
+    pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
     rects = []
     for r in ratio_samples(cfg.field, args.samples):
         rects.append(
-            {"ratio": ratio_format(r, cfg.field), **rectangle_json(evaluator(cfg, r), cfg, pm)}
+            {"ratio": ratio_format(r, cfg.field), **rectangle_json(eval_path(cfg, pp, r), cfg, pm)}
         )
     return {"kind": args.kind, "rectangles": rects}
 
@@ -325,7 +343,9 @@ def cmd_render(args) -> dict:
     return {"written": args.out}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadriline",
         description="Rectangles inscribed in four lines, exactly, over Q or F_p.",

@@ -143,20 +143,6 @@ class PlaneMap:
             x, y = self._reflect((x, y))
         return x - self.translation[0], y - self.translation[1]
 
-    def apply_direction(self, direction):
-        """Linear part only; used for points at infinity."""
-        x, y = direction
-        if self.reflection_t is not None:
-            x, y = self._reflect((x, y))
-        return self.scale * x, self.scale * y
-
-    def invert_direction(self, direction):
-        x, y = direction
-        x, y = x / self.scale, y / self.scale
-        if self.reflection_t is not None:
-            x, y = self._reflect((x, y))
-        return x, y
-
     def apply_line(self, line: InputLine) -> InputLine:
         a, b, c = line.a, line.b, line.c
         tx, ty = self.translation

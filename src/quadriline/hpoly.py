@@ -41,11 +41,12 @@ def neg(f):
 
 
 def eval_at(f, s, t):
-    d = len(f) - 1
-    acc = None
-    for i, c in enumerate(f):
-        term = c * s ** (d - i) * t ** i
-        acc = term if acc is None else acc + term
+    """f(s, t) by homogeneous Horner: acc = acc*s + c_i*t^i, with a running power of t."""
+    acc = f[0]
+    power = None
+    for c in f[1:]:
+        power = t if power is None else power * t
+        acc = acc * s + c * power
     return acc
 
 

@@ -16,9 +16,9 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from . import hpoly
-from .configuration import NormalizedConfig
+from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError
-from .rectangles import ProjectiveRectangle, Ratio, ROLES
+from .rectangles import ProjectiveRectangle, Ratio
 
 SLOPE = "slope"
 ASPECT = "aspect"

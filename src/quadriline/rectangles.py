@@ -10,12 +10,10 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .configuration import NormalizedConfig
+from .configuration import ROLES, NormalizedConfig
 from .errors import InternalCheckError, PreconditionError
 from .linalg import solve2
 from .scalars import Ratio, solve_quadratic
-
-ROLES = ("A", "B", "C", "D")
 
 # slope_of / aspect_of outcome when every ratio satisfies the defining system.
 INDETERMINATE = object()

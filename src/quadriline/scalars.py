@@ -121,7 +121,7 @@ class FpElement:
 # Twelve bases are not enough there: psi_12 = 318665857834031151167461 is a
 # strong pseudoprime to every prime base up to 37.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+PSI_13 = 3317044064679887385961981
 
 
 def _is_odd_prime(n):
@@ -215,9 +215,9 @@ class PrimeField:
     def __init__(self, p: int):
         if p == 2:
             raise FieldError("characteristic 2 is not supported")
-        if p >= _PSI_13:
+        if p >= PSI_13:
             raise FieldError(
-                f"modulus {p} is too large: only odd primes below {_PSI_13} are supported"
+                f"modulus {p} is too large: only odd primes below {PSI_13} are supported"
             )
         if not _is_odd_prime(p):
             raise FieldError(f"modulus {p} is not an odd prime")

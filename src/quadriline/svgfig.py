@@ -1,19 +1,24 @@
 """Standalone SVG figures: the four lines, sampled rectangles, dotted locus.
 
 Geometry stays exact until the final coordinate formatting; SVG path data is
-the one place decimal expansions (12 significant digits) are allowed.
+the one place decimal expansions (12 significant digits) are allowed.  The
+locus conic is swept in integers: each point is one correctly rounded
+division X / D of exact integer forms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-from .configuration import InputLine
-from .errors import AtInfinityError, ParallelPairError, PreconditionError
+from . import hpoly
+from .configuration import ROLES, InputLine
+from .errors import ParallelPairError, PreconditionError
 from .locus import centers_paths, diagonal_g, gauss_newton_line
-from .paths import ratio_samples, slope_path_eval
-from .rectangles import Ratio
+from .paths import eval_path, ratio_samples, slope_path_polys
 from .scalars import QQ
+
+# The conic sweep visits the ratios j/32 for |j| <= 512, then 1/0.
+_SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
 
 
 def _fmt(v) -> str:
@@ -75,6 +80,41 @@ def _clip_line(a, b, c, box):
     return best[1], best[2]
 
 
+def _swept_centers(center_map, plane_map):
+    """The locus center at each ratio of ``_SWEEP`` as a float point in
+    original coordinates, or None where the center map is undefined.
+
+    ``invert_point`` is affine, so it is read off at three points and composed
+    with the center map's forms once; a common factor then clears every
+    denominator, leaving integer forms (X, Y, D) and the point (X / D, Y / D).
+    """
+    zero, one = QQ.zero(), QQ.one()
+    origin = plane_map.invert_point((zero, zero))
+    e_x = plane_map.invert_point((one, zero))
+    e_y = plane_map.invert_point((zero, one))
+    cm = center_map
+    forms = [
+        hpoly.add(
+            hpoly.add(hpoly.scale(e_x[k] - origin[k], cm.x_num), hpoly.scale(e_y[k] - origin[k], cm.y_num)),
+            hpoly.scale(origin[k], cm.den),
+        )
+        for k in (0, 1)
+    ]
+    forms.append(cm.den)
+    factor = math.lcm(*(c.denominator for f in forms for c in f))
+    forms = [tuple(int(c * factor) for c in f) for f in forms]
+    points = []
+    for s, t in _SWEEP:
+        x, y, d = (hpoly.eval_at(f, s, t) for f in forms)
+        if not d:
+            points.append(None)
+            continue
+        if d < 0:  # as in a Fraction, so that a zero coordinate is 0.0, never -0.0
+            x, y, d = -x, -y, -d
+        points.append((x / d, y / d))  # int / int rounds correctly, as float(Fraction) does
+    return points
+
+
 def _polyline(points, style):
     coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
     return f'<polyline fill="none" points="{coords}" {style}/>'
@@ -96,14 +136,15 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
 
     rect_polys = []
     collected = 0
+    pp = slope_path_polys(cfg)
     for r in ratio_samples(cfg.field, samples * 3 + 8):
         if collected >= samples:
             break
-        rect = slope_path_eval(cfg, r)
+        rect = eval_path(cfg, pp, r)
         if rect.at_infinity:
             continue
         verts = rect.affine_vertices()
-        quad = [plane_map.invert_point(verts[role]) for role in ("A", "B", "C", "D")]
+        quad = [plane_map.invert_point(verts[role]) for role in ROLES]
         for x, y in quad:
             canvas.require(x, y)
         rect_polys.append(quad)
@@ -126,21 +167,13 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         x0, y0, w0, h0 = canvas.bbox(margin=0.5)
         window = (x0, y0, x0 + w0, y0 + h0)
         branch = []
-        grid = [Fraction(j, 32) for j in range(-512, 513)]
-        sweep = [Ratio.of(g, Fraction(1)) for g in grid]
-        sweep.append(Ratio.of(Fraction(1), Fraction(0)))
         prev = None
-        for r in sweep:
-            try:
-                center = report.center_map.at(r)
-            except AtInfinityError:
-                center = None
-            if center is not None:
-                pt = plane_map.invert_point(center)
-                fpt = (float(pt[0]), float(pt[1]))
-                inside = window[0] <= fpt[0] <= window[2] and window[1] <= fpt[1] <= window[3]
-            else:
-                fpt, inside = None, False
+        for fpt in _swept_centers(report.center_map, plane_map):
+            inside = (
+                fpt is not None
+                and window[0] <= fpt[0] <= window[2]
+                and window[1] <= fpt[1] <= window[3]
+            )
             if not inside:
                 prev = None
                 if branch:

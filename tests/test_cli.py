@@ -1,11 +1,16 @@
 """CLI surface: config parsing, JSON reports, round-trips, SVG output."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quadriline
 from quadriline import QQ
 from quadriline.cli import main, parse_rectangle_json
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, write_config
@@ -206,6 +211,16 @@ class TestRender:
         # The conic branch polylines carry many sample points.
         assert any(len(re.findall(r"[-0-9.e]+,[-0-9.e]+", ln)) > 20 for ln in dotted)
 
+    def test_cfg1_diagonals_bytes(self, tmp_path, capsys):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
+        out = tmp_path / "cfg1.svg"
+        code, _, err = run_cli(
+            capsys, "render", "--input", path, "--out", str(out), "--diagonals"
+        )
+        assert code == 0, err
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"
+
     def test_samples_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg2.json", "rational", CFG2_PAIRS)
         out = tmp_path / "plain.svg"
@@ -270,6 +285,17 @@ class TestExitCodes:
             capsys, "classify", "--input", as_int
         )
 
+    @pytest.mark.parametrize("as_text", [False, True], ids=["json-integer", "digit-string"])
+    def test_prime_beyond_int_digit_limit(self, tmp_path, capsys, as_text):
+        digits = "9" * 5000
+        path = write_config(tmp_path, "long.json", {"prime": "PRIME"}, CFG1_PAIRS)
+        doc = tmp_path / "long.json"
+        doc.write_text(doc.read_text().replace('"PRIME"', f'"{digits}"' if as_text else digits))
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and path in err and "field.prime" in err
+        assert "3317044064679887385961981" in err and "set_int_max_str_digits" not in err
+
     def test_top_level_array(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[1, 2]")
@@ -286,3 +312,23 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.count("\n") == 1 and "--samples" in err
         assert not svg.exists()
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    """In-process calls through the one parser print what fresh processes print."""
+    path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
+    calls = [
+        ["rect", "--input", path, "--slope", "1/0"],
+        ["rect", "--input", path, "--aspect=-1/2"],
+        ["path", "--input", path, "--samples", "3"],
+        ["path", "--input", path],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadriline.__file__)))
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quadriline.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(json.loads(in_process[3][1])["rectangles"]) == 8

@@ -89,6 +89,8 @@ def load_config(path: str) -> ConfigurationInput:
             raw = json.load(fh, parse_int=_json_int)
     except ValueError as exc:  # JSONDecodeError, or a file that is not UTF-8
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: the configuration must be a JSON object")
     field_tag = raw.get("field")
@@ -301,7 +303,7 @@ def cmd_locus(args) -> dict:
     out["conic"] = [field.format(c) for c in report.conic] if report.conic else None
     out["point"] = _point_json(field, report.point) if report.point else None
     try:
-        special = special_rectangles(cfg)
+        special = special_rectangles(cfg, report)
     except (PreconditionError, InternalCheckError):
         special = None
     if special is not None:

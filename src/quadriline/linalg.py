@@ -53,52 +53,3 @@ def intersect_lines(a1, b1, c1, a2, b2, c2):
         return None
     return sol.particular
 
-
-def nullspace(rows):
-    """Basis of the kernel of a matrix given as a list of equal-length rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(mat):
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    # Derive 0 and 1 from matrix entries so the routine stays field-agnostic.
-    one = None
-    for row in rows:
-        for x in row:
-            if x:
-                zero, one = x - x, x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        raise ValueError("nullspace of an all-zero matrix is the full space")
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row_idx, col in pivots:
-            vec[col] = -mat[row_idx][fc]
-        basis.append(tuple(vec))
-    return basis

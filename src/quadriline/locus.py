@@ -3,12 +3,14 @@
 Centers only make sense in odd characteristic; the scalar layer already
 rejects characteristic 2.  For a degenerate configuration the centers fall on
 two lines (the aspect-path centers on the Gauss-Newton line, the slope-path
-centers on a parallel of the diagonal G); otherwise they trace the image of a
-conic, pinned down here by an exact fit.
+centers on a parallel of the diagonal G); otherwise they trace a conic.  Each
+locus is the image of an exact center map, read off its coefficients in
+closed form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,17 +22,15 @@ from .errors import (
     ParallelPairError,
     PreconditionError,
 )
-from .linalg import intersect_lines, nullspace
+from .linalg import intersect_lines
 from .rectangles import ProjectiveRectangle, Ratio
 from .paths import (
-    aspect_path_eval,
+    PathPolynomials,
     aspect_path_polys,
     eval_path,
     ratio_samples,
     slope_path_polys,
 )
-
-PAIRS = (("A", "B"), ("C", "D"), ("A", "D"), ("B", "C"), ("A", "C"), ("B", "D"))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
 
 @dataclass(frozen=True)
 class CenterMap:
-    """The center of the slope-path rectangle as a function of the ratio.
+    """The center of a path rectangle as a function of the ratio.
 
     center(r) = (x_num(r) / den(r), y_num(r) / den(r)) with den twice the
     path's homogenizing polynomial.
@@ -116,6 +116,15 @@ class CenterMap:
     x_num: tuple
     y_num: tuple
     den: tuple
+
+    @staticmethod
+    def of(cfg: NormalizedConfig, pp: PathPolynomials) -> "CenterMap":
+        """The midpoint of the A and C vertices along a path."""
+        return CenterMap(
+            x_num=hpoly.add(pp.x["A"], pp.x["C"]),
+            y_num=hpoly.add(pp.y["A"], pp.y["C"]),
+            den=hpoly.scale(cfg.field.from_int(2), pp.w),
+        )
 
     def at(self, r: Ratio):
         d = hpoly.eval_at(self.den, r.num, r.den)
@@ -140,76 +149,134 @@ class LocusReport:
     conic: Optional[tuple] = None  # coefficients of x^2, xy, y^2, x, y, 1
     point: Optional[tuple] = None
     center_map: Optional[CenterMap] = None
+    slope_path: Optional[PathPolynomials] = None  # TwoLines: both paths, for special_rectangles
+    aspect_path: Optional[PathPolynomials] = None
 
 
-def _path_centers(cfg, pp, want: int):
-    """Centers of the first `want` affine rectangles along a path."""
-    centers = []
-    budget = want + 8  # a couple of ratios may land at infinity
-    for r in ratio_samples(cfg.field, budget):
-        rect = eval_path(cfg, pp, r)
-        if rect.at_infinity:
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+# The conic's monomials x^2, xy, y^2, x, y, 1 as index pairs into (x, y, 1).
+_MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
+
+
+def _require_zero(form, what: str):
+    if not hpoly.is_zero(form):
+        raise InternalCheckError(what)
+
+
+def _image_conic(cmap: CenterMap, adj) -> tuple:
+    """b^2 - ac = 0 for (a, b, c) = adj(M)(x, y, 1), scaled so its last nonzero coefficient is 1.
+
+    (x, y, 1) ~ M (s^2, st, t^2) gives adj(M)(x, y, 1) ~ (s^2, st, t^2).
+    Checked as an identity of forms: D^2 q(X/D, Y/D) = 0.
+    """
+    a, b, c = adj
+    coeffs = []
+    for i, j in _MONOMIALS:
+        k = b[i] * b[j] - a[i] * c[j]
+        coeffs.append(k if i == j else k + b[j] * b[i] - a[j] * c[i])
+    last = next(k for k in reversed(coeffs) if k)
+    conic = tuple(k / last for k in coeffs)
+    x, y, d = cmap.x_num, cmap.y_num, cmap.den
+    forms = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
+    total = functools.reduce(hpoly.add, map(hpoly.scale, conic, forms))
+    _require_zero(total, "the locus conic does not vanish on the center map")
+    return conic
+
+
+def _image_line(field, cmap: CenterMap, normal, source: str) -> AffineLineDescription:
+    """The line n0 x + n1 y + n2 = 0 that holds every center, for a normal n with
+    n0 X + n1 Y + n2 D = 0.
+
+    It is scaled as the line through the first two distinct affine centers in
+    ratio_samples order.  Five ratios hold two of them: at most two go to
+    infinity and at most two share a center.  F_3 has only four, and there a
+    map may have a single affine center; the line then keeps the scale of n.
+    """
+    first = line = None
+    for r in ratio_samples(field, 5):
+        try:
+            center = cmap.at(r)
+        except AtInfinityError:
             continue
-        centers.append(center_of(rect))
-        if len(centers) == want:
+        if first is None:
+            first = center
+        elif center != first:
+            line = _line_through(first, center, source)
             break
-    return centers
-
-
-def _fit_line(centers, source: str) -> Optional[AffineLineDescription]:
-    """Exact line through sampled centers; None when they all coincide."""
-    base = centers[0]
-    other = next((c for c in centers if c != base), None)
-    if other is None:
-        return None
-    line = _line_through(base, other, source)
-    for c in centers:
-        if not line.contains(c):
-            raise InternalCheckError("sampled path centers are not collinear")
+    if line is None:
+        line = AffineLineDescription(normal[0], normal[1], -normal[2], source)
+    form = hpoly.sub(
+        hpoly.add(hpoly.scale(line.a, cmap.x_num), hpoly.scale(line.b, cmap.y_num)),
+        hpoly.scale(line.c, cmap.den),
+    )
+    _require_zero(form, f"{source} left their line")
     return line
 
 
-def _fit_line_or_none(centers) -> Optional[AffineLineDescription]:
-    """Like _fit_line but returns None instead of raising on non-collinear data."""
-    try:
-        return _fit_line(centers, "slope-centers")
-    except InternalCheckError:
-        return None
+def _image(field, cmap: CenterMap, source: str):
+    """The set of centers as (conic, line, point), exactly one of them set.
 
-
-def _conic_row(center, one):
-    x, y = center
-    return [x * x, x * y, y * y, x, y, one]
+    The columns c_j = (x_num[j], y_num[j], den[j]) form the coefficient
+    matrix M of the map.  Degree 2: adj(M) has the rows c1 x c2, c2 x c0,
+    c0 x c1, so det M = c0 . (c1 x c2).  A nonzero det gives the conic; when
+    det M = 0 each row n of adj(M) has n M = 0, the equation of a line, and
+    with adj(M) = 0 (rank 1) the map is constant.  Degree 1: the single
+    normal c0 x c1 decides between the line and the point.
+    """
+    cols = tuple(zip(cmap.x_num, cmap.y_num, cmap.den))
+    if len(cols) == 3:
+        normals = (_cross(cols[1], cols[2]), _cross(cols[2], cols[0]), _cross(cols[0], cols[1]))
+        det = sum((n * c for n, c in zip(normals[0], cols[0])), field.zero())
+        if det:
+            return _image_conic(cmap, normals), None, None
+    else:
+        normals = (_cross(cols[0], cols[1]),)
+    normal = next((n for n in normals if any(n)), None)
+    if normal is not None:
+        return None, _image_line(field, cmap, normal, source), None
+    x, y, d = next(c for c in cols if c[2])
+    point = (x / d, y / d)
+    for num, value in ((cmap.x_num, point[0]), (cmap.y_num, point[1])):
+        _require_zero(hpoly.sub(num, hpoly.scale(value, cmap.den)), "center map is not constant")
+    return None, None, point
 
 
 def centers_paths(cfg: NormalizedConfig) -> LocusReport:
-    """Describe the rectangle locus.
+    """Describe the rectangle locus, in closed form.
 
-    Degenerate configurations yield two lines of centers (cross-checked
-    against the Gauss-Newton line and the diagonal G whenever no lines are
-    parallel); twin or dual pairs leave a single affine line; otherwise six
-    sampled centers determine an exact conic that twenty further samples
-    must satisfy.
+    The locus is the image of a center map (see :func:`_image`).  Degenerate
+    configurations have maps of degree 1 and two lines of centers
+    (cross-checked against the Gauss-Newton line and the diagonal G whenever
+    no lines are parallel), or, when both maps are constant, one point or the
+    line through two; twin or dual pairs leave a single affine line;
+    otherwise the slope path's degree-2 map gives a conic, or, when its
+    matrix is singular, a line or a point.
     """
     cls = classify(cfg)
-    one = cfg.field.one()
+    field = cfg.field
     if cls.locus_shape is LocusShape.LINE_PLUS_INFINITY:
         pp = aspect_path_polys(cfg) if cls.twin_pairs else slope_path_polys(cfg)
         source = "aspect-centers" if cls.twin_pairs else "slope-centers"
-        centers = _path_centers(cfg, pp, 8)
-        line = _fit_line(centers, source)
-        if line is None:
-            return LocusReport(shape=cls.locus_shape, point=centers[0])
-        return LocusReport(shape=cls.locus_shape, single_line=line)
+        _, line, point = _image(field, CenterMap.of(cfg, pp), source)
+        return LocusReport(shape=cls.locus_shape, single_line=line, point=point)
 
     if cls.degenerate:
-        slope_centers = _path_centers(cfg, slope_path_polys(cfg), 6)
-        aspect_centers = _path_centers(cfg, aspect_path_polys(cfg), 6)
-        slope_line = _fit_line(slope_centers, "slope-centers")
-        aspect_line = _fit_line(aspect_centers, "aspect-centers")
+        spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
+        _, slope_line, slope_point = _image(field, CenterMap.of(cfg, spp), "slope-centers")
+        _, aspect_line, aspect_point = _image(field, CenterMap.of(cfg, app), "aspect-centers")
+        line = point = None
+        if slope_point is not None and aspect_point is not None:
+            # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
+            if slope_point == aspect_point:
+                point = slope_point
+            else:
+                line = _line_through(slope_point, aspect_point, "path-centers")
         gn = g = None
         slopes = [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
-        no_parallels = len({cfg.field.format(m) for m in slopes}) == 4
+        no_parallels = len({field.format(m) for m in slopes}) == 4
         if no_parallels:
             gn = gauss_newton_line(cfg)
             g = diagonal_g(cfg)
@@ -223,43 +290,17 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             aspect_centers=aspect_line,
             gauss_newton=gn,
             diagonal_g=g,
+            single_line=line,
+            point=point,
+            slope_path=spp,
+            aspect_path=app,
         )
 
-    # Non-degenerate: exact conic through the sampled centers.
-    pp = slope_path_polys(cfg)
-    cmap = CenterMap(
-        x_num=hpoly.add(pp.x["A"], pp.x["C"]),
-        y_num=hpoly.add(pp.y["A"], pp.y["C"]),
-        den=hpoly.scale(cfg.field.from_int(2), pp.w),
+    cmap = CenterMap.of(cfg, slope_path_polys(cfg))
+    conic, line, point = _image(field, cmap, "slope-centers")
+    return LocusReport(
+        shape=cls.locus_shape, conic=conic, single_line=line, point=point, center_map=cmap
     )
-    centers = _path_centers(cfg, pp, 26)
-    distinct = []
-    for c in centers:
-        if c not in distinct:
-            distinct.append(c)
-    if len(distinct) == 1:
-        return LocusReport(shape=cls.locus_shape, point=distinct[0], center_map=cmap)
-    if len(distinct) < 6:
-        # Tiny prime fields cannot supply six distinct samples; report the
-        # parametric map, plus the line when the few centers are collinear.
-        line = _fit_line_or_none(centers)
-        return LocusReport(shape=cls.locus_shape, single_line=line, center_map=cmap)
-    fit_rows = [_conic_row(c, one) for c in distinct[:6]]
-    basis = nullspace(fit_rows)
-    if not basis:
-        raise InternalCheckError("no conic through sampled centers")
-    if len(basis) > 1:
-        line = _fit_line(centers, "slope-centers")
-        if line is None:
-            raise InternalCheckError("conic fit is underdetermined")
-        return LocusReport(shape=cls.locus_shape, single_line=line, center_map=cmap)
-    conic = basis[0]
-    for c in centers:
-        row = _conic_row(c, one)
-        val = sum((rc * cc for rc, cc in zip(row, conic)), cfg.field.zero())
-        if val:
-            raise InternalCheckError("verification center off the fitted conic")
-    return LocusReport(shape=cls.locus_shape, conic=tuple(conic), center_map=cmap)
 
 
 @dataclass(frozen=True)
@@ -272,24 +313,16 @@ class SpecialRectangles:
     centroid_point: tuple
 
 
-def special_rectangles(cfg: NormalizedConfig) -> SpecialRectangles:
+def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRectangles:
     """Center rectangle (centered on the locus-line intersection) and
     centroid rectangle (centered on the centroid of the four corner points).
 
-    Requires a degenerate configuration with no two lines parallel and at
-    least one non-orthogonal pair.
+    ``report`` is ``centers_paths(cfg)``.  Requires a degenerate
+    configuration with no two lines parallel and at least one non-orthogonal
+    pair: a TwoLines report, which then carries the Gauss-Newton line.
     """
-    cls = classify(cfg)
-    if not cls.degenerate:
-        raise PreconditionError("special rectangles need a degenerate configuration")
-    slopes = [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
-    if len({cfg.field.format(m) for m in slopes}) != 4:
-        raise PreconditionError("special rectangles need pairwise non-parallel lines")
-    one = cfg.field.one()
-    if cfg.m_a * cfg.m_c == -one and cfg.m_b * cfg.m_d == -one:
-        raise PreconditionError("both pairs orthogonal (twin pairs)")
-
-    report = centers_paths(cfg)
+    if report.shape is not LocusShape.TWO_LINES or report.gauss_newton is None:
+        raise PreconditionError("special rectangles need two locus lines and no parallel lines")
     sl, al = report.slope_centers, report.aspect_centers
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
@@ -297,9 +330,9 @@ def special_rectangles(cfg: NormalizedConfig) -> SpecialRectangles:
     if cross is None:
         raise InternalCheckError("locus lines of a degenerate configuration are parallel")
 
-    pp = slope_path_polys(cfg)
-    shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * pp.first[0], pp.second[0])
-    center_rect = aspect_path_eval(cfg, shared_aspect)
+    spp, app = report.slope_path, report.aspect_path
+    shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
+    center_rect = eval_path(cfg, app, shared_aspect)
     if center_of(center_rect) != cross:
         raise InternalCheckError("center rectangle misses the locus intersection")
 
@@ -309,12 +342,9 @@ def special_rectangles(cfg: NormalizedConfig) -> SpecialRectangles:
         sum((p[0] for p in corners), cfg.field.zero()) / four,
         sum((p[1] for p in corners), cfg.field.zero()) / four,
     )
-    ap = aspect_path_polys(cfg)
-    x_num = hpoly.add(ap.x["A"], ap.x["C"])
-    y_num = hpoly.add(ap.y["A"], ap.y["C"])
-    two = cfg.field.from_int(2)
-    eq_x = hpoly.sub(x_num, hpoly.scale(two * centroid[0], ap.w))
-    eq_y = hpoly.sub(y_num, hpoly.scale(two * centroid[1], ap.w))
+    amap = CenterMap.of(cfg, app)
+    eq_x = hpoly.sub(amap.x_num, hpoly.scale(centroid[0], amap.den))
+    eq_y = hpoly.sub(amap.y_num, hpoly.scale(centroid[1], amap.den))
     if not hpoly.is_zero(eq_x):
         ratio = Ratio.of(-eq_x[1], eq_x[0])
         if hpoly.eval_at(eq_y, ratio.num, ratio.den):
@@ -323,7 +353,7 @@ def special_rectangles(cfg: NormalizedConfig) -> SpecialRectangles:
         ratio = Ratio.of(-eq_y[1], eq_y[0])
     else:
         raise InternalCheckError("centroid equations vanished identically")
-    centroid_rect = aspect_path_eval(cfg, ratio)
+    centroid_rect = eval_path(cfg, app, ratio)
     if center_of(centroid_rect) != centroid:
         raise InternalCheckError("centroid rectangle misses the centroid")
     return SpecialRectangles(center_rect, cross, centroid_rect, centroid)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -23,6 +24,14 @@ from .errors import FieldError, ParseError, PreconditionError
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+
+
+def _too_many_digits(text: str) -> ParseError:
+    """The error for a literal past int()'s digit limit: the one ValueError of a matched literal."""
+    digits = max(len(run) for run in re.findall(r"\d+", text))
+    return ParseError(
+        f"a number of {digits} digits: at most {sys.get_int_max_str_digits()} are supported"
+    )
 
 
 class FpElement:
@@ -172,6 +181,8 @@ class RationalField:
             return Fraction(text)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in literal {text!r}") from None
+        except ValueError:
+            raise _too_many_digits(text) from None
 
     def format(self, x: Fraction) -> str:
         return str(x)
@@ -237,7 +248,10 @@ class PrimeField:
         text = text.strip()
         if not _INT_RE.match(text):
             raise ParseError(f"not an integer literal: {text!r}")
-        return FpElement(int(text), self)
+        try:
+            return FpElement(int(text), self)
+        except ValueError:
+            raise _too_many_digits(text) from None
 
     def format(self, x: FpElement) -> str:
         return str(x.value)

@@ -141,6 +141,23 @@ class TestPathLocusCensus:
             == 0
         )
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cfg1.json", "f399eae7f15d84ad0d9997e0bd9e249a9df961146af37ff0a29b484c573f5892"),
+            ("cfg1_f11.json", "5ebb157afde7d62bfe96a504c7ba9b26fed86ef1319bc20a58f8928546c30d65"),
+            ("cfg2.json", "0b9166bd19fcf92ef78a6cb76cb564d1ec960acdb3568af750c04a11d4faf1ef"),
+            ("cfg3.json", "9c48c0ec4e9a2f938d72174c57670874d5917385193d0cc6703ae68d3b5fa8f8"),
+            ("parallel.json", "a3700e3db86fe31c6707f8bbde730b9d944c0c8737cd5240014006a8f30ef537"),
+        ],
+    )
+    def test_locus_bytes(self, capsys, name, digest):
+        """The closed-form locus prints what the sampled fit printed."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        code, out, err = run_cli(capsys, "locus", "--input", path)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_census_cfg1_f11(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg1p.json", {"prime": 11}, CFG1_PAIRS)
         doc = run_json(capsys, "census", "--input", path)
@@ -295,6 +312,29 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.count("\n") == 1 and path in err and "field.prime" in err
         assert "3317044064679887385961981" in err and "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("field_tag", ["rational", {"prime": 11}], ids=["QQ", "F11"])
+    @pytest.mark.parametrize("as_text", [False, True], ids=["json-integer", "digit-string"])
+    def test_coefficient_beyond_int_digit_limit(self, tmp_path, capsys, field_tag, as_text):
+        digits = "9" * 5000
+        path = write_config(tmp_path, "long.json", field_tag, CFG1_PAIRS)
+        doc = tmp_path / "long.json"
+        first_a = '"a": "-2"'
+        assert first_a in doc.read_text()
+        doc.write_text(
+            doc.read_text().replace(first_a, f'"a": "{digits}"' if as_text else f'"a": {digits}', 1)
+        )
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and f"{path}: pairs[0][0].a: " in err
+        assert "5000 digits" in err and "set_int_max_str_digits" not in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and str(path) in err and "nested too deeply" in err
 
     def test_top_level_array(self, tmp_path, capsys):
         path = tmp_path / "array.json"

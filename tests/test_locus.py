@@ -1,11 +1,13 @@
 """Centers, the Gauss-Newton line, diagonal G, loci, special rectangles."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from quadriline import (
+    AffineLineDescription,
     AtInfinityError,
     InputLine,
     LocusShape,
@@ -21,6 +23,7 @@ from quadriline import (
     center_of,
     centers_paths,
     diagonal_g,
+    enumerate_rectangles,
     eval_path,
     gauss_newton_line,
     ratio_samples,
@@ -31,6 +34,92 @@ from quadriline import (
     special_rectangles,
 )
 from conftest import random_degenerate_config, random_rational_config, rat
+
+
+def nullspace(rows):
+    """Basis of the kernel of a matrix given as a list of equal-length rows (RREF)."""
+    ncols = len(rows[0])
+    mat = [list(r) for r in rows]
+    pivots = []  # (row, col)
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][col]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == len(mat):
+            break
+    pivot_cols = [c for _, c in pivots]
+    x = next(x for row in rows for x in row if x)
+    zero, one = x - x, x / x
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for row_idx, col in pivots:
+            vec[col] = -mat[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_locus(cfg):
+    """The sampled fit that the closed form replaced, for a non-degenerate configuration.
+
+    Takes the first 26 affine slope-path centers in ratio_samples order.  Six
+    distinct ones give the conic through them as an exact nullspace, which
+    all 26 must satisfy; a kernel of dimension > 1 means the centers are
+    collinear, and the line goes through the first two distinct ones.
+    Returns (conic, line, point) as centers_paths reports them, or None over
+    a field too small for six distinct centers.
+    """
+    pp = slope_path_polys(cfg)
+    centers = []
+    for r in ratio_samples(cfg.field, 34):
+        rect = eval_path(cfg, pp, r)
+        if not rect.at_infinity:
+            centers.append(center_of(rect))
+        if len(centers) == 26:
+            break
+    distinct = []
+    for c in centers:
+        if c not in distinct:
+            distinct.append(c)
+    if len(distinct) == 1:
+        return None, None, distinct[0]
+    if len(distinct) < 6:
+        return None
+    one = cfg.field.one()
+    basis = nullspace([[x * x, x * y, y * y, x, y, one] for x, y in distinct[:6]])
+    if len(basis) == 1:
+        k = basis[0]
+        for x, y in centers:
+            assert not (k[0] * x * x + k[1] * x * y + k[2] * y * y + k[3] * x + k[4] * y + k[5])
+        return k, None, None
+    (x0, y0), (x1, y1) = distinct[:2]
+    a, b = y0 - y1, x1 - x0
+    return None, AffineLineDescription(a, b, a * x0 + b * y0, "slope-centers"), None
+
+
+def on_report(report, center) -> bool:
+    """Does the center lie on the reported conic, one of the reported lines, or the point?"""
+    x, y = center
+    k = report.conic
+    if k is not None and not (
+        k[0] * x * x + k[1] * x * y + k[2] * y * y + k[3] * x + k[4] * y + k[5]
+    ):
+        return True
+    lines = (report.slope_centers, report.aspect_centers, report.single_line)
+    return any(line is not None and line.contains(center) for line in lines) or (
+        report.point == center
+    )
 
 
 class TestCenterOf:
@@ -188,6 +277,46 @@ class TestCentersPaths:
             if not rect.at_infinity:
                 assert center_of(rect) == report.point
 
+    def test_point_locus_of_a_square_of_lines(self):
+        # y = x + 1, y = -x + 1, y = x, y = -x: degenerate, and both center maps are constant.
+        cfg = NormalizedConfig.from_ints(QQ, 1, -1, 1, -1, 1)
+        report = centers_paths(cfg)
+        assert report.shape is LocusShape.TWO_LINES
+        assert report.slope_centers is None and report.aspect_centers is None
+        assert report.point == (0, Fraction(1, 2))
+        for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
+            for r in ratio_samples(QQ, 8):
+                rect = eval_path(cfg, pp, r)
+                if not rect.at_infinity:
+                    assert center_of(rect) == report.point
+
+    def test_matches_sampled_fit_on_random_configs(self):
+        rng = random.Random(163)
+        checked = 0
+        while checked < 25:
+            cfg = random_rational_config(rng)
+            if not cfg.ef_sum:
+                continue
+            report = centers_paths(cfg)
+            assert (report.conic, report.single_line, report.point) == reference_locus(cfg)
+            checked += 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_census_centers_lie_on_the_report(self, p):
+        """Every affine center the brute-force census finds is on the reported locus."""
+        field = PrimeField(p)
+        configs = [
+            ints for ints in itertools.product(range(p), repeat=5) if ints[2] != ints[3]
+        ]
+        if p > 5:
+            configs = random.Random(p).sample(configs, 300)
+        for ints in configs:
+            cfg = NormalizedConfig.from_ints(field, *ints)
+            report = centers_paths(cfg)
+            for rect in enumerate_rectangles(cfg):
+                if not rect.at_infinity:
+                    assert on_report(report, center_of(rect)), (p, ints)
+
     def test_degenerate_random_configs(self):
         rng = random.Random(157)
         for _ in range(10):
@@ -199,8 +328,8 @@ class TestCentersPaths:
 
 class TestSpecialRectangles:
     def test_cfg2(self, cfg2):
-        special = special_rectangles(cfg2)
         report = centers_paths(cfg2)
+        special = special_rectangles(cfg2, report)
         assert report.slope_centers.contains(special.center_point)
         assert report.aspect_centers.contains(special.center_point)
         assert center_of(special.center_rectangle) == special.center_point
@@ -215,7 +344,7 @@ class TestSpecialRectangles:
         assert report.gauss_newton.contains(centroid)
 
     def test_cfg2_at_infinity_interpretation(self, cfg2):
-        special = special_rectangles(cfg2)
+        special = special_rectangles(cfg2, centers_paths(cfg2))
         spp, app = slope_path_polys(cfg2), aspect_path_polys(cfg2)
         # The slope path's rectangle at infinity: the root of its w-polynomial.
         slope_inf = eval_path(cfg2, spp, Ratio.of(-spp.w[1], spp.w[0]))
@@ -235,11 +364,11 @@ class TestSpecialRectangles:
 
     def test_cfg3_rejected(self, cfg3):
         with pytest.raises(PreconditionError):
-            special_rectangles(cfg3)
+            special_rectangles(cfg3, centers_paths(cfg3))
 
     def test_nondegenerate_rejected(self, cfg1):
         with pytest.raises(PreconditionError):
-            special_rectangles(cfg1)
+            special_rectangles(cfg1, centers_paths(cfg1))
 
 
 class TestAllParallel:

@@ -56,7 +56,6 @@ from .paths import (
     PathCase,
     PathHomography,
     PathPolynomials,
-    affine_vertices_for_slope,
     all_ratios,
     aspect_path_eval,
     aspect_path_polys,

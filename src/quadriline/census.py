@@ -110,8 +110,9 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     spp = slope_path_polys(cfg)
     app = aspect_path_polys(cfg)
     ratios = all_ratios(field)
-    slope_image = {eval_path(cfg, spp, r) for r in ratios}
-    aspect_image = {eval_path(cfg, app, r) for r in ratios}
+    slope_rects = [eval_path(cfg, spp, r) for r in ratios]
+    aspect_rects = [eval_path(cfg, app, r) for r in ratios]
+    slope_image, aspect_image = set(slope_rects), set(aspect_rects)
 
     union = slope_image | aspect_image
     union_covered = census == union
@@ -128,11 +129,11 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         if not bound_ok:
             failures.append(f"{infinity_count} rectangles at infinity")
 
+    slope_keys = {rect: _ratio_key(field, slope_of(rect)) for rect in census}
     consistency_ok = True
     if cls.degenerate:
         shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
-        for r in ratios:
-            rect = eval_path(cfg, spp, r)
+        for r, rect in zip(ratios, slope_rects):
             got = aspect_of(rect)
             if got is INDETERMINATE or got != shared_aspect:
                 consistency_ok = False
@@ -142,8 +143,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
             if shared_slope != Ratio.of(cfg.f1, cfg.f2):
                 consistency_ok = False
                 failures.append("aspect-path slope differs from the F diagonal")
-        for r in ratios:
-            rect = eval_path(cfg, app, r)
+        for r, rect in zip(ratios, aspect_rects):
             got = slope_of(rect)
             if got is INDETERMINATE or got != shared_slope:
                 consistency_ok = False
@@ -153,15 +153,13 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
             consistency_ok = False
             failures.append("slope and aspect path images differ")
         seen = {}
-        for rect in census:
-            s = slope_of(rect)
-            key = _ratio_key(field, s)
+        for rect, key in slope_keys.items():
             if key in seen and seen[key] != rect:
                 consistency_ok = False
                 failures.append(f"slope {key} repeats: {rect.coords}")
             seen[key] = rect
 
-    by_slope = Counter(_ratio_key(field, slope_of(p)) for p in census)
+    by_slope = Counter(slope_keys.values())
     by_aspect = Counter(_ratio_key(field, aspect_of(p)) for p in census)
 
     return CensusReport(

@@ -302,6 +302,8 @@ def cmd_locus(args) -> dict:
         out[key] = _line_json(field, desc) if desc is not None else None
     out["conic"] = [field.format(c) for c in report.conic] if report.conic else None
     out["point"] = _point_json(field, report.point) if report.point else None
+    if report.points:
+        out["points"] = [_point_json(field, point) for point in report.points]
     try:
         special = special_rectangles(cfg, report)
     except (PreconditionError, InternalCheckError):

@@ -2,10 +2,14 @@
 
 A form of degree d is a tuple ``(c0, ..., cd)`` standing for
 ``sum(c[i] * S**(d-i) * T**i)``.  Length-1 tuples are constants.  All
-coefficients are exact field elements; arithmetic never leaves the field.
+coefficients are exact field elements and arithmetic never leaves the field,
+except in :func:`integer_forms`, which clears a family of forms to integers
+for evaluation at integer points.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def mul(f, g):
@@ -48,6 +52,19 @@ def eval_at(f, s, t):
         power = t if power is None else power * t
         acc = acc * s + c * power
     return acc
+
+
+def integer_forms(field, forms):
+    """The forms as tuples of Python ints, all scaled by one nonzero constant.
+
+    Over F_p the constant is 1 and the integers are the residues; over the
+    rationals it is the lcm of every coefficient's denominator.  Projective
+    evaluation is blind to the common factor.
+    """
+    if field.char:
+        return [tuple(c.value for c in f) for f in forms]
+    factor = math.lcm(*(c.denominator for f in forms for c in f))
+    return [tuple(c.numerator * (factor // c.denominator) for c in f) for f in forms]
 
 
 def is_zero(f):

@@ -148,6 +148,7 @@ class LocusReport:
     single_line: Optional[AffineLineDescription] = None
     conic: Optional[tuple] = None  # coefficients of x^2, xy, y^2, x, y, 1
     point: Optional[tuple] = None
+    points: Optional[tuple] = None  # TwoLines over F_p: two constant center maps at distinct points
     center_map: Optional[CenterMap] = None
     slope_path: Optional[PathPolynomials] = None  # TwoLines: both paths, for special_rectangles
     aspect_path: Optional[PathPolynomials] = None
@@ -250,8 +251,8 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
     The locus is the image of a center map (see :func:`_image`).  Degenerate
     configurations have maps of degree 1 and two lines of centers
     (cross-checked against the Gauss-Newton line and the diagonal G whenever
-    no lines are parallel), or, when both maps are constant, one point or the
-    line through two; twin or dual pairs leave a single affine line;
+    no lines are parallel), or, when both maps are constant, one point or two
+    points; twin or dual pairs leave a single affine line;
     otherwise the slope path's degree-2 map gives a conic, or, when its
     matrix is singular, a line or a point.
     """
@@ -267,13 +268,13 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
         _, slope_line, slope_point = _image(field, CenterMap.of(cfg, spp), "slope-centers")
         _, aspect_line, aspect_point = _image(field, CenterMap.of(cfg, app), "aspect-centers")
-        line = point = None
+        point = points = None
         if slope_point is not None and aspect_point is not None:
             # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
             if slope_point == aspect_point:
                 point = slope_point
             else:
-                line = _line_through(slope_point, aspect_point, "path-centers")
+                points = (slope_point, aspect_point)
         gn = g = None
         slopes = [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
         no_parallels = len({field.format(m) for m in slopes}) == 4
@@ -290,8 +291,8 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             aspect_centers=aspect_line,
             gauss_newton=gn,
             diagonal_g=g,
-            single_line=line,
             point=point,
+            points=points,
             slope_path=spp,
             aspect_path=app,
         )

@@ -10,15 +10,17 @@ forms are constants and the paths are lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from fractions import Fraction
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError
 from .rectangles import ProjectiveRectangle, Ratio
+from .scalars import FpElement
 
 SLOPE = "slope"
 ASPECT = "aspect"
@@ -47,7 +49,8 @@ class PathPolynomials:
     rectangle at ratio r has aspect ratio m_CD * first(r) / second(r); for
     the aspect path it has slope first(r) / second(r).  ``x`` and ``y`` map
     roles to the vertex-coordinate forms and ``w`` is the homogenizing form
-    whose roots are the path's points at infinity.
+    whose roots are the path's points at infinity.  ``field`` is the field
+    of the coefficients.
     """
 
     kind: str
@@ -57,10 +60,18 @@ class PathPolynomials:
     x: dict
     y: dict
     w: tuple
+    field: object
 
     @property
     def degree(self) -> int:
         return len(self.w) - 1
+
+    @functools.cached_property
+    def integer_forms(self) -> list:
+        """The nine forms x_A, y_A, ..., x_D, y_D, w as ints, cleared by one common factor."""
+        forms = [f for role in ROLES for f in (self.x[role], self.y[role])]
+        forms.append(self.w)
+        return hpoly.integer_forms(self.field, forms)
 
 
 def _slope_forms(cfg: NormalizedConfig):
@@ -107,7 +118,7 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     )
     y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
                          hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(SLOPE, case, e_form, f_form, x, y, w)
+    return PathPolynomials(SLOPE, case, e_form, f_form, x, y, w, cfg.field)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -130,19 +141,35 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     )
     y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
                          hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(ASPECT, case, m_form, n_form, x, y, w)
+    return PathPolynomials(ASPECT, case, m_form, n_form, x, y, w, cfg.field)
 
 
 def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> ProjectiveRectangle:
-    s, t = r.num, r.den
-    coords = []
-    for role in ROLES:
-        coords.append(hpoly.eval_at(pp.x[role], s, t))
-        coords.append(hpoly.eval_at(pp.y[role], s, t))
-    coords.append(hpoly.eval_at(pp.w, s, t))
-    if all(not c for c in coords):
+    """The canonical rectangle of the path at the ratio r.
+
+    The point is projective, so the nine integer forms of ``pp`` are
+    evaluated at integers proportional to r: (n, d) for n/d over the
+    rationals, (1, 0) for 1/0, residues over F_p.  Canonical form then
+    costs nine ``Fraction(v, pivot)`` with the last nonzero v as pivot, or
+    over F_p one inverse of the first nonzero v.
+    """
+    field = cfg.field
+    p = field.char
+    if p:
+        s, t = r.num.value, r.den.value
+        coords = [hpoly.eval_at(f, s, t) % p for f in pp.integer_forms]
+        pivot = next((c for c in coords if c), 0)
+    else:
+        num, den = r.num, r.den
+        s, t = num.numerator * den.denominator, den.numerator * num.denominator
+        coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
+        pivot = next((c for c in reversed(coords) if c), 0)
+    if not pivot:
         raise InternalCheckError("path polynomials share a projective zero")
-    return ProjectiveRectangle.canonical(cfg.field, tuple(coords))
+    if p:
+        inv = pow(pivot, -1, p)
+        return ProjectiveRectangle(tuple(FpElement(c * inv, field) for c in coords))
+    return ProjectiveRectangle(tuple(Fraction(c, pivot) for c in coords))
 
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
@@ -153,31 +180,6 @@ def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
 def aspect_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the aspect path with aspect ratio r."""
     return eval_path(cfg, aspect_path_polys(cfg), r)
-
-
-class SlopeQueryResult(NamedTuple):
-    """Outcome of a slope query: affine vertices or a rectangle at infinity."""
-
-    at_infinity: bool
-    vertices: Optional[dict]
-    rectangle: ProjectiveRectangle
-
-
-def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResult:
-    """Vertices of the slope-path rectangle at r, or the at-infinity point.
-
-    When the homogenizing polynomial is nonzero at r the four vertices are
-    affine and each is verified to lie on its line.
-    """
-    pp = slope_path_polys(cfg)
-    rect = eval_path(cfg, pp, r)
-    if rect.at_infinity:
-        return SlopeQueryResult(True, None, rect)
-    vertices = rect.affine_vertices()
-    for role, (x, y) in vertices.items():
-        if not cfg.line(role).contains((x, y)):
-            raise InternalCheckError(f"vertex for {role} left its line")
-    return SlopeQueryResult(False, vertices, rect)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ division X / D of exact integer forms.
 
 from __future__ import annotations
 
-import math
-
 from . import hpoly
 from .configuration import ROLES, InputLine
 from .errors import ParallelPairError, PreconditionError
@@ -101,8 +99,7 @@ def _swept_centers(center_map, plane_map):
         for k in (0, 1)
     ]
     forms.append(cm.den)
-    factor = math.lcm(*(c.denominator for f in forms for c in f))
-    forms = [tuple(int(c * factor) for c in f) for f in forms]
+    forms = hpoly.integer_forms(QQ, forms)
     points = []
     for s, t in _SWEEP:
         x, y, d = (hpoly.eval_at(f, s, t) for f in forms)

@@ -158,6 +158,51 @@ class TestPathLocusCensus:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_locus_two_points_over_f5(self, tmp_path, capsys):
+        """A = C is the isotropic line y = 2x: two centers, not a line of them."""
+        pairs = [[(-2, 1, 0), (-2, 1, 0)], [(0, 1, 1), (-1, 1, 0)]]
+        path = write_config(tmp_path, "two.json", {"prime": 5}, pairs)
+        doc = run_json(capsys, "locus", "--input", path)
+        assert doc["shape"] == "TwoLines"
+        assert doc["single_line"] is None and doc["point"] is None
+        assert doc["points"] == [["1", "2"], ["4", "3"]]
+        assert list(doc)[-2:] == ["points", "special_rectangles"]
+
+    @pytest.mark.parametrize(
+        "name, argv, code, digest",
+        [
+            ("cfg1.json", "rect --slope 1/0", 0, "aab2f76cc6b5ff9accff7e616821b3923d4b3d721fb273317ee73236a7d3a88d"),
+            ("cfg1.json", "rect --aspect=-1/2", 0, "aab2f76cc6b5ff9accff7e616821b3923d4b3d721fb273317ee73236a7d3a88d"),
+            ("cfg1.json", "path --kind slope", 0, "049e4d1e87ce61ab9e86af823497cbaa31e0751c8569c99187e9901730532ac8"),
+            ("cfg1.json", "path --kind aspect", 0, "03626047ca5391c28fbc4f39a22ae46a8577653cbae99e889387ed4dd785c1aa"),
+            ("cfg1_f11.json", "rect --slope 1/0", 0, "2b62b1b7dfdadcd13d47e3cf7311974ebc7cb8760b3f314566a905d97d0113a0"),
+            ("cfg1_f11.json", "rect --aspect=-1/2", 0, "2b62b1b7dfdadcd13d47e3cf7311974ebc7cb8760b3f314566a905d97d0113a0"),
+            ("cfg1_f11.json", "path --kind slope", 0, "6e0b413814726ac85307a9c1b15ee44f32160bbb4e8587c9842ee8d6ffb2a8cd"),
+            ("cfg1_f11.json", "path --kind aspect", 0, "2fe6d38fdae85b3a7cf47db74fa4787df16f81a3a95b224bda5b17efd2779bed"),
+            ("cfg1_f11.json", "census", 0, "b04fbf0048d721ab9d74104b0410ce0c7b1c15b80f5fbfbf8f52247f29f91b00"),
+            ("cfg2.json", "rect --slope 1/0", 0, "15856350e9dcfa435d619f17596810c0bc6caf2d2759114e27ec8f9202f46278"),
+            ("cfg2.json", "rect --aspect=-1/2", 0, "175125541d081b68d95a80d43c6cc876b66e0dc41f03cf60c9e66fa77d246c56"),
+            ("cfg2.json", "path --kind slope", 0, "a56c21217e505bfbbe38dbd8ed32bb56addd549e75097e43f2c9b455669d8eb5"),
+            ("cfg2.json", "path --kind aspect", 0, "2da6f8ac9f54136c9cae5478d4386afb0849e8b06e97d973f38f9c56e7d7c59b"),
+            ("cfg3.json", "rect --slope 1/0", 0, "c07748db6edeed54ba364fb7bf362f9440dbacdc06af1031f08dc0d97a240683"),
+            ("cfg3.json", "rect --aspect=-1/2", 0, "083d7b53ed8f8968ec3900dcacf3b85b08907848d10764f3961aef9a53500e11"),
+            ("cfg3.json", "path --kind slope", 0, "d8aa81283a081b77cca4579fe87daa38bc5227d4758def5d9515a7b8a020f706"),
+            ("cfg3.json", "path --kind aspect", 0, "4c105192b7951ea69b6894dbf87f9ba4f6e7a9e3864fde752a29d521c806749e"),
+            # All four lines parallel: exit 2, nothing on stdout.
+            ("parallel.json", "rect --slope 1/0", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("parallel.json", "rect --aspect=-1/2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("parallel.json", "path --kind slope", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("parallel.json", "path --kind aspect", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_path_kernel_bytes(self, capsys, name, argv, code, digest):
+        """The integer path kernel prints what field-element evaluation printed."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        command, *flags = argv.split()
+        got, out, err = run_cli(capsys, command, "--input", path, *flags)
+        assert got == code, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_census_cfg1_f11(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg1p.json", {"prime": 11}, CFG1_PAIRS)
         doc = run_json(capsys, "census", "--input", path)

@@ -109,7 +109,7 @@ def reference_locus(cfg):
 
 
 def on_report(report, center) -> bool:
-    """Does the center lie on the reported conic, one of the reported lines, or the point?"""
+    """Does the center lie on the reported conic, one of the reported lines, or the points?"""
     x, y = center
     k = report.conic
     if k is not None and not (
@@ -118,7 +118,7 @@ def on_report(report, center) -> bool:
         return True
     lines = (report.slope_centers, report.aspect_centers, report.single_line)
     return any(line is not None and line.contains(center) for line in lines) or (
-        report.point == center
+        report.point == center or center in (report.points or ())
     )
 
 
@@ -316,6 +316,44 @@ class TestCentersPaths:
             for rect in enumerate_rectangles(cfg):
                 if not rect.at_infinity:
                     assert on_report(report, center_of(rect)), (p, ints)
+
+    @pytest.mark.parametrize("p, expected", [(5, 20), (13, 244)])
+    def test_two_constant_centers_are_two_points(self, p, expected):
+        """Both center maps constant at different points: the report gives
+        the two points, which are exactly the affine census centers.
+
+        At p = 5 every normalized configuration is scanned.  Every one found
+        has A = C, an isotropic line (m_A^2 = -1) through the origin, so at
+        p = 13 that family is scanned.
+        """
+        field = PrimeField(p)
+        if p == 5:
+            candidates = [
+                ints for ints in itertools.product(range(p), repeat=5) if ints[2] != ints[3]
+            ]
+        else:
+            roots = [i for i in range(p) if (i * i + 1) % p == 0]
+            candidates = [
+                (i, m_b, i, m_d, 0)
+                for i in roots
+                for m_b, m_d in itertools.product(range(p), repeat=2)
+                if m_d != i
+            ]
+        found = []
+        for ints in candidates:
+            cfg = NormalizedConfig.from_ints(field, *ints)
+            report = centers_paths(cfg)
+            if report.points is None:
+                continue
+            found.append(ints)
+            m_a, _, m_c, _, b_a = ints
+            assert m_a == m_c and (m_a * m_a + 1) % p == 0 and b_a == 0, ints
+            assert report.shape is LocusShape.TWO_LINES
+            assert report.single_line is None and report.point is None
+            assert len(set(report.points)) == 2
+            centers = {center_of(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
+            assert set(report.points) == centers, ints
+        assert len(found) == expected
 
     def test_degenerate_random_configs(self):
         rng = random.Random(157)

@@ -1,18 +1,22 @@
 """Path polynomials: identities, evaluation, degeneracy, the homography."""
 
+import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 
 from quadriline import (
     DegenerateConfigError,
+    InternalCheckError,
     NormalizedConfig,
     PathCase,
+    PreconditionError,
     PrimeField,
     QQ,
     Ratio,
-    affine_vertices_for_slope,
+    all_ratios,
     aspect_infinity_form,
     aspect_of,
     aspect_path_eval,
@@ -29,8 +33,24 @@ from quadriline import (
     slope_path_eval,
     slope_path_polys,
 )
+from quadriline.configuration import ROLES
+from quadriline.paths import PathPolynomials
 from quadriline.rectangles import ProjectiveRectangle
-from conftest import random_degenerate_config, random_rational_config, rat
+from conftest import CFG1_INTS, random_degenerate_config, random_rational_config, rat
+
+
+def reference_eval_path(cfg, pp, r):
+    """The path rectangle at r from field-element arithmetic: evaluate the
+    nine forms at (r.num, r.den) in the field, then divide by the pivot."""
+    s, t = r.num, r.den
+    coords = []
+    for role in ROLES:
+        coords.append(hpoly.eval_at(pp.x[role], s, t))
+        coords.append(hpoly.eval_at(pp.y[role], s, t))
+    coords.append(hpoly.eval_at(pp.w, s, t))
+    if all(not c for c in coords):
+        raise InternalCheckError("path polynomials share a projective zero")
+    return ProjectiveRectangle.canonical(cfg.field, tuple(coords))
 
 
 class TestSlopePathPolynomials:
@@ -214,6 +234,84 @@ class TestSlopePathEval:
                     hpoly.eval_at(ap.second, r.num, r.den),
                 )
                 assert has_slope(rect, expected_slope)
+
+
+class TestIntegerKernel:
+    """eval_path on integer forms against the field-element reference."""
+
+    def test_matches_reference_over_q(self):
+        rng = random.Random(139)
+        configs = [random_rational_config(rng) for _ in range(10)]
+        configs += [random_degenerate_config(rng) for _ in range(10)]
+        configs += [NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)]  # slope path BOTH_ZERO
+        ratios = ratio_samples(QQ, 30) + [Ratio.of(Fraction(-(10**40) + 7, 3**50), Fraction(1))]
+        for cfg in configs:
+            for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
+                for r in ratios:
+                    assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_reference_on_every_config_and_ratio(self, p):
+        field = PrimeField(p)
+        for ints in itertools.product(range(p), repeat=5):
+            if ints[2] == ints[3]:
+                continue
+            try:
+                cfg = NormalizedConfig.from_ints(field, *ints)
+            except PreconditionError:
+                continue
+            for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
+                for r in all_ratios(field):
+                    assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["QQ", "F13"])
+    def test_shared_root_raises(self, field):
+        """Nine forms that all vanish at 1/1: no point of P^8 there."""
+        one = field.one()
+        root = (one, -one)  # S - T
+        forms = {role: hpoly.scale(field.from_int(k), root) for k, role in enumerate(ROLES, 1)}
+        pp = PathPolynomials(
+            kind="slope",
+            case=PathCase.ORTHOGONAL,
+            first=(one,),
+            second=(one,),
+            x=forms,
+            y={role: hpoly.scale(field.from_int(5), f) for role, f in forms.items()},
+            w=hpoly.scale(field.from_int(7), root),
+            field=field,
+        )
+        cfg = NormalizedConfig.from_ints(field, *CFG1_INTS)
+        with pytest.raises(InternalCheckError, match="share a projective zero"):
+            eval_path(cfg, pp, rat(field, 1, 1))
+        with pytest.raises(InternalCheckError, match="share a projective zero"):
+            reference_eval_path(cfg, pp, rat(field, 1, 1))
+        for r in (rat(field, 1, 0), rat(field, 0, 1), rat(field, 2, 1)):
+            assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+
+
+class SlopeQueryResult(NamedTuple):
+    """Outcome of a slope query: affine vertices or a rectangle at infinity."""
+
+    at_infinity: bool
+    vertices: Optional[dict]
+    rectangle: ProjectiveRectangle
+
+
+def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResult:
+    """Vertices of the slope-path rectangle at r, or the at-infinity point.
+
+    When the homogenizing polynomial is nonzero at r the four vertices are
+    affine and each is verified to lie on its line.
+    """
+    pp = slope_path_polys(cfg)
+    rect = eval_path(cfg, pp, r)
+    if rect.at_infinity:
+        return SlopeQueryResult(True, None, rect)
+    vertices = rect.affine_vertices()
+    for role, (x, y) in vertices.items():
+        if not cfg.line(role).contains((x, y)):
+            raise InternalCheckError(f"vertex for {role} left its line")
+    return SlopeQueryResult(False, vertices, rect)
 
 
 class TestAffineVertices:

@@ -1,22 +1,23 @@
-"""Brute-force enumeration of inscribed rectangles over a prime field.
+"""Enumeration of inscribed rectangles over a prime field.
 
-The parameter plane (x_A : x_B : w) is walked point by point on plain ints
-mod p; each parameter is completed to a parallelogram and kept when the
-rectangle condition holds, without touching the path code it checks.
-The census is then replayed against the slope and aspect paths: together the
-two paths must find every rectangle, degenerate configurations must show the
-constant-aspect / constant-slope split, and non-degenerate ones a single
-curve with injective slope.
+The rectangles are the F_p-points of a plane quadric in the parallelogram
+parameters (x_A : x_B : w).  Each affine row (x_A, w = 1) meets it in the
+roots of a quadratic in x_B, read off the rectangle condition at
+x_B = 0, 1 and -1 on plain ints mod p; the p + 1 points with w = 0 are
+tested one by one.  Every hit is completed to a parallelogram without
+touching the path code it checks.  The census is then replayed against the
+slope and aspect paths: together the two paths must find every rectangle,
+degenerate configurations must show the constant-aspect / constant-slope
+split, and non-degenerate ones a single curve with injective slope.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, product
 
 from .configuration import NormalizedConfig, classify
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .paths import all_ratios, aspect_path_polys, eval_path, slope_path_polys
 from .rectangles import (
     INDETERMINATE,
@@ -28,42 +29,80 @@ from .rectangles import (
 )
 from .scalars import FpElement, ratio_format
 
-
-def _parameter_points(p: int):
-    """Duplicate-free representatives of the projective parameter plane over
-    F_p as plain ints: (x_A, x_B, 1) first, then (x_A, 1, 0), then (1, 0, 0)."""
-    return chain(
-        product(range(p), range(p), (1,)), product(range(p), (1,), (0,)), ((1, 0, 0),)
-    )
+# Largest prime a census runs at.  Its time and the set of rectangles it holds
+# both grow about linearly in p; near this bound one census takes 8-12 s and
+# 220-280 MB, the more for degenerate configurations (2p + 1 rectangles).
+MAX_CENSUS_PRIME = 60_000
 
 
 def _residues(*values):
     return tuple(v.value for v in values)
 
 
+def _row_roots(field, a: int, b: int, c: int):
+    """The x in F_p with a x^2 + b x + c = 0 (residues mod p); range(p) when
+    all three coefficients vanish."""
+    p = field.char
+    if a:
+        d = (b * b - 4 * a * c) % p
+        root = field.sqrt(FpElement(d, field))
+        if root is None:
+            return ()
+        r = root.value
+        if (r * r - d) % p:
+            raise InternalCheckError(f"{r} is not a square root of {d} mod {p}")
+        inv = pow(2 * a, -1, p)
+        return {(r - b) * inv % p, (-r - b) * inv % p}
+    if b:
+        return (-c * pow(b, -1, p) % p,)
+    return () if c else range(p)
+
+
 def enumerate_rectangles(cfg: NormalizedConfig):
     """The set of all rectangles in the configuration space over F_p.
 
-    Each parameter point is completed to a parallelogram on ints mod p, with
-    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C.  The
-    rectangle condition is homogeneous, so it is tested on the unscaled
-    coordinates; only the hits are scaled to their canonical form.
+    A parameter point is completed to a parallelogram on ints mod p, with
+    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C.  On the row
+    (x_A, x_B, 1) the rectangle condition is g(x_B) = a x_B^2 + b x_B + c with
+    c = g(0), b = (g(1) - g(-1)) / 2 and a = (g(1) + g(-1)) / 2 - c, solved by
+    one square root; a row where a, b and c all vanish lies in the quadric.
+    The line w = 0 is tested point by point.  Only the hits are scaled to
+    their canonical form.
     """
     field = cfg.field
     if not field.char:
         raise PreconditionError("census enumeration needs a prime field")
     p = field.char
+    if p > MAX_CENSUS_PRIME:
+        raise PreconditionError(
+            f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
+        )
     m_a, m_b, m_c, m_d, b_a = _residues(cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a)
     inv = pow(m_d - m_c, -1, p)
     k_a, k_b, k_w = (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
-    found = set()
-    for x_a, x_b, w in _parameter_points(p):
+
+    def vertices(x_a, x_b, w):
         x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
-        y_a = m_a * x_a + b_a * w
-        y_b = m_b * x_b + w
-        y_c = m_c * x_c
-        if ((x_c - x_b) * (x_b - x_a) + (y_c - y_b) * (y_b - y_a)) % p:
-            continue
+        return x_a, m_a * x_a + b_a * w, x_b, m_b * x_b + w, x_c, m_c * x_c
+
+    def condition(x_a, x_b, w):
+        _, y_a, _, y_b, x_c, y_c = vertices(x_a, x_b, w)
+        return ((x_c - x_b) * (x_b - x_a) + (y_c - y_b) * (y_b - y_a)) % p
+
+    hits = [(x_a, 1, 0) for x_a in range(p) if not condition(x_a, 1, 0)]
+    if not condition(1, 0, 0):
+        hits.append((1, 0, 0))
+    half = (p + 1) // 2
+    for x_a in range(p):
+        c = condition(x_a, 0, 1)
+        g_plus, g_minus = condition(x_a, 1, 1), condition(x_a, -1, 1)
+        b = (g_plus - g_minus) * half % p
+        a = ((g_plus + g_minus) * half - c) % p
+        hits.extend((x_a, x_b, 1) for x_b in _row_roots(field, a, b, c))
+
+    found = set()
+    for x_a, x_b, w in hits:
+        _, y_a, _, y_b, x_c, y_c = vertices(x_a, x_b, w)
         x_d = x_a - x_b + x_c
         coords = [c % p for c in (x_a, y_a, x_b, y_b, x_c, y_c, x_d, m_d * x_d, w)]
         scale = pow(next(c for c in coords if c), -1, p)
@@ -176,17 +215,40 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
 
 
 def quadric_point_count(cfg: NormalizedConfig) -> int:
-    """Zeros of the rectangle quadric over the parameter plane (cross-check)."""
-    p = cfg.field.char
+    """Zeros of the rectangle quadric on the parameter plane P^2(F_p), by theorem.
+
+    For p odd a quadratic form on P^2(F_p) with symmetric matrix S has
+    p + 1 zeros at rank 3 or 1; at rank 2, 2p + 1 zeros (two lines) when it
+    splits over F_p and 1 otherwise; p^2 + p + 1 at rank 0 (Lidl and
+    Niederreiter, *Finite Fields*, section 6.2).  A rank-2 form splits iff -m
+    is a square, m any nonzero principal 2x2 minor of S.  The rank is read off
+    2S, which has integer entries and the same minors up to square factors.
+    """
+    field = cfg.field
+    p = field.char
     if not p:
         raise PreconditionError("census enumeration needs a prime field")
     h = quadric_h(cfg)
     aa, ab, bb, aw, bw, ww = _residues(h.aa, h.ab, h.bb, h.aw, h.bw, h.ww)
-    return sum(
-        1
-        for x_a, x_b, w in _parameter_points(p)
-        if not (x_a * (aa * x_a + ab * x_b + aw * w) + x_b * (bb * x_b + bw * w) + ww * w * w) % p
-    )
+    s = ((2 * aa, ab, aw), (ab, 2 * bb, bw), (aw, bw, 2 * ww))
+    # minors[i][j] = det(2S without row i and column j); the diagonal holds the principal ones.
+    minors = [
+        [
+            (s[i1][j1] * s[i2][j2] - s[i1][j2] * s[i2][j1]) % p
+            for j1, j2 in ((1, 2), (0, 2), (0, 1))
+        ]
+        for i1, i2 in ((1, 2), (0, 2), (0, 1))
+    ]
+    if (s[0][0] * minors[0][0] - s[0][1] * minors[0][1] + s[0][2] * minors[0][2]) % p:
+        return p + 1
+    if any(any(row) for row in minors):
+        m = next((minors[i][i] for i in range(3) if minors[i][i]), None)
+        if m is None:
+            raise InternalCheckError("a rank-2 symmetric matrix has no nonzero principal minor")
+        return 2 * p + 1 if field.is_square(FpElement(-m, field)) else 1
+    if any(v % p for row in s for v in row):
+        return p + 1
+    return p * p + p + 1
 
 
 def random_normalized_config(field, rng):

@@ -15,7 +15,7 @@ back to the original coordinates exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -422,55 +422,34 @@ def normalize(cfg_input: ConfigurationInput):
     swaps, lines, role_to_input = chosen
 
     origin = lines["C"].intersection(lines["D"])
-    translation = (-origin[0], -origin[1])
-    moved = {}
-    for role, ln in lines.items():
-        moved[role] = InputLine(
-            ln.a, ln.b, ln.c + ln.a * translation[0] + ln.b * translation[1]
-        )
-
     reflection_t = None
-    if any(ln.is_vertical for ln in moved.values()):
-        reflection_t = _pick_reflection(field, moved)
-        t = reflection_t
-        reflected = {}
-        for role, ln in moved.items():
-            one = field.one()
-            a = (one - t * t) * ln.a + 2 * t * ln.b
-            b = 2 * t * ln.a + (t * t - one) * ln.b
-            reflected[role] = InputLine(a, b, (one + t * t) * ln.c)
-        moved = reflected
-
-    _, b_intercept = moved["B"].slope_intercept()
+    if any(ln.is_vertical for ln in lines.values()):
+        reflection_t = _pick_reflection(field, lines)
+    unscaled = PlaneMap(
+        field=field,
+        swaps=swaps,
+        role_to_input=role_to_input,
+        translation=(-origin[0], -origin[1]),
+        reflection_t=reflection_t,
+        scale=field.one(),
+    )
+    _, b_intercept = unscaled.apply_line(lines["B"]).slope_intercept()
     if not b_intercept:
         raise InternalCheckError("B passes through the origin after labeling")
-    scale = field.one() / b_intercept
-    scaled = {
-        role: InputLine(ln.a, ln.b, scale * ln.c) for role, ln in moved.items()
-    }
+    plane_map = replace(unscaled, scale=field.one() / b_intercept)
 
+    # The standing form is read off the images of the input lines, found
+    # through the recorded labels, so the map reproduces it by construction.
+    by_label = cfg_input.lines_by_label()
     slopes = {}
     intercepts = {}
-    for role, ln in scaled.items():
-        slopes[role], intercepts[role] = ln.slope_intercept()
+    for role in ROLES:
+        image = plane_map.apply_line(by_label[role_to_input[role]])
+        slopes[role], intercepts[role] = image.slope_intercept()
     if intercepts["C"] or intercepts["D"] or intercepts["B"] != field.one():
         raise InternalCheckError("normalization produced wrong intercepts")
 
     cfg = NormalizedConfig.make(
         field, slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"]
     )
-    plane_map = PlaneMap(
-        field=field,
-        swaps=swaps,
-        role_to_input=role_to_input,
-        translation=translation,
-        reflection_t=reflection_t,
-        scale=scale,
-    )
-
-    by_label = cfg_input.lines_by_label()
-    for role in ROLES:
-        image = plane_map.apply_line(by_label[role_to_input[role]])
-        if not image.same_line(cfg.line(role)):
-            raise InternalCheckError("plane map does not reproduce normalized lines")
     return cfg, plane_map

@@ -138,7 +138,15 @@ class CenterMap:
 
 @dataclass(frozen=True)
 class LocusReport:
-    """Exact description of the set of centers of affine inscribed rectangles."""
+    """Exact description of the set of centers of affine inscribed rectangles.
+
+    A conic, a line or a point holds exactly the affine centers, with one
+    exception.  When the center map of a non-degenerate configuration has
+    rank 2, ``single_line`` is the Zariski closure of the centers: a point of
+    the line is a center only when its fiber, a binary quadratic, has a root
+    in the field (over F_p, a square discriminant: about half of the line;
+    over the reals, a segment or its complement).
+    """
 
     shape: LocusShape
     slope_centers: Optional[AffineLineDescription] = None

@@ -9,6 +9,7 @@ from quadriline import (
     NormalizedConfig,
     PreconditionError,
     PrimeField,
+    QuadricH,
     all_ratios,
     aspect_path_polys,
     classify,
@@ -33,7 +34,7 @@ def cfg_over(p, ints):
 
 
 def reference_parameter_points(field):
-    """The parameter plane as FpElements, in the census kernel's order."""
+    """The parameter plane as FpElements: (x_A, x_B, 1), (x_A, 1, 0), then (1, 0, 0)."""
     zero, one = field.zero(), field.one()
     for x_a in field.elements():
         for x_b in field.elements():
@@ -53,9 +54,13 @@ def reference_rectangles(cfg):
     return found
 
 
+def form_point_count(field, form):
+    """Reference count: the zeros of a QuadricH among all parameter points."""
+    return sum(1 for point in reference_parameter_points(field) if not form.evaluate(*point))
+
+
 def reference_quadric_count(cfg):
-    h = quadric_h(cfg)
-    return sum(1 for point in reference_parameter_points(cfg.field) if not h.evaluate(*point))
+    return form_point_count(cfg.field, quadric_h(cfg))
 
 
 def assert_matches_reference(cfg):
@@ -73,6 +78,14 @@ class TestKernelAgainstReference:
                 count += 1
         assert count == 3**5 - 3**4
 
+    def test_every_config_over_f5(self):
+        count = 0
+        for ints in itertools.product(range(5), repeat=5):
+            if ints[2] != ints[3]:
+                assert_matches_reference(cfg_over(5, ints))
+                count += 1
+        assert count == 5**5 - 5**4
+
     def test_seeded_sample(self):
         rng = random.Random(181)
         for p, samples in ((5, 20), (7, 20), (31, 6)):
@@ -87,6 +100,84 @@ class TestKernelAgainstReference:
         for name in ("all_ratios", "aspect_path_polys", "eval_path", "slope_path_polys"):
             monkeypatch.setattr(census_module, name, None)
         assert_matches_reference(cfg_over(11, (2, 3, 0, 1, 1)))
+
+
+def row_coefficients(cfg, x_a):
+    """(a, b, c) of the quadratic in x_B that the quadric cuts on the row (x_A, x_B, 1)."""
+    h = quadric_h(cfg)
+    return h.bb, h.ab * x_a + h.bw, (h.aa * x_a + h.aw) * x_a + h.ww
+
+
+class TestRowBranches:
+    """Configurations whose rows reach each branch of the row solver."""
+
+    def test_whole_row(self):
+        # Twin pairs over F_7 (A parallel to D, B to C): the row x_A = 3 lies in the quadric.
+        cfg = cfg_over(7, (0, 1, 1, 0, 4))
+        field = cfg.field
+        x_a = field.from_int(3)
+        assert not any(row_coefficients(cfg, x_a))
+        census = enumerate_rectangles(cfg)
+        for x_b in field.elements():
+            assert complete_parallelogram(cfg, x_a, x_b, field.one()) in census
+        assert_matches_reference(cfg)
+
+    def test_linear_and_empty_rows(self):
+        # Three horizontal lines over F_7: no row is quadratic; x_A = 1 has no root.
+        cfg = cfg_over(7, (0, 0, 0, 1, 2))
+        field = cfg.field
+        kinds = []
+        for x_a in field.elements():
+            a, b, c = row_coefficients(cfg, x_a)
+            assert not a
+            kinds.append("linear" if b else "empty" if c else "whole")
+        assert kinds == ["linear", "empty"] + ["linear"] * 5
+        assert_matches_reference(cfg)
+
+    def test_quadratic_rows_with_and_without_roots(self):
+        cfg = cfg_over(7, (0, 0, 1, 0, 3))
+        field = cfg.field
+        discriminants = set()
+        for x_a in field.elements():
+            a, b, c = row_coefficients(cfg, x_a)
+            assert a
+            d = b * b - 4 * a * c
+            discriminants.add("zero" if not d else "square" if field.is_square(d) else "non-square")
+        assert discriminants == {"zero", "square", "non-square"}
+        assert_matches_reference(cfg)
+
+
+class TestQuadricCountByTheorem:
+    """Each rank of the theorem.  Every normalized configuration at p = 3, 5
+    and 7 gives rank 3 or a split rank 2, so the other branches are reached
+    through hand-built forms."""
+
+    @pytest.mark.parametrize(
+        "coefficients, count",
+        [
+            ((1, 0, 1, 0, 0, 1), 8),  # x_A^2 + x_B^2 + w^2: rank 3
+            ((0, 1, 0, 0, 0, 0), 15),  # x_A x_B: rank 2, two lines
+            ((1, 0, 1, 0, 0, 0), 1),  # x_A^2 + x_B^2, -1 not a square mod 7: rank 2, one point
+            ((1, 2, 1, 0, 0, 0), 8),  # (x_A + x_B)^2: rank 1, a double line
+            ((0, 0, 0, 0, 0, 0), 57),  # rank 0: the whole plane
+            ((0, 0, 0, 1, 3, 0), 15),  # w (x_A + 3 x_B): rank 2, no square term
+        ],
+    )
+    def test_hand_built_forms_over_f7(self, monkeypatch, coefficients, count):
+        import quadriline.census as census_module
+
+        field = PrimeField(7)
+        form = QuadricH(*map(field.from_int, coefficients))
+        monkeypatch.setattr(census_module, "quadric_h", lambda cfg: form)
+        assert quadric_point_count(cfg_over(7, (2, 3, 0, 1, 1))) == count
+        assert form_point_count(field, form) == count
+
+    def test_rank_three_configuration(self):
+        assert quadric_point_count(cfg_over(11, (2, 3, 0, 1, 1))) == 12
+
+    def test_rank_two_split_configuration(self):
+        cfg = cfg_over(11, (-4, -1, 0, 2, 3))  # degenerate: two lines of rectangles
+        assert quadric_point_count(cfg) == 23 == reference_quadric_count(cfg)
 
 
 class TestEnumerate:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,19 @@ class TestPathLocusCensus:
         code, _, err = run_cli(capsys, "census", "--input", path)
         assert code == 2
         assert "prime" in err
+
+    @pytest.mark.parametrize("p", [60013, 10**9 + 7])
+    def test_census_above_the_bound_exits_at_once(self, tmp_path, capsys, p):
+        from quadriline.census import MAX_CENSUS_PRIME
+
+        assert p > MAX_CENSUS_PRIME  # 60013 is the least prime above it
+        path = write_config(tmp_path, "big.json", {"prime": p}, CFG1_PAIRS)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "census", "--input", path)
+        assert time.perf_counter() - start < 1.0  # a census at the bound takes seconds
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(p) in err and str(MAX_CENSUS_PRIME) in err
 
 
 class TestLargePrime:

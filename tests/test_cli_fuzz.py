@@ -12,11 +12,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import load_config, main
 from quadriline.errors import QuadrilineError
 
-# The last one is the largest prime below psi_13, the largest accepted modulus.
-GOOD_MODULI = [3, 5, 7, 11, 13, 31, 59, 10**9 + 7, 10**18 + 3, 3317044064679887385961813]
+# 60013 is the least prime above the census bound; the last one is the largest
+# prime below psi_13, the largest accepted modulus.
+GOOD_MODULI = [3, 5, 7, 11, 13, 31, 59, 60013, 10**9 + 7, 10**18 + 3, 3317044064679887385961813]
 
 # The wild_* strategies draw values that are mostly, not always, invalid.
 wild_moduli = st.one_of(
@@ -106,10 +108,15 @@ commands = st.sampled_from(
 )
 
 
-def _small_prime_field(doc):
+def _census_is_quick(doc):
+    """False for a modulus 60 <= p <= MAX_CENSUS_PRIME, where a census can take
+    seconds.  Below 60 it takes milliseconds; above the bound, and for any
+    other field, it exits 2 at once."""
     tag = doc.get("field") if isinstance(doc, dict) else None
     prime = tag.get("prime") if isinstance(tag, dict) else None
-    return type(prime) is int and prime < 60
+    if isinstance(prime, str) and prime.isdecimal() and len(prime) < 40:
+        prime = int(prime)
+    return type(prime) is not int or not 60 <= prime <= MAX_CENSUS_PRIME
 
 
 def _write(directory, doc):
@@ -122,8 +129,8 @@ def _write(directory, doc):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents(), commands)
 def test_main_exits_0_or_2_with_one_line(doc, argv):
-    if argv == ["census"] and not _small_prime_field(doc):
-        argv = ["classify"]  # a census is O(p^2): run it only at p < 60
+    if argv == ["census"] and not _census_is_quick(doc):
+        argv = ["classify"]  # a census costs about 0.14 ms per unit of p
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = [*argv, "--input", _write(tmp, doc)]

@@ -249,19 +249,3 @@ def quadric_point_count(cfg: NormalizedConfig) -> int:
     if any(v % p for row in s for v in row):
         return p + 1
     return p * p + p + 1
-
-
-def random_normalized_config(field, rng):
-    """A uniformly random valid normalized configuration over F_p.
-
-    Samples (m_A, m_B, m_C, m_D, b_A) with rejection on parallel C, D; the
-    rejection count is returned alongside the configuration.  B = D and the
-    all-concurrent case cannot occur in normalized form.
-    """
-    rejections = 0
-    while True:
-        values = [field.from_int(rng.randrange(field.char)) for _ in range(5)]
-        if values[2] == values[3]:
-            rejections += 1
-            continue
-        return NormalizedConfig.make(field, *values), rejections

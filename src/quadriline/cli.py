@@ -180,12 +180,6 @@ def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
     return out
 
 
-def parse_rectangle_json(field, data) -> ProjectiveRectangle:
-    """Round-trip: rebuild the canonical projective point from a report."""
-    coords = tuple(field.parse(text) for text in data["projective"])
-    return ProjectiveRectangle.canonical(field, coords)
-
-
 def _normalized_json(cfg):
     f = cfg.field
     return {
@@ -306,7 +300,7 @@ def cmd_locus(args) -> dict:
         out["points"] = [_point_json(field, point) for point in report.points]
     try:
         special = special_rectangles(cfg, report)
-    except (PreconditionError, InternalCheckError):
+    except PreconditionError:
         special = None
     if special is not None:
         out["special_rectangles"] = {

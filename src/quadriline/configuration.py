@@ -26,8 +26,7 @@ from .errors import (
     PreconditionError,
     ReflectionUnavailableError,
 )
-from .linalg import intersect_lines
-from .scalars import Ratio, solve_quadratic
+from .scalars import Ratio
 
 ROLES = ("A", "B", "C", "D")
 
@@ -73,7 +72,13 @@ class InputLine:
 
     def intersection(self, other: "InputLine"):
         """The unique intersection point, or None for parallel lines."""
-        return intersect_lines(self.a, self.b, self.c, other.a, other.b, other.c)
+        det = self.a * other.b - self.b * other.a
+        if not det:
+            return None
+        return (
+            (self.c * other.b - self.b * other.c) / det,
+            (self.a * other.c - self.c * other.a) / det,
+        )
 
     def slope_intercept(self):
         """(m, k) with y = m*x + k; requires a non-vertical line."""
@@ -315,31 +320,6 @@ def classify(cfg: NormalizedConfig) -> ConfigClass:
         aspect_path_at_infinity=dual,
         locus_shape=shape,
     )
-
-
-ALL_INTERCEPTS = object()  # marker: every b_A gives a degenerate configuration
-
-
-def degenerating_intercepts(field, m_a, m_b, m_c, m_d):
-    """Values of b_A that make (m_a, m_b, m_c, m_d, b_A) degenerate.
-
-    These are the roots of
-
-        (m_B - m_C)(m_B m_D + 1) X^2 - delta X + (m_A - m_D)(m_A m_C + 1)
-
-    with delta = (m_A m_C + 1)(m_B - m_D) + (m_B m_D + 1)(m_A - m_C).  When
-    the quadratic vanishes identically (twin or dual slope patterns) every
-    intercept degenerates and :data:`ALL_INTERCEPTS` is returned.
-    """
-    if m_c == m_d:
-        raise PreconditionError("C and D must not be parallel")
-    one = field.one()
-    lead = (m_b - m_c) * (m_b * m_d + one)
-    const = (m_a - m_d) * (m_a * m_c + one)
-    delta = (m_a * m_c + one) * (m_b - m_d) + (m_b * m_d + one) * (m_a - m_c)
-    if not lead and not delta and not const:
-        return ALL_INTERCEPTS
-    return [root.value for root in solve_quadratic(field, lead, -delta, const)]
 
 
 def _labelings():

@@ -40,10 +40,6 @@ def scale(k, f):
     return tuple(k * c for c in f)
 
 
-def neg(f):
-    return tuple(-c for c in f)
-
-
 def eval_at(f, s, t):
     """f(s, t) by homogeneous Horner: acc = acc*s + c_i*t^i, with a running power of t."""
     acc = f[0]
@@ -69,26 +65,3 @@ def integer_forms(field, forms):
 
 def is_zero(f):
     return all(not c for c in f)
-
-
-def divides(f, g) -> bool:
-    """Exact divisibility of homogeneous forms: does f divide g in k[S,T]?"""
-    if is_zero(f):
-        return is_zero(g)
-    if is_zero(g):
-        return True
-    if len(g) < len(f):
-        return False
-    # Leading zero coefficients are powers of T; strip and compare valuations.
-    fi = next(i for i, c in enumerate(f) if c)
-    gi = next(i for i, c in enumerate(g) if c)
-    if fi > gi:
-        return False
-    fc, gc = list(f[fi:]), list(g[gi:])
-    # Now fc has an invertible leading coefficient; ordinary long division.
-    while len(gc) >= len(fc):
-        q = gc[0] / fc[0]
-        for i, c in enumerate(fc):
-            gc[i] = gc[i] - q * c
-        gc.pop(0)  # cancelled by construction
-    return all(not c for c in gc)

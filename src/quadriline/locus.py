@@ -22,7 +22,6 @@ from .errors import (
     ParallelPairError,
     PreconditionError,
 )
-from .linalg import intersect_lines
 from .rectangles import ProjectiveRectangle, Ratio
 from .paths import (
     PathPolynomials,
@@ -328,16 +327,18 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
 
     ``report`` is ``centers_paths(cfg)``.  Requires a degenerate
     configuration with no two lines parallel and at least one non-orthogonal
-    pair: a TwoLines report, which then carries the Gauss-Newton line.
+    pair: a TwoLines report, which then carries the Gauss-Newton line.  Over
+    F_p the two locus lines can be parallel; there is then no center
+    rectangle, and that is a precondition failure too.
     """
     if report.shape is not LocusShape.TWO_LINES or report.gauss_newton is None:
         raise PreconditionError("special rectangles need two locus lines and no parallel lines")
     sl, al = report.slope_centers, report.aspect_centers
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
-    cross = intersect_lines(sl.a, sl.b, sl.c, al.a, al.b, al.c)
+    cross = sl.as_line().intersection(al.as_line())
     if cross is None:
-        raise InternalCheckError("locus lines of a degenerate configuration are parallel")
+        raise PreconditionError("the two locus lines are parallel: no center rectangle")
 
     spp, app = report.slope_path, report.aspect_path
     shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])

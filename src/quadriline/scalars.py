@@ -310,11 +310,6 @@ class PrimeField:
 QQ = RationalField()
 
 
-def scalar_parse(text: str, field):
-    """Parse a number literal in the given field's grammar."""
-    return field.parse(text)
-
-
 class Root(NamedTuple):
     """A root of a quadratic, with its multiplicity (1 or 2)."""
 

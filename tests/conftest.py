@@ -13,6 +13,8 @@ from quadriline import (
     QQ,
     Ratio,
 )
+from quadriline.errors import PreconditionError
+from quadriline.scalars import solve_quadratic
 
 CFG1_INTS = (2, 3, 0, 1, 1)  # non-degenerate
 CFG2_INTS = (-4, -1, 0, 2, 3)  # degenerate, no parallel lines
@@ -52,8 +54,6 @@ def random_rational_config(rng: random.Random) -> NormalizedConfig:
 
 def random_degenerate_config(rng: random.Random) -> NormalizedConfig:
     """A random degenerate configuration, built by solving for the intercept."""
-    from quadriline import ALL_INTERCEPTS, degenerating_intercepts
-
     while True:
         ms = [Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(4)]
         if ms[2] == ms[3]:
@@ -64,6 +64,47 @@ def random_degenerate_config(rng: random.Random) -> NormalizedConfig:
             return NormalizedConfig.make(QQ, *ms, b_a)
         if roots:
             return NormalizedConfig.make(QQ, *ms, roots[0])
+
+
+def random_normalized_config(field, rng):
+    """A uniformly random valid normalized configuration over F_p.
+
+    Samples (m_A, m_B, m_C, m_D, b_A) with rejection on parallel C, D; the
+    rejection count is returned alongside the configuration.  B = D and the
+    all-concurrent case cannot occur in normalized form.
+    """
+    rejections = 0
+    while True:
+        values = [field.from_int(rng.randrange(field.char)) for _ in range(5)]
+        if values[2] == values[3]:
+            rejections += 1
+            continue
+        return NormalizedConfig.make(field, *values), rejections
+
+
+ALL_INTERCEPTS = object()  # marker: every b_A gives a degenerate configuration
+
+
+def degenerating_intercepts(field, m_a, m_b, m_c, m_d):
+    """Values of b_A that make (m_a, m_b, m_c, m_d, b_A) degenerate.
+
+    These are the roots of
+
+        (m_B - m_C)(m_B m_D + 1) X^2 - delta X + (m_A - m_D)(m_A m_C + 1)
+
+    with delta = (m_A m_C + 1)(m_B - m_D) + (m_B m_D + 1)(m_A - m_C).  When
+    the quadratic vanishes identically (twin or dual slope patterns) every
+    intercept degenerates and :data:`ALL_INTERCEPTS` is returned.
+    """
+    if m_c == m_d:
+        raise PreconditionError("C and D must not be parallel")
+    one = field.one()
+    lead = (m_b - m_c) * (m_b * m_d + one)
+    const = (m_a - m_d) * (m_a * m_c + one)
+    delta = (m_a * m_c + one) * (m_b - m_d) + (m_b * m_d + one) * (m_a - m_c)
+    if not lead and not delta and not const:
+        return ALL_INTERCEPTS
+    return [root.value for root in solve_quadratic(field, lead, -delta, const)]
 
 
 def lines_for(cfg) -> dict:

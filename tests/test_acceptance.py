@@ -12,30 +12,25 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from quadriline import (
-    ALL_RATIOS,
     InputLine,
     PrimeField,
     QQ,
     all_parallel_analysis,
     center_of,
-    centers_paths,
     classify,
-    diagonal_g,
-    gauss_newton_line,
     homography,
-    hpoly,
-    random_normalized_config,
-    ratio_samples,
-    slope_infinity_form,
     slope_path_eval,
-    slope_path_polys,
-    slopes_at_infinity,
     aspect_path_eval,
     verify_against_paths,
 )
+from quadriline import hpoly
 from quadriline.cli import main
+from quadriline.locus import centers_paths, diagonal_g, gauss_newton_line
+from quadriline.paths import ratio_samples, slope_path_polys
+from quadriline.rectangles import ALL_RATIOS, slope_infinity_form, slopes_at_infinity
 from conftest import (
     CFG1_PAIRS,
+    random_normalized_config,
     random_rational_config,
     write_config,
 )

@@ -7,25 +7,30 @@ import pytest
 
 from quadriline import (
     NormalizedConfig,
-    PreconditionError,
     PrimeField,
-    QuadricH,
+    classify,
+    verify_against_paths,
+)
+from quadriline.census import enumerate_rectangles, quadric_point_count
+from quadriline.errors import PreconditionError
+from quadriline.paths import (
     all_ratios,
     aspect_path_polys,
-    classify,
-    complete_parallelogram,
-    enumerate_rectangles,
     eval_path,
+    slope_path_polys,
+)
+from quadriline.rectangles import QuadricH, quadric_h
+from conftest import random_normalized_config
+from membership import (
+    complete_parallelogram,
+    evaluate,
     has_aspect,
     has_slope,
+    is_parallelogram,
     is_rectangle,
-    quadric_h,
-    quadric_point_count,
-    random_normalized_config,
     rectangle_from_aspect,
     rectangle_from_slope,
-    slope_path_polys,
-    verify_against_paths,
+    satisfies_membership,
 )
 
 
@@ -56,7 +61,7 @@ def reference_rectangles(cfg):
 
 def form_point_count(field, form):
     """Reference count: the zeros of a QuadricH among all parameter points."""
-    return sum(1 for point in reference_parameter_points(field) if not form.evaluate(*point))
+    return sum(1 for point in reference_parameter_points(field) if not evaluate(form, *point))
 
 
 def reference_quadric_count(cfg):
@@ -196,8 +201,8 @@ class TestEnumerate:
     def test_every_point_is_a_member_parallelogram(self):
         cfg = cfg_over(11, (-4, -1, 0, 2, 3))
         for p in enumerate_rectangles(cfg):
-            assert p.satisfies_membership(cfg)
-            assert p.is_parallelogram()
+            assert satisfies_membership(p, cfg)
+            assert is_parallelogram(p)
 
     def test_rational_field_rejected(self, cfg1):
         with pytest.raises(PreconditionError):

@@ -1,6 +1,7 @@
 """CLI surface: config parsing, JSON reports, round-trips, SVG output."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -12,9 +13,17 @@ from fractions import Fraction
 import pytest
 
 import quadriline
-from quadriline import QQ
-from quadriline.cli import main, parse_rectangle_json
+from quadriline import QQ, cli
+from quadriline.cli import main
+from quadriline.errors import InternalCheckError
+from quadriline.rectangles import ProjectiveRectangle
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, write_config
+
+
+def parse_rectangle_json(field, data) -> ProjectiveRectangle:
+    """Round-trip: rebuild the canonical projective point from a report."""
+    coords = tuple(field.parse(text) for text in data["projective"])
+    return ProjectiveRectangle.canonical(field, coords)
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +177,36 @@ class TestPathLocusCensus:
         assert doc["single_line"] is None and doc["point"] is None
         assert doc["points"] == [["1", "2"], ["4", "3"]]
         assert list(doc)[-2:] == ["points", "special_rectangles"]
+
+    def test_locus_every_normalized_config_over_f5(self, tmp_path, capsys):
+        """Every configuration exits 0 with the same report.  In 16 TwoLines
+        cases the two locus lines are parallel: no center rectangle."""
+        p = 5
+        digest = hashlib.sha256()
+        parallel = 0
+        for m_a, m_b, m_c, m_d, b_a in itertools.product(range(p), repeat=5):
+            if m_c == m_d:
+                continue
+            pairs = [[(-m_a, 1, b_a), (-m_c, 1, 0)], [(-m_b, 1, 1), (-m_d, 1, 0)]]
+            path = write_config(tmp_path, "f5.json", {"prime": p}, pairs)
+            code, out, err = run_cli(capsys, "locus", "--input", path)
+            assert code == 0, err
+            digest.update(out.encode())
+            doc = json.loads(out)
+            if doc["shape"] == "TwoLines" and doc["gauss_newton"] is not None:
+                parallel += doc["special_rectangles"] is None
+        assert parallel == 16
+        assert digest.hexdigest() == "89a631a6b2aa0c7bbe2b8b70a66fab4bab24d15f5227efadc604def86b7208d3"
+
+    def test_locus_internal_check_exits_3(self, capsys, monkeypatch):
+        def broken(cfg, report):
+            raise InternalCheckError("center rectangle misses the locus intersection")
+
+        monkeypatch.setattr(cli, "special_rectangles", broken)
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg2.json")
+        code, out, err = run_cli(capsys, "locus", "--input", path)
+        assert code == 3 and not out
+        assert err == "internal assertion failed: center rectangle misses the locus intersection\n"
 
     @pytest.mark.parametrize(
         "name, argv, code, digest",

@@ -6,24 +6,21 @@ from fractions import Fraction
 import pytest
 
 from quadriline import (
-    ALL_INTERCEPTS,
-    AllParallelError,
-    ConcurrentLinesError,
     ConfigurationInput,
-    DiagonalMarker,
     InputLine,
-    LocusShape,
     NormalizedConfig,
     PrimeField,
     QQ,
     Ratio,
     classify,
-    degenerating_intercepts,
-    diagonal_slopes,
     normalize,
 )
+from quadriline.configuration import DiagonalMarker, LocusShape, diagonal_slopes
+from quadriline.errors import AllParallelError, ConcurrentLinesError
 from conftest import (
+    ALL_INTERCEPTS,
     CFG1_INTS,
+    degenerating_intercepts,
     random_rational_config,
     slope_intercept_line,
     standing_input,
@@ -80,7 +77,7 @@ class TestNormalize:
         # Over F_3 the reflection y = t x maps horizontals to verticals for
         # both available t, so a config mixing a vertical and a horizontal
         # line cannot be de-verticalized; the failure is reported, not hidden.
-        from quadriline import ReflectionUnavailableError
+        from quadriline.errors import ReflectionUnavailableError
 
         f3 = PrimeField(3)
         vertical = InputLine(f3.one(), f3.zero(), f3.zero())

@@ -8,32 +8,34 @@ import pytest
 
 from quadriline import hpoly
 from quadriline import (
-    AffineLineDescription,
-    AtInfinityError,
     InputLine,
-    LocusShape,
     NormalizedConfig,
-    ParallelPairError,
-    PreconditionError,
     PrimeField,
     QQ,
     Ratio,
     all_parallel_analysis,
     aspect_of,
-    aspect_path_polys,
     center_of,
-    centers_paths,
-    diagonal_g,
-    enumerate_rectangles,
-    eval_path,
-    gauss_newton_line,
-    ratio_samples,
-    rectangle_from_slope,
     slope_of,
     slope_path_eval,
-    slope_path_polys,
+)
+from quadriline.census import enumerate_rectangles
+from quadriline.configuration import LocusShape
+from quadriline.errors import AtInfinityError, ParallelPairError, PreconditionError
+from quadriline.locus import (
+    AffineLineDescription,
+    centers_paths,
+    diagonal_g,
+    gauss_newton_line,
     special_rectangles,
 )
+from quadriline.paths import (
+    aspect_path_polys,
+    eval_path,
+    ratio_samples,
+    slope_path_polys,
+)
+from membership import rectangle_from_slope
 from conftest import random_degenerate_config, random_rational_config, rat
 
 

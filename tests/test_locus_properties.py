@@ -15,9 +15,9 @@ from quadriline import (
     NormalizedConfig,
     PrimeField,
     QuadrilineError,
-    centers_paths,
     normalize,
 )
+from quadriline.locus import centers_paths
 from test_locus import reference_locus
 
 PRIMES = [n for n in range(37, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]

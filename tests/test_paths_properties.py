@@ -1,4 +1,5 @@
-"""Property test: the integer path kernel against the field-element reference."""
+"""Property tests: the integer path kernel against the field-element reference,
+and the homography between the two paths."""
 
 from fractions import Fraction
 
@@ -9,18 +10,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from quadriline import (
-    ALL_INTERCEPTS,
     QQ,
     NormalizedConfig,
-    PathCase,
     PrimeField,
-    PreconditionError,
     Ratio,
+    homography,
+)
+from quadriline.errors import PreconditionError
+from quadriline.paths import (
+    PathCase,
     aspect_path_polys,
-    degenerating_intercepts,
     eval_path,
     slope_path_polys,
 )
+from conftest import ALL_INTERCEPTS, degenerating_intercepts
 from test_paths import reference_eval_path
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
@@ -86,6 +89,32 @@ def test_kernel_matches_field_reference(data):
     r = data.draw(ratios(cfg.field))
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
         assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+
+
+@st.composite
+def nondegenerate_configs(draw):
+    """A normalized configuration with e1 f1 + e2 f2 != 0, over QQ or F_p.
+
+    configs() does not serve here: three of its four kinds are degenerate.
+    The large prime gets a share of its own.
+    """
+    field = draw(fields() | st.just(PrimeField(PRIMES[-1])))
+    m_a, m_b, m_c, b_a = (draw(scalars(field)) for _ in range(4))
+    m_d = m_c + draw(scalars(field).filter(bool))
+    cfg = NormalizedConfig.make(field, m_a, m_b, m_c, m_d, b_a)
+    assume(cfg.ef_sum)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_homography_round_trip(data):
+    """On a non-degenerate configuration the two maps are inverse bijections."""
+    cfg = data.draw(nondegenerate_configs())
+    h = homography(cfg)
+    r = data.draw(ratios(cfg.field))
+    assert h.aspect_to_slope(h.slope_to_aspect(r)) == r
+    assert h.slope_to_aspect(h.aspect_to_slope(r)) == r
 
 
 def test_strategy_reaches_every_case():

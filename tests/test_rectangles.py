@@ -4,31 +4,38 @@ import random
 from fractions import Fraction
 
 from quadriline import (
-    ALL_RATIOS,
     NormalizedConfig,
     PrimeField,
     QQ,
     Ratio,
-    aspect_infinity_form,
     aspect_of,
-    aspect_system,
-    aspects_at_infinity,
     classify,
-    complete_parallelogram,
-    has_aspect,
-    has_slope,
-    is_rectangle,
-    quadric_h,
-    rectangle_from_aspect,
-    rectangle_from_slope,
-    slope_infinity_form,
     slope_of,
-    slope_system,
-    slopes_at_infinity,
 )
 from quadriline import hpoly
-from quadriline.rectangles import ProjectiveRectangle
+from quadriline.rectangles import (
+    ALL_RATIOS,
+    ProjectiveRectangle,
+    aspect_infinity_form,
+    aspects_at_infinity,
+    quadric_h,
+    slope_infinity_form,
+    slopes_at_infinity,
+)
 from conftest import random_rational_config, rat
+from membership import (
+    aspect_system,
+    complete_parallelogram,
+    evaluate,
+    has_aspect,
+    has_slope,
+    is_parallelogram,
+    is_rectangle,
+    rectangle_from_aspect,
+    rectangle_from_slope,
+    satisfies_membership,
+    slope_system,
+)
 
 
 def proj_eq(field, p, coords):
@@ -57,8 +64,8 @@ class TestCompleteParallelogram:
             cfg = random_rational_config(rng)
             x = Fraction(rng.randint(1, 9))
             p = complete_parallelogram(cfg, x, x, Fraction(0))
-            assert p.is_parallelogram()
-            assert p.satisfies_membership(cfg)
+            assert is_parallelogram(p)
+            assert satisfies_membership(p, cfg)
 
     def test_membership_always_holds(self):
         rng = random.Random(53)
@@ -70,8 +77,8 @@ class TestCompleteParallelogram:
                 Fraction(rng.randint(-5, 5)),
                 Fraction(rng.randint(-2, 2)),
             )
-            assert p.satisfies_membership(cfg)
-            assert p.is_parallelogram()
+            assert satisfies_membership(p, cfg)
+            assert is_parallelogram(p)
 
 
 class TestIsRectangle:
@@ -94,12 +101,12 @@ class TestIsRectangle:
             ),
         )
         assert is_rectangle(p)
-        assert p.satisfies_membership(cfg1)
+        assert satisfies_membership(p, cfg1)
 
     def test_matches_quadric(self, cfg1):
         h = quadric_h(cfg1)
         p = complete_parallelogram(cfg1, Fraction(1), Fraction(0), Fraction(1))
-        assert is_rectangle(p) == (not h.evaluate(Fraction(1), Fraction(0), Fraction(1)))
+        assert is_rectangle(p) == (not evaluate(h, Fraction(1), Fraction(0), Fraction(1)))
 
     def test_point_pair_degenerate_rectangle(self, cfg1):
         p = complete_parallelogram(cfg1, Fraction(0), Fraction(0), Fraction(1))
@@ -119,11 +126,11 @@ class TestQuadricH:
                 if not x_a and not x_b and not w:
                     continue
                 p = complete_parallelogram(cfg, x_a, x_b, w)
-                assert is_rectangle(p) == (not h.evaluate(x_a, x_b, w))
+                assert is_rectangle(p) == (not evaluate(h, x_a, x_b, w))
 
     def test_twin_pairs_vanish_at_infinity(self, cfg3):
         h = quadric_h(cfg3)
-        assert all(not c for c in h.restrict_to_infinity())
+        assert all(not c for c in (h.aa, h.ab, h.bb))
 
     def test_cfg1_infinity_restriction_formula(self, cfg1):
         # m_CD * h(X_A, X_B, 0) has the closed form
@@ -131,7 +138,8 @@ class TestQuadricH:
         # with delta = m_BD (m_A m_C + 1) + m_AC (m_B m_D + 1).
         m_a, m_b, m_c, m_d = cfg1.m_a, cfg1.m_b, cfg1.m_c, cfg1.m_d
         m_cd = m_c - m_d
-        aa, ab, bb = quadric_h(cfg1).restrict_to_infinity()
+        h = quadric_h(cfg1)
+        aa, ab, bb = h.aa, h.ab, h.bb
         delta = (m_b - m_d) * (m_a * m_c + 1) + (m_a - m_c) * (m_b * m_d + 1)
         assert m_cd * aa == (m_a - m_d) * (m_a * m_c + 1)
         assert m_cd * ab == -delta
@@ -139,7 +147,7 @@ class TestQuadricH:
 
     def test_worked_parameters_are_a_zero(self, cfg1):
         h = quadric_h(cfg1)
-        assert not h.evaluate(Fraction(-1), Fraction(-1), Fraction(3))
+        assert not evaluate(h, Fraction(-1), Fraction(-1), Fraction(3))
 
 
 class TestSlopeAspectOf:
@@ -371,8 +379,8 @@ class TestRectangleFromSlope:
             except Exception:
                 continue
             for p in fiber.rectangles:
-                assert p.satisfies_membership(cfg)
-                assert p.is_parallelogram()
+                assert satisfies_membership(p, cfg)
+                assert is_parallelogram(p)
                 assert is_rectangle(p)
                 assert has_slope(p, r)
 
@@ -406,6 +414,6 @@ class TestRectangleFromAspect:
             except Exception:
                 continue
             for p in fiber.rectangles:
-                assert p.satisfies_membership(cfg)
+                assert satisfies_membership(p, cfg)
                 assert is_rectangle(p)
                 assert has_aspect(p, r)

@@ -6,18 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadriline import (
-    FieldError,
-    ParseError,
-    PreconditionError,
-    PrimeField,
-    QQ,
-    Ratio,
-    ratio_format,
-    ratio_parse,
-    scalar_parse,
-    solve_quadratic,
-)
+from quadriline import PrimeField, QQ, Ratio
+from quadriline.errors import FieldError, ParseError, PreconditionError
+from quadriline.scalars import ratio_format, ratio_parse, solve_quadratic
 from quadriline.scalars import _is_odd_prime
 
 PSI_11 = 3825123056546413051
@@ -34,29 +25,29 @@ ODD_PRIMES_BELOW_300 = [n for n in range(300) if trial_division(n)]
 
 class TestParsing:
     def test_rational_reduces_to_lowest_terms(self):
-        assert scalar_parse("6/4", QQ) == Fraction(3, 2)
+        assert QQ.parse("6/4") == Fraction(3, 2)
 
     def test_zero(self):
-        assert scalar_parse("0", QQ) == 0
+        assert QQ.parse("0") == 0
 
     def test_prime_field_residue(self):
         f11 = PrimeField(11)
-        assert scalar_parse("14", f11) == f11.from_int(3)
+        assert f11.parse("14") == f11.from_int(3)
 
     def test_negative_literals(self):
-        assert scalar_parse("-7/2", QQ) == Fraction(-7, 2)
-        assert scalar_parse("-1", PrimeField(5)).value == 4
+        assert QQ.parse("-7/2") == Fraction(-7, 2)
+        assert PrimeField(5).parse("-1").value == 4
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
-            scalar_parse("3/0", QQ)
+            QQ.parse("3/0")
 
     def test_malformed_rejected(self):
         for bad in ("1.5", "x", "1/2/3", ""):
             with pytest.raises(ParseError):
-                scalar_parse(bad, QQ)
+                QQ.parse(bad)
         with pytest.raises(ParseError):
-            scalar_parse("1/2", PrimeField(7))
+            PrimeField(7).parse("1/2")
 
     def test_bad_moduli_rejected(self):
         with pytest.raises(FieldError):

@@ -1,0 +1,109 @@
+"""The public surface: the README library example, the exported names, and no
+module-level definition in the package that nothing uses."""
+
+import ast
+import inspect
+import pathlib
+from fractions import Fraction
+
+import quadriline
+from quadriline import Ratio
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quadriline"
+
+API = [
+    "ConfigurationInput",
+    "InputLine",
+    "NormalizedConfig",
+    "PlaneMap",
+    "classify",
+    "normalize",
+    "QQ",
+    "PrimeField",
+    "Ratio",
+    "slope_path_eval",
+    "aspect_path_eval",
+    "slope_of",
+    "aspect_of",
+    "homography",
+    "center_of",
+    "all_parallel_analysis",
+    "verify_against_paths",
+    "QuadrilineError",
+]
+
+# The value each commented expression of the README library block stands for.
+LIBRARY_VALUES = {
+    "rect.affine_vertices()": {
+        "A": (Fraction(-1, 3), Fraction(1, 3)),
+        "B": (Fraction(-1, 3), Fraction(0)),
+        "C": (Fraction(1, 3), Fraction(0)),
+        "D": (Fraction(1, 3), Fraction(1, 3)),
+    },
+    "q.aspect_of(rect)": Ratio.of(Fraction(-1), Fraction(2)),
+    "q.center_of(rect)": (Fraction(0), Fraction(1, 6)),
+    "q.classify(cfg).degenerate": False,
+    "q.homography(cfg).slope_to_aspect(q.Ratio.of(Fraction(1), Fraction(0)))": Ratio.of(
+        Fraction(-1), Fraction(2)
+    ),
+    "report.union_covered": True,
+}
+
+
+def library_block():
+    """The Python block under the README's "Library" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_runs_as_commented():
+    block = library_block()
+    namespace = {}
+    values = {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == LIBRARY_VALUES
+
+
+def exported_names():
+    """The public names of the package that are not its submodules."""
+    return {
+        name
+        for name, value in vars(quadriline).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+
+
+def test_exports_are_the_documented_api():
+    assert exported_names() == set(API)
+
+
+def test_every_definition_is_used_or_exported():
+    """A module-level function or class is referenced in another place in the
+    package, or it is part of the documented API."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{name}: {node.name}"
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used
+        and node.name not in exported_names()
+    ]
+    assert unused == []

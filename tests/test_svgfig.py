@@ -5,16 +5,16 @@ from fractions import Fraction
 
 from quadriline import (
     QQ,
-    AtInfinityError,
     ConfigurationInput,
     InputLine,
     QuadrilineError,
     Ratio,
-    centers_paths,
     classify,
-    hpoly,
     normalize,
 )
+from quadriline import hpoly
+from quadriline.errors import AtInfinityError
+from quadriline.locus import centers_paths
 from quadriline.svgfig import _SWEEP, _swept_centers
 
 

@@ -2,10 +2,10 @@
 
 The rectangles are the F_p-points of a plane quadric in the parallelogram
 parameters (x_A : x_B : w).  Each affine row (x_A, w = 1) meets it in the
-roots of a quadratic in x_B, read off the rectangle condition at
-x_B = 0, 1 and -1 on plain ints mod p; the p + 1 points with w = 0 are
-tested one by one.  Every hit is completed to a parallelogram without
-touching the path code it checks.  The census is then replayed against the
+roots of a quadratic in x_B, and the line w = 0 in the roots of one more
+quadratic, all read off the six coefficients of :func:`quadric_h` as plain
+ints mod p.  Every hit is completed to a parallelogram without touching the
+path code it checks.  The census is then replayed against the
 slope and aspect paths: together the two paths must find every rectangle,
 degenerate configurations must show the constant-aspect / constant-slope
 split, and non-degenerate ones a single curve with injective slope.
@@ -25,9 +25,10 @@ from .rectangles import (
     Ratio,
     aspect_of,
     quadric_h,
+    ratio_text,
     slope_of,
 )
-from .scalars import FpElement, ratio_format
+from .scalars import FpElement
 
 # Largest prime a census runs at.  Its time and the set of rectangles it holds
 # both grow about linearly in p; near this bound one census takes 8-12 s and
@@ -61,13 +62,15 @@ def _row_roots(field, a: int, b: int, c: int):
 def enumerate_rectangles(cfg: NormalizedConfig):
     """The set of all rectangles in the configuration space over F_p.
 
-    A parameter point is completed to a parallelogram on ints mod p, with
-    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C.  On the row
-    (x_A, x_B, 1) the rectangle condition is g(x_B) = a x_B^2 + b x_B + c with
-    c = g(0), b = (g(1) - g(-1)) / 2 and a = (g(1) + g(-1)) / 2 - c, solved by
-    one square root; a row where a, b and c all vanish lies in the quadric.
-    The line w = 0 is tested point by point.  Only the hits are scaled to
-    their canonical form.
+    The rectangles are the zeros of h = :func:`quadric_h`, read once as six
+    residues.  On the row (x_A, x_B, 1), h is the quadratic
+    bb x_B^2 + (ab x_A + bw) x_B + (aa x_A^2 + aw x_A + ww), solved by one
+    square root; a row where all three coefficients vanish lies in the
+    quadric.  On the line w = 0 the points (x_A, 1, 0) are the roots of
+    aa x_A^2 + ab x_A + bb, and (1, 0, 0) is a zero exactly when aa = 0.
+    Each zero is completed to a parallelogram on ints mod p, with
+    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C, and
+    scaled to its canonical form.
     """
     field = cfg.field
     if not field.char:
@@ -77,36 +80,24 @@ def enumerate_rectangles(cfg: NormalizedConfig):
         raise PreconditionError(
             f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
         )
+    h = quadric_h(cfg)
+    aa, ab, bb, aw, bw, ww = _residues(h.aa, h.ab, h.bb, h.aw, h.bw, h.ww)
+    hits = [(x_a, 1, 0) for x_a in _row_roots(field, aa, ab, bb)]
+    if not aa:
+        hits.append((1, 0, 0))
+    for x_a in range(p):
+        b, c = (ab * x_a + bw) % p, ((aa * x_a + aw) * x_a + ww) % p
+        hits.extend((x_a, x_b, 1) for x_b in _row_roots(field, bb, b, c))
+
     m_a, m_b, m_c, m_d, b_a = _residues(cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a)
     inv = pow(m_d - m_c, -1, p)
     k_a, k_b, k_w = (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
-
-    def vertices(x_a, x_b, w):
-        x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
-        return x_a, m_a * x_a + b_a * w, x_b, m_b * x_b + w, x_c, m_c * x_c
-
-    def condition(x_a, x_b, w):
-        _, y_a, _, y_b, x_c, y_c = vertices(x_a, x_b, w)
-        return ((x_c - x_b) * (x_b - x_a) + (y_c - y_b) * (y_b - y_a)) % p
-
-    hits = [(x_a, 1, 0) for x_a in range(p) if not condition(x_a, 1, 0)]
-    if not condition(1, 0, 0):
-        hits.append((1, 0, 0))
-    half = (p + 1) // 2
-    for x_a in range(p):
-        c = condition(x_a, 0, 1)
-        g_plus, g_minus = condition(x_a, 1, 1), condition(x_a, -1, 1)
-        b = (g_plus - g_minus) * half % p
-        a = ((g_plus + g_minus) * half - c) % p
-        hits.extend((x_a, x_b, 1) for x_b in _row_roots(field, a, b, c))
-
     found = set()
     for x_a, x_b, w in hits:
-        _, y_a, _, y_b, x_c, y_c = vertices(x_a, x_b, w)
+        x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
         x_d = x_a - x_b + x_c
-        coords = [c % p for c in (x_a, y_a, x_b, y_b, x_c, y_c, x_d, m_d * x_d, w)]
-        scale = pow(next(c for c in coords if c), -1, p)
-        found.add(ProjectiveRectangle(tuple(FpElement(c * scale, field) for c in coords)))
+        coords = (x_a, m_a * x_a + b_a * w, x_b, m_b * x_b + w, x_c, m_c * x_c, x_d, m_d * x_d, w)
+        found.add(ProjectiveRectangle.canonical(field, coords))
     return found
 
 
@@ -131,12 +122,6 @@ class CensusReport:
             and self.at_infinity_bound_ok
             and self.degenerate_consistency_ok
         )
-
-
-def _ratio_key(field, value) -> str:
-    if value is INDETERMINATE:
-        return "indeterminate"
-    return ratio_format(value, field)
 
 
 def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
@@ -168,7 +153,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         if not bound_ok:
             failures.append(f"{infinity_count} rectangles at infinity")
 
-    slope_keys = {rect: _ratio_key(field, slope_of(rect)) for rect in census}
+    slope_keys = {rect: ratio_text(field, slope_of(rect)) for rect in census}
     consistency_ok = True
     if cls.degenerate:
         shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
@@ -191,15 +176,15 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         if slope_image != aspect_image:
             consistency_ok = False
             failures.append("slope and aspect path images differ")
-        seen = {}
+        seen = set()
         for rect, key in slope_keys.items():
-            if key in seen and seen[key] != rect:
+            if key in seen:
                 consistency_ok = False
                 failures.append(f"slope {key} repeats: {rect.coords}")
-            seen[key] = rect
+            seen.add(key)
 
     by_slope = Counter(slope_keys.values())
-    by_aspect = Counter(_ratio_key(field, aspect_of(p)) for p in census)
+    by_aspect = Counter(ratio_text(field, aspect_of(p)) for p in census)
 
     return CensusReport(
         p=field.char,

@@ -46,10 +46,10 @@ from .paths import (
 )
 from .rectangles import (
     ALL_RATIOS,
-    INDETERMINATE,
     ProjectiveRectangle,
     aspect_of,
     aspects_at_infinity,
+    ratio_text,
     slope_of,
     slopes_at_infinity,
 )
@@ -125,12 +125,6 @@ def load_config(path: str) -> ConfigurationInput:
     return ConfigurationInput(field, parsed[0], parsed[1])
 
 
-def _ratio_json(field, value):
-    if value is INDETERMINATE:
-        return "indeterminate"
-    return ratio_format(value, field)
-
-
 def _ratios_json(field, value):
     if value is ALL_RATIOS:
         return "all"
@@ -164,8 +158,8 @@ def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
     out = {
         "projective": [field.format(c) for c in rect.coords],
         "at_infinity": rect.at_infinity,
-        "slope": _ratio_json(field, slope_of(rect)),
-        "aspect": _ratio_json(field, aspect_of(rect)),
+        "slope": ratio_text(field, slope_of(rect)),
+        "aspect": ratio_text(field, aspect_of(rect)),
         "sequence": [pm.role_to_input[r] for r in ROLES],
         "vertices": None,
         "center": None,
@@ -195,23 +189,24 @@ def _field_json(field):
     return "rational" if not field.char else {"prime": field.char}
 
 
+def _all_parallel_json(cfg_input) -> dict:
+    by_label = cfg_input.lines_by_label()
+    report = all_parallel_analysis(cfg_input.field, [by_label[r] for r in ROLES])
+    return {
+        "midline_shared": report.midline_shared,
+        "midline": _line_json(cfg_input.field, report.midline) if report.midline else None,
+        "description": report.description,
+    }
+
+
 def cmd_classify(args) -> dict:
     cfg_input = load_config(args.input)
     try:
         cfg, pm = normalize(cfg_input)
     except AllParallelError:
-        by_label = cfg_input.lines_by_label()
-        ordered = [by_label[r] for r in ROLES]
-        report = all_parallel_analysis(cfg_input.field, ordered)
         return {
             "field": _field_json(cfg_input.field),
-            "all_parallel": {
-                "midline_shared": report.midline_shared,
-                "midline": _line_json(cfg_input.field, report.midline)
-                if report.midline
-                else None,
-                "description": report.description,
-            },
+            "all_parallel": _all_parallel_json(cfg_input),
         }
     cls = classify(cfg)
     e_diag, f_diag = diagonal_slopes(cfg)
@@ -280,14 +275,7 @@ def cmd_locus(args) -> dict:
     try:
         cfg, pm = normalize(cfg_input)
     except AllParallelError:
-        by_label = cfg_input.lines_by_label()
-        report = all_parallel_analysis(cfg_input.field, [by_label[r] for r in ROLES])
-        return {
-            "shape": "AllParallel",
-            "midline_shared": report.midline_shared,
-            "midline": _line_json(cfg_input.field, report.midline) if report.midline else None,
-            "description": report.description,
-        }
+        return {"shape": "AllParallel", **_all_parallel_json(cfg_input)}
     field = cfg.field
     report = centers_paths(cfg)
     out = {"shape": report.shape.value}

@@ -357,14 +357,16 @@ def _labeling_valid(lines: dict) -> bool:
     return not lines["B"].contains(origin)
 
 
-def _pick_reflection(field, lines, limit=40):
-    """Smallest t in 1, 2, ... whose reflection leaves no line vertical."""
-    if field.char:
-        candidates = range(1, field.char)
-    else:
-        candidates = range(1, limit)
+def _pick_reflection(field, lines):
+    """Smallest t in 1, 2, ... whose reflection leaves no line vertical.
+
+    The image of a x + b y = c is vertical when 2 t a + (t^2 - 1) b = 0: a
+    nonzero quadratic in t when b != 0, and t = 0 alone when b = 0.  So each
+    of the four lines rules out at most two t, and over the rationals, where
+    1 + t^2 never vanishes, one of t = 1, ..., 9 always works.
+    """
     one = field.one()
-    for i in candidates:
+    for i in range(1, field.char or 10):
         t = field.from_int(i)
         if not one + t * t:
             continue  # reflection about y = t x undefined when 1 + t^2 = 0

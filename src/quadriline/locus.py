@@ -33,26 +33,10 @@ from .paths import (
 
 
 @dataclass(frozen=True)
-class AffineLineDescription:
+class AffineLineDescription(InputLine):
     """A line a x + b y = c together with where it came from."""
 
-    a: object
-    b: object
-    c: object
     source: str
-
-    def as_line(self) -> InputLine:
-        return InputLine(self.a, self.b, self.c)
-
-    def contains(self, point) -> bool:
-        x, y = point
-        return self.a * x + self.b * y == self.c
-
-    def slope(self) -> Ratio:
-        return Ratio.of(-self.a, self.b)
-
-    def parallel_to(self, other) -> bool:
-        return not (self.a * other.b - self.b * other.a)
 
 
 def center_of(p: ProjectiveRectangle):
@@ -288,7 +272,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
         if no_parallels:
             gn = gauss_newton_line(cfg)
             g = diagonal_g(cfg)
-            if aspect_line is not None and not aspect_line.as_line().same_line(gn.as_line()):
+            if aspect_line is not None and not aspect_line.same_line(gn):
                 raise InternalCheckError("aspect centers left the Gauss-Newton line")
             if slope_line is not None and not slope_line.parallel_to(g):
                 raise InternalCheckError("slope centers not parallel to diagonal G")
@@ -336,7 +320,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     sl, al = report.slope_centers, report.aspect_centers
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
-    cross = sl.as_line().intersection(al.as_line())
+    cross = sl.intersection(al)
     if cross is None:
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
 

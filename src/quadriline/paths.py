@@ -14,13 +14,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
-from .errors import DegenerateConfigError, InternalCheckError
+from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from .rectangles import ProjectiveRectangle, Ratio
-from .scalars import FpElement
 
 SLOPE = "slope"
 ASPECT = "aspect"
@@ -149,27 +147,19 @@ def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> Projectiv
 
     The point is projective, so the nine integer forms of ``pp`` are
     evaluated at integers proportional to r: (n, d) for n/d over the
-    rationals, (1, 0) for 1/0, residues over F_p.  Canonical form then
-    costs nine ``Fraction(v, pivot)`` with the last nonzero v as pivot, or
-    over F_p one inverse of the first nonzero v.
+    rationals, (1, 0) for 1/0, residues over F_p.
     """
     field = cfg.field
-    p = field.char
-    if p:
+    if field.char:
         s, t = r.num.value, r.den.value
-        coords = [hpoly.eval_at(f, s, t) % p for f in pp.integer_forms]
-        pivot = next((c for c in coords if c), 0)
     else:
         num, den = r.num, r.den
         s, t = num.numerator * den.denominator, den.numerator * num.denominator
-        coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
-        pivot = next((c for c in reversed(coords) if c), 0)
-    if not pivot:
-        raise InternalCheckError("path polynomials share a projective zero")
-    if p:
-        inv = pow(pivot, -1, p)
-        return ProjectiveRectangle(tuple(FpElement(c * inv, field) for c in coords))
-    return ProjectiveRectangle(tuple(Fraction(c, pivot) for c in coords))
+    coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
+    try:
+        return ProjectiveRectangle.canonical(field, coords)
+    except PreconditionError:
+        raise InternalCheckError("path polynomials share a projective zero") from None
 
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:

@@ -11,15 +11,24 @@ quadric, all exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .configuration import ROLES, NormalizedConfig
 from .errors import PreconditionError
-from .scalars import Ratio, solve_quadratic
+from .scalars import FpElement, Ratio, ratio_format, solve_quadratic
 
 # slope_of / aspect_of outcome when every ratio satisfies the defining system.
 INDETERMINATE = object()
 
 # Marker: every point of the projective line occurs (at-infinity queries).
 ALL_RATIOS = object()
+
+
+def ratio_text(field, value) -> str:
+    """A slope_of / aspect_of outcome as report text."""
+    if value is INDETERMINATE:
+        return "indeterminate"
+    return ratio_format(value, field)
 
 
 @dataclass(frozen=True)
@@ -29,21 +38,32 @@ class ProjectiveRectangle:
     coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  Over
     the rationals the last nonzero coordinate is scaled to 1; over a prime
     field the first nonzero coordinate is.  The paths and the census build
-    these points; each of them guarantees that the vertices lie on their
-    lines, form a parallelogram and satisfy the rectangle condition.
+    these points through :meth:`canonical`; each of them guarantees that the
+    vertices lie on their lines, form a parallelogram and satisfy the
+    rectangle condition.
     """
 
     coords: tuple
 
     @staticmethod
     def canonical(field, coords) -> "ProjectiveRectangle":
-        if all(not c for c in coords):
-            raise PreconditionError("projective point needs a nonzero coordinate")
-        if field.pivot == "last":
-            pivot = next(c for c in reversed(coords) if c)
+        """The point with coordinates coords, scaled to canonical form.
+
+        Over the rationals coords are integers or Fractions, and each is
+        divided by the last nonzero one.  Over F_p they are ints, scaled by one
+        inverse of the first that is nonzero mod p and reduced mod p.
+        """
+        p = field.char
+        if p:
+            for pivot in coords:
+                if pivot % p:
+                    inv = pow(pivot, -1, p)
+                    return ProjectiveRectangle(tuple([FpElement(c * inv, field) for c in coords]))
         else:
-            pivot = next(c for c in coords if c)
-        return ProjectiveRectangle(tuple(c / pivot for c in coords))
+            for pivot in reversed(coords):
+                if pivot:
+                    return ProjectiveRectangle(tuple([Fraction(c, pivot) for c in coords]))
+        raise PreconditionError("projective point needs a nonzero coordinate")
 
     def vertex(self, role: str):
         i = 2 * ROLES.index(role)

@@ -160,9 +160,6 @@ class RationalField:
 
     char = 0
     name = "rational"
-    # Projective 9-tuples over the rationals are scaled so the last
-    # nonzero coordinate is 1.
-    pivot = "last"
 
     def zero(self):
         return Fraction(0)
@@ -220,8 +217,6 @@ class PrimeField:
     """The field F_p for an odd prime p."""
 
     name = "prime"
-    # Leading nonzero coordinate is scaled to 1 for projective 9-tuples.
-    pivot = "first"
 
     def __init__(self, p: int):
         if p == 2:
@@ -234,6 +229,13 @@ class PrimeField:
             raise FieldError(f"modulus {p} is not an odd prime")
         self.p = p
         self.char = p
+        # The least quadratic non-residue, for sqrt.  It is stored at
+        # construction: a field's attribute set stays fixed, which keeps the
+        # attribute loads of FpElement arithmetic on their fast path.
+        n = 2
+        while pow(n, (p - 1) // 2, p) != p - 1:
+            n += 1
+        self.non_residue = n
 
     def zero(self):
         return FpElement(0, self)
@@ -267,7 +269,7 @@ class PrimeField:
         Euler's criterion rejects non-squares; Tonelli-Shanks (Cohen, *A Course
         in Computational Algebraic Number Theory*, Alg. 1.5.1) finds a root in
         O(log^2 p) multiplications mod p, with the quadratic non-residue it
-        needs found by counting up from 2.
+        needs found once per field (``non_residue``).
         """
         p, a = self.p, x.value
         if a == 0:
@@ -276,10 +278,7 @@ class PrimeField:
             return None
         e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e * q with q odd
         q = (p - 1) >> e
-        n = 2
-        while pow(n, (p - 1) // 2, p) != p - 1:
-            n += 1
-        y = pow(n, q, p)  # generates the 2-Sylow subgroup of F_p^*
+        y = pow(self.non_residue, q, p)  # generates the 2-Sylow subgroup of F_p^*
         r = pow(a, (q + 1) // 2, p)
         b = pow(a, q, p)  # r^2 = a * b, with b in the 2-Sylow subgroup
         while b != 1:

@@ -151,7 +151,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     locus_lines = []
     for desc in (report.slope_centers, report.aspect_centers, report.single_line):
         if desc is not None:
-            locus_lines.append(plane_map.invert_line(desc.as_line()))
+            locus_lines.append(plane_map.invert_line(desc))
     locus_points = []
     if report.point is not None:
         locus_points.append(plane_map.invert_point(report.point))
@@ -200,7 +200,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
                 desc = builder(cfg)
             except ParallelPairError:
                 continue
-            diagonal_lines.append(plane_map.invert_line(desc.as_line()))
+            diagonal_lines.append(plane_map.invert_line(desc))
         if cfg.f1 or cfg.f2:
             p_ad = cfg.corner("A", "D")
             if p_ad is not None:

@@ -109,7 +109,7 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
         coords.append(xs[role])
         coords.append(cfg.slope(role) * xs[role] + cfg.intercept(role) * w)
     coords.append(w)
-    return ProjectiveRectangle.canonical(cfg.field, tuple(coords))
+    return ProjectiveRectangle.canonical(cfg.field, [getattr(c, "value", c) for c in coords])
 
 
 def is_rectangle(p: ProjectiveRectangle) -> bool:

@@ -85,7 +85,7 @@ def test_criterion_3_degenerate_geometry(cfg2):
         assert classify(cfg2).degenerate
         report = centers_paths(cfg2)
         gn = gauss_newton_line(cfg2)
-        assert report.aspect_centers.as_line().same_line(gn.as_line())
+        assert report.aspect_centers.same_line(gn)
         assert gn.slope().num == Fraction(4, 5) and gn.slope().den == 1
         g = diagonal_g(cfg2)
         assert report.slope_centers.slope() == g.slope()

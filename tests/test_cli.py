@@ -198,6 +198,21 @@ class TestPathLocusCensus:
         assert parallel == 16
         assert digest.hexdigest() == "89a631a6b2aa0c7bbe2b8b70a66fab4bab24d15f5227efadc604def86b7208d3"
 
+    def test_census_every_normalized_config_over_f5(self, tmp_path, capsys):
+        """Every configuration exits 0 with the same census: degenerate,
+        twin-pair, rank-2 and whole-line quadrics included."""
+        p = 5
+        digest = hashlib.sha256()
+        for m_a, m_b, m_c, m_d, b_a in itertools.product(range(p), repeat=5):
+            if m_c == m_d:
+                continue
+            pairs = [[(-m_a, 1, b_a), (-m_c, 1, 0)], [(-m_b, 1, 1), (-m_d, 1, 0)]]
+            path = write_config(tmp_path, "f5.json", {"prime": p}, pairs)
+            code, out, err = run_cli(capsys, "census", "--input", path)
+            assert code == 0, err
+            digest.update(out.encode())
+        assert digest.hexdigest() == "aaab8a943fc23224b6cf1fcd7d1dcfe26f9db5f85820ab40079a244673a74f3c"
+
     def test_locus_internal_check_exits_3(self, capsys, monkeypatch):
         def broken(cfg, report):
             raise InternalCheckError("center rectangle misses the locus intersection")

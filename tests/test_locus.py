@@ -257,7 +257,7 @@ class TestCentersPaths:
         assert report.aspect_centers.slope() == Ratio.of(Fraction(4), Fraction(5))
         assert report.slope_centers.slope() == Ratio.of(Fraction(-8), Fraction(5))
         assert report.slope_centers.slope() == report.diagonal_g.slope()
-        assert report.aspect_centers.as_line().same_line(report.gauss_newton.as_line())
+        assert report.aspect_centers.same_line(report.gauss_newton)
 
     def test_cfg2_sampled_centers_on_lines(self, cfg2):
         report = centers_paths(cfg2)

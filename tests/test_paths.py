@@ -52,7 +52,7 @@ def reference_eval_path(cfg, pp, r):
     coords.append(hpoly.eval_at(pp.w, s, t))
     if all(not c for c in coords):
         raise InternalCheckError("path polynomials share a projective zero")
-    return ProjectiveRectangle.canonical(cfg.field, tuple(coords))
+    return ProjectiveRectangle.canonical(cfg.field, [getattr(c, "value", c) for c in coords])
 
 
 class TestSlopePathPolynomials:

@@ -115,6 +115,13 @@ class TestFieldArithmetic:
                 else:
                     assert r is None, (p, x)
 
+    def test_non_residue_is_stored_per_field(self):
+        for p in ODD_PRIMES_BELOW_300:
+            n = PrimeField(p).non_residue
+            squares = {v * v % p for v in range(p)}
+            assert 1 < n < p and n not in squares, p
+            assert all(k in squares for k in range(1, n)), p
+
 
 class TestPrimality:
     def test_agrees_with_trial_division(self):

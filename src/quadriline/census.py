@@ -31,8 +31,8 @@ from .rectangles import (
 from .scalars import FpElement
 
 # Largest prime a census runs at.  Its time and the set of rectangles it holds
-# both grow about linearly in p; near this bound one census takes 8-12 s and
-# 220-280 MB, the more for degenerate configurations (2p + 1 rectangles).
+# both grow about linearly in p; near this bound one census takes 5-9 s and
+# 130-160 MB, the more for degenerate configurations (2p + 1 rectangles).
 MAX_CENSUS_PRIME = 60_000
 
 
@@ -141,9 +141,9 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     union = slope_image | aspect_image
     union_covered = census == union
     if not union_covered:
-        for witness in sorted(census ^ union, key=lambda p: str(p.coords)):
+        for witness in sorted(census ^ union, key=lambda p: p.key):
             side = "census-only" if witness in census else "path-only"
-            failures.append(f"union mismatch ({side}): {witness.coords}")
+            failures.append(f"union mismatch ({side}): {witness.key}")
 
     infinity_count = sum(1 for p in census if p.at_infinity)
     if cls.twin_pairs or cls.dual_pairs:
@@ -161,7 +161,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
             got = aspect_of(rect)
             if got is INDETERMINATE or got != shared_aspect:
                 consistency_ok = False
-                failures.append(f"slope path aspect varies at {r}: {rect.coords}")
+                failures.append(f"slope path aspect varies at {r}: {rect.key}")
         shared_slope = Ratio.of(app.first[0], app.second[0])
         if cfg.f1 or cfg.f2:
             if shared_slope != Ratio.of(cfg.f1, cfg.f2):
@@ -171,7 +171,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
             got = slope_of(rect)
             if got is INDETERMINATE or got != shared_slope:
                 consistency_ok = False
-                failures.append(f"aspect path slope varies at {r}: {rect.coords}")
+                failures.append(f"aspect path slope varies at {r}: {rect.key}")
     else:
         if slope_image != aspect_image:
             consistency_ok = False
@@ -180,7 +180,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         for rect, key in slope_keys.items():
             if key in seen:
                 consistency_ok = False
-                failures.append(f"slope {key} repeats: {rect.coords}")
+                failures.append(f"slope {key} repeats: {rect.key}")
             seen.add(key)
 
     by_slope = Counter(slope_keys.values())

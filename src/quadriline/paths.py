@@ -245,7 +245,11 @@ def ratio_samples(field, count: int):
 
 
 def all_ratios(field):
-    """Every point of the projective line over a prime field."""
-    out = [Ratio.of(v, field.one()) for v in field.elements()]
-    out.append(Ratio.of(field.one(), field.zero()))
+    """Every point of the projective line over a prime field: (v : 1), then (1 : 0).
+
+    Both forms are already canonical, so the ratios are built directly.
+    """
+    one = field.one()
+    out = [Ratio(v, one) for v in field.elements()]
+    out.append(Ratio(one, field.zero()))
     return out

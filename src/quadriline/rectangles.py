@@ -31,7 +31,6 @@ def ratio_text(field, value) -> str:
     return ratio_format(value, field)
 
 
-@dataclass(frozen=True)
 class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
@@ -41,9 +40,21 @@ class ProjectiveRectangle:
     these points through :meth:`canonical`; each of them guarantees that the
     vertices lie on their lines, form a parallelogram and satisfy the
     rectangle condition.
+
+    A point's identity is its canonical key: the nine canonical residues in
+    [0, p) over F_p, the nine Fractions over the rationals.  Points hash by
+    key and compare by (characteristic, key), so points over different fields
+    are unequal.  Over F_p the field elements of coords, vertex and w are built
+    from the key when read and not kept: a point that is only hashed and
+    compared never builds one, and a read point holds no second copy of its
+    coordinates.
     """
 
-    coords: tuple
+    __slots__ = ("field", "key")
+
+    def __init__(self, field, key: tuple):
+        self.field = field
+        self.key = key
 
     @staticmethod
     def canonical(field, coords) -> "ProjectiveRectangle":
@@ -58,24 +69,47 @@ class ProjectiveRectangle:
             for pivot in coords:
                 if pivot % p:
                     inv = pow(pivot, -1, p)
-                    return ProjectiveRectangle(tuple([FpElement(c * inv, field) for c in coords]))
+                    return ProjectiveRectangle(field, tuple([c * inv % p for c in coords]))
         else:
             for pivot in reversed(coords):
                 if pivot:
-                    return ProjectiveRectangle(tuple([Fraction(c, pivot) for c in coords]))
+                    return ProjectiveRectangle(field, tuple([Fraction(c, pivot) for c in coords]))
         raise PreconditionError("projective point needs a nonzero coordinate")
+
+    @property
+    def coords(self) -> tuple:
+        """The nine coordinates as field elements."""
+        field, key = self.field, self.key
+        if field.char:
+            return tuple([FpElement(v, field) for v in key])
+        return key
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjectiveRectangle):
+            return NotImplemented
+        return self.key == other.key and self.field.char == other.field.char
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"ProjectiveRectangle({self.field!r}, {self.key!r})"
 
     def vertex(self, role: str):
         i = 2 * ROLES.index(role)
-        return self.coords[i], self.coords[i + 1]
+        field, key = self.field, self.key
+        if field.char:
+            return FpElement(key[i], field), FpElement(key[i + 1], field)
+        return key[i], key[i + 1]
 
     @property
     def w(self):
-        return self.coords[8]
+        field, w = self.field, self.key[8]
+        return FpElement(w, field) if field.char else w
 
     @property
     def at_infinity(self) -> bool:
-        return not self.w
+        return not self.key[8]
 
     def affine_vertices(self) -> dict:
         """Vertices (x_L / w, y_L / w); requires w != 0."""

@@ -87,7 +87,7 @@ class FpElement:
         v %= self.field.p
         if v == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
-        return FpElement(self.value * pow(v, self.field.p - 2, self.field.p), self.field)
+        return FpElement(self.value * pow(v, -1, self.field.p), self.field)
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
@@ -95,7 +95,7 @@ class FpElement:
             return NotImplemented
         if self.value == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
-        inv = pow(self.value, self.field.p - 2, self.field.p)
+        inv = pow(self.value, -1, self.field.p)
         return FpElement(v * inv, self.field)
 
     def __pow__(self, exponent):

@@ -1,6 +1,9 @@
 """Brute-force finite-field oracle versus the path parameterizations."""
 
+import hashlib
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from quadriline import (
     verify_against_paths,
 )
 from quadriline.census import enumerate_rectangles, quadric_point_count
+from quadriline.cli import main
 from quadriline.errors import PreconditionError
 from quadriline.paths import (
     all_ratios,
@@ -19,7 +23,7 @@ from quadriline.paths import (
     eval_path,
     slope_path_polys,
 )
-from quadriline.rectangles import QuadricH, quadric_h
+from quadriline.rectangles import ProjectiveRectangle, QuadricH, quadric_h
 from conftest import random_normalized_config
 from membership import (
     complete_parallelogram,
@@ -256,6 +260,18 @@ class TestVerify:
         image = {eval_path(cfg, app, r) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
 
+    def test_failure_witnesses_print_residues(self, monkeypatch):
+        import quadriline.census as census_module
+
+        cfg = cfg_over(7, (2, 3, 0, 1, 1))
+        stray = ProjectiveRectangle.canonical(cfg.field, (0, 0, 0, 0, 0, 0, 0, 0, 8))
+        found = enumerate_rectangles(cfg)
+        assert stray not in found
+        monkeypatch.setattr(census_module, "enumerate_rectangles", lambda cfg: found | {stray})
+        report = verify_against_paths(cfg)
+        assert not report.union_covered
+        assert report.failures[0] == "union mismatch (census-only): (0, 0, 0, 0, 0, 0, 0, 0, 1)"
+
     def test_random_sweep_small(self):
         rng = random.Random(167)
         for p in (5, 7, 11, 13):
@@ -309,3 +325,24 @@ class TestFiberAgainstCensus:
                 rect for rect in census if rect.at_infinity and has_slope(rect, r)
             }
             assert set(fiber.rectangles) == expected
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("cfg1.json", "269d941a2462bdea17ef64fcb2310a9c70e3b96385b47b5d38cd892bb3054fde"),
+        # Degenerate: the consistency loops read the path rectangles' coordinates.
+        ("cfg2.json", "7e5fc89cb3490ed0468d79084850088323d817dbeadc136267c9109d1edf8a26"),
+    ],
+)
+def test_census_bytes_at_p_1009(tmp_path, capsys, name, digest):
+    """The census of the example lines over F_1009 prints the same report, byte for byte."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as f:
+        doc = json.load(f)
+    doc["field"] = {"prime": 1009}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert main(["census", "--input", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest

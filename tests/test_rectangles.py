@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from quadriline import (
     NormalizedConfig,
     PrimeField,
@@ -13,6 +15,7 @@ from quadriline import (
     slope_of,
 )
 from quadriline import hpoly
+from quadriline.paths import all_ratios
 from quadriline.rectangles import (
     ALL_RATIOS,
     ProjectiveRectangle,
@@ -22,6 +25,7 @@ from quadriline.rectangles import (
     slope_infinity_form,
     slopes_at_infinity,
 )
+from quadriline.scalars import FpElement
 from conftest import random_rational_config, rat
 from membership import (
     aspect_system,
@@ -417,3 +421,78 @@ class TestRectangleFromAspect:
                 assert satisfies_membership(p, cfg)
                 assert is_rectangle(p)
                 assert has_aspect(p, r)
+
+
+ODD_PRIMES = [n for n in range(3, 10_001, 2) if all(n % d for d in range(3, int(n**0.5) + 1, 2))]
+INTS = st.integers(-(10**6), 10**6)
+COORDS = st.lists(INTS, min_size=9, max_size=9)
+FIELDS = st.just(QQ) | st.sampled_from(ODD_PRIMES).map(PrimeField)
+
+
+def nonzero(field, coords):
+    return any(c % field.char for c in coords) if field.char else any(coords)
+
+
+class TestRectangleIdentity:
+    """A point is its canonical key: residues over F_p, Fractions over the rationals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(FIELDS, COORDS, INTS, st.integers(1, 50))
+    def test_canonical_is_invariant_under_scaling(self, field, coords, num, den):
+        assume(nonzero(field, coords))
+        if field.char:
+            assume(num % field.char)
+            scaled = [num * c for c in coords]
+        else:
+            assume(num)
+            scaled = [Fraction(num, den) * c for c in coords]
+        p = ProjectiveRectangle.canonical(field, coords)
+        q = ProjectiveRectangle.canonical(field, scaled)
+        assert p == q and hash(p) == hash(q)
+        assert p.key == q.key
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(ODD_PRIMES),
+        st.sampled_from(ODD_PRIMES),
+        st.lists(st.integers(0, 2), min_size=7, max_size=7),
+    )
+    def test_points_over_different_fields_are_unequal(self, p, q, middle):
+        """Points whose keys are equal numbers still differ by their field."""
+        assume(p != q)
+        coords = [1, *middle, 1]  # canonical as it stands over QQ and every F_p
+        over_p = ProjectiveRectangle.canonical(PrimeField(p), coords)
+        over_q = ProjectiveRectangle.canonical(PrimeField(q), coords)
+        over_qq = ProjectiveRectangle.canonical(QQ, coords)
+        assert over_p.key == over_q.key == over_qq.key == tuple(coords)
+        assert over_p != over_q and not over_p == over_q
+        assert over_p != over_qq and over_qq != over_q
+        assert len({over_p, over_q, over_qq}) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ODD_PRIMES), COORDS)
+    def test_coords_are_the_field_elements_of_the_key(self, prime, coords):
+        field = PrimeField(prime)
+        assume(nonzero(field, coords))
+        p = ProjectiveRectangle.canonical(field, coords)
+        assert all(0 <= v < prime for v in p.key)
+        assert next(v for v in p.key if v) == 1
+        assert all(isinstance(c, FpElement) and c.field == field for c in p.coords)
+        assert [c.value for c in p.coords] == list(p.key)
+        pivot = field.from_int(next(c for c in coords if c % prime))
+        assert p.coords == tuple(field.from_int(c) / pivot for c in coords)
+        assert p.vertex("B") == p.coords[2:4] and p.w == p.coords[8]
+        assert p.at_infinity == (not p.coords[8])
+
+    def test_rational_coords_are_the_key(self):
+        p = ProjectiveRectangle.canonical(QQ, (2, 4, 0, 0, 0, 0, 0, 6, 4))
+        assert p.coords is p.key
+        assert p.key == tuple(Fraction(c, 4) for c in (2, 4, 0, 0, 0, 0, 0, 6, 4))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(ODD_PRIMES))
+    def test_all_ratios_are_canonical(self, prime):
+        field = PrimeField(prime)
+        expected = [Ratio.of(v, field.one()) for v in field.elements()]
+        expected.append(Ratio.of(field.one(), field.zero()))
+        assert all_ratios(field) == expected

@@ -159,6 +159,9 @@ class TestPathLocusCensus:
             ("cfg2.json", "0b9166bd19fcf92ef78a6cb76cb564d1ec960acdb3568af750c04a11d4faf1ef"),
             ("cfg3.json", "9c48c0ec4e9a2f938d72174c57670874d5917385193d0cc6703ae68d3b5fa8f8"),
             ("parallel.json", "a3700e3db86fe31c6707f8bbde730b9d944c0c8737cd5240014006a8f30ef537"),
+            ("vertical.json", "afa580c35c104792ee9d05d1b50b931ee5183b2552866c01cc3cd95f0109b4ce"),
+            ("vertical_f1009.json", "5e1bfb7025a74edf9956511c56f9008435175e1f5f2313ea8747551d87b0e558"),
+            ("relabeled.json", "9534d8cbf615ba5a689b043282d9d60ab110c5667997edb653379dc09e145146"),
         ],
     )
     def test_locus_bytes(self, capsys, name, digest):
@@ -248,6 +251,23 @@ class TestPathLocusCensus:
             ("parallel.json", "rect --aspect=-1/2", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
             ("parallel.json", "path --kind slope", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
             ("parallel.json", "path --kind aspect", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            # Inputs off standing form: a reflection over Q and F_p, and a
+            # relabeled, translated and scaled TwoLines configuration.
+            ("vertical.json", "rect --slope 1/0", 0, "e89ea50beddb631d6c988b080f8f4da41ce581131c22cf542616520f8ccd811a"),
+            ("vertical.json", "rect --aspect=-1/2", 0, "3939663ef83ab5a2ae19ec7ea5498d807fd2a783a694110327a4c5bbff316d6c"),
+            ("vertical.json", "path --kind slope", 0, "3bbed4a8aef1e484495dfbab70954b29b3a339b9f129045c04acee103a8ad49d"),
+            ("vertical.json", "path --kind aspect", 0, "dde5f1d19fc1a6cfdd5ce0828f5f57d068cf7b7306c23f19edfeb36d3e0b4256"),
+            ("vertical.json", "classify", 0, "a74aa7c044a2bbb719cbd068c2bcf736d1d6a09b8ae2b952a8f4c95e95706be6"),
+            ("vertical_f1009.json", "rect --slope 1/0", 0, "0c8fed1739064f00ae640a48ec212e03ebdcef4e6f19088d097f9f90f9423303"),
+            ("vertical_f1009.json", "rect --aspect=-1/2", 0, "407d0eab4c3c058af111d01ada7d1864842c72319c340ddff2340f01d71e0eeb"),
+            ("vertical_f1009.json", "path --kind slope", 0, "66565accb56eb144b115364dbf05dc1d72509a879e9bba09666a05df458ada99"),
+            ("vertical_f1009.json", "path --kind aspect", 0, "91b90fc219d3f5d0e06eead6d44aaa6c0e1c0357908e75610af4326ab06be7f6"),
+            ("vertical_f1009.json", "classify", 0, "54e1743985e9387a5580d65a3a4394de07b10ffa5c96f39f581f42c0e27412f0"),
+            ("relabeled.json", "rect --slope 1/0", 0, "905558bc269653f7c682f2cf57629bbaad43f91b84ea6b06b594510c04d2e07d"),
+            ("relabeled.json", "rect --aspect=-1/2", 0, "8012d172c6bf781d1a3f41c0dc68e2a476f7cd9d7c3d576d3e6f84c39d673cf6"),
+            ("relabeled.json", "path --kind slope", 0, "e75f697308b0a1cbe36849d7962f859c2c80f40f911935e16f16120b8a018ef8"),
+            ("relabeled.json", "path --kind aspect", 0, "9c631631b50880e542055e62098e1185ad225f1d43bf46b8fb850722d4399660"),
+            ("relabeled.json", "classify", 0, "b87e5caecbc115bdcd5e0533385805d4333aa8060f8be6afb7557681ff991720"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):
@@ -341,15 +361,22 @@ class TestRender:
         # The conic branch polylines carry many sample points.
         assert any(len(re.findall(r"[-0-9.e]+,[-0-9.e]+", ln)) > 20 for ln in dotted)
 
-    def test_cfg1_diagonals_bytes(self, tmp_path, capsys):
-        path = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
-        out = tmp_path / "cfg1.svg"
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cfg1.json", "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"),
+            ("vertical.json", "28eabb486a669f6c20c9e85abfa9a350e1e3e3c8c023026b5632c2936acfa0cb"),
+            ("relabeled.json", "dee5bdad933ebf7863df5daef4d8374281802187d75a147af046cc9cfa403ec8"),
+        ],
+    )
+    def test_cfg1_diagonals_bytes(self, tmp_path, capsys, name, digest):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        out = tmp_path / "out.svg"
         code, _, err = run_cli(
             capsys, "render", "--input", path, "--out", str(out), "--diagonals"
         )
         assert code == 0, err
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_samples_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg2.json", "rational", CFG2_PAIRS)

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     QuadrilineError,
 )
-from .locus import all_parallel_analysis, center_of, centers_paths, special_rectangles
+from .locus import all_parallel_analysis, centers_paths, special_rectangles
 from .paths import (
     aspect_path_eval,
     aspect_path_polys,
@@ -165,12 +165,12 @@ def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
         "center": None,
     }
     if not rect.at_infinity:
-        verts = rect.affine_vertices()
+        *vertices, center = pm.original_points(rect.key)
         out["vertices"] = {
-            pm.role_to_input[role]: _point_json(field, pm.invert_point(verts[role]))
-            for role in ROLES
+            pm.role_to_input[role]: _point_json(field, point)
+            for role, point in zip(ROLES, vertices)
         }
-        out["center"] = _point_json(field, pm.invert_point(center_of(rect)))
+        out["center"] = _point_json(field, center)
     return out
 
 
@@ -372,8 +372,7 @@ def main(argv=None) -> int:
     except (QuadrilineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    json.dump(result, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0
 
 

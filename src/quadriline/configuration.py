@@ -8,17 +8,19 @@ has y-intercept 1) brings the configuration to the standing form
     A: y = m_A x + b_A    B: y = m_B x + 1    C: y = m_C x    D: y = m_D x
 
 with C and D non-parallel and B distinct from D.  All later geometry runs on
-the normalized constants; the recorded :class:`PlaneMap` carries rectangles
-back to the original coordinates exactly.
+the normalized constants; the recorded :class:`PlaneMap`, one exact 3×3
+matrix, carries points and lines back to the original coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Union
 
+from . import hpoly
 from .errors import (
     AllParallelError,
     ConcurrentLinesError,
@@ -42,11 +44,6 @@ class InputLine:
     def __post_init__(self):
         if not self.a and not self.b:
             raise PreconditionError("line needs (a, b) != (0, 0)")
-
-    @staticmethod
-    def from_slope_intercept(field, m, k) -> "InputLine":
-        """The line y = m*x + k."""
-        return InputLine(-m, field.one(), k)
 
     @property
     def is_vertical(self) -> bool:
@@ -111,14 +108,43 @@ class ConfigurationInput:
         return all(first.parallel_to(ln) for ln in self.all_lines()[1:])
 
 
+def cross(u, v):
+    """The cross product u × v of two 3-vectors."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def adjugate(m):
+    """adj(m) for the 3×3 matrix m given by its rows.
+
+    The rows of adj(m) are c1 × c2, c2 × c0 and c0 × c1 for the columns c_j
+    of m, so adj(m) m = det(m) I.
+    """
+    c0, c1, c2 = zip(*m)
+    return (cross(c1, c2), cross(c2, c0), cross(c0, c1))
+
+
+def _line_times(field, line: InputLine, m) -> InputLine:
+    """The line whose covector is a multiple of (a, b, -c) m, for the line
+    a x + b y = c and a matrix m of ints: the covector is cleared to ints first."""
+    a, b, c = hpoly.integer_forms(field, [(line.a, line.b, -line.c)])[0]
+    a, b, c = (field.from_int(a * u + b * v + c * w) for u, v, w in zip(*m))
+    return InputLine(a, b, -c)
+
+
 @dataclass(frozen=True)
 class PlaneMap:
-    """Exact similarity taking the original plane to normalized coordinates.
+    """Exact similarity between the original plane and normalized coordinates.
 
-    Application order: relabel roles, translate by ``translation``, reflect
-    about y = reflection_t * x (when set), scale by ``scale``.  The map is
-    orthogonal up to the scale factor, so parallelograms, the rectangle
-    condition, and midpoints are all preserved in both directions.
+    Normalization relabels roles, translates by ``translation``, reflects
+    about y = t x for t = ``reflection_t`` (when set) and scales by s =
+    ``scale``.  ``matrix`` is the one 3×3 matrix N of ints (residues over F_p,
+    over the rationals cleared by one common factor) taking normalized points
+    (x : y : w) back: with d = 1 + t^2 and (tx, ty) = translation it is
+    [[1 - t^2, 2t, -d s tx], [2t, t^2 - 1, -d s ty], [0, 0, d s]], and
+    [[1, 0, -s tx], [0, 1, -s ty], [0, 0, s]] without a reflection.  The line
+    a x + b y = c is the covector (a, b, -c): it maps forward by
+    (a, b, -c) N and back by (a, b, -c) adj(N).  N is orthogonal up to scale,
+    so parallelograms, the rectangle condition and midpoints are preserved.
     """
 
     field: object
@@ -127,56 +153,41 @@ class PlaneMap:
     translation: tuple
     reflection_t: Optional[object]
     scale: object
+    matrix: tuple  # N, three rows of ints
 
-    def _reflect(self, point):
+    def original_point(self, x, y, w):
+        """The original affine point of (x : y : w), w != 0: ints, or over the rationals Fractions."""
+        X, Y, W = (n0 * x + n1 * y + n2 * w for n0, n1, n2 in self.matrix)
+        p = self.field.char
+        if p:
+            inv = pow(W, -1, p)
+            return self.field.from_int(X * inv), self.field.from_int(Y * inv)
+        return Fraction(X, W), Fraction(Y, W)
+
+    def original_points(self, key) -> list:
+        """The original vertices A, B, C, D and center of the affine rectangle with canonical
+        key (x_A, y_A, ..., x_D, y_D, w): N (x_L, y_L, w) and N (x_A + x_C, y_A + y_C, 2w)."""
+        if not self.field.char:
+            key = hpoly.integer_forms(self.field, [key])[0]
+        w = key[8]
+        points = [self.original_point(key[i], key[i + 1], w) for i in range(0, 8, 2)]
+        points.append(self.original_point(key[0] + key[4], key[1] + key[5], 2 * w))
+        return points
+
+    def normalized_line(self, line: InputLine) -> InputLine:
+        """The image of an original line in normalized coordinates."""
+        return _line_times(self.field, line, self.matrix)
+
+    def original_line(self, line: InputLine) -> InputLine:
+        """The original line of a line in normalized coordinates, by adj(N) / k for
+        k = adj(N)[2][2] s / (1 + t^2): the normal (a, b) then maps by the reflection's
+        integer matrix alone, and a figure's float rounding depends on this scale."""
+        adj = adjugate(self.matrix)
         t = self.reflection_t
-        x, y = point
-        d = 1 + t * t
-        return ((1 - t * t) * x + 2 * t * y) / d, (2 * t * x + (t * t - 1) * y) / d
-
-    def apply_point(self, point):
-        x, y = point
-        x, y = x + self.translation[0], y + self.translation[1]
-        if self.reflection_t is not None:
-            x, y = self._reflect((x, y))
-        return self.scale * x, self.scale * y
-
-    def invert_point(self, point):
-        x, y = point
-        x, y = x / self.scale, y / self.scale
-        if self.reflection_t is not None:
-            x, y = self._reflect((x, y))
-        return x - self.translation[0], y - self.translation[1]
-
-    def apply_line(self, line: InputLine) -> InputLine:
-        a, b, c = line.a, line.b, line.c
-        tx, ty = self.translation
-        c = c + a * tx + b * ty
-        if self.reflection_t is not None:
-            t = self.reflection_t
-            a, b = (1 - t * t) * a + 2 * t * b, 2 * t * a + (t * t - 1) * b
-            c = (1 + t * t) * c
-        return InputLine(a, b, self.scale * c)
-
-    def invert_line(self, line: InputLine) -> InputLine:
-        a, b, c = line.a, line.b, line.c
-        c = c / self.scale
-        if self.reflection_t is not None:
-            t = self.reflection_t
-            a, b = (1 - t * t) * a + 2 * t * b, 2 * t * a + (t * t - 1) * b
-            c = (1 + t * t) * c
-        tx, ty = self.translation
-        return InputLine(a, b, c - a * tx - b * ty)
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.swaps == (False, False, False)
-            and not self.translation[0]
-            and not self.translation[1]
-            and self.reflection_t is None
-            and self.scale == self.field.one()
-        )
+        k = adj[2][2] * self.scale / (1 if t is None else 1 + t * t)
+        x, y, z = line.a / k, line.b / k, -line.c / k
+        a, b, c = (x * u + y * v + z * w for u, v, w in zip(*adj))
+        return InputLine(a, b, -c)
 
 
 @dataclass(frozen=True)
@@ -404,21 +415,22 @@ def normalize(cfg_input: ConfigurationInput):
     swaps, lines, role_to_input = chosen
 
     origin = lines["C"].intersection(lines["D"])
-    reflection_t = None
+    one, zero = field.one(), field.zero()
+    tx, ty = translation = (-origin[0], -origin[1])
+    # N at scale 1: scaling normalized points by s multiplies its last column by s.
+    t = None
+    unscaled = ((one, zero, -tx), (zero, one, -ty), (zero, zero, one))
     if any(ln.is_vertical for ln in lines.values()):
-        reflection_t = _pick_reflection(field, lines)
-    unscaled = PlaneMap(
-        field=field,
-        swaps=swaps,
-        role_to_input=role_to_input,
-        translation=(-origin[0], -origin[1]),
-        reflection_t=reflection_t,
-        scale=field.one(),
-    )
-    _, b_intercept = unscaled.apply_line(lines["B"]).slope_intercept()
+        t = _pick_reflection(field, lines)
+        d = one + t * t
+        unscaled = ((one - t * t, 2 * t, -d * tx), (2 * t, t * t - one, -d * ty), (zero, zero, d))
+    b_image = _line_times(field, lines["B"], hpoly.integer_forms(field, unscaled))
+    _, b_intercept = b_image.slope_intercept()
     if not b_intercept:
         raise InternalCheckError("B passes through the origin after labeling")
-    plane_map = replace(unscaled, scale=field.one() / b_intercept)
+    scale = one / b_intercept
+    matrix = hpoly.integer_forms(field, [(n0, n1, n2 * scale) for n0, n1, n2 in unscaled])
+    plane_map = PlaneMap(field, swaps, role_to_input, translation, t, scale, tuple(matrix))
 
     # The standing form is read off the images of the input lines, found
     # through the recorded labels, so the map reproduces it by construction.
@@ -426,9 +438,9 @@ def normalize(cfg_input: ConfigurationInput):
     slopes = {}
     intercepts = {}
     for role in ROLES:
-        image = plane_map.apply_line(by_label[role_to_input[role]])
+        image = plane_map.normalized_line(by_label[role_to_input[role]])
         slopes[role], intercepts[role] = image.slope_intercept()
-    if intercepts["C"] or intercepts["D"] or intercepts["B"] != field.one():
+    if intercepts["C"] or intercepts["D"] or intercepts["B"] != one:
         raise InternalCheckError("normalization produced wrong intercepts")
 
     cfg = NormalizedConfig.make(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import hpoly
-from .configuration import InputLine, LocusShape, NormalizedConfig, classify
+from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, cross
 from .errors import (
     AtInfinityError,
     InternalCheckError,
@@ -145,10 +145,6 @@ class LocusReport:
     aspect_path: Optional[PathPolynomials] = None
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 # The conic's monomials x^2, xy, y^2, x, y, 1 as index pairs into (x, y, 1).
 _MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
@@ -220,12 +216,12 @@ def _image(field, cmap: CenterMap, source: str):
     """
     cols = tuple(zip(cmap.x_num, cmap.y_num, cmap.den))
     if len(cols) == 3:
-        normals = (_cross(cols[1], cols[2]), _cross(cols[2], cols[0]), _cross(cols[0], cols[1]))
+        normals = adjugate((cmap.x_num, cmap.y_num, cmap.den))
         det = sum((n * c for n, c in zip(normals[0], cols[0])), field.zero())
         if det:
             return _image_conic(cmap, normals), None, None
     else:
-        normals = (_cross(cols[0], cols[1]),)
+        normals = (cross(cols[0], cols[1]),)
     normal = next((n for n in normals if any(n)), None)
     if normal is not None:
         return None, _image_line(field, cmap, normal, source), None

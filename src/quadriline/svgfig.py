@@ -9,7 +9,7 @@ division X / D of exact integer forms.
 from __future__ import annotations
 
 from . import hpoly
-from .configuration import ROLES, InputLine
+from .configuration import InputLine
 from .errors import ParallelPairError, PreconditionError
 from .locus import centers_paths, diagonal_g, gauss_newton_line
 from .paths import eval_path, ratio_samples, slope_path_polys
@@ -82,23 +82,15 @@ def _swept_centers(center_map, plane_map):
     """The locus center at each ratio of ``_SWEEP`` as a float point in
     original coordinates, or None where the center map is undefined.
 
-    ``invert_point`` is affine, so it is read off at three points and composed
-    with the center map's forms once; a common factor then clears every
-    denominator, leaving integer forms (X, Y, D) and the point (X / D, Y / D).
+    The plane map's matrix N takes the center map's forms (x_num, y_num, den)
+    to three forms at once; a common factor then clears every denominator,
+    leaving integer forms (X, Y, D) and the point (X / D, Y / D).
     """
-    zero, one = QQ.zero(), QQ.one()
-    origin = plane_map.invert_point((zero, zero))
-    e_x = plane_map.invert_point((one, zero))
-    e_y = plane_map.invert_point((zero, one))
     cm = center_map
     forms = [
-        hpoly.add(
-            hpoly.add(hpoly.scale(e_x[k] - origin[k], cm.x_num), hpoly.scale(e_y[k] - origin[k], cm.y_num)),
-            hpoly.scale(origin[k], cm.den),
-        )
-        for k in (0, 1)
+        hpoly.add(hpoly.add(hpoly.scale(n0, cm.x_num), hpoly.scale(n1, cm.y_num)), hpoly.scale(n2, cm.den))
+        for n0, n1, n2 in plane_map.matrix
     ]
-    forms.append(cm.den)
     forms = hpoly.integer_forms(QQ, forms)
     points = []
     for s, t in _SWEEP:
@@ -140,8 +132,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         rect = eval_path(cfg, pp, r)
         if rect.at_infinity:
             continue
-        verts = rect.affine_vertices()
-        quad = [plane_map.invert_point(verts[role]) for role in ROLES]
+        quad = plane_map.original_points(rect.key)[:4]
         for x, y in quad:
             canvas.require(x, y)
         rect_polys.append(quad)
@@ -151,10 +142,10 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     locus_lines = []
     for desc in (report.slope_centers, report.aspect_centers, report.single_line):
         if desc is not None:
-            locus_lines.append(plane_map.invert_line(desc))
+            locus_lines.append(plane_map.original_line(desc))
     locus_points = []
     if report.point is not None:
-        locus_points.append(plane_map.invert_point(report.point))
+        locus_points.append(plane_map.original_point(*report.point, 1))
         canvas.require(*locus_points[0])
     conic_branches = []
     if report.conic is not None and report.center_map is not None:
@@ -193,19 +184,19 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     if diagonals:
         if cfg.e1 or cfg.e2:
             diagonal_lines.append(
-                plane_map.invert_line(InputLine(cfg.e1, -cfg.e2, cfg.field.zero()))
+                plane_map.original_line(InputLine(cfg.e1, -cfg.e2, cfg.field.zero()))
             )
         for builder in (gauss_newton_line, diagonal_g):
             try:
                 desc = builder(cfg)
             except ParallelPairError:
                 continue
-            diagonal_lines.append(plane_map.invert_line(desc))
+            diagonal_lines.append(plane_map.original_line(desc))
         if cfg.f1 or cfg.f2:
             p_ad = cfg.corner("A", "D")
             if p_ad is not None:
                 c = cfg.f1 * p_ad[0] - cfg.f2 * p_ad[1]
-                diagonal_lines.append(plane_map.invert_line(InputLine(cfg.f1, -cfg.f2, c)))
+                diagonal_lines.append(plane_map.original_line(InputLine(cfg.f1, -cfg.f2, c)))
 
     box = canvas.bbox()
     parts = [

@@ -13,6 +13,7 @@ from quadriline import (
     QQ,
     Ratio,
 )
+from quadriline.configuration import adjugate
 from quadriline.errors import PreconditionError
 from quadriline.scalars import solve_quadratic
 
@@ -112,7 +113,15 @@ def lines_for(cfg) -> dict:
 
 
 def slope_intercept_line(field, m, k) -> InputLine:
-    return InputLine.from_slope_intercept(field, field.from_int(m), field.from_int(k))
+    """The line y = m x + k."""
+    return InputLine(-field.from_int(m), field.one(), field.from_int(k))
+
+
+def normalized_point(pm, point):
+    """An original affine point in normalized coordinates: adj(N) applied to (x, y, 1)."""
+    x, y = point
+    X, Y, W = (n0 * x + n1 * y + n2 for n0, n1, n2 in adjugate(pm.matrix))
+    return X / W, Y / W
 
 
 def standing_input(field, m_a, m_b, m_c, m_d, b_a) -> ConfigurationInput:

@@ -1,6 +1,7 @@
 """CLI surface: config parsing, JSON reports, round-trips, SVG output."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -287,6 +288,20 @@ class TestPathLocusCensus:
         assert doc["total"] == doc["quadric_points"]
         assert doc["failures"] == []
 
+    def test_report_is_one_write(self, monkeypatch):
+        """main hands stdout the whole report at once, not token by token."""
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1_f11.json")
+        assert main(["census", "--input", path]) == 0
+        assert len(writes) == 1 and writes[0].endswith("}\n")
+
     def test_census_requires_prime_field(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
         code, _, err = run_cli(capsys, "census", "--input", path)
@@ -367,6 +382,10 @@ class TestRender:
             ("cfg1.json", "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"),
             ("vertical.json", "28eabb486a669f6c20c9e85abfa9a350e1e3e3c8c023026b5632c2936acfa0cb"),
             ("relabeled.json", "dee5bdad933ebf7863df5daef4d8374281802187d75a147af046cc9cfa403ec8"),
+            # A diagonal runs corner to corner of the viewport: which clipped
+            # endpoint comes first rests on the float rounding of the line
+            # mapped back, so on that line's exact scale.
+            ("corner.json", "641ae10d1ea9f3a5d9c2d981e620c4403b15c99215ed93974fbe325d5206151c"),
         ],
     )
     def test_cfg1_diagonals_bytes(self, tmp_path, capsys, name, digest):

@@ -21,6 +21,7 @@ from conftest import (
     ALL_INTERCEPTS,
     CFG1_INTS,
     degenerating_intercepts,
+    normalized_point,
     random_rational_config,
     slope_intercept_line,
     standing_input,
@@ -36,7 +37,10 @@ class TestNormalize:
         ci = standing_input(QQ, *CFG1_INTS)
         cfg, pm = normalize(ci)
         assert (cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a) == (2, 3, 0, 1, 1)
-        assert pm.is_identity
+        assert pm.swaps == (False, False, False)
+        # N is a nonzero multiple of the identity.
+        n = pm.matrix[0][0]
+        assert n and pm.matrix == ((n, 0, 0), (0, n, 0), (0, 0, n))
 
     def test_translation_only(self):
         ci = ConfigurationInput(
@@ -60,7 +64,7 @@ class TestNormalize:
         # The map reproduces the normalized lines from the original ones.
         by_label = ci.lines_by_label()
         for role in "ABCD":
-            image = pm.apply_line(by_label[pm.role_to_input[role]])
+            image = pm.normalized_line(by_label[pm.role_to_input[role]])
             assert image.same_line(cfg.line(role))
 
     def test_all_parallel_routed(self):
@@ -137,9 +141,9 @@ class TestNormalize:
             for role in "ABCD":
                 original = by_label[pm.role_to_input[role]]
                 # forward: original -> normalized line
-                assert pm.apply_line(original).same_line(cfg.line(role))
+                assert pm.normalized_line(original).same_line(cfg.line(role))
                 # inverse: normalized -> original line
-                assert pm.invert_line(cfg.line(role)).same_line(original)
+                assert pm.original_line(cfg.line(role)).same_line(original)
 
     def test_point_roundtrip(self):
         rng = random.Random(29)
@@ -148,8 +152,8 @@ class TestNormalize:
         cfg, pm = normalize(ci)
         for _ in range(25):
             p = (Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3))
-            assert pm.invert_point(pm.apply_point(p)) == p
-            assert pm.apply_point(pm.invert_point(p)) == p
+            assert pm.original_point(*normalized_point(pm, p), 1) == p
+            assert normalized_point(pm, pm.original_point(*p, 1)) == p
 
     def test_degenerate_flag_invariant_under_relabelings(self):
         rng = random.Random(31)

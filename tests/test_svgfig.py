@@ -27,7 +27,7 @@ def fraction_sweep(center_map, plane_map):
         except AtInfinityError:
             points.append(None)
             continue
-        x, y = plane_map.invert_point(center)
+        x, y = plane_map.original_point(*center, 1)
         points.append((float(x), float(y)))
     return points
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
-from .paths import all_ratios, aspect_path_polys, eval_path, slope_path_polys
+from .paths import aspect_path_polys, path_rectangles, slope_path_polys
 from .rectangles import (
     INDETERMINATE,
     ProjectiveRectangle,
@@ -124,6 +124,15 @@ class CensusReport:
         )
 
 
+def _ratio_label(field, index: int) -> str:
+    """The text of the ratio at place index of a path replay: v for (v : 1), then 1/0.
+
+    A label is built only for a failure message, so a passing census builds
+    no ratios.
+    """
+    return str(index) if index < field.char else "1/0"
+
+
 def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     """Enumerate rectangles and check them against both paths."""
     field = cfg.field
@@ -133,9 +142,8 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
 
     spp = slope_path_polys(cfg)
     app = aspect_path_polys(cfg)
-    ratios = all_ratios(field)
-    slope_rects = [eval_path(cfg, spp, r) for r in ratios]
-    aspect_rects = [eval_path(cfg, app, r) for r in ratios]
+    slope_rects = path_rectangles(cfg, spp)
+    aspect_rects = path_rectangles(cfg, app)
     slope_image, aspect_image = set(slope_rects), set(aspect_rects)
 
     union = slope_image | aspect_image
@@ -157,21 +165,25 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     consistency_ok = True
     if cls.degenerate:
         shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
-        for r, rect in zip(ratios, slope_rects):
+        for i, rect in enumerate(slope_rects):
             got = aspect_of(rect)
             if got is INDETERMINATE or got != shared_aspect:
                 consistency_ok = False
-                failures.append(f"slope path aspect varies at {r}: {rect.key}")
+                failures.append(
+                    f"slope path aspect varies at {_ratio_label(field, i)}: {rect.key}"
+                )
         shared_slope = Ratio.of(app.first[0], app.second[0])
         if cfg.f1 or cfg.f2:
             if shared_slope != Ratio.of(cfg.f1, cfg.f2):
                 consistency_ok = False
                 failures.append("aspect-path slope differs from the F diagonal")
-        for r, rect in zip(ratios, aspect_rects):
+        for i, rect in enumerate(aspect_rects):
             got = slope_of(rect)
             if got is INDETERMINATE or got != shared_slope:
                 consistency_ok = False
-                failures.append(f"aspect path slope varies at {r}: {rect.key}")
+                failures.append(
+                    f"aspect path slope varies at {_ratio_label(field, i)}: {rect.key}"
+                )
     else:
         if slope_image != aspect_image:
             consistency_ok = False

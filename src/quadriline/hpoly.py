@@ -4,11 +4,13 @@ A form of degree d is a tuple ``(c0, ..., cd)`` standing for
 ``sum(c[i] * S**(d-i) * T**i)``.  Length-1 tuples are constants.  All
 coefficients are exact field elements and arithmetic never leaves the field,
 except in :func:`integer_forms`, which clears a family of forms to integers
-for evaluation at integer points.
+for evaluation at integer points, and :func:`tabulate`, which evaluates such
+an integer form at consecutive integers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -48,6 +50,26 @@ def eval_at(f, s, t):
         power = t if power is None else power * t
         acc = acc * s + c * power
     return acc
+
+
+def tabulate(f, count):
+    """The ints f(v, 1) for v = 0, 1, ..., count - 1, f with int coefficients.
+
+    A forward-difference table (Knuth, *TAOCP* vol. 2, section 4.6.4): the
+    differences of f(0, 1), ..., f(d, 1) seed d nested running sums, so each
+    value costs d additions in place of a Horner pass.  The values are
+    streamed, not stored.
+    """
+    d = len(f) - 1
+    row = [eval_at(f, v, 1) for v in range(d + 1)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = itertools.repeat(diffs[d])
+    for k in reversed(range(d)):
+        values = itertools.accumulate(values, initial=diffs[k])
+    return itertools.islice(values, count)
 
 
 def integer_forms(field, forms):

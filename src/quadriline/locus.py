@@ -30,6 +30,7 @@ from .paths import (
     ratio_samples,
     slope_path_polys,
 )
+from .scalars import FpElement
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,17 @@ class AffineLineDescription(InputLine):
 
 
 def center_of(p: ProjectiveRectangle):
-    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w)."""
+    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w).
+
+    Over F_p it is read off the canonical residues with one inverse of 2w.
+    """
     if p.at_infinity:
         raise AtInfinityError("rectangle at infinity has no center")
+    field = p.field
+    if field.char:
+        xa, ya, _, _, xc, yc, _, _, w = p.key
+        inv = pow(2 * w, -1, field.char)
+        return FpElement((xa + xc) * inv, field), FpElement((ya + yc) * inv, field)
     xa, ya = p.vertex("A")
     xc, yc = p.vertex("C")
     two_w = 2 * p.w

@@ -162,6 +162,28 @@ def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> Projectiv
         raise InternalCheckError("path polynomials share a projective zero") from None
 
 
+def path_rectangles(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
+    """The path's rectangle at every point of the projective line over F_p:
+    at (v : 1) for v = 0, ..., p - 1, then at (1 : 0), in that order.
+
+    Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by
+    forward differences (:func:`hpoly.tabulate`), and each point is put in
+    canonical form; (1 : 0) goes through :func:`eval_path`.
+    """
+    field = cfg.field
+    p = field.char
+    if not p:
+        raise PreconditionError("a path replay needs a prime field")
+    columns = [hpoly.tabulate(f, p) for f in pp.integer_forms]
+    canonical = ProjectiveRectangle.canonical
+    try:
+        rects = [canonical(field, coords) for coords in zip(*columns)]
+    except PreconditionError:
+        raise InternalCheckError("path polynomials share a projective zero") from None
+    rects.append(eval_path(cfg, pp, Ratio(field.one(), field.zero())))
+    return rects
+
+
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the slope path with slope r."""
     return eval_path(cfg, slope_path_polys(cfg), r)
@@ -243,13 +265,3 @@ def ratio_samples(field, count: int):
         h += 1
     return out
 
-
-def all_ratios(field):
-    """Every point of the projective line over a prime field: (v : 1), then (1 : 0).
-
-    Both forms are already canonical, so the ratios are built directly.
-    """
-    one = field.one()
-    out = [Ratio(v, one) for v in field.elements()]
-    out.append(Ratio(one, field.zero()))
-    return out

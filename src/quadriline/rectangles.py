@@ -121,13 +121,30 @@ class ProjectiveRectangle:
         }
 
 
+def _residue_ratio(field, num: int, den: int) -> Ratio:
+    """Ratio.of(num, den) over F_p for int differences of residues, not both zero."""
+    if den:
+        return Ratio(FpElement(num * pow(den, -1, field.char), field), field.one())
+    return Ratio(field.one(), field.zero())
+
+
 def slope_of(p: ProjectiveRectangle):
     """The unique slope of a rectangle, or INDETERMINATE.
 
     The slope is the common solution [s : t] of
     (x_B - x_A) s = (y_B - y_A) t and (y_C - y_B) s = -(x_C - x_B) t; when all
-    four coefficients vanish every ratio qualifies.
+    four coefficients vanish every ratio qualifies.  Over F_p the differences
+    are taken on the canonical residues, and field elements are built only
+    for the returned ratio.
     """
+    field = p.field
+    if field.char:
+        xa, ya, xb, yb, xc, yc = p.key[:6]
+        if xb != xa or yb != ya:
+            return _residue_ratio(field, yb - ya, xb - xa)
+        if yc != yb or xc != xb:
+            return _residue_ratio(field, xb - xc, yc - yb)
+        return INDETERMINATE
     xa, ya = p.vertex("A")
     xb, yb = p.vertex("B")
     xc, yc = p.vertex("C")
@@ -142,7 +159,16 @@ def aspect_of(p: ProjectiveRectangle):
     """The unique aspect ratio of a rectangle, or INDETERMINATE.
 
     Aspect 0/1 means the A and B vertices coincide; 1/0 means B and C do.
+    Over F_p it is read off the canonical residues, as in :func:`slope_of`.
     """
+    field = p.field
+    if field.char:
+        xa, ya, xb, yb, xc, yc = p.key[:6]
+        if xb != xc or ya != yb:
+            return _residue_ratio(field, ya - yb, xb - xc)
+        if yb != yc or xa != xb:
+            return _residue_ratio(field, xb - xa, yb - yc)
+        return INDETERMINATE
     xa, ya = p.vertex("A")
     xb, yb = p.vertex("B")
     xc, yc = p.vertex("C")

@@ -45,6 +45,18 @@ def qq(n, d=1):
     return Fraction(n, d)
 
 
+def all_ratios(field):
+    """Every point of the projective line over a prime field: (v : 1), then (1 : 0).
+
+    The order of ``paths.path_rectangles``.  Both forms are already canonical,
+    so the ratios are built directly.
+    """
+    one = field.one()
+    out = [Ratio(v, one) for v in field.elements()]
+    out.append(Ratio(one, field.zero()))
+    return out
+
+
 def random_rational_config(rng: random.Random) -> NormalizedConfig:
     """A random valid normalized configuration with small rational constants."""
     while True:

@@ -6,7 +6,9 @@ y = m_L x + b_L w; it is a parallelogram when x_A - x_B = x_D - x_C and
 y_A - y_B = y_D - y_C, and a rectangle when, moreover, AB is orthogonal to BC.
 The rectangles of a given slope or aspect solve a 2x2 linear membership
 system.  The library builds rectangles only from the closed-form paths and
-the census; the tests check both against these definitions.
+the census; the tests check both against these definitions.  The slope,
+aspect ratio and center of a point are read here through field elements, the
+reference for the library's reads off canonical residues.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from quadriline.configuration import ROLES, NormalizedConfig
-from quadriline.errors import InternalCheckError, PreconditionError
-from quadriline.rectangles import ProjectiveRectangle
+from quadriline.errors import AtInfinityError, InternalCheckError, PreconditionError
+from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle
 from quadriline.scalars import Ratio
 
 
@@ -135,6 +137,42 @@ def has_aspect(p: ProjectiveRectangle, r: Ratio) -> bool:
     xc, yc = p.vertex("C")
     u, v = r.num, r.den
     return not ((xb - xc) * u - (ya - yb) * v) and not ((yb - yc) * u + (xa - xb) * v)
+
+
+def slope_of(p: ProjectiveRectangle):
+    """The slope [s : t] solving both slope equations, read through field
+    elements; INDETERMINATE when all four coefficients vanish."""
+    xa, ya = p.vertex("A")
+    xb, yb = p.vertex("B")
+    xc, yc = p.vertex("C")
+    if xb - xa or yb - ya:
+        return Ratio.of(yb - ya, xb - xa)
+    if yc - yb or xc - xb:
+        return Ratio.of(-(xc - xb), yc - yb)
+    return INDETERMINATE
+
+
+def aspect_of(p: ProjectiveRectangle):
+    """The aspect ratio [u : v] solving both aspect equations, read through
+    field elements; INDETERMINATE when all four coefficients vanish."""
+    xa, ya = p.vertex("A")
+    xb, yb = p.vertex("B")
+    xc, yc = p.vertex("C")
+    if xb - xc or ya - yb:
+        return Ratio.of(ya - yb, xb - xc)
+    if yb - yc or xa - xb:
+        return Ratio.of(-(xa - xb), yb - yc)
+    return INDETERMINATE
+
+
+def center_of(p: ProjectiveRectangle):
+    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w) in field elements."""
+    if p.at_infinity:
+        raise AtInfinityError("rectangle at infinity has no center")
+    xa, ya = p.vertex("A")
+    xc, yc = p.vertex("C")
+    two_w = 2 * p.w
+    return (xa + xc) / two_w, (ya + yc) / two_w
 
 
 def slope_system(cfg: NormalizedConfig, r: Ratio):

@@ -18,13 +18,12 @@ from quadriline.census import enumerate_rectangles, quadric_point_count
 from quadriline.cli import main
 from quadriline.errors import PreconditionError
 from quadriline.paths import (
-    all_ratios,
     aspect_path_polys,
     eval_path,
     slope_path_polys,
 )
-from quadriline.rectangles import ProjectiveRectangle, QuadricH, quadric_h
-from conftest import random_normalized_config
+from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle, QuadricH, quadric_h
+from conftest import all_ratios, random_normalized_config
 from membership import (
     complete_parallelogram,
     evaluate,
@@ -106,7 +105,7 @@ class TestKernelAgainstReference:
     def test_kernel_uses_no_path_code(self, monkeypatch):
         import quadriline.census as census_module
 
-        for name in ("all_ratios", "aspect_path_polys", "eval_path", "slope_path_polys"):
+        for name in ("aspect_path_polys", "path_rectangles", "slope_path_polys"):
             monkeypatch.setattr(census_module, name, None)
         assert_matches_reference(cfg_over(11, (2, 3, 0, 1, 1)))
 
@@ -272,6 +271,21 @@ class TestVerify:
         assert not report.union_covered
         assert report.failures[0] == "union mismatch (census-only): (0, 0, 0, 0, 0, 0, 0, 0, 1)"
 
+    def test_degenerate_failures_name_their_ratio(self, monkeypatch):
+        import quadriline.census as census_module
+
+        cfg = cfg_over(11, (-4, -1, 0, 2, 3))
+        monkeypatch.setattr(census_module, "aspect_of", lambda rect: INDETERMINATE)
+        monkeypatch.setattr(census_module, "slope_of", lambda rect: INDETERMINATE)
+        report = verify_against_paths(cfg)
+        assert not report.degenerate_consistency_ok
+        for kind, pp in (("slope path aspect", slope_path_polys(cfg)),
+                         ("aspect path slope", aspect_path_polys(cfg))):
+            expected = [
+                f"{kind} varies at {r}: {eval_path(cfg, pp, r).key}" for r in all_ratios(cfg.field)
+            ]
+            assert [f for f in report.failures if f.startswith(kind)] == expected
+
     def test_random_sweep_small(self):
         rng = random.Random(167)
         for p in (5, 7, 11, 13):
@@ -327,6 +341,39 @@ class TestFiberAgainstCensus:
             assert set(fiber.rectangles) == expected
 
 
+def write_census_input(tmp_path, name, p):
+    """The lines of configs/<name> over F_p, written to a file in tmp_path."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as f:
+        doc = json.load(f)
+    doc["field"] = {"prime": p}
+    path = tmp_path / f"{p}_{name}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["cfg1.json", "cfg2.json"])
+def test_census_replay_horner_passes_do_not_grow_with_p(tmp_path, capsys, monkeypatch, name):
+    """The paths are replayed by forward differences: a census makes as many
+    hpoly.eval_at calls at p = 1009 as at p = 101, and fewer than 100."""
+    from quadriline import hpoly
+
+    calls = []
+    eval_at = hpoly.eval_at
+
+    def counted(f, s, t):
+        calls.append(None)
+        return eval_at(f, s, t)
+
+    monkeypatch.setattr(hpoly, "eval_at", counted)
+    counts = []
+    for p in (101, 1009):
+        calls.clear()
+        assert main(["census", "--input", write_census_input(tmp_path, name, p)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] < 100, counts
+
+
 @pytest.mark.parametrize(
     "name, digest",
     [
@@ -337,12 +384,7 @@ class TestFiberAgainstCensus:
 )
 def test_census_bytes_at_p_1009(tmp_path, capsys, name, digest):
     """The census of the example lines over F_1009 prints the same report, byte for byte."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as f:
-        doc = json.load(f)
-    doc["field"] = {"prime": 1009}
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    assert main(["census", "--input", str(path)]) == 0
+    assert main(["census", "--input", write_census_input(tmp_path, name, 1009)]) == 0
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest

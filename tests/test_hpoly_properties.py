@@ -1,4 +1,5 @@
-"""Property test: Horner ``eval_at`` against the power-sum definition of a form."""
+"""Property tests: Horner ``eval_at`` and the forward-difference ``tabulate``
+against the power-sum definition of a form."""
 
 import pytest
 
@@ -40,3 +41,13 @@ def forms_and_points(draw):
 def test_horner_matches_power_sum(case):
     form, s, t = case
     assert hpoly.eval_at(form, s, t) == power_sum(form, s, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=5),  # degree 0 to 4
+    st.integers(0, 40),
+)
+def test_tabulate_matches_power_sum(form, count):
+    form = tuple(form)
+    assert list(hpoly.tabulate(form, count)) == [power_sum(form, v, 1) for v in range(count)]

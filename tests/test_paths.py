@@ -24,14 +24,13 @@ from quadriline.errors import DegenerateConfigError, InternalCheckError, Precond
 from quadriline.paths import (
     PathCase,
     PathPolynomials,
-    all_ratios,
     aspect_path_polys,
     eval_path,
     ratio_samples,
     slope_path_polys,
 )
 from quadriline.rectangles import ProjectiveRectangle, aspect_infinity_form, slope_infinity_form
-from conftest import CFG1_INTS, random_degenerate_config, random_rational_config, rat
+from conftest import CFG1_INTS, all_ratios, random_degenerate_config, random_rational_config, rat
 from membership import (
     has_aspect,
     has_slope,

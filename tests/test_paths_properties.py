@@ -1,5 +1,5 @@
-"""Property tests: the integer path kernel against the field-element reference,
-and the homography between the two paths."""
+"""Property tests: the integer path kernel and the forward-difference replay
+against field-element references, and the homography between the two paths."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadriline import (
     QQ,
@@ -21,18 +21,30 @@ from quadriline.paths import (
     PathCase,
     aspect_path_polys,
     eval_path,
+    path_rectangles,
     slope_path_polys,
 )
-from conftest import ALL_INTERCEPTS, degenerating_intercepts
+from conftest import (
+    ALL_INTERCEPTS,
+    CFG1_INTS,
+    CFG2_INTS,
+    CFG3_INTS,
+    all_ratios,
+    degenerating_intercepts,
+)
 from test_paths import reference_eval_path
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
-KINDS = ("random", "degenerate", "slope-both-zero", "aspect-both-zero")
+KINDS = ("random", "degenerate", "twin-pair", "slope-both-zero", "aspect-both-zero")
 
 
 @st.composite
 def fields(draw):
     return draw(st.just(QQ) | st.sampled_from(PRIMES).map(PrimeField))
+
+
+# The odd primes below 400: a replay tabulates every ratio of the field.
+small_prime_fields = st.sampled_from(PRIMES[:-1]).map(PrimeField)
 
 
 def scalars(field):
@@ -43,16 +55,19 @@ def scalars(field):
 
 
 @st.composite
-def configs(draw):
+def configs(draw, field_strategy=fields()):
     """A normalized configuration drawn to hit every PathCase on both paths.
 
     degenerate solves for a b_A with e1 f1 + e2 f2 = 0 (ORTHOGONAL forms);
-    slope-both-zero sets A = B (e1 = e2 = 0); aspect-both-zero sets b_A = 1
-    and m_B m_D = m_A m_C (f1 = e2 = 0).
+    twin-pair sets A parallel to D and B to C, as in CFG3_INTS, where every
+    b_A degenerates; slope-both-zero sets A = B (e1 = e2 = 0);
+    aspect-both-zero sets b_A = 1 and m_B m_D = m_A m_C (f1 = e2 = 0).
     """
-    field = draw(fields())
+    field = draw(field_strategy)
     kind = draw(st.sampled_from(KINDS))
     m_a, m_b, m_c, m_d, b_a = (draw(scalars(field)) for _ in range(5))
+    if kind == "twin-pair":
+        m_b, m_d = m_c, m_a
     assume(m_c != m_d)
     if kind == "degenerate":
         roots = degenerating_intercepts(field, m_a, m_b, m_c, m_d)
@@ -117,15 +132,44 @@ def test_homography_round_trip(data):
     assert h.slope_to_aspect(h.aspect_to_slope(r)) == r
 
 
-def test_strategy_reaches_every_case():
-    """The configuration strategy yields each PathCase on each path."""
+def replay_example(*ints):
+    return NormalizedConfig.from_ints(PrimeField(10_007), *ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(small_prime_fields))
+@example(replay_example(*CFG1_INTS))  # generic on both paths
+@example(replay_example(*CFG2_INTS))  # degenerate: orthogonal on both paths
+@example(replay_example(*CFG3_INTS))  # twin pairs: the aspect path is both-zero
+@example(replay_example(2, 2, 0, 1, 1))  # A = B: the slope path is both-zero
+def test_replay_matches_eval_path(cfg):
+    """The forward-difference replay is eval_path at every ratio, in all_ratios order."""
+    for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
+        assert path_rectangles(cfg, pp) == [eval_path(cfg, pp, r) for r in all_ratios(cfg.field)]
+
+
+def cases_reached(field_strategy):
+    """The (path kind, PathCase) pairs of 100 configurations drawn over field_strategy."""
     seen = set()
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(configs())
+    @given(configs(field_strategy))
     def collect(cfg):
         seen.add(("slope", slope_path_polys(cfg).case))
         seen.add(("aspect", aspect_path_polys(cfg).case))
 
     collect()
-    assert seen == {(kind, case) for kind in ("slope", "aspect") for case in PathCase}
+    return seen
+
+
+EVERY_CASE = {(kind, case) for kind in ("slope", "aspect") for case in PathCase}
+
+
+def test_strategy_reaches_every_case():
+    """The configuration strategy yields each PathCase on each path."""
+    assert cases_reached(fields()) == EVERY_CASE
+
+
+def test_replay_strategy_reaches_every_case():
+    """So does its restriction to the small primes of the replay test."""
+    assert cases_reached(small_prime_fields) == EVERY_CASE

@@ -15,7 +15,6 @@ from quadriline import (
     slope_of,
 )
 from quadriline import hpoly
-from quadriline.paths import all_ratios
 from quadriline.rectangles import (
     ALL_RATIOS,
     ProjectiveRectangle,
@@ -26,7 +25,7 @@ from quadriline.rectangles import (
     slopes_at_infinity,
 )
 from quadriline.scalars import FpElement
-from conftest import random_rational_config, rat
+from conftest import all_ratios, random_rational_config, rat
 from membership import (
     aspect_system,
     complete_parallelogram,

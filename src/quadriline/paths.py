@@ -18,7 +18,7 @@ from enum import Enum
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
-from .rectangles import ProjectiveRectangle, Ratio
+from .rectangles import ProjectiveRectangle, Ratio, canonical_key
 
 SLOPE = "slope"
 ASPECT = "aspect"
@@ -162,9 +162,10 @@ def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> Projectiv
         raise InternalCheckError("path polynomials share a projective zero") from None
 
 
-def path_rectangles(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
-    """The path's rectangle at every point of the projective line over F_p:
-    at (v : 1) for v = 0, ..., p - 1, then at (1 : 0), in that order.
+def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
+    """The canonical key of the path's rectangle at every point of the
+    projective line over F_p: at (v : 1) for v = 0, ..., p - 1, then at
+    (1 : 0), in that order.
 
     Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by
     forward differences (:func:`hpoly.tabulate`), and each point is put in
@@ -175,13 +176,12 @@ def path_rectangles(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
     if not p:
         raise PreconditionError("a path replay needs a prime field")
     columns = [hpoly.tabulate(f, p) for f in pp.integer_forms]
-    canonical = ProjectiveRectangle.canonical
     try:
-        rects = [canonical(field, coords) for coords in zip(*columns)]
+        keys = [canonical_key(field, coords) for coords in zip(*columns)]
     except PreconditionError:
         raise InternalCheckError("path polynomials share a projective zero") from None
-    rects.append(eval_path(cfg, pp, Ratio(field.one(), field.zero())))
-    return rects
+    keys.append(eval_path(cfg, pp, Ratio(field.one(), field.zero())).key)
+    return keys
 
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:

@@ -31,15 +31,35 @@ def ratio_text(field, value) -> str:
     return ratio_format(value, field)
 
 
+def canonical_key(field, coords) -> tuple:
+    """The canonical key of the projective point with coordinates coords.
+
+    Over the rationals coords are integers or Fractions, and each is divided
+    by the last nonzero one.  Over F_p they are ints, scaled by one inverse of
+    the first that is nonzero mod p and reduced mod p.
+    """
+    p = field.char
+    if p:
+        for pivot in coords:
+            if pivot % p:
+                inv = pow(pivot, -1, p)
+                return tuple([c * inv % p for c in coords])
+    else:
+        for pivot in reversed(coords):
+            if pivot:
+                return tuple([Fraction(c, pivot) for c in coords])
+    raise PreconditionError("projective point needs a nonzero coordinate")
+
+
 class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
     coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  Over
     the rationals the last nonzero coordinate is scaled to 1; over a prime
-    field the first nonzero coordinate is.  The paths and the census build
-    these points through :meth:`canonical`; each of them guarantees that the
-    vertices lie on their lines, form a parallelogram and satisfy the
-    rectangle condition.
+    field the first nonzero coordinate is.  The paths and the census scale
+    their points through :func:`canonical_key`, the only code that picks a
+    pivot; each of them guarantees that the vertices lie on their lines, form
+    a parallelogram and satisfy the rectangle condition.
 
     A point's identity is its canonical key: the nine canonical residues in
     [0, p) over F_p, the nine Fractions over the rationals.  Points hash by
@@ -58,23 +78,8 @@ class ProjectiveRectangle:
 
     @staticmethod
     def canonical(field, coords) -> "ProjectiveRectangle":
-        """The point with coordinates coords, scaled to canonical form.
-
-        Over the rationals coords are integers or Fractions, and each is
-        divided by the last nonzero one.  Over F_p they are ints, scaled by one
-        inverse of the first that is nonzero mod p and reduced mod p.
-        """
-        p = field.char
-        if p:
-            for pivot in coords:
-                if pivot % p:
-                    inv = pow(pivot, -1, p)
-                    return ProjectiveRectangle(field, tuple([c * inv % p for c in coords]))
-        else:
-            for pivot in reversed(coords):
-                if pivot:
-                    return ProjectiveRectangle(field, tuple([Fraction(c, pivot) for c in coords]))
-        raise PreconditionError("projective point needs a nonzero coordinate")
+        """The point with coordinates coords, scaled by :func:`canonical_key`."""
+        return ProjectiveRectangle(field, canonical_key(field, coords))
 
     @property
     def coords(self) -> tuple:
@@ -121,11 +126,54 @@ class ProjectiveRectangle:
         }
 
 
-def _residue_ratio(field, num: int, den: int) -> Ratio:
-    """Ratio.of(num, den) over F_p for int differences of residues, not both zero."""
-    if den:
-        return Ratio(FpElement(num * pow(den, -1, field.char), field), field.one())
-    return Ratio(field.one(), field.zero())
+def _residue_quotient(p: int, num: int, den: int) -> int:
+    """num / den as a residue, or p for 1/0; num and den are differences of
+    residues, not both zero."""
+    return num * pow(den, -1, p) % p if den else p
+
+
+def slope_residue(p: int, key: tuple):
+    """The slope of the F_p point with canonical key ``key``, as one residue.
+
+    v in [0, p) for the slope (v : 1), p for (1 : 0), None when indeterminate.
+    The slope is the common solution [s : t] of (x_B - x_A) s = (y_B - y_A) t
+    and (y_C - y_B) s = -(x_C - x_B) t, taken on residue differences.
+    """
+    xa, ya, xb, yb, xc, yc = key[:6]
+    if xb != xa or yb != ya:
+        return _residue_quotient(p, yb - ya, xb - xa)
+    if yc != yb or xc != xb:
+        return _residue_quotient(p, xb - xc, yc - yb)
+    return None
+
+
+def aspect_residue(p: int, key: tuple):
+    """The aspect ratio of the F_p point with canonical key ``key``, as in
+    :func:`slope_residue`: 0 when the A and B vertices coincide, p when B and
+    C do, None when indeterminate."""
+    xa, ya, xb, yb, xc, yc = key[:6]
+    if xb != xc or ya != yb:
+        return _residue_quotient(p, ya - yb, xb - xc)
+    if yb != yc or xa != xb:
+        return _residue_quotient(p, xb - xa, yb - yc)
+    return None
+
+
+def residue_text(p: int, value) -> str:
+    """A slope_residue / aspect_residue outcome as report text, as
+    :func:`ratio_text` writes the matching ratio."""
+    if value is None:
+        return "indeterminate"
+    return "1/0" if value == p else str(value)
+
+
+def _residue_ratio(field, value):
+    """A slope_residue / aspect_residue outcome as a ratio, or INDETERMINATE."""
+    if value is None:
+        return INDETERMINATE
+    if value == field.char:
+        return Ratio(field.one(), field.zero())
+    return Ratio(FpElement(value, field), field.one())
 
 
 def slope_of(p: ProjectiveRectangle):
@@ -133,18 +181,13 @@ def slope_of(p: ProjectiveRectangle):
 
     The slope is the common solution [s : t] of
     (x_B - x_A) s = (y_B - y_A) t and (y_C - y_B) s = -(x_C - x_B) t; when all
-    four coefficients vanish every ratio qualifies.  Over F_p the differences
-    are taken on the canonical residues, and field elements are built only
-    for the returned ratio.
+    four coefficients vanish every ratio qualifies.  Over F_p it is
+    :func:`slope_residue` of the canonical key, and field elements are built
+    only for the returned ratio.
     """
     field = p.field
     if field.char:
-        xa, ya, xb, yb, xc, yc = p.key[:6]
-        if xb != xa or yb != ya:
-            return _residue_ratio(field, yb - ya, xb - xa)
-        if yc != yb or xc != xb:
-            return _residue_ratio(field, xb - xc, yc - yb)
-        return INDETERMINATE
+        return _residue_ratio(field, slope_residue(field.char, p.key))
     xa, ya = p.vertex("A")
     xb, yb = p.vertex("B")
     xc, yc = p.vertex("C")
@@ -159,16 +202,11 @@ def aspect_of(p: ProjectiveRectangle):
     """The unique aspect ratio of a rectangle, or INDETERMINATE.
 
     Aspect 0/1 means the A and B vertices coincide; 1/0 means B and C do.
-    Over F_p it is read off the canonical residues, as in :func:`slope_of`.
+    Over F_p it is :func:`aspect_residue` of the canonical key.
     """
     field = p.field
     if field.char:
-        xa, ya, xb, yb, xc, yc = p.key[:6]
-        if xb != xc or ya != yb:
-            return _residue_ratio(field, ya - yb, xb - xc)
-        if yb != yc or xa != xb:
-            return _residue_ratio(field, xb - xa, yb - yc)
-        return INDETERMINATE
+        return _residue_ratio(field, aspect_residue(field.char, p.key))
     xa, ya = p.vertex("A")
     xb, yb = p.vertex("B")
     xc, yc = p.vertex("C")

@@ -48,7 +48,7 @@ def qq(n, d=1):
 def all_ratios(field):
     """Every point of the projective line over a prime field: (v : 1), then (1 : 0).
 
-    The order of ``paths.path_rectangles``.  Both forms are already canonical,
+    The order of ``paths.path_keys``.  Both forms are already canonical,
     so the ratios are built directly.
     """
     one = field.one()

@@ -22,7 +22,7 @@ from quadriline.paths import (
     eval_path,
     slope_path_polys,
 )
-from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle, QuadricH, quadric_h
+from quadriline.rectangles import ProjectiveRectangle, QuadricH, quadric_h
 from conftest import all_ratios, random_normalized_config
 from membership import (
     complete_parallelogram,
@@ -105,7 +105,7 @@ class TestKernelAgainstReference:
     def test_kernel_uses_no_path_code(self, monkeypatch):
         import quadriline.census as census_module
 
-        for name in ("aspect_path_polys", "path_rectangles", "slope_path_polys"):
+        for name in ("aspect_path_polys", "path_keys", "slope_path_polys"):
             monkeypatch.setattr(census_module, name, None)
         assert_matches_reference(cfg_over(11, (2, 3, 0, 1, 1)))
 
@@ -275,10 +275,11 @@ class TestVerify:
         import quadriline.census as census_module
 
         cfg = cfg_over(11, (-4, -1, 0, 2, 3))
-        monkeypatch.setattr(census_module, "aspect_of", lambda rect: INDETERMINATE)
-        monkeypatch.setattr(census_module, "slope_of", lambda rect: INDETERMINATE)
+        monkeypatch.setattr(census_module, "aspect_residue", lambda p, key: None)
+        monkeypatch.setattr(census_module, "slope_residue", lambda p, key: None)
         report = verify_against_paths(cfg)
         assert not report.degenerate_consistency_ok
+        assert report.by_slope == report.by_aspect == {"indeterminate": report.total}
         for kind, pp in (("slope path aspect", slope_path_polys(cfg)),
                          ("aspect path slope", aspect_path_polys(cfg))):
             expected = [
@@ -372,6 +373,29 @@ def test_census_replay_horner_passes_do_not_grow_with_p(tmp_path, capsys, monkey
         counts.append(len(calls))
     capsys.readouterr()
     assert counts[0] == counts[1] < 100, counts
+
+
+@pytest.mark.parametrize("name", ["cfg1.json", "cfg2.json"])
+def test_census_ratio_count_does_not_grow_with_p(tmp_path, capsys, monkeypatch, name):
+    """The census tallies and checks residues: a census builds as many Ratios
+    at p = 1009 as at p = 101, and fewer than 20."""
+    from quadriline import scalars
+
+    calls = []
+    init = scalars.Ratio.__init__
+
+    def counted(self, num, den):
+        calls.append(None)
+        init(self, num, den)
+
+    monkeypatch.setattr(scalars.Ratio, "__init__", counted)
+    counts = []
+    for p in (101, 1009):
+        calls.clear()
+        assert main(["census", "--input", write_census_input(tmp_path, name, p)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] < 20, counts
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,16 @@ from quadriline import NormalizedConfig, PrimeField, verify_against_paths
 from quadriline.census import enumerate_rectangles
 from quadriline.errors import AtInfinityError
 from quadriline.locus import center_of
-from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle, aspect_of, slope_of
+from quadriline.rectangles import (
+    INDETERMINATE,
+    ProjectiveRectangle,
+    aspect_of,
+    aspect_residue,
+    ratio_text,
+    residue_text,
+    slope_of,
+    slope_residue,
+)
 from test_census import assert_matches_reference
 
 ODD_PRIMES = [n for n in range(3, 62) if all(n % d for d in range(2, n))]
@@ -45,9 +54,14 @@ def center_or_at_infinity(center, rect):
 
 
 def assert_reads_match_reference(rect):
-    """slope_of, aspect_of and center_of agree with the field-element reference."""
-    assert slope_of(rect) == membership.slope_of(rect), rect
-    assert aspect_of(rect) == membership.aspect_of(rect), rect
+    """slope_of, aspect_of and center_of agree with the field-element reference,
+    and the census's residue reads print as the reference ratio does."""
+    field, p = rect.field, rect.field.char
+    slope, aspect = membership.slope_of(rect), membership.aspect_of(rect)
+    assert slope_of(rect) == slope, rect
+    assert aspect_of(rect) == aspect, rect
+    assert residue_text(p, slope_residue(p, rect.key)) == ratio_text(field, slope), rect
+    assert residue_text(p, aspect_residue(p, rect.key)) == ratio_text(field, aspect), rect
     assert center_or_at_infinity(center_of, rect) == center_or_at_infinity(
         membership.center_of, rect
     ), rect

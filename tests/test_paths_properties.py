@@ -21,7 +21,7 @@ from quadriline.paths import (
     PathCase,
     aspect_path_polys,
     eval_path,
-    path_rectangles,
+    path_keys,
     slope_path_polys,
 )
 from conftest import (
@@ -145,7 +145,7 @@ def replay_example(*ints):
 def test_replay_matches_eval_path(cfg):
     """The forward-difference replay is eval_path at every ratio, in all_ratios order."""
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-        assert path_rectangles(cfg, pp) == [eval_path(cfg, pp, r) for r in all_ratios(cfg.field)]
+        assert path_keys(cfg, pp) == [eval_path(cfg, pp, r).key for r in all_ratios(cfg.field)]
 
 
 def cases_reached(field_strategy):

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .census import quadric_point_count, verify_against_paths
 from .configuration import (
@@ -329,6 +330,39 @@ def cmd_render(args) -> dict:
     return {"written": args.out}
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with str keys, lists, strs, ints,
+    bools and None; any other type raises ``TypeError``.
+
+    The standard encoder runs in pure Python when ``indent`` is set, and each
+    call leaves its nested closures in reference cycles for the cyclic garbage
+    collector; this writer leaves none.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            inner + encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()
+        )
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + ",".join(inner + json_text(v, inner) for v in value) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
@@ -372,7 +406,7 @@ def main(argv=None) -> int:
     except (QuadrilineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(json_text(result) + "\n")
     return 0
 
 

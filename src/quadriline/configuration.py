@@ -77,12 +77,6 @@ class InputLine:
             (self.a * other.c - self.c * other.a) / det,
         )
 
-    def slope_intercept(self):
-        """(m, k) with y = m*x + k; requires a non-vertical line."""
-        if self.is_vertical:
-            raise PreconditionError("vertical line has no slope-intercept form")
-        return -self.a / self.b, self.c / self.b
-
 
 @dataclass(frozen=True)
 class ConfigurationInput:
@@ -103,10 +97,6 @@ class ConfigurationInput:
     def all_lines(self):
         return (self.pair1[0], self.pair1[1], self.pair2[0], self.pair2[1])
 
-    def all_parallel(self) -> bool:
-        first = self.pair1[0]
-        return all(first.parallel_to(ln) for ln in self.all_lines()[1:])
-
 
 def cross(u, v):
     """The cross product u × v of two 3-vectors."""
@@ -123,12 +113,15 @@ def adjugate(m):
     return (cross(c1, c2), cross(c2, c0), cross(c0, c1))
 
 
-def _line_times(field, line: InputLine, m) -> InputLine:
-    """The line whose covector is a multiple of (a, b, -c) m, for the line
-    a x + b y = c and a matrix m of ints: the covector is cleared to ints first."""
-    a, b, c = hpoly.integer_forms(field, [(line.a, line.b, -line.c)])[0]
-    a, b, c = (field.from_int(a * u + b * v + c * w) for u, v, w in zip(*m))
-    return InputLine(a, b, -c)
+def covector(field, line: InputLine) -> tuple:
+    """The covector (a, b, -c) of the line a x + b y = c as three ints, up to a
+    nonzero factor: the residues over F_p, cleared by one lcm over the rationals."""
+    return hpoly.integer_forms(field, [(line.a, line.b, -line.c)])[0]
+
+
+def _times(v, m) -> tuple:
+    """The row vector v times the 3×3 matrix m given by its rows."""
+    return tuple(v[0] * u + v[1] * w + v[2] * z for u, w, z in zip(*m))
 
 
 @dataclass(frozen=True)
@@ -137,14 +130,16 @@ class PlaneMap:
 
     Normalization relabels roles, translates by ``translation``, reflects
     about y = t x for t = ``reflection_t`` (when set) and scales by s =
-    ``scale``.  ``matrix`` is the one 3×3 matrix N of ints (residues over F_p,
-    over the rationals cleared by one common factor) taking normalized points
-    (x : y : w) back: with d = 1 + t^2 and (tx, ty) = translation it is
-    [[1 - t^2, 2t, -d s tx], [2t, t^2 - 1, -d s ty], [0, 0, d s]], and
-    [[1, 0, -s tx], [0, 1, -s ty], [0, 0, s]] without a reflection.  The line
-    a x + b y = c is the covector (a, b, -c): it maps forward by
-    (a, b, -c) N and back by (a, b, -c) adj(N).  N is orthogonal up to scale,
-    so parallelograms, the rectangle condition and midpoints are preserved.
+    ``scale``.  ``matrix`` is the one 3×3 matrix N of ints (residues over F_p)
+    taking normalized points (x : y : w) back, built by :func:`normalize` from
+    the integer covectors of the input lines and defined up to a nonzero
+    factor, which no output depends on: with d = 1 + t^2 and (tx, ty) =
+    translation it is a multiple of [[1 - t^2, 2t, -d s tx], [2t, t^2 - 1,
+    -d s ty], [0, 0, d s]], and of [[1, 0, -s tx], [0, 1, -s ty], [0, 0, s]]
+    without a reflection.  The line a x + b y = c is the covector (a, b, -c):
+    it maps forward by (a, b, -c) N and back by (a, b, -c) adj(N).  N is
+    orthogonal up to scale, so parallelograms, the rectangle condition and
+    midpoints are preserved.
     """
 
     field: object
@@ -175,8 +170,9 @@ class PlaneMap:
         return points
 
     def normalized_line(self, line: InputLine) -> InputLine:
-        """The image of an original line in normalized coordinates."""
-        return _line_times(self.field, line, self.matrix)
+        """The image of an original line in normalized coordinates: its covector times N."""
+        a, b, c = (self.field.from_int(v) for v in _times(covector(self.field, line), self.matrix))
+        return InputLine(a, b, -c)
 
     def original_line(self, line: InputLine) -> InputLine:
         """The original line of a line in normalized coordinates, by adj(N) / k for
@@ -333,60 +329,43 @@ def classify(cfg: NormalizedConfig) -> ConfigClass:
     )
 
 
-def _labelings():
-    # Lexicographic over (swap pair1, swap pair2, swap pair roles).
-    return itertools.product((False, True), repeat=3)
-
-
-def _apply_labeling(cfg_input: ConfigurationInput, swaps):
+def _role_to_input(swaps) -> dict:
+    """The input label of each normalized role under a labeling (swap within
+    pair1, swap within pair2, swap the pair roles)."""
     s1, s2, sr = swaps
-    p1 = tuple(reversed(cfg_input.pair1)) if s1 else tuple(cfg_input.pair1)
-    p2 = tuple(reversed(cfg_input.pair2)) if s2 else tuple(cfg_input.pair2)
     labels1 = ("C", "A") if s1 else ("A", "C")
     labels2 = ("D", "B") if s2 else ("B", "D")
     if sr:
-        p1, p2 = p2, p1
         labels1, labels2 = labels2, labels1
-    # p1 now plays roles (A, C) and p2 roles (B, D); labels record where each
-    # line sat in the input file.
-    lines = {"A": p1[0], "C": p1[1], "B": p2[0], "D": p2[1]}
-    role_to_input = {
-        "A": labels1[0],
-        "C": labels1[1],
-        "B": labels2[0],
-        "D": labels2[1],
-    }
-    return lines, role_to_input
+    # labels1 now plays roles (A, C) and labels2 roles (B, D).
+    return {"A": labels1[0], "C": labels1[1], "B": labels2[0], "D": labels2[1]}
 
 
-def _labeling_valid(lines: dict) -> bool:
-    if lines["C"].parallel_to(lines["D"]):
-        return False
-    if lines["B"].same_line(lines["D"]):
-        return False
-    origin = lines["C"].intersection(lines["D"])
-    return not lines["B"].contains(origin)
+def _reduce(v: int, p: int) -> int:
+    """v mod p over F_p, v itself over the rationals (p = 0): zero exactly when v is."""
+    return v % p if p else v
 
 
-def _pick_reflection(field, lines):
+def _quotient(field, n: int, d: int):
+    """n / d in the field, for ints n and d with d nonzero in it."""
+    p = field.char
+    if p:
+        return field.from_int(n * pow(d, -1, p))
+    return Fraction(n, d)
+
+
+def _reflection(vectors, p: int) -> int:
     """Smallest t in 1, 2, ... whose reflection leaves no line vertical.
 
-    The image of a x + b y = c is vertical when 2 t a + (t^2 - 1) b = 0: a
-    nonzero quadratic in t when b != 0, and t = 0 alone when b = 0.  So each
-    of the four lines rules out at most two t, and over the rationals, where
-    1 + t^2 never vanishes, one of t = 1, ..., 9 always works.
+    The image of the covector (a, b, c) is vertical when 2 t a + (t^2 - 1) b
+    = 0: a nonzero quadratic in t when b != 0, and t = 0 alone when b = 0.  So
+    each of the four lines rules out at most two t, and over the rationals,
+    where 1 + t^2 never vanishes, one of t = 1, ..., 9 always works.
     """
-    one = field.one()
-    for i in range(1, field.char or 10):
-        t = field.from_int(i)
-        if not one + t * t:
-            continue  # reflection about y = t x undefined when 1 + t^2 = 0
-        ok = True
-        for ln in lines.values():
-            if not (2 * t * ln.a + (t * t - one) * ln.b):
-                ok = False
-                break
-        if ok:
+    for t in range(1, p or 10):
+        if _reduce(1 + t * t, p) and all(
+            _reduce(2 * t * a + (t * t - 1) * b, p) for a, b, _ in vectors
+        ):
             return t
     raise ReflectionUnavailableError(
         "no reflection parameter removes vertical lines in this field"
@@ -398,52 +377,62 @@ def normalize(cfg_input: ConfigurationInput):
 
     Returns ``(NormalizedConfig, PlaneMap)``.  Labelings are tried in a fixed
     lexicographic order (swap within pair1, swap within pair2, swap the pair
-    roles) and the first one with C not parallel to D, B distinct from D and
-    B avoiding C∩D wins, which makes the output reproducible.
+    roles) and the first one with C not parallel to D and B avoiding C∩D (so
+    B distinct from D) wins, which makes the output reproducible.
+
+    Each input line is cleared once to its integer covector, and the rest
+    runs on ints, reduced mod p over F_p: C ∦ D is det(C, D) != 0, B avoiding
+    C∩D is det(B, C, D) != 0, and C∩D is the point C × D = (X : Y : Z).  Each
+    reported constant is one quotient of ints.
     """
-    if cfg_input.all_parallel():
-        raise AllParallelError("all four lines are parallel")
     field = cfg_input.field
-    chosen = None
-    for swaps in _labelings():
-        lines, role_to_input = _apply_labeling(cfg_input, swaps)
-        if _labeling_valid(lines):
-            chosen = (swaps, lines, role_to_input)
+    p = field.char
+    vectors = {label: covector(field, line) for label, line in cfg_input.lines_by_label().items()}
+    a0, b0, _ = vectors["A"]
+    if not any(_reduce(a0 * b - b0 * a, p) for a, b, _ in vectors.values()):
+        raise AllParallelError("all four lines are parallel")
+    # Lexicographic over (swap pair1, swap pair2, swap pair roles).
+    for swaps in itertools.product((False, True), repeat=3):
+        role_to_input = _role_to_input(swaps)
+        B, C, D = (vectors[role_to_input[role]] for role in "BCD")
+        X, Y, Z = cross(C, D)
+        if _reduce(Z, p) and _reduce(B[0] * X + B[1] * Y + B[2] * Z, p):
             break
-    if chosen is None:
+    else:
         raise ConcurrentLinesError("all four lines pass through one point")
-    swaps, lines, role_to_input = chosen
 
-    origin = lines["C"].intersection(lines["D"])
-    one, zero = field.one(), field.zero()
-    tx, ty = translation = (-origin[0], -origin[1])
-    # N at scale 1: scaling normalized points by s multiplies its last column by s.
+    translation = (_quotient(field, -X, Z), _quotient(field, -Y, Z))
+    # Z times N at scale 1: scaling normalized points by s multiplies its last column by s.
     t = None
-    unscaled = ((one, zero, -tx), (zero, one, -ty), (zero, zero, one))
-    if any(ln.is_vertical for ln in lines.values()):
-        t = _pick_reflection(field, lines)
-        d = one + t * t
-        unscaled = ((one - t * t, 2 * t, -d * tx), (2 * t, t * t - one, -d * ty), (zero, zero, d))
-    b_image = _line_times(field, lines["B"], hpoly.integer_forms(field, unscaled))
-    _, b_intercept = b_image.slope_intercept()
-    if not b_intercept:
+    unscaled = ((Z, 0, X), (0, Z, Y), (0, 0, Z))
+    if not all(_reduce(v[1], p) for v in vectors.values()):
+        t = _reflection(vectors.values(), p)
+        d = 1 + t * t
+        unscaled = (
+            ((1 - t * t) * Z, 2 * t * Z, d * X),
+            (2 * t * Z, (t * t - 1) * Z, d * Y),
+            (0, 0, d * Z),
+        )
+    _, u, v = _times(B, unscaled)
+    if not _reduce(v, p):
         raise InternalCheckError("B passes through the origin after labeling")
-    scale = one / b_intercept
-    matrix = hpoly.integer_forms(field, [(n0, n1, n2 * scale) for n0, n1, n2 in unscaled])
-    plane_map = PlaneMap(field, swaps, role_to_input, translation, t, scale, tuple(matrix))
-
-    # The standing form is read off the images of the input lines, found
-    # through the recorded labels, so the map reproduces it by construction.
-    by_label = cfg_input.lines_by_label()
-    slopes = {}
-    intercepts = {}
-    for role in ROLES:
-        image = plane_map.normalized_line(by_label[role_to_input[role]])
-        slopes[role], intercepts[role] = image.slope_intercept()
-    if intercepts["C"] or intercepts["D"] or intercepts["B"] != one:
-        raise InternalCheckError("normalization produced wrong intercepts")
-
-    cfg = NormalizedConfig.make(
-        field, slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"]
+    # B's image has intercept -v / u, so s = -u / v: N is v times the
+    # unscaled matrix with its last column multiplied by s.
+    matrix = tuple((v * n0, v * n1, -u * n2) for n0, n1, n2 in unscaled)
+    if p:
+        matrix = tuple(tuple(n % p for n in row) for row in matrix)
+    reflection_t = None if t is None else field.from_int(t)
+    plane_map = PlaneMap(
+        field, swaps, role_to_input, translation, reflection_t, _quotient(field, -u, v), matrix
     )
-    return cfg, plane_map
+
+    # The standing form is read off the images (a', b', c') of the input lines,
+    # found through the recorded labels, so the map reproduces it by construction:
+    # slope -a' / b' and intercept -c' / b'.
+    images = {role: _times(vectors[role_to_input[role]], matrix) for role in ROLES}
+    (_, b1, b2), (_, _, c2), (_, _, d2) = images["B"], images["C"], images["D"]
+    if _reduce(c2, p) or _reduce(d2, p) or _reduce(b1 + b2, p):
+        raise InternalCheckError("normalization produced wrong intercepts")
+    slopes = [_quotient(field, -images[role][0], images[role][1]) for role in ROLES]
+    b_a = _quotient(field, -images["A"][2], images["A"][1])
+    return NormalizedConfig.make(field, *slopes, b_a), plane_map

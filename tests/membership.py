@@ -8,16 +8,33 @@ The rectangles of a given slope or aspect solve a 2x2 linear membership
 system.  The library builds rectangles only from the closed-form paths and
 the census; the tests check both against these definitions.  The slope,
 aspect ratio and center of a point are read here through field elements, the
-reference for the library's reads off canonical residues.
+reference for the library's reads off canonical residues.  Normalization to
+standing form is here too, in field elements throughout: the reference for the
+library's normalization on integer covectors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from quadriline.configuration import ROLES, NormalizedConfig
-from quadriline.errors import AtInfinityError, InternalCheckError, PreconditionError
+from quadriline import hpoly
+from quadriline.configuration import (
+    ROLES,
+    ConfigurationInput,
+    InputLine,
+    NormalizedConfig,
+    PlaneMap,
+)
+from quadriline.errors import (
+    AllParallelError,
+    AtInfinityError,
+    ConcurrentLinesError,
+    InternalCheckError,
+    PreconditionError,
+    ReflectionUnavailableError,
+)
 from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle
 from quadriline.scalars import Ratio
 
@@ -315,3 +332,102 @@ def rectangle_from_aspect(cfg: NormalizedConfig, r: Ratio, w) -> Fiber:
     m, u = aspect_system(cfg, r)
     sol = solve2(m[0], m[1], m[2], m[3], w * u[0], w * u[1])
     return _fiber_from_solution(cfg, sol, w)
+
+
+def _slope_intercept(line: InputLine):
+    """(m, k) with y = m*x + k; requires a non-vertical line."""
+    if line.is_vertical:
+        raise PreconditionError("vertical line has no slope-intercept form")
+    return -line.a / line.b, line.c / line.b
+
+
+def _image(line: InputLine, m) -> InputLine:
+    """The line with covector (a, b, -c) m, for the line a x + b y = c, in field elements."""
+    a, b, c = (line.a * u + line.b * v - line.c * w for u, v, w in zip(*m))
+    return InputLine(a, b, -c)
+
+
+def _labeling(cfg_input: ConfigurationInput, swaps):
+    s1, s2, sr = swaps
+    p1 = tuple(reversed(cfg_input.pair1)) if s1 else tuple(cfg_input.pair1)
+    p2 = tuple(reversed(cfg_input.pair2)) if s2 else tuple(cfg_input.pair2)
+    labels1 = ("C", "A") if s1 else ("A", "C")
+    labels2 = ("D", "B") if s2 else ("B", "D")
+    if sr:
+        p1, p2 = p2, p1
+        labels1, labels2 = labels2, labels1
+    lines = {"A": p1[0], "C": p1[1], "B": p2[0], "D": p2[1]}
+    role_to_input = {"A": labels1[0], "C": labels1[1], "B": labels2[0], "D": labels2[1]}
+    return lines, role_to_input
+
+
+def _labeling_valid(lines: dict) -> bool:
+    if lines["C"].parallel_to(lines["D"]):
+        return False
+    if lines["B"].same_line(lines["D"]):
+        return False
+    origin = lines["C"].intersection(lines["D"])
+    return not lines["B"].contains(origin)
+
+
+def _pick_reflection(field, lines):
+    """Smallest t in 1, 2, ... whose reflection about y = t x leaves no line vertical."""
+    one = field.one()
+    for i in range(1, field.char or 10):
+        t = field.from_int(i)
+        if not one + t * t:
+            continue
+        if all(2 * t * ln.a + (t * t - one) * ln.b for ln in lines.values()):
+            return t
+    raise ReflectionUnavailableError(
+        "no reflection parameter removes vertical lines in this field"
+    )
+
+
+def normalize(cfg_input: ConfigurationInput):
+    """``configuration.normalize`` through line methods and field elements.
+
+    Labelings are tried in the library's order, each tested with
+    ``parallel_to``, ``same_line``, ``intersection`` and ``contains``; the
+    plane map's matrix is built in field elements and cleared to ints at the
+    end, and the standing form is read off each mapped line by
+    slope-intercept division.
+    """
+    field = cfg_input.field
+    first, *rest = cfg_input.all_lines()
+    if all(first.parallel_to(ln) for ln in rest):
+        raise AllParallelError("all four lines are parallel")
+    for swaps in itertools.product((False, True), repeat=3):
+        lines, role_to_input = _labeling(cfg_input, swaps)
+        if _labeling_valid(lines):
+            break
+    else:
+        raise ConcurrentLinesError("all four lines pass through one point")
+
+    origin = lines["C"].intersection(lines["D"])
+    one, zero = field.one(), field.zero()
+    tx, ty = translation = (-origin[0], -origin[1])
+    t = None
+    unscaled = ((one, zero, -tx), (zero, one, -ty), (zero, zero, one))
+    if any(ln.is_vertical for ln in lines.values()):
+        t = _pick_reflection(field, lines)
+        d = one + t * t
+        unscaled = ((one - t * t, 2 * t, -d * tx), (2 * t, t * t - one, -d * ty), (zero, zero, d))
+    _, b_intercept = _slope_intercept(_image(lines["B"], unscaled))
+    if not b_intercept:
+        raise InternalCheckError("B passes through the origin after labeling")
+    scale = one / b_intercept
+    matrix = hpoly.integer_forms(field, [(n0, n1, n2 * scale) for n0, n1, n2 in unscaled])
+    plane_map = PlaneMap(field, swaps, role_to_input, translation, t, scale, tuple(matrix))
+
+    by_label = cfg_input.lines_by_label()
+    slopes, intercepts = {}, {}
+    for role in ROLES:
+        image = _image(by_label[role_to_input[role]], matrix)
+        slopes[role], intercepts[role] = _slope_intercept(image)
+    if intercepts["C"] or intercepts["D"] or intercepts["B"] != one:
+        raise InternalCheckError("normalization produced wrong intercepts")
+    cfg = NormalizedConfig.make(
+        field, slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"]
+    )
+    return cfg, plane_map

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadriline.census import MAX_CENSUS_PRIME
-from quadriline.cli import load_config, main
+from quadriline.cli import json_text, load_config, main
 from quadriline.errors import QuadrilineError
 
 # 60013 is the least prime above the census bound; the last one is the largest
@@ -159,3 +159,22 @@ def test_load_config_raises_only_documented_errors(doc):
             return
     tag = doc["field"]
     assert cfg.field.char == (0 if tag == "rational" else int(tag["prime"]))
+
+
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [(1, 2), 0.5, {1: "a"}, {"a": [set()]}, b"x"])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)

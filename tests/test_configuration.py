@@ -1,5 +1,7 @@
 """Normalization, plane maps, diagonals, classification, degeneration."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from quadriline import (
     classify,
     normalize,
 )
+from quadriline.cli import load_config
 from quadriline.configuration import DiagonalMarker, LocusShape, diagonal_slopes
 from quadriline.errors import AllParallelError, ConcurrentLinesError
 from conftest import (
@@ -108,6 +111,26 @@ class TestNormalize:
         assert pm.reflection_t is not None
         for role in "ABCD":
             assert not cfg.line(role).is_vertical
+
+    def test_normalize_uses_no_line_methods(self, monkeypatch):
+        """normalize runs on integer covectors: with the InputLine predicates and
+        intersection made to raise, every configs/*.json still normalizes (the
+        all-parallel one to AllParallelError)."""
+
+        def forbidden(*args):
+            raise AssertionError("normalize called an InputLine method")
+
+        for name in ("parallel_to", "same_line", "contains", "intersection"):
+            monkeypatch.setattr(InputLine, name, forbidden)
+        paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+        assert len(paths) >= 9
+        for path in paths:
+            cfg_input = load_config(path)
+            if os.path.basename(path) == "parallel.json":
+                with pytest.raises(AllParallelError):
+                    normalize(cfg_input)
+            else:
+                normalize(cfg_input)
 
     def test_b_through_origin_triggers_role_swap(self):
         # Pair1's lines are mutually parallel, so C and D must straddle the

@@ -1,4 +1,5 @@
-"""Property test: normalize's PlaneMap matrix carries the input lines to the standing form and back."""
+"""Property tests of normalize: its PlaneMap matrix carries the input lines to the standing form and
+back, and it agrees with the field-element reference normalization."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from quadriline import (
     QuadrilineError,
     normalize,
 )
+import membership
 from conftest import normalized_point
 
 PRIMES = [n for n in range(3, 400) if all(n % d for d in range(2, n))]
@@ -80,3 +82,126 @@ def test_plane_map_round_trip(normalized, data):
         assert original_point(pm, image) == point
     point = (data.draw(scalars), data.draw(scalars))
     assert normalized_point(pm, original_point(pm, point)) == point
+
+
+REFERENCE_PRIMES = [3, 5, 7, 13, 1009, 10**9 + 7]  # t = 2 and t = 5 give 1 + t^2 = 0 at p = 5 and 13
+
+
+@st.composite
+def line_quads(draw):
+    """Four input lines over ℚ or a prime of REFERENCE_PRIMES, in a random order of the
+    input slots A, C, B, D, and the kind of configuration drawn: arbitrary lines
+    (vertical ones frequent), B = D up to a factor, B through C∩D, all parallel,
+    or all through one point."""
+    p = draw(st.none() | st.sampled_from(REFERENCE_PRIMES))
+    if p is None:
+        field, scalars = QQ, small_q
+    else:
+        field = PrimeField(p)
+        scalars = (st.integers(-6, 6) | st.integers(0, p - 1)).map(field.from_int)
+    nonzero = scalars.filter(bool)
+    zero = st.just(field.zero())
+
+    def line(a=None, b=None):
+        a = draw(zero | scalars) if a is None else a
+        b = draw(zero | scalars) if b is None else b
+        assume(a or b)
+        return InputLine(a, b, draw(scalars))
+
+    kind = draw(st.sampled_from(["lines", "b=d", "b through c∩d", "all parallel", "concurrent"]))
+    if kind == "lines":
+        lines = [line() for _ in range(4)]
+    elif kind == "b=d":
+        d, k = line(), draw(nonzero)
+        lines = [line(), line(), InputLine(k * d.a, k * d.b, k * d.c), d]
+    elif kind == "b through c∩d":
+        c, d = line(), line()
+        k, m = draw(nonzero), draw(nonzero)
+        a, b = k * c.a + m * d.a, k * c.b + m * d.b
+        assume(a or b)
+        lines = [line(), c, InputLine(a, b, k * c.c + m * d.c), d]
+    elif kind == "all parallel":
+        a, b = draw(scalars), draw(scalars)
+        assume(a or b)
+        lines = [line(a, b) for _ in range(4)]
+    else:
+        x, y = draw(scalars), draw(scalars)
+        lines = []
+        for _ in range(4):
+            ln = line()
+            lines.append(InputLine(ln.a, ln.b, ln.a * x + ln.b * y))
+    a, c, b, d = draw(st.permutations(lines))
+    return kind, ConfigurationInput(field, (a, c), (b, d))
+
+
+def normalize_outcome(normalize_fn, cfg_input):
+    """normalize_fn's (cfg, plane map), or the type and message of the error it raised."""
+    try:
+        return normalize_fn(cfg_input)
+    except QuadrilineError as exc:
+        return type(exc), str(exc)
+
+
+def projectively_equal(field, m, n) -> bool:
+    """Whether the 3×3 int matrices m and n are nonzero multiples of each other in the field."""
+    x = [v for row in m for v in row]
+    y = [v for row in n for v in row]
+    zero = (lambda v: not v % field.char) if field.char else (lambda v: not v)
+    return (
+        not all(zero(v) for v in x)
+        and not all(zero(v) for v in y)
+        and all(zero(x[i] * y[j] - x[j] * y[i]) for i in range(9) for j in range(i))
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(line_quads())
+def test_normalize_matches_reference(drawn):
+    """The integer-covector normalize against the field-element reference in tests/membership.py:
+    equal constants and plane-map fields, N up to a nonzero factor, or the same error."""
+    _, cfg_input = drawn
+    expected = normalize_outcome(membership.normalize, cfg_input)
+    got = normalize_outcome(normalize, cfg_input)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    (cfg, pm), (ref_cfg, ref_pm) = got, expected
+    assert cfg == ref_cfg
+    for name in ("field", "swaps", "role_to_input", "translation", "reflection_t", "scale"):
+        assert getattr(pm, name) == getattr(ref_pm, name), name
+    assert projectively_equal(cfg.field, pm.matrix, ref_pm.matrix)
+
+
+def test_reference_strategy_reaches_every_outcome():
+    """The drawn quadruples reach each error of normalize, a reflection, a relabeling, and
+    each kind of quadruple normalizes somewhere."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(line_quads())
+    def collect(drawn):
+        kind, cfg_input = drawn
+        out = normalize_outcome(normalize, cfg_input)
+        if isinstance(out[0], type):
+            seen.add(out[0].__name__)
+            return
+        seen.add(("normalized", kind))
+        _, pm = out
+        if pm.reflection_t is not None:
+            seen.add("reflection")
+        if pm.field.char in (5, 13) and pm.reflection_t is not None:
+            seen.add("reflection at p = 5 or 13")
+        if any(pm.swaps):
+            seen.add("relabeled")
+
+    collect()
+    kinds = {"lines", "b=d", "b through c∩d"}
+    assert seen >= {
+        "AllParallelError",
+        "ConcurrentLinesError",
+        "ReflectionUnavailableError",
+        "reflection",
+        "reflection at p = 5 or 13",
+        "relabeled",
+        *(("normalized", kind) for kind in kinds),
+    }

@@ -1,7 +1,12 @@
-"""The integer locus sweep of ``render`` against the exact Fraction sweep."""
+"""The integer locus sweep of ``render`` against the exact Fraction sweep, and the
+outputs' blindness to the scale of the plane map's matrix."""
 
+import dataclasses
+import os
 import random
 from fractions import Fraction
+
+import pytest
 
 from quadriline import (
     QQ,
@@ -13,9 +18,12 @@ from quadriline import (
     normalize,
 )
 from quadriline import hpoly
+from quadriline.cli import load_config
 from quadriline.errors import AtInfinityError
 from quadriline.locus import centers_paths
+from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _SWEEP, _swept_centers
+from conftest import rat
 
 
 def fraction_sweep(center_map, plane_map):
@@ -74,3 +82,37 @@ def test_zero_coordinate_over_negative_denominator():
         for (s, t), pt in zip(_SWEEP, reference)
     )
     assert repr(_swept_centers(cm, pm)) == repr(reference)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cfg1.json", "vertical.json", "relabeled.json", "corner.json", "cfg1_f11.json",
+     "vertical_f1009.json"],
+)
+def test_matrix_scale_is_invisible(name):
+    """N is defined up to a nonzero factor: scaled by λ it maps the same keys to the same
+    points and the same lines back, and sweeps the same floats, so no output byte,
+    SVG included, depends on the scale normalize gives it."""
+    cfg, pm = normalize(load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name)))
+    field, p = cfg.field, cfg.field.char
+    rects = [
+        path_eval(cfg, rat(field, s, 1))
+        for path_eval in (slope_path_eval, aspect_path_eval)
+        for s in range(-3, 4)
+    ]
+    keys = [rect.key for rect in rects if not rect.at_infinity]
+    report = centers_paths(cfg)
+    lines = list(cfg.lines().values()) + [
+        desc for desc in (report.slope_centers, report.aspect_centers, report.single_line) if desc
+    ]
+    assert keys and lines
+    for lam in (-3, 7, p + 2):
+        scaled = dataclasses.replace(pm, matrix=tuple(tuple(lam * n for n in row) for row in pm.matrix))
+        for key in keys:
+            assert scaled.original_points(key) == pm.original_points(key)
+        for line in lines:
+            assert scaled.original_line(line) == pm.original_line(line)
+        if not p and report.center_map is not None:
+            assert repr(_swept_centers(report.center_map, scaled)) == repr(
+                _swept_centers(report.center_map, pm)
+            )

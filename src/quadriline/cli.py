@@ -157,7 +157,7 @@ def _plane_map_json(pm):
 def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
     field = cfg.field
     out = {
-        "projective": [field.format(c) for c in rect.coords],
+        "projective": [str(c) for c in rect.key],
         "at_infinity": rect.at_infinity,
         "slope": ratio_text(field, slope_of(rect)),
         "aspect": ratio_text(field, aspect_of(rect)),

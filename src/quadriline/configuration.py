@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import hpoly
@@ -153,11 +152,7 @@ class PlaneMap:
     def original_point(self, x, y, w):
         """The original affine point of (x : y : w), w != 0: ints, or over the rationals Fractions."""
         X, Y, W = (n0 * x + n1 * y + n2 * w for n0, n1, n2 in self.matrix)
-        p = self.field.char
-        if p:
-            inv = pow(W, -1, p)
-            return self.field.from_int(X * inv), self.field.from_int(Y * inv)
-        return Fraction(X, W), Fraction(Y, W)
+        return self.field.quotient(X, W), self.field.quotient(Y, W)
 
     def original_points(self, key) -> list:
         """The original vertices A, B, C, D and center of the affine rectangle with canonical
@@ -175,14 +170,9 @@ class PlaneMap:
         return InputLine(a, b, -c)
 
     def original_line(self, line: InputLine) -> InputLine:
-        """The original line of a line in normalized coordinates, by adj(N) / k for
-        k = adj(N)[2][2] s / (1 + t^2): the normal (a, b) then maps by the reflection's
-        integer matrix alone, and a figure's float rounding depends on this scale."""
+        """The original line of a line in normalized coordinates: its covector times adj(N)."""
         adj = adjugate(self.matrix)
-        t = self.reflection_t
-        k = adj[2][2] * self.scale / (1 if t is None else 1 + t * t)
-        x, y, z = line.a / k, line.b / k, -line.c / k
-        a, b, c = (x * u + y * v + z * w for u, v, w in zip(*adj))
+        a, b, c = (self.field.from_int(v) for v in _times(covector(self.field, line), adj))
         return InputLine(a, b, -c)
 
 
@@ -346,14 +336,6 @@ def _reduce(v: int, p: int) -> int:
     return v % p if p else v
 
 
-def _quotient(field, n: int, d: int):
-    """n / d in the field, for ints n and d with d nonzero in it."""
-    p = field.char
-    if p:
-        return field.from_int(n * pow(d, -1, p))
-    return Fraction(n, d)
-
-
 def _reflection(vectors, p: int) -> int:
     """Smallest t in 1, 2, ... whose reflection leaves no line vertical.
 
@@ -401,7 +383,7 @@ def normalize(cfg_input: ConfigurationInput):
     else:
         raise ConcurrentLinesError("all four lines pass through one point")
 
-    translation = (_quotient(field, -X, Z), _quotient(field, -Y, Z))
+    translation = (field.quotient(-X, Z), field.quotient(-Y, Z))
     # Z times N at scale 1: scaling normalized points by s multiplies its last column by s.
     t = None
     unscaled = ((Z, 0, X), (0, Z, Y), (0, 0, Z))
@@ -423,7 +405,7 @@ def normalize(cfg_input: ConfigurationInput):
         matrix = tuple(tuple(n % p for n in row) for row in matrix)
     reflection_t = None if t is None else field.from_int(t)
     plane_map = PlaneMap(
-        field, swaps, role_to_input, translation, reflection_t, _quotient(field, -u, v), matrix
+        field, swaps, role_to_input, translation, reflection_t, field.quotient(-u, v), matrix
     )
 
     # The standing form is read off the images (a', b', c') of the input lines,
@@ -433,6 +415,6 @@ def normalize(cfg_input: ConfigurationInput):
     (_, b1, b2), (_, _, c2), (_, _, d2) = images["B"], images["C"], images["D"]
     if _reduce(c2, p) or _reduce(d2, p) or _reduce(b1 + b2, p):
         raise InternalCheckError("normalization produced wrong intercepts")
-    slopes = [_quotient(field, -images[role][0], images[role][1]) for role in ROLES]
-    b_a = _quotient(field, -images["A"][2], images["A"][1])
+    slopes = [field.quotient(-images[role][0], images[role][1]) for role in ROLES]
+    b_a = field.quotient(-images["A"][2], images["A"][1])
     return NormalizedConfig.make(field, *slopes, b_a), plane_map

@@ -30,7 +30,6 @@ from .paths import (
     ratio_samples,
     slope_path_polys,
 )
-from .scalars import FpElement
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,13 @@ class AffineLineDescription(InputLine):
 
 
 def center_of(p: ProjectiveRectangle):
-    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w).
-
-    Over F_p it is read off the canonical residues with one inverse of 2w.
-    """
+    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w), read off the
+    canonical key with the field's quotient."""
     if p.at_infinity:
         raise AtInfinityError("rectangle at infinity has no center")
     field = p.field
-    if field.char:
-        xa, ya, _, _, xc, yc, _, _, w = p.key
-        inv = pow(2 * w, -1, field.char)
-        return FpElement((xa + xc) * inv, field), FpElement((ya + yc) * inv, field)
-    xa, ya = p.vertex("A")
-    xc, yc = p.vertex("C")
-    two_w = 2 * p.w
-    return (xa + xc) / two_w, (ya + yc) / two_w
+    xa, ya, _, _, xc, yc, _, _, w = p.key
+    return field.quotient(xa + xc, 2 * w), field.quotient(ya + yc, 2 * w)
 
 
 def _line_through(p, q, source: str) -> AffineLineDescription:

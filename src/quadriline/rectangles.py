@@ -5,7 +5,9 @@ configuration space when each vertex (x_L, y_L) lies on the scaled line
 y = m_L x + b_L w.  A parallelogram there is fixed by (x_A : x_B : w), and it
 is a rectangle exactly on the quadric :func:`quadric_h`.  Here are the
 canonical points, their slope and aspect, the at-infinity forms and that
-quadric, all exact.
+quadric, all exact.  The slope and the aspect ratio are each one formula on
+the canonical key, which holds residues over F_p and Fractions over the
+rationals, and the same formula serves both fields.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ class ProjectiveRectangle:
     A point's identity is its canonical key: the nine canonical residues in
     [0, p) over F_p, the nine Fractions over the rationals.  Points hash by
     key and compare by (characteristic, key), so points over different fields
-    are unequal.  Over F_p the field elements of coords, vertex and w are built
-    from the key when read and not kept: a point that is only hashed and
-    compared never builds one, and a read point holds no second copy of its
-    coordinates.
+    are unequal.  Slope, aspect and center are read off the key
+    (:func:`slope_of`, :func:`aspect_of`, ``locus.center_of``).  Over F_p the
+    field elements of coords, vertex and w are built from the key when read
+    and not kept: a point that is only hashed and compared never builds one,
+    and a read point holds no second copy of its coordinates.
     """
 
     __slots__ = ("field", "key")
@@ -126,37 +129,64 @@ class ProjectiveRectangle:
         }
 
 
-def _residue_quotient(p: int, num: int, den: int) -> int:
-    """num / den as a residue, or p for 1/0; num and den are differences of
-    residues, not both zero."""
-    return num * pow(den, -1, p) % p if den else p
+def _slope_pair(key: tuple):
+    """The slope of the point with canonical key ``key`` as a pair (num, den) of
+    key differences, or None when it is indeterminate.
 
-
-def slope_residue(p: int, key: tuple):
-    """The slope of the F_p point with canonical key ``key``, as one residue.
-
-    v in [0, p) for the slope (v : 1), p for (1 : 0), None when indeterminate.
     The slope is the common solution [s : t] of (x_B - x_A) s = (y_B - y_A) t
-    and (y_C - y_B) s = -(x_C - x_B) t, taken on residue differences.
+    and (y_C - y_B) s = -(x_C - x_B) t; when all four coefficients vanish every
+    ratio qualifies.  The key holds residues over F_p and Fractions over the
+    rationals, and the differences are taken on either alike.
     """
     xa, ya, xb, yb, xc, yc = key[:6]
     if xb != xa or yb != ya:
-        return _residue_quotient(p, yb - ya, xb - xa)
+        return yb - ya, xb - xa
     if yc != yb or xc != xb:
-        return _residue_quotient(p, xb - xc, yc - yb)
+        return xb - xc, yc - yb
     return None
+
+
+def _aspect_pair(key: tuple):
+    """The aspect ratio of the point with canonical key ``key``, as in
+    :func:`_slope_pair`: (0 : 1) when the A and B vertices coincide, (1 : 0)
+    when B and C do."""
+    xa, ya, xb, yb, xc, yc = key[:6]
+    if xb != xc or ya != yb:
+        return ya - yb, xb - xc
+    if yb != yc or xa != xb:
+        return xb - xa, yb - yc
+    return None
+
+
+def _residue(p: int, pair):
+    """A (num, den) pair of residue differences as one residue: v in [0, p) for
+    (v : 1), p for (1 : 0), None for None."""
+    if pair is None:
+        return None
+    num, den = pair
+    return num * pow(den, -1, p) % p if den else p
+
+
+def _ratio(field, pair):
+    """A (num, den) pair of key differences as a ratio, or INDETERMINATE for None."""
+    if pair is None:
+        return INDETERMINATE
+    num, den = pair
+    if not den:
+        return Ratio(field.one(), field.zero())
+    return Ratio(field.quotient(num, den), field.one())
+
+
+def slope_residue(p: int, key: tuple):
+    """The slope of the F_p point with canonical key ``key``, as one residue
+    (:func:`_residue`)."""
+    return _residue(p, _slope_pair(key))
 
 
 def aspect_residue(p: int, key: tuple):
-    """The aspect ratio of the F_p point with canonical key ``key``, as in
-    :func:`slope_residue`: 0 when the A and B vertices coincide, p when B and
-    C do, None when indeterminate."""
-    xa, ya, xb, yb, xc, yc = key[:6]
-    if xb != xc or ya != yb:
-        return _residue_quotient(p, ya - yb, xb - xc)
-    if yb != yc or xa != xb:
-        return _residue_quotient(p, xb - xa, yb - yc)
-    return None
+    """The aspect ratio of the F_p point with canonical key ``key``, as one
+    residue (:func:`_residue`)."""
+    return _residue(p, _aspect_pair(key))
 
 
 def residue_text(p: int, value) -> str:
@@ -167,54 +197,16 @@ def residue_text(p: int, value) -> str:
     return "1/0" if value == p else str(value)
 
 
-def _residue_ratio(field, value):
-    """A slope_residue / aspect_residue outcome as a ratio, or INDETERMINATE."""
-    if value is None:
-        return INDETERMINATE
-    if value == field.char:
-        return Ratio(field.one(), field.zero())
-    return Ratio(FpElement(value, field), field.one())
-
-
 def slope_of(p: ProjectiveRectangle):
-    """The unique slope of a rectangle, or INDETERMINATE.
-
-    The slope is the common solution [s : t] of
-    (x_B - x_A) s = (y_B - y_A) t and (y_C - y_B) s = -(x_C - x_B) t; when all
-    four coefficients vanish every ratio qualifies.  Over F_p it is
-    :func:`slope_residue` of the canonical key, and field elements are built
-    only for the returned ratio.
-    """
-    field = p.field
-    if field.char:
-        return _residue_ratio(field, slope_residue(field.char, p.key))
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
-    if xb - xa or yb - ya:
-        return Ratio.of(yb - ya, xb - xa)
-    if yc - yb or xc - xb:
-        return Ratio.of(-(xc - xb), yc - yb)
-    return INDETERMINATE
+    """The unique slope of a rectangle (:func:`_slope_pair`), or INDETERMINATE."""
+    return _ratio(p.field, _slope_pair(p.key))
 
 
 def aspect_of(p: ProjectiveRectangle):
-    """The unique aspect ratio of a rectangle, or INDETERMINATE.
-
-    Aspect 0/1 means the A and B vertices coincide; 1/0 means B and C do.
-    Over F_p it is :func:`aspect_residue` of the canonical key.
-    """
-    field = p.field
-    if field.char:
-        return _residue_ratio(field, aspect_residue(field.char, p.key))
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
-    if xb - xc or ya - yb:
-        return Ratio.of(ya - yb, xb - xc)
-    if yb - yc or xa - xb:
-        return Ratio.of(-(xa - xb), yb - yc)
-    return INDETERMINATE
+    """The unique aspect ratio of a rectangle (:func:`_aspect_pair`), or
+    INDETERMINATE.  Aspect 0/1 means the A and B vertices coincide; 1/0 means
+    B and C do."""
+    return _ratio(p.field, _aspect_pair(p.key))
 
 
 def slope_infinity_form(cfg: NormalizedConfig):

@@ -170,6 +170,10 @@ class RationalField:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def quotient(self, n, d) -> Fraction:
+        """n / d for ints or Fractions n and d, d nonzero."""
+        return Fraction(n, d)
+
     def parse(self, text: str) -> Fraction:
         text = text.strip()
         if not _RATIONAL_RE.match(text):
@@ -245,6 +249,12 @@ class PrimeField:
 
     def from_int(self, n: int) -> FpElement:
         return FpElement(n, self)
+
+    def quotient(self, n: int, d: int) -> FpElement:
+        """n / d for ints n and d, with one inverse of d mod p; d = 0 mod p raises."""
+        if not d % self.p:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return FpElement(n * pow(d, -1, self.p), self)
 
     def parse(self, text: str) -> FpElement:
         text = text.strip()

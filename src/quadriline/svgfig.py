@@ -8,6 +8,8 @@ division X / D of exact integer forms.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import hpoly
 from .configuration import InputLine
 from .errors import ParallelPairError, PreconditionError
@@ -50,32 +52,26 @@ class _Canvas:
         )
 
 
-def _clip_line(a, b, c, box):
-    """Endpoints of the segment of a x + b y = c inside the box, or None."""
+def _clip_line(line: InputLine, box):
+    """Float endpoints of the segment of the exact line inside the box, or None.
+
+    The crossings with the four sides are exact, on the Fractions of the float
+    box corners; duplicates (a crossing at a corner) are dropped and the first
+    two points kept in side order, so the endpoints do not depend on the scale
+    of the line's (a, b, c).
+    """
+    a, b, c = line.a, line.b, line.c
     x0, y0, w, h = box
-    x1, y1 = x0 + w, y0 + h
+    x0, y0, x1, y1 = Fraction(x0), Fraction(y0), Fraction(x0 + w), Fraction(y0 + h)
     pts = []
-
-    def keep(x, y):
-        eps = 1e-9 * (1 + abs(x1) + abs(y1))
-        if x0 - eps <= x <= x1 + eps and y0 - eps <= y <= y1 + eps:
-            pts.append((x, y))
-
     if b:
-        keep(x0, (c - a * x0) / b)
-        keep(x1, (c - a * x1) / b)
+        pts += [(x, (c - a * x) / b) for x in (x0, x1)]
     if a:
-        keep((c - b * y0) / a, y0)
-        keep((c - b * y1) / a, y1)
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-            if best is None or d > best[0]:
-                best = (d, pts[i], pts[j])
-    if best is None or best[0] == 0:
+        pts += [((c - b * y) / a, y) for y in (y0, y1)]
+    inside = list(dict.fromkeys(pt for pt in pts if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1))
+    if len(inside) < 2:
         return None
-    return best[1], best[2]
+    return [(float(x), float(y)) for x, y in inside[:2]]
 
 
 def _swept_centers(center_map, plane_map):
@@ -214,18 +210,18 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     dashed = f'stroke="#999999" stroke-width="{_fmt(box[2] / 640)}" stroke-dasharray="{_fmt(box[2] / 40)},{_fmt(box[2] / 160)}"'
 
     for ln in original_lines:
-        seg = _clip_line(float(ln.a), float(ln.b), float(ln.c), box)
+        seg = _clip_line(ln, box)
         if seg:
             parts.append(_polyline(seg, solid))
     for ln in diagonal_lines:
-        seg = _clip_line(float(ln.a), float(ln.b), float(ln.c), box)
+        seg = _clip_line(ln, box)
         if seg:
             parts.append(_polyline(seg, dashed))
     for quad in rect_polys:
         pts = list(quad) + [quad[0]]
         parts.append(_polyline(pts, thin))
     for ln in locus_lines:
-        seg = _clip_line(float(ln.a), float(ln.b), float(ln.c), box)
+        seg = _clip_line(ln, box)
         if seg:
             parts.append(_polyline(seg, dotted))
     for branch in conic_branches:

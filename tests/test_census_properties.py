@@ -1,5 +1,6 @@
 """Property tests: the integer census kernel at random primes and constants,
-and the slope, aspect and center read off residues against field elements."""
+the slope, aspect and center read off residues against field elements, and the
+rational reads reduced mod p against the F_p ones."""
 
 import itertools
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 import membership
-from quadriline import NormalizedConfig, PrimeField, verify_against_paths
+from quadriline import QQ, NormalizedConfig, PrimeField, verify_against_paths
 from quadriline.census import enumerate_rectangles
 from quadriline.errors import AtInfinityError
 from quadriline.locus import center_of
@@ -109,3 +110,58 @@ def test_residue_reads_match_reference_on_every_point_over_f3():
             indeterminate += aspect_of(rect) is INDETERMINATE
             at_infinity += rect.at_infinity
     assert indeterminate and at_infinity
+
+
+def reduce_mod(p, q):
+    """The residue of the rational q at p, which divides no denominator of it."""
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def residue_of(p, ratio):
+    """A ratio over F_p as slope_residue gives it; None for INDETERMINATE."""
+    if ratio is INDETERMINATE:
+        return None
+    return p if ratio.is_infinite else ratio.num.value
+
+
+@st.composite
+def integer_points(draw):
+    """A prime p and an integer point of projective 8-space whose rational canonical key
+    reduces mod p: p divides neither its last nonzero coordinate (so no denominator of
+    the key), nor w, nor any nonzero key difference the slope and aspect read."""
+    p = draw(st.sampled_from([3, 5, 1009, 10**9 + 7]))
+    coordinate = st.sampled_from((0, 1)) | st.integers(-30, 30)
+    coords = [draw(coordinate) for _ in range(9)]
+    if draw(st.booleans()):  # A = B
+        coords[2:4] = coords[0:2]
+    if draw(st.booleans()):  # B = C
+        coords[4:6] = coords[2:4]
+    pivots = [c for c in coords if c]
+    assume(pivots and pivots[-1] % p)
+    xa, ya, xb, yb, xc, yc = ProjectiveRectangle.canonical(QQ, coords).key[:6]
+    for q in (xb - xa, yb - ya, xc - xb, yc - yb, coords[8]):
+        assume(not q or q.numerator % p)
+    return p, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_points())
+def test_rational_reads_reduce_to_prime_reads(point):
+    """slope_of, aspect_of and center_of over the rationals reduce mod p to the same
+    readers over F_p, and slope_residue / aspect_residue agree with those."""
+    p, coords = point
+    rational = ProjectiveRectangle.canonical(QQ, coords)
+    prime = ProjectiveRectangle.canonical(PrimeField(p), coords)
+    for read, residue in ((slope_of, slope_residue), (aspect_of, aspect_residue)):
+        want = residue_of(p, read(prime))
+        assert residue(p, prime.key) == want
+        got = read(rational)
+        if got is INDETERMINATE:
+            assert want is None
+        else:
+            assert want == (p if got.is_infinite else reduce_mod(p, got.num))
+    if rational.at_infinity:
+        assert prime.at_infinity
+    else:
+        center = center_of(prime)
+        assert [reduce_mod(p, c) for c in center_of(rational)] == [c.value for c in center]

@@ -397,10 +397,9 @@ class TestRender:
             ("cfg1.json", "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"),
             ("vertical.json", "28eabb486a669f6c20c9e85abfa9a350e1e3e3c8c023026b5632c2936acfa0cb"),
             ("relabeled.json", "dee5bdad933ebf7863df5daef4d8374281802187d75a147af046cc9cfa403ec8"),
-            # A diagonal runs corner to corner of the viewport: which clipped
-            # endpoint comes first rests on the float rounding of the line
-            # mapped back, so on that line's exact scale.
-            ("corner.json", "641ae10d1ea9f3a5d9c2d981e620c4403b15c99215ed93974fbe325d5206151c"),
+            # A diagonal runs corner to corner of the viewport: both corners are
+            # crossings of two sides, and the exact clip keeps them in side order.
+            ("corner.json", "76ed145cb14bde090f67925d200360b5ca92aa69029d636105f1ef1a8e2121d7"),
         ],
     )
     def test_cfg1_diagonals_bytes(self, tmp_path, capsys, name, digest):

@@ -88,6 +88,17 @@ class TestFieldArithmetic:
         with pytest.raises(ZeroDivisionError):
             f5.one() / f5.zero()
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(1009), PrimeField(10**9 + 7)])
+    def test_quotient_is_division(self, field):
+        for n, d in [(0, 1), (1, 2), (-7, 8), (10, -4), (2**70 + 1, 17), (-5, 1012)]:
+            assert field.quotient(n, d) == field.from_int(n) / d
+        for d in (0, field.char, -2 * field.char):
+            with pytest.raises(ZeroDivisionError):
+                field.quotient(1, d)
+
+    def test_quotient_of_fractions(self):
+        assert QQ.quotient(Fraction(3, 4), Fraction(-9, 2)) == Fraction(-1, 6)
+
     def test_mixed_moduli_rejected(self):
         with pytest.raises(FieldError):
             PrimeField(5).one() + PrimeField(7).one()

@@ -1,5 +1,5 @@
 """The public surface: the README library example, the exported names, and no
-module-level definition in the package that nothing uses."""
+module-level definition or import in the package that nothing uses."""
 
 import ast
 import inspect
@@ -106,4 +106,24 @@ def test_every_definition_is_used_or_exported():
         and node.name not in used
         and node.name not in exported_names()
     ]
+    assert unused == []
+
+
+def test_every_module_import_is_used():
+    """A name a module imports at module level is used in that module (the package's
+    ``__init__`` re-exports, so it is left out)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}: {bound}")
     assert unused == []

@@ -1,7 +1,8 @@
 """The integer locus sweep of ``render`` against the exact Fraction sweep, and the
-outputs' blindness to the scale of the plane map's matrix."""
+outputs' blindness to the scale of the plane map's matrix and of a clipped line."""
 
 import dataclasses
+import math
 import os
 import random
 from fractions import Fraction
@@ -17,13 +18,17 @@ from quadriline import (
     classify,
     normalize,
 )
-from quadriline import hpoly
+from quadriline import hpoly, svgfig
 from quadriline.cli import load_config
 from quadriline.errors import AtInfinityError
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
-from quadriline.svgfig import _SWEEP, _swept_centers
+from quadriline.svgfig import _SWEEP, _clip_line, _swept_centers, render
 from conftest import rat
+
+
+RATIONAL_CONFIGS = ["cfg1.json", "cfg2.json", "cfg3.json", "vertical.json", "relabeled.json",
+                    "corner.json"]
 
 
 def fraction_sweep(center_map, plane_map):
@@ -84,16 +89,13 @@ def test_zero_coordinate_over_negative_denominator():
     assert repr(_swept_centers(cm, pm)) == repr(reference)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cfg1.json", "vertical.json", "relabeled.json", "corner.json", "cfg1_f11.json",
-     "vertical_f1009.json"],
-)
-def test_matrix_scale_is_invisible(name):
+@pytest.mark.parametrize("name", RATIONAL_CONFIGS + ["cfg1_f11.json", "vertical_f1009.json"])
+def test_matrix_scale_is_invisible(tmp_path, name):
     """N is defined up to a nonzero factor: scaled by λ it maps the same keys to the same
     points and the same lines back, and sweeps the same floats, so no output byte,
     SVG included, depends on the scale normalize gives it."""
-    cfg, pm = normalize(load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name)))
+    cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    cfg, pm = normalize(cfg_input)
     field, p = cfg.field, cfg.field.char
     rects = [
         path_eval(cfg, rat(field, s, 1))
@@ -106,13 +108,47 @@ def test_matrix_scale_is_invisible(name):
         desc for desc in (report.slope_centers, report.aspect_centers, report.single_line) if desc
     ]
     assert keys and lines
+    if not p:
+        render(cfg_input, cfg, pm, tmp_path / "n.svg", diagonals=True)
     for lam in (-3, 7, p + 2):
         scaled = dataclasses.replace(pm, matrix=tuple(tuple(lam * n for n in row) for row in pm.matrix))
         for key in keys:
             assert scaled.original_points(key) == pm.original_points(key)
         for line in lines:
-            assert scaled.original_line(line) == pm.original_line(line)
-        if not p and report.center_map is not None:
-            assert repr(_swept_centers(report.center_map, scaled)) == repr(
-                _swept_centers(report.center_map, pm)
-            )
+            assert scaled.original_line(line).same_line(pm.original_line(line))
+        if not p:
+            render(cfg_input, cfg, scaled, tmp_path / "scaled.svg", diagonals=True)
+            assert (tmp_path / "scaled.svg").read_bytes() == (tmp_path / "n.svg").read_bytes()
+            if report.center_map is not None:
+                assert repr(_swept_centers(report.center_map, scaled)) == repr(
+                    _swept_centers(report.center_map, pm)
+                )
+
+
+@pytest.mark.parametrize("name", RATIONAL_CONFIGS)
+def test_clip_is_blind_to_the_line_scale(tmp_path, monkeypatch, name):
+    """Every line ``render`` clips gives the same segment scaled by -3, 7 and 1/1009.  On
+    corner.json a diagonal runs corner to corner of the viewport, where a float clip
+    followed the rounding of the line's scale."""
+    calls = []
+
+    def recording(line, box):
+        calls.append((line, box))
+        return _clip_line(line, box)
+
+    monkeypatch.setattr(svgfig, "_clip_line", recording)
+    cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    render(cfg_input, *normalize(cfg_input), tmp_path / "out.svg", diagonals=True)
+    assert calls
+    corner_to_corner = False
+    for line, box in calls:
+        segment = _clip_line(line, box)
+        for lam in (Fraction(-3), Fraction(7), Fraction(1, 1009)):
+            assert _clip_line(InputLine(lam * line.a, lam * line.b, lam * line.c), box) == segment
+        x0, y0, w, h = box
+        corners = [(x, y) for x in (x0, x0 + w) for y in (y0, y0 + h)]
+        corner_to_corner |= segment is not None and all(
+            any(math.isclose(x, cx) and math.isclose(y, cy) for cx, cy in corners)
+            for x, y in segment
+        )
+    assert corner_to_corner or name != "corner.json"

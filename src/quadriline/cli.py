@@ -4,11 +4,15 @@
 
 The input file is JSON: {"field": "rational" | {"prime": p}, "pairs": [[lineA,
 lineC], [lineB, lineD]]} with each line {"a": ..., "b": ..., "c": ...} written
-in the exact literal grammar (integers, or "p/q" over the rationals).  All
-exact values in reports are strings; floats appear only inside SVG output.
+in the exact literal grammar (integers, or "p/q" over the rationals).  The
+commands build reports from library values as they are, and :func:`json_text`
+alone turns them into text: each exact value (a ``Fraction`` or an
+``FpElement``) and each ratio prints as the JSON string of its ``str``, and
+each marker as its value.  Floats appear only inside SVG output.
 
-Exit codes: 0 success, 2 parse or precondition error, 3 internal assertion
-failure (a theorem-backed check went wrong, i.e. a bug).
+Exit codes: 0 success, 2 parse, usage or precondition error (one ``error:``
+line on stderr), 3 internal assertion failure (a theorem-backed check went
+wrong, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import argparse
 import functools
 import json
 import sys
+from enum import Enum
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .census import quadric_point_count, verify_against_paths
 from .configuration import (
     ROLES,
     ConfigurationInput,
-    DiagonalMarker,
     InputLine,
     classify,
     diagonal_slopes,
@@ -46,15 +51,13 @@ from .paths import (
     slope_path_polys,
 )
 from .rectangles import (
-    ALL_RATIOS,
     ProjectiveRectangle,
     aspect_of,
     aspects_at_infinity,
-    ratio_text,
     slope_of,
     slopes_at_infinity,
 )
-from .scalars import PSI_13, PrimeField, QQ, ratio_format, ratio_parse
+from .scalars import PSI_13, FpElement, PrimeField, QQ, Ratio, ratio_parse
 from .svgfig import render
 
 
@@ -126,41 +129,22 @@ def load_config(path: str) -> ConfigurationInput:
     return ConfigurationInput(field, parsed[0], parsed[1])
 
 
-def _ratios_json(field, value):
-    if value is ALL_RATIOS:
-        return "all"
-    return [ratio_format(r, field) for r in value]
-
-
-def _point_json(field, point):
-    return [field.format(point[0]), field.format(point[1])]
-
-
-def _line_json(field, desc):
-    out = {"a": field.format(desc.a), "b": field.format(desc.b), "c": field.format(desc.c)}
-    if getattr(desc, "source", None):
-        out["source"] = desc.source
-    return out
-
-
 def _plane_map_json(pm):
-    field = pm.field
     return {
         "swaps": {"pair1": pm.swaps[0], "pair2": pm.swaps[1], "roles": pm.swaps[2]},
         "role_to_input": dict(pm.role_to_input),
-        "translation": _point_json(field, pm.translation),
-        "reflection_t": field.format(pm.reflection_t) if pm.reflection_t is not None else None,
-        "scale": field.format(pm.scale),
+        "translation": list(pm.translation),
+        "reflection_t": pm.reflection_t,
+        "scale": pm.scale,
     }
 
 
-def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
-    field = cfg.field
+def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
     out = {
         "projective": [str(c) for c in rect.key],
         "at_infinity": rect.at_infinity,
-        "slope": ratio_text(field, slope_of(rect)),
-        "aspect": ratio_text(field, aspect_of(rect)),
+        "slope": slope_of(rect),
+        "aspect": aspect_of(rect),
         "sequence": [pm.role_to_input[r] for r in ROLES],
         "vertices": None,
         "center": None,
@@ -168,22 +152,10 @@ def rectangle_json(rect: ProjectiveRectangle, cfg, pm) -> dict:
     if not rect.at_infinity:
         *vertices, center = pm.original_points(rect.key)
         out["vertices"] = {
-            pm.role_to_input[role]: _point_json(field, point)
-            for role, point in zip(ROLES, vertices)
+            pm.role_to_input[role]: list(point) for role, point in zip(ROLES, vertices)
         }
-        out["center"] = _point_json(field, center)
+        out["center"] = list(center)
     return out
-
-
-def _normalized_json(cfg):
-    f = cfg.field
-    return {
-        "m_A": f.format(cfg.m_a),
-        "m_B": f.format(cfg.m_b),
-        "m_C": f.format(cfg.m_c),
-        "m_D": f.format(cfg.m_d),
-        "b_A": f.format(cfg.b_a),
-    }
 
 
 def _field_json(field):
@@ -193,11 +165,7 @@ def _field_json(field):
 def _all_parallel_json(cfg_input) -> dict:
     by_label = cfg_input.lines_by_label()
     report = all_parallel_analysis(cfg_input.field, [by_label[r] for r in ROLES])
-    return {
-        "midline_shared": report.midline_shared,
-        "midline": _line_json(cfg_input.field, report.midline) if report.midline else None,
-        "description": report.description,
-    }
+    return {**vars(report), "midline": vars(report.midline) if report.midline else None}
 
 
 def cmd_classify(args) -> dict:
@@ -209,37 +177,16 @@ def cmd_classify(args) -> dict:
             "field": _field_json(cfg_input.field),
             "all_parallel": _all_parallel_json(cfg_input),
         }
-    cls = classify(cfg)
     e_diag, f_diag = diagonal_slopes(cfg)
-    field = cfg.field
-
-    def diag_json(value):
-        if isinstance(value, DiagonalMarker):
-            return value.value
-        return ratio_format(value, field)
-
     return {
-        "field": _field_json(field),
-        "normalized": _normalized_json(cfg),
-        "constants": {
-            "e1": field.format(cfg.e1),
-            "e2": field.format(cfg.e2),
-            "f1": field.format(cfg.f1),
-            "f2": field.format(cfg.f2),
+        "field": _field_json(cfg.field),
+        "normalized": {
+            "m_A": cfg.m_a, "m_B": cfg.m_b, "m_C": cfg.m_c, "m_D": cfg.m_d, "b_A": cfg.b_a
         },
-        "diagonals": {"E": diag_json(e_diag), "F": diag_json(f_diag)},
-        "class": {
-            "degenerate": cls.degenerate,
-            "twin_pairs": cls.twin_pairs,
-            "dual_pairs": cls.dual_pairs,
-            "slope_path_at_infinity": cls.slope_path_at_infinity,
-            "aspect_path_at_infinity": cls.aspect_path_at_infinity,
-            "locus_shape": cls.locus_shape.value,
-        },
-        "at_infinity": {
-            "slopes": _ratios_json(field, slopes_at_infinity(cfg)),
-            "aspects": _ratios_json(field, aspects_at_infinity(cfg)),
-        },
+        "constants": {"e1": cfg.e1, "e2": cfg.e2, "f1": cfg.f1, "f2": cfg.f2},
+        "diagonals": {"E": e_diag, "F": f_diag},
+        "class": vars(classify(cfg)),
+        "at_infinity": {"slopes": slopes_at_infinity(cfg), "aspects": aspects_at_infinity(cfg)},
         "plane_map": _plane_map_json(pm),
     }
 
@@ -247,14 +194,11 @@ def cmd_classify(args) -> dict:
 def cmd_rect(args) -> dict:
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
-    field = cfg.field
     if args.slope is not None:
-        r = ratio_parse(args.slope, field)
-        rect = slope_path_eval(cfg, r)
+        rect = slope_path_eval(cfg, ratio_parse(args.slope, cfg.field))
     else:
-        r = ratio_parse(args.aspect, field)
-        rect = aspect_path_eval(cfg, r)
-    return rectangle_json(rect, cfg, pm)
+        rect = aspect_path_eval(cfg, ratio_parse(args.aspect, cfg.field))
+    return rectangle_json(rect, pm)
 
 
 def cmd_path(args) -> dict:
@@ -263,11 +207,10 @@ def cmd_path(args) -> dict:
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
     pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
-    rects = []
-    for r in ratio_samples(cfg.field, args.samples):
-        rects.append(
-            {"ratio": ratio_format(r, cfg.field), **rectangle_json(eval_path(cfg, pp, r), cfg, pm)}
-        )
+    rects = [
+        {"ratio": r, **rectangle_json(eval_path(cfg, pp, r), pm)}
+        for r in ratio_samples(cfg.field, args.samples)
+    ]
     return {"kind": args.kind, "rectangles": rects}
 
 
@@ -277,24 +220,23 @@ def cmd_locus(args) -> dict:
         cfg, pm = normalize(cfg_input)
     except AllParallelError:
         return {"shape": "AllParallel", **_all_parallel_json(cfg_input)}
-    field = cfg.field
     report = centers_paths(cfg)
-    out = {"shape": report.shape.value}
+    out = {"shape": report.shape}
     for key in ("slope_centers", "aspect_centers", "gauss_newton", "diagonal_g", "single_line"):
         desc = getattr(report, key)
-        out[key] = _line_json(field, desc) if desc is not None else None
-    out["conic"] = [field.format(c) for c in report.conic] if report.conic else None
-    out["point"] = _point_json(field, report.point) if report.point else None
+        out[key] = vars(desc) if desc is not None else None
+    out["conic"] = list(report.conic) if report.conic else None
+    out["point"] = list(report.point) if report.point else None
     if report.points:
-        out["points"] = [_point_json(field, point) for point in report.points]
+        out["points"] = [list(point) for point in report.points]
     try:
         special = special_rectangles(cfg, report)
     except PreconditionError:
         special = None
     if special is not None:
         out["special_rectangles"] = {
-            "center": rectangle_json(special.center_rectangle, cfg, pm),
-            "centroid": rectangle_json(special.centroid_rectangle, cfg, pm),
+            "center": rectangle_json(special.center_rectangle, pm),
+            "centroid": rectangle_json(special.centroid_rectangle, pm),
         }
     else:
         out["special_rectangles"] = None
@@ -307,18 +249,7 @@ def cmd_census(args) -> dict:
         raise PreconditionError("census requires a prime field configuration")
     cfg, _pm = normalize(cfg_input)
     report = verify_against_paths(cfg)
-    return {
-        "p": report.p,
-        "total": report.total,
-        "at_infinity": report.at_infinity,
-        "by_slope": report.by_slope,
-        "by_aspect": report.by_aspect,
-        "union_covered": report.union_covered,
-        "at_infinity_bound_ok": report.at_infinity_bound_ok,
-        "degenerate_consistency_ok": report.degenerate_consistency_ok,
-        "failures": report.failures,
-        "quadric_points": quadric_point_count(cfg),
-    }
+    return {**vars(report), "quadric_points": quadric_point_count(cfg)}
 
 
 def cmd_render(args) -> dict:
@@ -330,16 +261,23 @@ def cmd_render(args) -> dict:
     return {"written": args.out}
 
 
-def json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for dicts with str keys, lists, strs, ints,
-    bools and None; any other type raises ``TypeError``.
+_STR_TYPES = frozenset({str, Fraction, FpElement, Ratio})
 
-    The standard encoder runs in pure Python when ``indent`` is set, and each
-    call leaves its nested closures in reference cycles for the cyclic garbage
-    collector; this writer leaves none.
+
+def json_text(value, indent: str = "\n") -> str:
+    """The one writer of report text: ``json.dumps(value, indent=2)`` for dicts
+    with str keys, lists, strs, ints, bools and None; a ``Fraction``,
+    ``FpElement`` or ``Ratio`` as the JSON string of its ``str``, and an
+    ``Enum`` member as its value.  Any other type raises ``TypeError``.
+
+    The first test is one set lookup on the exact type: ``Fraction`` is an
+    ABC, so an ``isinstance`` test first would cost every int of a census
+    tally an ABC check.  The standard encoder runs in pure Python when
+    ``indent`` is set, and each call leaves its nested closures in reference
+    cycles for the cyclic garbage collector; this writer leaves none.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    if type(value) in _STR_TYPES:
+        return encode_basestring_ascii(str(value))
     if value is None:
         return "null"
     if value is True:
@@ -360,13 +298,24 @@ def json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         return "[" + ",".join(inner + json_text(v, inner) for v in value) + indent + "]"
+    if isinstance(value, Enum):
+        return json_text(value.value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through ``add_subparsers`` each of its subparsers,
+    whose usage errors raise ``ParseError`` instead of printing usage and exiting."""
+
+    def error(self, message):
+        # "unrecognized arguments" quotes argv as given, newlines included.
+        raise ParseError(message.replace("\n", "\\n"))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadriline",
         description="Rectangles inscribed in four lines, exactly, over Q or F_p.",
     )
@@ -396,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
     except InternalCheckError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

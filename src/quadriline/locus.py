@@ -263,9 +263,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             else:
                 points = (slope_point, aspect_point)
         gn = g = None
-        slopes = [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
-        no_parallels = len({field.format(m) for m in slopes}) == 4
-        if no_parallels:
+        if len({cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d}) == 4:  # no two lines parallel
             gn = gauss_newton_line(cfg)
             g = diagonal_g(cfg)
             if aspect_line is not None and not aspect_line.same_line(gn):

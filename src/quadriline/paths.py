@@ -238,6 +238,8 @@ def ratio_samples(field, count: int):
     field, skipping repeats; over a prime field the sequence exhausts the
     projective line and stops.
     """
+    if field.char:
+        count = min(count, field.char + 1)  # the whole projective line over F_p
     out = []
     seen = set()
 
@@ -251,9 +253,8 @@ def ratio_samples(field, count: int):
 
     if push(0, 1) or push(1, 0):
         return out
-    limit = field.char + 1 if field.char else None
     h = 1
-    while limit is None or h <= limit:
+    while True:
         for t in range(1, h + 1):
             if math.gcd(h, t) == 1:
                 if push(h, t) or push(h, -t):
@@ -263,5 +264,3 @@ def ratio_samples(field, count: int):
                 if push(s, h) or push(s, -h):
                     return out
         h += 1
-    return out
-

@@ -7,30 +7,31 @@ is a rectangle exactly on the quadric :func:`quadric_h`.  Here are the
 canonical points, their slope and aspect, the at-infinity forms and that
 quadric, all exact.  The slope and the aspect ratio are each one formula on
 the canonical key, which holds residues over F_p and Fractions over the
-rationals, and the same formula serves both fields.
+rationals, and the same formula serves both fields.  An outcome that is not a
+ratio is a :class:`Marker`; reports print a ratio as its ``str`` and a marker
+as its value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .configuration import ROLES, NormalizedConfig
 from .errors import PreconditionError
-from .scalars import FpElement, Ratio, ratio_format, solve_quadratic
-
-# slope_of / aspect_of outcome when every ratio satisfies the defining system.
-INDETERMINATE = object()
-
-# Marker: every point of the projective line occurs (at-infinity queries).
-ALL_RATIOS = object()
+from .scalars import FpElement, Ratio, solve_quadratic
 
 
-def ratio_text(field, value) -> str:
-    """A slope_of / aspect_of outcome as report text."""
-    if value is INDETERMINATE:
-        return "indeterminate"
-    return ratio_format(value, field)
+class Marker(Enum):
+    """An outcome that is not a ratio or a list of ratios; reports print its value."""
+
+    INDETERMINATE = "indeterminate"  # slope_of / aspect_of: every ratio satisfies the system
+    ALL_RATIOS = "all"  # at-infinity queries: every point of the projective line occurs
+
+
+INDETERMINATE = Marker.INDETERMINATE
+ALL_RATIOS = Marker.ALL_RATIOS
 
 
 def canonical_key(field, coords) -> tuple:
@@ -190,10 +191,10 @@ def aspect_residue(p: int, key: tuple):
 
 
 def residue_text(p: int, value) -> str:
-    """A slope_residue / aspect_residue outcome as report text, as
-    :func:`ratio_text` writes the matching ratio."""
+    """A slope_residue / aspect_residue outcome as report text: the ``str`` of
+    the matching ratio, or the value of INDETERMINATE."""
     if value is None:
-        return "indeterminate"
+        return INDETERMINATE.value
     return "1/0" if value == p else str(value)
 
 

@@ -159,7 +159,6 @@ class RationalField:
     """The field of arbitrary-precision rationals."""
 
     char = 0
-    name = "rational"
 
     def zero(self):
         return Fraction(0)
@@ -184,9 +183,6 @@ class RationalField:
             raise ParseError(f"zero denominator in literal {text!r}") from None
         except ValueError:
             raise _too_many_digits(text) from None
-
-    def format(self, x: Fraction) -> str:
-        return str(x)
 
     def is_square(self, x: Fraction) -> bool:
         if x < 0:
@@ -219,8 +215,6 @@ class RationalField:
 
 class PrimeField:
     """The field F_p for an odd prime p."""
-
-    name = "prime"
 
     def __init__(self, p: int):
         if p == 2:
@@ -264,9 +258,6 @@ class PrimeField:
             return FpElement(int(text), self)
         except ValueError:
             raise _too_many_digits(text) from None
-
-    def format(self, x: FpElement) -> str:
-        return str(x.value)
 
     def is_square(self, x: FpElement) -> bool:
         if x.value == 0:
@@ -392,14 +383,6 @@ def ratio_parse(text: str, field) -> Ratio:
         parts = text.split("/")
         if len(parts) == 2 and _INT_RE.match(parts[0]) and _INT_RE.match(parts[1]):
             return Ratio.of(field.from_int(int(parts[0])), field.from_int(int(parts[1])))
-    if field.name == "rational" and _RATIONAL_RE.match(text):
-        return Ratio.of(field.parse(text), field.one())
     if _INT_RE.match(text):
         return Ratio.of(field.parse(text), field.one())
     raise ParseError(f"not a ratio literal: {text!r}")
-
-
-def ratio_format(r: Ratio, field) -> str:
-    if r.is_infinite:
-        return "1/0"
-    return field.format(r.num)

@@ -101,7 +101,7 @@ class TestRect:
         path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
         doc = run_json(capsys, "rect", "--input", path, "--slope", "3/5")
         rect = parse_rectangle_json(QQ, doc)
-        assert [QQ.format(c) for c in rect.coords] == doc["projective"]
+        assert [str(c) for c in rect.coords] == doc["projective"]
 
     def test_transformed_config_vertices_on_original_lines(self, tmp_path, capsys):
         # x = 0 forces a reflection; vertices must satisfy the ORIGINAL
@@ -270,6 +270,20 @@ class TestPathLocusCensus:
             ("relabeled.json", "path --kind slope", 0, "e75f697308b0a1cbe36849d7962f859c2c80f40f911935e16f16120b8a018ef8"),
             ("relabeled.json", "path --kind aspect", 0, "9c631631b50880e542055e62098e1185ad225f1d43bf46b8fb850722d4399660"),
             ("relabeled.json", "classify", 0, "b87e5caecbc115bdcd5e0533385805d4333aa8060f8be6afb7557681ff991720"),
+            # Every classify report: normalized constants, diagonals and their
+            # markers, the class, the ratios at infinity ("all" for twin pairs)
+            # and the all-parallel report.
+            ("cfg1.json", "classify", 0, "dd4cf7153607e471ba0c742f253d5f535051aea7ef2e6df4289d658e39e3f1f9"),
+            ("cfg1_f11.json", "classify", 0, "1dec66647d626c6bbb5f32d56f633cecd7cee40b304f7a1551adba5fac9e1a3b"),
+            ("cfg2.json", "classify", 0, "ed6673baaa07150244b7e23fd2e49fc9e22acd8107304bf58792fc4c96af6029"),
+            ("cfg3.json", "classify", 0, "b8631b28eaed997ad0c2812691e7dedfa83510ee6b69f7ed6d8a94fb8740ae3c"),
+            ("parallel.json", "classify", 0, "6149b4f139fcd8b5c58d68f6950fd64a56612bf9030a097e78dc0d483753fdc1"),
+            ("corner.json", "classify", 0, "99940fc377812a4aee941efeb426200679d416ef3e20c78aea274e1c41e4c0d6"),
+            ("corner.json", "rect --slope 1/0", 0, "7c9577cabf795893894acb5459e69c576905e2317d0249534a9bf00e70916cde"),
+            ("corner.json", "rect --aspect=-1/2", 0, "2904b8594f79f092ac30c3acc151427fb7eda2ca1709265ce9833101d402cf89"),
+            ("corner.json", "path --kind slope", 0, "cf087c318b1b49515398fa49eafda68a1f2de1f23d7c7340761088e948e502f1"),
+            ("corner.json", "path --kind aspect", 0, "8da67eb762cd0201024f8720453fadee79154d7f7cc20251e9e72ef23b5a177f"),
+            ("corner.json", "locus", 0, "cc7437183e18451ac55c2b03c701f074906e1888d031c5d99a2f9c0f86e21a4b"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):
@@ -400,6 +414,8 @@ class TestRender:
             # A diagonal runs corner to corner of the viewport: both corners are
             # crossings of two sides, and the exact clip keeps them in side order.
             ("corner.json", "76ed145cb14bde090f67925d200360b5ca92aa69029d636105f1ef1a8e2121d7"),
+            # A square: both center maps are constant, and the locus is one point.
+            ("square.json", "3214161be49bb4eea23829da5fdd2be68c05979584c0127662cd6e0c21048d17"),
         ],
     )
     def test_cfg1_diagonals_bytes(self, tmp_path, capsys, name, digest):
@@ -410,6 +426,14 @@ class TestRender:
         )
         assert code == 0, err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_square_locus_point(self, tmp_path, capsys):
+        """The locus of the square is its center (0, 1/2), drawn as one dot."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "square.json")
+        assert run_json(capsys, "locus", "--input", path)["point"] == ["0", "1/2"]
+        out = tmp_path / "out.svg"
+        assert run_cli(capsys, "render", "--input", path, "--out", str(out))[0] == 0
+        assert out.read_text().count('<circle cx="0" cy="-0.5"') == 1
 
     def test_samples_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg2.json", "rational", CFG2_PAIRS)

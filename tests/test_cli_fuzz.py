@@ -1,10 +1,13 @@
-"""Fuzz of the CLI contract: any input document exits 0, or 2 with one line."""
+"""Fuzz of the CLI contract: any input document and any argv exit 0, or 2 with
+one line; and the report writer."""
 
 import contextlib
 import io
 import json
 import os
+import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -12,9 +15,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from quadriline import PrimeField, Ratio
 from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import json_text, load_config, main
+from quadriline.configuration import DiagonalMarker, LocusShape
 from quadriline.errors import QuadrilineError
+from quadriline.rectangles import INDETERMINATE, Marker
+from quadriline.scalars import FpElement
+from conftest import CFG1_PAIRS, CFG2_PAIRS, write_config
 
 # 60013 is the least prime above the census bound; the last one is the largest
 # prime below psi_13, the largest accepted modulus.
@@ -126,19 +134,15 @@ def _write(directory, doc):
     return path
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), commands)
-def test_main_exits_0_or_2_with_one_line(doc, argv):
-    if argv == ["census"] and not _census_is_quick(doc):
-        argv = ["classify"]  # a census costs about 0.14 ms per unit of p
+def _run(argv):
+    """main(argv) in-process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [*argv, "--input", _write(tmp, doc)]
-        if argv[0] == "render":
-            argv += ["--out", os.path.join(tmp, "out.svg")]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_0_or_2_with_one_line(code, out, err):
     assert code in (0, 2), err
     if code == 0:
         assert not err
@@ -147,6 +151,121 @@ def test_main_exits_0_or_2_with_one_line(doc, argv):
         assert not out
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), commands)
+def test_main_exits_0_or_2_with_one_line(doc, argv):
+    if argv == ["census"] and not _census_is_quick(doc):
+        argv = ["classify"]  # a census costs about 0.14 ms per unit of p
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*argv, "--input", _write(tmp, doc)]
+        if argv[0] == "render":
+            argv += ["--out", os.path.join(tmp, "out.svg")]
+        assert_exit_0_or_2_with_one_line(*_run(argv))
+
+
+# The argv grammar: a command (or none, or an unknown one) with its own flags,
+# each present nine times in ten, and one time in three up to three more drawn
+# from every command's flags, so some are foreign, repeated or unknown; all in
+# any order, each as --flag=v, as --flag v, or with no value.  The fields are
+# Q, small primes, where --samples can exceed p + 1, and three primes up to
+# psi_13, where a census exits at once; sample counts stay below 41, so a Q
+# path or render stays cheap.
+ratio_values = st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda t: "%d/%d" % t),
+    st.integers(-(10**60), 10**60).map(str),
+    st.tuples(st.integers(-(10**60), 10**60), st.integers(-(10**60), 10**60)).map(
+        lambda t: "%d/%d" % t
+    ),
+    st.sampled_from(["0", "-0", "0/1", "0/0", "1/0", "-1/2", "+3/7", "1/2/3", "1.5", "/", "1/"]),
+    st.text(alphabet="0123456789/+-. x\n", max_size=6),
+)
+flag_values = {
+    "--input": st.sampled_from(["INPUT"] * 18 + ["/nonexistent.json", ""]),
+    "--slope": ratio_values,
+    "--aspect": ratio_values,
+    "--kind": st.sampled_from(["slope", "aspect"] * 3 + ["x", ""]),
+    "--samples": st.sampled_from(
+        [str(n) for n in range(-3, 41)] + ["x", "1.5", "", "0x10", "\u0661"]
+    ),
+    "--out": st.just("OUT"),
+    "--diagonals": st.sampled_from([""] * 5 + ["1"]),
+    "--bogus": st.just("1"),
+}
+COMMAND_FLAGS = {
+    "classify": [],
+    "rect": [],  # and one of --slope and --aspect
+    "path": ["--kind", "--samples"],
+    "locus": [],
+    "census": [],
+    "render": ["--out", "--samples", "--diagonals"],
+}
+ARGV_FIELDS = ["rational"] * 4 + [{"prime": p} for p in (3, 5, 7, 11, 13, *GOOD_MODULI[-3:])]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of the grammar above, with INPUT and OUT standing for the input
+    file and the SVG path."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS) * 3 + ["", "bogus"]))
+    own = ["--input", *COMMAND_FLAGS.get(command, [])]
+    if command == "rect":
+        own.append(draw(st.sampled_from(["--slope", "--aspect"])))
+    flags = [flag for flag in own if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 2)):
+        flags += draw(st.lists(st.sampled_from(sorted(flag_values)), min_size=1, max_size=3))
+    argv = [command] if command else []
+    for flag in draw(st.permutations(flags)):
+        value = draw(flag_values[flag])
+        form = draw(st.sampled_from(["=", "space"] * 5 + ["bare"]))
+        if flag == "--diagonals" and not value:
+            form = "bare"
+        if form == "=":
+            argv.append(f"{flag}={value}")
+        elif form == "space":
+            argv += [flag, value]
+        else:
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs(), st.sampled_from(ARGV_FIELDS), st.sampled_from([CFG1_PAIRS, CFG2_PAIRS]))
+def test_any_argv_exits_0_or_2_with_one_line(argv, field, pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), "input.json", field, pairs)
+        out = os.path.join(tmp, "out.svg")
+        argv = [token.replace("INPUT", path).replace("OUT", out) for token in argv]
+        assert_exit_0_or_2_with_one_line(*_run(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["path", "--input", "INPUT", "--samples", "x"],
+        ["path", "--input"],
+        ["rect", "--input", "INPUT", "--aspect", "-1/2"],
+        ["rect", "--input", "INPUT"],
+        [],
+        ["bogus"],
+        ["classify", "--input", "INPUT", "--bogus"],
+        ["classify", "--input", "INPUT", "1\n2"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_returns_2_with_one_line(tmp_path, argv):
+    path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
+    code, out, err = _run([path if token == "INPUT" else token for token in argv])
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("error: ") and "usage" not in err, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["path", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,3 +297,34 @@ def test_json_text_is_json_dumps_with_indent_2(value):
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+F11 = PrimeField(11)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(-3, 7), '"-3/7"'),
+        (Fraction(5), '"5"'),
+        (FpElement(7, F11), '"7"'),
+        (FpElement(-1, F11), '"10"'),
+        (Ratio.of(Fraction(-1), Fraction(2)), '"-1/2"'),
+        (Ratio.of(Fraction(1), Fraction(0)), '"1/0"'),
+        (Ratio.of(F11.from_int(3), F11.from_int(2)), '"7"'),
+        (Ratio.of(F11.one(), F11.zero()), '"1/0"'),
+    ],
+    ids=repr,
+)
+def test_json_text_writes_exact_values_as_their_str(value, text):
+    assert json_text(value) == json.dumps(str(value)) == text
+
+
+@pytest.mark.parametrize("member", [*LocusShape, *DiagonalMarker, *Marker], ids=str)
+def test_json_text_writes_enum_members_as_their_value(member):
+    assert json_text(member) == json.dumps(member.value)
+
+
+def test_json_text_writes_nested_values():
+    report = {"ratios": [Ratio.of(Fraction(3), Fraction(2)), INDETERMINATE], "x": FpElement(4, F11)}
+    assert json_text(report) == json.dumps({"ratios": ["3/2", "indeterminate"], "x": "4"}, indent=2)

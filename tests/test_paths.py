@@ -449,3 +449,23 @@ class TestRatioSamples:
         f5 = PrimeField(5)
         samples = ratio_samples(f5, 100)
         assert len(samples) == 6  # p + 1 points on the projective line
+
+    @pytest.mark.parametrize("n", [1, 100, 10_007, 10_008, 10_009, 10**6])
+    def test_work_is_linear_in_the_points_returned(self, monkeypatch, n):
+        """Over F_p the walk stops once it holds all p + 1 ratios: it builds at
+        most 2 min(n, p + 1) of them, where walking every height up to p + 1
+        would build about p^2.  The counter raises at once past the bound."""
+        field = PrimeField(10_007)
+        bound = 2 * min(n, field.char + 1)
+        built = []
+        of = Ratio.of
+
+        def counted(num, den):
+            built.append(None)
+            if len(built) > bound:
+                raise AssertionError(f"more than {bound} ratios built for n = {n}")
+            return of(num, den)
+
+        monkeypatch.setattr(Ratio, "of", staticmethod(counted))
+        samples = ratio_samples(field, n)
+        assert len(samples) == len(set(samples)) == min(n, field.char + 1)

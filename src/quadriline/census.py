@@ -116,14 +116,6 @@ class CensusReport:
     degenerate_consistency_ok: bool
     failures: list = dataclass_field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.union_covered
-            and self.at_infinity_bound_ok
-            and self.degenerate_consistency_ok
-        )
-
 
 def _ratio_label(field, index: int) -> str:
     """The text of the ratio at place index of a path replay: v for (v : 1), then 1/0.

@@ -141,7 +141,7 @@ def _plane_map_json(pm):
 
 def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
     out = {
-        "projective": [str(c) for c in rect.key],
+        "projective": [_str(c) for c in rect.key],
         "at_infinity": rect.at_infinity,
         "slope": slope_of(rect),
         "aspect": aspect_of(rect),
@@ -257,18 +257,32 @@ def cmd_render(args) -> dict:
         raise PreconditionError("--samples must not be negative")
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
-    render(cfg_input, cfg, pm, args.out, samples=args.samples, diagonals=args.diagonals)
+    try:
+        render(cfg_input, cfg, pm, args.out, samples=args.samples, diagonals=args.diagonals)
+    except OverflowError:
+        raise PreconditionError("the drawing does not fit in floats") from None
     return {"written": args.out}
 
 
 _STR_TYPES = frozenset({str, Fraction, FpElement, Ratio})
 
 
+def _str(value) -> str:
+    """str(value); a number past the int-to-str digit limit raises PreconditionError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise PreconditionError(
+            f"a report value past {sys.get_int_max_str_digits()} digits cannot be written"
+        ) from None
+
+
 def json_text(value, indent: str = "\n") -> str:
     """The one writer of report text: ``json.dumps(value, indent=2)`` for dicts
     with str keys, lists, strs, ints, bools and None; a ``Fraction``,
     ``FpElement`` or ``Ratio`` as the JSON string of its ``str``, and an
-    ``Enum`` member as its value.  Any other type raises ``TypeError``.
+    ``Enum`` member as its value.  Any other type raises ``TypeError``, and a
+    number past the int-to-str digit limit ``PreconditionError``.
 
     The first test is one set lookup on the exact type: ``Fraction`` is an
     ABC, so an ``isinstance`` test first would cost every int of a census
@@ -277,7 +291,7 @@ def json_text(value, indent: str = "\n") -> str:
     cycles for the cyclic garbage collector; this writer leaves none.
     """
     if type(value) in _STR_TYPES:
-        return encode_basestring_ascii(str(value))
+        return encode_basestring_ascii(_str(value))
     if value is None:
         return "null"
     if value is True:
@@ -347,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        result = args.fn(args)
+        text = json_text(args.fn(args))
     except InternalCheckError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 3
     except (QuadrilineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(json_text(result) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -44,37 +44,28 @@ class InputLine:
         if not self.a and not self.b:
             raise PreconditionError("line needs (a, b) != (0, 0)")
 
-    @property
-    def is_vertical(self) -> bool:
-        return not self.b
-
     def slope(self) -> Ratio:
         """Slope as a projective ratio [dy : dx] = [-a : b]."""
         return Ratio.of(-self.a, self.b)
 
+    def _meet(self, other: "InputLine") -> tuple:
+        """The meet (X : Y : Z) of the two lines: their covectors (a, b, -c) crossed."""
+        return cross((self.a, self.b, -self.c), (other.a, other.b, -other.c))
+
     def parallel_to(self, other: "InputLine") -> bool:
-        return not (self.a * other.b - self.b * other.a)
+        return not self._meet(other)[2]
 
     def same_line(self, other: "InputLine") -> bool:
-        return (
-            not (self.a * other.b - self.b * other.a)
-            and not (self.a * other.c - self.c * other.a)
-            and not (self.b * other.c - self.c * other.b)
-        )
+        return not any(self._meet(other))
 
     def contains(self, point) -> bool:
         x, y = point
         return self.a * x + self.b * y == self.c
 
     def intersection(self, other: "InputLine"):
-        """The unique intersection point, or None for parallel lines."""
-        det = self.a * other.b - self.b * other.a
-        if not det:
-            return None
-        return (
-            (self.c * other.b - self.b * other.c) / det,
-            (self.a * other.c - self.c * other.a) / det,
-        )
+        """The unique intersection point (X / Z, Y / Z), or None for parallel lines."""
+        x, y, z = self._meet(other)
+        return (x / z, y / z) if z else None
 
 
 @dataclass(frozen=True)

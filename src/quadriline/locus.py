@@ -50,11 +50,9 @@ def center_of(p: ProjectiveRectangle):
 
 
 def _line_through(p, q, source: str) -> AffineLineDescription:
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if not dx and not dy:
-        raise PreconditionError("cannot draw a line through a repeated point")
-    a, b = -dy, dx
-    return AffineLineDescription(a, b, a * p[0] + b * p[1], source)
+    """The line through the distinct affine points p and q: the covector (p, 1) × (q, 1)."""
+    a, b, c = cross((*p, 1), (*q, 1))
+    return AffineLineDescription(a, b, -c, source)
 
 
 def _corner(cfg: NormalizedConfig, r1: str, r2: str):
@@ -294,9 +292,7 @@ class SpecialRectangles:
     """The center and centroid rectangles of a degenerate configuration."""
 
     center_rectangle: ProjectiveRectangle
-    center_point: tuple
     centroid_rectangle: ProjectiveRectangle
-    centroid_point: tuple
 
 
 def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRectangles:
@@ -314,14 +310,14 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     sl, al = report.slope_centers, report.aspect_centers
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
-    cross = sl.intersection(al)
-    if cross is None:
+    meet = sl.intersection(al)
+    if meet is None:
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
 
     spp, app = report.slope_path, report.aspect_path
     shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
     center_rect = eval_path(cfg, app, shared_aspect)
-    if center_of(center_rect) != cross:
+    if center_of(center_rect) != meet:
         raise InternalCheckError("center rectangle misses the locus intersection")
 
     corners = [_corner(cfg, r1, r2) for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
@@ -344,7 +340,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     centroid_rect = eval_path(cfg, app, ratio)
     if center_of(centroid_rect) != centroid:
         raise InternalCheckError("centroid rectangle misses the centroid")
-    return SpecialRectangles(center_rect, cross, centroid_rect, centroid)
+    return SpecialRectangles(center_rect, centroid_rect)
 
 
 @dataclass(frozen=True)

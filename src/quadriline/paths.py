@@ -20,10 +20,6 @@ from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from .rectangles import ProjectiveRectangle, Ratio, canonical_key
 
-SLOPE = "slope"
-ASPECT = "aspect"
-
-
 class PathCase(Enum):
     """Which branch of the form definition applies.
 
@@ -51,7 +47,6 @@ class PathPolynomials:
     of the coefficients.
     """
 
-    kind: str
     case: PathCase
     first: tuple
     second: tuple
@@ -59,10 +54,6 @@ class PathPolynomials:
     y: dict
     w: tuple
     field: object
-
-    @property
-    def degree(self) -> int:
-        return len(self.w) - 1
 
     @functools.cached_property
     def integer_forms(self) -> list:
@@ -116,7 +107,7 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     )
     y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
                          hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(SLOPE, case, e_form, f_form, x, y, w, cfg.field)
+    return PathPolynomials(case, e_form, f_form, x, y, w, cfg.field)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -139,7 +130,7 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     )
     y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
                          hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(ASPECT, case, m_form, n_form, x, y, w, cfg.field)
+    return PathPolynomials(case, m_form, n_form, x, y, w, cfg.field)
 
 
 def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> ProjectiveRectangle:

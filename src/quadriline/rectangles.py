@@ -69,8 +69,8 @@ class ProjectiveRectangle:
     key and compare by (characteristic, key), so points over different fields
     are unequal.  Slope, aspect and center are read off the key
     (:func:`slope_of`, :func:`aspect_of`, ``locus.center_of``).  Over F_p the
-    field elements of coords, vertex and w are built from the key when read
-    and not kept: a point that is only hashed and compared never builds one,
+    field elements of vertex and w are built from the key when read and not
+    kept: a point that is only hashed and compared never builds one,
     and a read point holds no second copy of its coordinates.
     """
 
@@ -84,14 +84,6 @@ class ProjectiveRectangle:
     def canonical(field, coords) -> "ProjectiveRectangle":
         """The point with coordinates coords, scaled by :func:`canonical_key`."""
         return ProjectiveRectangle(field, canonical_key(field, coords))
-
-    @property
-    def coords(self) -> tuple:
-        """The nine coordinates as field elements."""
-        field, key = self.field, self.key
-        if field.char:
-            return tuple([FpElement(v, field) for v in key])
-        return key
 
     def __eq__(self, other):
         if not isinstance(other, ProjectiveRectangle):
@@ -248,7 +240,7 @@ def projective_quadratic_roots(field, form):
     if not c0 and not c1 and not c2:
         return ALL_RATIOS
     if c0:
-        return [Ratio.of(r.value, field.one()) for r in solve_quadratic(field, c0, c1, c2)]
+        return [Ratio.of(r, field.one()) for r in solve_quadratic(field, c0, c1, c2)]
     roots = [Ratio.of(field.one(), field.zero())]
     if c1:
         roots.append(Ratio.of(-c2, c1))

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import FieldError, ParseError, PreconditionError
 
@@ -184,12 +184,6 @@ class RationalField:
         except ValueError:
             raise _too_many_digits(text) from None
 
-    def is_square(self, x: Fraction) -> bool:
-        if x < 0:
-            return False
-        n, d = x.numerator, x.denominator
-        return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
     def sqrt(self, x: Fraction) -> Optional[Fraction]:
         """Exact square root, or None when x is not a square in the field."""
         if x < 0:
@@ -310,36 +304,26 @@ class PrimeField:
 QQ = RationalField()
 
 
-class Root(NamedTuple):
-    """A root of a quadratic, with its multiplicity (1 or 2)."""
-
-    value: object
-    multiplicity: int
-
-
 def solve_quadratic(field, a, b, c):
-    """All roots of a*X^2 + b*X + c in the field, each reported once.
-
-    Returns a list of :class:`Root`; a double root appears once with
-    multiplicity 2.  The list is empty when the discriminant is not a square
-    in the field (no field extension is ever adjoined).  The identically zero
-    polynomial has no sensible root set and raises ``PreconditionError``;
-    callers that care about that case (the twin-pair degeneration) detect it
-    themselves.
+    """The distinct roots of a*X^2 + b*X + c in the field, as a list: empty when
+    the discriminant is not a square in the field (no extension is adjoined).
+    The zero polynomial has no sensible root set and raises
+    ``PreconditionError``; callers that care about that case (the twin-pair
+    degeneration) detect it themselves.
     """
     if not a and not b and not c:
         raise PreconditionError("all quadratic coefficients are zero")
     if not a:
         if not b:
             return []  # c != 0: no roots
-        return [Root(-c / b, 1)]
+        return [-c / b]
     disc = b * b - 4 * a * c
     if not disc:
-        return [Root(-b / (2 * a), 2)]
+        return [-b / (2 * a)]
     r = field.sqrt(disc)
     if r is None:
         return []
-    return [Root((-b + r) / (2 * a), 1), Root((-b - r) / (2 * a), 1)]
+    return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
 
 
 @dataclass(frozen=True)
@@ -362,10 +346,6 @@ class Ratio:
             return Ratio(num / num, den)
         raise ParseError("0/0 is not a point of the projective line")
 
-    def orthogonal(self) -> "Ratio":
-        """The ratio s/t -> -t/s (orthogonal slope)."""
-        return Ratio.of(-self.den, self.num)
-
     @property
     def is_infinite(self) -> bool:
         return not self.den
@@ -382,7 +362,7 @@ def ratio_parse(text: str, field) -> Ratio:
     if "/" in text:
         parts = text.split("/")
         if len(parts) == 2 and _INT_RE.match(parts[0]) and _INT_RE.match(parts[1]):
-            return Ratio.of(field.from_int(int(parts[0])), field.from_int(int(parts[1])))
+            return Ratio.of(field.parse(parts[0]), field.parse(parts[1]))
     if _INT_RE.match(text):
         return Ratio.of(field.parse(text), field.one())
     raise ParseError(f"not a ratio literal: {text!r}")

@@ -9,9 +9,10 @@ division X / D of exact integer forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 from . import hpoly
-from .configuration import InputLine
+from .configuration import InputLine, covector, cross
 from .errors import ParallelPairError, PreconditionError
 from .locus import centers_paths, diagonal_g, gauss_newton_line
 from .paths import eval_path, ratio_samples, slope_path_polys
@@ -22,7 +23,10 @@ _SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
 
 
 def _fmt(v) -> str:
-    return f"{float(v):.12g}"
+    v = float(v)
+    if not isfinite(v):
+        raise OverflowError("an SVG number is not finite")
+    return f"{v:.12g}"
 
 
 class _Canvas:
@@ -55,19 +59,17 @@ class _Canvas:
 def _clip_line(line: InputLine, box):
     """Float endpoints of the segment of the exact line inside the box, or None.
 
-    The crossings with the four sides are exact, on the Fractions of the float
-    box corners; duplicates (a crossing at a corner) are dropped and the first
-    two points kept in side order, so the endpoints do not depend on the scale
-    of the line's (a, b, c).
+    The meets with the sides x = x0, x1 and y = y0, y1 of the float box are
+    exact cross products of integer covectors; duplicates (a meet at a corner)
+    are dropped and the first two points kept in side order, so the endpoints
+    do not depend on the scale of the line's (a, b, c).
     """
-    a, b, c = line.a, line.b, line.c
     x0, y0, w, h = box
+    u = covector(QQ, line)
+    sides = [(d, 0, -n) for n, d in map(float.as_integer_ratio, (x0, x0 + w))]
+    sides += [(0, d, -n) for n, d in map(float.as_integer_ratio, (y0, y0 + h))]
+    pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in (cross(u, s) for s in sides) if Z]
     x0, y0, x1, y1 = Fraction(x0), Fraction(y0), Fraction(x0 + w), Fraction(y0 + h)
-    pts = []
-    if b:
-        pts += [(x, (c - a * x) / b) for x in (x0, x1)]
-    if a:
-        pts += [((c - b * y) / a, y) for y in (y0, y1)]
     inside = list(dict.fromkeys(pt for pt in pts if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1))
     if len(inside) < 2:
         return None
@@ -106,7 +108,8 @@ def _polyline(points, style):
 
 
 def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
-    """Write an SVG of the configuration in its original coordinates."""
+    """Write an SVG of the configuration in its original coordinates.  A number
+    past the float range raises OverflowError before the file is opened."""
     if cfg.field != QQ:
         raise PreconditionError("rendering requires the rational field")
     canvas = _Canvas()

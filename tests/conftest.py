@@ -15,6 +15,7 @@ from quadriline import (
 )
 from quadriline.configuration import adjugate
 from quadriline.errors import PreconditionError
+from quadriline.paths import ratio_samples
 from quadriline.scalars import solve_quadratic
 
 CFG1_INTS = (2, 3, 0, 1, 1)  # non-degenerate
@@ -117,7 +118,33 @@ def degenerating_intercepts(field, m_a, m_b, m_c, m_d):
     delta = (m_a * m_c + one) * (m_b - m_d) + (m_b * m_d + one) * (m_a - m_c)
     if not lead and not delta and not const:
         return ALL_INTERCEPTS
-    return [root.value for root in solve_quadratic(field, lead, -delta, const)]
+    return solve_quadratic(field, lead, -delta, const)
+
+
+def bounded_ratio_samples(field, count):
+    """ratio_samples(field, count), with its Ratio.of calls counted.
+
+    Over F_p the walk stops once it holds all p + 1 ratios: it builds at most
+    2 min(count, p + 1) of them (2 count over the rationals), where walking
+    every height up to p + 1 would build about p^2.  The counter raises
+    AssertionError at once past that bound.
+    """
+    bound = 2 * (min(count, field.char + 1) if field.char else count)
+    built = 0
+    of = Ratio.of
+
+    def counted(num, den):
+        nonlocal built
+        built += 1
+        if built > bound:
+            raise AssertionError(f"more than {bound} ratios built for {count} samples")
+        return of(num, den)
+
+    Ratio.of = staticmethod(counted)
+    try:
+        return ratio_samples(field, count)
+    finally:
+        Ratio.of = staticmethod(of)
 
 
 def lines_for(cfg) -> dict:

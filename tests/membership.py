@@ -336,7 +336,7 @@ def rectangle_from_aspect(cfg: NormalizedConfig, r: Ratio, w) -> Fiber:
 
 def _slope_intercept(line: InputLine):
     """(m, k) with y = m*x + k; requires a non-vertical line."""
-    if line.is_vertical:
+    if not line.b:
         raise PreconditionError("vertical line has no slope-intercept form")
     return -line.a / line.b, line.c / line.b
 
@@ -409,7 +409,7 @@ def normalize(cfg_input: ConfigurationInput):
     tx, ty = translation = (-origin[0], -origin[1])
     t = None
     unscaled = ((one, zero, -tx), (zero, one, -ty), (zero, zero, one))
-    if any(ln.is_vertical for ln in lines.values()):
+    if any(not ln.b for ln in lines.values()):
         t = _pick_reflection(field, lines)
         d = one + t * t
         unscaled = ((one - t * t, 2 * t, -d * tx), (2 * t, t * t - one, -d * ty), (zero, zero, d))

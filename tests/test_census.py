@@ -227,12 +227,12 @@ class TestVerify:
         for p in (11, 13):
             report = verify_against_paths(cfg_over(p, (2, 3, 0, 1, 1)))
             assert report.union_covered
-            assert report.ok, report.failures
+            assert report.failures == []
 
     def test_cfg2_f11_two_line_structure(self):
         cfg = cfg_over(11, (-4, -1, 0, 2, 3))
         report = verify_against_paths(cfg)
-        assert report.ok, report.failures
+        assert report.failures == []
         field = cfg.field
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
         slope_image = {eval_path(cfg, spp, r) for r in all_ratios(field)}
@@ -244,7 +244,7 @@ class TestVerify:
     def test_cfg3_f7_slope_path_is_infinity_line(self):
         cfg = cfg_over(7, (1, 0, 0, 1, 1))
         report = verify_against_paths(cfg)
-        assert report.ok, report.failures
+        assert report.failures == []
         spp = slope_path_polys(cfg)
         image = {eval_path(cfg, spp, r) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
@@ -254,7 +254,7 @@ class TestVerify:
         cfg = cfg_over(5, (2, 2, 2, 0, 1))
         assert classify(cfg).dual_pairs
         report = verify_against_paths(cfg)
-        assert report.ok, report.failures
+        assert report.failures == []
         app = aspect_path_polys(cfg)
         image = {eval_path(cfg, app, r) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
@@ -294,7 +294,7 @@ class TestVerify:
             for _ in range(6):
                 cfg, _ = random_normalized_config(field, rng)
                 report = verify_against_paths(cfg)
-                assert report.ok, (p, report.failures)
+                assert report.failures == [], p
 
 
 class TestFiberAgainstCensus:

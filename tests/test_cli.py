@@ -101,7 +101,7 @@ class TestRect:
         path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
         doc = run_json(capsys, "rect", "--input", path, "--slope", "3/5")
         rect = parse_rectangle_json(QQ, doc)
-        assert [str(c) for c in rect.coords] == doc["projective"]
+        assert [str(c) for c in rect.key] == doc["projective"]
 
     def test_transformed_config_vertices_on_original_lines(self, tmp_path, capsys):
         # x = 0 forces a reflection; vertices must satisfy the ORIGINAL
@@ -445,6 +445,32 @@ class TestRender:
         svg = out.read_text()
         assert "<polyline" in svg and "</svg>" in svg
 
+    @pytest.mark.parametrize(
+        "command, digits, code, message",
+        [
+            ("render", 150, 0, None),
+            ("render", 160, 2, "error: the drawing does not fit in floats\n"),
+            ("render", 2200, 2, "error: the drawing does not fit in floats\n"),
+            ("locus", 160, 0, None),
+            ("locus", 2200, 2, "error: a report value past 4300 digits cannot be written\n"),
+        ],
+        ids=["render-150", "render-160", "render-2200", "locus-160", "locus-2200"],
+    )
+    def test_long_coefficient(self, tmp_path, capsys, command, digits, code, message):
+        """The cfg1 lines with A written as -2x + y = 77...7: the SVG holds only
+        finite numbers, and a drawing past the float range or a report value
+        past the int-to-str digit limit exits 2 with one line and no SVG."""
+        pairs = [[(-2, 1, "7" * digits), CFG1_PAIRS[0][1]], CFG1_PAIRS[1]]
+        path = write_config(tmp_path, "long.json", "rational", pairs)
+        out = tmp_path / "out.svg"
+        argv = ["--out", str(out), "--diagonals"] if command == "render" else []
+        got, stdout, err = run_cli(capsys, command, "--input", path, *argv)
+        assert got == code, err
+        if code:
+            assert not stdout and err == message and not out.exists()
+        elif command == "render":
+            assert not re.search(r"inf|nan", out.read_text(), re.IGNORECASE)
+
     def test_prime_field_render_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "p.json", {"prime": 11}, CFG1_PAIRS)
         code, _, err = run_cli(
@@ -525,6 +551,17 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.count("\n") == 1 and f"{path}: pairs[0][0].a: " in err
         assert "5000 digits" in err and "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize(
+        "ratio",
+        ["9" * 5000, "9" * 5000 + "/7", "7/" + "9" * 5000],
+        ids=["integer", "numerator", "denominator"],
+    )
+    def test_ratio_beyond_int_digit_limit(self, tmp_path, capsys, ratio):
+        path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
+        code, out, err = run_cli(capsys, "rect", "--input", path, f"--slope={ratio}")
+        assert code == 2 and not out
+        assert err == "error: a number of 5000 digits: at most 4300 are supported\n"
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -8,6 +8,7 @@ import os
 import pathlib
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,14 +16,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from quadriline import PrimeField, Ratio
+from quadriline import PrimeField, Ratio, cli, locus, svgfig
 from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import json_text, load_config, main
 from quadriline.configuration import DiagonalMarker, LocusShape
 from quadriline.errors import QuadrilineError
 from quadriline.rectangles import INDETERMINATE, Marker
 from quadriline.scalars import FpElement
-from conftest import CFG1_PAIRS, CFG2_PAIRS, write_config
+from conftest import CFG1_PAIRS, CFG2_PAIRS, bounded_ratio_samples, write_config
 
 # 60013 is the least prime above the census bound; the last one is the largest
 # prime below psi_13, the largest accepted modulus.
@@ -51,6 +52,16 @@ rational_literals = st.one_of(
     integer_literals,
     st.tuples(st.integers(-9, 9), st.integers(1, 5)).map(lambda t: "%d/%d" % t),
 )
+# Long literals: past the float range of a drawing, and with products past the
+# int-to-str digit limit of a report.
+long_digits = st.builds(
+    lambda digit, n: digit * n, st.sampled_from("123456789"), st.integers(150, 4300)
+)
+long_integers = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-"]), long_digits)
+long_rationals = st.one_of(
+    long_integers,
+    st.builds("{}/{}".format, long_integers, st.one_of(long_digits, st.integers(1, 9).map(str))),
+)
 wild_literals = st.one_of(
     st.integers(-20, 20),
     st.tuples(st.integers(-9, 9), st.integers(-3, 0)).map(lambda t: "%d/%d" % t),
@@ -73,7 +84,8 @@ wild_pairs = st.one_of(
 
 @st.composite
 def documents(draw):
-    """A well-formed document, then at most one corruption at a drawn site."""
+    """A well-formed document, then at most one corruption at a drawn site, or
+    rarely a well-formed document with long literals."""
     field = draw(
         st.one_of(
             st.just("rational"),
@@ -84,6 +96,13 @@ def documents(draw):
     literals = rational_literals if field == "rational" else integer_literals
     lines = [{key: draw(literals) for key in "abc"} for _ in range(4)]
     doc = {"field": field, "pairs": [lines[:2], lines[2:]]}
+    if not draw(st.integers(0, 7)):  # one document in eight: long literals, no corruption
+        if draw(st.integers(0, 3)):  # mostly over Q, where a literal keeps its length
+            doc["field"] = "rational"
+        long_literals = long_rationals if doc["field"] == "rational" else long_integers
+        for _ in range(draw(st.integers(1, 3))):
+            lines[draw(st.integers(0, 3))][draw(st.sampled_from("abc"))] = draw(long_literals)
+        return doc
     site = draw(st.sampled_from(["none", "none", "field", "pairs", "line", "literal", "key", "doc"]))
     i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     if site == "field":
@@ -233,7 +252,10 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs(), st.sampled_from(ARGV_FIELDS), st.sampled_from([CFG1_PAIRS, CFG2_PAIRS]))
 def test_any_argv_exits_0_or_2_with_one_line(argv, field, pairs):
-    with tempfile.TemporaryDirectory() as tmp:
+    """Also bounds the work of every ratio_samples call (:func:`bounded_ratio_samples`)."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        for module in (cli, locus, svgfig):  # the modules that call ratio_samples
+            stack.enter_context(mock.patch.object(module, "ratio_samples", bounded_ratio_samples))
         path = write_config(pathlib.Path(tmp), "input.json", field, pairs)
         out = os.path.join(tmp, "out.svg")
         argv = [token.replace("INPUT", path).replace("OUT", out) for token in argv]

@@ -63,7 +63,7 @@ class TestNormalize:
         assert pm.reflection_t != 0
         # No normalized line is vertical.
         for role in "ABCD":
-            assert not cfg.line(role).is_vertical
+            assert cfg.line(role).b
         # The map reproduces the normalized lines from the original ones.
         by_label = ci.lines_by_label()
         for role in "ABCD":
@@ -110,7 +110,7 @@ class TestNormalize:
         cfg, pm = normalize(ci)
         assert pm.reflection_t is not None
         for role in "ABCD":
-            assert not cfg.line(role).is_vertical
+            assert cfg.line(role).b
 
     def test_normalize_uses_no_line_methods(self, monkeypatch):
         """normalize runs on integer covectors: with the InputLine predicates and

@@ -30,7 +30,14 @@ from quadriline.paths import (
     slope_path_polys,
 )
 from quadriline.rectangles import ProjectiveRectangle, aspect_infinity_form, slope_infinity_form
-from conftest import CFG1_INTS, all_ratios, random_degenerate_config, random_rational_config, rat
+from conftest import (
+    CFG1_INTS,
+    all_ratios,
+    bounded_ratio_samples,
+    random_degenerate_config,
+    random_rational_config,
+    rat,
+)
 from membership import (
     has_aspect,
     has_slope,
@@ -70,7 +77,7 @@ class TestSlopePathPolynomials:
     def test_cfg3_is_a_line_with_zero_w(self, cfg3):
         pp = slope_path_polys(cfg3)
         assert pp.case is PathCase.ORTHOGONAL
-        assert pp.degree == 1
+        assert len(pp.w) - 1 == 1
         assert hpoly.is_zero(pp.w)  # the whole path lies at infinity
 
     def test_a_equals_b_case(self):
@@ -82,9 +89,9 @@ class TestSlopePathPolynomials:
     def test_degenerate_coordinates_have_degree_one(self, cfg2):
         pp = slope_path_polys(cfg2)
         assert pp.case is PathCase.ORTHOGONAL
-        assert pp.degree == 1
+        assert len(pp.w) - 1 == 1
         ap = aspect_path_polys(cfg2)
-        assert ap.degree == 1
+        assert len(ap.w) - 1 == 1
 
 
 def _identity_checks(cfg):
@@ -295,7 +302,6 @@ class TestIntegerKernel:
         root = (one, -one)  # S - T
         forms = {role: hpoly.scale(field.from_int(k), root) for k, role in enumerate(ROLES, 1)}
         pp = PathPolynomials(
-            kind="slope",
             case=PathCase.ORTHOGONAL,
             first=(one,),
             second=(one,),
@@ -387,8 +393,8 @@ class TestDegeneracyCharacterization:
         for cfg in configs:
             degenerate = not cfg.ef_sum
             pp, ap = slope_path_polys(cfg), aspect_path_polys(cfg)
-            assert (pp.degree == 1) == degenerate
-            assert (ap.degree == 1) == degenerate
+            assert (len(pp.w) - 1 == 1) == degenerate
+            assert (len(ap.w) - 1 == 1) == degenerate
             aspects = set()
             slopes = set()
             for r in ratio_samples(QQ, 20):
@@ -451,21 +457,8 @@ class TestRatioSamples:
         assert len(samples) == 6  # p + 1 points on the projective line
 
     @pytest.mark.parametrize("n", [1, 100, 10_007, 10_008, 10_009, 10**6])
-    def test_work_is_linear_in_the_points_returned(self, monkeypatch, n):
-        """Over F_p the walk stops once it holds all p + 1 ratios: it builds at
-        most 2 min(n, p + 1) of them, where walking every height up to p + 1
-        would build about p^2.  The counter raises at once past the bound."""
+    def test_work_is_linear_in_the_points_returned(self, n):
+        """The walk builds at most 2 min(n, p + 1) ratios (:func:`bounded_ratio_samples`)."""
         field = PrimeField(10_007)
-        bound = 2 * min(n, field.char + 1)
-        built = []
-        of = Ratio.of
-
-        def counted(num, den):
-            built.append(None)
-            if len(built) > bound:
-                raise AssertionError(f"more than {bound} ratios built for n = {n}")
-            return of(num, den)
-
-        monkeypatch.setattr(Ratio, "of", staticmethod(counted))
-        samples = ratio_samples(field, n)
+        samples = bounded_ratio_samples(field, n)
         assert len(samples) == len(set(samples)) == min(n, field.char + 1)

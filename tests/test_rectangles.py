@@ -253,7 +253,7 @@ class TestAtInfinityForms:
                     continue
                 root_set = {(r.num, r.den) for r in roots}
                 for r in roots:
-                    o = r.orthogonal()
+                    o = Ratio.of(-r.den, r.num)
                     assert (o.num, o.den) in root_set
 
     def test_three_parallel_lines_give_zero_and_infinity_aspects(self):
@@ -470,23 +470,16 @@ class TestRectangleIdentity:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(ODD_PRIMES), COORDS)
-    def test_coords_are_the_field_elements_of_the_key(self, prime, coords):
+    def test_vertex_and_w_are_field_elements_of_the_key(self, prime, coords):
         field = PrimeField(prime)
         assume(nonzero(field, coords))
         p = ProjectiveRectangle.canonical(field, coords)
         assert all(0 <= v < prime for v in p.key)
         assert next(v for v in p.key if v) == 1
-        assert all(isinstance(c, FpElement) and c.field == field for c in p.coords)
-        assert [c.value for c in p.coords] == list(p.key)
         pivot = field.from_int(next(c for c in coords if c % prime))
-        assert p.coords == tuple(field.from_int(c) / pivot for c in coords)
-        assert p.vertex("B") == p.coords[2:4] and p.w == p.coords[8]
-        assert p.at_infinity == (not p.coords[8])
-
-    def test_rational_coords_are_the_key(self):
-        p = ProjectiveRectangle.canonical(QQ, (2, 4, 0, 0, 0, 0, 0, 6, 4))
-        assert p.coords is p.key
-        assert p.key == tuple(Fraction(c, 4) for c in (2, 4, 0, 0, 0, 0, 0, 6, 4))
+        elements = tuple(field.from_int(c) / pivot for c in coords)
+        assert p.vertex("B") == elements[2:4] and p.w == elements[8]
+        assert p.at_infinity == (not elements[8])
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(ODD_PRIMES))

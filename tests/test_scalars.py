@@ -103,11 +103,10 @@ class TestFieldArithmetic:
         with pytest.raises(FieldError):
             PrimeField(5).one() + PrimeField(7).one()
 
-    def test_is_square_rational(self):
-        assert QQ.is_square(Fraction(9, 4))
+    def test_sqrt_rational(self):
         assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert not QQ.is_square(Fraction(-1))
-        assert not QQ.is_square(Fraction(52))
+        assert QQ.sqrt(Fraction(-1)) is None
+        assert QQ.sqrt(Fraction(52)) is None
         assert QQ.sqrt(Fraction(2)) is None
 
     def test_is_square_fp_matches_brute_force(self):
@@ -160,25 +159,23 @@ class TestPrimality:
 class TestSolveQuadratic:
     def test_perfect_square(self):
         roots = solve_quadratic(QQ, Fraction(1), Fraction(0), Fraction(-4))
-        assert {r.value for r in roots} == {2, -2}
-        assert all(r.multiplicity == 1 for r in roots)
+        assert sorted(roots) == [-2, 2]
 
     def test_negative_discriminant(self):
         assert solve_quadratic(QQ, Fraction(1), Fraction(0), Fraction(2)) == []
 
     def test_cfg1_at_infinity_quadratic_has_no_rational_roots(self):
         # Discriminant 4^2 - 4*(-3)*3 = 52 is not a rational square.
-        assert not QQ.is_square(Fraction(52))
+        assert QQ.sqrt(Fraction(52)) is None
         assert solve_quadratic(QQ, Fraction(-3), Fraction(4), Fraction(3)) == []
 
     def test_double_root_flagged(self):
         roots = solve_quadratic(QQ, Fraction(1), Fraction(-2), Fraction(1))
-        assert len(roots) == 1
-        assert roots[0].value == 1 and roots[0].multiplicity == 2
+        assert roots == [1]
 
     def test_linear_case(self):
         roots = solve_quadratic(QQ, Fraction(0), Fraction(2), Fraction(-5))
-        assert [r.value for r in roots] == [Fraction(5, 2)]
+        assert roots == [Fraction(5, 2)]
 
     def test_all_zero_rejected(self):
         with pytest.raises(PreconditionError):
@@ -192,8 +189,7 @@ class TestSolveQuadratic:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             if not a and not b and not c:
                 continue
-            for root in solve_quadratic(QQ, a, b, c):
-                x = root.value
+            for x in solve_quadratic(QQ, a, b, c):
                 assert a * x * x + b * x + c == 0
 
     def test_fp_root_order(self):
@@ -210,7 +206,7 @@ class TestSolveQuadratic:
                 if r is None:
                     continue
                 roots = solve_quadratic(field, a, b, c)
-                assert [root.value for root in roots] == [(-b + r) / (2 * a), (-b - r) / (2 * a)]
+                assert roots == [(-b + r) / (2 * a), (-b - r) / (2 * a)]
 
     def test_fp_agrees_with_brute_force(self):
         rng = random.Random(13)
@@ -223,7 +219,7 @@ class TestSolveQuadratic:
                 expected = {
                     v for v in range(p) if (a.value * v * v + b.value * v + c.value) % p == 0
                 }
-                got = {r.value.value for r in solve_quadratic(field, a, b, c)}
+                got = {r.value for r in solve_quadratic(field, a, b, c)}
                 assert got == expected
 
 
@@ -244,13 +240,6 @@ class TestRatio:
     def test_zero_zero_rejected(self):
         with pytest.raises(ParseError):
             Ratio.of(Fraction(0), Fraction(0))
-
-    def test_orthogonal(self):
-        r = Ratio.of(Fraction(3), Fraction(2))
-        assert r.orthogonal() == Ratio.of(Fraction(-2), Fraction(3))
-        assert Ratio.of(Fraction(1), Fraction(0)).orthogonal() == Ratio.of(
-            Fraction(0), Fraction(1)
-        )
 
     def test_parse_and_format(self):
         assert ratio_parse("1/0", QQ).is_infinite

@@ -1,7 +1,8 @@
 """The public surface: the README library example, the exported names, and no
-module-level definition or import in the package that nothing uses."""
+module-level definition, class member or import in the package that nothing uses."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 from fractions import Fraction
@@ -83,14 +84,14 @@ def test_exports_are_the_documented_api():
     assert exported_names() == set(API)
 
 
-def test_every_definition_is_used_or_exported():
-    """A module-level function or class is referenced in another place in the
-    package, or it is part of the documented API."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+def package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def names_read(trees):
+    """Every name, attribute and imported name that the given trees mention."""
     used = set()
-    for name, tree in trees.items():
-        if name == "__init__.py":
-            continue
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -98,6 +99,14 @@ def test_every_definition_is_used_or_exported():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return used
+
+
+def test_every_definition_is_used_or_exported():
+    """A module-level function or class is referenced in another place in the
+    package, or it is part of the documented API."""
+    trees = package_trees()
+    used = names_read(tree for name, tree in trees.items() if name != "__init__.py")
     unused = [
         f"{name}: {node.name}"
         for name, tree in sorted(trees.items())
@@ -127,3 +136,38 @@ def test_every_module_import_is_used():
                     if bound not in names:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+# Members that nothing in the package or the README library block reads, kept
+# as the reference a test checks the package against.
+ORACLES = {
+    "PlaneMap.normalized_line": "the forward map that tests check original_line against",
+    "PathHomography.aspect_to_slope": "the inverse map that acceptance criterion 2 reads",
+}
+
+
+def test_every_member_is_read():
+    """A method or property of a package class is read somewhere in the package
+    or in the README library block, by name.  Dunders, overrides of a base-class
+    method and the ORACLES are exempt; dataclass and NamedTuple fields are not
+    methods, and reports print them through ``vars``."""
+    trees = package_trees()
+    used = names_read([*trees.values(), ast.parse(library_block())])
+    unread = []
+    for name, tree in sorted(trees.items()):
+        module = importlib.import_module(f"quadriline.{name[:-3]}")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef) or member.name in used:
+                    continue
+                qualified = f"{node.name}.{member.name}"
+                if (
+                    not member.name.startswith("__")
+                    and not any(hasattr(base, member.name) for base in bases)
+                    and qualified not in ORACLES
+                ):
+                    unread.append(f"{name}: {qualified}")
+    assert unread == [], unread

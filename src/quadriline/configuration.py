@@ -173,7 +173,11 @@ class NormalizedConfig:
 
     e1, e2 encode the diagonal E through A∩B and C∩D, and f1, f2 the diagonal
     F through A∩D and B∩C: whenever the slope is defined it equals e1/e2
-    (resp. f1/f2).  They can never all four vanish.
+    (resp. f1/f2).  They can never all four vanish.  ``standing`` holds them
+    as the ints (M_A, M_B, M_C, M_D, B_A, δ, E1, E2, F1, F2): m_L = M_L / δ,
+    b_A = B_A / δ, e1, e2, f2 = E1, E2, F2 / δ² and f1 = F1 / δ³, with δ the
+    lcm of the denominators over the rationals, and δ = 1 and residues over
+    F_p.  The paths, center maps and classification run on these ints.
     """
 
     field: object
@@ -186,19 +190,22 @@ class NormalizedConfig:
     e2: object
     f1: object
     f2: object
+    standing: tuple
 
     @staticmethod
     def make(field, m_a, m_b, m_c, m_d, b_a) -> "NormalizedConfig":
         if m_c == m_d:
             raise PreconditionError("C and D must not be parallel")
-        one = field.one()
-        e1 = b_a * m_b - m_a
-        e2 = b_a - one
-        f1 = b_a * (m_b - m_c) * m_d + (m_d - m_a) * m_c
-        f2 = (m_d - m_a) + b_a * (m_b - m_c)
-        if not e1 and not e2 and not f1 and not f2:
+        standing = hpoly.integer_forms(field, [(m_a, m_b, m_c, m_d, b_a, field.one())])[0]
+        M_A, M_B, M_C, M_D, B, d = standing
+        E1, E2 = B * M_B - d * M_A, d * (B - d)
+        F1 = B * (M_B - M_C) * M_D + d * (M_D - M_A) * M_C
+        F2 = d * (M_D - M_A) + B * (M_B - M_C)
+        diagonal = tuple(hpoly.mod(v, field.char) for v in (E1, E2, F1, F2))
+        if not any(diagonal):
             raise InternalCheckError("e and f constants cannot all vanish")
-        return NormalizedConfig(field, m_a, m_b, m_c, m_d, b_a, e1, e2, f1, f2)
+        e1, e2, f1, f2 = (field.quotient(E, d ** k) for E, k in zip((E1, E2, F1, F2), (2, 2, 3, 2)))
+        return NormalizedConfig(field, m_a, m_b, m_c, m_d, b_a, e1, e2, f1, f2, (*standing, *diagonal))
 
     @staticmethod
     def from_ints(field, m_a, m_b, m_c, m_d, b_a) -> "NormalizedConfig":
@@ -206,9 +213,10 @@ class NormalizedConfig:
         return NormalizedConfig.make(field, f(m_a), f(m_b), f(m_c), f(m_d), f(b_a))
 
     @property
-    def ef_sum(self):
-        """e1*f1 + e2*f2; zero exactly for degenerate configurations."""
-        return self.e1 * self.f1 + self.e2 * self.f2
+    def ef_sum(self) -> int:
+        """δ⁵ (e1*f1 + e2*f2) = E1*F1 + δ*E2*F2 (mod p); zero exactly when degenerate."""
+        d, e1, e2, f1, f2 = self.standing[5:]
+        return hpoly.mod(e1 * f1 + d * e2 * f2, self.field.char)
 
     def slope(self, role: str):
         return {"A": self.m_a, "B": self.m_b, "C": self.m_c, "D": self.m_d}[role]
@@ -281,15 +289,14 @@ def classify(cfg: NormalizedConfig) -> ConfigClass:
     (a slope m with m^2 = -1 shared by three lines) put the aspect path
     there.  The two cannot coincide for a valid configuration.
     """
-    one = cfg.field.one()
+    m_a, m_b, m_c, m_d, _, d = cfg.standing[:6]
+    p = cfg.field.char
     degenerate = not cfg.ef_sum
-    twin = (cfg.m_a == cfg.m_d and cfg.m_b == cfg.m_c) or (
-        cfg.m_a * cfg.m_c == -one and cfg.m_b * cfg.m_d == -one
+    # m m' = -1 is M M' + δ² = 0 on the standing ints.
+    twin = (m_a == m_d and m_b == m_c) or not (
+        hpoly.mod(m_a * m_c + d * d, p) or hpoly.mod(m_b * m_d + d * d, p)
     )
-    dual = cfg.m_a * cfg.m_a == -one and (
-        (cfg.m_a == cfg.m_b and cfg.m_b == cfg.m_c)
-        or (cfg.m_a == cfg.m_b and cfg.m_b == cfg.m_d)
-    )
+    dual = not hpoly.mod(m_a * m_a + d * d, p) and m_a == m_b and m_b in (m_c, m_d)
     if twin and dual:
         raise InternalCheckError("twin and dual pairs are mutually exclusive")
     if (twin or dual) and not degenerate:
@@ -322,11 +329,6 @@ def _role_to_input(swaps) -> dict:
     return {"A": labels1[0], "C": labels1[1], "B": labels2[0], "D": labels2[1]}
 
 
-def _reduce(v: int, p: int) -> int:
-    """v mod p over F_p, v itself over the rationals (p = 0): zero exactly when v is."""
-    return v % p if p else v
-
-
 def _reflection(vectors, p: int) -> int:
     """Smallest t in 1, 2, ... whose reflection leaves no line vertical.
 
@@ -336,8 +338,8 @@ def _reflection(vectors, p: int) -> int:
     where 1 + t^2 never vanishes, one of t = 1, ..., 9 always works.
     """
     for t in range(1, p or 10):
-        if _reduce(1 + t * t, p) and all(
-            _reduce(2 * t * a + (t * t - 1) * b, p) for a, b, _ in vectors
+        if hpoly.mod(1 + t * t, p) and all(
+            hpoly.mod(2 * t * a + (t * t - 1) * b, p) for a, b, _ in vectors
         ):
             return t
     raise ReflectionUnavailableError(
@@ -362,14 +364,14 @@ def normalize(cfg_input: ConfigurationInput):
     p = field.char
     vectors = {label: covector(field, line) for label, line in cfg_input.lines_by_label().items()}
     a0, b0, _ = vectors["A"]
-    if not any(_reduce(a0 * b - b0 * a, p) for a, b, _ in vectors.values()):
+    if not any(hpoly.mod(a0 * b - b0 * a, p) for a, b, _ in vectors.values()):
         raise AllParallelError("all four lines are parallel")
     # Lexicographic over (swap pair1, swap pair2, swap pair roles).
     for swaps in itertools.product((False, True), repeat=3):
         role_to_input = _role_to_input(swaps)
         B, C, D = (vectors[role_to_input[role]] for role in "BCD")
         X, Y, Z = cross(C, D)
-        if _reduce(Z, p) and _reduce(B[0] * X + B[1] * Y + B[2] * Z, p):
+        if hpoly.mod(Z, p) and hpoly.mod(B[0] * X + B[1] * Y + B[2] * Z, p):
             break
     else:
         raise ConcurrentLinesError("all four lines pass through one point")
@@ -378,7 +380,7 @@ def normalize(cfg_input: ConfigurationInput):
     # Z times N at scale 1: scaling normalized points by s multiplies its last column by s.
     t = None
     unscaled = ((Z, 0, X), (0, Z, Y), (0, 0, Z))
-    if not all(_reduce(v[1], p) for v in vectors.values()):
+    if not all(hpoly.mod(v[1], p) for v in vectors.values()):
         t = _reflection(vectors.values(), p)
         d = 1 + t * t
         unscaled = (
@@ -387,7 +389,7 @@ def normalize(cfg_input: ConfigurationInput):
             (0, 0, d * Z),
         )
     _, u, v = _times(B, unscaled)
-    if not _reduce(v, p):
+    if not hpoly.mod(v, p):
         raise InternalCheckError("B passes through the origin after labeling")
     # B's image has intercept -v / u, so s = -u / v: N is v times the
     # unscaled matrix with its last column multiplied by s.
@@ -404,7 +406,7 @@ def normalize(cfg_input: ConfigurationInput):
     # slope -a' / b' and intercept -c' / b'.
     images = {role: _times(vectors[role_to_input[role]], matrix) for role in ROLES}
     (_, b1, b2), (_, _, c2), (_, _, d2) = images["B"], images["C"], images["D"]
-    if _reduce(c2, p) or _reduce(d2, p) or _reduce(b1 + b2, p):
+    if hpoly.mod(c2, p) or hpoly.mod(d2, p) or hpoly.mod(b1 + b2, p):
         raise InternalCheckError("normalization produced wrong intercepts")
     slopes = [field.quotient(-images[role][0], images[role][1]) for role in ROLES]
     b_a = field.quotient(-images["A"][2], images["A"][1])

@@ -1,11 +1,12 @@
 """Dense homogeneous polynomials in two variables.
 
 A form of degree d is a tuple ``(c0, ..., cd)`` standing for
-``sum(c[i] * S**(d-i) * T**i)``.  Length-1 tuples are constants.  All
-coefficients are exact field elements and arithmetic never leaves the field,
-except in :func:`integer_forms`, which clears a family of forms to integers
-for evaluation at integer points, and :func:`tabulate`, which evaluates such
-an integer form at consecutive integers.
+``sum(c[i] * S**(d-i) * T**i)``.  Length-1 tuples are constants.  The
+library's path forms and center maps have int coefficients, at a nonzero
+scale that projective evaluation does not see, and over F_p zero means zero
+mod p (:func:`mod`); forms of field elements work too.  :func:`integer_forms`
+clears field elements to ints, and :func:`tabulate` evaluates an int form at
+consecutive integers.
 """
 
 from __future__ import annotations
@@ -52,16 +53,16 @@ def eval_at(f, s, t):
     return acc
 
 
-def tabulate(f, count):
-    """The ints f(v, 1) for v = 0, 1, ..., count - 1, f with int coefficients.
+def tabulate(f, count, start=0, t=1):
+    """The ints f(start + v, t) for v = 0, 1, ..., count - 1, f with int coefficients.
 
     A forward-difference table (Knuth, *TAOCP* vol. 2, section 4.6.4): the
-    differences of f(0, 1), ..., f(d, 1) seed d nested running sums, so each
+    differences of the first d + 1 values seed d nested running sums, so each
     value costs d additions in place of a Horner pass.  The values are
     streamed, not stored.
     """
     d = len(f) - 1
-    row = [eval_at(f, v, 1) for v in range(d + 1)]
+    row = [eval_at(f, start + v, t) for v in range(d + 1)]
     diffs = []
     while row:
         diffs.append(row[0])
@@ -85,5 +86,10 @@ def integer_forms(field, forms):
     return [tuple(c.numerator * (factor // c.denominator) for c in f) for f in forms]
 
 
-def is_zero(f):
-    return all(not c for c in f)
+def mod(v, p: int):
+    """v mod p for a prime p, v itself for p = 0: zero exactly when v is zero in the field."""
+    return v % p if p else v
+
+
+def is_zero(f, p: int = 0):
+    return all(not mod(c, p) for c in f)

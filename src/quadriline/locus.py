@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import hpoly
-from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, cross
+from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, covector, cross
 from .errors import (
     AtInfinityError,
     InternalCheckError,
@@ -27,6 +27,7 @@ from .paths import (
     PathPolynomials,
     aspect_path_polys,
     eval_path,
+    ratio_ints,
     ratio_samples,
     slope_path_polys,
 )
@@ -91,9 +92,10 @@ class CenterMap:
     """The center of a path rectangle as a function of the ratio.
 
     center(r) = (x_num(r) / den(r), y_num(r) / den(r)) with den twice the
-    path's homogenizing polynomial.
+    path's homogenizing polynomial: int forms, at the scale of the path's.
     """
 
+    field: object
     x_num: tuple
     y_num: tuple
     den: tuple
@@ -102,18 +104,20 @@ class CenterMap:
     def of(cfg: NormalizedConfig, pp: PathPolynomials) -> "CenterMap":
         """The midpoint of the A and C vertices along a path."""
         return CenterMap(
+            field=cfg.field,
             x_num=hpoly.add(pp.x["A"], pp.x["C"]),
             y_num=hpoly.add(pp.y["A"], pp.y["C"]),
-            den=hpoly.scale(cfg.field.from_int(2), pp.w),
+            den=hpoly.scale(2, pp.w),
         )
 
     def at(self, r: Ratio):
-        d = hpoly.eval_at(self.den, r.num, r.den)
-        if not d:
+        s, t = ratio_ints(self.field, r)
+        d = hpoly.eval_at(self.den, s, t)
+        if not hpoly.mod(d, self.field.char):
             raise AtInfinityError("center map undefined at a path root")
         return (
-            hpoly.eval_at(self.x_num, r.num, r.den) / d,
-            hpoly.eval_at(self.y_num, r.num, r.den) / d,
+            self.field.quotient(hpoly.eval_at(self.x_num, s, t), d),
+            self.field.quotient(hpoly.eval_at(self.y_num, s, t), d),
         )
 
 
@@ -147,8 +151,8 @@ class LocusReport:
 _MONOMIALS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 
-def _require_zero(form, what: str):
-    if not hpoly.is_zero(form):
+def _require_zero(form, p: int, what: str):
+    if not hpoly.is_zero(form, p):
         raise InternalCheckError(what)
 
 
@@ -156,23 +160,23 @@ def _image_conic(cmap: CenterMap, adj) -> tuple:
     """b^2 - ac = 0 for (a, b, c) = adj(M)(x, y, 1), scaled so its last nonzero coefficient is 1.
 
     (x, y, 1) ~ M (s^2, st, t^2) gives adj(M)(x, y, 1) ~ (s^2, st, t^2).
-    Checked as an identity of forms: D^2 q(X/D, Y/D) = 0.
+    Checked on ints as an identity of forms: D^2 q(X/D, Y/D) = 0.
     """
+    field = cmap.field
     a, b, c = adj
     coeffs = []
     for i, j in _MONOMIALS:
         k = b[i] * b[j] - a[i] * c[j]
         coeffs.append(k if i == j else k + b[j] * b[i] - a[j] * c[i])
-    last = next(k for k in reversed(coeffs) if k)
-    conic = tuple(k / last for k in coeffs)
+    last = next(k for k in reversed(coeffs) if hpoly.mod(k, field.char))
     x, y, d = cmap.x_num, cmap.y_num, cmap.den
     forms = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
-    total = functools.reduce(hpoly.add, map(hpoly.scale, conic, forms))
-    _require_zero(total, "the locus conic does not vanish on the center map")
-    return conic
+    total = functools.reduce(hpoly.add, map(hpoly.scale, coeffs, forms))
+    _require_zero(total, field.char, "the locus conic does not vanish on the center map")
+    return tuple(field.quotient(k, last) for k in coeffs)
 
 
-def _image_line(field, cmap: CenterMap, normal, source: str) -> AffineLineDescription:
+def _image_line(cmap: CenterMap, normal, source: str) -> AffineLineDescription:
     """The line n0 x + n1 y + n2 = 0 that holds every center, for a normal n with
     n0 X + n1 Y + n2 D = 0.
 
@@ -181,6 +185,7 @@ def _image_line(field, cmap: CenterMap, normal, source: str) -> AffineLineDescri
     infinity and at most two share a center.  F_3 has only four, and there a
     map may have a single affine center; the line then keeps the scale of n.
     """
+    field = cmap.field
     first = line = None
     for r in ratio_samples(field, 5):
         try:
@@ -193,16 +198,14 @@ def _image_line(field, cmap: CenterMap, normal, source: str) -> AffineLineDescri
             line = _line_through(first, center, source)
             break
     if line is None:
-        line = AffineLineDescription(normal[0], normal[1], -normal[2], source)
-    form = hpoly.sub(
-        hpoly.add(hpoly.scale(line.a, cmap.x_num), hpoly.scale(line.b, cmap.y_num)),
-        hpoly.scale(line.c, cmap.den),
-    )
-    _require_zero(form, f"{source} left their line")
+        line = AffineLineDescription(*map(field.from_int, (normal[0], normal[1], -normal[2])), source)
+    forms = (cmap.x_num, cmap.y_num, cmap.den)
+    form = functools.reduce(hpoly.add, map(hpoly.scale, covector(field, line), forms))
+    _require_zero(form, field.char, f"{source} left their line")
     return line
 
 
-def _image(field, cmap: CenterMap, source: str):
+def _image(cmap: CenterMap, source: str):
     """The set of centers as (conic, line, point), exactly one of them set.
 
     The columns c_j = (x_num[j], y_num[j], den[j]) form the coefficient
@@ -210,24 +213,24 @@ def _image(field, cmap: CenterMap, source: str):
     c0 x c1, so det M = c0 . (c1 x c2).  A nonzero det gives the conic; when
     det M = 0 each row n of adj(M) has n M = 0, the equation of a line, and
     with adj(M) = 0 (rank 1) the map is constant.  Degree 1: the single
-    normal c0 x c1 decides between the line and the point.
+    normal c0 x c1 decides between the line and the point.  All on ints, mod p over F_p.
     """
+    field, p = cmap.field, cmap.field.char
     cols = tuple(zip(cmap.x_num, cmap.y_num, cmap.den))
     if len(cols) == 3:
         normals = adjugate((cmap.x_num, cmap.y_num, cmap.den))
-        det = sum((n * c for n, c in zip(normals[0], cols[0])), field.zero())
-        if det:
+        if hpoly.mod(sum(n * c for n, c in zip(normals[0], cols[0])), p):
             return _image_conic(cmap, normals), None, None
     else:
         normals = (cross(cols[0], cols[1]),)
-    normal = next((n for n in normals if any(n)), None)
+    normal = next((n for n in normals if not hpoly.is_zero(n, p)), None)
     if normal is not None:
-        return None, _image_line(field, cmap, normal, source), None
-    x, y, d = next(c for c in cols if c[2])
-    point = (x / d, y / d)
-    for num, value in ((cmap.x_num, point[0]), (cmap.y_num, point[1])):
-        _require_zero(hpoly.sub(num, hpoly.scale(value, cmap.den)), "center map is not constant")
-    return None, None, point
+        return None, _image_line(cmap, normal, source), None
+    x, y, d = next(c for c in cols if hpoly.mod(c[2], p))
+    for num, value in ((cmap.x_num, x), (cmap.y_num, y)):
+        constant = hpoly.sub(hpoly.scale(d, num), hpoly.scale(value, cmap.den))
+        _require_zero(constant, p, "center map is not constant")
+    return None, None, (field.quotient(x, d), field.quotient(y, d))
 
 
 def centers_paths(cfg: NormalizedConfig) -> LocusReport:
@@ -242,17 +245,16 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
     matrix is singular, a line or a point.
     """
     cls = classify(cfg)
-    field = cfg.field
     if cls.locus_shape is LocusShape.LINE_PLUS_INFINITY:
         pp = aspect_path_polys(cfg) if cls.twin_pairs else slope_path_polys(cfg)
         source = "aspect-centers" if cls.twin_pairs else "slope-centers"
-        _, line, point = _image(field, CenterMap.of(cfg, pp), source)
+        _, line, point = _image(CenterMap.of(cfg, pp), source)
         return LocusReport(shape=cls.locus_shape, single_line=line, point=point)
 
     if cls.degenerate:
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
-        _, slope_line, slope_point = _image(field, CenterMap.of(cfg, spp), "slope-centers")
-        _, aspect_line, aspect_point = _image(field, CenterMap.of(cfg, app), "aspect-centers")
+        _, slope_line, slope_point = _image(CenterMap.of(cfg, spp), "slope-centers")
+        _, aspect_line, aspect_point = _image(CenterMap.of(cfg, app), "aspect-centers")
         point = points = None
         if slope_point is not None and aspect_point is not None:
             # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
@@ -281,7 +283,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
         )
 
     cmap = CenterMap.of(cfg, slope_path_polys(cfg))
-    conic, line, point = _image(field, cmap, "slope-centers")
+    conic, line, point = _image(cmap, "slope-centers")
     return LocusReport(
         shape=cls.locus_shape, conic=conic, single_line=line, point=point, center_map=cmap
     )
@@ -315,7 +317,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
 
     spp, app = report.slope_path, report.aspect_path
-    shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], spp.second[0])
+    shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], cfg.field.from_int(spp.second[0]))
     center_rect = eval_path(cfg, app, shared_aspect)
     if center_of(center_rect) != meet:
         raise InternalCheckError("center rectangle misses the locus intersection")

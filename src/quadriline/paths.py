@@ -5,7 +5,7 @@ space: the slope path sends a ratio to a rectangle with that slope, the
 aspect path to a rectangle with that aspect ratio.  The nine coordinate
 polynomials of each path are assembled from a two-case pair of forms derived
 from the diagonal constants (e1, e2, f1, f2); in the degenerate case the
-forms are constants and the paths are lines.
+forms are constants and the paths are lines.  All are built on ints.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class PathPolynomials:
     rectangle at ratio r has aspect ratio m_CD * first(r) / second(r); for
     the aspect path it has slope first(r) / second(r).  ``x`` and ``y`` map
     roles to the vertex-coordinate forms and ``w`` is the homogenizing form
-    whose roots are the path's points at infinity.  ``field`` is the field
-    of the coefficients.
+    whose roots are the path's points at infinity.  The forms are int
+    forms on ``NormalizedConfig.standing`` (residues over F_p): the nine are
+    the field-element forms times one nonzero constant, ``first`` and
+    ``second`` times another (δ⁶ and δ³ in the generic slope case).
     """
 
     case: PathCase
@@ -53,102 +55,105 @@ class PathPolynomials:
     x: dict
     y: dict
     w: tuple
-    field: object
 
     @functools.cached_property
     def integer_forms(self) -> list:
-        """The nine forms x_A, y_A, ..., x_D, y_D, w as ints, cleared by one common factor."""
-        forms = [f for role in ROLES for f in (self.x[role], self.y[role])]
-        forms.append(self.w)
-        return hpoly.integer_forms(self.field, forms)
+        """The nine forms x_A, y_A, ..., x_D, y_D, w, in that order."""
+        return [f for role in ROLES for f in (self.x[role], self.y[role])] + [self.w]
 
 
 def _slope_forms(cfg: NormalizedConfig):
-    zero, one = cfg.field.zero(), cfg.field.one()
-    if not cfg.e1 and not cfg.e2:
-        return PathCase.BOTH_ZERO, (zero,), (one,)
+    """(case, first, second): (e1, e2) and (f2, -f1) times δ³, or cleared to ints."""
+    d, e1, e2, f1, f2 = cfg.standing[5:]
+    if not e1 and not e2:
+        return PathCase.BOTH_ZERO, (0,), (1,)
     if cfg.ef_sum:
-        return PathCase.GENERIC, (cfg.e1, cfg.e2), (cfg.f2, -cfg.f1)
-    if cfg.e1:
-        return PathCase.ORTHOGONAL, (one,), (cfg.f2 / cfg.e1,)
-    return PathCase.ORTHOGONAL, (one,), (-cfg.f1 / cfg.e2,)
+        return PathCase.GENERIC, (d * e1, d * e2), (d * f2, -f1)
+    if e1:
+        return PathCase.ORTHOGONAL, (e1,), (f2,)
+    return PathCase.ORTHOGONAL, (d * e2,), (-f1,)
 
 
 def _aspect_forms(cfg: NormalizedConfig):
-    zero, one = cfg.field.zero(), cfg.field.one()
-    m_cd = cfg.m_c - cfg.m_d
-    if not cfg.f1 and not cfg.e2:
-        return PathCase.BOTH_ZERO, (zero,), (one,)
+    """(case, first, second): (f1 / m_CD, e2) and (f2 / m_CD, -e1) times δ² M_CD, or cleared."""
+    _, _, m_c, m_d, _, d, e1, e2, f1, f2 = cfg.standing
+    if not f1 and not e2:
+        return PathCase.BOTH_ZERO, (0,), (1,)
+    m_cd = m_c - m_d
     if cfg.ef_sum:
-        return (
-            PathCase.GENERIC,
-            (cfg.f1 / m_cd, cfg.e2),
-            (cfg.f2 / m_cd, -cfg.e1),
-        )
-    if cfg.e2:
-        return PathCase.ORTHOGONAL, (one,), (-cfg.e1 / cfg.e2,)
-    return PathCase.ORTHOGONAL, (one,), (cfg.f2 / cfg.f1,)
+        return PathCase.GENERIC, (f1, m_cd * e2), (d * f2, -m_cd * e1)
+    if e2:
+        return PathCase.ORTHOGONAL, (e2,), (-e1,)
+    return PathCase.ORTHOGONAL, (f1,), (d * f2,)
+
+
+def _path(cfg: NormalizedConfig, case, first, second, xs, w) -> PathPolynomials:
+    """The path from xs = X'_A, ..., X'_D and W', one multiple of x_A, ..., x_D and δ w:
+    X_L = δ² X'_L, Y_L = δ M_L X'_L + B_L W' (B_B = δ, B_C = B_D = 0) and W = δ W'."""
+    m_a, m_b, m_c, m_d, b_a, d = cfg.standing[:6]
+    x, y = {}, {}
+    for role, x_l, m_l, b_l in zip(ROLES, xs, (m_a, m_b, m_c, m_d), (b_a, d, 0, 0)):
+        x[role] = hpoly.scale(d * d, x_l)
+        y[role] = hpoly.add(hpoly.scale(d * m_l, x_l), hpoly.scale(b_l, w))
+    w = hpoly.scale(d, w)
+    if p := cfg.field.char:
+        first, second, w = (tuple(c % p for c in f) for f in (first, second, w))
+        x, y = ({r: tuple(c % p for c in f) for r, f in forms.items()} for forms in (x, y))
+    return PathPolynomials(case, first, second, x, y, w)
 
 
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The nine coordinate polynomials of the slope path."""
     case, e_form, f_form = _slope_forms(cfg)
-    one = cfg.field.one()
-    m_c, m_d, m_b = cfg.m_c, cfg.m_d, cfg.m_b
-    x = {
-        "A": hpoly.add(hpoly.mul((-one, m_c), e_form), hpoly.mul((one, cfg.field.zero()), f_form)),
-        "B": hpoly.add(hpoly.mul((-one, m_d), e_form), hpoly.mul((one, cfg.field.zero()), f_form)),
-        "C": hpoly.mul((-one, m_d), e_form),
-        "D": hpoly.mul((-one, m_c), e_form),
-    }
+    _, m_b, m_c, m_d, _, d = cfg.standing[:6]
+    xs = [
+        hpoly.add(hpoly.mul((-d, m_c), e_form), hpoly.mul((d, 0), f_form)),
+        hpoly.add(hpoly.mul((-d, m_d), e_form), hpoly.mul((d, 0), f_form)),
+        hpoly.mul((-d, m_d), e_form),
+        hpoly.mul((-d, m_c), e_form),
+    ]
     w = hpoly.sub(
-        hpoly.mul(hpoly.scale(m_b - m_c, (one, -m_d)), e_form),
-        hpoly.mul((m_b, one), f_form),
+        hpoly.mul(hpoly.scale(m_b - m_c, (d, -m_d)), e_form),
+        hpoly.mul((d * m_b, d * d), f_form),
     )
-    y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
-                         hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(case, e_form, f_form, x, y, w, cfg.field)
+    return _path(cfg, case, e_form, f_form, xs, w)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The nine coordinate polynomials of the aspect path."""
     case, m_form, n_form = _aspect_forms(cfg)
-    zero, one = cfg.field.zero(), cfg.field.one()
-    m_cd = cfg.m_c - cfg.m_d
-    m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
-    m_bc = m_b - m_c
-    u_only = (one, zero)
-    x = {
-        "A": hpoly.sub(hpoly.mul((one, -m_cd), m_form), hpoly.mul(hpoly.scale(m_c, u_only), n_form)),
-        "B": hpoly.sub(hpoly.mul((one, -m_cd), m_form), hpoly.mul(hpoly.scale(m_d, u_only), n_form)),
-        "C": hpoly.sub(hpoly.mul(u_only, m_form), hpoly.mul(hpoly.scale(m_d, u_only), n_form)),
-        "D": hpoly.sub(hpoly.mul(u_only, m_form), hpoly.mul(hpoly.scale(m_c, u_only), n_form)),
-    }
+    _, m_b, m_c, m_d, _, d = cfg.standing[:6]
+    m_cd, m_bc = m_c - m_d, m_b - m_c
+    xs = [
+        hpoly.sub(hpoly.mul((d, -m_cd), m_form), hpoly.mul((m_c, 0), n_form)),
+        hpoly.sub(hpoly.mul((d, -m_cd), m_form), hpoly.mul((m_d, 0), n_form)),
+        hpoly.sub(hpoly.mul((d, 0), m_form), hpoly.mul((m_d, 0), n_form)),
+        hpoly.sub(hpoly.mul((d, 0), m_form), hpoly.mul((m_c, 0), n_form)),
+    ]
     w = hpoly.add(
-        hpoly.mul((-m_bc, m_cd * m_b), m_form),
-        hpoly.mul((m_bc * m_d, m_cd), n_form),
+        hpoly.mul((-d * m_bc, m_cd * m_b), m_form),
+        hpoly.mul((m_bc * m_d, d * m_cd), n_form),
     )
-    y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
-                         hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(case, m_form, n_form, x, y, w, cfg.field)
+    return _path(cfg, case, m_form, n_form, xs, w)
+
+
+def ratio_ints(field, r: Ratio) -> tuple:
+    """Ints (s, t) proportional to r: (n, d) for n/d, (1, 0) for 1/0, residues over F_p."""
+    if field.char:
+        return r.num.value, r.den.value
+    return r.num.numerator * r.den.denominator, r.den.numerator * r.num.denominator
 
 
 def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> ProjectiveRectangle:
     """The canonical rectangle of the path at the ratio r.
 
     The point is projective, so the nine integer forms of ``pp`` are
-    evaluated at integers proportional to r: (n, d) for n/d over the
-    rationals, (1, 0) for 1/0, residues over F_p.
+    evaluated at integers proportional to r (:func:`ratio_ints`).
     """
-    field = cfg.field
-    if field.char:
-        s, t = r.num.value, r.den.value
-    else:
-        num, den = r.num, r.den
-        s, t = num.numerator * den.denominator, den.numerator * num.denominator
+    s, t = ratio_ints(cfg.field, r)
     coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
     try:
-        return ProjectiveRectangle.canonical(field, coords)
+        return ProjectiveRectangle.canonical(cfg.field, coords)
     except PreconditionError:
         raise InternalCheckError("path polynomials share a projective zero") from None
 

@@ -9,7 +9,7 @@ division X / D of exact integer forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
+from math import hypot, isfinite
 
 from . import hpoly
 from .configuration import InputLine, covector, cross
@@ -17,9 +17,6 @@ from .errors import ParallelPairError, PreconditionError
 from .locus import centers_paths, diagonal_g, gauss_newton_line
 from .paths import eval_path, ratio_samples, slope_path_polys
 from .scalars import QQ
-
-# The conic sweep visits the ratios j/32 for |j| <= 512, then 1/0.
-_SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
 
 
 def _fmt(v) -> str:
@@ -77,22 +74,21 @@ def _clip_line(line: InputLine, box):
 
 
 def _swept_centers(center_map, plane_map):
-    """The locus center at each ratio of ``_SWEEP`` as a float point in
+    """The locus center at the ratios j/32 for |j| <= 512, then 1/0, as a float point in
     original coordinates, or None where the center map is undefined.
 
-    The plane map's matrix N takes the center map's forms (x_num, y_num, den)
-    to three forms at once; a common factor then clears every denominator,
-    leaving integer forms (X, Y, D) and the point (X / D, Y / D).
+    The plane map's matrix N takes the center map's int forms (x_num, y_num, den) to
+    three int forms (X, Y, D), tabulated at (j : 32) by forward differences and read at
+    (1 : 0) off their first coefficients; the point is (X / D, Y / D).
     """
     cm = center_map
     forms = [
         hpoly.add(hpoly.add(hpoly.scale(n0, cm.x_num), hpoly.scale(n1, cm.y_num)), hpoly.scale(n2, cm.den))
         for n0, n1, n2 in plane_map.matrix
     ]
-    forms = hpoly.integer_forms(QQ, forms)
+    columns = [hpoly.tabulate(f, 1025, -512, 32) for f in forms]
     points = []
-    for s, t in _SWEEP:
-        x, y, d = (hpoly.eval_at(f, s, t) for f in forms)
+    for x, y, d in [*zip(*columns), tuple(f[0] for f in forms)]:
         if not d:
             points.append(None)
             continue
@@ -167,12 +163,10 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
                     conic_branches.append(branch)
                     branch = []
                 continue
-            if prev is not None:
-                jump = (fpt[0] - prev[0]) ** 2 + (fpt[1] - prev[1]) ** 2
-                if jump > (w0 * w0 + h0 * h0) / 4:
-                    if branch:
-                        conic_branches.append(branch)
-                    branch = []
+            if prev is not None and hypot(fpt[0] - prev[0], fpt[1] - prev[1]) > hypot(w0, h0) / 2:
+                if branch:
+                    conic_branches.append(branch)
+                branch = []
             branch.append(fpt)
             prev = fpt
             canvas.require(*fpt)

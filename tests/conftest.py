@@ -1,6 +1,8 @@
 """Shared fixtures: the three reference configurations and random generators."""
 
+import contextlib
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ from quadriline import (
     QQ,
     Ratio,
 )
-from quadriline.configuration import adjugate
+from quadriline.cli import load_config
+from quadriline.configuration import adjugate, normalize
 from quadriline.errors import PreconditionError
 from quadriline.paths import ratio_samples
 from quadriline.scalars import solve_quadratic
@@ -145,6 +148,36 @@ def bounded_ratio_samples(field, count):
         return ratio_samples(field, count)
     finally:
         Ratio.of = staticmethod(of)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_config(name: str):
+    """The normalized configuration of the file ``configs/<name>``."""
+    return normalize(load_config(str(CONFIGS / name)))[0]
+
+
+@contextlib.contextmanager
+def fraction_count():
+    """Count the Fractions built inside the block.
+
+    Fraction.__new__ is wrapped while the block runs; the yielded list holds
+    one int, the number built so far.  On Python 3.11, Fraction arithmetic
+    builds every result through the constructor, so results count too.
+    """
+    built = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = new
 
 
 def lines_for(cfg) -> dict:

@@ -10,7 +10,9 @@ the census; the tests check both against these definitions.  The slope,
 aspect ratio and center of a point are read here through field elements, the
 reference for the library's reads off canonical residues.  Normalization to
 standing form is here too, in field elements throughout: the reference for the
-library's normalization on integer covectors.
+library's normalization on integer covectors.  So are the path forms and the
+locus conic in field elements, the reference for the library's int forms on
+the integer standing form.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from quadriline.configuration import (
     InputLine,
     NormalizedConfig,
     PlaneMap,
+    adjugate,
 )
 from quadriline.errors import (
     AllParallelError,
@@ -35,6 +38,7 @@ from quadriline.errors import (
     PreconditionError,
     ReflectionUnavailableError,
 )
+from quadriline.paths import PathCase, PathPolynomials
 from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle
 from quadriline.scalars import Ratio
 
@@ -431,3 +435,127 @@ def normalize(cfg_input: ConfigurationInput):
         field, slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"]
     )
     return cfg, plane_map
+
+
+def diagonal_constants(cfg: NormalizedConfig) -> tuple:
+    """(e1, e2, f1, f2) in field elements, off the standing-form constants."""
+    m_a, m_b, m_c, m_d, b_a = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a
+    return (
+        b_a * m_b - m_a,
+        b_a - cfg.field.one(),
+        b_a * (m_b - m_c) * m_d + (m_d - m_a) * m_c,
+        (m_d - m_a) + b_a * (m_b - m_c),
+    )
+
+
+def _slope_forms(cfg: NormalizedConfig):
+    zero, one = cfg.field.zero(), cfg.field.one()
+    e1, e2, f1, f2 = diagonal_constants(cfg)
+    if not e1 and not e2:
+        return PathCase.BOTH_ZERO, (zero,), (one,)
+    if e1 * f1 + e2 * f2:
+        return PathCase.GENERIC, (e1, e2), (f2, -f1)
+    if e1:
+        return PathCase.ORTHOGONAL, (one,), (f2 / e1,)
+    return PathCase.ORTHOGONAL, (one,), (-f1 / e2,)
+
+
+def _aspect_forms(cfg: NormalizedConfig):
+    zero, one = cfg.field.zero(), cfg.field.one()
+    e1, e2, f1, f2 = diagonal_constants(cfg)
+    m_cd = cfg.m_c - cfg.m_d
+    if not f1 and not e2:
+        return PathCase.BOTH_ZERO, (zero,), (one,)
+    if e1 * f1 + e2 * f2:
+        return PathCase.GENERIC, (f1 / m_cd, e2), (f2 / m_cd, -e1)
+    if e2:
+        return PathCase.ORTHOGONAL, (one,), (-e1 / e2,)
+    return PathCase.ORTHOGONAL, (one,), (f2 / f1,)
+
+
+def _path(cfg: NormalizedConfig, case, first, second, x, w) -> PathPolynomials:
+    y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
+                         hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
+    return PathPolynomials(case, first, second, x, y, w)
+
+
+def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
+    """The slope path's forms in field elements: the reference for the library's int forms."""
+    case, e_form, f_form = _slope_forms(cfg)
+    zero, one = cfg.field.zero(), cfg.field.one()
+    m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
+    x = {
+        "A": hpoly.add(hpoly.mul((-one, m_c), e_form), hpoly.mul((one, zero), f_form)),
+        "B": hpoly.add(hpoly.mul((-one, m_d), e_form), hpoly.mul((one, zero), f_form)),
+        "C": hpoly.mul((-one, m_d), e_form),
+        "D": hpoly.mul((-one, m_c), e_form),
+    }
+    w = hpoly.sub(
+        hpoly.mul(hpoly.scale(m_b - m_c, (one, -m_d)), e_form),
+        hpoly.mul((m_b, one), f_form),
+    )
+    return _path(cfg, case, e_form, f_form, x, w)
+
+
+def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
+    """The aspect path's forms in field elements: the reference for the library's int forms."""
+    case, m_form, n_form = _aspect_forms(cfg)
+    zero, one = cfg.field.zero(), cfg.field.one()
+    m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
+    m_cd, m_bc = m_c - m_d, m_b - m_c
+    u_only = (one, zero)
+    x = {
+        "A": hpoly.sub(hpoly.mul((one, -m_cd), m_form), hpoly.mul(hpoly.scale(m_c, u_only), n_form)),
+        "B": hpoly.sub(hpoly.mul((one, -m_cd), m_form), hpoly.mul(hpoly.scale(m_d, u_only), n_form)),
+        "C": hpoly.sub(hpoly.mul(u_only, m_form), hpoly.mul(hpoly.scale(m_d, u_only), n_form)),
+        "D": hpoly.sub(hpoly.mul(u_only, m_form), hpoly.mul(hpoly.scale(m_c, u_only), n_form)),
+    }
+    w = hpoly.add(
+        hpoly.mul((-m_bc, m_cd * m_b), m_form),
+        hpoly.mul((m_bc * m_d, m_cd), n_form),
+    )
+    return _path(cfg, case, m_form, n_form, x, w)
+
+
+def coordinate_forms(pp: PathPolynomials) -> list:
+    """The nine forms x_A, y_A, ..., x_D, y_D, w of a path."""
+    return [f for role in ROLES for f in (pp.x[role], pp.y[role])] + [pp.w]
+
+
+def one_multiple(field, forms, reference) -> bool:
+    """Whether the int forms are the field-element reference forms times one
+    nonzero constant, coefficient by coefficient (so of the same degrees)."""
+    if [len(f) for f in forms] != [len(f) for f in reference]:
+        return False
+    got = [field.from_int(c) for f in forms for c in f]
+    want = [c for f in reference for c in f]
+    pivot = next((i for i, c in enumerate(want) if c), None)
+    if pivot is None:
+        return not any(got)
+    factor = got[pivot] / want[pivot]
+    return bool(factor) and all(g == factor * c for g, c in zip(got, want))
+
+
+def locus_conic(cfg: NormalizedConfig):
+    """The conic of the slope-path centers in field elements, scaled so its
+    last nonzero coefficient is 1, or None when the center map's matrix is
+    singular: the reference for ``centers_paths(cfg).conic``.
+
+    The center map is (x_A + x_C, y_A + y_C, 2 w); with M its coefficient
+    matrix and (a, b, c) the rows of adj(M), the conic is b^2 - a c = 0 in
+    (x, y, 1).
+    """
+    pp = slope_path_polys(cfg)
+    forms = (hpoly.add(pp.x["A"], pp.x["C"]), hpoly.add(pp.y["A"], pp.y["C"]),
+             hpoly.scale(cfg.field.from_int(2), pp.w))
+    if len(forms[0]) != 3:
+        return None
+    a, b, c = adj = adjugate(forms)
+    if not sum((n * m for n, m in zip(adj[0], (f[0] for f in forms))), cfg.field.zero()):
+        return None
+    coeffs = []
+    for i, j in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)):
+        k = b[i] * b[j] - a[i] * c[j]
+        coeffs.append(k if i == j else k + b[j] * b[i] - a[j] * c[i])
+    last = next(k for k in reversed(coeffs) if k)
+    return tuple(k / last for k in coeffs)

@@ -449,12 +449,18 @@ class TestRender:
         "command, digits, code, message",
         [
             ("render", 150, 0, None),
-            ("render", 160, 2, "error: the drawing does not fit in floats\n"),
+            ("render", 154, 0, None),
+            ("render", 160, 0, None),
+            ("render", 306, 0, None),
+            ("render", 310, 2, "error: the drawing does not fit in floats\n"),
             ("render", 2200, 2, "error: the drawing does not fit in floats\n"),
             ("locus", 160, 0, None),
             ("locus", 2200, 2, "error: a report value past 4300 digits cannot be written\n"),
         ],
-        ids=["render-150", "render-160", "render-2200", "locus-160", "locus-2200"],
+        ids=[
+            "render-150", "render-154", "render-160", "render-306", "render-310", "render-2200",
+            "locus-160", "locus-2200",
+        ],
     )
     def test_long_coefficient(self, tmp_path, capsys, command, digits, code, message):
         """The cfg1 lines with A written as -2x + y = 77...7: the SVG holds only

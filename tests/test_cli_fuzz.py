@@ -14,7 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from quadriline import PrimeField, Ratio, cli, locus, svgfig
 from quadriline.census import MAX_CENSUS_PRIME
@@ -82,17 +82,21 @@ wild_pairs = st.one_of(
 )
 
 
+field_tags = st.one_of(
+    st.just("rational"),
+    st.sampled_from(GOOD_MODULI).map(lambda p: {"prime": p}),
+    st.sampled_from(GOOD_MODULI).map(lambda p: {"prime": str(p)}),
+)
+# The primes where a census runs in milliseconds.
+census_field_tags = st.sampled_from([p for p in GOOD_MODULI if p < 60]).map(lambda p: {"prime": p})
+
+
 @st.composite
-def documents(draw):
-    """A well-formed document, then at most one corruption at a drawn site, or
-    rarely a well-formed document with long literals."""
-    field = draw(
-        st.one_of(
-            st.just("rational"),
-            st.sampled_from(GOOD_MODULI).map(lambda p: {"prime": p}),
-            st.sampled_from(GOOD_MODULI).map(lambda p: {"prime": str(p)}),
-        )
-    )
+def documents(draw, fields=field_tags):
+    """A well-formed document over a field drawn from ``fields``, then at most
+    one corruption at a drawn site, or rarely a well-formed document with long
+    literals."""
+    field = draw(fields)
     literals = rational_literals if field == "rational" else integer_literals
     lines = [{key: draw(literals) for key in "abc"} for _ in range(4)]
     doc = {"field": field, "pairs": [lines[:2], lines[2:]]}
@@ -172,16 +176,53 @@ def assert_exit_0_or_2_with_one_line(code, out, err):
         assert "Traceback" not in err
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), commands)
-def test_main_exits_0_or_2_with_one_line(doc, argv):
+@st.composite
+def calls(draw):
+    """A command and a document for it.  Three times in four a census gets a
+    prime below 60 and a render the rationals, the fields where they can
+    succeed; otherwise the document's field is drawn as for any command."""
+    argv = draw(commands)
+    fields = field_tags
+    if draw(st.integers(0, 3)):
+        fields = {"census": census_field_tags, "render": st.just("rational")}.get(argv[0], fields)
+    return draw(documents(fields)), argv
+
+
+def _call(doc, argv) -> int:
+    """Run the command on the document; asserts exit 0, or 2 with one line, and
+    returns the exit code."""
     if argv == ["census"] and not _census_is_quick(doc):
         argv = ["classify"]  # a census costs about 0.14 ms per unit of p
     with tempfile.TemporaryDirectory() as tmp:
         argv = [*argv, "--input", _write(tmp, doc)]
         if argv[0] == "render":
             argv += ["--out", os.path.join(tmp, "out.svg")]
-        assert_exit_0_or_2_with_one_line(*_run(argv))
+        code, out, err = _run(argv)
+    assert_exit_0_or_2_with_one_line(code, out, err)
+    return code
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(calls())
+def test_main_exits_0_or_2_with_one_line(call):
+    _call(*call)
+
+
+def test_fuzz_reaches_a_census_and_a_drawing():
+    """A fixed-seed run of the property above succeeds on census and render
+    too, so it checks them past their error paths."""
+    succeeded = set()
+
+    @seed(19)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(calls())
+    def run(call):
+        doc, argv = call
+        if not _call(doc, argv):
+            succeeded.add(argv[0])
+
+    run()
+    assert {"census", "render"} <= succeeded
 
 
 # The argv grammar: a command (or none, or an unknown one) with its own flags,

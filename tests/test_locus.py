@@ -36,7 +36,13 @@ from quadriline.paths import (
     slope_path_polys,
 )
 from membership import rectangle_from_slope
-from conftest import random_degenerate_config, random_rational_config, rat
+from conftest import (
+    fraction_count,
+    random_degenerate_config,
+    random_rational_config,
+    rat,
+    shipped_config,
+)
 
 
 def nullspace(rows):
@@ -419,10 +425,11 @@ class TestSpecialRectangles:
     def test_cfg2_at_infinity_interpretation(self, cfg2):
         special = special_rectangles(cfg2, centers_paths(cfg2))
         spp, app = slope_path_polys(cfg2), aspect_path_polys(cfg2)
-        # The slope path's rectangle at infinity: the root of its w-polynomial.
-        slope_inf = eval_path(cfg2, spp, Ratio.of(-spp.w[1], spp.w[0]))
+        # The slope path's rectangle at infinity: the root of its w-polynomial,
+        # whose coefficients are ints.
+        slope_inf = eval_path(cfg2, spp, rat(QQ, -spp.w[1], spp.w[0]))
         assert slope_inf.at_infinity
-        aspect_inf = eval_path(cfg2, app, Ratio.of(-app.w[1], app.w[0]))
+        aspect_inf = eval_path(cfg2, app, rat(QQ, -app.w[1], app.w[0]))
         assert aspect_inf.at_infinity
         # It has the aspect ratio of the center rectangle and is orthogonal to it.
         assert aspect_of(slope_inf) == aspect_of(special.center_rectangle)
@@ -484,3 +491,14 @@ class TestAllParallel:
         ]
         with pytest.raises(PreconditionError):
             all_parallel_analysis(QQ, lines)
+
+
+@pytest.mark.parametrize("name", ["cfg1.json", "vertical.json"])
+def test_conic_locus_builds_only_its_coefficients(name):
+    """The center map, its adjugate and the identity check run on ints: the
+    only Fractions a conic locus builds are the six coefficients it reports."""
+    cfg = shipped_config(name)
+    with fraction_count() as built:
+        report = centers_paths(cfg)
+    assert report.conic is not None
+    assert built[0] <= len(report.conic) == 6

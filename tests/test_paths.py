@@ -34,15 +34,20 @@ from conftest import (
     CFG1_INTS,
     all_ratios,
     bounded_ratio_samples,
+    fraction_count,
+    shipped_config,
     random_degenerate_config,
     random_rational_config,
     rat,
 )
+import membership
 from membership import (
+    coordinate_forms,
     has_aspect,
     has_slope,
     is_parallelogram,
     is_rectangle,
+    one_multiple,
     satisfies_membership,
 )
 
@@ -94,13 +99,32 @@ class TestSlopePathPolynomials:
         assert len(ap.w) - 1 == 1
 
 
+def reference_paths(cfg):
+    """The field-element forms of both paths, after checking that the
+    library's int forms are one nonzero multiple of them, with the case-split
+    pair (first, second) another one."""
+    out = []
+    for build, reference in (
+        (slope_path_polys, membership.slope_path_polys),
+        (aspect_path_polys, membership.aspect_path_polys),
+    ):
+        pp, ref = build(cfg), reference(cfg)
+        assert pp.case is ref.case
+        assert one_multiple(cfg.field, coordinate_forms(pp), coordinate_forms(ref))
+        assert one_multiple(cfg.field, [pp.first, pp.second], [ref.first, ref.second])
+        out.append(ref)
+    return out
+
+
 def _identity_checks(cfg):
+    """The displacement identities, closures and the rectangle identity, on
+    the reference forms that the library's forms are one multiple of."""
     zero, one = Fraction(0), Fraction(1)
     m_cd = cfg.m_c - cfg.m_d
     m_dc = -m_cd
     s_only, t_only = (one, zero), (zero, one)
 
-    pp = slope_path_polys(cfg)
+    pp, ap = reference_paths(cfg)
     e_form, f_form = pp.first, pp.second
     assert hpoly.sub(pp.y["A"], pp.y["B"]) == hpoly.mul(hpoly.scale(m_cd, s_only), e_form)
     assert hpoly.sub(pp.x["A"], pp.x["B"]) == hpoly.mul(hpoly.scale(m_cd, t_only), e_form)
@@ -113,7 +137,6 @@ def _identity_checks(cfg):
     rhs = hpoly.mul(hpoly.sub(pp.y["A"], pp.y["B"]), hpoly.sub(pp.y["B"], pp.y["C"]))
     assert lhs == hpoly.scale(-one, rhs)
 
-    ap = aspect_path_polys(cfg)
     m_form, n_form = ap.first, ap.second
     assert hpoly.sub(ap.x["A"], ap.x["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), n_form)
     assert hpoly.sub(ap.y["A"], ap.y["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), m_form)
@@ -150,10 +173,11 @@ def divides(f, g) -> bool:
 
 
 def _divisibility_checks(cfg):
-    pp = slope_path_polys(cfg)
+    """The w forms against the at-infinity forms, on the reference forms that
+    the library's forms are one multiple of."""
+    pp, ap = reference_paths(cfg)
     sigma = slope_infinity_form(cfg)
     assert divides(pp.w, sigma)
-    ap = aspect_path_polys(cfg)
     alpha = aspect_infinity_form(cfg)
     m_cd_alpha = hpoly.scale(cfg.m_c - cfg.m_d, alpha)
     assert divides(ap.w, m_cd_alpha)
@@ -267,6 +291,16 @@ class TestSlopePathEval:
                 assert has_slope(rect, expected_slope)
 
 
+@pytest.mark.parametrize("name", ["cfg1.json", "cfg2.json", "cfg3.json"])
+def test_path_forms_build_no_fractions(name):
+    """Both paths are built on the integer standing form, not in Fractions."""
+    cfg = shipped_config(name)
+    with fraction_count() as built:
+        slope_path_polys(cfg)
+        aspect_path_polys(cfg)
+    assert built == [0]
+
+
 class TestIntegerKernel:
     """eval_path on integer forms against the field-element reference."""
 
@@ -297,18 +331,16 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["QQ", "F13"])
     def test_shared_root_raises(self, field):
-        """Nine forms that all vanish at 1/1: no point of P^8 there."""
-        one = field.one()
-        root = (one, -one)  # S - T
-        forms = {role: hpoly.scale(field.from_int(k), root) for k, role in enumerate(ROLES, 1)}
+        """Nine int forms that all vanish at 1/1: no point of P^8 there."""
+        root = (1, -1)  # S - T
+        forms = {role: hpoly.scale(k, root) for k, role in enumerate(ROLES, 1)}
         pp = PathPolynomials(
             case=PathCase.ORTHOGONAL,
-            first=(one,),
-            second=(one,),
+            first=(1,),
+            second=(1,),
             x=forms,
-            y={role: hpoly.scale(field.from_int(5), f) for role, f in forms.items()},
-            w=hpoly.scale(field.from_int(7), root),
-            field=field,
+            y={role: hpoly.scale(5, f) for role, f in forms.items()},
+            w=hpoly.scale(7, root),
         )
         cfg = NormalizedConfig.from_ints(field, *CFG1_INTS)
         with pytest.raises(InternalCheckError, match="share a projective zero"):

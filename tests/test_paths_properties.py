@@ -1,5 +1,6 @@
-"""Property tests: the integer path kernel and the forward-difference replay
-against field-element references, and the homography between the two paths."""
+"""Property tests: the integer path forms, the integer path kernel and the
+forward-difference replay against field-element references, and the
+homography between the two paths."""
 
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from quadriline import (
     homography,
 )
 from quadriline.errors import PreconditionError
+from quadriline.locus import centers_paths
 from quadriline.paths import (
     PathCase,
     aspect_path_polys,
@@ -32,7 +34,8 @@ from conftest import (
     all_ratios,
     degenerating_intercepts,
 )
-from test_paths import reference_eval_path
+from test_paths import reference_eval_path, reference_paths
+import membership
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
 KINDS = ("random", "degenerate", "twin-pair", "slope-both-zero", "aspect-both-zero")
@@ -83,6 +86,23 @@ def configs(draw, field_strategy=fields()):
         return NormalizedConfig.make(field, m_a, m_b, m_c, m_d, b_a)
     except PreconditionError:
         assume(False)
+
+
+# The fields of the form property: the rationals, the smallest primes, and two large ones.
+form_fields = st.sampled_from([3, 5, 1009, 1_000_000_007]).map(PrimeField) | st.just(QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(form_fields))
+def test_forms_are_one_multiple_of_the_reference(cfg):
+    """The int forms built on the standing ints against the field-element
+    reference: each path's nine forms are one nonzero multiple of the
+    reference's, and so are first and second, in the same case
+    (:func:`reference_paths`); e1, ..., f2 are the reference's; and so is the
+    locus conic."""
+    reference_paths(cfg)
+    assert (cfg.e1, cfg.e2, cfg.f1, cfg.f2) == membership.diagonal_constants(cfg)
+    assert centers_paths(cfg).conic == membership.locus_conic(cfg)
 
 
 def ratios(field):
@@ -173,3 +193,8 @@ def test_strategy_reaches_every_case():
 def test_replay_strategy_reaches_every_case():
     """So does its restriction to the small primes of the replay test."""
     assert cases_reached(small_prime_fields) == EVERY_CASE
+
+
+def test_form_strategy_reaches_every_case():
+    """And its restriction to the fields of the form property."""
+    assert cases_reached(form_fields) == EVERY_CASE

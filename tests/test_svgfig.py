@@ -23,8 +23,11 @@ from quadriline.cli import load_config
 from quadriline.errors import AtInfinityError
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
-from quadriline.svgfig import _SWEEP, _clip_line, _swept_centers, render
+from quadriline.svgfig import _clip_line, _swept_centers, render
 from conftest import rat
+
+# The ratios of the render's conic sweep: j/32 for |j| <= 512, then 1/0.
+SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
 
 
 RATIONAL_CONFIGS = ["cfg1.json", "cfg2.json", "cfg3.json", "vertical.json", "relabeled.json",
@@ -34,7 +37,7 @@ RATIONAL_CONFIGS = ["cfg1.json", "cfg2.json", "cfg3.json", "vertical.json", "rel
 def fraction_sweep(center_map, plane_map):
     """Reference: each swept center in Fractions, mapped back exactly, then rounded."""
     points = []
-    for s, t in _SWEEP:
+    for s, t in SWEEP:
         try:
             center = center_map.at(Ratio.of(Fraction(s), Fraction(t)))
         except AtInfinityError:
@@ -84,7 +87,7 @@ def test_zero_coordinate_over_negative_denominator():
     # The case the sign normalization is for: an exact 0 reached as 0 / (negative).
     assert any(
         pt is not None and 0.0 in pt and hpoly.eval_at(cm.den, Fraction(s), Fraction(t)) < 0
-        for (s, t), pt in zip(_SWEEP, reference)
+        for (s, t), pt in zip(SWEEP, reference)
     )
     assert repr(_swept_centers(cm, pm)) == repr(reference)
 

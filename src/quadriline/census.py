@@ -175,7 +175,8 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     slopes = [slope_residue(p, key) for key in keys]
     consistency_ok = True
     if cls.degenerate:
-        shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], field.from_int(spp.second[0]))
+        m_c, m_d = cfg.standing[2:4]  # residues, over δ = 1
+        shared_aspect = Ratio.from_ints(field, (m_c - m_d) * spp.first[0], spp.second[0])
         want = _ratio_residue(field, shared_aspect)
         for i, key in enumerate(slope_keys):
             if aspect_residue(p, key) != want:
@@ -183,7 +184,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
                 failures.append(
                     f"slope path aspect varies at {_ratio_label(field, i)}: {key}"
                 )
-        shared_slope = Ratio.of(field.from_int(app.first[0]), field.from_int(app.second[0]))
+        shared_slope = Ratio.from_ints(field, app.first[0], app.second[0])
         if cfg.f1 or cfg.f2:
             if shared_slope != Ratio.of(cfg.f1, cfg.f2):
                 consistency_ok = False

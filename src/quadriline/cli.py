@@ -140,8 +140,10 @@ def _plane_map_json(pm):
 
 
 def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
+    # An F_p key is already at the scale where its pivot is 1.
+    projective = rect.key if rect.field.char else rect.coordinates()
     out = {
-        "projective": [_str(c) for c in rect.key],
+        "projective": [_str(c) for c in projective],
         "at_infinity": rect.at_infinity,
         "slope": slope_of(rect),
         "aspect": aspect_of(rect),
@@ -208,8 +210,8 @@ def cmd_path(args) -> dict:
     cfg, pm = normalize(cfg_input)
     pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
     rects = [
-        {"ratio": r, **rectangle_json(eval_path(cfg, pp, r), pm)}
-        for r in ratio_samples(cfg.field, args.samples)
+        {"ratio": Ratio.from_ints(cfg.field, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
+        for st in ratio_samples(cfg.field, args.samples)
     ]
     return {"kind": args.kind, "rectangles": rects}
 

@@ -147,9 +147,8 @@ class PlaneMap:
 
     def original_points(self, key) -> list:
         """The original vertices A, B, C, D and center of the affine rectangle with canonical
-        key (x_A, y_A, ..., x_D, y_D, w): N (x_L, y_L, w) and N (x_A + x_C, y_A + y_C, 2w)."""
-        if not self.field.char:
-            key = hpoly.integer_forms(self.field, [key])[0]
+        key (x_A, y_A, ..., x_D, y_D, w), ints over both fields: N (x_L, y_L, w) and
+        N (x_A + x_C, y_A + y_C, 2w)."""
         w = key[8]
         points = [self.original_point(key[i], key[i + 1], w) for i in range(0, 8, 2)]
         points.append(self.original_point(key[0] + key[4], key[1] + key[5], 2 * w))

@@ -110,8 +110,9 @@ class CenterMap:
             den=hpoly.scale(2, pp.w),
         )
 
-    def at(self, r: Ratio):
-        s, t = ratio_ints(self.field, r)
+    def at(self, st: tuple):
+        """The center at the ratio s : t of the ints st = (s, t)."""
+        s, t = st
         d = hpoly.eval_at(self.den, s, t)
         if not hpoly.mod(d, self.field.char):
             raise AtInfinityError("center map undefined at a path root")
@@ -187,9 +188,9 @@ def _image_line(cmap: CenterMap, normal, source: str) -> AffineLineDescription:
     """
     field = cmap.field
     first = line = None
-    for r in ratio_samples(field, 5):
+    for st in ratio_samples(field, 5):
         try:
-            center = cmap.at(r)
+            center = cmap.at(st)
         except AtInfinityError:
             continue
         if first is None:
@@ -317,8 +318,9 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
 
     spp, app = report.slope_path, report.aspect_path
-    shared_aspect = Ratio.of((cfg.m_c - cfg.m_d) * spp.first[0], cfg.field.from_int(spp.second[0]))
-    center_rect = eval_path(cfg, app, shared_aspect)
+    _, _, m_c, m_d, _, d = cfg.standing[:6]
+    # The slope path's shared aspect m_CD first[0] : second[0], on the standing ints.
+    center_rect = eval_path(cfg, app, ((m_c - m_d) * spp.first[0], d * spp.second[0]))
     if center_of(center_rect) != meet:
         raise InternalCheckError("center rectangle misses the locus intersection")
 
@@ -339,7 +341,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         ratio = Ratio.of(-eq_y[1], eq_y[0])
     else:
         raise InternalCheckError("centroid equations vanished identically")
-    centroid_rect = eval_path(cfg, app, ratio)
+    centroid_rect = eval_path(cfg, app, ratio_ints(cfg.field, ratio))
     if center_of(centroid_rect) != centroid:
         raise InternalCheckError("centroid rectangle misses the centroid")
     return SpecialRectangles(center_rect, centroid_rect)

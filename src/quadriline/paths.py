@@ -11,6 +11,7 @@ forms are constants and the paths are lines.  All are built on ints.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -144,13 +145,13 @@ def ratio_ints(field, r: Ratio) -> tuple:
     return r.num.numerator * r.den.denominator, r.den.numerator * r.num.denominator
 
 
-def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, r: Ratio) -> ProjectiveRectangle:
-    """The canonical rectangle of the path at the ratio r.
+def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, st: tuple) -> ProjectiveRectangle:
+    """The canonical rectangle of the path at the ratio s : t of the ints st = (s, t).
 
     The point is projective, so the nine integer forms of ``pp`` are
-    evaluated at integers proportional to r (:func:`ratio_ints`).
+    evaluated at the ints themselves.
     """
-    s, t = ratio_ints(cfg.field, r)
+    s, t = st
     coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
     try:
         return ProjectiveRectangle.canonical(cfg.field, coords)
@@ -176,18 +177,18 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
         keys = [canonical_key(field, coords) for coords in zip(*columns)]
     except PreconditionError:
         raise InternalCheckError("path polynomials share a projective zero") from None
-    keys.append(eval_path(cfg, pp, Ratio(field.one(), field.zero())).key)
+    keys.append(eval_path(cfg, pp, (1, 0)).key)
     return keys
 
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the slope path with slope r."""
-    return eval_path(cfg, slope_path_polys(cfg), r)
+    return eval_path(cfg, slope_path_polys(cfg), ratio_ints(cfg.field, r))
 
 
 def aspect_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the aspect path with aspect ratio r."""
-    return eval_path(cfg, aspect_path_polys(cfg), r)
+    return eval_path(cfg, aspect_path_polys(cfg), ratio_ints(cfg.field, r))
 
 
 @dataclass(frozen=True)
@@ -227,36 +228,34 @@ def homography(cfg: NormalizedConfig) -> PathHomography:
     return PathHomography(to_aspect, to_slope)
 
 
-def ratio_samples(field, count: int):
-    """Deterministic ratio sequence 0/1, 1/0, 1/1, 1/-1, 2/1, 2/-1, 1/2, ...
+def _coprime_pairs():
+    """The int pairs the sample walk tries: (0, 1), (1, 0), then by increasing
+    height h each coprime (h, t), t = 1, ..., h, and (s, h), s = 1, ..., h - 1,
+    followed by its negative (-s, t)."""
+    yield 0, 1
+    yield 1, 0
+    for h in itertools.count(1):
+        for s, t in [(h, t) for t in range(1, h + 1)] + [(s, h) for s in range(1, h)]:
+            if math.gcd(s, t) == 1:
+                yield s, t
+                yield -s, t
 
-    Integer pairs are enumerated by increasing height and mapped into the
-    field, skipping repeats; over a prime field the sequence exhausts the
-    projective line and stops.
+
+def ratio_samples(field, count: int) -> list:
+    """Deterministic ratios 0/1, 1/0, 1/1, -1/1, 2/1, -2/1, 1/2, ... as canonical
+    int pairs: (s, t) coprime with t > 0 over the rationals, (v, 1) for a residue
+    v over F_p, and (1, 0).  The pairs of :func:`_coprime_pairs` are put in that
+    form and repeats skipped; over F_p the sequence exhausts the projective line
+    and stops.
     """
-    if field.char:
-        count = min(count, field.char + 1)  # the whole projective line over F_p
-    out = []
-    seen = set()
-
-    def push(si: int, ti: int) -> bool:
-        r = Ratio.of(field.from_int(si), field.from_int(ti))
-        key = (r.num, r.den)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-        return len(out) >= count
-
-    if push(0, 1) or push(1, 0):
-        return out
-    h = 1
-    while True:
-        for t in range(1, h + 1):
-            if math.gcd(h, t) == 1:
-                if push(h, t) or push(h, -t):
-                    return out
-        for s in range(1, h):
-            if math.gcd(s, h) == 1:
-                if push(s, h) or push(s, -h):
-                    return out
-        h += 1
+    p = field.char
+    if p:
+        count = min(count, p + 1)  # the whole projective line over F_p
+    out = {}  # an ordered set
+    for st in _coprime_pairs():
+        if p:
+            s, t = st
+            st = (s * pow(t, -1, p) % p, 1) if t % p else (1, 0)
+        out[st] = None
+        if len(out) >= count:
+            return list(out)

@@ -6,18 +6,20 @@ y = m_L x + b_L w.  A parallelogram there is fixed by (x_A : x_B : w), and it
 is a rectangle exactly on the quadric :func:`quadric_h`.  Here are the
 canonical points, their slope and aspect, the at-infinity forms and that
 quadric, all exact.  The slope and the aspect ratio are each one formula on
-the canonical key, which holds residues over F_p and Fractions over the
-rationals, and the same formula serves both fields.  An outcome that is not a
-ratio is a :class:`Marker`; reports print a ratio as its ``str`` and a marker
-as its value.
+the canonical key, which holds ints over both fields (residues over F_p), and
+the same formula serves both.  An outcome that is not a ratio is a
+:class:`Marker`; reports print a ratio as its ``str`` and a marker as its
+value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import PreconditionError
 from .scalars import FpElement, Ratio, solve_quadratic
@@ -37,9 +39,10 @@ ALL_RATIOS = Marker.ALL_RATIOS
 def canonical_key(field, coords) -> tuple:
     """The canonical key of the projective point with coordinates coords.
 
-    Over the rationals coords are integers or Fractions, and each is divided
-    by the last nonzero one.  Over F_p they are ints, scaled by one inverse of
-    the first that is nonzero mod p and reduced mod p.
+    Over the rationals it is the primitive integer vector of the point: gcd 1,
+    last nonzero coordinate positive.  Fraction coordinates are cleared to ints
+    first, as :func:`hpoly.integer_forms` does.  Over F_p coords are ints,
+    scaled by one inverse of the first that is nonzero mod p and reduced mod p.
     """
     p = field.char
     if p:
@@ -48,30 +51,35 @@ def canonical_key(field, coords) -> tuple:
                 inv = pow(pivot, -1, p)
                 return tuple([c * inv % p for c in coords])
     else:
+        try:
+            g = math.gcd(*coords)
+        except TypeError:  # Fractions, which have no __index__
+            coords = hpoly.integer_forms(field, [coords])[0]
+            g = math.gcd(*coords)
         for pivot in reversed(coords):
             if pivot:
-                return tuple([Fraction(c, pivot) for c in coords])
+                g = g if pivot > 0 else -g
+                return tuple([c // g for c in coords])
     raise PreconditionError("projective point needs a nonzero coordinate")
 
 
 class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
-    coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  Over
-    the rationals the last nonzero coordinate is scaled to 1; over a prime
-    field the first nonzero coordinate is.  The paths and the census scale
-    their points through :func:`canonical_key`, the only code that picks a
-    pivot; each of them guarantees that the vertices lie on their lines, form
-    a parallelogram and satisfy the rectangle condition.
+    coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  The
+    paths and the census scale their points through :func:`canonical_key`,
+    the only code that picks a pivot; each of them guarantees that the
+    vertices lie on their lines, form a parallelogram and satisfy the
+    rectangle condition.
 
     A point's identity is its canonical key: the nine canonical residues in
-    [0, p) over F_p, the nine Fractions over the rationals.  Points hash by
-    key and compare by (characteristic, key), so points over different fields
-    are unequal.  Slope, aspect and center are read off the key
-    (:func:`slope_of`, :func:`aspect_of`, ``locus.center_of``).  Over F_p the
-    field elements of vertex and w are built from the key when read and not
-    kept: a point that is only hashed and compared never builds one,
-    and a read point holds no second copy of its coordinates.
+    [0, p) over F_p, the primitive integer vector over the rationals.  Points
+    hash by key and compare by (characteristic, key), so points over different
+    fields are unequal.  Slope, aspect and center are read off the key
+    (:func:`slope_of`, :func:`aspect_of`, ``locus.center_of``).  Its
+    coordinates, vertex and w are field elements built from the key when read,
+    at the scale where the pivot is 1; a point that is only hashed and compared
+    builds none.
     """
 
     __slots__ = ("field", "key")
@@ -96,17 +104,21 @@ class ProjectiveRectangle:
     def __repr__(self):
         return f"ProjectiveRectangle({self.field!r}, {self.key!r})"
 
-    def vertex(self, role: str):
-        i = 2 * ROLES.index(role)
+    def coordinates(self) -> list:
+        """The nine coordinates as field elements, at the scale where the pivot is 1."""
         field, key = self.field, self.key
         if field.char:
-            return FpElement(key[i], field), FpElement(key[i + 1], field)
-        return key[i], key[i + 1]
+            return [FpElement(c, field) for c in key]
+        pivot = next(c for c in reversed(key) if c)
+        return [Fraction(c, pivot) for c in key]
+
+    def vertex(self, role: str):
+        i = 2 * ROLES.index(role)
+        return tuple(self.coordinates()[i : i + 2])
 
     @property
     def w(self):
-        field, w = self.field, self.key[8]
-        return FpElement(w, field) if field.char else w
+        return self.coordinates()[8]
 
     @property
     def at_infinity(self) -> bool:
@@ -116,10 +128,8 @@ class ProjectiveRectangle:
         """Vertices (x_L / w, y_L / w); requires w != 0."""
         if self.at_infinity:
             raise PreconditionError("rectangle at infinity has no affine vertices")
-        return {
-            role: (self.vertex(role)[0] / self.w, self.vertex(role)[1] / self.w)
-            for role in ROLES
-        }
+        w = self.w
+        return {role: tuple(c / w for c in self.vertex(role)) for role in ROLES}
 
 
 def _slope_pair(key: tuple):
@@ -128,8 +138,9 @@ def _slope_pair(key: tuple):
 
     The slope is the common solution [s : t] of (x_B - x_A) s = (y_B - y_A) t
     and (y_C - y_B) s = -(x_C - x_B) t; when all four coefficients vanish every
-    ratio qualifies.  The key holds residues over F_p and Fractions over the
-    rationals, and the differences are taken on either alike.
+    ratio qualifies.  The key holds residues over F_p and the primitive integer
+    vector over the rationals; the pair is blind to a common scale, so the
+    differences are taken on either alike.
     """
     xa, ya, xb, yb, xc, yc = key[:6]
     if xb != xa or yb != ya:
@@ -202,41 +213,36 @@ def aspect_of(p: ProjectiveRectangle):
     return _ratio(p.field, _aspect_pair(p.key))
 
 
-def slope_infinity_form(cfg: NormalizedConfig):
-    """Quadratic form whose projective roots are the slopes at infinity.
+def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
+    """Int form whose projective roots are the slopes at infinity.
 
-    Coefficients of (m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2
-    with beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C).
+    δ³ times (m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2, with
+    beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C), on the standing ints.
     """
-    one = cfg.field.one()
-    lead = cfg.m_a * cfg.m_c - cfg.m_b * cfg.m_d
-    beta = (cfg.m_a * cfg.m_c + one) * (cfg.m_b + cfg.m_d) - (
-        cfg.m_b * cfg.m_d + one
-    ) * (cfg.m_a + cfg.m_c)
+    m_a, m_b, m_c, m_d, _, d = cfg.standing[:6]
+    lead = d * (m_a * m_c - m_b * m_d)
+    beta = (m_a * m_c + d * d) * (m_b + m_d) - (m_b * m_d + d * d) * (m_a + m_c)
     return (lead, -beta, -lead)
 
 
-def aspect_infinity_form(cfg: NormalizedConfig):
-    """Quadratic form whose projective roots are the aspect ratios at infinity.
+def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
+    """Int form whose projective roots are the aspect ratios at infinity.
 
-    Coefficients of m_BC m_AD U^2 - gamma U V + m_AB m_CD V^2 with
-    gamma = (m_A m_C - 1)(m_B + m_D) - (m_B m_D - 1)(m_A + m_C).
+    δ³ times m_BC m_AD U^2 - gamma U V + m_AB m_CD V^2, with gamma =
+    (m_A m_C - 1)(m_B + m_D) - (m_B m_D - 1)(m_A + m_C), on the standing ints.
     """
-    one = cfg.field.one()
-    lead = (cfg.m_b - cfg.m_c) * (cfg.m_a - cfg.m_d)
-    gamma = (cfg.m_a * cfg.m_c - one) * (cfg.m_b + cfg.m_d) - (
-        cfg.m_b * cfg.m_d - one
-    ) * (cfg.m_a + cfg.m_c)
-    tail = (cfg.m_a - cfg.m_b) * (cfg.m_c - cfg.m_d)
-    return (lead, -gamma, tail)
+    m_a, m_b, m_c, m_d, _, d = cfg.standing[:6]
+    gamma = (m_a * m_c - d * d) * (m_b + m_d) - (m_b * m_d - d * d) * (m_a + m_c)
+    return (d * (m_b - m_c) * (m_a - m_d), -gamma, d * (m_a - m_b) * (m_c - m_d))
 
 
 def projective_quadratic_roots(field, form):
-    """Distinct projective roots [s : t] of c0 S^2 + c1 S T + c2 T^2.
+    """Distinct projective roots [s : t] of c0 S^2 + c1 S T + c2 T^2, for an int
+    form (c0, c1, c2): its three coefficients are the field elements built.
 
     Returns ALL_RATIOS when the form vanishes identically.
     """
-    c0, c1, c2 = form
+    c0, c1, c2 = map(field.from_int, form)
     if not c0 and not c1 and not c2:
         return ALL_RATIOS
     if c0:

@@ -159,12 +159,13 @@ class RationalField:
     """The field of arbitrary-precision rationals."""
 
     char = 0
+    _zero, _one = Fraction(0), Fraction(1)  # Fractions are immutable: one of each serves
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -340,10 +341,23 @@ class Ratio:
 
     @staticmethod
     def of(num, den) -> "Ratio":
+        """num : den for field elements; ints raise TypeError (see :meth:`from_ints`)."""
+        if isinstance(num, int) or isinstance(den, int):
+            raise TypeError("Ratio.of takes field elements, not ints")
         if den:
             return Ratio(num / den, den / den)
         if num:
             return Ratio(num / num, den)
+        raise ParseError("0/0 is not a point of the projective line")
+
+    @staticmethod
+    def from_ints(field, s: int, t: int) -> "Ratio":
+        """The ratio s : t of two ints in the field, with one quotient."""
+        p = field.char
+        if t % p if p else t:
+            return Ratio(field.quotient(s, t), field.one())
+        if s % p if p else s:
+            return Ratio(field.one(), field.zero())
         raise ParseError("0/0 is not a point of the projective line")
 
     @property

@@ -99,7 +99,9 @@ def _swept_centers(center_map, plane_map):
 
 
 def _polyline(points, style):
-    coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
+    coords = " ".join([f"{float(x):.12g},{float(-y):.12g}" for x, y in points])
+    if "n" in coords:  # "inf" or "nan": no finite number prints an "n"
+        raise OverflowError("an SVG number is not finite")
     return f'<polyline fill="none" points="{coords}" {style}/>'
 
 
@@ -121,10 +123,10 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     rect_polys = []
     collected = 0
     pp = slope_path_polys(cfg)
-    for r in ratio_samples(cfg.field, samples * 3 + 8):
+    for st in ratio_samples(cfg.field, samples * 3 + 8):
         if collected >= samples:
             break
-        rect = eval_path(cfg, pp, r)
+        rect = eval_path(cfg, pp, st)
         if rect.at_infinity:
             continue
         quad = plane_map.original_points(rect.key)[:4]
@@ -169,9 +171,12 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
                 branch = []
             branch.append(fpt)
             prev = fpt
-            canvas.require(*fpt)
         if branch:
             conic_branches.append(branch)
+        for branch in conic_branches:
+            xs, ys = zip(*branch)
+            canvas.require(min(xs), min(ys))
+            canvas.require(max(xs), max(ys))
 
     diagonal_lines = []
     if diagonals:

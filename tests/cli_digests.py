@@ -5,7 +5,7 @@
 Each call runs ``quadriline.cli.main(argv)`` in-process from this checkout's
 ``src/`` and prints one line: its label, its exit code (or its ``SystemExit``
 code), and the sha256 digests of stdout, stderr and the SVG it wrote ("-" for
-none).  The calls are 11 commands on each ``configs/*.json``, then every op of
+none).  The calls are 12 commands on each ``configs/*.json``, then every op of
 rounds 0-1 of each given seed of each workload of ``bench/workloads.py``
 (imported, never changed).  Run it once in each checkout with the same
 arguments and ``diff`` the two outputs.
@@ -44,6 +44,7 @@ COMMANDS = (
     ["rect", "--aspect", "-1/2"],  # a usage error: argparse reads -1/2 as a flag
     ["path", "--kind", "slope"],
     ["path", "--kind", "aspect", "--samples", "5"],
+    ["path", "--kind", "aspect", "--samples", "40"],  # past the first heights; all of a small F_p
     ["locus"],
     ["census"],
     ["render", "--samples", "3"],

@@ -18,6 +18,7 @@ from quadriline import (
 from quadriline.cli import load_config
 from quadriline.configuration import adjugate, normalize
 from quadriline.errors import PreconditionError
+from quadriline import paths
 from quadriline.paths import ratio_samples
 from quadriline.scalars import solve_quadratic
 
@@ -125,29 +126,32 @@ def degenerating_intercepts(field, m_a, m_b, m_c, m_d):
 
 
 def bounded_ratio_samples(field, count):
-    """ratio_samples(field, count), with its Ratio.of calls counted.
+    """ratio_samples(field, count), with the int pairs its walk tries counted.
 
-    Over F_p the walk stops once it holds all p + 1 ratios: it builds at most
-    2 min(count, p + 1) of them (2 count over the rationals), where walking
-    every height up to p + 1 would build about p^2.  The counter raises
-    AssertionError at once past that bound.
+    Over F_p the walk stops once it holds all p + 1 ratios: it tries at most
+    2 min(count, p + 1) pairs of ``paths._coprime_pairs`` (2 count over the
+    rationals), where walking every height up to p + 1 would try about p^2.
+    The counter raises AssertionError at once past that bound.
     """
     bound = 2 * (min(count, field.char + 1) if field.char else count)
-    built = 0
-    of = Ratio.of
+    pairs = paths._coprime_pairs
 
-    def counted(num, den):
-        nonlocal built
-        built += 1
-        if built > bound:
-            raise AssertionError(f"more than {bound} ratios built for {count} samples")
-        return of(num, den)
+    def counted():
+        for tried, pair in enumerate(pairs(), 1):
+            if tried > bound:
+                raise AssertionError(f"more than {bound} pairs tried for {count} samples")
+            yield pair
 
-    Ratio.of = staticmethod(counted)
+    paths._coprime_pairs = counted
     try:
         return ratio_samples(field, count)
     finally:
-        Ratio.of = staticmethod(of)
+        paths._coprime_pairs = pairs
+
+
+def sample_ratios(field, count):
+    """The first count ratios of ``ratio_samples`` as Ratios."""
+    return [Ratio.from_ints(field, *st) for st in ratio_samples(field, count)]
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -156,6 +160,11 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 def shipped_config(name: str):
     """The normalized configuration of the file ``configs/<name>``."""
     return normalize(load_config(str(CONFIGS / name)))[0]
+
+
+def shipped_plane_map(name: str):
+    """The plane map of the file ``configs/<name>``."""
+    return normalize(load_config(str(CONFIGS / name)))[1]
 
 
 @contextlib.contextmanager

@@ -10,15 +10,17 @@ the census; the tests check both against these definitions.  The slope,
 aspect ratio and center of a point are read here through field elements, the
 reference for the library's reads off canonical residues.  Normalization to
 standing form is here too, in field elements throughout: the reference for the
-library's normalization on integer covectors.  So are the path forms and the
-locus conic in field elements, the reference for the library's int forms on
-the integer standing form.
+library's normalization on integer covectors.  So are the path forms, the
+at-infinity forms and the locus conic in field elements, the reference for the
+library's int forms on the integer standing form, and the canonical key of a
+rational point as nine Fractions, the reference for its primitive integer key.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from quadriline import hpoly
@@ -446,6 +448,36 @@ def diagonal_constants(cfg: NormalizedConfig) -> tuple:
         b_a * (m_b - m_c) * m_d + (m_d - m_a) * m_c,
         (m_d - m_a) + b_a * (m_b - m_c),
     )
+
+
+def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
+    """(m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2 in field
+    elements, with beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C)."""
+    one = cfg.field.one()
+    lead = cfg.m_a * cfg.m_c - cfg.m_b * cfg.m_d
+    beta = (cfg.m_a * cfg.m_c + one) * (cfg.m_b + cfg.m_d) - (
+        cfg.m_b * cfg.m_d + one
+    ) * (cfg.m_a + cfg.m_c)
+    return (lead, -beta, -lead)
+
+
+def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
+    """m_BC m_AD U^2 - gamma U V + m_AB m_CD V^2 in field elements, with
+    gamma = (m_A m_C - 1)(m_B + m_D) - (m_B m_D - 1)(m_A + m_C)."""
+    one = cfg.field.one()
+    lead = (cfg.m_b - cfg.m_c) * (cfg.m_a - cfg.m_d)
+    gamma = (cfg.m_a * cfg.m_c - one) * (cfg.m_b + cfg.m_d) - (
+        cfg.m_b * cfg.m_d - one
+    ) * (cfg.m_a + cfg.m_c)
+    tail = (cfg.m_a - cfg.m_b) * (cfg.m_c - cfg.m_d)
+    return (lead, -gamma, tail)
+
+
+def fraction_key(coords) -> tuple:
+    """The canonical key of a rational point as nine Fractions: the coordinates
+    (ints or Fractions) divided by the last nonzero one."""
+    pivot = next(c for c in reversed(coords) if c)
+    return tuple(Fraction(c, pivot) for c in coords)
 
 
 def _slope_forms(cfg: NormalizedConfig):

@@ -26,14 +26,16 @@ from quadriline import (
 from quadriline import hpoly
 from quadriline.cli import main
 from quadriline.locus import centers_paths, diagonal_g, gauss_newton_line
-from quadriline.paths import ratio_samples, slope_path_polys
+from quadriline.paths import slope_path_polys
 from quadriline.rectangles import ALL_RATIOS, slope_infinity_form, slopes_at_infinity
 from conftest import (
     CFG1_PAIRS,
     random_normalized_config,
     random_rational_config,
+    sample_ratios,
     write_config,
 )
+import membership
 from test_paths import _divisibility_checks, _identity_checks
 
 
@@ -71,7 +73,7 @@ def test_criterion_1_worked_rectangle(tmp_path, capsys):
 def test_criterion_2_homography_round_trip(cfg1):
     with criterion(2, "homography round trip", limit_seconds=1.0):
         h = homography(cfg1)
-        samples = ratio_samples(QQ, 50)
+        samples = sample_ratios(QQ, 50)
         assert len(samples) == 50
         for r in samples:
             image = h.slope_to_aspect(r)
@@ -91,7 +93,7 @@ def test_criterion_3_degenerate_geometry(cfg2):
         assert report.slope_centers.slope() == g.slope()
         assert g.slope().num == Fraction(-8, 5) and g.slope().den == 1
         # Sampled centers really lie on those lines.
-        for r in ratio_samples(QQ, 10):
+        for r in sample_ratios(QQ, 10):
             rect = aspect_path_eval(cfg2, r)
             if not rect.at_infinity:
                 assert report.aspect_centers.contains(center_of(rect))
@@ -107,7 +109,7 @@ def test_criterion_4_identity_suite():
         for _ in range(100):
             cfg = random_rational_config(rng)
             # factorization identity (coefficientwise, degree 4)
-            sigma = slope_infinity_form(cfg)
+            sigma = membership.slope_infinity_form(cfg)
             lhs = hpoly.mul((one, zero, one), sigma)
             m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
             first = hpoly.mul(
@@ -150,7 +152,7 @@ def test_criterion_6_twin_pair_behavior(cfg3):
         pp = slope_path_polys(cfg3)
         assert hpoly.is_zero(pp.w)
         seen = set()
-        for r in ratio_samples(QQ, 20):
+        for r in sample_ratios(QQ, 20):
             rect = slope_path_eval(cfg3, r)
             assert rect.at_infinity
             seen.add(rect)

@@ -20,6 +20,7 @@ from quadriline.errors import PreconditionError
 from quadriline.paths import (
     aspect_path_polys,
     eval_path,
+    ratio_ints,
     slope_path_polys,
 )
 from quadriline.rectangles import ProjectiveRectangle, QuadricH, quadric_h
@@ -235,8 +236,8 @@ class TestVerify:
         assert report.failures == []
         field = cfg.field
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
-        slope_image = {eval_path(cfg, spp, r) for r in all_ratios(field)}
-        aspect_image = {eval_path(cfg, app, r) for r in all_ratios(field)}
+        slope_image = {eval_path(cfg, spp, ratio_ints(field, r)) for r in all_ratios(field)}
+        aspect_image = {eval_path(cfg, app, ratio_ints(field, r)) for r in all_ratios(field)}
         assert len(slope_image) == 12 and len(aspect_image) == 12
         assert len(slope_image & aspect_image) == 1  # two lines meet once
         assert report.total == 23
@@ -246,7 +247,7 @@ class TestVerify:
         report = verify_against_paths(cfg)
         assert report.failures == []
         spp = slope_path_polys(cfg)
-        image = {eval_path(cfg, spp, r) for r in all_ratios(cfg.field)}
+        image = {eval_path(cfg, spp, ratio_ints(cfg.field, r)) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
         assert len(image) == 8
 
@@ -256,7 +257,7 @@ class TestVerify:
         report = verify_against_paths(cfg)
         assert report.failures == []
         app = aspect_path_polys(cfg)
-        image = {eval_path(cfg, app, r) for r in all_ratios(cfg.field)}
+        image = {eval_path(cfg, app, ratio_ints(cfg.field, r)) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
 
     def test_failure_witnesses_print_residues(self, monkeypatch):
@@ -283,7 +284,8 @@ class TestVerify:
         for kind, pp in (("slope path aspect", slope_path_polys(cfg)),
                          ("aspect path slope", aspect_path_polys(cfg))):
             expected = [
-                f"{kind} varies at {r}: {eval_path(cfg, pp, r).key}" for r in all_ratios(cfg.field)
+                f"{kind} varies at {r}: {eval_path(cfg, pp, ratio_ints(cfg.field, r)).key}"
+                for r in all_ratios(cfg.field)
             ]
             assert [f for f in report.failures if f.startswith(kind)] == expected
 

@@ -1,5 +1,6 @@
 """CLI surface: config parsing, JSON reports, round-trips, SVG output."""
 
+import argparse
 import gc
 import hashlib
 import io
@@ -15,11 +16,12 @@ from fractions import Fraction
 import pytest
 
 import quadriline
-from quadriline import QQ, cli
+from quadriline import QQ, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
 from quadriline.cli import main
 from quadriline.errors import InternalCheckError
 from quadriline.rectangles import ProjectiveRectangle
-from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, write_config
+from quadriline.scalars import ratio_parse
+from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, fraction_count, write_config
 
 
 def parse_rectangle_json(field, data) -> ProjectiveRectangle:
@@ -101,7 +103,9 @@ class TestRect:
         path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
         doc = run_json(capsys, "rect", "--input", path, "--slope", "3/5")
         rect = parse_rectangle_json(QQ, doc)
-        assert [str(c) for c in rect.key] == doc["projective"]
+        # The key is the primitive integer vector; the report prints it over its last nonzero entry.
+        pivot = next(c for c in reversed(rect.key) if c)
+        assert [str(Fraction(c, pivot)) for c in rect.key] == doc["projective"]
 
     def test_transformed_config_vertices_on_original_lines(self, tmp_path, capsys):
         # x = 0 forces a reflection; vertices must satisfy the ORIGINAL
@@ -612,3 +616,42 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys):
         )
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert len(json.loads(in_process[3][1])["rectangles"]) == 8
+
+
+def printed_values(value) -> int:
+    """The exact values a report prints: each Fraction, each Ratio (one value: its
+    affine value or 1/0) and each "projective" entry."""
+    if isinstance(value, dict):
+        return sum(len(v) if k == "projective" else printed_values(v) for k, v in value.items())
+    if isinstance(value, list):
+        return sum(map(printed_values, value))
+    return isinstance(value, (Fraction, Ratio))
+
+
+CFG1 = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
+
+
+@pytest.mark.parametrize("ratio", ["1/0", "3/7", "0", "-1/2"])
+def test_rect_builds_only_the_fractions_it_prints(ratio):
+    """Past the parsing of its input and flag, a rational rect report builds no more
+    Fractions than it prints: the key, the plane map and the path are ints."""
+    cfg, pm = normalize(cli.load_config(CFG1))
+    for path_eval in (slope_path_eval, aspect_path_eval):
+        r = ratio_parse(ratio, QQ)
+        with fraction_count() as built:
+            report = cli.rectangle_json(path_eval(cfg, r), pm)
+        assert 0 < built[0] <= printed_values(report)
+
+
+@pytest.mark.parametrize("kind", ["slope", "aspect"])
+def test_path_builds_only_the_fractions_it_prints(monkeypatch, kind):
+    """Past loading and normalizing, ``path --samples 8`` on cfg1.json builds no more
+    Fractions than it prints: the sample walk runs on int pairs."""
+    cfg_input = cli.load_config(CFG1)
+    normalized = normalize(cfg_input)
+    monkeypatch.setattr(cli, "load_config", lambda path: cfg_input)
+    monkeypatch.setattr(cli, "normalize", lambda cfg_input: normalized)
+    with fraction_count() as built:
+        report = cli.cmd_path(argparse.Namespace(input=CFG1, kind=kind, samples=8))
+    assert len(report["rectangles"]) == 8
+    assert 0 < built[0] <= printed_values(report)

@@ -41,6 +41,7 @@ from conftest import (
     random_degenerate_config,
     random_rational_config,
     rat,
+    sample_ratios,
     shipped_config,
 )
 
@@ -177,7 +178,7 @@ class TestCenterOf:
         rng = random.Random(139)
         for _ in range(15):
             cfg = random_rational_config(rng)
-            for r in ratio_samples(QQ, 6):
+            for r in sample_ratios(QQ, 6):
                 rect = slope_path_eval(cfg, r)
                 if rect.at_infinity:
                     continue
@@ -282,15 +283,14 @@ class TestCentersPaths:
         assert report.conic is not None
         c = report.conic
         # Every sampled center satisfies the fitted equation exactly.
-        for r in ratio_samples(QQ, 30):
+        for r in sample_ratios(QQ, 30):
             rect = slope_path_eval(cfg1, r)
             if rect.at_infinity:
                 continue
             x, y = center_of(rect)
             assert c[0] * x * x + c[1] * x * y + c[2] * y * y + c[3] * x + c[4] * y + c[5] == 0
         # And the parametric map agrees with direct evaluation.
-        r = rat(QQ, 1, 0)
-        assert report.center_map.at(r) == (0, Fraction(1, 6))
+        assert report.center_map.at((1, 0)) == (0, Fraction(1, 6))
 
     def test_cfg3_single_line(self, cfg3):
         report = centers_paths(cfg3)
@@ -308,7 +308,7 @@ class TestCentersPaths:
         report = centers_paths(cfg)
         assert report.shape is LocusShape.NONDEGENERATE_CONIC
         assert report.point is not None
-        for r in ratio_samples(QQ, 8):
+        for r in sample_ratios(QQ, 8):
             rect = slope_path_eval(cfg, r)
             if not rect.at_infinity:
                 assert center_of(rect) == report.point
@@ -422,14 +422,32 @@ class TestSpecialRectangles:
         # The centroid is on the Gauss-Newton line by construction.
         assert report.gauss_newton.contains(centroid)
 
+    def test_rational_standing_forms(self):
+        """Degenerate configurations with δ > 1 in their standing ints: the center
+        rectangle sits at the shared aspect M_CD first[0] : δ second[0] of the slope path."""
+        rng = random.Random(211)
+        checked = 0
+        while checked < 10:
+            cfg = random_degenerate_config(rng)
+            report = centers_paths(cfg)
+            if cfg.standing[5] == 1 or report.gauss_newton is None:
+                continue
+            try:
+                special = special_rectangles(cfg, report)
+            except PreconditionError:  # parallel locus lines
+                continue
+            center = center_of(special.center_rectangle)
+            assert report.slope_centers.contains(center) and report.aspect_centers.contains(center)
+            checked += 1
+
     def test_cfg2_at_infinity_interpretation(self, cfg2):
         special = special_rectangles(cfg2, centers_paths(cfg2))
         spp, app = slope_path_polys(cfg2), aspect_path_polys(cfg2)
         # The slope path's rectangle at infinity: the root of its w-polynomial,
         # whose coefficients are ints.
-        slope_inf = eval_path(cfg2, spp, rat(QQ, -spp.w[1], spp.w[0]))
+        slope_inf = eval_path(cfg2, spp, (-spp.w[1], spp.w[0]))
         assert slope_inf.at_infinity
-        aspect_inf = eval_path(cfg2, app, rat(QQ, -app.w[1], app.w[0]))
+        aspect_inf = eval_path(cfg2, app, (-app.w[1], app.w[0]))
         assert aspect_inf.at_infinity
         # It has the aspect ratio of the center rectangle and is orthogonal to it.
         assert aspect_of(slope_inf) == aspect_of(special.center_rectangle)

@@ -1,6 +1,7 @@
 """Path polynomials: identities, evaluation, degeneracy, the homography."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -26,10 +27,11 @@ from quadriline.paths import (
     PathPolynomials,
     aspect_path_polys,
     eval_path,
+    ratio_ints,
     ratio_samples,
     slope_path_polys,
 )
-from quadriline.rectangles import ProjectiveRectangle, aspect_infinity_form, slope_infinity_form
+from quadriline.rectangles import ProjectiveRectangle, slope_infinity_form
 from conftest import (
     CFG1_INTS,
     all_ratios,
@@ -39,6 +41,7 @@ from conftest import (
     random_degenerate_config,
     random_rational_config,
     rat,
+    sample_ratios,
 )
 import membership
 from membership import (
@@ -176,9 +179,9 @@ def _divisibility_checks(cfg):
     """The w forms against the at-infinity forms, on the reference forms that
     the library's forms are one multiple of."""
     pp, ap = reference_paths(cfg)
-    sigma = slope_infinity_form(cfg)
+    sigma = membership.slope_infinity_form(cfg)
     assert divides(pp.w, sigma)
-    alpha = aspect_infinity_form(cfg)
+    alpha = membership.aspect_infinity_form(cfg)
     m_cd_alpha = hpoly.scale(cfg.m_c - cfg.m_d, alpha)
     assert divides(ap.w, m_cd_alpha)
     if cfg.ef_sum:
@@ -228,9 +231,9 @@ class TestPolynomialIdentities:
                     e1, e2 = pp.first
                     f2, mf1 = pp.second
                     assert e1 * mf1 - e2 * f2  # the two forms are independent
-                for r in ratio_samples(QQ, 20):
-                    values = [hpoly.eval_at(pp.x[role], r.num, r.den) for role in "ABCD"]
-                    values.append(hpoly.eval_at(pp.w, r.num, r.den))
+                for s, t in ratio_samples(QQ, 20):
+                    values = [hpoly.eval_at(pp.x[role], s, t) for role in "ABCD"]
+                    values.append(hpoly.eval_at(pp.w, s, t))
                     assert any(values)
 
 
@@ -262,15 +265,15 @@ class TestSlopePathEval:
             cfg = random_rational_config(rng)
             pp = slope_path_polys(cfg)
             m_cd = cfg.m_c - cfg.m_d
-            for r in ratio_samples(QQ, 12):
-                rect = eval_path(cfg, pp, r)
+            for st in ratio_samples(QQ, 12):
+                rect = eval_path(cfg, pp, st)
                 assert satisfies_membership(rect, cfg)
                 assert is_parallelogram(rect)
                 assert is_rectangle(rect)
-                assert has_slope(rect, r)
+                assert has_slope(rect, Ratio.from_ints(QQ, *st))
                 expected_aspect = Ratio.of(
-                    m_cd * hpoly.eval_at(pp.first, r.num, r.den),
-                    hpoly.eval_at(pp.second, r.num, r.den),
+                    m_cd * hpoly.eval_at(pp.first, *st),
+                    QQ.from_int(hpoly.eval_at(pp.second, *st)),
                 )
                 assert has_aspect(rect, expected_aspect)
 
@@ -279,14 +282,13 @@ class TestSlopePathEval:
         for _ in range(12):
             cfg = random_rational_config(rng)
             ap = aspect_path_polys(cfg)
-            for r in ratio_samples(QQ, 12):
-                rect = eval_path(cfg, ap, r)
+            for st in ratio_samples(QQ, 12):
+                rect = eval_path(cfg, ap, st)
                 assert satisfies_membership(rect, cfg)
                 assert is_rectangle(rect)
-                assert has_aspect(rect, r)
-                expected_slope = Ratio.of(
-                    hpoly.eval_at(ap.first, r.num, r.den),
-                    hpoly.eval_at(ap.second, r.num, r.den),
+                assert has_aspect(rect, Ratio.from_ints(QQ, *st))
+                expected_slope = Ratio.from_ints(
+                    QQ, hpoly.eval_at(ap.first, *st), hpoly.eval_at(ap.second, *st)
                 )
                 assert has_slope(rect, expected_slope)
 
@@ -309,11 +311,11 @@ class TestIntegerKernel:
         configs = [random_rational_config(rng) for _ in range(10)]
         configs += [random_degenerate_config(rng) for _ in range(10)]
         configs += [NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)]  # slope path BOTH_ZERO
-        ratios = ratio_samples(QQ, 30) + [Ratio.of(Fraction(-(10**40) + 7, 3**50), Fraction(1))]
+        ratios = sample_ratios(QQ, 30) + [Ratio.of(Fraction(-(10**40) + 7, 3**50), Fraction(1))]
         for cfg in configs:
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
                 for r in ratios:
-                    assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+                    assert eval_path(cfg, pp, ratio_ints(QQ, r)) == reference_eval_path(cfg, pp, r)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_matches_reference_on_every_config_and_ratio(self, p):
@@ -327,7 +329,7 @@ class TestIntegerKernel:
                 continue
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
                 for r in all_ratios(field):
-                    assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+                    assert eval_path(cfg, pp, ratio_ints(field, r)) == reference_eval_path(cfg, pp, r)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["QQ", "F13"])
     def test_shared_root_raises(self, field):
@@ -344,11 +346,11 @@ class TestIntegerKernel:
         )
         cfg = NormalizedConfig.from_ints(field, *CFG1_INTS)
         with pytest.raises(InternalCheckError, match="share a projective zero"):
-            eval_path(cfg, pp, rat(field, 1, 1))
+            eval_path(cfg, pp, (1, 1))
         with pytest.raises(InternalCheckError, match="share a projective zero"):
             reference_eval_path(cfg, pp, rat(field, 1, 1))
         for r in (rat(field, 1, 0), rat(field, 0, 1), rat(field, 2, 1)):
-            assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+            assert eval_path(cfg, pp, ratio_ints(field, r)) == reference_eval_path(cfg, pp, r)
 
 
 class SlopeQueryResult(NamedTuple):
@@ -366,7 +368,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
     affine and each is verified to lie on its line.
     """
     pp = slope_path_polys(cfg)
-    rect = eval_path(cfg, pp, r)
+    rect = eval_path(cfg, pp, ratio_ints(cfg.field, r))
     if rect.at_infinity:
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
@@ -446,7 +448,7 @@ class TestDegeneracyCharacterization:
                 continue
             count += 1
             h = homography(cfg)
-            for r in ratio_samples(QQ, 20):
+            for r in sample_ratios(QQ, 20):
                 assert slope_path_eval(cfg, r) == aspect_path_eval(
                     cfg, h.slope_to_aspect(r)
                 )
@@ -460,7 +462,7 @@ class TestHomography:
 
     def test_round_trip(self, cfg1):
         h = homography(cfg1)
-        for r in ratio_samples(QQ, 50):
+        for r in sample_ratios(QQ, 50):
             assert h.aspect_to_slope(h.slope_to_aspect(r)) == r
             assert h.slope_to_aspect(h.aspect_to_slope(r)) == r
 
@@ -471,17 +473,30 @@ class TestHomography:
 
 class TestRatioSamples:
     def test_leading_sequence(self):
-        samples = ratio_samples(QQ, 5)
-        expected = [(0, 1), (1, 0), (1, 1), (-1, 1), (2, 1)]
-        assert [(r.num, r.den) for r in samples] == [
-            (Fraction(a), Fraction(b)) for a, b in expected
-        ]
+        assert ratio_samples(QQ, 5) == [(0, 1), (1, 0), (1, 1), (-1, 1), (2, 1)]
 
     def test_distinct_and_deterministic(self):
         a = ratio_samples(QQ, 40)
         b = ratio_samples(QQ, 40)
         assert a == b
-        assert len({(r.num, r.den) for r in a}) == 40
+        assert len(set(a)) == 40
+
+    def test_pairs_are_canonical(self):
+        for s, t in ratio_samples(QQ, 300):
+            assert (s, t) == (1, 0) or (t > 0 and math.gcd(s, t) == 1)
+        for p in (3, 5, 13):
+            pairs = ratio_samples(PrimeField(p), p + 1)
+            assert sorted(pairs) == sorted([(1, 0)] + [(v, 1) for v in range(p)])
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 101])
+    def test_prime_pairs_reduce_the_rational_walk(self, p):
+        """Over F_p the walk is the rational one mapped into the field, repeats skipped."""
+        field = PrimeField(p)
+        reduced = (
+            ratio_ints(field, Ratio.of(field.from_int(s), field.from_int(t)))
+            for s, t in ratio_samples(QQ, 20 * p)
+        )
+        assert ratio_samples(field, p + 1) == list(dict.fromkeys(reduced))[: p + 1]
 
     def test_exhausts_small_prime_field(self):
         f5 = PrimeField(5)

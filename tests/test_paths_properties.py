@@ -17,13 +17,22 @@ from quadriline import (
     Ratio,
     homography,
 )
+from quadriline import hpoly
 from quadriline.errors import PreconditionError
 from quadriline.locus import centers_paths
+from quadriline.rectangles import (
+    ALL_RATIOS,
+    aspect_infinity_form,
+    aspects_at_infinity,
+    slope_infinity_form,
+    slopes_at_infinity,
+)
 from quadriline.paths import (
     PathCase,
     aspect_path_polys,
     eval_path,
     path_keys,
+    ratio_ints,
     slope_path_polys,
 )
 from conftest import (
@@ -36,6 +45,7 @@ from conftest import (
 )
 from test_paths import reference_eval_path, reference_paths
 import membership
+from membership import one_multiple
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
 KINDS = ("random", "degenerate", "twin-pair", "slope-both-zero", "aspect-both-zero")
@@ -105,6 +115,24 @@ def test_forms_are_one_multiple_of_the_reference(cfg):
     assert centers_paths(cfg).conic == membership.locus_conic(cfg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(configs(form_fields))
+def test_infinity_forms_are_one_multiple_of_the_reference(cfg):
+    """The at-infinity int forms on the standing ints are one nonzero multiple of
+    the field-element forms, and the roots found on them are roots of those."""
+    for form, reference, roots in (
+        (slope_infinity_form, membership.slope_infinity_form, slopes_at_infinity),
+        (aspect_infinity_form, membership.aspect_infinity_form, aspects_at_infinity),
+    ):
+        want = reference(cfg)
+        assert one_multiple(cfg.field, [form(cfg)], [want])
+        got = roots(cfg)
+        if got is ALL_RATIOS:
+            assert not any(want)
+        else:
+            assert all(not hpoly.eval_at(want, r.num, r.den) for r in got)
+
+
 def ratios(field):
     """1/0, small ratios and, over QQ, ratios of large height."""
     infinity = st.just(Ratio.of(field.one(), field.zero()))
@@ -123,7 +151,7 @@ def test_kernel_matches_field_reference(data):
     cfg = data.draw(configs())
     r = data.draw(ratios(cfg.field))
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-        assert eval_path(cfg, pp, r) == reference_eval_path(cfg, pp, r)
+        assert eval_path(cfg, pp, ratio_ints(cfg.field, r)) == reference_eval_path(cfg, pp, r)
 
 
 @st.composite
@@ -165,7 +193,8 @@ def replay_example(*ints):
 def test_replay_matches_eval_path(cfg):
     """The forward-difference replay is eval_path at every ratio, in all_ratios order."""
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-        assert path_keys(cfg, pp) == [eval_path(cfg, pp, r).key for r in all_ratios(cfg.field)]
+        expected = [eval_path(cfg, pp, ratio_ints(cfg.field, r)).key for r in all_ratios(cfg.field)]
+        assert path_keys(cfg, pp) == expected
 
 
 def cases_reached(field_strategy):

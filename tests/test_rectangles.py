@@ -1,5 +1,6 @@
 """Configuration-space points, the rectangle quadric, at-infinity structure."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from quadriline import (
     QQ,
     Ratio,
     aspect_of,
+    center_of,
     classify,
     slope_of,
 )
@@ -19,13 +21,15 @@ from quadriline.rectangles import (
     ALL_RATIOS,
     ProjectiveRectangle,
     aspect_infinity_form,
+    canonical_key,
     aspects_at_infinity,
     quadric_h,
     slope_infinity_form,
     slopes_at_infinity,
 )
 from quadriline.scalars import FpElement
-from conftest import all_ratios, random_rational_config, rat
+from conftest import all_ratios, random_rational_config, rat, shipped_plane_map
+import membership
 from membership import (
     aspect_system,
     complete_parallelogram,
@@ -308,11 +312,11 @@ class TestDeterminants:
             )
             m, _ = slope_system(cfg, r)
             det = m[0] * m[3] - m[1] * m[2]
-            assert det == hpoly.eval_at(slope_infinity_form(cfg), r.num, r.den)
+            assert det == hpoly.eval_at(membership.slope_infinity_form(cfg), r.num, r.den)
             m, _ = aspect_system(cfg, r)
             det = m[0] * m[3] - m[1] * m[2]
             m_cd = cfg.m_c - cfg.m_d
-            assert det == m_cd * hpoly.eval_at(aspect_infinity_form(cfg), r.num, r.den)
+            assert det == m_cd * hpoly.eval_at(membership.aspect_infinity_form(cfg), r.num, r.den)
 
 
 class TestFactorizationIdentity:
@@ -322,7 +326,7 @@ class TestFactorizationIdentity:
         one, zero = Fraction(1), Fraction(0)
         for _ in range(40):
             cfg = random_rational_config(rng)
-            sigma = slope_infinity_form(cfg)
+            sigma = membership.slope_infinity_form(cfg)
             lhs = hpoly.mul((one, zero, one), sigma)
             m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
             first = hpoly.mul(
@@ -433,7 +437,8 @@ def nonzero(field, coords):
 
 
 class TestRectangleIdentity:
-    """A point is its canonical key: residues over F_p, Fractions over the rationals."""
+    """A point is its canonical key: residues over F_p, the primitive integer
+    vector over the rationals."""
 
     @settings(max_examples=200, deadline=None)
     @given(FIELDS, COORDS, INTS, st.integers(1, 50))
@@ -488,3 +493,53 @@ class TestRectangleIdentity:
         expected = [Ratio.of(v, field.one()) for v in field.elements()]
         expected.append(Ratio.of(field.one(), field.zero()))
         assert all_ratios(field) == expected
+
+
+RATIONALS = INTS | st.builds(Fraction, INTS, st.integers(1, 10**6))
+NONZERO = INTS.filter(bool) | st.builds(Fraction, INTS.filter(bool), st.integers(1, 10**6))
+PLANE_MAPS = {name: shipped_plane_map(name) for name in ("cfg1.json", "vertical.json", "relabeled.json")}
+
+
+@st.composite
+def rational_points(draw):
+    """Nine small ints or Fractions, not all zero, with A = B and B = C often forced."""
+    coordinate = st.sampled_from((0, 1, -1)) | st.integers(-30, 30) | RATIONALS
+    coords = [draw(coordinate) for _ in range(9)]
+    if draw(st.booleans()):  # A = B
+        coords[2:4] = coords[0:2]
+    if draw(st.booleans()):  # B = C
+        coords[4:6] = coords[2:4]
+    assume(any(coords))
+    return coords
+
+
+class TestRationalKey:
+    """Over the rationals the key is the primitive integer vector of the point, and
+    every reader gives what the nine-Fraction key (``membership.fraction_key``) gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_points(), NONZERO)
+    def test_key_is_primitive_and_blind_to_scale(self, coords, scale):
+        key = canonical_key(QQ, coords)
+        assert all(type(c) is int for c in key)
+        assert math.gcd(*key) == 1
+        assert next(c for c in reversed(key) if c) > 0
+        assert membership.fraction_key(key) == membership.fraction_key(coords)
+        assert canonical_key(QQ, [scale * c for c in coords]) == key
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_points(), st.sampled_from(sorted(PLANE_MAPS)))
+    def test_readers_match_the_fraction_key(self, coords, name):
+        point = ProjectiveRectangle.canonical(QQ, coords)
+        reference = ProjectiveRectangle(QQ, membership.fraction_key(coords))
+        assert slope_of(point) == slope_of(reference)
+        assert aspect_of(point) == aspect_of(reference)
+        assert point.vertex("C") == reference.vertex("C") and point.w == reference.w
+        assert point.at_infinity == reference.at_infinity
+        if point.at_infinity:
+            return
+        assert center_of(point) == center_of(reference)
+        # original_points took the Fraction key cleared to ints, as integer_forms clears it.
+        cleared = hpoly.integer_forms(QQ, [reference.key])[0]
+        pm = PLANE_MAPS[name]
+        assert pm.original_points(point.key) == pm.original_points(cleared)

@@ -241,6 +241,21 @@ class TestRatio:
         with pytest.raises(ParseError):
             Ratio.of(Fraction(0), Fraction(0))
 
+    @pytest.mark.parametrize("num, den", [(1, 2), (3, 0), (Fraction(1), 2), (2, Fraction(1)), (True, 1)])
+    def test_ints_are_rejected(self, num, den):
+        """int / int is a float: Ratio.of(1, 2) would be Ratio(0.5, 1.0) and print 0.5."""
+        with pytest.raises(TypeError):
+            Ratio.of(num, den)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+    def test_from_ints_is_of_on_field_elements(self, field):
+        for s, t in [(1, 2), (-6, 4), (3, 0), (-5, 0), (0, 9), (9, 7), (14, 3), (3, 14)]:
+            assert Ratio.from_ints(field, s, t) == Ratio.of(field.from_int(s), field.from_int(t))
+        assert str(Ratio.from_ints(QQ, 1, 2)) == "1/2" and str(Ratio.from_ints(QQ, 3, 0)) == "1/0"
+        for s, t in [(0, 0)] + ([(7, 14)] if field.char else []):
+            with pytest.raises(ParseError):
+                Ratio.from_ints(field, s, t)
+
     def test_parse_and_format(self):
         assert ratio_parse("1/0", QQ).is_infinite
         assert ratio_parse("-1/2", QQ) == Ratio.of(Fraction(-1), Fraction(2))

@@ -14,7 +14,6 @@ from quadriline import (
     ConfigurationInput,
     InputLine,
     QuadrilineError,
-    Ratio,
     classify,
     normalize,
 )
@@ -39,7 +38,7 @@ def fraction_sweep(center_map, plane_map):
     points = []
     for s, t in SWEEP:
         try:
-            center = center_map.at(Ratio.of(Fraction(s), Fraction(t)))
+            center = center_map.at((s, t))
         except AtInfinityError:
             points.append(None)
             continue
@@ -155,3 +154,19 @@ def test_clip_is_blind_to_the_line_scale(tmp_path, monkeypatch, name):
             for x, y in segment
         )
     assert corner_to_corner or name != "corner.json"
+
+
+def test_polyline_prints_each_point_as_fmt_did():
+    """A point prints as float(x), float(-y) to 12 significant digits: a float y of 0.0
+    prints -0, an exact 0 prints 0, and a number that is not finite raises OverflowError."""
+    points = [(0.5, 0.0), (Fraction(1, 3), Fraction(0)), (-2, Fraction(-7, 2))]
+    assert 'points="0.5,-0 0.333333333333,0 -2,3.5"' in svgfig._polyline(points, "")
+    assert svgfig._polyline(points, "") == (
+        '<polyline fill="none" points="'
+        + " ".join(f"{svgfig._fmt(x)},{svgfig._fmt(-y)}" for x, y in points)
+        + '" />'
+    )
+    for bad in (math.inf, -math.inf, math.nan):
+        for point in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(OverflowError):
+                svgfig._polyline([(1.0, 2.0), point], "")

@@ -5,7 +5,8 @@ rejects characteristic 2.  For a degenerate configuration the centers fall on
 two lines (the aspect-path centers on the Gauss-Newton line, the slope-path
 centers on a parallel of the diagonal G); otherwise they trace a conic.  Each
 locus is the image of an exact center map, read off its coefficients in
-closed form.
+closed form, and printed at one scale: a conic's or a line's last nonzero
+coefficient is 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import hpoly
-from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, covector, cross
+from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, cross
 from .errors import (
     AtInfinityError,
     InternalCheckError,
@@ -28,7 +29,6 @@ from .paths import (
     aspect_path_polys,
     eval_path,
     ratio_ints,
-    ratio_samples,
     slope_path_polys,
 )
 
@@ -50,10 +50,23 @@ def center_of(p: ProjectiveRectangle):
     return field.quotient(xa + xc, 2 * w), field.quotient(ya + yc, 2 * w)
 
 
-def _line_through(p, q, source: str) -> AffineLineDescription:
-    """The line through the distinct affine points p and q: the covector (p, 1) × (q, 1)."""
-    a, b, c = cross((*p, 1), (*q, 1))
-    return AffineLineDescription(a, b, -c, source)
+def _scaled(field, v) -> tuple:
+    """The int vector v as field values divided by its last value nonzero in the field:
+    the one scale of every printed conic and line."""
+    last = next(k for k in reversed(v) if hpoly.mod(k, field.char))
+    return tuple(field.quotient(k, last) for k in v)
+
+
+def _line(field, normal, source: str) -> AffineLineDescription:
+    """The line n0 x + n1 y + n2 = 0 of the int normal n, printed as a x + b y = c
+    with (a, b, c) = (n0, n1, -n2) at the scale of :func:`_scaled`."""
+    return AffineLineDescription(*_scaled(field, (normal[0], normal[1], -normal[2])), source)
+
+
+def _line_through(field, p, q, source: str) -> AffineLineDescription:
+    """The line through the distinct affine points p and q: the covector (p, 1) × (q, 1),
+    cleared to ints."""
+    return _line(field, hpoly.integer_forms(field, [cross((*p, 1), (*q, 1))])[0], source)
 
 
 def _corner(cfg: NormalizedConfig, r1: str, r2: str):
@@ -76,15 +89,16 @@ def gauss_newton_line(cfg: NormalizedConfig) -> AffineLineDescription:
     mids = []
     for r1, r2, r3, r4 in (("A", "B", "C", "D"), ("A", "D", "B", "C"), ("A", "C", "B", "D")):
         mids.append(_midpoint(_corner(cfg, r1, r2), _corner(cfg, r3, r4)))
-    line = _line_through(mids[0], mids[1], "gauss-newton")
-    if not line.contains(mids[2]):
+    line = _line_through(cfg.field, mids[0], mids[1], "gauss-newton")
+    x, y = mids[2]
+    if line.a * x + line.b * y != line.c:
         raise InternalCheckError("Gauss-Newton midpoints are not collinear")
     return line
 
 
 def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
     """The diagonal through A∩C and B∩D."""
-    return _line_through(_corner(cfg, "A", "C"), _corner(cfg, "B", "D"), "diagonal-g")
+    return _line_through(cfg.field, _corner(cfg, "A", "C"), _corner(cfg, "B", "D"), "diagonal-g")
 
 
 @dataclass(frozen=True)
@@ -108,17 +122,6 @@ class CenterMap:
             x_num=hpoly.add(pp.x["A"], pp.x["C"]),
             y_num=hpoly.add(pp.y["A"], pp.y["C"]),
             den=hpoly.scale(2, pp.w),
-        )
-
-    def at(self, st: tuple):
-        """The center at the ratio s : t of the ints st = (s, t)."""
-        s, t = st
-        d = hpoly.eval_at(self.den, s, t)
-        if not hpoly.mod(d, self.field.char):
-            raise AtInfinityError("center map undefined at a path root")
-        return (
-            self.field.quotient(hpoly.eval_at(self.x_num, s, t), d),
-            self.field.quotient(hpoly.eval_at(self.y_num, s, t), d),
         )
 
 
@@ -169,41 +172,11 @@ def _image_conic(cmap: CenterMap, adj) -> tuple:
     for i, j in _MONOMIALS:
         k = b[i] * b[j] - a[i] * c[j]
         coeffs.append(k if i == j else k + b[j] * b[i] - a[j] * c[i])
-    last = next(k for k in reversed(coeffs) if hpoly.mod(k, field.char))
     x, y, d = cmap.x_num, cmap.y_num, cmap.den
     forms = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
     total = functools.reduce(hpoly.add, map(hpoly.scale, coeffs, forms))
     _require_zero(total, field.char, "the locus conic does not vanish on the center map")
-    return tuple(field.quotient(k, last) for k in coeffs)
-
-
-def _image_line(cmap: CenterMap, normal, source: str) -> AffineLineDescription:
-    """The line n0 x + n1 y + n2 = 0 that holds every center, for a normal n with
-    n0 X + n1 Y + n2 D = 0.
-
-    It is scaled as the line through the first two distinct affine centers in
-    ratio_samples order.  Five ratios hold two of them: at most two go to
-    infinity and at most two share a center.  F_3 has only four, and there a
-    map may have a single affine center; the line then keeps the scale of n.
-    """
-    field = cmap.field
-    first = line = None
-    for st in ratio_samples(field, 5):
-        try:
-            center = cmap.at(st)
-        except AtInfinityError:
-            continue
-        if first is None:
-            first = center
-        elif center != first:
-            line = _line_through(first, center, source)
-            break
-    if line is None:
-        line = AffineLineDescription(*map(field.from_int, (normal[0], normal[1], -normal[2])), source)
-    forms = (cmap.x_num, cmap.y_num, cmap.den)
-    form = functools.reduce(hpoly.add, map(hpoly.scale, covector(field, line), forms))
-    _require_zero(form, field.char, f"{source} left their line")
-    return line
+    return _scaled(field, coeffs)
 
 
 def _image(cmap: CenterMap, source: str):
@@ -217,16 +190,19 @@ def _image(cmap: CenterMap, source: str):
     normal c0 x c1 decides between the line and the point.  All on ints, mod p over F_p.
     """
     field, p = cmap.field, cmap.field.char
-    cols = tuple(zip(cmap.x_num, cmap.y_num, cmap.den))
+    forms = (cmap.x_num, cmap.y_num, cmap.den)
+    cols = tuple(zip(*forms))
     if len(cols) == 3:
-        normals = adjugate((cmap.x_num, cmap.y_num, cmap.den))
+        normals = adjugate(forms)
         if hpoly.mod(sum(n * c for n, c in zip(normals[0], cols[0])), p):
             return _image_conic(cmap, normals), None, None
     else:
         normals = (cross(cols[0], cols[1]),)
     normal = next((n for n in normals if not hpoly.is_zero(n, p)), None)
     if normal is not None:
-        return None, _image_line(cmap, normal, source), None
+        form = functools.reduce(hpoly.add, map(hpoly.scale, normal, forms))
+        _require_zero(form, p, f"{source} left their line")
+        return None, _line(field, normal, source), None
     x, y, d = next(c for c in cols if hpoly.mod(c[2], p))
     for num, value in ((cmap.x_num, x), (cmap.y_num, y)):
         constant = hpoly.sub(hpoly.scale(d, num), hpoly.scale(value, cmap.den))

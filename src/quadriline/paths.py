@@ -14,26 +14,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from .rectangles import ProjectiveRectangle, Ratio, canonical_key
-
-class PathCase(Enum):
-    """Which branch of the form definition applies.
-
-    BOTH_ZERO: the leading pair of constants vanishes (A = B for the slope
-    path; f1 = e2 = 0 for the aspect path).  GENERIC: e1 f1 + e2 f2 != 0, the
-    forms are linear and the path is a conic.  ORTHOGONAL: the diagonals are
-    orthogonal but the leading pair survives; the forms are constants and the
-    path is a line.
-    """
-
-    BOTH_ZERO = "both-zero"
-    GENERIC = "generic"
-    ORTHOGONAL = "orthogonal"
 
 
 @dataclass(frozen=True)
@@ -47,10 +32,13 @@ class PathPolynomials:
     whose roots are the path's points at infinity.  The forms are int
     forms on ``NormalizedConfig.standing`` (residues over F_p): the nine are
     the field-element forms times one nonzero constant, ``first`` and
-    ``second`` times another (δ⁶ and δ³ in the generic slope case).
+    ``second`` times another (δ⁶ and δ³ in the generic slope case).  Their
+    shape is the case: ``first == (0,)`` when the leading pair of constants
+    vanishes (A = B for the slope path, f1 = e2 = 0 for the aspect path);
+    linear forms when e1 f1 + e2 f2 != 0, and the path is a conic; otherwise
+    nonzero constants, the diagonals are orthogonal and the path is a line.
     """
 
-    case: PathCase
     first: tuple
     second: tuple
     x: dict
@@ -64,31 +52,31 @@ class PathPolynomials:
 
 
 def _slope_forms(cfg: NormalizedConfig):
-    """(case, first, second): (e1, e2) and (f2, -f1) times δ³, or cleared to ints."""
+    """(first, second): (e1, e2) and (f2, -f1) times δ³, or cleared to ints."""
     d, e1, e2, f1, f2 = cfg.standing[5:]
     if not e1 and not e2:
-        return PathCase.BOTH_ZERO, (0,), (1,)
+        return (0,), (1,)
     if cfg.ef_sum:
-        return PathCase.GENERIC, (d * e1, d * e2), (d * f2, -f1)
+        return (d * e1, d * e2), (d * f2, -f1)
     if e1:
-        return PathCase.ORTHOGONAL, (e1,), (f2,)
-    return PathCase.ORTHOGONAL, (d * e2,), (-f1,)
+        return (e1,), (f2,)
+    return (d * e2,), (-f1,)
 
 
 def _aspect_forms(cfg: NormalizedConfig):
-    """(case, first, second): (f1 / m_CD, e2) and (f2 / m_CD, -e1) times δ² M_CD, or cleared."""
+    """(first, second): (f1 / m_CD, e2) and (f2 / m_CD, -e1) times δ² M_CD, or cleared."""
     _, _, m_c, m_d, _, d, e1, e2, f1, f2 = cfg.standing
     if not f1 and not e2:
-        return PathCase.BOTH_ZERO, (0,), (1,)
+        return (0,), (1,)
     m_cd = m_c - m_d
     if cfg.ef_sum:
-        return PathCase.GENERIC, (f1, m_cd * e2), (d * f2, -m_cd * e1)
+        return (f1, m_cd * e2), (d * f2, -m_cd * e1)
     if e2:
-        return PathCase.ORTHOGONAL, (e2,), (-e1,)
-    return PathCase.ORTHOGONAL, (f1,), (d * f2,)
+        return (e2,), (-e1,)
+    return (f1,), (d * f2,)
 
 
-def _path(cfg: NormalizedConfig, case, first, second, xs, w) -> PathPolynomials:
+def _path(cfg: NormalizedConfig, first, second, xs, w) -> PathPolynomials:
     """The path from xs = X'_A, ..., X'_D and W', one multiple of x_A, ..., x_D and δ w:
     X_L = δ² X'_L, Y_L = δ M_L X'_L + B_L W' (B_B = δ, B_C = B_D = 0) and W = δ W'."""
     m_a, m_b, m_c, m_d, b_a, d = cfg.standing[:6]
@@ -100,12 +88,12 @@ def _path(cfg: NormalizedConfig, case, first, second, xs, w) -> PathPolynomials:
     if p := cfg.field.char:
         first, second, w = (tuple(c % p for c in f) for f in (first, second, w))
         x, y = ({r: tuple(c % p for c in f) for r, f in forms.items()} for forms in (x, y))
-    return PathPolynomials(case, first, second, x, y, w)
+    return PathPolynomials(first, second, x, y, w)
 
 
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The nine coordinate polynomials of the slope path."""
-    case, e_form, f_form = _slope_forms(cfg)
+    e_form, f_form = _slope_forms(cfg)
     _, m_b, m_c, m_d, _, d = cfg.standing[:6]
     xs = [
         hpoly.add(hpoly.mul((-d, m_c), e_form), hpoly.mul((d, 0), f_form)),
@@ -117,12 +105,12 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul(hpoly.scale(m_b - m_c, (d, -m_d)), e_form),
         hpoly.mul((d * m_b, d * d), f_form),
     )
-    return _path(cfg, case, e_form, f_form, xs, w)
+    return _path(cfg, e_form, f_form, xs, w)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The nine coordinate polynomials of the aspect path."""
-    case, m_form, n_form = _aspect_forms(cfg)
+    m_form, n_form = _aspect_forms(cfg)
     _, m_b, m_c, m_d, _, d = cfg.standing[:6]
     m_cd, m_bc = m_c - m_d, m_b - m_c
     xs = [
@@ -135,7 +123,7 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul((-d * m_bc, m_cd * m_b), m_form),
         hpoly.mul((m_bc * m_d, d * m_cd), n_form),
     )
-    return _path(cfg, case, m_form, n_form, xs, w)
+    return _path(cfg, m_form, n_form, xs, w)
 
 
 def ratio_ints(field, r: Ratio) -> tuple:

@@ -173,12 +173,7 @@ def _residue(p: int, pair):
 
 def _ratio(field, pair):
     """A (num, den) pair of key differences as a ratio, or INDETERMINATE for None."""
-    if pair is None:
-        return INDETERMINATE
-    num, den = pair
-    if not den:
-        return Ratio(field.one(), field.zero())
-    return Ratio(field.quotient(num, den), field.one())
+    return INDETERMINATE if pair is None else Ratio.from_ints(field, *pair)
 
 
 def slope_residue(p: int, key: tuple):

@@ -18,7 +18,7 @@ from quadriline import (
 from quadriline.cli import load_config
 from quadriline.configuration import adjugate, normalize
 from quadriline.errors import PreconditionError
-from quadriline import paths
+from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
 from quadriline.scalars import solve_quadratic
 
@@ -187,6 +187,16 @@ def fraction_count():
         yield built
     finally:
         Fraction.__new__ = new
+
+
+def center_at(cmap, st):
+    """The center of a ``CenterMap`` at the ratio s : t of the ints st = (s, t), or
+    None at a root of its denominator."""
+    s, t = st
+    d = hpoly.eval_at(cmap.den, s, t)
+    if not hpoly.mod(d, cmap.field.char):
+        return None
+    return tuple(cmap.field.quotient(hpoly.eval_at(f, s, t), d) for f in (cmap.x_num, cmap.y_num))
 
 
 def lines_for(cfg) -> dict:

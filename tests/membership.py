@@ -40,7 +40,7 @@ from quadriline.errors import (
     PreconditionError,
     ReflectionUnavailableError,
 )
-from quadriline.paths import PathCase, PathPolynomials
+from quadriline.paths import PathPolynomials
 from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle
 from quadriline.scalars import Ratio
 
@@ -340,6 +340,12 @@ def rectangle_from_aspect(cfg: NormalizedConfig, r: Ratio, w) -> Fiber:
     return _fiber_from_solution(cfg, sol, w)
 
 
+def on_line(line: InputLine, point) -> bool:
+    """Whether the affine point (x, y) satisfies a x + b y = c."""
+    x, y = point
+    return line.a * x + line.b * y == line.c
+
+
 def _slope_intercept(line: InputLine):
     """(m, k) with y = m*x + k; requires a non-vertical line."""
     if not line.b:
@@ -373,7 +379,7 @@ def _labeling_valid(lines: dict) -> bool:
     if lines["B"].same_line(lines["D"]):
         return False
     origin = lines["C"].intersection(lines["D"])
-    return not lines["B"].contains(origin)
+    return not on_line(lines["B"], origin)
 
 
 def _pick_reflection(field, lines):
@@ -484,12 +490,12 @@ def _slope_forms(cfg: NormalizedConfig):
     zero, one = cfg.field.zero(), cfg.field.one()
     e1, e2, f1, f2 = diagonal_constants(cfg)
     if not e1 and not e2:
-        return PathCase.BOTH_ZERO, (zero,), (one,)
+        return (zero,), (one,)
     if e1 * f1 + e2 * f2:
-        return PathCase.GENERIC, (e1, e2), (f2, -f1)
+        return (e1, e2), (f2, -f1)
     if e1:
-        return PathCase.ORTHOGONAL, (one,), (f2 / e1,)
-    return PathCase.ORTHOGONAL, (one,), (-f1 / e2,)
+        return (one,), (f2 / e1,)
+    return (one,), (-f1 / e2,)
 
 
 def _aspect_forms(cfg: NormalizedConfig):
@@ -497,23 +503,23 @@ def _aspect_forms(cfg: NormalizedConfig):
     e1, e2, f1, f2 = diagonal_constants(cfg)
     m_cd = cfg.m_c - cfg.m_d
     if not f1 and not e2:
-        return PathCase.BOTH_ZERO, (zero,), (one,)
+        return (zero,), (one,)
     if e1 * f1 + e2 * f2:
-        return PathCase.GENERIC, (f1 / m_cd, e2), (f2 / m_cd, -e1)
+        return (f1 / m_cd, e2), (f2 / m_cd, -e1)
     if e2:
-        return PathCase.ORTHOGONAL, (one,), (-e1 / e2,)
-    return PathCase.ORTHOGONAL, (one,), (f2 / f1,)
+        return (one,), (-e1 / e2,)
+    return (one,), (f2 / f1,)
 
 
-def _path(cfg: NormalizedConfig, case, first, second, x, w) -> PathPolynomials:
+def _path(cfg: NormalizedConfig, first, second, x, w) -> PathPolynomials:
     y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
                          hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
-    return PathPolynomials(case, first, second, x, y, w)
+    return PathPolynomials(first, second, x, y, w)
 
 
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The slope path's forms in field elements: the reference for the library's int forms."""
-    case, e_form, f_form = _slope_forms(cfg)
+    e_form, f_form = _slope_forms(cfg)
     zero, one = cfg.field.zero(), cfg.field.one()
     m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
     x = {
@@ -526,12 +532,12 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul(hpoly.scale(m_b - m_c, (one, -m_d)), e_form),
         hpoly.mul((m_b, one), f_form),
     )
-    return _path(cfg, case, e_form, f_form, x, w)
+    return _path(cfg, e_form, f_form, x, w)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The aspect path's forms in field elements: the reference for the library's int forms."""
-    case, m_form, n_form = _aspect_forms(cfg)
+    m_form, n_form = _aspect_forms(cfg)
     zero, one = cfg.field.zero(), cfg.field.one()
     m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
     m_cd, m_bc = m_c - m_d, m_b - m_c
@@ -546,7 +552,17 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul((-m_bc, m_cd * m_b), m_form),
         hpoly.mul((m_bc * m_d, m_cd), n_form),
     )
-    return _path(cfg, case, m_form, n_form, x, w)
+    return _path(cfg, m_form, n_form, x, w)
+
+
+def path_case(pp: PathPolynomials) -> str:
+    """The case of a path's forms, read off their shape: "both-zero" when
+    ``first`` is the zero constant, "generic" when the forms are linear (the
+    path is a conic), and "orthogonal" when they are nonzero constants (the
+    diagonals are orthogonal and the path is a line)."""
+    if len(pp.first) == 2:
+        return "generic"
+    return "orthogonal" if pp.first[0] else "both-zero"
 
 
 def coordinate_forms(pp: PathPolynomials) -> list:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import quadriline
-from quadriline import QQ, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
+from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
 from quadriline.cli import main
 from quadriline.errors import InternalCheckError
 from quadriline.rectangles import ProjectiveRectangle
@@ -40,6 +41,35 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+LOCUS_LINES = ("slope_centers", "aspect_centers", "gauss_newton", "diagonal_g", "single_line")
+
+
+def assert_one_scale(doc):
+    """Each line (a, b, c) and the conic of a locus report has 1 as its last nonzero value."""
+    rows = [[doc[key][k] for k in "abc"] for key in LOCUS_LINES if doc[key] is not None]
+    rows += [doc["conic"]] if doc["conic"] is not None else []
+    for row in rows:
+        assert [v for v in row if v != "0"][-1] == "1", row
+
+
+def normalized_frame(field, plane_map):
+    """The point map of a classify report's plane map: translate, reflect about
+    y = t x when t is set, then scale."""
+    tx, ty = (field.parse(v) for v in plane_map["translation"])
+    t = None if plane_map["reflection_t"] is None else field.parse(plane_map["reflection_t"])
+    s, one = field.parse(plane_map["scale"]), field.one()
+
+    def point(x, y):
+        x, y = x + tx, y + ty
+        if t is not None:
+            d = one + t * t
+            x, y = ((one - t * t) * x + 2 * t * y) / d, (2 * t * x + (t * t - one) * y) / d
+        return s * x, s * y
+
+    return point
 
 
 class TestClassify:
@@ -162,20 +192,66 @@ class TestPathLocusCensus:
         [
             ("cfg1.json", "f399eae7f15d84ad0d9997e0bd9e249a9df961146af37ff0a29b484c573f5892"),
             ("cfg1_f11.json", "5ebb157afde7d62bfe96a504c7ba9b26fed86ef1319bc20a58f8928546c30d65"),
-            ("cfg2.json", "0b9166bd19fcf92ef78a6cb76cb564d1ec960acdb3568af750c04a11d4faf1ef"),
-            ("cfg3.json", "9c48c0ec4e9a2f938d72174c57670874d5917385193d0cc6703ae68d3b5fa8f8"),
+            ("cfg2.json", "d303ca398030d15706b273eced6e01623341e490ebfbfd4eebc94c67bbdd67b6"),
+            ("cfg3.json", "d9974add41541566e890042b300ac8b14071842848a2a7d2c5015cfde531aa6a"),
             ("parallel.json", "a3700e3db86fe31c6707f8bbde730b9d944c0c8737cd5240014006a8f30ef537"),
             ("vertical.json", "afa580c35c104792ee9d05d1b50b931ee5183b2552866c01cc3cd95f0109b4ce"),
             ("vertical_f1009.json", "5e1bfb7025a74edf9956511c56f9008435175e1f5f2313ea8747551d87b0e558"),
-            ("relabeled.json", "9534d8cbf615ba5a689b043282d9d60ab110c5667997edb653379dc09e145146"),
+            ("relabeled.json", "c080d2f2631fa94b373e125446f4638abbbc4a921965ead5e9e5b8f349ac7301"),
+            # A = C over F_3: a rank-2 center map with a single affine center.
+            ("coincident_f3.json", "9dd0cb7e27d78af79513a1c949c2da83f8e117babf167581aa3c74eebdaba5b6"),
+            # TwoLines over F_5 whose centroid is read off the aspect path's y equation.
+            ("degenerate_f5.json", "58d616ba921efe14154d5df9236ba1c3f59a67d0fcbe37950c19c29265693235"),
         ],
     )
     def test_locus_bytes(self, capsys, name, digest):
-        """The closed-form locus prints what the sampled fit printed."""
+        """The locus report of each shipped configuration, byte for byte."""
         path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
         code, out, err = run_cli(capsys, "locus", "--input", path)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_path_centers_lie_on_the_locus_in_the_normalized_frame(self, capsys, name):
+        """Each ``path`` center, moved into the normalized frame by the plane map
+        that ``classify`` prints, lies on the printed ``locus``: on the conic,
+        the line of its path or the single line, at the point, or at its path's
+        entry of the points (slope first).  The locus is printed in the
+        normalized frame, path centers in the input frame.  Every printed line
+        and conic is at the one scale."""
+        path = os.path.join(CONFIGS, name)
+        locus = run_json(capsys, "locus", "--input", path)
+        if locus["shape"] == "AllParallel":
+            assert run_cli(capsys, "path", "--input", path, "--kind", "slope")[0] == 2
+            return
+        assert_one_scale(locus)
+        classify = run_json(capsys, "classify", "--input", path)
+        field = QQ if classify["field"] == "rational" else PrimeField(classify["field"]["prime"])
+        to_normalized = normalized_frame(field, classify["plane_map"])
+        parse = lambda values: [field.parse(v) for v in values]
+        checked = 0
+        for index, kind in enumerate(("slope", "aspect")):
+            report = run_json(capsys, "path", "--input", path, "--kind", kind, "--samples", "12")
+            for rect in report["rectangles"]:
+                if rect["center"] is None:
+                    continue
+                x, y = to_normalized(*parse(rect["center"]))
+                on = []
+                if locus["conic"] is not None:
+                    k = parse(locus["conic"])
+                    monomials = (x * x, x * y, y * y, x, y, field.one())
+                    on.append(not sum(map(operator.mul, k, monomials), field.zero()))
+                for key in (f"{kind}_centers", "single_line"):
+                    if locus[key] is not None:
+                        a, b, c = parse(locus[key][k] for k in "abc")
+                        on.append(a * x + b * y == c)
+                if locus["point"] is not None:
+                    on.append([x, y] == parse(locus["point"]))
+                if "points" in locus:
+                    on.append([x, y] == parse(locus["points"][index]))
+                assert on and all(on), (kind, rect["ratio"])
+                checked += 1
+        assert checked
 
     def test_locus_two_points_over_f5(self, tmp_path, capsys):
         """A = C is the isotropic line y = 2x: two centers, not a line of them."""
@@ -188,8 +264,9 @@ class TestPathLocusCensus:
         assert list(doc)[-2:] == ["points", "special_rectangles"]
 
     def test_locus_every_normalized_config_over_f5(self, tmp_path, capsys):
-        """Every configuration exits 0 with the same report.  In 16 TwoLines
-        cases the two locus lines are parallel: no center rectangle."""
+        """Every configuration exits 0 with the same report, each line and conic
+        at the one scale.  In 16 TwoLines cases the two locus lines are
+        parallel: no center rectangle."""
         p = 5
         digest = hashlib.sha256()
         parallel = 0
@@ -202,10 +279,11 @@ class TestPathLocusCensus:
             assert code == 0, err
             digest.update(out.encode())
             doc = json.loads(out)
+            assert_one_scale(doc)
             if doc["shape"] == "TwoLines" and doc["gauss_newton"] is not None:
                 parallel += doc["special_rectangles"] is None
         assert parallel == 16
-        assert digest.hexdigest() == "89a631a6b2aa0c7bbe2b8b70a66fab4bab24d15f5227efadc604def86b7208d3"
+        assert digest.hexdigest() == "ce255421cf405c904a7c7f34ddb200acb4285417343c5f8dc21b879c584a59c8"
 
     def test_census_every_normalized_config_over_f5(self, tmp_path, capsys):
         """Every configuration exits 0 with the same census: degenerate,
@@ -287,7 +365,7 @@ class TestPathLocusCensus:
             ("corner.json", "rect --aspect=-1/2", 0, "2904b8594f79f092ac30c3acc151427fb7eda2ca1709265ce9833101d402cf89"),
             ("corner.json", "path --kind slope", 0, "cf087c318b1b49515398fa49eafda68a1f2de1f23d7c7340761088e948e502f1"),
             ("corner.json", "path --kind aspect", 0, "8da67eb762cd0201024f8720453fadee79154d7f7cc20251e9e72ef23b5a177f"),
-            ("corner.json", "locus", 0, "cc7437183e18451ac55c2b03c701f074906e1888d031c5d99a2f9c0f86e21a4b"),
+            ("corner.json", "locus", 0, "6f1c5781deba27940b282d196f9cc834097766094d19e290b7b677a90e2c075c"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):

@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from quadriline import PrimeField, Ratio, cli, locus, svgfig
+from quadriline import PrimeField, Ratio, cli, svgfig
 from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import json_text, load_config, main
 from quadriline.configuration import DiagonalMarker, LocusShape
@@ -295,7 +295,7 @@ def argvs(draw):
 def test_any_argv_exits_0_or_2_with_one_line(argv, field, pairs):
     """Also bounds the work of every ratio_samples call (:func:`bounded_ratio_samples`)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        for module in (cli, locus, svgfig):  # the modules that call ratio_samples
+        for module in (cli, svgfig):  # the modules that call ratio_samples
             stack.enter_context(mock.patch.object(module, "ratio_samples", bounded_ratio_samples))
         path = write_config(pathlib.Path(tmp), "input.json", field, pairs)
         out = os.path.join(tmp, "out.svg")

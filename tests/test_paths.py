@@ -23,7 +23,6 @@ from quadriline import hpoly
 from quadriline.configuration import ROLES
 from quadriline.errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from quadriline.paths import (
-    PathCase,
     PathPolynomials,
     aspect_path_polys,
     eval_path,
@@ -50,7 +49,9 @@ from membership import (
     has_slope,
     is_parallelogram,
     is_rectangle,
+    on_line,
     one_multiple,
+    path_case,
     satisfies_membership,
 )
 
@@ -72,7 +73,7 @@ def reference_eval_path(cfg, pp, r):
 class TestSlopePathPolynomials:
     def test_cfg1_exact_expansion(self, cfg1):
         pp = slope_path_polys(cfg1)
-        assert pp.case is PathCase.GENERIC
+        assert path_case(pp) == "generic"
         assert pp.first == (1, 0)  # e1 S + e2 T = S
         assert pp.second == (2, -3)  # f2 S - f1 T = 2S - 3T
         assert pp.x["A"] == (1, -3, 0)  # S^2 - 3 S T
@@ -84,19 +85,19 @@ class TestSlopePathPolynomials:
 
     def test_cfg3_is_a_line_with_zero_w(self, cfg3):
         pp = slope_path_polys(cfg3)
-        assert pp.case is PathCase.ORTHOGONAL
+        assert path_case(pp) == "orthogonal"
         assert len(pp.w) - 1 == 1
         assert hpoly.is_zero(pp.w)  # the whole path lies at infinity
 
     def test_a_equals_b_case(self):
         cfg = NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)
         pp = slope_path_polys(cfg)
-        assert pp.case is PathCase.BOTH_ZERO
+        assert path_case(pp) == "both-zero"
         assert pp.first == (0,) and pp.second == (1,)
 
     def test_degenerate_coordinates_have_degree_one(self, cfg2):
         pp = slope_path_polys(cfg2)
-        assert pp.case is PathCase.ORTHOGONAL
+        assert path_case(pp) == "orthogonal"
         assert len(pp.w) - 1 == 1
         ap = aspect_path_polys(cfg2)
         assert len(ap.w) - 1 == 1
@@ -105,14 +106,13 @@ class TestSlopePathPolynomials:
 def reference_paths(cfg):
     """The field-element forms of both paths, after checking that the
     library's int forms are one nonzero multiple of them, with the case-split
-    pair (first, second) another one."""
+    pair (first, second) another one, which puts them in the same case."""
     out = []
     for build, reference in (
         (slope_path_polys, membership.slope_path_polys),
         (aspect_path_polys, membership.aspect_path_polys),
     ):
         pp, ref = build(cfg), reference(cfg)
-        assert pp.case is ref.case
         assert one_multiple(cfg.field, coordinate_forms(pp), coordinate_forms(ref))
         assert one_multiple(cfg.field, [pp.first, pp.second], [ref.first, ref.second])
         out.append(ref)
@@ -227,7 +227,7 @@ class TestPolynomialIdentities:
         for _ in range(15):
             cfg = random_rational_config(rng)
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-                if pp.case is PathCase.GENERIC:
+                if path_case(pp) == "generic":
                     e1, e2 = pp.first
                     f2, mf1 = pp.second
                     assert e1 * mf1 - e2 * f2  # the two forms are independent
@@ -310,7 +310,7 @@ class TestIntegerKernel:
         rng = random.Random(139)
         configs = [random_rational_config(rng) for _ in range(10)]
         configs += [random_degenerate_config(rng) for _ in range(10)]
-        configs += [NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)]  # slope path BOTH_ZERO
+        configs += [NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)]  # slope path both-zero
         ratios = sample_ratios(QQ, 30) + [Ratio.of(Fraction(-(10**40) + 7, 3**50), Fraction(1))]
         for cfg in configs:
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
@@ -337,7 +337,6 @@ class TestIntegerKernel:
         root = (1, -1)  # S - T
         forms = {role: hpoly.scale(k, root) for k, role in enumerate(ROLES, 1)}
         pp = PathPolynomials(
-            case=PathCase.ORTHOGONAL,
             first=(1,),
             second=(1,),
             x=forms,
@@ -373,7 +372,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
     for role, (x, y) in vertices.items():
-        if not cfg.line(role).contains((x, y)):
+        if not on_line(cfg.line(role), (x, y)):
             raise InternalCheckError(f"vertex for {role} left its line")
     return SlopeQueryResult(False, vertices, rect)
 
@@ -393,7 +392,7 @@ class TestAffineVertices:
         res = affine_vertices_for_slope(cfg1, rat(QQ, 1, 1))
         assert not res.at_infinity
         for role, point in res.vertices.items():
-            assert cfg1.line(role).contains(point)
+            assert on_line(cfg1.line(role), point)
 
     def test_cfg2_e_slope_at_infinity(self, cfg2):
         res = affine_vertices_for_slope(cfg2, rat(QQ, 1, 2))

@@ -28,7 +28,6 @@ from quadriline.rectangles import (
     slopes_at_infinity,
 )
 from quadriline.paths import (
-    PathCase,
     aspect_path_polys,
     eval_path,
     path_keys,
@@ -45,7 +44,7 @@ from conftest import (
 )
 from test_paths import reference_eval_path, reference_paths
 import membership
-from membership import one_multiple
+from membership import one_multiple, path_case
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
 KINDS = ("random", "degenerate", "twin-pair", "slope-both-zero", "aspect-both-zero")
@@ -69,9 +68,9 @@ def scalars(field):
 
 @st.composite
 def configs(draw, field_strategy=fields()):
-    """A normalized configuration drawn to hit every PathCase on both paths.
+    """A normalized configuration drawn to hit every path case on both paths.
 
-    degenerate solves for a b_A with e1 f1 + e2 f2 = 0 (ORTHOGONAL forms);
+    degenerate solves for a b_A with e1 f1 + e2 f2 = 0 (constant forms);
     twin-pair sets A parallel to D and B to C, as in CFG3_INTS, where every
     b_A degenerates; slope-both-zero sets A = B (e1 = e2 = 0);
     aspect-both-zero sets b_A = 1 and m_B m_D = m_A m_C (f1 = e2 = 0).
@@ -198,24 +197,26 @@ def test_replay_matches_eval_path(cfg):
 
 
 def cases_reached(field_strategy):
-    """The (path kind, PathCase) pairs of 100 configurations drawn over field_strategy."""
+    """The (path kind, path case) pairs of 100 configurations drawn over field_strategy."""
     seen = set()
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(configs(field_strategy))
     def collect(cfg):
-        seen.add(("slope", slope_path_polys(cfg).case))
-        seen.add(("aspect", aspect_path_polys(cfg).case))
+        seen.add(("slope", path_case(slope_path_polys(cfg))))
+        seen.add(("aspect", path_case(aspect_path_polys(cfg))))
 
     collect()
     return seen
 
 
-EVERY_CASE = {(kind, case) for kind in ("slope", "aspect") for case in PathCase}
+EVERY_CASE = {
+    (kind, case) for kind in ("slope", "aspect") for case in ("both-zero", "generic", "orthogonal")
+}
 
 
 def test_strategy_reaches_every_case():
-    """The configuration strategy yields each PathCase on each path."""
+    """The configuration strategy yields each path case on each path."""
     assert cases_reached(fields()) == EVERY_CASE
 
 

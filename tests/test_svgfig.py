@@ -19,11 +19,10 @@ from quadriline import (
 )
 from quadriline import hpoly, svgfig
 from quadriline.cli import load_config
-from quadriline.errors import AtInfinityError
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _clip_line, _swept_centers, render
-from conftest import rat
+from conftest import center_at, rat
 
 # The ratios of the render's conic sweep: j/32 for |j| <= 512, then 1/0.
 SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
@@ -36,10 +35,9 @@ RATIONAL_CONFIGS = ["cfg1.json", "cfg2.json", "cfg3.json", "vertical.json", "rel
 def fraction_sweep(center_map, plane_map):
     """Reference: each swept center in Fractions, mapped back exactly, then rounded."""
     points = []
-    for s, t in SWEEP:
-        try:
-            center = center_map.at((s, t))
-        except AtInfinityError:
+    for st in SWEEP:
+        center = center_at(center_map, st)
+        if center is None:
             points.append(None)
             continue
         x, y = plane_map.original_point(*center, 1)

@@ -58,6 +58,10 @@ class InputLine:
     def same_line(self, other: "InputLine") -> bool:
         return not any(self._meet(other))
 
+    def contains(self, point) -> bool:
+        x, y = point
+        return self.a * x + self.b * y == self.c
+
     def intersection(self, other: "InputLine"):
         """The unique intersection point (X / Z, Y / Z), or None for parallel lines."""
         x, y, z = self._meet(other)

@@ -90,8 +90,7 @@ def gauss_newton_line(cfg: NormalizedConfig) -> AffineLineDescription:
     for r1, r2, r3, r4 in (("A", "B", "C", "D"), ("A", "D", "B", "C"), ("A", "C", "B", "D")):
         mids.append(_midpoint(_corner(cfg, r1, r2), _corner(cfg, r3, r4)))
     line = _line_through(cfg.field, mids[0], mids[1], "gauss-newton")
-    x, y = mids[2]
-    if line.a * x + line.b * y != line.c:
+    if not line.contains(mids[2]):
         raise InternalCheckError("Gauss-Newton midpoints are not collinear")
     return line
 

@@ -340,12 +340,6 @@ def rectangle_from_aspect(cfg: NormalizedConfig, r: Ratio, w) -> Fiber:
     return _fiber_from_solution(cfg, sol, w)
 
 
-def on_line(line: InputLine, point) -> bool:
-    """Whether the affine point (x, y) satisfies a x + b y = c."""
-    x, y = point
-    return line.a * x + line.b * y == line.c
-
-
 def _slope_intercept(line: InputLine):
     """(m, k) with y = m*x + k; requires a non-vertical line."""
     if not line.b:
@@ -379,7 +373,7 @@ def _labeling_valid(lines: dict) -> bool:
     if lines["B"].same_line(lines["D"]):
         return False
     origin = lines["C"].intersection(lines["D"])
-    return not on_line(lines["B"], origin)
+    return not lines["B"].contains(origin)
 
 
 def _pick_reflection(field, lines):

@@ -36,7 +36,6 @@ from conftest import (
     write_config,
 )
 import membership
-from membership import on_line
 from test_paths import _divisibility_checks, _identity_checks
 
 
@@ -97,10 +96,10 @@ def test_criterion_3_degenerate_geometry(cfg2):
         for r in sample_ratios(QQ, 10):
             rect = aspect_path_eval(cfg2, r)
             if not rect.at_infinity:
-                assert on_line(report.aspect_centers, center_of(rect))
+                assert report.aspect_centers.contains(center_of(rect))
             rect = slope_path_eval(cfg2, r)
             if not rect.at_infinity:
-                assert on_line(report.slope_centers, center_of(rect))
+                assert report.slope_centers.contains(center_of(rect))
 
 
 def test_criterion_4_identity_suite():
@@ -162,8 +161,8 @@ def test_criterion_6_twin_pair_behavior(cfg3):
         report = centers_paths(cfg3)
         line = report.single_line
         assert line is not None
-        assert on_line(line, (Fraction(0), Fraction(1, 2)))
-        assert on_line(line, (Fraction(7), Fraction(1, 2)))
+        assert line.contains((Fraction(0), Fraction(1, 2)))
+        assert line.contains((Fraction(7), Fraction(1, 2)))
 
 
 def test_criterion_7_all_parallel_handling():

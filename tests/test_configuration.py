@@ -120,7 +120,7 @@ class TestNormalize:
         def forbidden(*args):
             raise AssertionError("normalize called an InputLine method")
 
-        for name in ("parallel_to", "same_line", "intersection"):
+        for name in ("parallel_to", "same_line", "contains", "intersection"):
             monkeypatch.setattr(InputLine, name, forbidden)
         paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
         assert len(paths) >= 9

@@ -19,7 +19,6 @@ from quadriline import (
 )
 import membership
 from conftest import normalized_point
-from membership import on_line
 
 PRIMES = [n for n in range(3, 400) if all(n % d for d in range(2, n))]
 
@@ -79,7 +78,7 @@ def test_plane_map_round_trip(normalized, data):
             y = data.draw(scalars)
             point = (original.c / original.a, y)
         image = normalized_point(pm, point)
-        assert on_line(cfg.line(role), image)
+        assert cfg.line(role).contains(image)
         assert original_point(pm, image) == point
     point = (data.draw(scalars), data.draw(scalars))
     assert normalized_point(pm, original_point(pm, point)) == point

@@ -35,7 +35,7 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
-from membership import on_line, rectangle_from_slope
+from membership import rectangle_from_slope
 from conftest import (
     center_at,
     fraction_count,
@@ -149,10 +149,10 @@ def reported_centers(field, report) -> set:
     for line in (report.slope_centers, report.aspect_centers, report.single_line):
         if line is None:
             continue
-        points = [point for point in plane if on_line(line, point)]
+        on_line = [point for point in plane if line.contains(point)]
         if line is report.single_line and report.shape is LocusShape.NONDEGENERATE_CONIC:
-            points = [point for point in points if has_square_fiber(report.center_map, point)]
-        out.update(points)
+            on_line = [point for point in on_line if has_square_fiber(report.center_map, point)]
+        out.update(on_line)
     if report.point is not None:
         out.add(report.point)
     out.update(report.points or ())
@@ -205,7 +205,7 @@ class TestGaussNewton:
             (Fraction(3, 4), Fraction(1, 2)),
             (Fraction(13, 24), Fraction(1, 3)),
         ):
-            assert on_line(line, point)
+            assert line.contains(point)
         assert line.slope() == Ratio.of(Fraction(4), Fraction(5))
 
     def test_cfg1_collinearity_holds(self, cfg1):
@@ -233,14 +233,14 @@ class TestGaussNewton:
 class TestDiagonalG:
     def test_cfg2(self, cfg2):
         g = diagonal_g(cfg2)
-        assert on_line(g, (Fraction(3, 4), Fraction(0)))
-        assert on_line(g, (Fraction(1, 3), Fraction(2, 3)))
+        assert g.contains((Fraction(3, 4), Fraction(0)))
+        assert g.contains((Fraction(1, 3), Fraction(2, 3)))
         assert g.slope() == Ratio.of(Fraction(-8), Fraction(5))
 
     def test_cfg1_vertical(self, cfg1):
         g = diagonal_g(cfg1)
-        assert on_line(g, (Fraction(-1, 2), Fraction(0)))
-        assert on_line(g, (Fraction(-1, 2), Fraction(-1, 2)))
+        assert g.contains((Fraction(-1, 2), Fraction(0)))
+        assert g.contains((Fraction(-1, 2), Fraction(-1, 2)))
         assert g.slope() == rat(QQ, 1, 0)
 
     def test_parallel_pair_rejected(self):
@@ -280,10 +280,10 @@ class TestCentersPaths:
         for r in ratio_samples(QQ, 12):
             rect = eval_path(cfg2, spp, r)
             if not rect.at_infinity:
-                assert on_line(report.slope_centers, center_of(rect))
+                assert report.slope_centers.contains(center_of(rect))
             rect = eval_path(cfg2, app, r)
             if not rect.at_infinity:
-                assert on_line(report.aspect_centers, center_of(rect))
+                assert report.aspect_centers.contains(center_of(rect))
 
     def test_cfg1_conic(self, cfg1):
         report = centers_paths(cfg1)
@@ -305,7 +305,7 @@ class TestCentersPaths:
         assert report.shape is LocusShape.LINE_PLUS_INFINITY
         line = report.single_line
         assert line is not None
-        assert on_line(line, (Fraction(0), Fraction(1, 2)))
+        assert line.contains((Fraction(0), Fraction(1, 2)))
         assert line.slope() == rat(QQ, 0, 1)  # the affine centers lie on y = 1/2
 
     def test_point_locus_when_both_pairs_parallel(self):
@@ -419,8 +419,8 @@ class TestSpecialRectangles:
         report = centers_paths(cfg2)
         special = special_rectangles(cfg2, report)
         center = center_of(special.center_rectangle)
-        assert on_line(report.slope_centers, center)
-        assert on_line(report.aspect_centers, center)
+        assert report.slope_centers.contains(center)
+        assert report.aspect_centers.contains(center)
         corners = [cfg2.corner(*pair) for pair in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
         centroid = (
             sum(p[0] for p in corners) / 4,
@@ -428,7 +428,7 @@ class TestSpecialRectangles:
         )
         assert center_of(special.centroid_rectangle) == centroid
         # The centroid is on the Gauss-Newton line by construction.
-        assert on_line(report.gauss_newton, centroid)
+        assert report.gauss_newton.contains(centroid)
 
     def test_rational_standing_forms(self):
         """Degenerate configurations with δ > 1 in their standing ints: the center
@@ -445,7 +445,7 @@ class TestSpecialRectangles:
             except PreconditionError:  # parallel locus lines
                 continue
             center = center_of(special.center_rectangle)
-            assert on_line(report.slope_centers, center) and on_line(report.aspect_centers, center)
+            assert report.slope_centers.contains(center) and report.aspect_centers.contains(center)
             checked += 1
 
     def test_cfg2_at_infinity_interpretation(self, cfg2):

@@ -49,7 +49,6 @@ from membership import (
     has_slope,
     is_parallelogram,
     is_rectangle,
-    on_line,
     one_multiple,
     path_case,
     satisfies_membership,
@@ -372,7 +371,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
     for role, (x, y) in vertices.items():
-        if not on_line(cfg.line(role), (x, y)):
+        if not cfg.line(role).contains((x, y)):
             raise InternalCheckError(f"vertex for {role} left its line")
     return SlopeQueryResult(False, vertices, rect)
 
@@ -392,7 +391,7 @@ class TestAffineVertices:
         res = affine_vertices_for_slope(cfg1, rat(QQ, 1, 1))
         assert not res.at_infinity
         for role, point in res.vertices.items():
-            assert on_line(cfg1.line(role), point)
+            assert cfg1.line(role).contains(point)
 
     def test_cfg2_e_slope_at_infinity(self, cfg2):
         res = affine_vertices_for_slope(cfg2, rat(QQ, 1, 2))

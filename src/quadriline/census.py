@@ -19,15 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
 from .paths import aspect_path_polys, path_keys, slope_path_polys
-from .rectangles import (
-    ProjectiveRectangle,
-    Ratio,
-    aspect_residue,
-    quadric_h,
-    residue_text,
-    slope_residue,
-)
-from .scalars import FpElement
+from .rectangles import ProjectiveRectangle, Ratio, aspect_residue, residue_text, slope_residue
 
 # Largest prime a census runs at.  Its time and the set of rectangles it holds
 # both grow about linearly in p.  At p = 59,999 one census, end to end, took
@@ -37,8 +29,38 @@ from .scalars import FpElement
 MAX_CENSUS_PRIME = 60_000
 
 
-def _residues(*values):
-    return tuple(v.value for v in values)
+def _completion(cfg: NormalizedConfig) -> tuple:
+    """(k_A, k_B, k_w), residues with x_C = k_A x_A + k_B x_B + k_w w for the
+    parallelogram over (x_A : x_B : w): one inverse of m_D - m_C, on the
+    standing residues (δ = 1 over F_p)."""
+    p = cfg.field.char
+    m_a, m_b, m_c, m_d, b_a = cfg.standing[:5]
+    inv = pow(m_d - m_c, -1, p)
+    return (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
+
+
+def _symmetric_product(l1, l2):
+    """The product of two linear forms in (X_A, X_B, X), as the coefficients of
+    X_A^2, X_A X_B, X_B^2, X_A X, X_B X, X^2."""
+    a1, b1, w1 = l1
+    a2, b2, w2 = l2
+    return (a1 * a2, a1 * b2 + b1 * a2, b1 * b2, a1 * w2 + w1 * a2, b1 * w2 + w1 * b2, w1 * w2)
+
+
+def quadric_h(cfg: NormalizedConfig) -> tuple:
+    """The quadric h(x_A, x_B, w) that cuts out the rectangles, as six residues
+    (aa, ab, bb, aw, bw, ww) of X_A^2, X_A X_B, X_B^2, X_A X, X_B X, X^2.
+
+    h = (y_B - y_A)(y_C - y_B) + (x_B - x_A)(x_C - x_B) on the parallelogram
+    over (x_A : x_B : w), with x_C from :func:`_completion`: it vanishes
+    exactly when that parallelogram is a rectangle.
+    """
+    p = cfg.field.char
+    m_a, m_b, m_c, _, b_a = cfg.standing[:5]
+    k_a, k_b, k_w = _completion(cfg)
+    dy = _symmetric_product((-m_a, m_b, 1 - b_a), (m_c * k_a, m_c * k_b - m_b, m_c * k_w - 1))
+    dx = _symmetric_product((-1, 1, 0), (k_a, k_b - 1, k_w))
+    return tuple((u + v) % p for u, v in zip(dy, dx))
 
 
 def _row_roots(field, a: int, b: int, c: int):
@@ -47,10 +69,9 @@ def _row_roots(field, a: int, b: int, c: int):
     p = field.char
     if a:
         d = (b * b - 4 * a * c) % p
-        root = field.sqrt(FpElement(d, field))
-        if root is None:
+        r = field.sqrt(d)
+        if r is None:
             return ()
-        r = root.value
         if (r * r - d) % p:
             raise InternalCheckError(f"{r} is not a square root of {d} mod {p}")
         inv = pow(2 * a, -1, p)
@@ -70,8 +91,8 @@ def enumerate_rectangles(cfg: NormalizedConfig):
     quadric.  On the line w = 0 the points (x_A, 1, 0) are the roots of
     aa x_A^2 + ab x_A + bb, and (1, 0, 0) is a zero exactly when aa = 0.
     Each zero is completed to a parallelogram on ints mod p, with
-    x_C = k_A x_A + k_B x_B + k_w w from one inverse of m_D - m_C, and
-    scaled to its canonical form.
+    x_C = k_A x_A + k_B x_B + k_w w from :func:`_completion`, and scaled to
+    its canonical form.
     """
     field = cfg.field
     if not field.char:
@@ -81,8 +102,7 @@ def enumerate_rectangles(cfg: NormalizedConfig):
         raise PreconditionError(
             f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
         )
-    h = quadric_h(cfg)
-    aa, ab, bb, aw, bw, ww = _residues(h.aa, h.ab, h.bb, h.aw, h.bw, h.ww)
+    aa, ab, bb, aw, bw, ww = quadric_h(cfg)
     hits = [(x_a, 1, 0) for x_a in _row_roots(field, aa, ab, bb)]
     if not aa:
         hits.append((1, 0, 0))
@@ -90,9 +110,8 @@ def enumerate_rectangles(cfg: NormalizedConfig):
         b, c = (ab * x_a + bw) % p, ((aa * x_a + aw) * x_a + ww) % p
         hits.extend((x_a, x_b, 1) for x_b in _row_roots(field, bb, b, c))
 
-    m_a, m_b, m_c, m_d, b_a = _residues(cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a)
-    inv = pow(m_d - m_c, -1, p)
-    k_a, k_b, k_w = (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
+    m_a, m_b, m_c, m_d, b_a = cfg.standing[:5]
+    k_a, k_b, k_w = _completion(cfg)
     found = set()
     for x_a, x_b, w in hits:
         x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
@@ -234,8 +253,7 @@ def quadric_point_count(cfg: NormalizedConfig) -> int:
     p = field.char
     if not p:
         raise PreconditionError("census enumeration needs a prime field")
-    h = quadric_h(cfg)
-    aa, ab, bb, aw, bw, ww = _residues(h.aa, h.ab, h.bb, h.aw, h.bw, h.ww)
+    aa, ab, bb, aw, bw, ww = quadric_h(cfg)
     s = ((2 * aa, ab, aw), (ab, 2 * bb, bw), (aw, bw, 2 * ww))
     # minors[i][j] = det(2S without row i and column j); the diagonal holds the principal ones.
     minors = [
@@ -251,7 +269,7 @@ def quadric_point_count(cfg: NormalizedConfig) -> int:
         m = next((minors[i][i] for i in range(3) if minors[i][i]), None)
         if m is None:
             raise InternalCheckError("a rank-2 symmetric matrix has no nonzero principal minor")
-        return 2 * p + 1 if field.is_square(FpElement(-m, field)) else 1
+        return 2 * p + 1 if field.sqrt(-m) is not None else 1
     if any(v % p for row in s for v in row):
         return p + 1
     return p * p + p + 1

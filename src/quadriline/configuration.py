@@ -217,22 +217,14 @@ class NormalizedConfig:
         d, e1, e2, f1, f2 = self.standing[5:]
         return hpoly.mod(e1 * f1 + d * e2 * f2, self.field.char)
 
-    def slope(self, role: str):
-        return {"A": self.m_a, "B": self.m_b, "C": self.m_c, "D": self.m_d}[role]
-
-    def intercept(self, role: str):
-        zero, one = self.field.zero(), self.field.one()
-        return {"A": self.b_a, "B": one, "C": zero, "D": zero}[role]
-
-    def line(self, role: str) -> InputLine:
-        return InputLine(-self.slope(role), self.field.one(), self.intercept(role))
-
-    def lines(self) -> dict:
-        return {r: self.line(r) for r in ROLES}
-
-    def corner(self, role1: str, role2: str):
-        """Affine intersection of two of the four lines, or None if parallel."""
-        return self.line(role1).intersection(self.line(role2))
+    def corner(self, role1: str, role2: str) -> tuple:
+        """The meet (X : Y : Z) of two of the four lines as ints, reduced mod p over
+        F_p: the cross product of their standing covectors (M_L, -δ, B_L), with
+        B_B = δ and B_C = B_D = 0.  Z is zero exactly when the lines are parallel."""
+        m_a, m_b, m_c, m_d, b_a, d = self.standing[:6]
+        covectors = {"A": (m_a, -d, b_a), "B": (m_b, -d, d), "C": (m_c, -d, 0), "D": (m_d, -d, 0)}
+        meet = cross(covectors[role1], covectors[role2])
+        return tuple(hpoly.mod(v, self.field.char) for v in meet)
 
 
 class DiagonalMarker(Enum):

@@ -23,14 +23,8 @@ from .errors import (
     ParallelPairError,
     PreconditionError,
 )
-from .rectangles import ProjectiveRectangle, Ratio
-from .paths import (
-    PathPolynomials,
-    aspect_path_polys,
-    eval_path,
-    ratio_ints,
-    slope_path_polys,
-)
+from .rectangles import ProjectiveRectangle
+from .paths import PathPolynomials, aspect_path_polys, eval_path, slope_path_polys
 
 
 @dataclass(frozen=True)
@@ -63,41 +57,44 @@ def _line(field, normal, source: str) -> AffineLineDescription:
     return AffineLineDescription(*_scaled(field, (normal[0], normal[1], -normal[2])), source)
 
 
-def _line_through(field, p, q, source: str) -> AffineLineDescription:
-    """The line through the distinct affine points p and q: the covector (p, 1) × (q, 1),
-    cleared to ints."""
-    return _line(field, hpoly.integer_forms(field, [cross((*p, 1), (*q, 1))])[0], source)
-
-
-def _corner(cfg: NormalizedConfig, r1: str, r2: str):
+def _corner(cfg: NormalizedConfig, r1: str, r2: str) -> tuple:
+    """The meet (X : Y : Z) of two of the lines, Z nonzero; parallel lines raise."""
     point = cfg.corner(r1, r2)
-    if point is None:
+    if not point[2]:
         raise ParallelPairError((r1, r2))
     return point
 
 
-def _midpoint(p, q):
-    return (p[0] + q[0]) / 2, (p[1] + q[1]) / 2
+def _mean(points) -> tuple:
+    """The mean of n affine int points (X_i : Y_i : Z_i) as the int point
+    (X : Y : n Z), with Z the product of the Z_i and X / Z the sum of the X_i / Z_i."""
+    x, y, z = 0, 0, 1
+    for X, Y, Z in points:
+        x, y, z = x * Z + X * z, y * Z + Y * z, z * Z
+    return x, y, len(points) * z
 
 
 def gauss_newton_line(cfg: NormalizedConfig) -> AffineLineDescription:
     """The line through the midpoints of the three diagonals.
 
-    Midpoints of (A∩B, C∩D), (A∩D, B∩C) and (A∩C, B∩D); the third is
-    verified to be collinear with the first two.
+    Midpoints of (A∩B, C∩D), (A∩D, B∩C) and (A∩C, B∩D), on ints; the line
+    joins the first two, and the third is verified to lie on it.
     """
-    mids = []
-    for r1, r2, r3, r4 in (("A", "B", "C", "D"), ("A", "D", "B", "C"), ("A", "C", "B", "D")):
-        mids.append(_midpoint(_corner(cfg, r1, r2), _corner(cfg, r3, r4)))
-    line = _line_through(cfg.field, mids[0], mids[1], "gauss-newton")
-    if not line.contains(mids[2]):
+    mids = [
+        _mean([_corner(cfg, r1, r2), _corner(cfg, r3, r4)])
+        for r1, r2, r3, r4 in (("A", "B", "C", "D"), ("A", "D", "B", "C"), ("A", "C", "B", "D"))
+    ]
+    field = cfg.field
+    line = _line(field, cross(mids[0], mids[1]), "gauss-newton")
+    x, y, z = mids[2]
+    if not line.contains((field.quotient(x, z), field.quotient(y, z))):
         raise InternalCheckError("Gauss-Newton midpoints are not collinear")
     return line
 
 
 def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
     """The diagonal through A∩C and B∩D."""
-    return _line_through(cfg.field, _corner(cfg, "A", "C"), _corner(cfg, "B", "D"), "diagonal-g")
+    return _line(cfg.field, cross(_corner(cfg, "A", "C"), _corner(cfg, "B", "D")), "diagonal-g")
 
 
 @dataclass(frozen=True)
@@ -300,24 +297,21 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         raise InternalCheckError("center rectangle misses the locus intersection")
 
     corners = [_corner(cfg, r1, r2) for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
-    four = cfg.field.from_int(4)
-    centroid = (
-        sum((p[0] for p in corners), cfg.field.zero()) / four,
-        sum((p[1] for p in corners), cfg.field.zero()) / four,
-    )
+    x, y, w = _mean(corners)
+    p = cfg.field.char
     amap = CenterMap.of(cfg, app)
-    eq_x = hpoly.sub(amap.x_num, hpoly.scale(centroid[0], amap.den))
-    eq_y = hpoly.sub(amap.y_num, hpoly.scale(centroid[1], amap.den))
-    if not hpoly.is_zero(eq_x):
-        ratio = Ratio.of(-eq_x[1], eq_x[0])
-        if hpoly.eval_at(eq_y, ratio.num, ratio.den):
+    eq_x = hpoly.sub(hpoly.scale(w, amap.x_num), hpoly.scale(x, amap.den))
+    eq_y = hpoly.sub(hpoly.scale(w, amap.y_num), hpoly.scale(y, amap.den))
+    if not hpoly.is_zero(eq_x, p):
+        st = (-eq_x[1], eq_x[0])
+        if hpoly.mod(hpoly.eval_at(eq_y, *st), p):
             raise InternalCheckError("centroid is not on the aspect path of centers")
-    elif not hpoly.is_zero(eq_y):
-        ratio = Ratio.of(-eq_y[1], eq_y[0])
+    elif not hpoly.is_zero(eq_y, p):
+        st = (-eq_y[1], eq_y[0])
     else:
         raise InternalCheckError("centroid equations vanished identically")
-    centroid_rect = eval_path(cfg, app, ratio_ints(cfg.field, ratio))
-    if center_of(centroid_rect) != centroid:
+    centroid_rect = eval_path(cfg, app, st)
+    if center_of(centroid_rect) != (cfg.field.quotient(x, w), cfg.field.quotient(y, w)):
         raise InternalCheckError("centroid rectangle misses the centroid")
     return SpecialRectangles(center_rect, centroid_rect)
 

@@ -189,7 +189,7 @@ class PathHomography:
     the other path.
     """
 
-    to_aspect: tuple  # 2x2 matrix rows (m00, m01, m10, m11)
+    to_aspect: tuple  # 2x2 int matrix rows (m00, m01, m10, m11)
     to_slope: tuple
 
     @staticmethod
@@ -205,15 +205,20 @@ class PathHomography:
 
 
 def homography(cfg: NormalizedConfig) -> PathHomography:
-    """The slope/aspect reparameterization of a non-degenerate configuration."""
+    """The slope/aspect reparameterization of a non-degenerate configuration.
+
+    Both matrices are the generic path forms: the slope-path rectangle at r has
+    aspect M_CD first(r) : δ second(r), and the aspect-path one slope
+    first(r) : second(r).
+    """
     if not cfg.ef_sum:
         raise DegenerateConfigError(
             "the slope and aspect paths of a degenerate configuration are distinct lines"
         )
-    m_cd = cfg.m_c - cfg.m_d
-    to_aspect = (m_cd * cfg.e1, m_cd * cfg.e2, cfg.f2, -cfg.f1)
-    to_slope = (cfg.f1 / m_cd, cfg.e2, cfg.f2 / m_cd, -cfg.e1)
-    return PathHomography(to_aspect, to_slope)
+    _, _, m_c, m_d, _, d = cfg.standing[:6]
+    first, second = _slope_forms(cfg)
+    to_aspect = (*hpoly.scale(m_c - m_d, first), *hpoly.scale(d, second))
+    return PathHomography(to_aspect, sum(_aspect_forms(cfg), ()))
 
 
 def _coprime_pairs():

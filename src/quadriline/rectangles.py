@@ -2,27 +2,24 @@
 
 A point [x_A : y_A : ... : x_D : y_D : w] of projective 8-space belongs to the
 configuration space when each vertex (x_L, y_L) lies on the scaled line
-y = m_L x + b_L w.  A parallelogram there is fixed by (x_A : x_B : w), and it
-is a rectangle exactly on the quadric :func:`quadric_h`.  Here are the
-canonical points, their slope and aspect, the at-infinity forms and that
-quadric, all exact.  The slope and the aspect ratio are each one formula on
-the canonical key, which holds ints over both fields (residues over F_p), and
-the same formula serves both.  An outcome that is not a ratio is a
-:class:`Marker`; reports print a ratio as its ``str`` and a marker as its
-value.
+y = m_L x + b_L w.  Here are the canonical points, their slope and aspect,
+and the at-infinity forms and their roots, all exact.  The slope and the
+aspect ratio are each one formula on the canonical key, which holds ints over
+both fields (residues over F_p), and the same formula serves both.  An
+outcome that is not a ratio is a :class:`Marker`; reports print a ratio as
+its ``str`` and a marker as its value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import PreconditionError
-from .scalars import FpElement, Ratio, solve_quadratic
+from .scalars import FpElement, Ratio
 
 
 class Marker(Enum):
@@ -233,18 +230,27 @@ def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
 
 def projective_quadratic_roots(field, form):
     """Distinct projective roots [s : t] of c0 S^2 + c1 S T + c2 T^2, for an int
-    form (c0, c1, c2): its three coefficients are the field elements built.
+    form (c0, c1, c2), reduced mod p over F_p.
 
-    Returns ALL_RATIOS when the form vanishes identically.
+    With c0 nonzero the roots are (-c1 + r : 2 c0), then (-c1 - r : 2 c0), for r
+    the field's square root of the discriminant: one root when r = 0, none when
+    there is no r.  Returns ALL_RATIOS when the form vanishes identically.
     """
-    c0, c1, c2 = map(field.from_int, form)
+    p = field.char
+    c0, c1, c2 = (hpoly.mod(c, p) for c in form)
     if not c0 and not c1 and not c2:
         return ALL_RATIOS
-    if c0:
-        return [Ratio.of(r, field.one()) for r in solve_quadratic(field, c0, c1, c2)]
-    roots = [Ratio.of(field.one(), field.zero())]
-    if c1:
-        roots.append(Ratio.of(-c2, c1))
+    if not c0:
+        roots = [Ratio.from_ints(field, 1, 0)]
+        if c1:
+            roots.append(Ratio.from_ints(field, -c2, c1))
+        return roots
+    r = field.sqrt(hpoly.mod(c1 * c1 - 4 * c0 * c2, p))
+    if r is None:
+        return []
+    roots = [Ratio.from_ints(field, -c1 + r, 2 * c0)]
+    if r:
+        roots.append(Ratio.from_ints(field, -c1 - r, 2 * c0))
     return roots
 
 
@@ -256,58 +262,3 @@ def slopes_at_infinity(cfg: NormalizedConfig):
 def aspects_at_infinity(cfg: NormalizedConfig):
     """ALL_RATIOS for dual pairs, else the at-infinity aspect ratios."""
     return projective_quadratic_roots(cfg.field, aspect_infinity_form(cfg))
-
-
-@dataclass(frozen=True)
-class QuadricH:
-    """The quadric in parameters (X_A, X_B, X) cutting out the rectangles.
-
-    h(x_A, x_B, w) = 0 exactly when the completed parallelogram over
-    (x_A, x_B, w) is a rectangle.  Coefficient order: X_A^2, X_A X_B, X_B^2,
-    X_A X, X_B X, X^2.
-    """
-
-    aa: object
-    ab: object
-    bb: object
-    aw: object
-    bw: object
-    ww: object
-
-
-def _symmetric_product(l1, l2):
-    """Expand the product of two linear forms in (X_A, X_B, X) to a QuadricH tuple."""
-    a1, b1, w1 = l1
-    a2, b2, w2 = l2
-    return (
-        a1 * a2,
-        a1 * b2 + b1 * a2,
-        b1 * b2,
-        a1 * w2 + w1 * a2,
-        b1 * w2 + w1 * b2,
-        w1 * w2,
-    )
-
-
-def quadric_h(cfg: NormalizedConfig) -> QuadricH:
-    """Expand the rectangle condition over the parallelogram parameters.
-
-    With f the linear form giving x_C, the quadric is
-    (y_B - y_A)(y_C - y_B) + (x_B - x_A)(x_C - x_B) written in (X_A, X_B, X).
-    """
-    one = cfg.field.one()
-    zero = cfg.field.zero()
-    m_dc = cfg.m_d - cfg.m_c
-    # f = x_C as a linear form in (X_A, X_B, X).
-    f = (
-        (cfg.m_a - cfg.m_d) / m_dc,
-        (cfg.m_d - cfg.m_b) / m_dc,
-        (cfg.b_a - one) / m_dc,
-    )
-    yb_minus_ya = (-cfg.m_a, cfg.m_b, one - cfg.b_a)
-    yc_minus_yb = (cfg.m_c * f[0], cfg.m_c * f[1] - cfg.m_b, cfg.m_c * f[2] - one)
-    xb_minus_xa = (-one, one, zero)
-    xc_minus_xb = (f[0], f[1] - one, f[2])
-    parts1 = _symmetric_product(yb_minus_ya, yc_minus_yb)
-    parts2 = _symmetric_product(xb_minus_xa, xc_minus_xb)
-    return QuadricH(*(p + q for p, q in zip(parts1, parts2)))

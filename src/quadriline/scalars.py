@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FieldError, ParseError, PreconditionError
+from .errors import FieldError, ParseError
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -185,15 +185,12 @@ class RationalField:
         except ValueError:
             raise _too_many_digits(text) from None
 
-    def sqrt(self, x: Fraction) -> Optional[Fraction]:
-        """Exact square root, or None when x is not a square in the field."""
+    def sqrt(self, x: int) -> Optional[int]:
+        """The square root of the int x, or None when x is not a square in the field."""
         if x < 0:
             return None
-        n, d = x.numerator, x.denominator
-        rn, rd = math.isqrt(n), math.isqrt(d)
-        if rn * rn != n or rd * rd != d:
-            return None
-        return Fraction(rn, rd)
+        r = math.isqrt(x)
+        return r if r * r == x else None
 
     def elements(self):
         raise FieldError("cannot enumerate the rationals")
@@ -254,23 +251,19 @@ class PrimeField:
         except ValueError:
             raise _too_many_digits(text) from None
 
-    def is_square(self, x: FpElement) -> bool:
-        if x.value == 0:
-            return True
-        return pow(x.value, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, x: FpElement) -> Optional[FpElement]:
-        """The least square root r <= p // 2 of x, or None when x is not a square.
+    def sqrt(self, x: int) -> Optional[int]:
+        """The least square root r <= p // 2 of the int x mod p, or None when x is
+        not a square mod p.
 
         Euler's criterion rejects non-squares; Tonelli-Shanks (Cohen, *A Course
         in Computational Algebraic Number Theory*, Alg. 1.5.1) finds a root in
         O(log^2 p) multiplications mod p, with the quadratic non-residue it
         needs found once per field (``non_residue``).
         """
-        p, a = self.p, x.value
+        p, a = self.p, x % self.p
         if a == 0:
-            return self.zero()
-        if not self.is_square(x):
+            return 0
+        if pow(a, (p - 1) // 2, p) != 1:
             return None
         e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e * q with q odd
         q = (p - 1) >> e
@@ -287,7 +280,7 @@ class PrimeField:
             e = m
             r = r * t % p
             b = b * y % p
-        return FpElement(min(r, p - r), self)
+        return min(r, p - r)
 
     def elements(self):
         return (FpElement(v, self) for v in range(self.p))
@@ -303,28 +296,6 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def solve_quadratic(field, a, b, c):
-    """The distinct roots of a*X^2 + b*X + c in the field, as a list: empty when
-    the discriminant is not a square in the field (no extension is adjoined).
-    The zero polynomial has no sensible root set and raises
-    ``PreconditionError``; callers that care about that case (the twin-pair
-    degeneration) detect it themselves.
-    """
-    if not a and not b and not c:
-        raise PreconditionError("all quadratic coefficients are zero")
-    if not a:
-        if not b:
-            return []  # c != 0: no roots
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    if not disc:
-        return [-b / (2 * a)]
-    r = field.sqrt(disc)
-    if r is None:
-        return []
-    return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
 
 
 @dataclass(frozen=True)

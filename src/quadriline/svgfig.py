@@ -180,21 +180,20 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
 
     diagonal_lines = []
     if diagonals:
-        if cfg.e1 or cfg.e2:
-            diagonal_lines.append(
-                plane_map.original_line(InputLine(cfg.e1, -cfg.e2, cfg.field.zero()))
-            )
+        # E joins A∩B and C∩D (it is zero when A = B), F joins A∩D and B∩C.
+        e = cross(cfg.corner("A", "B"), cfg.corner("C", "D"))
+        if any(e):
+            diagonal_lines.append(plane_map.original_line(InputLine(e[0], e[1], -e[2])))
         for builder in (gauss_newton_line, diagonal_g):
             try:
                 desc = builder(cfg)
             except ParallelPairError:
                 continue
             diagonal_lines.append(plane_map.original_line(desc))
-        if cfg.f1 or cfg.f2:
-            p_ad = cfg.corner("A", "D")
-            if p_ad is not None:
-                c = cfg.f1 * p_ad[0] - cfg.f2 * p_ad[1]
-                diagonal_lines.append(plane_map.original_line(InputLine(cfg.f1, -cfg.f2, c)))
+        p_ad = cfg.corner("A", "D")
+        if p_ad[2]:  # then F != 0: B∩C = A∩D would make the four lines concurrent
+            f = cross(p_ad, cfg.corner("B", "C"))
+            diagonal_lines.append(plane_map.original_line(InputLine(f[0], f[1], -f[2])))
 
     box = canvas.bbox()
     parts = [

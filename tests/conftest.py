@@ -20,7 +20,7 @@ from quadriline.configuration import adjugate, normalize
 from quadriline.errors import PreconditionError
 from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
-from quadriline.scalars import solve_quadratic
+from membership import solve_quadratic
 
 CFG1_INTS = (2, 3, 0, 1, 1)  # non-degenerate
 CFG2_INTS = (-4, -1, 0, 2, 3)  # degenerate, no parallel lines
@@ -197,10 +197,6 @@ def center_at(cmap, st):
     if not hpoly.mod(d, cmap.field.char):
         return None
     return tuple(cmap.field.quotient(hpoly.eval_at(f, s, t), d) for f in (cmap.x_num, cmap.y_num))
-
-
-def lines_for(cfg) -> dict:
-    return cfg.lines()
 
 
 def slope_intercept_line(field, m, k) -> InputLine:

@@ -14,6 +14,9 @@ library's normalization on integer covectors.  So are the path forms, the
 at-infinity forms and the locus conic in field elements, the reference for the
 library's int forms on the integer standing form, and the canonical key of a
 rational point as nine Fractions, the reference for its primitive integer key.
+The standing lines and the roots of a binary quadratic form are here in field
+elements too, the references for the library's corners and at-infinity roots
+on ints.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from quadriline.errors import (
     ReflectionUnavailableError,
 )
 from quadriline.paths import PathPolynomials
-from quadriline.rectangles import INDETERMINATE, ProjectiveRectangle
+from quadriline.rectangles import ALL_RATIOS, INDETERMINATE, ProjectiveRectangle
 from quadriline.scalars import Ratio
 
 
@@ -86,10 +89,20 @@ def solve2(m00, m01, m10, m11, b0, b1) -> Solution2:
     return Solution2("line", particular, (-b, a))
 
 
+def standing_line(cfg: NormalizedConfig, role: str) -> InputLine:
+    """The line y = m_L x + b_L of a role in field elements, with b_B = 1 and
+    b_C = b_D = 0: so m_L is -a and b_L is c."""
+    zero, one = cfg.field.zero(), cfg.field.one()
+    m = {"A": cfg.m_a, "B": cfg.m_b, "C": cfg.m_c, "D": cfg.m_d}[role]
+    b = {"A": cfg.b_a, "B": one, "C": zero, "D": zero}[role]
+    return InputLine(-m, one, b)
+
+
 def satisfies_membership(p: ProjectiveRectangle, cfg: NormalizedConfig) -> bool:
     for role in ROLES:
         x, y = p.vertex(role)
-        if y != cfg.slope(role) * x + cfg.intercept(role) * p.w:
+        line = standing_line(cfg, role)
+        if line.a * x + line.b * y != line.c * p.w:
             return False
     return True
 
@@ -103,14 +116,11 @@ def is_parallelogram(p: ProjectiveRectangle) -> bool:
 
 
 def evaluate(h, x_a, x_b, w):
-    """The rectangle quadric h (a ``QuadricH``) at the parameters (x_A, x_B, w)."""
+    """The rectangle quadric h = (aa, ab, bb, aw, bw, ww) at the parameters (x_A, x_B, w)."""
+    aa, ab, bb, aw, bw, ww = h
     return (
-        h.aa * x_a * x_a
-        + h.ab * x_a * x_b
-        + h.bb * x_b * x_b
-        + h.aw * x_a * w
-        + h.bw * x_b * w
-        + h.ww * w * w
+        aa * x_a * x_a + ab * x_a * x_b + bb * x_b * x_b
+        + aw * x_a * w + bw * x_b * w + ww * w * w
     )
 
 
@@ -131,8 +141,9 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
     xs = {"A": x_a, "B": x_b, "C": x_c, "D": x_d}
     coords = []
     for role in ROLES:
+        line = standing_line(cfg, role)
         coords.append(xs[role])
-        coords.append(cfg.slope(role) * xs[role] + cfg.intercept(role) * w)
+        coords.append(line.c * w - line.a * xs[role])
     coords.append(w)
     return ProjectiveRectangle.canonical(cfg.field, [getattr(c, "value", c) for c in coords])
 
@@ -450,6 +461,50 @@ def diagonal_constants(cfg: NormalizedConfig) -> tuple:
     )
 
 
+def _sqrt(field, x):
+    """A square root of the field element x through the field's int ``sqrt``:
+    over the rationals of its numerator and denominator apart."""
+    if field.char:
+        r = field.sqrt(x.value)
+        return None if r is None else field.from_int(r)
+    n, d = field.sqrt(x.numerator), field.sqrt(x.denominator)
+    return None if n is None or d is None else Fraction(n, d)
+
+
+def solve_quadratic(field, a, b, c):
+    """The distinct roots of a*X^2 + b*X + c in field elements, as a list: empty
+    when the discriminant is not a square in the field.  The zero polynomial
+    raises ``PreconditionError``."""
+    if not a and not b and not c:
+        raise PreconditionError("all quadratic coefficients are zero")
+    if not a:
+        if not b:
+            return []  # c != 0: no roots
+        return [-c / b]
+    disc = b * b - 4 * a * c
+    if not disc:
+        return [-b / (2 * a)]
+    r = _sqrt(field, disc)
+    if r is None:
+        return []
+    return [(-b + r) / (2 * a), (-b - r) / (2 * a)]
+
+
+def projective_quadratic_roots(field, form):
+    """The projective roots [s : t] of a form (c0, c1, c2) of field elements, in
+    the order of ``rectangles.projective_quadratic_roots``: the reference for its
+    roots on ints."""
+    c0, c1, c2 = form
+    if not c0 and not c1 and not c2:
+        return ALL_RATIOS
+    if c0:
+        return [Ratio.of(r, field.one()) for r in solve_quadratic(field, c0, c1, c2)]
+    roots = [Ratio.of(field.one(), field.zero())]
+    if c1:
+        roots.append(Ratio.of(-c2, c1))
+    return roots
+
+
 def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
     """(m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2 in field
     elements, with beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C)."""
@@ -506,8 +561,10 @@ def _aspect_forms(cfg: NormalizedConfig):
 
 
 def _path(cfg: NormalizedConfig, first, second, x, w) -> PathPolynomials:
-    y = {role: hpoly.add(hpoly.scale(cfg.slope(role), x[role]),
-                         hpoly.scale(cfg.intercept(role), w)) for role in ROLES}
+    y = {}
+    for role in ROLES:
+        line = standing_line(cfg, role)
+        y[role] = hpoly.add(hpoly.scale(-line.a, x[role]), hpoly.scale(line.c, w))
     return PathPolynomials(first, second, x, y, w)
 
 

@@ -14,7 +14,7 @@ from quadriline import (
     classify,
     verify_against_paths,
 )
-from quadriline.census import enumerate_rectangles, quadric_point_count
+from quadriline.census import enumerate_rectangles, quadric_h, quadric_point_count
 from quadriline.cli import main
 from quadriline.errors import PreconditionError
 from quadriline.paths import (
@@ -23,7 +23,7 @@ from quadriline.paths import (
     ratio_ints,
     slope_path_polys,
 )
-from quadriline.rectangles import ProjectiveRectangle, QuadricH, quadric_h
+from quadriline.rectangles import ProjectiveRectangle
 from conftest import all_ratios, random_normalized_config
 from membership import (
     complete_parallelogram,
@@ -64,7 +64,8 @@ def reference_rectangles(cfg):
 
 
 def form_point_count(field, form):
-    """Reference count: the zeros of a QuadricH among all parameter points."""
+    """Reference count: the zeros of a quadric (aa, ab, bb, aw, bw, ww) among all
+    parameter points."""
     return sum(1 for point in reference_parameter_points(field) if not evaluate(form, *point))
 
 
@@ -113,8 +114,8 @@ class TestKernelAgainstReference:
 
 def row_coefficients(cfg, x_a):
     """(a, b, c) of the quadratic in x_B that the quadric cuts on the row (x_A, x_B, 1)."""
-    h = quadric_h(cfg)
-    return h.bb, h.ab * x_a + h.bw, (h.aa * x_a + h.aw) * x_a + h.ww
+    aa, ab, bb, aw, bw, ww = quadric_h(cfg)
+    return bb, ab * x_a + bw, (aa * x_a + aw) * x_a + ww
 
 
 class TestRowBranches:
@@ -151,7 +152,8 @@ class TestRowBranches:
             a, b, c = row_coefficients(cfg, x_a)
             assert a
             d = b * b - 4 * a * c
-            discriminants.add("zero" if not d else "square" if field.is_square(d) else "non-square")
+            square = field.sqrt(d.value) is not None
+            discriminants.add("zero" if not d else "square" if square else "non-square")
         assert discriminants == {"zero", "square", "non-square"}
         assert_matches_reference(cfg)
 
@@ -175,11 +177,9 @@ class TestQuadricCountByTheorem:
     def test_hand_built_forms_over_f7(self, monkeypatch, coefficients, count):
         import quadriline.census as census_module
 
-        field = PrimeField(7)
-        form = QuadricH(*map(field.from_int, coefficients))
-        monkeypatch.setattr(census_module, "quadric_h", lambda cfg: form)
+        monkeypatch.setattr(census_module, "quadric_h", lambda cfg: coefficients)
         assert quadric_point_count(cfg_over(7, (2, 3, 0, 1, 1))) == count
-        assert form_point_count(field, form) == count
+        assert form_point_count(PrimeField(7), coefficients) == count
 
     def test_rank_three_configuration(self):
         assert quadric_point_count(cfg_over(11, (2, 3, 0, 1, 1))) == 12

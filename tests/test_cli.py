@@ -202,6 +202,9 @@ class TestPathLocusCensus:
             ("coincident_f3.json", "9dd0cb7e27d78af79513a1c949c2da83f8e117babf167581aa3c74eebdaba5b6"),
             # TwoLines over F_5 whose centroid is read off the aspect path's y equation.
             ("degenerate_f5.json", "58d616ba921efe14154d5df9236ba1c3f59a67d0fcbe37950c19c29265693235"),
+            ("double_root_f5.json", "bf73ed5e8e690d1d8ffafa6258a877dd0b3ba76d17dc76bfd815a3739ebfd8e4"),
+            # A = C is the isotropic line y = 2x over F_5: the two "points".
+            ("two_points_f5.json", "2b23e68851196c7fe4baaef90924f74d08afcc73bc33bea05ca51f8a6284cd10"),
         ],
     )
     def test_locus_bytes(self, capsys, name, digest):
@@ -366,6 +369,9 @@ class TestPathLocusCensus:
             ("corner.json", "path --kind slope", 0, "cf087c318b1b49515398fa49eafda68a1f2de1f23d7c7340761088e948e502f1"),
             ("corner.json", "path --kind aspect", 0, "8da67eb762cd0201024f8720453fadee79154d7f7cc20251e9e72ef23b5a177f"),
             ("corner.json", "locus", 0, "6f1c5781deba27940b282d196f9cc834097766094d19e290b7b677a90e2c075c"),
+            # A zero discriminant on both at-infinity forms: one slope "3" and one aspect "2".
+            ("double_root_f5.json", "classify", 0, "36658d207616ccd00f6f3849801ef04adb7b6b03ef7116b4ef03c268d0a58bfb"),
+            ("two_points_f5.json", "classify", 0, "a720bf1455522f38a9f61d3e15004a85ae64890b88599767c300c72c9796886a"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):

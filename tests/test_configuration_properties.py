@@ -67,8 +67,8 @@ def test_plane_map_round_trip(normalized, data):
     by_label = cfg_input.lines_by_label()
     for role, label in pm.role_to_input.items():
         original = by_label[label]
-        assert pm.normalized_line(original).same_line(cfg.line(role))
-        assert pm.original_line(cfg.line(role)).same_line(original)
+        assert pm.normalized_line(original).same_line(membership.standing_line(cfg, role))
+        assert pm.original_line(membership.standing_line(cfg, role)).same_line(original)
         assert pm.original_line(pm.normalized_line(original)).same_line(original)
         # A point of the original line lands on the normalized line and comes back.
         if original.b:
@@ -78,7 +78,7 @@ def test_plane_map_round_trip(normalized, data):
             y = data.draw(scalars)
             point = (original.c / original.a, y)
         image = normalized_point(pm, point)
-        assert cfg.line(role).contains(image)
+        assert membership.standing_line(cfg, role).contains(image)
         assert original_point(pm, image) == point
     point = (data.draw(scalars), data.draw(scalars))
     assert normalized_point(pm, original_point(pm, point)) == point

@@ -35,7 +35,7 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
-from membership import rectangle_from_slope
+from membership import rectangle_from_slope, standing_line
 from conftest import (
     center_at,
     fraction_count,
@@ -164,7 +164,7 @@ def has_square_fiber(cmap, point) -> bool:
     if hpoly.is_zero(fiber):
         fiber = hpoly.sub(cmap.y_num, hpoly.scale(point[1], cmap.den))
     field = point[0].field
-    return field.is_square(fiber[1] * fiber[1] - 4 * fiber[0] * fiber[2])
+    return field.sqrt((fiber[1] * fiber[1] - 4 * fiber[0] * fiber[2]).value) is not None
 
 
 class TestCenterOf:
@@ -421,7 +421,10 @@ class TestSpecialRectangles:
         center = center_of(special.center_rectangle)
         assert report.slope_centers.contains(center)
         assert report.aspect_centers.contains(center)
-        corners = [cfg2.corner(*pair) for pair in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
+        corners = [
+            standing_line(cfg2, r1).intersection(standing_line(cfg2, r2))
+            for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))
+        ]
         centroid = (
             sum(p[0] for p in corners) / 4,
             sum(p[1] for p in corners) / 4,

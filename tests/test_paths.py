@@ -371,7 +371,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
     for role, (x, y) in vertices.items():
-        if not cfg.line(role).contains((x, y)):
+        if not membership.standing_line(cfg, role).contains((x, y)):
             raise InternalCheckError(f"vertex for {role} left its line")
     return SlopeQueryResult(False, vertices, rect)
 
@@ -391,7 +391,7 @@ class TestAffineVertices:
         res = affine_vertices_for_slope(cfg1, rat(QQ, 1, 1))
         assert not res.at_infinity
         for role, point in res.vertices.items():
-            assert cfg1.line(role).contains(point)
+            assert membership.standing_line(cfg1, role).contains(point)
 
     def test_cfg2_e_slope_at_infinity(self, cfg2):
         res = affine_vertices_for_slope(cfg2, rat(QQ, 1, 2))

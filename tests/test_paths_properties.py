@@ -2,6 +2,7 @@
 forward-difference replay against field-element references, and the
 homography between the two paths."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,30 @@ def test_infinity_forms_are_one_multiple_of_the_reference(cfg):
             assert not any(want)
         else:
             assert all(not hpoly.eval_at(want, r.num, r.den) for r in got)
+
+
+# The rationals, two small primes, where discriminants often vanish, and two large ones.
+root_fields = st.sampled_from([5, 13, 1009, 1_000_000_007]).map(PrimeField) | st.just(QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(root_fields))
+@example(NormalizedConfig.from_ints(PrimeField(5), 0, 1, 0, 2, 1))  # a double root on both forms
+def test_int_roots_and_corners_match_the_field_reference(cfg):
+    """The at-infinity roots on ints are the field-element reference's, in order,
+    and each int corner (X : Y : Z) is the field-element meet of its lines: the
+    affine point (X / Z, Y / Z) when Z is nonzero, and no point (parallel lines)
+    when Z is zero."""
+    field = cfg.field
+    for roots, reference in (
+        (slopes_at_infinity, membership.slope_infinity_form),
+        (aspects_at_infinity, membership.aspect_infinity_form),
+    ):
+        assert roots(cfg) == membership.projective_quadratic_roots(field, reference(cfg))
+    for r1, r2 in itertools.combinations("ABCD", 2):
+        x, y, z = cfg.corner(r1, r2)
+        meet = membership.standing_line(cfg, r1).intersection(membership.standing_line(cfg, r2))
+        assert meet == ((field.quotient(x, z), field.quotient(y, z)) if z else None)
 
 
 def ratios(field):

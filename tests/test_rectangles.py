@@ -23,12 +23,20 @@ from quadriline.rectangles import (
     aspect_infinity_form,
     canonical_key,
     aspects_at_infinity,
-    quadric_h,
     slope_infinity_form,
     slopes_at_infinity,
 )
+from quadriline.census import quadric_h
 from quadriline.scalars import FpElement
-from conftest import all_ratios, random_rational_config, rat, shipped_plane_map
+from conftest import (
+    CFG1_INTS,
+    CFG3_INTS,
+    all_ratios,
+    random_normalized_config,
+    random_rational_config,
+    rat,
+    shipped_plane_map,
+)
 import membership
 from membership import (
     aspect_system,
@@ -43,6 +51,9 @@ from membership import (
     satisfies_membership,
     slope_system,
 )
+
+
+F1009 = PrimeField(1009)
 
 
 def proj_eq(field, p, coords):
@@ -110,10 +121,11 @@ class TestIsRectangle:
         assert is_rectangle(p)
         assert satisfies_membership(p, cfg1)
 
-    def test_matches_quadric(self, cfg1):
-        h = quadric_h(cfg1)
-        p = complete_parallelogram(cfg1, Fraction(1), Fraction(0), Fraction(1))
-        assert is_rectangle(p) == (not evaluate(h, Fraction(1), Fraction(0), Fraction(1)))
+    def test_matches_quadric(self):
+        cfg = NormalizedConfig.from_ints(F1009, *CFG1_INTS)
+        one, zero = F1009.one(), F1009.zero()
+        p = complete_parallelogram(cfg, one, zero, one)
+        assert is_rectangle(p) == (not evaluate(quadric_h(cfg), one, zero, one))
 
     def test_point_pair_degenerate_rectangle(self, cfg1):
         p = complete_parallelogram(cfg1, Fraction(0), Fraction(0), Fraction(1))
@@ -121,40 +133,40 @@ class TestIsRectangle:
 
 
 class TestQuadricH:
+    """The census quadric, on the standing residues over F_p."""
+
     def test_equivalence_with_rectangle_predicate(self):
         rng = random.Random(59)
         for _ in range(20):
-            cfg = random_rational_config(rng)
+            cfg, _ = random_normalized_config(F1009, rng)
             h = quadric_h(cfg)
             for _ in range(15):
-                x_a = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                x_b = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                w = Fraction(rng.randint(-2, 2))
+                x_a, x_b, w = (F1009.from_int(rng.randrange(-4, 5)) for _ in range(3))
                 if not x_a and not x_b and not w:
                     continue
                 p = complete_parallelogram(cfg, x_a, x_b, w)
                 assert is_rectangle(p) == (not evaluate(h, x_a, x_b, w))
 
-    def test_twin_pairs_vanish_at_infinity(self, cfg3):
-        h = quadric_h(cfg3)
-        assert all(not c for c in (h.aa, h.ab, h.bb))
+    def test_twin_pairs_vanish_at_infinity(self):
+        aa, ab, bb = quadric_h(NormalizedConfig.from_ints(F1009, *CFG3_INTS))[:3]
+        assert (aa, ab, bb) == (0, 0, 0)
 
-    def test_cfg1_infinity_restriction_formula(self, cfg1):
+    def test_cfg1_infinity_restriction_formula(self):
         # m_CD * h(X_A, X_B, 0) has the closed form
         # m_AD (m_A m_C + 1) X_A^2 - delta X_A X_B + m_BC (m_B m_D + 1) X_B^2
         # with delta = m_BD (m_A m_C + 1) + m_AC (m_B m_D + 1).
-        m_a, m_b, m_c, m_d = cfg1.m_a, cfg1.m_b, cfg1.m_c, cfg1.m_d
+        cfg = NormalizedConfig.from_ints(F1009, *CFG1_INTS)
+        m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
         m_cd = m_c - m_d
-        h = quadric_h(cfg1)
-        aa, ab, bb = h.aa, h.ab, h.bb
+        aa, ab, bb = quadric_h(cfg)[:3]
         delta = (m_b - m_d) * (m_a * m_c + 1) + (m_a - m_c) * (m_b * m_d + 1)
         assert m_cd * aa == (m_a - m_d) * (m_a * m_c + 1)
         assert m_cd * ab == -delta
         assert m_cd * bb == (m_b - m_c) * (m_b * m_d + 1)
 
-    def test_worked_parameters_are_a_zero(self, cfg1):
-        h = quadric_h(cfg1)
-        assert not evaluate(h, Fraction(-1), Fraction(-1), Fraction(3))
+    def test_worked_parameters_are_a_zero(self):
+        h = quadric_h(NormalizedConfig.from_ints(F1009, *CFG1_INTS))
+        assert not evaluate(h, *map(F1009.from_int, (-1, -1, 3)))
 
 
 class TestSlopeAspectOf:

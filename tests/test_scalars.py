@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quadriline import PrimeField, QQ, Ratio
-from quadriline.errors import FieldError, ParseError, PreconditionError
-from quadriline.scalars import ratio_parse, solve_quadratic
+from quadriline.errors import FieldError, ParseError
+from quadriline.rectangles import ALL_RATIOS, projective_quadratic_roots
+from quadriline.scalars import ratio_parse
 from quadriline.scalars import _is_odd_prime
 
 PSI_11 = 3825123056546413051
@@ -104,26 +105,24 @@ class TestFieldArithmetic:
             PrimeField(5).one() + PrimeField(7).one()
 
     def test_sqrt_rational(self):
-        assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert QQ.sqrt(Fraction(-1)) is None
-        assert QQ.sqrt(Fraction(52)) is None
-        assert QQ.sqrt(Fraction(2)) is None
+        assert QQ.sqrt(9) == 3 and QQ.sqrt(0) == 0
+        assert QQ.sqrt(10**40) == 10**20
+        assert QQ.sqrt(-1) is None
+        assert QQ.sqrt(52) is None
+        assert QQ.sqrt(2) is None
 
     def test_is_square_fp_matches_brute_force(self):
         # Every odd prime below 300, including p = 1 mod 8 (17, 97, 193, 257)
-        # where the Tonelli-Shanks loop runs more than once.
+        # where the Tonelli-Shanks loop runs more than once.  sqrt takes any
+        # int and returns the least root, or None for a non-square.
         for p in ODD_PRIMES_BELOW_300:
             field = PrimeField(p)
             least_root = {}
             for v in range(p // 2, -1, -1):
                 least_root[v * v % p] = v
-            for x in field.elements():
-                assert field.is_square(x) == (x.value in least_root)
-                r = field.sqrt(x)
-                if x.value in least_root:
-                    assert r is not None and r.value == least_root[x.value], (p, x)
-                else:
-                    assert r is None, (p, x)
+            for x in range(p):
+                assert field.sqrt(x) == least_root.get(x), (p, x)
+                assert field.sqrt(x - 3 * p) == field.sqrt(x + p) == least_root.get(x), (p, x)
 
     def test_non_residue_is_stored_per_field(self):
         for p in ODD_PRIMES_BELOW_300:
@@ -156,71 +155,90 @@ class TestPrimality:
             PrimeField(PSI_13)
 
 
+def roots_of(field, c0, c1, c2):
+    """rectangles.projective_quadratic_roots of the int form (c0, c1, c2)."""
+    return projective_quadratic_roots(field, (c0, c1, c2))
+
+
+def q_ratio(n, d=1):
+    return Ratio.of(Fraction(n, d), Fraction(1))
+
+
 class TestSolveQuadratic:
+    """The projective roots of an int form, read through the field's int sqrt."""
+
     def test_perfect_square(self):
-        roots = solve_quadratic(QQ, Fraction(1), Fraction(0), Fraction(-4))
-        assert sorted(roots) == [-2, 2]
+        # (-c1 + r : 2 c0) first, with r the nonnegative root of the discriminant.
+        assert roots_of(QQ, 1, 0, -4) == [q_ratio(2), q_ratio(-2)]
+        assert roots_of(QQ, 2, 1, -1) == [q_ratio(1, 2), q_ratio(-1)]
 
     def test_negative_discriminant(self):
-        assert solve_quadratic(QQ, Fraction(1), Fraction(0), Fraction(2)) == []
+        assert roots_of(QQ, 1, 0, 2) == []
 
     def test_cfg1_at_infinity_quadratic_has_no_rational_roots(self):
         # Discriminant 4^2 - 4*(-3)*3 = 52 is not a rational square.
-        assert QQ.sqrt(Fraction(52)) is None
-        assert solve_quadratic(QQ, Fraction(-3), Fraction(4), Fraction(3)) == []
+        assert QQ.sqrt(52) is None
+        assert roots_of(QQ, -3, 4, 3) == []
 
     def test_double_root_flagged(self):
-        roots = solve_quadratic(QQ, Fraction(1), Fraction(-2), Fraction(1))
-        assert roots == [1]
+        assert roots_of(QQ, 1, -2, 1) == [q_ratio(1)]
+        f5 = PrimeField(5)
+        assert roots_of(f5, 1, 4, 4) == [Ratio.from_ints(f5, 3, 1)]
 
     def test_linear_case(self):
-        roots = solve_quadratic(QQ, Fraction(0), Fraction(2), Fraction(-5))
-        assert roots == [Fraction(5, 2)]
+        # c0 = 0: the root (1 : 0) first, then -c2 : c1.
+        assert roots_of(QQ, 0, 2, -5) == [Ratio.of(Fraction(1), Fraction(0)), q_ratio(5, 2)]
+        assert roots_of(QQ, 0, 0, 3) == [Ratio.of(Fraction(1), Fraction(0))]
 
     def test_all_zero_rejected(self):
-        with pytest.raises(PreconditionError):
-            solve_quadratic(QQ, Fraction(0), Fraction(0), Fraction(0))
+        """The zero form has no finite root list: every ratio is a root."""
+        assert roots_of(QQ, 0, 0, 0) is ALL_RATIOS
+        assert roots_of(PrimeField(7), 7, -14, 21) is ALL_RATIOS
 
     def test_roots_satisfy_equation_exactly(self):
         rng = random.Random(11)
         for _ in range(100):
-            a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            if not a and not b and not c:
+            c0, c1, c2 = (rng.randint(-12, 12) for _ in range(3))
+            if not c0 and not c1 and not c2:
                 continue
-            for x in solve_quadratic(QQ, a, b, c):
-                assert a * x * x + b * x + c == 0
+            for r in roots_of(QQ, c0, c1, c2):
+                assert c0 * r.num * r.num + c1 * r.num * r.den + c2 * r.den * r.den == 0
 
     def test_fp_root_order(self):
-        # (-b + r) / 2a comes first, with r the least square root.
+        # (-c1 + r) / 2 c0 comes first, with r the least square root.
         rng = random.Random(17)
         for p in (7, 17, 97, 257):
             field = PrimeField(p)
             for _ in range(60):
-                a, b, c = (field.from_int(rng.randrange(p)) for _ in range(3))
-                if not a:
+                c0, c1, c2 = (rng.randrange(p) for _ in range(3))
+                if not c0:
                     continue
-                disc = (b * b - 4 * a * c).value
+                disc = (c1 * c1 - 4 * c0 * c2) % p
                 r = min((v for v in range(1, p // 2 + 1) if v * v % p == disc), default=None)
                 if r is None:
                     continue
-                roots = solve_quadratic(field, a, b, c)
-                assert roots == [(-b + r) / (2 * a), (-b - r) / (2 * a)]
+                a, b = field.from_int(c0), field.from_int(c1)
+                want = [(-b + r) / (2 * a), (-b - r) / (2 * a)]
+                assert roots_of(field, c0, c1, c2) == [Ratio.of(x, field.one()) for x in want]
 
     def test_fp_agrees_with_brute_force(self):
+        """Every projective root, once, of forms whose ints are not reduced mod p."""
         rng = random.Random(13)
         for p in (5, 7, 11, 13):
             field = PrimeField(p)
             for _ in range(60):
-                a, b, c = (field.from_int(rng.randrange(p)) for _ in range(3))
-                if not a and not b and not c:
+                c0, c1, c2 = (rng.randrange(-2 * p, 2 * p) for _ in range(3))
+                if not (c0 % p or c1 % p or c2 % p):
                     continue
                 expected = {
-                    v for v in range(p) if (a.value * v * v + b.value * v + c.value) % p == 0
+                    Ratio.from_ints(field, v, 1)
+                    for v in range(p)
+                    if (c0 * v * v + c1 * v + c2) % p == 0
                 }
-                got = {r.value for r in solve_quadratic(field, a, b, c)}
-                assert got == expected
+                if not c0 % p:
+                    expected.add(Ratio.from_ints(field, 1, 0))
+                got = roots_of(field, c0, c1, c2)
+                assert len(got) == len(set(got)) and set(got) == expected
 
 
 class TestRatio:

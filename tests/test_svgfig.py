@@ -23,6 +23,7 @@ from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _clip_line, _swept_centers, render
 from conftest import center_at, rat
+from membership import standing_line
 
 # The ratios of the render's conic sweep: j/32 for |j| <= 512, then 1/0.
 SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
@@ -104,7 +105,7 @@ def test_matrix_scale_is_invisible(tmp_path, name):
     ]
     keys = [rect.key for rect in rects if not rect.at_infinity]
     report = centers_paths(cfg)
-    lines = list(cfg.lines().values()) + [
+    lines = [standing_line(cfg, role) for role in "ABCD"] + [
         desc for desc in (report.slope_centers, report.aspect_centers, report.single_line) if desc
     ]
     assert keys and lines

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
 from .paths import aspect_path_polys, path_keys, slope_path_polys
-from .rectangles import ProjectiveRectangle, Ratio, aspect_residue, residue_text, slope_residue
+from .rectangles import ProjectiveRectangle, _residue, aspect_residue, residue_text, slope_residue
 
 # Largest prime a census runs at.  Its time and the set of rectangles it holds
 # both grow about linearly in p.  At p = 59,999 one census, end to end, took
@@ -145,9 +145,10 @@ def _ratio_label(field, index: int) -> str:
     return str(index) if index < field.char else "1/0"
 
 
-def _ratio_residue(field, r: Ratio) -> int:
-    """A canonical ratio as slope_residue gives it: v for (v : 1), p for (1 : 0)."""
-    return field.char if r.is_infinite else r.num.value
+def _pair_residue(p: int, s: int, t: int) -> int:
+    """The ratio s : t of two ints, not both zero mod p, as slope_residue gives it:
+    v for (v : 1), p for (1 : 0)."""
+    return _residue(p, (s % p, t % p))
 
 
 def _tally(p: int, values) -> dict:
@@ -160,8 +161,8 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     """Enumerate rectangles and check them against both paths.
 
     Past the enumeration every rectangle is its canonical key, and every
-    slope and aspect ratio one residue (:func:`slope_residue`); ratios are
-    built only for the shared ratios of a degenerate configuration.
+    slope and aspect ratio one residue (:func:`slope_residue`), the shared
+    ratios of a degenerate configuration too; a passing census builds no ratios.
     """
     field = cfg.field
     p = field.char
@@ -195,20 +196,18 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     consistency_ok = True
     if cls.degenerate:
         m_c, m_d = cfg.standing[2:4]  # residues, over δ = 1
-        shared_aspect = Ratio.from_ints(field, (m_c - m_d) * spp.first[0], spp.second[0])
-        want = _ratio_residue(field, shared_aspect)
+        want = _pair_residue(p, (m_c - m_d) * spp.first[0], spp.second[0])
         for i, key in enumerate(slope_keys):
             if aspect_residue(p, key) != want:
                 consistency_ok = False
                 failures.append(
                     f"slope path aspect varies at {_ratio_label(field, i)}: {key}"
                 )
-        shared_slope = Ratio.from_ints(field, app.first[0], app.second[0])
-        if cfg.f1 or cfg.f2:
-            if shared_slope != Ratio.of(cfg.f1, cfg.f2):
-                consistency_ok = False
-                failures.append("aspect-path slope differs from the F diagonal")
-        want = _ratio_residue(field, shared_slope)
+        want = _pair_residue(p, app.first[0], app.second[0])
+        f1, f2 = cfg.standing[8:]  # f1 : f2 = F1 : δ F2, over δ = 1
+        if (f1 or f2) and want != _pair_residue(p, f1, f2):
+            consistency_ok = False
+            failures.append("aspect-path slope differs from the F diagonal")
         for i, key in enumerate(aspect_keys):
             if slope_residue(p, key) != want:
                 consistency_ok = False

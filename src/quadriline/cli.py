@@ -180,12 +180,18 @@ def cmd_classify(args) -> dict:
             "all_parallel": _all_parallel_json(cfg_input),
         }
     e_diag, f_diag = diagonal_slopes(cfg)
+    # The field values of the standing ints: m_L, b_A over δ, e1, e2, f2 over δ², f1 over δ³.
+    m_a, m_b, m_c, m_d, b_a, d, e1, e2, f1, f2 = cfg.standing
+    q = cfg.field.quotient
     return {
         "field": _field_json(cfg.field),
         "normalized": {
-            "m_A": cfg.m_a, "m_B": cfg.m_b, "m_C": cfg.m_c, "m_D": cfg.m_d, "b_A": cfg.b_a
+            "m_A": q(m_a, d), "m_B": q(m_b, d), "m_C": q(m_c, d), "m_D": q(m_d, d),
+            "b_A": q(b_a, d),
         },
-        "constants": {"e1": cfg.e1, "e2": cfg.e2, "f1": cfg.f1, "f2": cfg.f2},
+        "constants": {
+            "e1": q(e1, d * d), "e2": q(e2, d * d), "f1": q(f1, d**3), "f2": q(f2, d * d)
+        },
         "diagonals": {"E": e_diag, "F": f_diag},
         "class": vars(classify(cfg)),
         "at_infinity": {"slopes": slopes_at_infinity(cfg), "aspects": aspects_at_infinity(cfg)},

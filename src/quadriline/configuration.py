@@ -8,8 +8,9 @@ has y-intercept 1) brings the configuration to the standing form
     A: y = m_A x + b_A    B: y = m_B x + 1    C: y = m_C x    D: y = m_D x
 
 with C and D non-parallel and B distinct from D.  All later geometry runs on
-the normalized constants; the recorded :class:`PlaneMap`, one exact 3×3
-matrix, carries points and lines back to the original coordinates.
+these constants as ints (:class:`NormalizedConfig`); the recorded
+:class:`PlaneMap`, one exact 3×3 matrix, carries points and lines back to the
+original coordinates.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class InputLine:
     def __post_init__(self):
         if not self.a and not self.b:
             raise PreconditionError("line needs (a, b) != (0, 0)")
-
-    def slope(self) -> Ratio:
-        """Slope as a projective ratio [dy : dx] = [-a : b]."""
-        return Ratio.of(-self.a, self.b)
 
     def _meet(self, other: "InputLine") -> tuple:
         """The meet (X : Y : Z) of the two lines: their covectors (a, b, -c) crossed."""
@@ -168,48 +165,40 @@ class PlaneMap:
 
 @dataclass(frozen=True)
 class NormalizedConfig:
-    """Standing-form constants plus the derived diagonal constants.
+    """The standing form as the ints (M_A, M_B, M_C, M_D, B_A, δ, E1, E2, F1, F2).
 
-    e1, e2 encode the diagonal E through A∩B and C∩D, and f1, f2 the diagonal
-    F through A∩D and B∩C: whenever the slope is defined it equals e1/e2
-    (resp. f1/f2).  They can never all four vanish.  ``standing`` holds them
-    as the ints (M_A, M_B, M_C, M_D, B_A, δ, E1, E2, F1, F2): m_L = M_L / δ,
-    b_A = B_A / δ, e1, e2, f2 = E1, E2, F2 / δ² and f1 = F1 / δ³, with δ the
-    lcm of the denominators over the rationals, and δ = 1 and residues over
-    F_p.  The paths, center maps and classification run on these ints.
+    The standing constants are m_L = M_L / δ and b_A = B_A / δ, with δ the
+    lcm of their denominators over the rationals, and δ = 1 and residues over
+    F_p.  E1, E2 encode the diagonal E through A∩B and C∩D, and F1, F2 the
+    diagonal F through A∩D and B∩C: e1, e2, f2 = E1, E2, F2 / δ² and
+    f1 = F1 / δ³, and whenever the slope is defined it equals e1/e2 (resp.
+    f1/f2).  They can never all four vanish.  Every reader runs on these
+    ints; only the ``classify`` report makes the field values.
     """
 
     field: object
-    m_a: object
-    m_b: object
-    m_c: object
-    m_d: object
-    b_a: object
-    e1: object
-    e2: object
-    f1: object
-    f2: object
     standing: tuple
 
     @staticmethod
-    def make(field, m_a, m_b, m_c, m_d, b_a) -> "NormalizedConfig":
-        if m_c == m_d:
+    def make(field, ints) -> "NormalizedConfig":
+        """The configuration of the six ints (M_A, M_B, M_C, M_D, B_A, δ), residues over F_p."""
+        M_A, M_B, M_C, M_D, B, d = ints
+        p = field.char
+        if not hpoly.mod(M_C - M_D, p):
             raise PreconditionError("C and D must not be parallel")
-        standing = hpoly.integer_forms(field, [(m_a, m_b, m_c, m_d, b_a, field.one())])[0]
-        M_A, M_B, M_C, M_D, B, d = standing
         E1, E2 = B * M_B - d * M_A, d * (B - d)
         F1 = B * (M_B - M_C) * M_D + d * (M_D - M_A) * M_C
         F2 = d * (M_D - M_A) + B * (M_B - M_C)
-        diagonal = tuple(hpoly.mod(v, field.char) for v in (E1, E2, F1, F2))
+        diagonal = tuple(hpoly.mod(v, p) for v in (E1, E2, F1, F2))
         if not any(diagonal):
             raise InternalCheckError("e and f constants cannot all vanish")
-        e1, e2, f1, f2 = (field.quotient(E, d ** k) for E, k in zip((E1, E2, F1, F2), (2, 2, 3, 2)))
-        return NormalizedConfig(field, m_a, m_b, m_c, m_d, b_a, e1, e2, f1, f2, (*standing, *diagonal))
+        return NormalizedConfig(field, (*ints, *diagonal))
 
     @staticmethod
     def from_ints(field, m_a, m_b, m_c, m_d, b_a) -> "NormalizedConfig":
-        f = field.from_int
-        return NormalizedConfig.make(field, f(m_a), f(m_b), f(m_c), f(m_d), f(b_a))
+        """The configuration with the five int constants at δ = 1, reduced mod p over F_p."""
+        ints = (m_a, m_b, m_c, m_d, b_a, 1)
+        return NormalizedConfig.make(field, tuple(hpoly.mod(v, field.char) for v in ints))
 
     @property
     def ef_sum(self) -> int:
@@ -238,17 +227,19 @@ class DiagonalMarker(Enum):
 def diagonal_slopes(cfg: NormalizedConfig):
     """Slopes of the diagonals E and F, or markers for the special cases.
 
-    E degenerates exactly when A = B.  When f1 = f2 = 0 the diagonal F is the
-    line at infinity if b_A != 0 (then A is parallel to D and B to C) and the
-    marker A = D otherwise.
+    E is E1 : E2 and degenerates exactly when A = B.  F is f1 : f2 = F1 : δ F2.
+    When F1 = F2 = 0 the diagonal F is the line at infinity if B_A != 0 (then
+    A is parallel to D and B to C) and the marker A = D otherwise.
     """
-    if cfg.e1 or cfg.e2:
-        e: Union[Ratio, DiagonalMarker] = Ratio.of(cfg.e1, cfg.e2)
+    field = cfg.field
+    b_a, d, e1, e2, f1, f2 = cfg.standing[4:]
+    if e1 or e2:
+        e: Union[Ratio, DiagonalMarker] = Ratio.from_ints(field, e1, e2)
     else:
         e = DiagonalMarker.LINES_A_B_EQUAL
-    if cfg.f1 or cfg.f2:
-        f: Union[Ratio, DiagonalMarker] = Ratio.of(cfg.f1, cfg.f2)
-    elif cfg.b_a:
+    if f1 or f2:
+        f: Union[Ratio, DiagonalMarker] = Ratio.from_ints(field, f1, d * f2)
+    elif b_a:
         f = DiagonalMarker.AT_INFINITY
     else:
         f = DiagonalMarker.LINES_A_D_EQUAL
@@ -348,8 +339,9 @@ def normalize(cfg_input: ConfigurationInput):
 
     Each input line is cleared once to its integer covector, and the rest
     runs on ints, reduced mod p over F_p: C ∦ D is det(C, D) != 0, B avoiding
-    C∩D is det(B, C, D) != 0, and C∩D is the point C × D = (X : Y : Z).  Each
-    reported constant is one quotient of ints.
+    C∩D is det(B, C, D) != 0, and C∩D is the point C × D = (X : Y : Z).  The
+    four slopes and b_A are quotients of ints, cleared together to the
+    standing ints over their lcm denominator δ.
     """
     field = cfg_input.field
     p = field.char
@@ -401,4 +393,5 @@ def normalize(cfg_input: ConfigurationInput):
         raise InternalCheckError("normalization produced wrong intercepts")
     slopes = [field.quotient(-images[role][0], images[role][1]) for role in ROLES]
     b_a = field.quotient(-images["A"][2], images["A"][1])
-    return NormalizedConfig.make(field, *slopes, b_a), plane_map
+    standing = hpoly.integer_forms(field, [(*slopes, b_a, field.one())])[0]
+    return NormalizedConfig.make(field, standing), plane_map

@@ -236,7 +236,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             else:
                 points = (slope_point, aspect_point)
         gn = g = None
-        if len({cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d}) == 4:  # no two lines parallel
+        if len(set(cfg.standing[:4])) == 4:  # no two lines parallel
             gn = gauss_newton_line(cfg)
             g = diagonal_g(cfg)
             if aspect_line is not None and not aspect_line.same_line(gn):

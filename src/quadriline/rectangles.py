@@ -37,9 +37,9 @@ def canonical_key(field, coords) -> tuple:
     """The canonical key of the projective point with coordinates coords.
 
     Over the rationals it is the primitive integer vector of the point: gcd 1,
-    last nonzero coordinate positive.  Fraction coordinates are cleared to ints
-    first, as :func:`hpoly.integer_forms` does.  Over F_p coords are ints,
-    scaled by one inverse of the first that is nonzero mod p and reduced mod p.
+    last nonzero coordinate positive.  Over F_p it is the coordinates scaled by
+    one inverse of the first that is nonzero mod p and reduced mod p.  The
+    coordinates are ints over both fields.
     """
     p = field.char
     if p:
@@ -48,11 +48,7 @@ def canonical_key(field, coords) -> tuple:
                 inv = pow(pivot, -1, p)
                 return tuple([c * inv % p for c in coords])
     else:
-        try:
-            g = math.gcd(*coords)
-        except TypeError:  # Fractions, which have no __index__
-            coords = hpoly.integer_forms(field, [coords])[0]
-            g = math.gcd(*coords)
+        g = math.gcd(*coords)
         for pivot in reversed(coords):
             if pivot:
                 g = g if pivot > 0 else -g

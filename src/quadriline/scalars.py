@@ -192,9 +192,6 @@ class RationalField:
         r = math.isqrt(x)
         return r if r * r == x else None
 
-    def elements(self):
-        raise FieldError("cannot enumerate the rationals")
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -282,9 +279,6 @@ class PrimeField:
             b = b * y % p
         return min(r, p - r)
 
-    def elements(self):
-        return (FpElement(v, self) for v in range(self.p))
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -330,10 +324,6 @@ class Ratio:
         if s % p if p else s:
             return Ratio(field.one(), field.zero())
         raise ParseError("0/0 is not a point of the projective line")
-
-    @property
-    def is_infinite(self) -> bool:
-        return not self.den
 
     def __str__(self):
         if not self.den:

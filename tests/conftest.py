@@ -46,6 +46,23 @@ def rat(field, s, t):
     return Ratio.of(field.from_int(s), field.from_int(t))
 
 
+def make_config(field, m_a, m_b, m_c, m_d, b_a) -> NormalizedConfig:
+    """The configuration of five standing constants in field elements, cleared
+    to the standing ints with ``hpoly.integer_forms`` as ``normalize`` clears them."""
+    standing = (m_a, m_b, m_c, m_d, b_a, field.one())
+    return NormalizedConfig.make(field, hpoly.integer_forms(field, [standing])[0])
+
+
+def elements(field):
+    """The p elements of the prime field F_p, in the order of their residues."""
+    return map(field.from_int, range(field.char))
+
+
+def line_slope(line: InputLine) -> Ratio:
+    """The slope of a line a x + b y = c as the projective ratio [dy : dx] = [-a : b]."""
+    return Ratio.of(-line.a, line.b)
+
+
 def qq(n, d=1):
     return Fraction(n, d)
 
@@ -57,7 +74,7 @@ def all_ratios(field):
     so the ratios are built directly.
     """
     one = field.one()
-    out = [Ratio(v, one) for v in field.elements()]
+    out = [Ratio(v, one) for v in elements(field)]
     out.append(Ratio(one, field.zero()))
     return out
 
@@ -67,7 +84,7 @@ def random_rational_config(rng: random.Random) -> NormalizedConfig:
     while True:
         vals = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)]
         if vals[2] != vals[3]:
-            return NormalizedConfig.make(QQ, *vals)
+            return make_config(QQ, *vals)
 
 
 def random_degenerate_config(rng: random.Random) -> NormalizedConfig:
@@ -79,9 +96,9 @@ def random_degenerate_config(rng: random.Random) -> NormalizedConfig:
         roots = degenerating_intercepts(QQ, *ms)
         if roots is ALL_INTERCEPTS:
             b_a = Fraction(rng.randint(-4, 4))
-            return NormalizedConfig.make(QQ, *ms, b_a)
+            return make_config(QQ, *ms, b_a)
         if roots:
-            return NormalizedConfig.make(QQ, *ms, roots[0])
+            return make_config(QQ, *ms, roots[0])
 
 
 def random_normalized_config(field, rng):
@@ -97,7 +114,7 @@ def random_normalized_config(field, rng):
         if values[2] == values[3]:
             rejections += 1
             continue
-        return NormalizedConfig.make(field, *values), rejections
+        return make_config(field, *values), rejections
 
 
 ALL_INTERCEPTS = object()  # marker: every b_A gives a degenerate configuration

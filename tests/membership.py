@@ -16,7 +16,8 @@ library's int forms on the integer standing form, and the canonical key of a
 rational point as nine Fractions, the reference for its primitive integer key.
 The standing lines and the roots of a binary quadratic form are here in field
 elements too, the references for the library's corners and at-infinity roots
-on ints.
+on ints.  Every reference reads the standing constants in field elements
+through :func:`constants`, the quotients of the library's standing ints.
 """
 
 from __future__ import annotations
@@ -89,12 +90,38 @@ def solve2(m00, m01, m10, m11, b0, b1) -> Solution2:
     return Solution2("line", particular, (-b, a))
 
 
+class Constants(NamedTuple):
+    """The standing constants and the diagonal constants in field elements."""
+
+    m_a: object
+    m_b: object
+    m_c: object
+    m_d: object
+    b_a: object
+    e1: object
+    e2: object
+    f1: object
+    f2: object
+
+
+def constants(cfg: NormalizedConfig) -> Constants:
+    """The field values of the standing ints (M_A, ..., B_A, δ, E1, E2, F1, F2):
+    m_L and b_A over δ, e1, e2 and f2 over δ², f1 over δ³."""
+    m_a, m_b, m_c, m_d, b_a, d, e1, e2, f1, f2 = cfg.standing
+    q = cfg.field.quotient
+    return Constants(
+        q(m_a, d), q(m_b, d), q(m_c, d), q(m_d, d), q(b_a, d),
+        q(e1, d * d), q(e2, d * d), q(f1, d**3), q(f2, d * d),
+    )
+
+
 def standing_line(cfg: NormalizedConfig, role: str) -> InputLine:
     """The line y = m_L x + b_L of a role in field elements, with b_B = 1 and
     b_C = b_D = 0: so m_L is -a and b_L is c."""
     zero, one = cfg.field.zero(), cfg.field.one()
-    m = {"A": cfg.m_a, "B": cfg.m_b, "C": cfg.m_c, "D": cfg.m_d}[role]
-    b = {"A": cfg.b_a, "B": one, "C": zero, "D": zero}[role]
+    k = constants(cfg)
+    m = {"A": k.m_a, "B": k.m_b, "C": k.m_c, "D": k.m_d}[role]
+    b = {"A": k.b_a, "B": one, "C": zero, "D": zero}[role]
     return InputLine(-m, one, b)
 
 
@@ -135,8 +162,8 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
     if not x_a and not x_b and not w:
         raise PreconditionError("(x_A, x_B, w) must be a nonzero triple")
     one = cfg.field.one()
-    m_dc = cfg.m_d - cfg.m_c
-    x_c = ((cfg.m_a - cfg.m_d) * x_a + (cfg.m_d - cfg.m_b) * x_b + (cfg.b_a - one) * w) / m_dc
+    m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
+    x_c = ((m_a - m_d) * x_a + (m_d - m_b) * x_b + (b_a - one) * w) / (m_d - m_c)
     x_d = x_a - x_b + x_c
     xs = {"A": x_a, "B": x_b, "C": x_c, "D": x_d}
     coords = []
@@ -145,7 +172,7 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
         coords.append(xs[role])
         coords.append(line.c * w - line.a * xs[role])
     coords.append(w)
-    return ProjectiveRectangle.canonical(cfg.field, [getattr(c, "value", c) for c in coords])
+    return ProjectiveRectangle.canonical(cfg.field, hpoly.integer_forms(cfg.field, [coords])[0])
 
 
 def is_rectangle(p: ProjectiveRectangle) -> bool:
@@ -216,15 +243,16 @@ def slope_system(cfg: NormalizedConfig, r: Ratio):
     """
     s, t = r.num, r.den
     one = cfg.field.one()
+    m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     m = (
-        s - cfg.m_a * t,
-        cfg.m_b * t - s,
-        (cfg.m_a - cfg.m_d) * (cfg.m_c * s + t),
-        (cfg.m_c - cfg.m_b) * (cfg.m_d * s + t),
+        s - m_a * t,
+        m_b * t - s,
+        (m_a - m_d) * (m_c * s + t),
+        (m_c - m_b) * (m_d * s + t),
     )
     u = (
-        (cfg.b_a - one) * t,
-        (cfg.m_d * s + t) - cfg.b_a * (cfg.m_c * s + t),
+        (b_a - one) * t,
+        (m_d * s + t) - b_a * (m_c * s + t),
     )
     return m, u
 
@@ -236,19 +264,20 @@ def aspect_system(cfg: NormalizedConfig, r: Ratio):
     """
     u_, v_ = r.num, r.den
     one = cfg.field.one()
-    m_cd = cfg.m_c - cfg.m_d
+    m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
+    m_cd = m_c - m_d
     m_dc = -m_cd
     m = (
-        (cfg.m_d - cfg.m_a) * u_ + cfg.m_a * m_cd * v_,
-        (cfg.m_b - cfg.m_c) * u_ + cfg.m_b * m_dc * v_,
-        cfg.m_c * (cfg.m_d - cfg.m_a) * u_ + m_dc * v_,
-        cfg.m_d * (cfg.m_b - cfg.m_c) * u_ + m_cd * v_,
+        (m_d - m_a) * u_ + m_a * m_cd * v_,
+        (m_b - m_c) * u_ + m_b * m_dc * v_,
+        m_c * (m_d - m_a) * u_ + m_dc * v_,
+        m_d * (m_b - m_c) * u_ + m_cd * v_,
     )
     # First right-side entry is (b_A - 1)(u - m_CD v): expanding the defining
     # aspect equations for a completed parallelogram fixes this sign.
     u = (
-        (cfg.b_a - one) * (u_ - m_cd * v_),
-        (cfg.b_a * cfg.m_c - cfg.m_d) * u_,
+        (b_a - one) * (u_ - m_cd * v_),
+        (b_a * m_c - m_d) * u_,
     )
     return m, u
 
@@ -293,7 +322,7 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
             return Fiber((_build(cfg, d0, d1, w),), True)
         if field.char:
             rects = []
-            for k in field.elements():
+            for k in map(field.from_int, range(field.char)):
                 x0 = sol.particular[0] + k * sol.direction[0]
                 x1 = sol.particular[1] + k * sol.direction[1]
                 rects.append(_build(cfg, x0, x1, w))
@@ -307,7 +336,7 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
     # sol.kind == "all": every (x_A, x_B) works.
     if not w:
         if field.char:
-            rects = [_build(cfg, k, one, w) for k in field.elements()]
+            rects = [_build(cfg, k, one, w) for k in map(field.from_int, range(field.char))]
             rects.append(_build(cfg, one, zero, w))
             return Fiber(tuple(rects), True)
         reps = (
@@ -319,8 +348,8 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
     if field.char:
         rects = [
             _build(cfg, x0, x1, w)
-            for x0 in field.elements()
-            for x1 in field.elements()
+            for x0 in map(field.from_int, range(field.char))
+            for x1 in map(field.from_int, range(field.char))
         ]
         return Fiber(tuple(rects), True)
     reps = (
@@ -444,15 +473,14 @@ def normalize(cfg_input: ConfigurationInput):
         slopes[role], intercepts[role] = _slope_intercept(image)
     if intercepts["C"] or intercepts["D"] or intercepts["B"] != one:
         raise InternalCheckError("normalization produced wrong intercepts")
-    cfg = NormalizedConfig.make(
-        field, slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"]
-    )
+    standing = (slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"], one)
+    cfg = NormalizedConfig.make(field, hpoly.integer_forms(field, [standing])[0])
     return cfg, plane_map
 
 
 def diagonal_constants(cfg: NormalizedConfig) -> tuple:
     """(e1, e2, f1, f2) in field elements, off the standing-form constants."""
-    m_a, m_b, m_c, m_d, b_a = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a
+    m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     return (
         b_a * m_b - m_a,
         b_a - cfg.field.one(),
@@ -509,10 +537,9 @@ def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
     """(m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2 in field
     elements, with beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C)."""
     one = cfg.field.one()
-    lead = cfg.m_a * cfg.m_c - cfg.m_b * cfg.m_d
-    beta = (cfg.m_a * cfg.m_c + one) * (cfg.m_b + cfg.m_d) - (
-        cfg.m_b * cfg.m_d + one
-    ) * (cfg.m_a + cfg.m_c)
+    m_a, m_b, m_c, m_d = constants(cfg)[:4]
+    lead = m_a * m_c - m_b * m_d
+    beta = (m_a * m_c + one) * (m_b + m_d) - (m_b * m_d + one) * (m_a + m_c)
     return (lead, -beta, -lead)
 
 
@@ -520,11 +547,10 @@ def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
     """m_BC m_AD U^2 - gamma U V + m_AB m_CD V^2 in field elements, with
     gamma = (m_A m_C - 1)(m_B + m_D) - (m_B m_D - 1)(m_A + m_C)."""
     one = cfg.field.one()
-    lead = (cfg.m_b - cfg.m_c) * (cfg.m_a - cfg.m_d)
-    gamma = (cfg.m_a * cfg.m_c - one) * (cfg.m_b + cfg.m_d) - (
-        cfg.m_b * cfg.m_d - one
-    ) * (cfg.m_a + cfg.m_c)
-    tail = (cfg.m_a - cfg.m_b) * (cfg.m_c - cfg.m_d)
+    m_a, m_b, m_c, m_d = constants(cfg)[:4]
+    lead = (m_b - m_c) * (m_a - m_d)
+    gamma = (m_a * m_c - one) * (m_b + m_d) - (m_b * m_d - one) * (m_a + m_c)
+    tail = (m_a - m_b) * (m_c - m_d)
     return (lead, -gamma, tail)
 
 
@@ -550,7 +576,8 @@ def _slope_forms(cfg: NormalizedConfig):
 def _aspect_forms(cfg: NormalizedConfig):
     zero, one = cfg.field.zero(), cfg.field.one()
     e1, e2, f1, f2 = diagonal_constants(cfg)
-    m_cd = cfg.m_c - cfg.m_d
+    m_c, m_d = constants(cfg)[2:4]
+    m_cd = m_c - m_d
     if not f1 and not e2:
         return (zero,), (one,)
     if e1 * f1 + e2 * f2:
@@ -572,7 +599,7 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The slope path's forms in field elements: the reference for the library's int forms."""
     e_form, f_form = _slope_forms(cfg)
     zero, one = cfg.field.zero(), cfg.field.one()
-    m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
+    m_b, m_c, m_d = constants(cfg)[1:4]
     x = {
         "A": hpoly.add(hpoly.mul((-one, m_c), e_form), hpoly.mul((one, zero), f_form)),
         "B": hpoly.add(hpoly.mul((-one, m_d), e_form), hpoly.mul((one, zero), f_form)),
@@ -590,7 +617,7 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The aspect path's forms in field elements: the reference for the library's int forms."""
     m_form, n_form = _aspect_forms(cfg)
     zero, one = cfg.field.zero(), cfg.field.one()
-    m_b, m_c, m_d = cfg.m_b, cfg.m_c, cfg.m_d
+    m_b, m_c, m_d = constants(cfg)[1:4]
     m_cd, m_bc = m_c - m_d, m_b - m_c
     u_only = (one, zero)
     x = {

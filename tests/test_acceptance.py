@@ -30,12 +30,14 @@ from quadriline.paths import slope_path_polys
 from quadriline.rectangles import ALL_RATIOS, slope_infinity_form, slopes_at_infinity
 from conftest import (
     CFG1_PAIRS,
+    line_slope,
     random_normalized_config,
     random_rational_config,
     sample_ratios,
     write_config,
 )
 import membership
+from membership import constants
 from test_paths import _divisibility_checks, _identity_checks
 
 
@@ -83,15 +85,16 @@ def test_criterion_2_homography_round_trip(cfg1):
 
 def test_criterion_3_degenerate_geometry(cfg2):
     with criterion(3, "degenerate geometry"):
-        assert cfg2.e1 * cfg2.f1 + cfg2.e2 * cfg2.f2 == 0
+        k = constants(cfg2)
+        assert k.e1 * k.f1 + k.e2 * k.f2 == 0
         assert classify(cfg2).degenerate
         report = centers_paths(cfg2)
         gn = gauss_newton_line(cfg2)
         assert report.aspect_centers.same_line(gn)
-        assert gn.slope().num == Fraction(4, 5) and gn.slope().den == 1
+        assert line_slope(gn).num == Fraction(4, 5) and line_slope(gn).den == 1
         g = diagonal_g(cfg2)
-        assert report.slope_centers.slope() == g.slope()
-        assert g.slope().num == Fraction(-8, 5) and g.slope().den == 1
+        assert line_slope(report.slope_centers) == line_slope(g)
+        assert line_slope(g).num == Fraction(-8, 5) and line_slope(g).den == 1
         # Sampled centers really lie on those lines.
         for r in sample_ratios(QQ, 10):
             rect = aspect_path_eval(cfg2, r)
@@ -111,7 +114,7 @@ def test_criterion_4_identity_suite():
             # factorization identity (coefficientwise, degree 4)
             sigma = membership.slope_infinity_form(cfg)
             lhs = hpoly.mul((one, zero, one), sigma)
-            m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
+            m_a, m_b, m_c, m_d = constants(cfg)[:4]
             first = hpoly.mul(
                 hpoly.mul((m_a, one), (one, -m_b)), hpoly.mul((m_c, one), (one, -m_d))
             )

@@ -121,7 +121,7 @@ def residue_of(p, ratio):
     """A ratio over F_p as slope_residue gives it; None for INDETERMINATE."""
     if ratio is INDETERMINATE:
         return None
-    return p if ratio.is_infinite else ratio.num.value
+    return ratio.num.value if ratio.den else p
 
 
 @st.composite
@@ -159,7 +159,7 @@ def test_rational_reads_reduce_to_prime_reads(point):
         if got is INDETERMINATE:
             assert want is None
         else:
-            assert want == (p if got.is_infinite else reduce_mod(p, got.num))
+            assert want == (reduce_mod(p, got.num) if got.den else p)
     if rational.at_infinity:
         assert prime.at_infinity
     else:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import quadriline
-from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
+from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, hpoly, normalize, slope_path_eval
 from quadriline.cli import main
 from quadriline.errors import InternalCheckError
 from quadriline.rectangles import ProjectiveRectangle
@@ -28,7 +28,7 @@ from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, fraction_count, write_c
 def parse_rectangle_json(field, data) -> ProjectiveRectangle:
     """Round-trip: rebuild the canonical projective point from a report."""
     coords = tuple(field.parse(text) for text in data["projective"])
-    return ProjectiveRectangle.canonical(field, coords)
+    return ProjectiveRectangle.canonical(field, hpoly.integer_forms(field, [coords])[0])
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,9 @@ class TestPathLocusCensus:
             ("double_root_f5.json", "bf73ed5e8e690d1d8ffafa6258a877dd0b3ba76d17dc76bfd815a3739ebfd8e4"),
             # A = C is the isotropic line y = 2x over F_5: the two "points".
             ("two_points_f5.json", "2b23e68851196c7fe4baaef90924f74d08afcc73bc33bea05ca51f8a6284cd10"),
+            # A = B, and A = D over F_7: TwoLines with one diagonal a marker.
+            ("a_equals_b.json", "d3ecfd884cf70ff19cc821325633a3f808c6c15ec03d0702f910546fb8d90283"),
+            ("a_equals_d_f7.json", "4b45bfbcb69080691b7e2fa8f94af617258c17ddbd66fb33c37f7d02490217ad"),
         ],
     )
     def test_locus_bytes(self, capsys, name, digest):
@@ -372,6 +375,9 @@ class TestPathLocusCensus:
             # A zero discriminant on both at-infinity forms: one slope "3" and one aspect "2".
             ("double_root_f5.json", "classify", 0, "36658d207616ccd00f6f3849801ef04adb7b6b03ef7116b4ef03c268d0a58bfb"),
             ("two_points_f5.json", "classify", 0, "a720bf1455522f38a9f61d3e15004a85ae64890b88599767c300c72c9796886a"),
+            # The diagonal markers: E is "A=B" (e1 = e2 = 0), and F is "A=D" over F_7 (f1 = f2 = 0, b_A = 0).
+            ("a_equals_b.json", "classify", 0, "e05e3d3df0bf1cf0aaec228c50f8ea18eeb760ad65b1371e35a22c7b2d7abb5c"),
+            ("a_equals_d_f7.json", "classify", 0, "ddcbb3d0e09fcd0cf8d100e41204079bc369972f8d36bb41670847278167a790"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):

@@ -1,5 +1,6 @@
 """Normalization, plane maps, diagonals, classification, degeneration."""
 
+import dataclasses
 import glob
 import os
 import random
@@ -19,17 +20,18 @@ from quadriline import (
 )
 from quadriline.cli import load_config
 from quadriline.configuration import DiagonalMarker, LocusShape, diagonal_slopes
-from quadriline.errors import AllParallelError, ConcurrentLinesError
+from quadriline.errors import AllParallelError, ConcurrentLinesError, PreconditionError
 from conftest import (
     ALL_INTERCEPTS,
     CFG1_INTS,
     degenerating_intercepts,
+    make_config,
     normalized_point,
     random_rational_config,
     slope_intercept_line,
     standing_input,
 )
-from membership import standing_line
+from membership import constants, standing_line
 
 
 def affine(point):
@@ -46,7 +48,7 @@ class TestNormalize:
     def test_standing_form_is_identity(self):
         ci = standing_input(QQ, *CFG1_INTS)
         cfg, pm = normalize(ci)
-        assert (cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a) == (2, 3, 0, 1, 1)
+        assert cfg.standing[:6] == (2, 3, 0, 1, 1, 1)
         assert pm.swaps == (False, False, False)
         # N is a nonzero multiple of the identity.
         n = pm.matrix[0][0]
@@ -57,7 +59,7 @@ class TestNormalize:
             QQ, (_line(2, 3), _line(0, 2)), (_line(3, 3), _line(1, 2))
         )
         cfg, pm = normalize(ci)
-        assert (cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d, cfg.b_a) == (2, 3, 0, 1, 1)
+        assert cfg.standing[:6] == (2, 3, 0, 1, 1, 1)
         assert pm.translation == (0, -2)
         assert pm.reflection_t is None
         assert pm.scale == 1
@@ -208,6 +210,28 @@ class TestNormalize:
             checked += 1
 
 
+class TestMake:
+    """make takes the six standing ints, residues over F_p, and checks them mod p;
+    from_ints reduces its arguments first."""
+
+    def test_fields_are_the_field_and_the_standing_ints(self):
+        assert [f.name for f in dataclasses.fields(NormalizedConfig)] == ["field", "standing"]
+
+    def test_parallel_c_d_is_checked_mod_p(self):
+        # M_C = 0 and M_D = 5 differ as ints but are one residue mod 5.
+        with pytest.raises(PreconditionError):
+            NormalizedConfig.from_ints(PrimeField(5), 0, 1, 0, 5, 1)
+        with pytest.raises(PreconditionError):
+            NormalizedConfig.make(PrimeField(5), (0, 1, 0, 5, 1, 1))
+
+    def test_from_ints_stores_residues(self):
+        f7 = PrimeField(7)
+        cfg = NormalizedConfig.from_ints(f7, 9, -4, 14, 22, -1)
+        assert cfg.standing[:6] == (2, 3, 0, 1, 6, 1)
+        assert all(0 <= v < 7 for v in cfg.standing)
+        assert cfg == NormalizedConfig.from_ints(f7, 2, 3, 0, 1, 6)
+
+
 class TestDiagonals:
     def test_cfg1(self, cfg1):
         e, f = diagonal_slopes(cfg1)
@@ -234,7 +258,7 @@ class TestDiagonals:
     def test_a_equals_d_marker(self):
         cfg = NormalizedConfig.from_ints(QQ, 1, 0, 0, 1, 0)  # b_A = 0, m_A = m_D... f1=f2=0?
         # m_A = m_D = 1, b_A = 0 makes A and D the same line.
-        assert cfg.f1 == 0 and cfg.f2 == 0
+        assert cfg.standing[8:] == (0, 0)
         _, f = diagonal_slopes(cfg)
         assert f is DiagonalMarker.LINES_A_D_EQUAL
 
@@ -245,17 +269,18 @@ class TestDiagonals:
         checked_e = checked_f = 0
         while checked_e < 30 or checked_f < 30:
             cfg = random_rational_config(rng)
+            k = constants(cfg)
             p_ab = affine(cfg.corner("A", "B"))
             p_cd = (Fraction(0), Fraction(0))
             if p_ab is not None and p_ab != p_cd:
                 slope = Ratio.of(p_ab[1] - p_cd[1], p_ab[0] - p_cd[0])
-                assert slope == Ratio.of(cfg.e1, cfg.e2)
+                assert slope == Ratio.of(k.e1, k.e2)
                 checked_e += 1
             p_ad = affine(cfg.corner("A", "D"))
             p_bc = affine(cfg.corner("B", "C"))
             if p_ad is not None and p_bc is not None and p_ad != p_bc:
                 slope = Ratio.of(p_ad[1] - p_bc[1], p_ad[0] - p_bc[0])
-                assert slope == Ratio.of(cfg.f1, cfg.f2)
+                assert slope == Ratio.of(k.f1, k.f2)
                 checked_f += 1
 
 
@@ -281,7 +306,7 @@ class TestClassify:
 
     def test_orthogonal_twin_pairs(self):
         # A perp C and B perp D: slopes (2, 3, -1/2, -1/3).
-        cfg = NormalizedConfig.make(
+        cfg = make_config(
             QQ, Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(-1, 3), Fraction(5)
         )
         cls = classify(cfg)
@@ -315,7 +340,7 @@ class TestDegeneratingIntercepts:
         roots = degenerating_intercepts(QQ, *map(Fraction, (-4, -1, 0, 2)))
         assert Fraction(3) in roots
         for b in roots:
-            cfg = NormalizedConfig.make(QQ, *map(Fraction, (-4, -1, 0, 2)), b)
+            cfg = make_config(QQ, *map(Fraction, (-4, -1, 0, 2)), b)
             assert cfg.ef_sum == 0
 
     def test_cfg1_slopes_over_f13(self):
@@ -326,7 +351,7 @@ class TestDegeneratingIntercepts:
         ms = [f13.from_int(v) for v in (2, 3, 0, 1)]
         roots = degenerating_intercepts(f13, *ms)
         assert len(roots) == 1
-        cfg = NormalizedConfig.make(f13, *ms, roots[0])
+        cfg = make_config(f13, *ms, roots[0])
         assert not cfg.ef_sum
 
     def test_every_root_degenerates(self):
@@ -340,7 +365,7 @@ class TestDegeneratingIntercepts:
                 roots = degenerating_intercepts(field, *ms)
                 if roots is ALL_INTERCEPTS:
                     b = field.from_int(rng.randrange(p))
-                    assert not NormalizedConfig.make(field, *ms, b).ef_sum
+                    assert not make_config(field, *ms, b).ef_sum
                     continue
                 for b in roots:
-                    assert not NormalizedConfig.make(field, *ms, b).ef_sum
+                    assert not make_config(field, *ms, b).ef_sum

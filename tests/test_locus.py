@@ -35,10 +35,12 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
-from membership import rectangle_from_slope, standing_line
+from membership import constants, rectangle_from_slope, standing_line
 from conftest import (
     center_at,
+    elements,
     fraction_count,
+    line_slope,
     random_degenerate_config,
     random_rational_config,
     rat,
@@ -136,8 +138,8 @@ def reported_centers(field, report) -> set:
     y_num - y_P den when that one vanishes identically), has a square
     discriminant.
     """
-    elements = list(field.elements())
-    plane = [(x, y) for x in elements for y in elements]
+    values = list(elements(field))
+    plane = [(x, y) for x in values for y in values]
     out = set()
     k = report.conic
     if k is not None:
@@ -206,7 +208,7 @@ class TestGaussNewton:
             (Fraction(13, 24), Fraction(1, 3)),
         ):
             assert line.contains(point)
-        assert line.slope() == Ratio.of(Fraction(4), Fraction(5))
+        assert line_slope(line) == Ratio.of(Fraction(4), Fraction(5))
 
     def test_cfg1_collinearity_holds(self, cfg1):
         # Construction already verifies the third midpoint lies on the line.
@@ -235,13 +237,13 @@ class TestDiagonalG:
         g = diagonal_g(cfg2)
         assert g.contains((Fraction(3, 4), Fraction(0)))
         assert g.contains((Fraction(1, 3), Fraction(2, 3)))
-        assert g.slope() == Ratio.of(Fraction(-8), Fraction(5))
+        assert line_slope(g) == Ratio.of(Fraction(-8), Fraction(5))
 
     def test_cfg1_vertical(self, cfg1):
         g = diagonal_g(cfg1)
         assert g.contains((Fraction(-1, 2), Fraction(0)))
         assert g.contains((Fraction(-1, 2), Fraction(-1, 2)))
-        assert g.slope() == rat(QQ, 1, 0)
+        assert line_slope(g) == rat(QQ, 1, 0)
 
     def test_parallel_pair_rejected(self):
         cfg = NormalizedConfig.from_ints(QQ, 2, 3, 2, 1, 1)  # A parallel to C
@@ -258,10 +260,11 @@ class TestDiagonalG:
                 g = diagonal_g(cfg)
             except ParallelPairError:
                 continue
-            num = cfg.m_c * cfg.b_a * (cfg.m_d - cfg.m_b) + cfg.m_d * (cfg.m_a - cfg.m_c)
-            den = cfg.b_a * (cfg.m_d - cfg.m_b) + (cfg.m_a - cfg.m_c)
+            m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
+            num = m_c * b_a * (m_d - m_b) + m_d * (m_a - m_c)
+            den = b_a * (m_d - m_b) + (m_a - m_c)
             if num or den:
-                assert g.slope() == Ratio.of(num, den)
+                assert line_slope(g) == Ratio.of(num, den)
             done += 1
 
 
@@ -269,9 +272,9 @@ class TestCentersPaths:
     def test_cfg2_two_lines(self, cfg2):
         report = centers_paths(cfg2)
         assert report.shape is LocusShape.TWO_LINES
-        assert report.aspect_centers.slope() == Ratio.of(Fraction(4), Fraction(5))
-        assert report.slope_centers.slope() == Ratio.of(Fraction(-8), Fraction(5))
-        assert report.slope_centers.slope() == report.diagonal_g.slope()
+        assert line_slope(report.aspect_centers) == Ratio.of(Fraction(4), Fraction(5))
+        assert line_slope(report.slope_centers) == Ratio.of(Fraction(-8), Fraction(5))
+        assert line_slope(report.slope_centers) == line_slope(report.diagonal_g)
         assert report.aspect_centers.same_line(report.gauss_newton)
 
     def test_cfg2_sampled_centers_on_lines(self, cfg2):
@@ -306,7 +309,7 @@ class TestCentersPaths:
         line = report.single_line
         assert line is not None
         assert line.contains((Fraction(0), Fraction(1, 2)))
-        assert line.slope() == rat(QQ, 0, 1)  # the affine centers lie on y = 1/2
+        assert line_slope(line) == rat(QQ, 0, 1)  # the affine centers lie on y = 1/2
 
     def test_point_locus_when_both_pairs_parallel(self):
         # A parallel to C and B parallel to D (a non-degenerate configuration):

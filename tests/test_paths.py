@@ -44,6 +44,7 @@ from conftest import (
 )
 import membership
 from membership import (
+    constants,
     coordinate_forms,
     has_aspect,
     has_slope,
@@ -66,7 +67,7 @@ def reference_eval_path(cfg, pp, r):
     coords.append(hpoly.eval_at(pp.w, s, t))
     if all(not c for c in coords):
         raise InternalCheckError("path polynomials share a projective zero")
-    return ProjectiveRectangle.canonical(cfg.field, [getattr(c, "value", c) for c in coords])
+    return ProjectiveRectangle.canonical(cfg.field, hpoly.integer_forms(cfg.field, [coords])[0])
 
 
 class TestSlopePathPolynomials:
@@ -122,7 +123,7 @@ def _identity_checks(cfg):
     """The displacement identities, closures and the rectangle identity, on
     the reference forms that the library's forms are one multiple of."""
     zero, one = Fraction(0), Fraction(1)
-    m_cd = cfg.m_c - cfg.m_d
+    m_cd = constants(cfg).m_c - constants(cfg).m_d
     m_dc = -m_cd
     s_only, t_only = (one, zero), (zero, one)
 
@@ -181,7 +182,7 @@ def _divisibility_checks(cfg):
     sigma = membership.slope_infinity_form(cfg)
     assert divides(pp.w, sigma)
     alpha = membership.aspect_infinity_form(cfg)
-    m_cd_alpha = hpoly.scale(cfg.m_c - cfg.m_d, alpha)
+    m_cd_alpha = hpoly.scale(constants(cfg).m_c - constants(cfg).m_d, alpha)
     assert divides(ap.w, m_cd_alpha)
     if cfg.ef_sum:
         assert pp.w == sigma
@@ -239,22 +240,18 @@ class TestPolynomialIdentities:
 class TestSlopePathEval:
     def test_cfg1_worked_point(self, cfg1):
         rect = slope_path_eval(cfg1, rat(QQ, 1, 0))
-        expected = ProjectiveRectangle.canonical(
-            QQ, tuple(map(Fraction, (1, -1, 1, 0, -1, 0, -1, -1, -3)))
-        )
+        expected = ProjectiveRectangle.canonical(QQ, (1, -1, 1, 0, -1, 0, -1, -1, -3))
         assert rect == expected
 
     def test_cfg1_zero_slope_point(self, cfg1):
         rect = slope_path_eval(cfg1, rat(QQ, 0, 1))
-        expected = ProjectiveRectangle.canonical(
-            QQ, tuple(map(Fraction, (0, 3, 0, 3, 0, 0, 0, 0, 3)))
-        )
+        expected = ProjectiveRectangle.canonical(QQ, (0, 3, 0, 3, 0, 0, 0, 0, 3))
         assert rect == expected
 
     def test_e_slope_affine_for_cfg1_infinite_for_cfg2(self, cfg1, cfg2):
-        e1 = Ratio.of(cfg1.e1, cfg1.e2)
+        e1 = Ratio.of(*constants(cfg1)[5:7])
         assert not slope_path_eval(cfg1, e1).at_infinity
-        e2 = Ratio.of(cfg2.e1, cfg2.e2)
+        e2 = Ratio.of(*constants(cfg2)[5:7])
         assert e2 == rat(QQ, 1, 2)
         assert slope_path_eval(cfg2, e2).at_infinity
 
@@ -263,7 +260,7 @@ class TestSlopePathEval:
         for _ in range(12):
             cfg = random_rational_config(rng)
             pp = slope_path_polys(cfg)
-            m_cd = cfg.m_c - cfg.m_d
+            m_cd = constants(cfg).m_c - constants(cfg).m_d
             for st in ratio_samples(QQ, 12):
                 rect = eval_path(cfg, pp, st)
                 assert satisfies_membership(rect, cfg)
@@ -412,7 +409,7 @@ class TestAspectPathEval:
         r1 = aspect_path_eval(cfg2, rat(QQ, 1, 1))
         r2 = aspect_path_eval(cfg2, rat(QQ, 5, 1))
         assert r1 != r2
-        f_slope = Ratio.of(cfg2.f1, cfg2.f2)
+        f_slope = Ratio.of(*constants(cfg2)[7:])
         assert slope_of(r1) == f_slope == slope_of(r2)
         assert f_slope == Ratio.of(Fraction(-2), Fraction(1))
 

@@ -32,6 +32,8 @@ from conftest import (
     CFG1_INTS,
     CFG3_INTS,
     all_ratios,
+    elements,
+    make_config,
     random_normalized_config,
     random_rational_config,
     rat,
@@ -40,6 +42,7 @@ from conftest import (
 import membership
 from membership import (
     aspect_system,
+    constants,
     complete_parallelogram,
     evaluate,
     has_aspect,
@@ -56,9 +59,14 @@ from membership import (
 F1009 = PrimeField(1009)
 
 
-def proj_eq(field, p, coords):
-    """Projective equality of a point against raw coordinates."""
-    return p == ProjectiveRectangle.canonical(field, tuple(map(Fraction, coords)))
+def cleared(coords) -> tuple:
+    """Rational coordinates as ints, all scaled by the lcm of their denominators."""
+    return hpoly.integer_forms(QQ, [coords])[0]
+
+
+def proj_eq(p, coords):
+    """Projective equality of a point against rational coordinates."""
+    return p == ProjectiveRectangle.canonical(QQ, cleared(coords))
 
 
 class TestCompleteParallelogram:
@@ -73,7 +81,7 @@ class TestCompleteParallelogram:
 
     def test_at_infinity_parallelogram(self, cfg1):
         p = complete_parallelogram(cfg1, Fraction(1), Fraction(1), Fraction(0))
-        assert proj_eq(QQ, p, (1, 2, 1, 3, -1, 0, -1, -1, 0))
+        assert proj_eq(p, (1, 2, 1, 3, -1, 0, -1, -1, 0))
         assert p.at_infinity
 
     def test_diagonal_parameters_always_parallelograms(self):
@@ -101,23 +109,8 @@ class TestCompleteParallelogram:
 
 class TestIsRectangle:
     def test_worked_rectangle(self, cfg1):
-        p = ProjectiveRectangle.canonical(
-            QQ,
-            tuple(
-                Fraction(v)
-                for v in (
-                    Fraction(-1, 3),
-                    Fraction(1, 3),
-                    Fraction(-1, 3),
-                    0,
-                    Fraction(1, 3),
-                    0,
-                    Fraction(1, 3),
-                    Fraction(1, 3),
-                    1,
-                )
-            ),
-        )
+        # The vertices (-1/3, 1/3), (-1/3, 0), (1/3, 0), (1/3, 1/3) at w = 1, times 3.
+        p = ProjectiveRectangle.canonical(QQ, (-1, 1, -1, 0, 1, 0, 1, 1, 3))
         assert is_rectangle(p)
         assert satisfies_membership(p, cfg1)
 
@@ -156,7 +149,7 @@ class TestQuadricH:
         # m_AD (m_A m_C + 1) X_A^2 - delta X_A X_B + m_BC (m_B m_D + 1) X_B^2
         # with delta = m_BD (m_A m_C + 1) + m_AC (m_B m_D + 1).
         cfg = NormalizedConfig.from_ints(F1009, *CFG1_INTS)
-        m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
+        m_a, m_b, m_c, m_d = constants(cfg)[:4]
         m_cd = m_c - m_d
         aa, ab, bb = quadric_h(cfg)[:3]
         delta = (m_b - m_d) * (m_a * m_c + 1) + (m_a - m_c) * (m_b * m_d + 1)
@@ -181,8 +174,7 @@ class TestSlopeAspectOf:
         assert slope_of(p) == rat(QQ, 0, 1)
 
     def test_raw_unit_square_slope(self):
-        coords = tuple(map(Fraction, (0, 1, 0, 0, 1, 0, 1, 1, 1)))
-        p = ProjectiveRectangle.canonical(QQ, coords)
+        p = ProjectiveRectangle.canonical(QQ, (0, 1, 0, 0, 1, 0, 1, 1, 1))
         assert slope_of(p) == rat(QQ, 1, 0)
 
     def test_worked_rectangle_aspect(self, cfg1):
@@ -223,7 +215,7 @@ class TestAtInfinityForms:
         # Brute force over the whole projective line.
         brute = [
             r
-            for r in [Ratio.of(v, f13.one()) for v in f13.elements()]
+            for r in [Ratio.of(v, f13.one()) for v in elements(f13)]
             + [Ratio.of(f13.one(), f13.zero())]
             if not hpoly.eval_at(form, r.num, r.den)
         ]
@@ -233,13 +225,13 @@ class TestAtInfinityForms:
         rng = random.Random(61)
         for p in (5, 7, 11):
             field = PrimeField(p)
-            proj_line = [Ratio.of(v, field.one()) for v in field.elements()]
+            proj_line = [Ratio.of(v, field.one()) for v in elements(field)]
             proj_line.append(Ratio.of(field.one(), field.zero()))
             for _ in range(15):
                 vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
-                cfg = NormalizedConfig.make(field, *vals)
+                cfg = make_config(field, *vals)
                 for form, roots in (
                     (slope_infinity_form(cfg), slopes_at_infinity(cfg)),
                     (aspect_infinity_form(cfg), aspects_at_infinity(cfg)),
@@ -263,7 +255,7 @@ class TestAtInfinityForms:
                 vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
-                cfg = NormalizedConfig.make(field, *vals)
+                cfg = make_config(field, *vals)
                 roots = slopes_at_infinity(cfg)
                 if roots is ALL_RATIOS:
                     continue
@@ -283,10 +275,8 @@ class TestAtInfinityForms:
         cfg = NormalizedConfig.from_ints(f17, 2, 3, 0, 1, 1)
         roots = aspects_at_infinity(cfg)
         assert len(roots) == 2
-        m_ab = cfg.m_a - cfg.m_b
-        m_cd = cfg.m_c - cfg.m_d
-        m_bc = cfg.m_b - cfg.m_c
-        m_ad = cfg.m_a - cfg.m_d
+        m_a, m_b, m_c, m_d = constants(cfg)[:4]
+        m_ab, m_cd, m_bc, m_ad = m_a - m_b, m_c - m_d, m_b - m_c, m_a - m_d
         root_set = {(r.num, r.den) for r in roots}
         for r in roots:
             partner = Ratio.of(m_ab * m_cd * r.den, m_bc * m_ad * r.num)
@@ -308,7 +298,7 @@ class TestAtInfinityForms:
                 vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
-                cfg = NormalizedConfig.make(field, *vals)
+                cfg = make_config(field, *vals)
                 cls = classify(cfg)
                 assert (slopes_at_infinity(cfg) is ALL_RATIOS) == cls.twin_pairs
                 assert (aspects_at_infinity(cfg) is ALL_RATIOS) == cls.dual_pairs
@@ -327,7 +317,7 @@ class TestDeterminants:
             assert det == hpoly.eval_at(membership.slope_infinity_form(cfg), r.num, r.den)
             m, _ = aspect_system(cfg, r)
             det = m[0] * m[3] - m[1] * m[2]
-            m_cd = cfg.m_c - cfg.m_d
+            m_cd = constants(cfg).m_c - constants(cfg).m_d
             assert det == m_cd * hpoly.eval_at(membership.aspect_infinity_form(cfg), r.num, r.den)
 
 
@@ -340,7 +330,7 @@ class TestFactorizationIdentity:
             cfg = random_rational_config(rng)
             sigma = membership.slope_infinity_form(cfg)
             lhs = hpoly.mul((one, zero, one), sigma)
-            m_a, m_b, m_c, m_d = cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d
+            m_a, m_b, m_c, m_d = constants(cfg)[:4]
             first = hpoly.mul(
                 hpoly.mul((m_a, one), (one, -m_b)), hpoly.mul((m_c, one), (one, -m_d))
             )
@@ -461,7 +451,7 @@ class TestRectangleIdentity:
             scaled = [num * c for c in coords]
         else:
             assume(num)
-            scaled = [Fraction(num, den) * c for c in coords]
+            scaled = cleared([Fraction(num, den) * c for c in coords])
         p = ProjectiveRectangle.canonical(field, coords)
         q = ProjectiveRectangle.canonical(field, scaled)
         assert p == q and hash(p) == hash(q)
@@ -502,7 +492,7 @@ class TestRectangleIdentity:
     @given(st.sampled_from(ODD_PRIMES))
     def test_all_ratios_are_canonical(self, prime):
         field = PrimeField(prime)
-        expected = [Ratio.of(v, field.one()) for v in field.elements()]
+        expected = [Ratio.of(v, field.one()) for v in elements(field)]
         expected.append(Ratio.of(field.one(), field.zero()))
         assert all_ratios(field) == expected
 
@@ -532,17 +522,17 @@ class TestRationalKey:
     @settings(max_examples=300, deadline=None)
     @given(rational_points(), NONZERO)
     def test_key_is_primitive_and_blind_to_scale(self, coords, scale):
-        key = canonical_key(QQ, coords)
+        key = canonical_key(QQ, cleared(coords))
         assert all(type(c) is int for c in key)
         assert math.gcd(*key) == 1
         assert next(c for c in reversed(key) if c) > 0
         assert membership.fraction_key(key) == membership.fraction_key(coords)
-        assert canonical_key(QQ, [scale * c for c in coords]) == key
+        assert canonical_key(QQ, cleared([scale * c for c in coords])) == key
 
     @settings(max_examples=300, deadline=None)
     @given(rational_points(), st.sampled_from(sorted(PLANE_MAPS)))
     def test_readers_match_the_fraction_key(self, coords, name):
-        point = ProjectiveRectangle.canonical(QQ, coords)
+        point = ProjectiveRectangle.canonical(QQ, cleared(coords))
         reference = ProjectiveRectangle(QQ, membership.fraction_key(coords))
         assert slope_of(point) == slope_of(reference)
         assert aspect_of(point) == aspect_of(reference)
@@ -552,6 +542,5 @@ class TestRationalKey:
             return
         assert center_of(point) == center_of(reference)
         # original_points took the Fraction key cleared to ints, as integer_forms clears it.
-        cleared = hpoly.integer_forms(QQ, [reference.key])[0]
         pm = PLANE_MAPS[name]
-        assert pm.original_points(point.key) == pm.original_points(cleared)
+        assert pm.original_points(point.key) == pm.original_points(cleared(reference.key))

@@ -249,7 +249,7 @@ class TestRatio:
     def test_canonical_infinite(self):
         r = Ratio.of(Fraction(-5), Fraction(0))
         assert (r.num, r.den) == (1, 0)
-        assert r.is_infinite
+        assert not r.den
 
     def test_cross_multiplication_equality(self):
         assert Ratio.of(Fraction(2), Fraction(4)) == Ratio.of(Fraction(-1), Fraction(-2))
@@ -275,7 +275,7 @@ class TestRatio:
                 Ratio.from_ints(field, s, t)
 
     def test_parse_and_format(self):
-        assert ratio_parse("1/0", QQ).is_infinite
+        assert not ratio_parse("1/0", QQ).den
         assert ratio_parse("-1/2", QQ) == Ratio.of(Fraction(-1), Fraction(2))
         assert ratio_parse("3/2", QQ) == Ratio.of(Fraction(3), Fraction(2))
         assert str(ratio_parse("3/2", QQ)) == "3/2"

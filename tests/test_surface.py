@@ -146,13 +146,28 @@ ORACLES = {
 }
 
 
+def attributes_loaded(trees):
+    """Every member read as ``x.member`` in the given trees.  A bare name, a store
+    (``self.member = ...``) and an option of the CLI's argparse namespace
+    (``args.member``) are not reads of a class member, so they do not count."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+    }
+
+
 def test_every_member_is_read():
-    """A method or property of a package class is read somewhere in the package
-    or in the README library block, by name.  Dunders, overrides of a base-class
-    method and the ORACLES are exempt; dataclass and NamedTuple fields are not
-    methods, and reports print them through ``vars``."""
+    """A method or property of a package class is read as an attribute somewhere
+    in the package or in the README library block (:func:`attributes_loaded`).
+    Dunders, overrides of a base-class method and the ORACLES are exempt;
+    dataclass and NamedTuple fields are not methods, and reports print them
+    through ``vars``."""
     trees = package_trees()
-    used = names_read([*trees.values(), ast.parse(library_block())])
+    used = attributes_loaded([*trees.values(), ast.parse(library_block())])
     unread = []
     for name, tree in sorted(trees.items()):
         module = importlib.import_module(f"quadriline.{name[:-3]}")

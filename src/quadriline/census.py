@@ -14,12 +14,12 @@ split, and non-degenerate ones a single curve with injective slope.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
 from .paths import aspect_path_polys, path_keys, slope_path_polys
 from .rectangles import ProjectiveRectangle, _residue, aspect_residue, residue_text, slope_residue
+from .scalars import Record
 
 # Largest prime a census runs at.  Its time and the set of rectangles it holds
 # both grow about linearly in p.  At p = 59,999 one census, end to end, took
@@ -121,8 +121,7 @@ def enumerate_rectangles(cfg: NormalizedConfig):
     return found
 
 
-@dataclass
-class CensusReport:
+class CensusReport(Record):
     """Exact counts plus the verdicts of the structural cross-checks."""
 
     p: int
@@ -133,7 +132,7 @@ class CensusReport:
     union_covered: bool
     at_infinity_bound_ok: bool
     degenerate_consistency_ok: bool
-    failures: list = dataclass_field(default_factory=list)
+    failures: list
 
 
 def _ratio_label(field, index: int) -> str:

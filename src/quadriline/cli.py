@@ -140,10 +140,11 @@ def _plane_map_json(pm):
 
 
 def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
-    # An F_p key is already at the scale where its pivot is 1.
-    projective = rect.key if rect.field.char else rect.coordinates()
+    field, key = rect.field, rect.key
+    # Every value is a Ratio of ints; an F_p key is at the scale where its pivot is 1.
+    pivot = 1 if field.char else next(c for c in reversed(key) if c)
     out = {
-        "projective": [_str(c) for c in projective],
+        "projective": [Ratio(field, c, pivot) for c in key],
         "at_infinity": rect.at_infinity,
         "slope": slope_of(rect),
         "aspect": aspect_of(rect),
@@ -152,7 +153,7 @@ def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
         "center": None,
     }
     if not rect.at_infinity:
-        *vertices, center = pm.original_points(rect.key)
+        *vertices, center = pm.original_points(key)
         out["vertices"] = {
             pm.role_to_input[role]: list(point) for role, point in zip(ROLES, vertices)
         }
@@ -180,9 +181,9 @@ def cmd_classify(args) -> dict:
             "all_parallel": _all_parallel_json(cfg_input),
         }
     e_diag, f_diag = diagonal_slopes(cfg)
-    # The field values of the standing ints: m_L, b_A over δ, e1, e2, f2 over δ², f1 over δ³.
+    # The values of the standing ints: m_L, b_A over δ, e1, e2, f2 over δ², f1 over δ³.
     m_a, m_b, m_c, m_d, b_a, d, e1, e2, f1, f2 = cfg.standing
-    q = cfg.field.quotient
+    q = functools.partial(Ratio, cfg.field)
     return {
         "field": _field_json(cfg.field),
         "normalized": {
@@ -216,7 +217,7 @@ def cmd_path(args) -> dict:
     cfg, pm = normalize(cfg_input)
     pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
     rects = [
-        {"ratio": Ratio.from_ints(cfg.field, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
+        {"ratio": Ratio(cfg.field, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
         for st in ratio_samples(cfg.field, args.samples)
     ]
     return {"kind": args.kind, "rectangles": rects}
@@ -275,16 +276,6 @@ def cmd_render(args) -> dict:
 _STR_TYPES = frozenset({str, Fraction, FpElement, Ratio})
 
 
-def _str(value) -> str:
-    """str(value); a number past the int-to-str digit limit raises PreconditionError."""
-    try:
-        return str(value)
-    except ValueError:
-        raise PreconditionError(
-            f"a report value past {sys.get_int_max_str_digits()} digits cannot be written"
-        ) from None
-
-
 def json_text(value, indent: str = "\n") -> str:
     """The one writer of report text: ``json.dumps(value, indent=2)`` for dicts
     with str keys, lists, strs, ints, bools and None; a ``Fraction``,
@@ -294,34 +285,46 @@ def json_text(value, indent: str = "\n") -> str:
 
     The first test is one set lookup on the exact type: ``Fraction`` is an
     ABC, so an ``isinstance`` test first would cost every int of a census
-    tally an ABC check.  The standard encoder runs in pure Python when
-    ``indent`` is set, and each call leaves its nested closures in reference
-    cycles for the cyclic garbage collector; this writer leaves none.
+    tally an ABC check.  A container writes such leaves itself, and a dict its
+    int values too, without a call each.  The standard encoder runs in pure
+    Python when ``indent`` is set, and each call leaves its nested closures in
+    reference cycles for the cyclic garbage collector; this writer leaves none.
     """
-    if type(value) in _STR_TYPES:
-        return encode_basestring_ascii(_str(value))
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            inner + encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()
-        )
-        return "{" + ",".join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + ",".join(inner + json_text(v, inner) for v in value) + indent + "]"
-    if isinstance(value, Enum):
-        return json_text(value.value)
+    try:
+        if type(value) in _STR_TYPES:
+            return encode_basestring_ascii(str(value))
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [
+                inner + encode_basestring_ascii(k) + ": "
+                + (encode_basestring_ascii(str(v)) if type(v) in _STR_TYPES
+                   else int.__repr__(v) if type(v) is int else json_text(v, inner))
+                for k, v in value.items()
+            ]
+            return "{" + ",".join(items) + indent + "}"
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            items = [
+                encode_basestring_ascii(str(v)) if type(v) in _STR_TYPES else json_text(v, inner)
+                for v in value
+            ]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if isinstance(value, Enum):
+            return json_text(value.value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"a report value past {limit} digits cannot be written") from None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -16,7 +16,7 @@ original coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from enum import Enum
 from typing import Optional, Union
 
@@ -28,20 +28,20 @@ from .errors import (
     PreconditionError,
     ReflectionUnavailableError,
 )
-from .scalars import Ratio
+from .scalars import Ratio, Record
 
 ROLES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class InputLine:
+class InputLine(Record):
     """The line a*x + b*y = c with (a, b) != (0, 0)."""
 
     a: object
     b: object
     c: object
 
-    def __post_init__(self):
+    def __init__(self, *fields):
+        super().__init__(*fields)
         if not self.a and not self.b:
             raise PreconditionError("line needs (a, b) != (0, 0)")
 
@@ -65,8 +65,7 @@ class InputLine:
         return (x / z, y / z) if z else None
 
 
-@dataclass(frozen=True)
-class ConfigurationInput:
+class ConfigurationInput(Record):
     """Four lines as ordered pairs (A, C) and (B, D) over a common field."""
 
     field: object
@@ -103,7 +102,12 @@ def adjugate(m):
 def covector(field, line: InputLine) -> tuple:
     """The covector (a, b, -c) of the line a x + b y = c as three ints, up to a
     nonzero factor: the residues over F_p, cleared by one lcm over the rationals."""
-    return hpoly.integer_forms(field, [(line.a, line.b, -line.c)])[0]
+    a, b, c = line.a, line.b, line.c
+    if field.char:
+        return a.value, b.value, -c.value
+    m = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
+            -c.numerator * (m // c.denominator))
 
 
 def _times(v, m) -> tuple:
@@ -111,31 +115,43 @@ def _times(v, m) -> tuple:
     return tuple(v[0] * u + v[1] * w + v[2] * z for u, w, z in zip(*m))
 
 
-@dataclass(frozen=True)
-class PlaneMap:
+class PlaneMap(Record):
     """Exact similarity between the original plane and normalized coordinates.
 
-    Normalization relabels roles, translates by ``translation``, reflects
-    about y = t x for t = ``reflection_t`` (when set) and scales by s =
-    ``scale``.  ``matrix`` is the one 3×3 matrix N of ints (residues over F_p)
-    taking normalized points (x : y : w) back, built by :func:`normalize` from
-    the integer covectors of the input lines and defined up to a nonzero
-    factor, which no output depends on: with d = 1 + t^2 and (tx, ty) =
-    translation it is a multiple of [[1 - t^2, 2t, -d s tx], [2t, t^2 - 1,
-    -d s ty], [0, 0, d s]], and of [[1, 0, -s tx], [0, 1, -s ty], [0, 0, s]]
-    without a reflection.  The line a x + b y = c is the covector (a, b, -c):
-    it maps forward by (a, b, -c) N and back by (a, b, -c) adj(N).  N is
-    orthogonal up to scale, so parallelograms, the rectangle condition and
-    midpoints are preserved.
+    Normalization relabels roles, translates by ``translation``, reflects about
+    y = t x for t = ``reflection_t`` (when set) and scales by s = ``scale``: field
+    values made when read from the ints it stores.  ``matrix`` is the one 3×3
+    matrix N of ints (residues over F_p) taking normalized points (x : y : w)
+    back, built by :func:`normalize` from the integer covectors of the input lines
+    and defined up to a nonzero factor, which no output depends on: with
+    d = 1 + t^2 and (tx, ty) = translation it is a multiple of [[1 - t^2, 2t,
+    -d s tx], [2t, t^2 - 1, -d s ty], [0, 0, d s]], and of [[1, 0, -s tx],
+    [0, 1, -s ty], [0, 0, s]] without a reflection.  The line a x + b y = c is the
+    covector (a, b, -c): it maps forward by (a, b, -c) N and back by (a, b, -c)
+    adj(N).  N is orthogonal up to scale, so parallelograms, the rectangle
+    condition and midpoints are preserved.
     """
 
     field: object
     swaps: tuple  # (swap within pair1, swap within pair2, swap pair roles)
     role_to_input: dict  # normalized role -> original label
-    translation: tuple
-    reflection_t: Optional[object]
-    scale: object
     matrix: tuple  # N, three rows of ints
+    t: Optional[int]  # the reflection parameter, or None
+    s: tuple  # the scale as an int pair (n, d), s = n / d
+
+    @property
+    def translation(self) -> tuple:
+        """(-X / Z, -Y / Z) for the last column (X, Y, Z) of N: the meet of C and D."""
+        (_, _, x), (_, _, y), (_, _, z) = self.matrix
+        return self.field.quotient(-x, z), self.field.quotient(-y, z)
+
+    @property
+    def reflection_t(self):
+        return None if self.t is None else self.field.from_int(self.t)
+
+    @property
+    def scale(self):
+        return self.field.quotient(*self.s)
 
     def original_point(self, x, y, w):
         """The original affine point of (x : y : w), w != 0: ints, or over the rationals Fractions."""
@@ -144,12 +160,16 @@ class PlaneMap:
 
     def original_points(self, key) -> list:
         """The original vertices A, B, C, D and center of the affine rectangle with canonical
-        key (x_A, y_A, ..., x_D, y_D, w), ints over both fields: N (x_L, y_L, w) and
-        N (x_A + x_C, y_A + y_C, 2w)."""
-        w = key[8]
-        points = [self.original_point(key[i], key[i + 1], w) for i in range(0, 8, 2)]
-        points.append(self.original_point(key[0] + key[4], key[1] + key[5], 2 * w))
-        return points
+        key (x_A, y_A, ..., x_D, y_D, w), ints over both fields, as pairs of affine
+        :class:`Ratio` values: N (x_L, y_L, w) and N (x_A + x_C, y_A + y_C, 2w) = (X, Y, W)
+        give X / W and Y / W."""
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.matrix
+        w, f, out = key[8], self.field, []
+        points = [(key[i], key[i + 1], w) for i in range(0, 8, 2)]
+        for x, y, z in points + [(key[0] + key[4], key[1] + key[5], 2 * w)]:
+            X, Y, W = a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z
+            out.append((Ratio(f, X, W), Ratio(f, Y, W)))
+        return out
 
     def normalized_line(self, line: InputLine) -> InputLine:
         """The image of an original line in normalized coordinates: its covector times N."""
@@ -163,8 +183,7 @@ class PlaneMap:
         return InputLine(a, b, -c)
 
 
-@dataclass(frozen=True)
-class NormalizedConfig:
+class NormalizedConfig(Record):
     """The standing form as the ints (M_A, M_B, M_C, M_D, B_A, δ, E1, E2, F1, F2).
 
     The standing constants are m_L = M_L / δ and b_A = B_A / δ, with δ the
@@ -234,11 +253,11 @@ def diagonal_slopes(cfg: NormalizedConfig):
     field = cfg.field
     b_a, d, e1, e2, f1, f2 = cfg.standing[4:]
     if e1 or e2:
-        e: Union[Ratio, DiagonalMarker] = Ratio.from_ints(field, e1, e2)
+        e: Union[Ratio, DiagonalMarker] = Ratio(field, e1, e2)
     else:
         e = DiagonalMarker.LINES_A_B_EQUAL
     if f1 or f2:
-        f: Union[Ratio, DiagonalMarker] = Ratio.from_ints(field, f1, d * f2)
+        f: Union[Ratio, DiagonalMarker] = Ratio(field, f1, d * f2)
     elif b_a:
         f = DiagonalMarker.AT_INFINITY
     else:
@@ -252,8 +271,7 @@ class LocusShape(Enum):
     LINE_PLUS_INFINITY = "LinePlusInfinity"
 
 
-@dataclass(frozen=True)
-class ConfigClass:
+class ConfigClass(Record):
     degenerate: bool
     twin_pairs: bool
     dual_pairs: bool
@@ -359,7 +377,6 @@ def normalize(cfg_input: ConfigurationInput):
     else:
         raise ConcurrentLinesError("all four lines pass through one point")
 
-    translation = (field.quotient(-X, Z), field.quotient(-Y, Z))
     # Z times N at scale 1: scaling normalized points by s multiplies its last column by s.
     t = None
     unscaled = ((Z, 0, X), (0, Z, Y), (0, 0, Z))
@@ -379,19 +396,17 @@ def normalize(cfg_input: ConfigurationInput):
     matrix = tuple((v * n0, v * n1, -u * n2) for n0, n1, n2 in unscaled)
     if p:
         matrix = tuple(tuple(n % p for n in row) for row in matrix)
-    reflection_t = None if t is None else field.from_int(t)
-    plane_map = PlaneMap(
-        field, swaps, role_to_input, translation, reflection_t, field.quotient(-u, v), matrix
-    )
+    plane_map = PlaneMap(field, swaps, role_to_input, matrix, t, (-u, v))
 
     # The standing form is read off the images (a', b', c') of the input lines,
     # found through the recorded labels, so the map reproduces it by construction:
-    # slope -a' / b' and intercept -c' / b'.
+    # slope -a' / b' and intercept -c' / b' as Ratios s / t, cleared over the lcm δ of the t.
     images = {role: _times(vectors[role_to_input[role]], matrix) for role in ROLES}
     (_, b1, b2), (_, _, c2), (_, _, d2) = images["B"], images["C"], images["D"]
     if hpoly.mod(c2, p) or hpoly.mod(d2, p) or hpoly.mod(b1 + b2, p):
         raise InternalCheckError("normalization produced wrong intercepts")
-    slopes = [field.quotient(-images[role][0], images[role][1]) for role in ROLES]
-    b_a = field.quotient(-images["A"][2], images["A"][1])
-    standing = hpoly.integer_forms(field, [(*slopes, b_a, field.one())])[0]
+    values = [Ratio(field, -images[role][0], images[role][1]) for role in ROLES]
+    values.append(Ratio(field, -images["A"][2], images["A"][1]))
+    d = math.lcm(*(r.t for r in values))
+    standing = (*(r.s * (d // r.t) for r in values), d)
     return NormalizedConfig.make(field, standing), plane_map

@@ -4,15 +4,13 @@ A form of degree d is a tuple ``(c0, ..., cd)`` standing for
 ``sum(c[i] * S**(d-i) * T**i)``.  Length-1 tuples are constants.  The
 library's path forms and center maps have int coefficients, at a nonzero
 scale that projective evaluation does not see, and over F_p zero means zero
-mod p (:func:`mod`); forms of field elements work too.  :func:`integer_forms`
-clears field elements to ints, and :func:`tabulate` evaluates an int form at
-consecutive integers.
+mod p (:func:`mod`); forms of field elements work too.  :func:`tabulate`
+evaluates an int form at consecutive integers.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 
 def mul(f, g):
@@ -71,19 +69,6 @@ def tabulate(f, count, start=0, t=1):
     for k in reversed(range(d)):
         values = itertools.accumulate(values, initial=diffs[k])
     return itertools.islice(values, count)
-
-
-def integer_forms(field, forms):
-    """The forms as tuples of Python ints, all scaled by one nonzero constant.
-
-    Over F_p the constant is 1 and the integers are the residues; over the
-    rationals it is the lcm of every coefficient's denominator.  Projective
-    evaluation is blind to the common factor.
-    """
-    if field.char:
-        return [tuple(c.value for c in f) for f in forms]
-    factor = math.lcm(*(c.denominator for f in forms for c in f))
-    return [tuple(c.numerator * (factor // c.denominator) for c in f) for f in forms]
 
 
 def mod(v, p: int):

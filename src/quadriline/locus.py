@@ -12,7 +12,6 @@ coefficient is 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import hpoly
@@ -25,9 +24,9 @@ from .errors import (
 )
 from .rectangles import ProjectiveRectangle
 from .paths import PathPolynomials, aspect_path_polys, eval_path, slope_path_polys
+from .scalars import Record
 
 
-@dataclass(frozen=True)
 class AffineLineDescription(InputLine):
     """A line a x + b y = c together with where it came from."""
 
@@ -97,8 +96,7 @@ def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
     return _line(cfg.field, cross(_corner(cfg, "A", "C"), _corner(cfg, "B", "D")), "diagonal-g")
 
 
-@dataclass(frozen=True)
-class CenterMap:
+class CenterMap(Record):
     """The center of a path rectangle as a function of the ratio.
 
     center(r) = (x_num(r) / den(r), y_num(r) / den(r)) with den twice the
@@ -121,8 +119,7 @@ class CenterMap:
         )
 
 
-@dataclass(frozen=True)
-class LocusReport:
+class LocusReport(Record):
     """Exact description of the set of centers of affine inscribed rectangles.
 
     A conic, a line or a point holds exactly the affine centers, with one
@@ -262,8 +259,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
     )
 
 
-@dataclass(frozen=True)
-class SpecialRectangles:
+class SpecialRectangles(Record):
     """The center and centroid rectangles of a degenerate configuration."""
 
     center_rectangle: ProjectiveRectangle
@@ -316,8 +312,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     return SpecialRectangles(center_rect, centroid_rect)
 
 
-@dataclass(frozen=True)
-class AllParallelReport:
+class AllParallelReport(Record):
     """Outcome of the all-parallel analysis."""
 
     midline_shared: bool

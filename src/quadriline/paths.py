@@ -13,16 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from .rectangles import ProjectiveRectangle, Ratio, canonical_key
+from .scalars import Record
 
 
-@dataclass(frozen=True)
-class PathPolynomials:
+class PathPolynomials(Record):
     """Coordinate polynomials of one path, all homogeneous of equal degree.
 
     ``first`` and ``second`` are the case-split forms: for the slope path a
@@ -126,13 +125,6 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     return _path(cfg, m_form, n_form, xs, w)
 
 
-def ratio_ints(field, r: Ratio) -> tuple:
-    """Ints (s, t) proportional to r: (n, d) for n/d, (1, 0) for 1/0, residues over F_p."""
-    if field.char:
-        return r.num.value, r.den.value
-    return r.num.numerator * r.den.denominator, r.den.numerator * r.num.denominator
-
-
 def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, st: tuple) -> ProjectiveRectangle:
     """The canonical rectangle of the path at the ratio s : t of the ints st = (s, t).
 
@@ -171,16 +163,15 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the slope path with slope r."""
-    return eval_path(cfg, slope_path_polys(cfg), ratio_ints(cfg.field, r))
+    return eval_path(cfg, slope_path_polys(cfg), (r.s, r.t))
 
 
 def aspect_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the aspect path with aspect ratio r."""
-    return eval_path(cfg, aspect_path_polys(cfg), ratio_ints(cfg.field, r))
+    return eval_path(cfg, aspect_path_polys(cfg), (r.s, r.t))
 
 
-@dataclass(frozen=True)
-class PathHomography:
+class PathHomography(Record):
     """Invertible projective-line map linking the two paths.
 
     For a non-degenerate configuration, to_aspect sends a slope to the aspect

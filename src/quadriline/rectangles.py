@@ -166,7 +166,7 @@ def _residue(p: int, pair):
 
 def _ratio(field, pair):
     """A (num, den) pair of key differences as a ratio, or INDETERMINATE for None."""
-    return INDETERMINATE if pair is None else Ratio.from_ints(field, *pair)
+    return INDETERMINATE if pair is None else Ratio(field, *pair)
 
 
 def slope_residue(p: int, key: tuple):
@@ -237,16 +237,16 @@ def projective_quadratic_roots(field, form):
     if not c0 and not c1 and not c2:
         return ALL_RATIOS
     if not c0:
-        roots = [Ratio.from_ints(field, 1, 0)]
+        roots = [Ratio(field, 1, 0)]
         if c1:
-            roots.append(Ratio.from_ints(field, -c2, c1))
+            roots.append(Ratio(field, -c2, c1))
         return roots
     r = field.sqrt(hpoly.mod(c1 * c1 - 4 * c0 * c2, p))
     if r is None:
         return []
-    roots = [Ratio.from_ints(field, -c1 + r, 2 * c0)]
+    roots = [Ratio(field, -c1 + r, 2 * c0)]
     if r:
-        roots.append(Ratio.from_ints(field, -c1 - r, 2 * c0))
+        roots.append(Ratio(field, -c1 - r, 2 * c0))
     return roots
 
 

@@ -6,9 +6,9 @@ Rational values are plain :class:`fractions.Fraction`; prime-field values are
 either field.  Characteristic 2 is rejected outright: midpoints and the
 reflection step of normalization both need division by 2.
 
-A :class:`Ratio` is a point of the projective line, used for slopes and aspect
-ratios.  It is stored in canonical form (last nonzero entry scaled to 1), which
-makes equality and hashing structural.
+A :class:`Ratio` is a point of the projective line: a slope, an aspect ratio
+or any exact value a report prints, stored as two canonical ints, which makes
+equality and hashing structural.  Literals are ASCII, each part read by one int().
 """
 
 from __future__ import annotations
@@ -16,22 +16,53 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import FieldError, ParseError
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
+_INT_RE = re.compile(r"([+-]?\d+)\Z", re.ASCII)
+_RATIO_RE = re.compile(r"([+-]?\d+)(?:/([+-]?\d+))?\Z", re.ASCII)
 
 
-def _too_many_digits(text: str) -> ParseError:
-    """The error for a literal past int()'s digit limit: the one ValueError of a matched literal."""
-    digits = max(len(run) for run in re.findall(r"\d+", text))
-    return ParseError(
-        f"a number of {digits} digits: at most {sys.get_int_max_str_digits()} are supported"
-    )
+def _ints(match) -> list:
+    """The int of each part of a matched literal, 1 for a missing denominator."""
+    try:
+        return [int(part) for part in match.groups("1")]
+    except ValueError:
+        digits = max(len(part.lstrip("+-")) for part in match.groups(""))
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a number of {digits} digits: at most {limit} are supported") from None
+
+
+class Record:
+    """A value: the annotated fields of its class and of its bases, set once by position
+    or keyword (a field not given reads its class-level default) and compared and hashed
+    by type and field values; ``vars`` lists the fields given, in the order given."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        self.__dict__.update(zip(self._fields, args), **kwargs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
 
 
 class FpElement:
@@ -125,16 +156,18 @@ class FpElement:
         return f"FpElement({self.value} mod {self.field.p})"
 
 
-# Miller-Rabin to the 13 prime bases 2..41 is exact below psi_13
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
-# Twelve bases are not enough there: psi_12 = 318665857834031151167461 is a
-# strong pseudoprime to every prime base up to 37.
+# psi_k (OEIS A014233) is the least strong pseudoprime to the first k prime bases, so
+# Miller-Rabin to them is exact below psi_k (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", 2015); psi_12 fools every prime base up to 37.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI_13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+PSI_13 = _PSI[12]
 
 
 def _is_odd_prime(n):
-    """Whether n is an odd prime, exactly for n < psi_13, in O(log n) products mod n."""
+    """Whether n is an odd prime, exactly for n < psi_13: Miller-Rabin to the first k bases."""
     if n < 3 or n % 2 == 0:
         return False
     for a in _MR_BASES:
@@ -142,7 +175,7 @@ def _is_odd_prime(n):
             return n == a
     e = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^e * q with q odd
     q = (n - 1) >> e
-    for a in _MR_BASES:
+    for a in _MR_BASES[: 1 + sum(n >= psi for psi in _PSI[:12])]:
         x = pow(a, q, n)
         if x == 1 or x == n - 1:
             continue
@@ -176,14 +209,13 @@ class RationalField:
 
     def parse(self, text: str) -> Fraction:
         text = text.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(text)
+        if not match:
             raise ParseError(f"not a rational literal: {text!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in literal {text!r}") from None
-        except ValueError:
-            raise _too_many_digits(text) from None
+        n, d = _ints(match)
+        if not d:
+            raise ParseError(f"zero denominator in literal {text!r}")
+        return Fraction(n, d)
 
     def sqrt(self, x: int) -> Optional[int]:
         """The square root of the int x, or None when x is not a square in the field."""
@@ -241,12 +273,10 @@ class PrimeField:
 
     def parse(self, text: str) -> FpElement:
         text = text.strip()
-        if not _INT_RE.match(text):
+        match = _INT_RE.match(text)
+        if not match:
             raise ParseError(f"not an integer literal: {text!r}")
-        try:
-            return FpElement(int(text), self)
-        except ValueError:
-            raise _too_many_digits(text) from None
+        return FpElement(*_ints(match), self)
 
     def sqrt(self, x: int) -> Optional[int]:
         """The least square root r <= p // 2 of the int x mod p, or None when x is
@@ -292,52 +322,63 @@ class PrimeField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
 class Ratio:
-    """A point [num : den] of the projective line over the working field.
+    """The point s : t of the projective line over ``field``, for two ints s and t, or
+    for field elements through :meth:`of`.  It keeps the canonical ints: coprime with
+    t > 0 over the rationals, (v, 1) for a residue v over F_p, and (1, 0).  ``num`` and
+    ``den`` are field elements; ``str`` is the report text of every exact value:
+    "1/0", "s/t" or "s"."""
 
-    Canonical form: the last nonzero entry is 1, i.e. affine ratios are stored
-    as (value, 1) and the infinite ratio as (1, 0).  Use :meth:`of` rather
-    than the raw constructor so canonicalization always runs.
-    """
+    __slots__ = ("field", "s", "t")
 
-    num: object
-    den: object
+    def __init__(self, field, s: int, t: int):
+        p = field.char
+        if p and t % p:
+            s, t = s * pow(t, -1, p) % p, 1
+        elif not p and t:
+            g = math.gcd(s, t) if t > 0 else -math.gcd(s, t)
+            s, t = s // g, t // g
+        elif s % p if p else s:
+            s, t = 1, 0
+        else:
+            raise ParseError("0/0 is not a point of the projective line")
+        self.field, self.s, self.t = field, s, t
 
     @staticmethod
     def of(num, den) -> "Ratio":
-        """num : den for field elements; ints raise TypeError (see :meth:`from_ints`)."""
+        """num : den for field elements; ints raise TypeError (see ``Ratio(field, s, t)``)."""
         if isinstance(num, int) or isinstance(den, int):
             raise TypeError("Ratio.of takes field elements, not ints")
-        if den:
-            return Ratio(num / den, den / den)
-        if num:
-            return Ratio(num / num, den)
-        raise ParseError("0/0 is not a point of the projective line")
+        if isinstance(num, FpElement):
+            return Ratio(num.field, num.value, num._coerce(den))
+        return Ratio(QQ, num.numerator * den.denominator, den.numerator * num.denominator)
 
-    @staticmethod
-    def from_ints(field, s: int, t: int) -> "Ratio":
-        """The ratio s : t of two ints in the field, with one quotient."""
-        p = field.char
-        if t % p if p else t:
-            return Ratio(field.quotient(s, t), field.one())
-        if s % p if p else s:
-            return Ratio(field.one(), field.zero())
-        raise ParseError("0/0 is not a point of the projective line")
+    @property
+    def num(self):
+        return self.field.quotient(self.s, self.t) if self.t else self.field.one()
+
+    @property
+    def den(self):
+        return self.field.one() if self.t else self.field.zero()
+
+    def __eq__(self, other):
+        same_field = isinstance(other, Ratio) and self.field == other.field
+        return same_field and (self.s, self.t) == (other.s, other.t)
+
+    def __hash__(self):
+        return hash((self.s, self.t))
 
     def __str__(self):
-        if not self.den:
-            return "1/0"
-        return str(self.num)
+        return str(self.s) if self.t == 1 else f"{self.s}/{self.t}" if self.t else "1/0"
+
+    def __repr__(self):
+        return f"Ratio(num={self.num!r}, den={self.den!r})"
 
 
 def ratio_parse(text: str, field) -> Ratio:
-    """Parse 's/t' (integer numerator and denominator) or a single scalar."""
+    """Parse 's/t' (integer numerator and denominator) or a single integer s, as s : 1."""
     text = text.strip()
-    if "/" in text:
-        parts = text.split("/")
-        if len(parts) == 2 and _INT_RE.match(parts[0]) and _INT_RE.match(parts[1]):
-            return Ratio.of(field.parse(parts[0]), field.parse(parts[1]))
-    if _INT_RE.match(text):
-        return Ratio.of(field.parse(text), field.one())
-    raise ParseError(f"not a ratio literal: {text!r}")
+    match = _RATIO_RE.match(text)
+    if not match:
+        raise ParseError(f"not a ratio literal: {text!r}")
+    return Ratio(field, *_ints(match))

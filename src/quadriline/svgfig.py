@@ -129,7 +129,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         rect = eval_path(cfg, pp, st)
         if rect.at_infinity:
             continue
-        quad = plane_map.original_points(rect.key)[:4]
+        quad = [plane_map.original_point(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)]
         for x, y in quad:
             canvas.require(x, y)
         rect_polys.append(quad)

@@ -20,7 +20,7 @@ from quadriline.configuration import adjugate, normalize
 from quadriline.errors import PreconditionError
 from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
-from membership import solve_quadratic
+from membership import integer_forms, solve_quadratic
 
 CFG1_INTS = (2, 3, 0, 1, 1)  # non-degenerate
 CFG2_INTS = (-4, -1, 0, 2, 3)  # degenerate, no parallel lines
@@ -48,9 +48,9 @@ def rat(field, s, t):
 
 def make_config(field, m_a, m_b, m_c, m_d, b_a) -> NormalizedConfig:
     """The configuration of five standing constants in field elements, cleared
-    to the standing ints with ``hpoly.integer_forms`` as ``normalize`` clears them."""
+    to the standing ints with ``membership.integer_forms``, one lcm as ``normalize`` takes."""
     standing = (m_a, m_b, m_c, m_d, b_a, field.one())
-    return NormalizedConfig.make(field, hpoly.integer_forms(field, [standing])[0])
+    return NormalizedConfig.make(field, integer_forms(field, [standing])[0])
 
 
 def elements(field):
@@ -70,12 +70,11 @@ def qq(n, d=1):
 def all_ratios(field):
     """Every point of the projective line over a prime field: (v : 1), then (1 : 0).
 
-    The order of ``paths.path_keys``.  Both forms are already canonical,
-    so the ratios are built directly.
+    The order of ``paths.path_keys``.
     """
     one = field.one()
-    out = [Ratio(v, one) for v in elements(field)]
-    out.append(Ratio(one, field.zero()))
+    out = [Ratio.of(v, one) for v in elements(field)]
+    out.append(Ratio.of(one, field.zero()))
     return out
 
 
@@ -168,7 +167,7 @@ def bounded_ratio_samples(field, count):
 
 def sample_ratios(field, count):
     """The first count ratios of ``ratio_samples`` as Ratios."""
-    return [Ratio.from_ints(field, *st) for st in ratio_samples(field, count)]
+    return [Ratio(field, *st) for st in ratio_samples(field, count)]
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -23,6 +23,8 @@ through :func:`constants`, the quotients of the library's standing ints.
 from __future__ import annotations
 
 import itertools
+import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -33,7 +35,6 @@ from quadriline.configuration import (
     ConfigurationInput,
     InputLine,
     NormalizedConfig,
-    PlaneMap,
     adjugate,
 )
 from quadriline.errors import (
@@ -172,7 +173,7 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
         coords.append(xs[role])
         coords.append(line.c * w - line.a * xs[role])
     coords.append(w)
-    return ProjectiveRectangle.canonical(cfg.field, hpoly.integer_forms(cfg.field, [coords])[0])
+    return ProjectiveRectangle.canonical(cfg.field, integer_forms(cfg.field, [coords])[0])
 
 
 def is_rectangle(p: ProjectiveRectangle) -> bool:
@@ -463,8 +464,11 @@ def normalize(cfg_input: ConfigurationInput):
     if not b_intercept:
         raise InternalCheckError("B passes through the origin after labeling")
     scale = one / b_intercept
-    matrix = hpoly.integer_forms(field, [(n0, n1, n2 * scale) for n0, n1, n2 in unscaled])
-    plane_map = PlaneMap(field, swaps, role_to_input, translation, t, scale, tuple(matrix))
+    matrix = integer_forms(field, [(n0, n1, n2 * scale) for n0, n1, n2 in unscaled])
+    plane_map = types.SimpleNamespace(
+        field=field, swaps=swaps, role_to_input=role_to_input, translation=translation,
+        reflection_t=t, scale=scale, matrix=tuple(matrix),
+    )
 
     by_label = cfg_input.lines_by_label()
     slopes, intercepts = {}, {}
@@ -474,7 +478,7 @@ def normalize(cfg_input: ConfigurationInput):
     if intercepts["C"] or intercepts["D"] or intercepts["B"] != one:
         raise InternalCheckError("normalization produced wrong intercepts")
     standing = (slopes["A"], slopes["B"], slopes["C"], slopes["D"], intercepts["A"], one)
-    cfg = NormalizedConfig.make(field, hpoly.integer_forms(field, [standing])[0])
+    cfg = NormalizedConfig.make(field, integer_forms(field, [standing])[0])
     return cfg, plane_map
 
 
@@ -552,6 +556,16 @@ def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
     gamma = (m_a * m_c - one) * (m_b + m_d) - (m_b * m_d - one) * (m_a + m_c)
     tail = (m_a - m_b) * (m_c - m_d)
     return (lead, -gamma, tail)
+
+
+def integer_forms(field, forms):
+    """The forms of field elements as tuples of Python ints, all scaled by one
+    nonzero constant: 1 over F_p, with the residues, and over the rationals the
+    lcm of every coefficient's denominator."""
+    if field.char:
+        return [tuple(c.value for c in f) for f in forms]
+    factor = math.lcm(*(c.denominator for f in forms for c in f))
+    return [tuple(c.numerator * (factor // c.denominator) for c in f) for f in forms]
 
 
 def fraction_key(coords) -> tuple:

@@ -20,7 +20,6 @@ from quadriline.errors import PreconditionError
 from quadriline.paths import (
     aspect_path_polys,
     eval_path,
-    ratio_ints,
     slope_path_polys,
 )
 from quadriline.rectangles import ProjectiveRectangle
@@ -236,8 +235,8 @@ class TestVerify:
         assert report.failures == []
         field = cfg.field
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
-        slope_image = {eval_path(cfg, spp, ratio_ints(field, r)) for r in all_ratios(field)}
-        aspect_image = {eval_path(cfg, app, ratio_ints(field, r)) for r in all_ratios(field)}
+        slope_image = {eval_path(cfg, spp, (r.s, r.t)) for r in all_ratios(field)}
+        aspect_image = {eval_path(cfg, app, (r.s, r.t)) for r in all_ratios(field)}
         assert len(slope_image) == 12 and len(aspect_image) == 12
         assert len(slope_image & aspect_image) == 1  # two lines meet once
         assert report.total == 23
@@ -247,7 +246,7 @@ class TestVerify:
         report = verify_against_paths(cfg)
         assert report.failures == []
         spp = slope_path_polys(cfg)
-        image = {eval_path(cfg, spp, ratio_ints(cfg.field, r)) for r in all_ratios(cfg.field)}
+        image = {eval_path(cfg, spp, (r.s, r.t)) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
         assert len(image) == 8
 
@@ -257,7 +256,7 @@ class TestVerify:
         report = verify_against_paths(cfg)
         assert report.failures == []
         app = aspect_path_polys(cfg)
-        image = {eval_path(cfg, app, ratio_ints(cfg.field, r)) for r in all_ratios(cfg.field)}
+        image = {eval_path(cfg, app, (r.s, r.t)) for r in all_ratios(cfg.field)}
         assert all(p.at_infinity for p in image)
 
     def test_failure_witnesses_print_residues(self, monkeypatch):
@@ -284,7 +283,7 @@ class TestVerify:
         for kind, pp in (("slope path aspect", slope_path_polys(cfg)),
                          ("aspect path slope", aspect_path_polys(cfg))):
             expected = [
-                f"{kind} varies at {r}: {eval_path(cfg, pp, ratio_ints(cfg.field, r)).key}"
+                f"{kind} varies at {r}: {eval_path(cfg, pp, (r.s, r.t)).key}"
                 for r in all_ratios(cfg.field)
             ]
             assert [f for f in report.failures if f.startswith(kind)] == expected
@@ -386,9 +385,9 @@ def test_census_ratio_count_does_not_grow_with_p(tmp_path, capsys, monkeypatch, 
     calls = []
     init = scalars.Ratio.__init__
 
-    def counted(self, num, den):
+    def counted(self, *args):
         calls.append(None)
-        init(self, num, den)
+        init(self, *args)
 
     monkeypatch.setattr(scalars.Ratio, "__init__", counted)
     counts = []

@@ -17,18 +17,19 @@ from fractions import Fraction
 import pytest
 
 import quadriline
-from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, hpoly, normalize, slope_path_eval
+from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
 from quadriline.cli import main
 from quadriline.errors import InternalCheckError
 from quadriline.rectangles import ProjectiveRectangle
 from quadriline.scalars import ratio_parse
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, fraction_count, write_config
+from membership import integer_forms
 
 
 def parse_rectangle_json(field, data) -> ProjectiveRectangle:
     """Round-trip: rebuild the canonical projective point from a report."""
     coords = tuple(field.parse(text) for text in data["projective"])
-    return ProjectiveRectangle.canonical(field, hpoly.integer_forms(field, [coords])[0])
+    return ProjectiveRectangle.canonical(field, integer_forms(field, [coords])[0])
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +209,8 @@ class TestPathLocusCensus:
             # A = B, and A = D over F_7: TwoLines with one diagonal a marker.
             ("a_equals_b.json", "d3ecfd884cf70ff19cc821325633a3f808c6c15ec03d0702f910546fb8d90283"),
             ("a_equals_d_f7.json", "4b45bfbcb69080691b7e2fa8f94af617258c17ddbd66fb33c37f7d02490217ad"),
+            ("literals.json", "16694e2cafa780086e55d19ddf50f2e9ef4878b33139ca630bf04c4c251cd91c"),
+            ("literals_f101.json", "a3165c2472f55ac1b66b387f7c735e236bafff624d19e7fcd3309379cc7d5abf"),
         ],
     )
     def test_locus_bytes(self, capsys, name, digest):
@@ -378,6 +381,19 @@ class TestPathLocusCensus:
             # The diagonal markers: E is "A=B" (e1 = e2 = 0), and F is "A=D" over F_7 (f1 = f2 = 0, b_A = 0).
             ("a_equals_b.json", "classify", 0, "e05e3d3df0bf1cf0aaec228c50f8ea18eeb760ad65b1371e35a22c7b2d7abb5c"),
             ("a_equals_d_f7.json", "classify", 0, "ddcbb3d0e09fcd0cf8d100e41204079bc369972f8d36bb41670847278167a790"),
+            # The literal grammar: signs, leading zeros, -0/5, spaces, a vertical line and a
+            # 40-digit denominator over Q; -12 and +0007 over F_101.
+            ("literals.json", "classify", 0, "72e26e9fc4684de65fbd8fa9312f5f699dbede4cb14bd60985441d6bb63249cb"),
+            ("literals.json", "rect --slope 1/0", 0, "f549d8490664d2f53d388ff687a93f7ee8a2df5b5afd507f68385ef5d4069b59"),
+            ("literals.json", "rect --aspect=-1/2", 0, "70ba6569fd0185e54a450efad3a37344f0fc470aeaa204f90a1389f00383e290"),
+            ("literals.json", "path --kind slope", 0, "54214439e844f855a218883b78df359c6969922612e1b7f93b5d6622ef486d5d"),
+            ("literals.json", "path --kind aspect", 0, "0bbd099a27b799f72e1a8752f37cf55d7e54f20fb6c539cbff0baa2f489686aa"),
+            ("literals_f101.json", "classify", 0, "5957eaaa62fdaf47fe93fd107eca5b993ed9485acb17da49f4e312a823716a53"),
+            ("literals_f101.json", "rect --slope 1/0", 0, "200e4879839578d40015e016f73fd9e24104ac8cb8f99302fd50700759c8b411"),
+            ("literals_f101.json", "rect --aspect=-1/2", 0, "9261dca3735a9f6202ac44873f0fd60bd4242b873a00d519b43902a1ae18aa47"),
+            ("literals_f101.json", "path --kind slope", 0, "ec1b822d233adaf281ff974e457fc0289e90e3edab748f5b9f602c9111d141ee"),
+            ("literals_f101.json", "path --kind aspect", 0, "315379086e101b1635c5ff35285c0d94206117cd5cddf91eafab0203db37f580"),
+            ("literals_f101.json", "census", 0, "bc209a39ca32c521becb93c7bd85eb6eeef6375586109e0f7e2d1cac248b7670"),
         ],
     )
     def test_path_kernel_bytes(self, capsys, name, argv, code, digest):
@@ -605,6 +621,20 @@ class TestExitCodes:
         assert code == 2
         assert "pairs[0][0].a" in err
 
+    @pytest.mark.parametrize("field_tag", ["rational", {"prime": 11}], ids=["QQ", "F11"])
+    @pytest.mark.parametrize("literal", ["\u0663", "\uff13", "\u00b3", "1_0"], ids=ascii)
+    def test_literal_digits_are_ascii(self, tmp_path, capsys, field_tag, literal):
+        """A coefficient or a --slope written with other digits exits 2 with one line."""
+        kind = "a rational" if field_tag == "rational" else "an integer"
+        pairs = [[(literal, 1, 0), CFG1_PAIRS[0][1]], CFG1_PAIRS[1]]
+        path = write_config(tmp_path, "digits.json", field_tag, pairs)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: pairs[0][0].a: not {kind} literal: {literal!r}\n"
+        path = write_config(tmp_path, "cfg1.json", field_tag, CFG1_PAIRS)
+        code, out, err = run_cli(capsys, "rect", "--input", path, f"--slope={literal}/2")
+        assert (code, out, err) == (2, "", f"error: not a ratio literal: {literal + '/2'!r}\n")
+
     def test_even_modulus_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "c2.json", {"prime": 2}, CFG1_PAIRS)
         code, _, err = run_cli(capsys, "classify", "--input", str(path))
@@ -709,10 +739,10 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys):
 
 
 def printed_values(value) -> int:
-    """The exact values a report prints: each Fraction, each Ratio (one value: its
-    affine value or 1/0) and each "projective" entry."""
+    """The exact values a report prints: each Fraction and each Ratio (one value: its
+    affine value or 1/0)."""
     if isinstance(value, dict):
-        return sum(len(v) if k == "projective" else printed_values(v) for k, v in value.items())
+        return sum(map(printed_values, value.values()))
     if isinstance(value, list):
         return sum(map(printed_values, value))
     return isinstance(value, (Fraction, Ratio))
@@ -723,20 +753,20 @@ CFG1 = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
 
 @pytest.mark.parametrize("ratio", ["1/0", "3/7", "0", "-1/2"])
 def test_rect_builds_only_the_fractions_it_prints(ratio):
-    """Past the parsing of its input and flag, a rational rect report builds no more
-    Fractions than it prints: the key, the plane map and the path are ints."""
+    """Past the parsing of its input, a rational rect report builds no Fraction: the
+    flag, the key, the plane map and the path are ints, and each printed value is
+    a Ratio of two ints."""
     cfg, pm = normalize(cli.load_config(CFG1))
     for path_eval in (slope_path_eval, aspect_path_eval):
-        r = ratio_parse(ratio, QQ)
         with fraction_count() as built:
-            report = cli.rectangle_json(path_eval(cfg, r), pm)
-        assert 0 < built[0] <= printed_values(report)
+            report = cli.rectangle_json(path_eval(cfg, ratio_parse(ratio, QQ)), pm)
+        assert built[0] == 0 < printed_values(report) == 21
 
 
 @pytest.mark.parametrize("kind", ["slope", "aspect"])
 def test_path_builds_only_the_fractions_it_prints(monkeypatch, kind):
-    """Past loading and normalizing, ``path --samples 8`` on cfg1.json builds no more
-    Fractions than it prints: the sample walk runs on int pairs."""
+    """Past loading and normalizing, ``path --samples 8`` on cfg1.json builds no
+    Fraction: the sample walk runs on int pairs, and each printed value is a Ratio."""
     cfg_input = cli.load_config(CFG1)
     normalized = normalize(cfg_input)
     monkeypatch.setattr(cli, "load_config", lambda path: cfg_input)
@@ -744,4 +774,4 @@ def test_path_builds_only_the_fractions_it_prints(monkeypatch, kind):
     with fraction_count() as built:
         report = cli.cmd_path(argparse.Namespace(input=CFG1, kind=kind, samples=8))
     assert len(report["rectangles"]) == 8
-    assert 0 < built[0] <= printed_values(report)
+    assert built[0] == 0 < printed_values(report)

@@ -1,6 +1,5 @@
 """Normalization, plane maps, diagonals, classification, degeneration."""
 
-import dataclasses
 import glob
 import os
 import random
@@ -210,12 +209,31 @@ class TestNormalize:
             checked += 1
 
 
+def test_records_are_values():
+    """A Record compares and hashes by its type and field values, lists its fields
+    through vars, and takes no new attribute values."""
+    from quadriline.locus import SpecialRectangles
+    from quadriline.paths import PathHomography
+
+    one, zero = QQ.one(), QQ.zero()
+    line = InputLine(one, zero, one)
+    assert line == InputLine(one, zero, one) and hash(line) == hash(InputLine(one, zero, one))
+    assert line != InputLine(one, zero, zero)
+    assert SpecialRectangles((1, 2), (3, 4)) != PathHomography((1, 2), (3, 4))
+    assert PathHomography((1, 2), (3, 4)) == PathHomography((1, 2), (3, 4))
+    assert list(vars(line)) == ["a", "b", "c"]
+    with pytest.raises(AttributeError):
+        line.a = zero
+    with pytest.raises(PreconditionError):
+        InputLine(zero, zero, one)
+
+
 class TestMake:
     """make takes the six standing ints, residues over F_p, and checks them mod p;
     from_ints reduces its arguments first."""
 
     def test_fields_are_the_field_and_the_standing_ints(self):
-        assert [f.name for f in dataclasses.fields(NormalizedConfig)] == ["field", "standing"]
+        assert list(vars(NormalizedConfig.from_ints(QQ, 2, 3, 0, 1, 1))) == ["field", "standing"]
 
     def test_parallel_c_d_is_checked_mod_p(self):
         # M_C = 0 and M_D = 5 differ as ints but are one residue mod 5.

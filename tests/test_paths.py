@@ -26,7 +26,6 @@ from quadriline.paths import (
     PathPolynomials,
     aspect_path_polys,
     eval_path,
-    ratio_ints,
     ratio_samples,
     slope_path_polys,
 )
@@ -45,6 +44,7 @@ from conftest import (
 import membership
 from membership import (
     constants,
+    integer_forms,
     coordinate_forms,
     has_aspect,
     has_slope,
@@ -67,7 +67,7 @@ def reference_eval_path(cfg, pp, r):
     coords.append(hpoly.eval_at(pp.w, s, t))
     if all(not c for c in coords):
         raise InternalCheckError("path polynomials share a projective zero")
-    return ProjectiveRectangle.canonical(cfg.field, hpoly.integer_forms(cfg.field, [coords])[0])
+    return ProjectiveRectangle.canonical(cfg.field, integer_forms(cfg.field, [coords])[0])
 
 
 class TestSlopePathPolynomials:
@@ -266,7 +266,7 @@ class TestSlopePathEval:
                 assert satisfies_membership(rect, cfg)
                 assert is_parallelogram(rect)
                 assert is_rectangle(rect)
-                assert has_slope(rect, Ratio.from_ints(QQ, *st))
+                assert has_slope(rect, Ratio(QQ, *st))
                 expected_aspect = Ratio.of(
                     m_cd * hpoly.eval_at(pp.first, *st),
                     QQ.from_int(hpoly.eval_at(pp.second, *st)),
@@ -282,8 +282,8 @@ class TestSlopePathEval:
                 rect = eval_path(cfg, ap, st)
                 assert satisfies_membership(rect, cfg)
                 assert is_rectangle(rect)
-                assert has_aspect(rect, Ratio.from_ints(QQ, *st))
-                expected_slope = Ratio.from_ints(
+                assert has_aspect(rect, Ratio(QQ, *st))
+                expected_slope = Ratio(
                     QQ, hpoly.eval_at(ap.first, *st), hpoly.eval_at(ap.second, *st)
                 )
                 assert has_slope(rect, expected_slope)
@@ -311,7 +311,7 @@ class TestIntegerKernel:
         for cfg in configs:
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
                 for r in ratios:
-                    assert eval_path(cfg, pp, ratio_ints(QQ, r)) == reference_eval_path(cfg, pp, r)
+                    assert eval_path(cfg, pp, (r.s, r.t)) == reference_eval_path(cfg, pp, r)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_matches_reference_on_every_config_and_ratio(self, p):
@@ -325,7 +325,7 @@ class TestIntegerKernel:
                 continue
             for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
                 for r in all_ratios(field):
-                    assert eval_path(cfg, pp, ratio_ints(field, r)) == reference_eval_path(cfg, pp, r)
+                    assert eval_path(cfg, pp, (r.s, r.t)) == reference_eval_path(cfg, pp, r)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(13)], ids=["QQ", "F13"])
     def test_shared_root_raises(self, field):
@@ -345,7 +345,7 @@ class TestIntegerKernel:
         with pytest.raises(InternalCheckError, match="share a projective zero"):
             reference_eval_path(cfg, pp, rat(field, 1, 1))
         for r in (rat(field, 1, 0), rat(field, 0, 1), rat(field, 2, 1)):
-            assert eval_path(cfg, pp, ratio_ints(field, r)) == reference_eval_path(cfg, pp, r)
+            assert eval_path(cfg, pp, (r.s, r.t)) == reference_eval_path(cfg, pp, r)
 
 
 class SlopeQueryResult(NamedTuple):
@@ -363,7 +363,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
     affine and each is verified to lie on its line.
     """
     pp = slope_path_polys(cfg)
-    rect = eval_path(cfg, pp, ratio_ints(cfg.field, r))
+    rect = eval_path(cfg, pp, (r.s, r.t))
     if rect.at_infinity:
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
@@ -487,10 +487,8 @@ class TestRatioSamples:
     def test_prime_pairs_reduce_the_rational_walk(self, p):
         """Over F_p the walk is the rational one mapped into the field, repeats skipped."""
         field = PrimeField(p)
-        reduced = (
-            ratio_ints(field, Ratio.of(field.from_int(s), field.from_int(t)))
-            for s, t in ratio_samples(QQ, 20 * p)
-        )
+        ratios = (Ratio.of(field.from_int(s), field.from_int(t)) for s, t in ratio_samples(QQ, 20 * p))
+        reduced = ((r.s, r.t) for r in ratios)
         assert ratio_samples(field, p + 1) == list(dict.fromkeys(reduced))[: p + 1]
 
     def test_exhausts_small_prime_field(self):

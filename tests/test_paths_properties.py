@@ -32,7 +32,6 @@ from quadriline.paths import (
     aspect_path_polys,
     eval_path,
     path_keys,
-    ratio_ints,
     slope_path_polys,
 )
 from conftest import (
@@ -176,7 +175,7 @@ def test_kernel_matches_field_reference(data):
     cfg = data.draw(configs())
     r = data.draw(ratios(cfg.field))
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-        assert eval_path(cfg, pp, ratio_ints(cfg.field, r)) == reference_eval_path(cfg, pp, r)
+        assert eval_path(cfg, pp, (r.s, r.t)) == reference_eval_path(cfg, pp, r)
 
 
 @st.composite
@@ -218,7 +217,7 @@ def replay_example(*ints):
 def test_replay_matches_eval_path(cfg):
     """The forward-difference replay is eval_path at every ratio, in all_ratios order."""
     for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
-        expected = [eval_path(cfg, pp, ratio_ints(cfg.field, r)).key for r in all_ratios(cfg.field)]
+        expected = [eval_path(cfg, pp, (r.s, r.t)).key for r in all_ratios(cfg.field)]
         assert path_keys(cfg, pp) == expected
 
 

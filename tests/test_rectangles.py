@@ -47,6 +47,7 @@ from membership import (
     evaluate,
     has_aspect,
     has_slope,
+    integer_forms,
     is_parallelogram,
     is_rectangle,
     rectangle_from_aspect,
@@ -61,7 +62,7 @@ F1009 = PrimeField(1009)
 
 def cleared(coords) -> tuple:
     """Rational coordinates as ints, all scaled by the lcm of their denominators."""
-    return hpoly.integer_forms(QQ, [coords])[0]
+    return integer_forms(QQ, [coords])[0]
 
 
 def proj_eq(p, coords):
@@ -517,7 +518,8 @@ def rational_points(draw):
 
 class TestRationalKey:
     """Over the rationals the key is the primitive integer vector of the point, and
-    every reader gives what the nine-Fraction key (``membership.fraction_key``) gives."""
+    every reader gives what the nine-Fraction key (``membership.fraction_key``) gives:
+    the slope and aspect read through its field elements, as ``membership`` reads them."""
 
     @settings(max_examples=300, deadline=None)
     @given(rational_points(), NONZERO)
@@ -534,13 +536,13 @@ class TestRationalKey:
     def test_readers_match_the_fraction_key(self, coords, name):
         point = ProjectiveRectangle.canonical(QQ, cleared(coords))
         reference = ProjectiveRectangle(QQ, membership.fraction_key(coords))
-        assert slope_of(point) == slope_of(reference)
-        assert aspect_of(point) == aspect_of(reference)
+        assert slope_of(point) == membership.slope_of(reference)
+        assert aspect_of(point) == membership.aspect_of(reference)
         assert point.vertex("C") == reference.vertex("C") and point.w == reference.w
         assert point.at_infinity == reference.at_infinity
         if point.at_infinity:
             return
         assert center_of(point) == center_of(reference)
-        # original_points took the Fraction key cleared to ints, as integer_forms clears it.
+        # original_points took the Fraction key cleared to ints, as membership.integer_forms clears it.
         pm = PLANE_MAPS[name]
         assert pm.original_points(point.key) == pm.original_points(cleared(reference.key))

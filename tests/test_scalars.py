@@ -21,6 +21,47 @@ def trial_division(n):
     return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k (OEIS A014233), the least strong pseudoprime to the first k prime bases, by its factors.
+PSI_FACTORS = [
+    (23, 89),
+    (829, 1657),
+    (2251, 11251),
+    (151, 751, 28351),
+    (6763, 10627, 29947),
+    (1303, 16927, 157543),
+    (10670053, 32010157),
+    (10670053, 32010157),
+    (149491, 747451, 34233211),
+    (149491, 747451, 34233211),
+    (149491, 747451, 34233211),
+    (399165290221, 798330580441),
+    (1287836182261, 2575672364521),
+]
+
+
+def strong_probable_prime(n, a):
+    """Whether the odd n > a passes the Miller-Rabin test to the base a."""
+    e = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> e, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(e - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def thirteen_bases(n):
+    """Miller-Rabin to all 13 prime bases 2..41, after trial division by them."""
+    if n < 3 or n % 2 == 0:
+        return False
+    if any(n % a == 0 for a in BASES):
+        return n in BASES
+    return all(strong_probable_prime(n, a) for a in BASES)
+
+
 ODD_PRIMES_BELOW_300 = [n for n in range(300) if trial_division(n)]
 
 
@@ -49,6 +90,32 @@ class TestParsing:
                 QQ.parse(bad)
         with pytest.raises(ParseError):
             PrimeField(7).parse("1/2")
+
+    # Arabic-Indic three, fullwidth 3/2, a superscript, an underscore, doubled or
+    # inner signs, inner spaces, and other number syntaxes: none is a literal.
+    NOT_LITERALS = ["\u0663", "\uff13/\uff12", "1/\uff12", "\u00b3", "1_000", "1/2_0", "++1", "+-1",
+                    "1/-2", "1/+2", "- 1", "1 /2", "0x10", "1e3", "/2", "1/", "", " "]
+
+    @pytest.mark.parametrize("text", NOT_LITERALS)
+    def test_literal_digits_are_ascii(self, text):
+        with pytest.raises(ParseError, match="^not a rational literal: "):
+            QQ.parse(text)
+        with pytest.raises(ParseError, match="^not an integer literal: "):
+            PrimeField(7).parse(text)
+        if text not in ("1/-2", "1/+2"):  # a ratio's denominator may carry a sign
+            with pytest.raises(ParseError, match="^not a ratio literal: "):
+                ratio_parse(text, QQ)
+
+    def test_literal_signs_zeros_and_spaces(self):
+        assert [QQ.parse(t) for t in ("+3", "007", "-0/5", " 2/4 ", "-0012/0008\n")] == [
+            3, 7, 0, Fraction(1, 2), Fraction(-3, 2)
+        ]
+        f13 = PrimeField(13)
+        assert [f13.parse(t).value for t in ("-12", "+0007", " -0 ")] == [1, 7, 0]
+        assert ratio_parse(" +3/-6 ", QQ) == ratio_parse("-1/2", QQ)
+        assert str(ratio_parse("-0/5", QQ)) == "0" and str(ratio_parse("+0007", f13)) == "7"
+        with pytest.raises(ParseError, match="^zero denominator in literal '1/0'$"):
+            QQ.parse(" 1/0 ")
 
     def test_bad_moduli_rejected(self):
         with pytest.raises(FieldError):
@@ -134,8 +201,27 @@ class TestFieldArithmetic:
 
 class TestPrimality:
     def test_agrees_with_trial_division(self):
-        for n in range(100_000):
+        for n in range(200_000):
             assert _is_odd_prime(n) == trial_division(n), n
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rejects_psi_k(self, k):
+        """psi_k is composite and fools the first k bases, so the test runs more of them.
+        It passes base k + 1 too exactly when it is also psi_{k+1}."""
+        psi, following = (math.prod(f) for f in PSI_FACTORS[k - 1 : k + 1])
+        assert all(strong_probable_prime(psi, a) for a in BASES[:k])
+        assert strong_probable_prime(psi, BASES[k]) == (psi == following)
+        assert not _is_odd_prime(psi)
+
+    def test_agrees_with_thirteen_bases(self):
+        """On random odd n below psi_13, and on n next to each psi_k, where the number
+        of bases changes."""
+        rng = random.Random(24)
+        draws = [rng.randrange(3, PSI_13, 2) for _ in range(3000)]
+        draws += [rng.randrange(3, 10 ** rng.randint(4, 24), 2) for _ in range(3000)]
+        near = [math.prod(f) + d for f in PSI_FACTORS[:12] for d in range(-40, 41)]
+        for n in draws + near:
+            assert _is_odd_prime(n) == thirteen_bases(n), n
 
     @pytest.mark.parametrize("n", [561, 41041, 825265])
     def test_rejects_carmichael_numbers(self, n):
@@ -151,6 +237,7 @@ class TestPrimality:
         assert PrimeField(p).p == p
 
     def test_modulus_at_psi13_rejected(self):
+        assert math.prod(PSI_FACTORS[12]) == PSI_13
         with pytest.raises(FieldError, match="too large"):
             PrimeField(PSI_13)
 
@@ -183,7 +270,7 @@ class TestSolveQuadratic:
     def test_double_root_flagged(self):
         assert roots_of(QQ, 1, -2, 1) == [q_ratio(1)]
         f5 = PrimeField(5)
-        assert roots_of(f5, 1, 4, 4) == [Ratio.from_ints(f5, 3, 1)]
+        assert roots_of(f5, 1, 4, 4) == [Ratio(f5, 3, 1)]
 
     def test_linear_case(self):
         # c0 = 0: the root (1 : 0) first, then -c2 : c1.
@@ -231,12 +318,12 @@ class TestSolveQuadratic:
                 if not (c0 % p or c1 % p or c2 % p):
                     continue
                 expected = {
-                    Ratio.from_ints(field, v, 1)
+                    Ratio(field, v, 1)
                     for v in range(p)
                     if (c0 * v * v + c1 * v + c2) % p == 0
                 }
                 if not c0 % p:
-                    expected.add(Ratio.from_ints(field, 1, 0))
+                    expected.add(Ratio(field, 1, 0))
                 got = roots_of(field, c0, c1, c2)
                 assert len(got) == len(set(got)) and set(got) == expected
 
@@ -268,11 +355,21 @@ class TestRatio:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
     def test_from_ints_is_of_on_field_elements(self, field):
         for s, t in [(1, 2), (-6, 4), (3, 0), (-5, 0), (0, 9), (9, 7), (14, 3), (3, 14)]:
-            assert Ratio.from_ints(field, s, t) == Ratio.of(field.from_int(s), field.from_int(t))
-        assert str(Ratio.from_ints(QQ, 1, 2)) == "1/2" and str(Ratio.from_ints(QQ, 3, 0)) == "1/0"
+            assert Ratio(field, s, t) == Ratio.of(field.from_int(s), field.from_int(t))
+        assert str(Ratio(QQ, 1, 2)) == "1/2" and str(Ratio(QQ, 3, 0)) == "1/0"
         for s, t in [(0, 0)] + ([(7, 14)] if field.char else []):
             with pytest.raises(ParseError):
-                Ratio.from_ints(field, s, t)
+                Ratio(field, s, t)
+
+    def test_constructor_keeps_the_canonical_ints(self):
+        """Ratio(field, s, t) always canonicalizes, and its str is the reduced quotient."""
+        f7 = PrimeField(7)
+        cases = [(QQ, 6, -4, -3, 2, "-3/2"), (QQ, -8, -4, 2, 1, "2"), (QQ, 0, -5, 0, 1, "0"),
+                 (QQ, -3, 0, 1, 0, "1/0"), (f7, 3, 2, 5, 1, "5"), (f7, -1, 1, 6, 1, "6"),
+                 (f7, 9, 14, 1, 0, "1/0")]
+        for field, s, t, s0, t0, text in cases:
+            r = Ratio(field, s, t)
+            assert (r.s, r.t, str(r)) == (s0, t0, text)
 
     def test_parse_and_format(self):
         assert not ratio_parse("1/0", QQ).den

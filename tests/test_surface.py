@@ -4,7 +4,10 @@ module-level definition, class member or import in the package that nothing uses
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import quadriline
@@ -186,3 +189,13 @@ def test_every_member_is_read():
                 ):
                     unread.append(f"{name}: {qualified}")
     assert unread == [], unread
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter (``-S``: no site hooks) that imports the CLI has not
+    loaded ``dataclasses`` or ``inspect``: no class of the package is generated
+    at import."""
+    code = "import sys, quadriline.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

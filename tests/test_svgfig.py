@@ -1,7 +1,6 @@
 """The integer locus sweep of ``render`` against the exact Fraction sweep, and the
 outputs' blindness to the scale of the plane map's matrix and of a clipped line."""
 
-import dataclasses
 import math
 import os
 import random
@@ -112,7 +111,7 @@ def test_matrix_scale_is_invisible(tmp_path, name):
     if not p:
         render(cfg_input, cfg, pm, tmp_path / "n.svg", diagonals=True)
     for lam in (-3, 7, p + 2):
-        scaled = dataclasses.replace(pm, matrix=tuple(tuple(lam * n for n in row) for row in pm.matrix))
+        scaled = type(pm)(**{**vars(pm), "matrix": tuple(tuple(lam * n for n in row) for row in pm.matrix)})
         for key in keys:
             assert scaled.original_points(key) == pm.original_points(key)
         for line in lines:

@@ -135,15 +135,6 @@ class CensusReport(Record):
     failures: list
 
 
-def _ratio_label(field, index: int) -> str:
-    """The text of the ratio at place index of a path replay: v for (v : 1), then 1/0.
-
-    A label is built only for a failure message, so a passing census builds
-    no ratios.
-    """
-    return str(index) if index < field.char else "1/0"
-
-
 def _pair_residue(p: int, s: int, t: int) -> int:
     """The ratio s : t of two ints, not both zero mod p, as slope_residue gives it:
     v for (v : 1), p for (1 : 0)."""
@@ -163,8 +154,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     slope and aspect ratio one residue (:func:`slope_residue`), the shared
     ratios of a degenerate configuration too; a passing census builds no ratios.
     """
-    field = cfg.field
-    p = field.char
+    p = cfg.field.char
     keys = [rect.key for rect in enumerate_rectangles(cfg)]
     census = set(keys)
     cls = classify(cfg)
@@ -199,9 +189,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         for i, key in enumerate(slope_keys):
             if aspect_residue(p, key) != want:
                 consistency_ok = False
-                failures.append(
-                    f"slope path aspect varies at {_ratio_label(field, i)}: {key}"
-                )
+                failures.append(f"slope path aspect varies at {residue_text(p, i)}: {key}")
         want = _pair_residue(p, app.first[0], app.second[0])
         f1, f2 = cfg.standing[8:]  # f1 : f2 = F1 : δ F2, over δ = 1
         if (f1 or f2) and want != _pair_residue(p, f1, f2):
@@ -210,9 +198,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         for i, key in enumerate(aspect_keys):
             if slope_residue(p, key) != want:
                 consistency_ok = False
-                failures.append(
-                    f"aspect path slope varies at {_ratio_label(field, i)}: {key}"
-                )
+                failures.append(f"aspect path slope varies at {residue_text(p, i)}: {key}")
     else:
         if slope_image != aspect_image:
             consistency_ok = False

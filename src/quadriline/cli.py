@@ -6,9 +6,10 @@ The input file is JSON: {"field": "rational" | {"prime": p}, "pairs": [[lineA,
 lineC], [lineB, lineD]]} with each line {"a": ..., "b": ..., "c": ...} written
 in the exact literal grammar (integers, or "p/q" over the rationals).  The
 commands build reports from library values as they are, and :func:`json_text`
-alone turns them into text: each exact value (a ``Fraction`` or an
-``FpElement``) and each ratio prints as the JSON string of its ``str``, and
-each marker as its value.  Floats appear only inside SVG output.
+alone turns them into text: each exact value (a ``Ratio`` of two ints, or a
+parsed ``Fraction`` or ``FpElement`` of the all-parallel midline) prints as the
+JSON string of its ``str``, and each marker as its value.  Floats appear only
+inside SVG output.
 
 Exit codes: 0 success, 2 parse, usage or precondition error (one ``error:``
 line on stderr), 3 internal assertion failure (a theorem-backed check went
@@ -41,7 +42,7 @@ from .errors import (
     PreconditionError,
     QuadrilineError,
 )
-from .locus import all_parallel_analysis, centers_paths, special_rectangles
+from .locus import all_parallel_analysis, centers_paths, scaled, special_rectangles
 from .paths import (
     aspect_path_eval,
     aspect_path_polys,
@@ -57,7 +58,7 @@ from .rectangles import (
     slope_of,
     slopes_at_infinity,
 )
-from .scalars import PSI_13, FpElement, PrimeField, QQ, Ratio, ratio_parse
+from .scalars import _INT_RE, PSI_13, FpElement, PrimeField, QQ, Ratio, ratio_parse
 from .svgfig import render
 
 
@@ -229,15 +230,18 @@ def cmd_locus(args) -> dict:
         cfg, pm = normalize(cfg_input)
     except AllParallelError:
         return {"shape": "AllParallel", **_all_parallel_json(cfg_input)}
-    report = centers_paths(cfg)
+    report, field = centers_paths(cfg), cfg.field
     out = {"shape": report.shape}
     for key in ("slope_centers", "aspect_centers", "gauss_newton", "diagonal_g", "single_line"):
         desc = getattr(report, key)
-        out[key] = vars(desc) if desc is not None else None
-    out["conic"] = list(report.conic) if report.conic else None
-    out["point"] = list(report.point) if report.point else None
+        out[key] = None
+        if desc is not None:
+            n0, n1, n2 = desc.normal
+            out[key] = {**dict(zip("abc", scaled(field, (n0, n1, -n2)))), "source": desc.source}
+    out["conic"] = list(scaled(field, report.conic)) if report.conic else None
+    out["point"] = list(scaled(field, report.point)[:2]) if report.point else None
     if report.points:
-        out["points"] = [list(point) for point in report.points]
+        out["points"] = [list(scaled(field, point)[:2]) for point in report.points]
     try:
         special = special_rectangles(cfg, report)
     except PreconditionError:
@@ -328,6 +332,17 @@ def json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _samples(text: str) -> int:
+    """A ``--samples`` value: a sign and ASCII digits, with whitespace around them, as an
+    F_p literal is read.  Anything else is the usage error that argparse's ``int`` gives."""
+    if match := _INT_RE.match(text.strip()):
+        try:
+            return int(match[1])
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser, and through ``add_subparsers`` each of its subparsers,
     whose usage errors raise ``ParseError`` instead of printing usage and exiting."""
@@ -359,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--aspect", help="aspect ratio u/v (write --aspect=-1/2 for negatives)")
     p_path = add("path", cmd_path, help="sample a path of rectangles")
     p_path.add_argument("--kind", choices=("slope", "aspect"), default="slope")
-    p_path.add_argument("--samples", type=int, default=8)
+    p_path.add_argument("--samples", type=_samples, default=8)
     add("locus", cmd_locus, help="the locus of rectangle centers")
     add("census", cmd_census, help="brute-force verification over a prime field")
     p_render = add("render", cmd_render, help="draw the configuration as SVG")
     p_render.add_argument("--out", required=True, help="output SVG path")
-    p_render.add_argument("--samples", type=int, default=12)
+    p_render.add_argument("--samples", type=_samples, default=12)
     p_render.add_argument("--diagonals", action="store_true")
     return parser
 

@@ -45,25 +45,6 @@ class InputLine(Record):
         if not self.a and not self.b:
             raise PreconditionError("line needs (a, b) != (0, 0)")
 
-    def _meet(self, other: "InputLine") -> tuple:
-        """The meet (X : Y : Z) of the two lines: their covectors (a, b, -c) crossed."""
-        return cross((self.a, self.b, -self.c), (other.a, other.b, -other.c))
-
-    def parallel_to(self, other: "InputLine") -> bool:
-        return not self._meet(other)[2]
-
-    def same_line(self, other: "InputLine") -> bool:
-        return not any(self._meet(other))
-
-    def contains(self, point) -> bool:
-        x, y = point
-        return self.a * x + self.b * y == self.c
-
-    def intersection(self, other: "InputLine"):
-        """The unique intersection point (X / Z, Y / Z), or None for parallel lines."""
-        x, y, z = self._meet(other)
-        return (x / z, y / z) if z else None
-
 
 class ConfigurationInput(Record):
     """Four lines as ordered pairs (A, C) and (B, D) over a common field."""
@@ -153,34 +134,31 @@ class PlaneMap(Record):
     def scale(self):
         return self.field.quotient(*self.s)
 
-    def original_point(self, x, y, w):
-        """The original affine point of (x : y : w), w != 0: ints, or over the rationals Fractions."""
-        X, Y, W = (n0 * x + n1 * y + n2 * w for n0, n1, n2 in self.matrix)
-        return self.field.quotient(X, W), self.field.quotient(Y, W)
+    def original(self, points) -> list:
+        """N (x, y, w) of each normalized int point (x : y : w): its original int point (X : Y : W)."""
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.matrix
+        return [
+            (a0 * x + a1 * y + a2 * w, b0 * x + b1 * y + b2 * w, c0 * x + c1 * y + c2 * w)
+            for x, y, w in points
+        ]
 
     def original_points(self, key) -> list:
         """The original vertices A, B, C, D and center of the affine rectangle with canonical
         key (x_A, y_A, ..., x_D, y_D, w), ints over both fields, as pairs of affine
         :class:`Ratio` values: N (x_L, y_L, w) and N (x_A + x_C, y_A + y_C, 2w) = (X, Y, W)
         give X / W and Y / W."""
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.matrix
-        w, f, out = key[8], self.field, []
-        points = [(key[i], key[i + 1], w) for i in range(0, 8, 2)]
-        for x, y, z in points + [(key[0] + key[4], key[1] + key[5], 2 * w)]:
-            X, Y, W = a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z
-            out.append((Ratio(f, X, W), Ratio(f, Y, W)))
-        return out
+        xa, ya, xb, yb, xc, yc, xd, yd, w = key
+        points = [(xa, ya, w), (xb, yb, w), (xc, yc, w), (xd, yd, w), (xa + xc, ya + yc, 2 * w)]
+        f = self.field
+        return [(Ratio(f, X, W), Ratio(f, Y, W)) for X, Y, W in self.original(points)]
 
-    def normalized_line(self, line: InputLine) -> InputLine:
-        """The image of an original line in normalized coordinates: its covector times N."""
-        a, b, c = (self.field.from_int(v) for v in _times(covector(self.field, line), self.matrix))
-        return InputLine(a, b, -c)
+    def normalized_line(self, u) -> tuple:
+        """u N: the normalized int covector of the original line with int covector u."""
+        return _times(u, self.matrix)
 
-    def original_line(self, line: InputLine) -> InputLine:
-        """The original line of a line in normalized coordinates: its covector times adj(N)."""
-        adj = adjugate(self.matrix)
-        a, b, c = (self.field.from_int(v) for v in _times(covector(self.field, line), adj))
-        return InputLine(a, b, -c)
+    def original_line(self, u) -> tuple:
+        """u adj(N): the original int covector of the normalized line with int covector u."""
+        return _times(u, adjugate(self.matrix))
 
 
 class NormalizedConfig(Record):

@@ -5,8 +5,8 @@ rejects characteristic 2.  For a degenerate configuration the centers fall on
 two lines (the aspect-path centers on the Gauss-Newton line, the slope-path
 centers on a parallel of the diagonal G); otherwise they trace a conic.  Each
 locus is the image of an exact center map, read off its coefficients in
-closed form, and printed at one scale: a conic's or a line's last nonzero
-coefficient is 1.
+closed form on ints: a line is its int normal and a point its int projective
+point.  Reports print each at one scale (:func:`scaled`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import functools
 from typing import Optional
 
 from . import hpoly
-from .configuration import InputLine, LocusShape, NormalizedConfig, adjugate, classify, cross
+from .configuration import (
+    InputLine, LocusShape, NormalizedConfig, adjugate, classify, covector, cross,
+)
 from .errors import (
     AtInfinityError,
     InternalCheckError,
@@ -24,36 +26,43 @@ from .errors import (
 )
 from .rectangles import ProjectiveRectangle
 from .paths import PathPolynomials, aspect_path_polys, eval_path, slope_path_polys
-from .scalars import Record
+from .scalars import Ratio, Record
 
 
-class AffineLineDescription(InputLine):
-    """A line a x + b y = c together with where it came from."""
+class AffineLineDescription(Record):
+    """The line n0 x + n1 y + n2 = 0 of the int normal n = (n0, n1, n2) (its covector),
+    together with where it came from.  Reports print it as a x + b y = c with
+    (a, b, c) = (n0, n1, -n2) at the scale of :func:`scaled`."""
 
+    normal: tuple
     source: str
+
+
+def _center(p: ProjectiveRectangle) -> tuple:
+    """The center (x_A + x_C : y_A + y_C : 2w) of an affine rectangle, as ints off its key."""
+    if p.at_infinity:
+        raise AtInfinityError("rectangle at infinity has no center")
+    xa, ya, _, _, xc, yc, _, _, w = p.key
+    return xa + xc, ya + yc, 2 * w
 
 
 def center_of(p: ProjectiveRectangle):
     """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w), read off the
     canonical key with the field's quotient."""
-    if p.at_infinity:
-        raise AtInfinityError("rectangle at infinity has no center")
-    field = p.field
-    xa, ya, _, _, xc, yc, _, _, w = p.key
-    return field.quotient(xa + xc, 2 * w), field.quotient(ya + yc, 2 * w)
+    x, y, w = _center(p)
+    return p.field.quotient(x, w), p.field.quotient(y, w)
 
 
-def _scaled(field, v) -> tuple:
-    """The int vector v as field values divided by its last value nonzero in the field:
-    the one scale of every printed conic and line."""
+def scaled(field, v) -> tuple:
+    """The int vector v as Ratios over its last value nonzero in the field: the one
+    scale of every printed conic, line and point."""
     last = next(k for k in reversed(v) if hpoly.mod(k, field.char))
-    return tuple(field.quotient(k, last) for k in v)
+    return tuple(Ratio(field, k, last) for k in v)
 
 
-def _line(field, normal, source: str) -> AffineLineDescription:
-    """The line n0 x + n1 y + n2 = 0 of the int normal n, printed as a x + b y = c
-    with (a, b, c) = (n0, n1, -n2) at the scale of :func:`_scaled`."""
-    return AffineLineDescription(*_scaled(field, (normal[0], normal[1], -normal[2])), source)
+def _same(p: int, u, v) -> bool:
+    """Whether two int points, or two int covectors, are one projectively: u × v = 0 mod p."""
+    return hpoly.is_zero(cross(u, v), p)
 
 
 def _corner(cfg: NormalizedConfig, r1: str, r2: str) -> tuple:
@@ -83,17 +92,16 @@ def gauss_newton_line(cfg: NormalizedConfig) -> AffineLineDescription:
         _mean([_corner(cfg, r1, r2), _corner(cfg, r3, r4)])
         for r1, r2, r3, r4 in (("A", "B", "C", "D"), ("A", "D", "B", "C"), ("A", "C", "B", "D"))
     ]
-    field = cfg.field
-    line = _line(field, cross(mids[0], mids[1]), "gauss-newton")
-    x, y, z = mids[2]
-    if not line.contains((field.quotient(x, z), field.quotient(y, z))):
+    normal = cross(mids[0], mids[1])
+    if hpoly.mod(sum(n * c for n, c in zip(normal, mids[2])), cfg.field.char):
         raise InternalCheckError("Gauss-Newton midpoints are not collinear")
-    return line
+    return AffineLineDescription(normal, "gauss-newton")
 
 
 def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
     """The diagonal through A∩C and B∩D."""
-    return _line(cfg.field, cross(_corner(cfg, "A", "C"), _corner(cfg, "B", "D")), "diagonal-g")
+    normal = cross(_corner(cfg, "A", "C"), _corner(cfg, "B", "D"))
+    return AffineLineDescription(normal, "diagonal-g")
 
 
 class CenterMap(Record):
@@ -136,8 +144,8 @@ class LocusReport(Record):
     gauss_newton: Optional[AffineLineDescription] = None
     diagonal_g: Optional[AffineLineDescription] = None
     single_line: Optional[AffineLineDescription] = None
-    conic: Optional[tuple] = None  # coefficients of x^2, xy, y^2, x, y, 1
-    point: Optional[tuple] = None
+    conic: Optional[tuple] = None  # int coefficients of x^2, xy, y^2, x, y, 1
+    point: Optional[tuple] = None  # an int point (X : Y : Z), Z nonzero
     points: Optional[tuple] = None  # TwoLines over F_p: two constant center maps at distinct points
     center_map: Optional[CenterMap] = None
     slope_path: Optional[PathPolynomials] = None  # TwoLines: both paths, for special_rectangles
@@ -154,12 +162,11 @@ def _require_zero(form, p: int, what: str):
 
 
 def _image_conic(cmap: CenterMap, adj) -> tuple:
-    """b^2 - ac = 0 for (a, b, c) = adj(M)(x, y, 1), scaled so its last nonzero coefficient is 1.
+    """The int coefficients of b^2 - ac = 0 for (a, b, c) = adj(M)(x, y, 1).
 
     (x, y, 1) ~ M (s^2, st, t^2) gives adj(M)(x, y, 1) ~ (s^2, st, t^2).
     Checked on ints as an identity of forms: D^2 q(X/D, Y/D) = 0.
     """
-    field = cmap.field
     a, b, c = adj
     coeffs = []
     for i, j in _MONOMIALS:
@@ -168,8 +175,8 @@ def _image_conic(cmap: CenterMap, adj) -> tuple:
     x, y, d = cmap.x_num, cmap.y_num, cmap.den
     forms = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
     total = functools.reduce(hpoly.add, map(hpoly.scale, coeffs, forms))
-    _require_zero(total, field.char, "the locus conic does not vanish on the center map")
-    return _scaled(field, coeffs)
+    _require_zero(total, cmap.field.char, "the locus conic does not vanish on the center map")
+    return tuple(coeffs)
 
 
 def _image(cmap: CenterMap, source: str):
@@ -182,7 +189,7 @@ def _image(cmap: CenterMap, source: str):
     with adj(M) = 0 (rank 1) the map is constant.  Degree 1: the single
     normal c0 x c1 decides between the line and the point.  All on ints, mod p over F_p.
     """
-    field, p = cmap.field, cmap.field.char
+    p = cmap.field.char
     forms = (cmap.x_num, cmap.y_num, cmap.den)
     cols = tuple(zip(*forms))
     if len(cols) == 3:
@@ -195,12 +202,12 @@ def _image(cmap: CenterMap, source: str):
     if normal is not None:
         form = functools.reduce(hpoly.add, map(hpoly.scale, normal, forms))
         _require_zero(form, p, f"{source} left their line")
-        return None, _line(field, normal, source), None
+        return None, AffineLineDescription(normal, source), None
     x, y, d = next(c for c in cols if hpoly.mod(c[2], p))
     for num, value in ((cmap.x_num, x), (cmap.y_num, y)):
         constant = hpoly.sub(hpoly.scale(d, num), hpoly.scale(value, cmap.den))
         _require_zero(constant, p, "center map is not constant")
-    return None, None, (field.quotient(x, d), field.quotient(y, d))
+    return None, None, (x, y, d)
 
 
 def centers_paths(cfg: NormalizedConfig) -> LocusReport:
@@ -222,13 +229,14 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
         return LocusReport(shape=cls.locus_shape, single_line=line, point=point)
 
     if cls.degenerate:
+        p = cfg.field.char
         spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
         _, slope_line, slope_point = _image(CenterMap.of(cfg, spp), "slope-centers")
         _, aspect_line, aspect_point = _image(CenterMap.of(cfg, app), "aspect-centers")
         point = points = None
         if slope_point is not None and aspect_point is not None:
             # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
-            if slope_point == aspect_point:
+            if _same(p, slope_point, aspect_point):
                 point = slope_point
             else:
                 points = (slope_point, aspect_point)
@@ -236,9 +244,9 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
         if len(set(cfg.standing[:4])) == 4:  # no two lines parallel
             gn = gauss_newton_line(cfg)
             g = diagonal_g(cfg)
-            if aspect_line is not None and not aspect_line.same_line(gn):
+            if aspect_line is not None and not _same(p, aspect_line.normal, gn.normal):
                 raise InternalCheckError("aspect centers left the Gauss-Newton line")
-            if slope_line is not None and not slope_line.parallel_to(g):
+            if slope_line is not None and hpoly.mod(cross(slope_line.normal, g.normal)[2], p):
                 raise InternalCheckError("slope centers not parallel to diagonal G")
         return LocusReport(
             shape=cls.locus_shape,
@@ -281,20 +289,20 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     sl, al = report.slope_centers, report.aspect_centers
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
-    meet = sl.intersection(al)
-    if meet is None:
+    p = cfg.field.char
+    meet = cross(sl.normal, al.normal)
+    if not hpoly.mod(meet[2], p):
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
 
     spp, app = report.slope_path, report.aspect_path
     _, _, m_c, m_d, _, d = cfg.standing[:6]
     # The slope path's shared aspect m_CD first[0] : second[0], on the standing ints.
     center_rect = eval_path(cfg, app, ((m_c - m_d) * spp.first[0], d * spp.second[0]))
-    if center_of(center_rect) != meet:
+    if not _same(p, _center(center_rect), meet):
         raise InternalCheckError("center rectangle misses the locus intersection")
 
     corners = [_corner(cfg, r1, r2) for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
     x, y, w = _mean(corners)
-    p = cfg.field.char
     amap = CenterMap.of(cfg, app)
     eq_x = hpoly.sub(hpoly.scale(w, amap.x_num), hpoly.scale(x, amap.den))
     eq_y = hpoly.sub(hpoly.scale(w, amap.y_num), hpoly.scale(y, amap.den))
@@ -307,7 +315,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     else:
         raise InternalCheckError("centroid equations vanished identically")
     centroid_rect = eval_path(cfg, app, st)
-    if center_of(centroid_rect) != (cfg.field.quotient(x, w), cfg.field.quotient(y, w)):
+    if not _same(p, _center(centroid_rect), (x, y, w)):
         raise InternalCheckError("centroid rectangle misses the centroid")
     return SpecialRectangles(center_rect, centroid_rect)
 
@@ -329,8 +337,9 @@ def all_parallel_analysis(field, lines) -> AllParallelReport:
     two-dimensional rather than a curve.
     """
     a, b, c, d = lines
+    u = covector(field, a)
     for other in (b, c, d):
-        if not a.parallel_to(other):
+        if hpoly.mod(cross(u, covector(field, other))[2], field.char):
             raise PreconditionError("all four lines must be parallel")
     ref = a
 

@@ -186,7 +186,7 @@ class PathHomography(Record):
     @staticmethod
     def _apply(matrix, r: Ratio) -> Ratio:
         m00, m01, m10, m11 = matrix
-        return Ratio.of(m00 * r.num + m01 * r.den, m10 * r.num + m11 * r.den)
+        return Ratio(r.field, m00 * r.s + m01 * r.t, m10 * r.s + m11 * r.t)
 
     def slope_to_aspect(self, r: Ratio) -> Ratio:
         return self._apply(self.to_aspect, r)

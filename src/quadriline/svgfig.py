@@ -1,9 +1,10 @@
 """Standalone SVG figures: the four lines, sampled rectangles, dotted locus.
 
 Geometry stays exact until the final coordinate formatting; SVG path data is
-the one place decimal expansions (12 significant digits) are allowed.  The
-locus conic is swept in integers: each point is one correctly rounded
-division X / D of exact integer forms.
+the one place decimal expansions (12 significant digits) are allowed.  Lines
+are int covectors and points int projective points (X : Y : Z) until then;
+each drawn point is one correctly rounded division X / Z (:func:`_point`), and
+the locus conic is swept in integers the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from math import hypot, isfinite
 
 from . import hpoly
-from .configuration import InputLine, covector, cross
+from .configuration import covector, cross
 from .errors import ParallelPairError, PreconditionError
 from .locus import centers_paths, diagonal_g, gauss_newton_line
 from .paths import eval_path, ratio_samples, slope_path_polys
@@ -32,7 +33,6 @@ class _Canvas:
         self.elements = []
 
     def require(self, x, y):
-        x, y = float(x), float(y)
         if self.min_x is None:
             self.min_x = self.max_x = x
             self.min_y = self.max_y = y
@@ -53,16 +53,24 @@ class _Canvas:
         )
 
 
-def _clip_line(line: InputLine, box):
-    """Float endpoints of the segment of the exact line inside the box, or None.
+def _point(x, y, z) -> tuple:
+    """The float point (x / z, y / z) of the int point (x : y : z), z != 0: each coordinate
+    one correctly rounded int division, as float(Fraction) rounds it.  The signs are
+    flipped first so that z > 0, as in a Fraction, so a zero coordinate is 0.0, never -0.0."""
+    if z < 0:
+        x, y, z = -x, -y, -z
+    return x / z, y / z
+
+
+def _clip_line(u, box):
+    """Float endpoints of the segment inside the box of the line with int covector u, or None.
 
     The meets with the sides x = x0, x1 and y = y0, y1 of the float box are
     exact cross products of integer covectors; duplicates (a meet at a corner)
     are dropped and the first two points kept in side order, so the endpoints
-    do not depend on the scale of the line's (a, b, c).
+    do not depend on the scale of u.
     """
     x0, y0, w, h = box
-    u = covector(QQ, line)
     sides = [(d, 0, -n) for n, d in map(float.as_integer_ratio, (x0, x0 + w))]
     sides += [(0, d, -n) for n, d in map(float.as_integer_ratio, (y0, y0 + h))]
     pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in (cross(u, s) for s in sides) if Z]
@@ -79,7 +87,7 @@ def _swept_centers(center_map, plane_map):
 
     The plane map's matrix N takes the center map's int forms (x_num, y_num, den) to
     three int forms (X, Y, D), tabulated at (j : 32) by forward differences and read at
-    (1 : 0) off their first coefficients; the point is (X / D, Y / D).
+    (1 : 0) off their first coefficients; the point is :func:`_point` of (X : Y : D).
     """
     cm = center_map
     forms = [
@@ -87,15 +95,8 @@ def _swept_centers(center_map, plane_map):
         for n0, n1, n2 in plane_map.matrix
     ]
     columns = [hpoly.tabulate(f, 1025, -512, 32) for f in forms]
-    points = []
-    for x, y, d in [*zip(*columns), tuple(f[0] for f in forms)]:
-        if not d:
-            points.append(None)
-            continue
-        if d < 0:  # as in a Fraction, so that a zero coordinate is 0.0, never -0.0
-            x, y, d = -x, -y, -d
-        points.append((x / d, y / d))  # int / int rounds correctly, as float(Fraction) does
-    return points
+    points = [*zip(*columns), tuple(f[0] for f in forms)]
+    return [_point(x, y, d) if d else None for x, y, d in points]
 
 
 def _polyline(points, style):
@@ -111,14 +112,14 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     if cfg.field != QQ:
         raise PreconditionError("rendering requires the rational field")
     canvas = _Canvas()
-    original_lines = list(cfg_input.all_lines())
+    original_lines = [covector(QQ, line) for line in cfg_input.all_lines()]
 
     # Anchor the viewport on the pairwise intersections of the input lines.
     for i in range(4):
         for j in range(i + 1, 4):
-            pt = original_lines[i].intersection(original_lines[j])
-            if pt is not None:
-                canvas.require(pt[0], pt[1])
+            meet = cross(original_lines[i], original_lines[j])
+            if meet[2]:
+                canvas.require(*_point(*meet))
 
     rect_polys = []
     collected = 0
@@ -129,21 +130,21 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         rect = eval_path(cfg, pp, st)
         if rect.at_infinity:
             continue
-        quad = [plane_map.original_point(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)]
-        for x, y in quad:
-            canvas.require(x, y)
+        quad = plane_map.original([(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)])
+        for vertex in quad:
+            canvas.require(*_point(*vertex))
         rect_polys.append(quad)
         collected += 1
 
     report = centers_paths(cfg)
-    locus_lines = []
-    for desc in (report.slope_centers, report.aspect_centers, report.single_line):
-        if desc is not None:
-            locus_lines.append(plane_map.original_line(desc))
-    locus_points = []
-    if report.point is not None:
-        locus_points.append(plane_map.original_point(*report.point, 1))
-        canvas.require(*locus_points[0])
+    locus_lines = [
+        plane_map.original_line(desc.normal)
+        for desc in (report.slope_centers, report.aspect_centers, report.single_line)
+        if desc is not None
+    ]
+    locus_points = plane_map.original([report.point] if report.point is not None else [])
+    for point in locus_points:
+        canvas.require(*_point(*point))
     conic_branches = []
     if report.conic is not None and report.center_map is not None:
         # Keep the viewport anchored on the lines and rectangles; clip the
@@ -151,6 +152,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         # hyperbola branches blow up the drawing.
         x0, y0, w0, h0 = canvas.bbox(margin=0.5)
         window = (x0, y0, x0 + w0, y0 + h0)
+        jump = hypot(w0, h0) / 2
         branch = []
         prev = None
         for fpt in _swept_centers(report.center_map, plane_map):
@@ -165,7 +167,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
                     conic_branches.append(branch)
                     branch = []
                 continue
-            if prev is not None and hypot(fpt[0] - prev[0], fpt[1] - prev[1]) > hypot(w0, h0) / 2:
+            if prev is not None and hypot(fpt[0] - prev[0], fpt[1] - prev[1]) > jump:
                 if branch:
                     conic_branches.append(branch)
                 branch = []
@@ -183,17 +185,16 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         # E joins A∩B and C∩D (it is zero when A = B), F joins A∩D and B∩C.
         e = cross(cfg.corner("A", "B"), cfg.corner("C", "D"))
         if any(e):
-            diagonal_lines.append(plane_map.original_line(InputLine(e[0], e[1], -e[2])))
+            diagonal_lines.append(plane_map.original_line(e))
         for builder in (gauss_newton_line, diagonal_g):
             try:
                 desc = builder(cfg)
             except ParallelPairError:
                 continue
-            diagonal_lines.append(plane_map.original_line(desc))
+            diagonal_lines.append(plane_map.original_line(desc.normal))
         p_ad = cfg.corner("A", "D")
         if p_ad[2]:  # then F != 0: B∩C = A∩D would make the four lines concurrent
-            f = cross(p_ad, cfg.corner("B", "C"))
-            diagonal_lines.append(plane_map.original_line(InputLine(f[0], f[1], -f[2])))
+            diagonal_lines.append(plane_map.original_line(cross(p_ad, cfg.corner("B", "C"))))
 
     box = canvas.bbox()
     parts = [
@@ -219,8 +220,9 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         if seg:
             parts.append(_polyline(seg, dashed))
     for quad in rect_polys:
-        pts = list(quad) + [quad[0]]
-        parts.append(_polyline(pts, thin))
+        # _polyline prints -y: give it -((-Y) / W), so an exact zero prints 0, not -0.
+        drawn = [(x, -y) for x, y in (_point(X, -Y, W) for X, Y, W in quad)]
+        parts.append(_polyline(drawn + drawn[:1], thin))
     for ln in locus_lines:
         seg = _clip_line(ln, box)
         if seg:
@@ -228,9 +230,10 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     for branch in conic_branches:
         if len(branch) >= 2:
             parts.append(_polyline(branch, dotted))
-    for x, y in locus_points:
+    for X, Y, W in locus_points:
+        x, y = _point(X, -Y, W)  # the exact -Y / W, as for the rectangles
         parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(box[2] / 160)}" fill="#444444"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(box[2] / 160)}" fill="#444444"/>'
         )
     parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8") as fh:

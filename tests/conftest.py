@@ -16,8 +16,9 @@ from quadriline import (
     Ratio,
 )
 from quadriline.cli import load_config
-from quadriline.configuration import adjugate, normalize
+from quadriline.configuration import adjugate, covector, cross, normalize
 from quadriline.errors import PreconditionError
+from quadriline.locus import AffineLineDescription
 from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
 from membership import integer_forms, solve_quadratic
@@ -58,9 +59,47 @@ def elements(field):
     return map(field.from_int, range(field.char))
 
 
-def line_slope(line: InputLine) -> Ratio:
-    """The slope of a line a x + b y = c as the projective ratio [dy : dx] = [-a : b]."""
-    return Ratio.of(-line.a, line.b)
+def line_slope(line: AffineLineDescription) -> Ratio:
+    """The slope of a rational locus line n0 x + n1 y + n2 = 0 as the projective ratio
+    [dy : dx] = [-n0 : n1]."""
+    return Ratio(QQ, -line.normal[0], line.normal[1])
+
+
+def covec(field, line) -> tuple:
+    """The int covector (a, b, -c) of a line a x + b y = c, up to a nonzero factor: a locus
+    line's normal, an InputLine's field elements cleared by ``configuration.covector``, or
+    an int covector as it is."""
+    if isinstance(line, AffineLineDescription):
+        return line.normal
+    if isinstance(line, InputLine):
+        return covector(field, line)
+    return line
+
+
+def same_line(field, u, v) -> bool:
+    """Whether two lines are one: their int covectors crossed are zero in the field."""
+    return hpoly.is_zero(cross(covec(field, u), covec(field, v)), field.char)
+
+
+def contains(field, line, point) -> bool:
+    """Whether the affine point (x, y) of field elements (or ints) lies on the line."""
+    n0, n1, n2 = covec(field, line)
+    x, y = point
+    return not (field.zero() + n0 * x + n1 * y + n2)  # the field's zero first: a field element
+
+
+def affine_point(field, point) -> tuple:
+    """The point (X / Z, Y / Z) of the int point (X : Y : Z), Z nonzero, in field elements."""
+    x, y, z = point
+    return field.quotient(x, z), field.quotient(y, z)
+
+
+def int_point(field, point) -> tuple:
+    """An int point (X : Y : Z) of the affine point (x, y) of field elements."""
+    x, y = point
+    if field.char:
+        return x.value, y.value, 1
+    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
 
 
 def qq(n, d=1):
@@ -220,11 +259,9 @@ def slope_intercept_line(field, m, k) -> InputLine:
     return InputLine(-field.from_int(m), field.one(), field.from_int(k))
 
 
-def normalized_point(pm, point):
-    """An original affine point in normalized coordinates: adj(N) applied to (x, y, 1)."""
-    x, y = point
-    X, Y, W = (n0 * x + n1 * y + n2 for n0, n1, n2 in adjugate(pm.matrix))
-    return X / W, Y / W
+def normalized_point(pm, point) -> tuple:
+    """An original int point (X : Y : W) in normalized coordinates: adj(N) (X, Y, W), as ints."""
+    return tuple(sum(n * c for n, c in zip(row, point)) for row in adjugate(pm.matrix))
 
 
 def standing_input(field, m_a, m_b, m_c, m_d, b_a) -> ConfigurationInput:

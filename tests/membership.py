@@ -36,6 +36,7 @@ from quadriline.configuration import (
     InputLine,
     NormalizedConfig,
     adjugate,
+    cross,
 )
 from quadriline.errors import (
     AllParallelError,
@@ -394,6 +395,17 @@ def _image(line: InputLine, m) -> InputLine:
     return InputLine(a, b, -c)
 
 
+def _meet(line1: InputLine, line2: InputLine) -> tuple:
+    """The meet (X : Y : Z) of two lines in field elements: their covectors (a, b, -c) crossed."""
+    return cross((line1.a, line1.b, -line1.c), (line2.a, line2.b, -line2.c))
+
+
+def intersection(line1: InputLine, line2: InputLine):
+    """The affine meet (X / Z, Y / Z) of two lines in field elements, or None for parallel lines."""
+    x, y, z = _meet(line1, line2)
+    return (x / z, y / z) if z else None
+
+
 def _labeling(cfg_input: ConfigurationInput, swaps):
     s1, s2, sr = swaps
     p1 = tuple(reversed(cfg_input.pair1)) if s1 else tuple(cfg_input.pair1)
@@ -409,12 +421,10 @@ def _labeling(cfg_input: ConfigurationInput, swaps):
 
 
 def _labeling_valid(lines: dict) -> bool:
-    if lines["C"].parallel_to(lines["D"]):
-        return False
-    if lines["B"].same_line(lines["D"]):
-        return False
-    origin = lines["C"].intersection(lines["D"])
-    return not lines["B"].contains(origin)
+    """C not parallel to D, and B not through C∩D (so B is not D either)."""
+    origin = intersection(lines["C"], lines["D"])
+    b = lines["B"]
+    return origin is not None and b.a * origin[0] + b.b * origin[1] != b.c
 
 
 def _pick_reflection(field, lines):
@@ -432,17 +442,16 @@ def _pick_reflection(field, lines):
 
 
 def normalize(cfg_input: ConfigurationInput):
-    """``configuration.normalize`` through line methods and field elements.
+    """``configuration.normalize`` in field elements, line by line.
 
-    Labelings are tried in the library's order, each tested with
-    ``parallel_to``, ``same_line``, ``intersection`` and ``contains``; the
-    plane map's matrix is built in field elements and cleared to ints at the
-    end, and the standing form is read off each mapped line by
-    slope-intercept division.
+    Labelings are tried in the library's order, each tested on the meet of C
+    and D and on whether B contains it; the plane map's matrix is built in
+    field elements and cleared to ints at the end, and the standing form is
+    read off each mapped line by slope-intercept division.
     """
     field = cfg_input.field
     first, *rest = cfg_input.all_lines()
-    if all(first.parallel_to(ln) for ln in rest):
+    if all(not _meet(first, ln)[2] for ln in rest):
         raise AllParallelError("all four lines are parallel")
     for swaps in itertools.product((False, True), repeat=3):
         lines, role_to_input = _labeling(cfg_input, swaps)
@@ -451,7 +460,7 @@ def normalize(cfg_input: ConfigurationInput):
     else:
         raise ConcurrentLinesError("all four lines pass through one point")
 
-    origin = lines["C"].intersection(lines["D"])
+    origin = intersection(lines["C"], lines["D"])
     one, zero = field.one(), field.zero()
     tx, ty = translation = (-origin[0], -origin[1])
     t = None

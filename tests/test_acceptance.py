@@ -30,9 +30,11 @@ from quadriline.paths import slope_path_polys
 from quadriline.rectangles import ALL_RATIOS, slope_infinity_form, slopes_at_infinity
 from conftest import (
     CFG1_PAIRS,
+    contains,
     line_slope,
     random_normalized_config,
     random_rational_config,
+    same_line,
     sample_ratios,
     write_config,
 )
@@ -90,7 +92,7 @@ def test_criterion_3_degenerate_geometry(cfg2):
         assert classify(cfg2).degenerate
         report = centers_paths(cfg2)
         gn = gauss_newton_line(cfg2)
-        assert report.aspect_centers.same_line(gn)
+        assert same_line(QQ, report.aspect_centers, gn)
         assert line_slope(gn).num == Fraction(4, 5) and line_slope(gn).den == 1
         g = diagonal_g(cfg2)
         assert line_slope(report.slope_centers) == line_slope(g)
@@ -99,10 +101,10 @@ def test_criterion_3_degenerate_geometry(cfg2):
         for r in sample_ratios(QQ, 10):
             rect = aspect_path_eval(cfg2, r)
             if not rect.at_infinity:
-                assert report.aspect_centers.contains(center_of(rect))
+                assert contains(QQ, report.aspect_centers, center_of(rect))
             rect = slope_path_eval(cfg2, r)
             if not rect.at_infinity:
-                assert report.slope_centers.contains(center_of(rect))
+                assert contains(QQ, report.slope_centers, center_of(rect))
 
 
 def test_criterion_4_identity_suite():
@@ -164,8 +166,8 @@ def test_criterion_6_twin_pair_behavior(cfg3):
         report = centers_paths(cfg3)
         line = report.single_line
         assert line is not None
-        assert line.contains((Fraction(0), Fraction(1, 2)))
-        assert line.contains((Fraction(7), Fraction(1, 2)))
+        assert contains(QQ, line, (Fraction(0), Fraction(1, 2)))
+        assert contains(QQ, line, (Fraction(7), Fraction(1, 2)))
 
 
 def test_criterion_7_all_parallel_handling():
@@ -175,7 +177,7 @@ def test_criterion_7_all_parallel_handling():
 
         shared = all_parallel_analysis(QQ, [horizontal(QQ, k) for k in (1, 2, -1, -2)])
         assert shared.midline_shared
-        assert shared.midline.same_line(InputLine(QQ.zero(), QQ.one(), QQ.zero()))
+        assert same_line(QQ, shared.midline, InputLine(QQ.zero(), QQ.one(), QQ.zero()))
 
         missed = all_parallel_analysis(QQ, [horizontal(QQ, k) for k in (1, 3, -1, 0)])
         assert not missed.midline_shared and missed.midline is None
@@ -183,4 +185,4 @@ def test_criterion_7_all_parallel_handling():
         f7 = PrimeField(7)
         wrapped = all_parallel_analysis(f7, [horizontal(f7, k) for k in (1, 2, 6, 5)])
         assert wrapped.midline_shared
-        assert wrapped.midline.same_line(InputLine(f7.zero(), f7.one(), f7.zero()))
+        assert same_line(f7, wrapped.midline, InputLine(f7.zero(), f7.one(), f7.zero()))

@@ -717,6 +717,31 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "--samples" in err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("command", ["path", "render"])
+    @pytest.mark.parametrize("samples, count", [
+        ("\u0663", None), ("1_0", None), (" 2", 2), ("+3", 3), ("-1", None)
+    ], ids=ascii)
+    def test_samples_is_an_ascii_integer(self, tmp_path, capsys, command, samples, count):
+        """--samples is read as an F_p literal is: a sign and ASCII digits, with spaces
+        around them.  Other digits and _, which int() takes, are usage errors."""
+        path = write_config(tmp_path, "cfg1.json", "rational", CFG1_PAIRS)
+        svg = tmp_path / "out.svg"
+        extra = ["--out", str(svg)] if command == "render" else []
+        code, out, err = run_cli(capsys, command, "--input", path, *extra, f"--samples={samples}")
+        if count is not None:
+            assert (code, err) == (0, "")
+            if command == "path":
+                assert len(json.loads(out)["rectangles"]) == count
+            else:  # each sampled rectangle is one thin polyline
+                assert svg.read_text().count('stroke="#3b6ea5"') == count
+            return
+        assert (code, out) == (2, "") and not svg.exists()
+        if samples == "-1":
+            bound = "be at least 1" if command == "path" else "not be negative"
+            assert err == f"error: --samples must {bound}\n"
+        else:
+            assert err == f"error: argument --samples: invalid int value: {samples!r}\n"
+
 
 def test_shared_parser_keeps_no_state(tmp_path, capsys):
     """In-process calls through the one parser print what fresh processes print."""

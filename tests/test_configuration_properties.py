@@ -18,7 +18,7 @@ from quadriline import (
     normalize,
 )
 import membership
-from conftest import normalized_point
+from conftest import affine_point, contains, covec, int_point, normalized_point, same_line
 
 PRIMES = [n for n in range(3, 400) if all(n % d for d in range(2, n))]
 
@@ -53,23 +53,18 @@ def normalized_inputs(draw):
     return cfg_input, cfg, pm, scalars
 
 
-def original_point(pm, point):
-    """pm.original_point of an affine point given in field elements."""
-    if pm.field.char:
-        point = tuple(c.value for c in point)
-    return pm.original_point(*point, 1)
-
-
 @settings(max_examples=200, deadline=None)
 @given(normalized_inputs(), st.data())
 def test_plane_map_round_trip(normalized, data):
     cfg_input, cfg, pm, scalars = normalized
+    field = cfg.field
     by_label = cfg_input.lines_by_label()
     for role, label in pm.role_to_input.items():
         original = by_label[label]
-        assert pm.normalized_line(original).same_line(membership.standing_line(cfg, role))
-        assert pm.original_line(membership.standing_line(cfg, role)).same_line(original)
-        assert pm.original_line(pm.normalized_line(original)).same_line(original)
+        u, standing = covec(field, original), covec(field, membership.standing_line(cfg, role))
+        assert same_line(field, pm.normalized_line(u), standing)
+        assert same_line(field, pm.original_line(standing), u)
+        assert same_line(field, pm.original_line(pm.normalized_line(u)), u)
         # A point of the original line lands on the normalized line and comes back.
         if original.b:
             x = data.draw(scalars)
@@ -77,11 +72,12 @@ def test_plane_map_round_trip(normalized, data):
         else:
             y = data.draw(scalars)
             point = (original.c / original.a, y)
-        image = normalized_point(pm, point)
-        assert membership.standing_line(cfg, role).contains(image)
-        assert original_point(pm, image) == point
-    point = (data.draw(scalars), data.draw(scalars))
-    assert normalized_point(pm, original_point(pm, point)) == point
+        image = normalized_point(pm, int_point(field, point))
+        assert contains(field, standing, affine_point(field, image))
+        assert affine_point(field, pm.original([image])[0]) == point
+    point = int_point(field, (data.draw(scalars), data.draw(scalars)))
+    back = normalized_point(pm, pm.original([point])[0])
+    assert affine_point(field, back) == affine_point(field, point)
 
 
 REFERENCE_PRIMES = [3, 5, 7, 13, 1009, 10**9 + 7]  # t = 2 and t = 5 give 1 + t^2 = 0 at p = 5 and 13

@@ -23,10 +23,10 @@ from quadriline.census import enumerate_rectangles
 from quadriline.configuration import LocusShape
 from quadriline.errors import AtInfinityError, ParallelPairError, PreconditionError
 from quadriline.locus import (
-    AffineLineDescription,
     centers_paths,
     diagonal_g,
     gauss_newton_line,
+    scaled,
     special_rectangles,
 )
 from quadriline.paths import (
@@ -35,15 +35,18 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
-from membership import constants, rectangle_from_slope, standing_line
+from membership import constants, intersection, rectangle_from_slope, standing_line
 from conftest import (
+    affine_point,
     center_at,
+    contains,
     elements,
     fraction_count,
     line_slope,
     random_degenerate_config,
     random_rational_config,
     rat,
+    same_line,
     sample_ratios,
     shipped_config,
 )
@@ -90,9 +93,9 @@ def reference_locus(cfg):
     distinct ones give the conic through them as an exact nullspace, which
     all 26 must satisfy; a kernel of dimension > 1 means the centers are
     collinear, and the line goes through the first two distinct ones.
-    Returns (conic, line, point) as centers_paths reports them, each conic
-    and line divided by its last nonzero coefficient, or None over a field
-    too small for six distinct centers.
+    Returns (conic, line, point) as :func:`printed` reads a report: the conic's
+    coefficients and the line's (a, b, c), each divided by its last nonzero one,
+    and the point's (x, y); or None over a field too small for six distinct centers.
     """
     pp = slope_path_polys(cfg)
     centers = []
@@ -116,16 +119,33 @@ def reference_locus(cfg):
         k = basis[0]
         for x, y in centers:
             assert not (k[0] * x * x + k[1] * x * y + k[2] * y * y + k[3] * x + k[4] * y + k[5])
-        return scaled(k), None, None
+        return divided(k), None, None
     (x0, y0), (x1, y1) = distinct[:2]
     a, b = y0 - y1, x1 - x0
-    return None, AffineLineDescription(*scaled((a, b, a * x0 + b * y0)), "slope-centers"), None
+    return None, divided((a, b, a * x0 + b * y0)), None
 
 
-def scaled(values) -> tuple:
+def divided(values) -> tuple:
     """Field values divided by the last nonzero one."""
     last = next(v for v in reversed(values) if v)
     return tuple(v / last for v in values)
+
+
+def printed(field, report) -> tuple:
+    """(conic, line, point) of a report as the field values it prints: the conic's
+    coefficients and the single line's (a, b, c) at the one scale of ``locus.scaled``,
+    and the point's (x, y); None where the report has none."""
+
+    def values(v):
+        return None if v is None else tuple(r.num for r in scaled(field, v))
+
+    line = point = None
+    if report.single_line is not None:
+        n0, n1, n2 = report.single_line.normal
+        line = values((n0, n1, -n2))
+    if report.point is not None:
+        point = values(report.point)[:2]
+    return values(report.conic), line, point
 
 
 def reported_centers(field, report) -> set:
@@ -151,13 +171,13 @@ def reported_centers(field, report) -> set:
     for line in (report.slope_centers, report.aspect_centers, report.single_line):
         if line is None:
             continue
-        on_line = [point for point in plane if line.contains(point)]
+        on_line = [point for point in plane if contains(field, line, point)]
         if line is report.single_line and report.shape is LocusShape.NONDEGENERATE_CONIC:
             on_line = [point for point in on_line if has_square_fiber(report.center_map, point)]
         out.update(on_line)
     if report.point is not None:
-        out.add(report.point)
-    out.update(report.points or ())
+        out.add(affine_point(field, report.point))
+    out.update(affine_point(field, point) for point in report.points or ())
     return out
 
 
@@ -207,7 +227,7 @@ class TestGaussNewton:
             (Fraction(3, 4), Fraction(1, 2)),
             (Fraction(13, 24), Fraction(1, 3)),
         ):
-            assert line.contains(point)
+            assert contains(QQ, line, point)
         assert line_slope(line) == Ratio.of(Fraction(4), Fraction(5))
 
     def test_cfg1_collinearity_holds(self, cfg1):
@@ -235,14 +255,14 @@ class TestGaussNewton:
 class TestDiagonalG:
     def test_cfg2(self, cfg2):
         g = diagonal_g(cfg2)
-        assert g.contains((Fraction(3, 4), Fraction(0)))
-        assert g.contains((Fraction(1, 3), Fraction(2, 3)))
+        assert contains(QQ, g, (Fraction(3, 4), Fraction(0)))
+        assert contains(QQ, g, (Fraction(1, 3), Fraction(2, 3)))
         assert line_slope(g) == Ratio.of(Fraction(-8), Fraction(5))
 
     def test_cfg1_vertical(self, cfg1):
         g = diagonal_g(cfg1)
-        assert g.contains((Fraction(-1, 2), Fraction(0)))
-        assert g.contains((Fraction(-1, 2), Fraction(-1, 2)))
+        assert contains(QQ, g, (Fraction(-1, 2), Fraction(0)))
+        assert contains(QQ, g, (Fraction(-1, 2), Fraction(-1, 2)))
         assert line_slope(g) == rat(QQ, 1, 0)
 
     def test_parallel_pair_rejected(self):
@@ -275,7 +295,7 @@ class TestCentersPaths:
         assert line_slope(report.aspect_centers) == Ratio.of(Fraction(4), Fraction(5))
         assert line_slope(report.slope_centers) == Ratio.of(Fraction(-8), Fraction(5))
         assert line_slope(report.slope_centers) == line_slope(report.diagonal_g)
-        assert report.aspect_centers.same_line(report.gauss_newton)
+        assert same_line(QQ, report.aspect_centers, report.gauss_newton)
 
     def test_cfg2_sampled_centers_on_lines(self, cfg2):
         report = centers_paths(cfg2)
@@ -283,10 +303,10 @@ class TestCentersPaths:
         for r in ratio_samples(QQ, 12):
             rect = eval_path(cfg2, spp, r)
             if not rect.at_infinity:
-                assert report.slope_centers.contains(center_of(rect))
+                assert contains(QQ, report.slope_centers, center_of(rect))
             rect = eval_path(cfg2, app, r)
             if not rect.at_infinity:
-                assert report.aspect_centers.contains(center_of(rect))
+                assert contains(QQ, report.aspect_centers, center_of(rect))
 
     def test_cfg1_conic(self, cfg1):
         report = centers_paths(cfg1)
@@ -308,7 +328,7 @@ class TestCentersPaths:
         assert report.shape is LocusShape.LINE_PLUS_INFINITY
         line = report.single_line
         assert line is not None
-        assert line.contains((Fraction(0), Fraction(1, 2)))
+        assert contains(QQ, line, (Fraction(0), Fraction(1, 2)))
         assert line_slope(line) == rat(QQ, 0, 1)  # the affine centers lie on y = 1/2
 
     def test_point_locus_when_both_pairs_parallel(self):
@@ -322,7 +342,7 @@ class TestCentersPaths:
         for r in sample_ratios(QQ, 8):
             rect = slope_path_eval(cfg, r)
             if not rect.at_infinity:
-                assert center_of(rect) == report.point
+                assert center_of(rect) == affine_point(QQ, report.point)
 
     def test_point_locus_of_a_square_of_lines(self):
         # y = x + 1, y = -x + 1, y = x, y = -x: degenerate, and both center maps are constant.
@@ -330,12 +350,12 @@ class TestCentersPaths:
         report = centers_paths(cfg)
         assert report.shape is LocusShape.TWO_LINES
         assert report.slope_centers is None and report.aspect_centers is None
-        assert report.point == (0, Fraction(1, 2))
+        assert affine_point(QQ, report.point) == (0, Fraction(1, 2))
         for pp in (slope_path_polys(cfg), aspect_path_polys(cfg)):
             for r in ratio_samples(QQ, 8):
                 rect = eval_path(cfg, pp, r)
                 if not rect.at_infinity:
-                    assert center_of(rect) == report.point
+                    assert center_of(rect) == affine_point(QQ, report.point)
 
     def test_matches_sampled_fit_on_random_configs(self):
         rng = random.Random(163)
@@ -345,7 +365,7 @@ class TestCentersPaths:
             if not cfg.ef_sum:
                 continue
             report = centers_paths(cfg)
-            assert (report.conic, report.single_line, report.point) == reference_locus(cfg)
+            assert printed(QQ, report) == reference_locus(cfg)
             checked += 1
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -403,9 +423,10 @@ class TestCentersPaths:
             assert m_a == m_c and (m_a * m_a + 1) % p == 0 and b_a == 0, ints
             assert report.shape is LocusShape.TWO_LINES
             assert report.single_line is None and report.point is None
-            assert len(set(report.points)) == 2
+            points = {affine_point(field, point) for point in report.points}
+            assert len(points) == 2
             centers = {center_of(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
-            assert set(report.points) == centers, ints
+            assert points == centers, ints
         assert len(found) == expected
 
     def test_degenerate_random_configs(self):
@@ -422,10 +443,10 @@ class TestSpecialRectangles:
         report = centers_paths(cfg2)
         special = special_rectangles(cfg2, report)
         center = center_of(special.center_rectangle)
-        assert report.slope_centers.contains(center)
-        assert report.aspect_centers.contains(center)
+        assert contains(QQ, report.slope_centers, center)
+        assert contains(QQ, report.aspect_centers, center)
         corners = [
-            standing_line(cfg2, r1).intersection(standing_line(cfg2, r2))
+            intersection(standing_line(cfg2, r1), standing_line(cfg2, r2))
             for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))
         ]
         centroid = (
@@ -434,7 +455,7 @@ class TestSpecialRectangles:
         )
         assert center_of(special.centroid_rectangle) == centroid
         # The centroid is on the Gauss-Newton line by construction.
-        assert report.gauss_newton.contains(centroid)
+        assert contains(QQ, report.gauss_newton, centroid)
 
     def test_rational_standing_forms(self):
         """Degenerate configurations with δ > 1 in their standing ints: the center
@@ -451,7 +472,8 @@ class TestSpecialRectangles:
             except PreconditionError:  # parallel locus lines
                 continue
             center = center_of(special.center_rectangle)
-            assert report.slope_centers.contains(center) and report.aspect_centers.contains(center)
+            assert contains(QQ, report.slope_centers, center)
+            assert contains(QQ, report.aspect_centers, center)
             checked += 1
 
     def test_cfg2_at_infinity_interpretation(self, cfg2):
@@ -491,7 +513,7 @@ class TestAllParallel:
         lines = [self._horizontal(QQ, k) for k in (1, 2, -1, -2)]  # A,B,C,D
         report = all_parallel_analysis(QQ, lines)
         assert report.midline_shared
-        assert report.midline.same_line(InputLine(QQ.zero(), QQ.one(), QQ.zero()))
+        assert same_line(QQ, report.midline, InputLine(QQ.zero(), QQ.one(), QQ.zero()))
 
     def test_distinct_midlines(self):
         lines = [self._horizontal(QQ, k) for k in (1, 3, -1, 0)]
@@ -505,14 +527,14 @@ class TestAllParallel:
         lines = [self._horizontal(f7, k) for k in (1, 2, 6, 5)]
         report = all_parallel_analysis(f7, lines)
         assert report.midline_shared
-        assert report.midline.same_line(InputLine(f7.zero(), f7.one(), f7.zero()))
+        assert same_line(f7, report.midline, InputLine(f7.zero(), f7.one(), f7.zero()))
 
     def test_vertical_family(self):
         # x = k lines: the analysis is orientation-free.
         lines = [InputLine(QQ.one(), QQ.zero(), QQ.from_int(k)) for k in (0, 3, 4, 1)]
         report = all_parallel_analysis(QQ, lines)
         assert report.midline_shared  # (0+4)/2 == (3+1)/2
-        assert report.midline.same_line(InputLine(QQ.one(), QQ.zero(), QQ.from_int(2)))
+        assert same_line(QQ, report.midline, InputLine(QQ.one(), QQ.zero(), QQ.from_int(2)))
 
     def test_non_parallel_rejected(self):
         lines = [
@@ -527,10 +549,10 @@ class TestAllParallel:
 
 @pytest.mark.parametrize("name", ["cfg1.json", "vertical.json"])
 def test_conic_locus_builds_only_its_coefficients(name):
-    """The center map, its adjugate and the identity check run on ints: the
-    only Fractions a conic locus builds are the six coefficients it reports."""
+    """The center map, its adjugate, the identity check and the conic the report holds
+    are ints: a conic locus builds no Fraction."""
     cfg = shipped_config(name)
     with fraction_count() as built:
         report = centers_paths(cfg)
-    assert report.conic is not None
-    assert built[0] <= len(report.conic) == 6
+    assert report.conic is not None and len(report.conic) == 6
+    assert built[0] == 0

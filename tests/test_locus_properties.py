@@ -18,7 +18,7 @@ from quadriline import (
     normalize,
 )
 from quadriline.locus import centers_paths
-from test_locus import reference_locus
+from test_locus import printed, reference_locus
 
 PRIMES = [n for n in range(37, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
 
@@ -55,4 +55,4 @@ def prime_configs(draw):
 def test_closed_form_matches_sampled_fit(cfg):
     assume(cfg.ef_sum)  # the fit only ever ran on non-degenerate configurations
     report = centers_paths(cfg)
-    assert (report.conic, report.single_line, report.point) == reference_locus(cfg)
+    assert printed(cfg.field, report) == reference_locus(cfg)

@@ -33,6 +33,7 @@ from quadriline.rectangles import ProjectiveRectangle, slope_infinity_form
 from conftest import (
     CFG1_INTS,
     all_ratios,
+    contains,
     bounded_ratio_samples,
     fraction_count,
     shipped_config,
@@ -368,7 +369,7 @@ def affine_vertices_for_slope(cfg: NormalizedConfig, r: Ratio) -> SlopeQueryResu
         return SlopeQueryResult(True, None, rect)
     vertices = rect.affine_vertices()
     for role, (x, y) in vertices.items():
-        if not membership.standing_line(cfg, role).contains((x, y)):
+        if not contains(cfg.field, membership.standing_line(cfg, role), (x, y)):
             raise InternalCheckError(f"vertex for {role} left its line")
     return SlopeQueryResult(False, vertices, rect)
 
@@ -388,7 +389,7 @@ class TestAffineVertices:
         res = affine_vertices_for_slope(cfg1, rat(QQ, 1, 1))
         assert not res.at_infinity
         for role, point in res.vertices.items():
-            assert membership.standing_line(cfg1, role).contains(point)
+            assert contains(QQ, membership.standing_line(cfg1, role), point)
 
     def test_cfg2_e_slope_at_infinity(self, cfg2):
         res = affine_vertices_for_slope(cfg2, rat(QQ, 1, 2))

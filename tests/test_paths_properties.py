@@ -43,6 +43,7 @@ from conftest import (
     degenerating_intercepts,
     make_config,
 )
+from test_locus import printed
 from test_paths import reference_eval_path, reference_paths
 import membership
 from membership import one_multiple, path_case
@@ -112,7 +113,7 @@ def test_forms_are_one_multiple_of_the_reference(cfg):
     locus conic."""
     reference_paths(cfg)
     assert membership.constants(cfg)[5:] == membership.diagonal_constants(cfg)
-    assert centers_paths(cfg).conic == membership.locus_conic(cfg)
+    assert printed(cfg.field, centers_paths(cfg))[0] == membership.locus_conic(cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,7 +154,8 @@ def test_int_roots_and_corners_match_the_field_reference(cfg):
         assert roots(cfg) == membership.projective_quadratic_roots(field, reference(cfg))
     for r1, r2 in itertools.combinations("ABCD", 2):
         x, y, z = cfg.corner(r1, r2)
-        meet = membership.standing_line(cfg, r1).intersection(membership.standing_line(cfg, r2))
+        lines = [membership.standing_line(cfg, role) for role in (r1, r2)]
+        meet = membership.intersection(*lines)
         assert meet == ((field.quotient(x, z), field.quotient(y, z)) if z else None)
 
 

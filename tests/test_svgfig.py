@@ -1,5 +1,6 @@
-"""The integer locus sweep of ``render`` against the exact Fraction sweep, and the
-outputs' blindness to the scale of the plane map's matrix and of a clipped line."""
+"""The integer locus sweep of ``render`` against the exact Fraction sweep, the
+outputs' blindness to the scale of the plane map's matrix and of a clipped line,
+and the Fractions a render builds."""
 
 import math
 import os
@@ -21,7 +22,7 @@ from quadriline.cli import load_config
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _clip_line, _swept_centers, render
-from conftest import center_at, rat
+from conftest import center_at, covec, fraction_count, rat, same_line
 from membership import standing_line
 
 # The ratios of the render's conic sweep: j/32 for |j| <= 512, then 1/0.
@@ -40,8 +41,8 @@ def fraction_sweep(center_map, plane_map):
         if center is None:
             points.append(None)
             continue
-        x, y = plane_map.original_point(*center, 1)
-        points.append((float(x), float(y)))
+        x, y, w = (n0 * center[0] + n1 * center[1] + n2 for n0, n1, n2 in plane_map.matrix)
+        points.append((float(x / w), float(y / w)))
     return points
 
 
@@ -104,9 +105,9 @@ def test_matrix_scale_is_invisible(tmp_path, name):
     ]
     keys = [rect.key for rect in rects if not rect.at_infinity]
     report = centers_paths(cfg)
-    lines = [standing_line(cfg, role) for role in "ABCD"] + [
-        desc for desc in (report.slope_centers, report.aspect_centers, report.single_line) if desc
-    ]
+    descs = (report.slope_centers, report.aspect_centers, report.single_line)
+    lines = [covec(field, standing_line(cfg, role)) for role in "ABCD"]
+    lines += [desc.normal for desc in descs if desc]
     assert keys and lines
     if not p:
         render(cfg_input, cfg, pm, tmp_path / "n.svg", diagonals=True)
@@ -115,7 +116,7 @@ def test_matrix_scale_is_invisible(tmp_path, name):
         for key in keys:
             assert scaled.original_points(key) == pm.original_points(key)
         for line in lines:
-            assert scaled.original_line(line).same_line(pm.original_line(line))
+            assert same_line(field, scaled.original_line(line), pm.original_line(line))
         if not p:
             render(cfg_input, cfg, scaled, tmp_path / "scaled.svg", diagonals=True)
             assert (tmp_path / "scaled.svg").read_bytes() == (tmp_path / "n.svg").read_bytes()
@@ -127,9 +128,10 @@ def test_matrix_scale_is_invisible(tmp_path, name):
 
 @pytest.mark.parametrize("name", RATIONAL_CONFIGS)
 def test_clip_is_blind_to_the_line_scale(tmp_path, monkeypatch, name):
-    """Every line ``render`` clips gives the same segment scaled by -3, 7 and 1/1009.  On
-    corner.json a diagonal runs corner to corner of the viewport, where a float clip
-    followed the rounding of the line's scale."""
+    """Every line ``render`` clips gives the same segment with its int covector scaled by
+    -3, 7 and 1009, and divided by the gcd of its entries.  On corner.json a diagonal
+    runs corner to corner of the viewport, where a float clip followed the rounding of
+    the line's scale."""
     calls = []
 
     def recording(line, box):
@@ -143,8 +145,9 @@ def test_clip_is_blind_to_the_line_scale(tmp_path, monkeypatch, name):
     corner_to_corner = False
     for line, box in calls:
         segment = _clip_line(line, box)
-        for lam in (Fraction(-3), Fraction(7), Fraction(1, 1009)):
-            assert _clip_line(InputLine(lam * line.a, lam * line.b, lam * line.c), box) == segment
+        primitive = tuple(c // math.gcd(*line) for c in line)
+        for multiple in [tuple(lam * c for c in line) for lam in (-3, 7, 1009)] + [primitive]:
+            assert _clip_line(multiple, box) == segment
         x0, y0, w, h = box
         corners = [(x, y) for x in (x0, x0 + w) for y in (y0, y0 + h)]
         corner_to_corner |= segment is not None and all(
@@ -168,3 +171,25 @@ def test_polyline_prints_each_point_as_fmt_did():
         for point in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(OverflowError):
                 svgfig._polyline([(1.0, 2.0), point], "")
+
+
+@pytest.mark.parametrize("name", RATIONAL_CONFIGS + ["square.json"])
+def test_render_builds_fractions_only_to_clip(tmp_path, monkeypatch, name):
+    """Past the parsing of its literals, a render with --diagonals builds a Fraction only
+    in ``_clip_line``'s exact box tests: the anchors, rectangles, locus lines and point
+    and diagonals are int points and covectors until each becomes a float."""
+    cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    cfg, pm = normalize(cfg_input)
+    clipped = []
+
+    def clip(line, box):
+        before = built[0]
+        try:
+            return _clip_line(line, box)
+        finally:
+            clipped.append(built[0] - before)
+
+    monkeypatch.setattr(svgfig, "_clip_line", clip)
+    with fraction_count() as built:
+        render(cfg_input, cfg, pm, tmp_path / "out.svg", diagonals=True)
+    assert clipped and built[0] == sum(clipped)

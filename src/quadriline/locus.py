@@ -65,6 +65,11 @@ def _same(p: int, u, v) -> bool:
     return hpoly.is_zero(cross(u, v), p)
 
 
+def _parallel(p: int, u, v) -> bool:
+    """Whether two int covectors meet at infinity: (u × v)[2] = 0 mod p."""
+    return not hpoly.mod(cross(u, v)[2], p)
+
+
 def _corner(cfg: NormalizedConfig, r1: str, r2: str) -> tuple:
     """The meet (X : Y : Z) of two of the lines, Z nonzero; parallel lines raise."""
     point = cfg.corner(r1, r2)
@@ -246,7 +251,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             g = diagonal_g(cfg)
             if aspect_line is not None and not _same(p, aspect_line.normal, gn.normal):
                 raise InternalCheckError("aspect centers left the Gauss-Newton line")
-            if slope_line is not None and hpoly.mod(cross(slope_line.normal, g.normal)[2], p):
+            if slope_line is not None and not _parallel(p, slope_line.normal, g.normal):
                 raise InternalCheckError("slope centers not parallel to diagonal G")
         return LocusReport(
             shape=cls.locus_shape,
@@ -290,9 +295,9 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     if sl is None or al is None:
         raise InternalCheckError("degenerate locus did not produce two lines")
     p = cfg.field.char
-    meet = cross(sl.normal, al.normal)
-    if not hpoly.mod(meet[2], p):
+    if _parallel(p, sl.normal, al.normal):
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
+    meet = cross(sl.normal, al.normal)
 
     spp, app = report.slope_path, report.aspect_path
     _, _, m_c, m_d, _, d = cfg.standing[:6]
@@ -339,7 +344,7 @@ def all_parallel_analysis(field, lines) -> AllParallelReport:
     a, b, c, d = lines
     u = covector(field, a)
     for other in (b, c, d):
-        if hpoly.mod(cross(u, covector(field, other))[2], field.char):
+        if not _parallel(field.char, u, covector(field, other)):
             raise PreconditionError("all four lines must be parallel")
     ref = a
 

@@ -94,8 +94,9 @@ def reference_locus(cfg):
     all 26 must satisfy; a kernel of dimension > 1 means the centers are
     collinear, and the line goes through the first two distinct ones.
     Returns (conic, line, point) as :func:`printed` reads a report: the conic's
-    coefficients and the line's (a, b, c), each divided by its last nonzero one,
-    and the point's (x, y); or None over a field too small for six distinct centers.
+    coefficients, the line's (a, b, c) with its source, each divided by its last
+    nonzero one, and the point's (x, y); or None over a field too small for six
+    distinct centers.
     """
     pp = slope_path_polys(cfg)
     centers = []
@@ -122,7 +123,7 @@ def reference_locus(cfg):
         return divided(k), None, None
     (x0, y0), (x1, y1) = distinct[:2]
     a, b = y0 - y1, x1 - x0
-    return None, divided((a, b, a * x0 + b * y0)), None
+    return None, (divided((a, b, a * x0 + b * y0)), "slope-centers"), None
 
 
 def divided(values) -> tuple:
@@ -133,8 +134,8 @@ def divided(values) -> tuple:
 
 def printed(field, report) -> tuple:
     """(conic, line, point) of a report as the field values it prints: the conic's
-    coefficients and the single line's (a, b, c) at the one scale of ``locus.scaled``,
-    and the point's (x, y); None where the report has none."""
+    coefficients, the single line's (a, b, c) at the one scale of ``locus.scaled``
+    with its source, and the point's (x, y); None where the report has none."""
 
     def values(v):
         return None if v is None else tuple(r.num for r in scaled(field, v))
@@ -142,7 +143,7 @@ def printed(field, report) -> tuple:
     line = point = None
     if report.single_line is not None:
         n0, n1, n2 = report.single_line.normal
-        line = values((n0, n1, -n2))
+        line = values((n0, n1, -n2)), report.single_line.source
     if report.point is not None:
         point = values(report.point)[:2]
     return values(report.conic), line, point

@@ -4,12 +4,11 @@
 
 The input file is JSON: {"field": "rational" | {"prime": p}, "pairs": [[lineA,
 lineC], [lineB, lineD]]} with each line {"a": ..., "b": ..., "c": ...} written
-in the exact literal grammar (integers, or "p/q" over the rationals).  The
-commands build reports from library values as they are, and :func:`json_text`
-alone turns them into text: each exact value (a ``Ratio`` of two ints, or a
-parsed ``Fraction`` or ``FpElement`` of the all-parallel midline) prints as the
-JSON string of its ``str``, and each marker as its value.  Floats appear only
-inside SVG output.
+in the exact literal grammar (integers, or "p/q" over the rationals).  A
+rectangle's values (:func:`rectangle_json`) and the ``classify`` constants are text
+written straight from ints (``scalars.ratio_text``); any other exact value (a ``Ratio``,
+or a ``Fraction`` or ``FpElement`` of the plane map) prints as its ``str``, a marker as
+its value, and :func:`json_text` alone writes the JSON.  Floats appear only in SVG output.
 
 Exit codes: 0 success, 2 parse, usage or precondition error (one ``error:``
 line on stderr), 3 internal assertion failure (a theorem-backed check went
@@ -32,6 +31,7 @@ from .configuration import (
     ConfigurationInput,
     InputLine,
     classify,
+    covector,
     diagonal_slopes,
     normalize,
 )
@@ -52,13 +52,12 @@ from .paths import (
     slope_path_polys,
 )
 from .rectangles import (
-    ProjectiveRectangle,
-    aspect_of,
-    aspects_at_infinity,
-    slope_of,
+    INDETERMINATE, ProjectiveRectangle, _aspect_pair, _slope_pair, aspects_at_infinity,
     slopes_at_infinity,
 )
-from .scalars import _INT_RE, PSI_13, FpElement, PrimeField, QQ, Ratio, ratio_parse
+from .scalars import (
+    _INT_RE, PSI_13, FpElement, PrimeField, QQ, Ratio, digit_limit_error, ratio_parse, ratio_text,
+)
 from .svgfig import render
 
 
@@ -140,25 +139,34 @@ def _plane_map_json(pm):
     }
 
 
+def _pair_text(p: int, pair) -> str:  # a rectangles._slope_pair or _aspect_pair outcome
+    return INDETERMINATE.value if pair is None else ratio_text(p, *pair)
+
+
 def rectangle_json(rect: ProjectiveRectangle, pm) -> dict:
-    field, key = rect.field, rect.key
-    # Every value is a Ratio of ints; an F_p key is at the scale where its pivot is 1.
-    pivot = 1 if field.char else next(c for c in reversed(key) if c)
+    """A rectangle's report, each value written as text straight from the int key."""
+    p, key = rect.field.char, rect.key
+    pivot = 1 if p else next(c for c in reversed(key) if c)  # an F_p key is at pivot 1
     out = {
-        "projective": [Ratio(field, c, pivot) for c in key],
+        "projective": [ratio_text(p, c, pivot) for c in key],
         "at_infinity": rect.at_infinity,
-        "slope": slope_of(rect),
-        "aspect": aspect_of(rect),
+        "slope": _pair_text(p, _slope_pair(key)),
+        "aspect": _pair_text(p, _aspect_pair(key)),
         "sequence": [pm.role_to_input[r] for r in ROLES],
         "vertices": None,
         "center": None,
     }
     if not rect.at_infinity:
-        *vertices, center = pm.original_points(key)
-        out["vertices"] = {
-            pm.role_to_input[role]: list(point) for role, point in zip(ROLES, vertices)
-        }
-        out["center"] = list(center)
+        # Over F_p the center is taken at w (h = 1/2): the affine N gives the five one W.
+        xa, ya, xb, yb, xc, yc, xd, yd, w = key
+        h, w2 = ((p + 1) // 2, w) if p else (1, 2 * w)
+        center = ((xa + xc) * h, (ya + yc) * h, w2)
+        images = pm.original([(xa, ya, w), (xb, yb, w), (xc, yc, w), (xd, yd, w), center])
+        if p:
+            inv = pow(images[0][2], -1, p)
+            images = [(X * inv, Y * inv, 1) for X, Y, _ in images]
+        *vertices, out["center"] = [[ratio_text(p, X, W), ratio_text(p, Y, W)] for X, Y, W in images]
+        out["vertices"] = {pm.role_to_input[r]: v for r, v in zip(ROLES, vertices)}
     return out
 
 
@@ -167,9 +175,13 @@ def _field_json(field):
 
 
 def _all_parallel_json(cfg_input) -> dict:
-    by_label = cfg_input.lines_by_label()
-    report = all_parallel_analysis(cfg_input.field, [by_label[r] for r in ROLES])
-    return {**vars(report), "midline": vars(report.midline) if report.midline else None}
+    field, by_label = cfg_input.field, cfg_input.lines_by_label()
+    report = all_parallel_analysis(field, [by_label[r] for r in ROLES])
+    out = {**vars(report)}
+    if report.midline:  # at the one scale of every printed line, as cmd_locus prints lines
+        n0, n1, n2 = covector(field, report.midline)
+        out["midline"] = dict(zip("abc", scaled(field, (n0, n1, -n2))))
+    return out
 
 
 def cmd_classify(args) -> dict:
@@ -184,7 +196,7 @@ def cmd_classify(args) -> dict:
     e_diag, f_diag = diagonal_slopes(cfg)
     # The values of the standing ints: m_L, b_A over δ, e1, e2, f2 over δ², f1 over δ³.
     m_a, m_b, m_c, m_d, b_a, d, e1, e2, f1, f2 = cfg.standing
-    q = functools.partial(Ratio, cfg.field)
+    q = functools.partial(ratio_text, cfg.field.char)
     return {
         "field": _field_json(cfg.field),
         "normalized": {
@@ -218,7 +230,7 @@ def cmd_path(args) -> dict:
     cfg, pm = normalize(cfg_input)
     pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
     rects = [
-        {"ratio": Ratio(cfg.field, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
+        {"ratio": ratio_text(cfg.field.char, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
         for st in ratio_samples(cfg.field, args.samples)
     ]
     return {"kind": args.kind, "rectangles": rects}
@@ -287,12 +299,11 @@ def json_text(value, indent: str = "\n") -> str:
     ``Enum`` member as its value.  Any other type raises ``TypeError``, and a
     number past the int-to-str digit limit ``PreconditionError``.
 
-    The first test is one set lookup on the exact type: ``Fraction`` is an
-    ABC, so an ``isinstance`` test first would cost every int of a census
-    tally an ABC check.  A container writes such leaves itself, and a dict its
-    int values too, without a call each.  The standard encoder runs in pure
-    Python when ``indent`` is set, and each call leaves its nested closures in
-    reference cycles for the cyclic garbage collector; this writer leaves none.
+    Containers are tested on the exact type: ``Fraction`` is an ABC, so an ``isinstance``
+    test would cost every int of a census tally an ABC check.  A dict writes its str and
+    int values itself, and a list of strs is one join.  The standard encoder runs in pure
+    Python when ``indent`` is set, and leaves its nested closures in reference cycles for
+    the cyclic garbage collector; this writer leaves none.
     """
     try:
         if type(value) in _STR_TYPES:
@@ -306,29 +317,28 @@ def json_text(value, indent: str = "\n") -> str:
         if isinstance(value, int):
             return int.__repr__(value)
         inner = indent + "  "
-        if isinstance(value, dict):
+        if type(value) is dict:
             if not value:
                 return "{}"
             items = [
                 inner + encode_basestring_ascii(k) + ": "
-                + (encode_basestring_ascii(str(v)) if type(v) in _STR_TYPES
+                + (encode_basestring_ascii(v) if type(v) is str
                    else int.__repr__(v) if type(v) is int else json_text(v, inner))
                 for k, v in value.items()
             ]
             return "{" + ",".join(items) + indent + "}"
-        if isinstance(value, list):
+        if type(value) is list:
             if not value:
                 return "[]"
-            items = [
-                encode_basestring_ascii(str(v)) if type(v) in _STR_TYPES else json_text(v, inner)
-                for v in value
-            ]
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
+            try:  # a list of strs, as most of a report's lists are, in one join
+                body = ("," + inner).join(map(encode_basestring_ascii, value))
+            except TypeError:  # an item that is not a str
+                body = ("," + inner).join([json_text(v, inner) for v in value])
+            return "[" + inner + body + indent + "]"
         if isinstance(value, Enum):
             return json_text(value.value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise PreconditionError(f"a report value past {limit} digits cannot be written") from None
+        raise digit_limit_error() from None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -142,16 +142,6 @@ class PlaneMap(Record):
             for x, y, w in points
         ]
 
-    def original_points(self, key) -> list:
-        """The original vertices A, B, C, D and center of the affine rectangle with canonical
-        key (x_A, y_A, ..., x_D, y_D, w), ints over both fields, as pairs of affine
-        :class:`Ratio` values: N (x_L, y_L, w) and N (x_A + x_C, y_A + y_C, 2w) = (X, Y, W)
-        give X / W and Y / W."""
-        xa, ya, xb, yb, xc, yc, xd, yd, w = key
-        points = [(xa, ya, w), (xb, yb, w), (xc, yc, w), (xd, yd, w), (xa + xc, ya + yc, 2 * w)]
-        f = self.field
-        return [(Ratio(f, X, W), Ratio(f, Y, W)) for X, Y, W in self.original(points)]
-
     def normalized_line(self, u) -> tuple:
         """u N: the normalized int covector of the original line with int covector u."""
         return _times(u, self.matrix)

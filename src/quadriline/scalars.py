@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FieldError, ParseError
+from .errors import FieldError, ParseError, PreconditionError
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 _INT_RE = re.compile(r"([+-]?\d+)\Z", re.ASCII)
@@ -326,8 +326,7 @@ class Ratio:
     """The point s : t of the projective line over ``field``, for two ints s and t, or
     for field elements through :meth:`of`.  It keeps the canonical ints: coprime with
     t > 0 over the rationals, (v, 1) for a residue v over F_p, and (1, 0).  ``num`` and
-    ``den`` are field elements; ``str`` is the report text of every exact value:
-    "1/0", "s/t" or "s"."""
+    ``den`` are field elements; ``str`` is its :func:`ratio_text`."""
 
     __slots__ = ("field", "s", "t")
 
@@ -369,10 +368,31 @@ class Ratio:
         return hash((self.s, self.t))
 
     def __str__(self):
-        return str(self.s) if self.t == 1 else f"{self.s}/{self.t}" if self.t else "1/0"
+        return ratio_text(self.field.char, self.s, self.t)
 
     def __repr__(self):
         return f"Ratio(num={self.num!r}, den={self.den!r})"
+
+
+def digit_limit_error() -> PreconditionError:
+    """The error of a report value whose int is past the int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return PreconditionError(f"a report value past {limit} digits cannot be written")
+
+
+def ratio_text(p: int, s: int, t: int) -> str:
+    """The report text of s : t, ints not both zero in the field of characteristic p:
+    "s/t" or "s" reduced with t > 0 over ℚ, the residue s / t over F_p (no inverse for
+    t = 1) and "1/0"; an int past the int-to-str digit limit raises digit_limit_error()."""
+    try:
+        if t == 1:
+            return str(s % p if p else s)
+        if p:
+            return str(s * pow(t, -1, p) % p) if t % p else "1/0"
+        g = math.gcd(s, t) if t > 0 else -math.gcd(s, t)
+        return "1/0" if not t else str(s // g) if t == g else f"{s // g}/{t // g}"
+    except ValueError:
+        raise digit_limit_error() from None
 
 
 def ratio_parse(text: str, field) -> Ratio:

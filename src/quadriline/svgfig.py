@@ -3,13 +3,12 @@
 Geometry stays exact until the final coordinate formatting; SVG path data is
 the one place decimal expansions (12 significant digits) are allowed.  Lines
 are int covectors and points int projective points (X : Y : Z) until then;
-each drawn point is one correctly rounded division X / Z (:func:`_point`), and
-the locus conic is swept in integers the same way.
+each drawn point is one correctly rounded division X / Z (:func:`_point`), the locus
+conic is swept in integers the same way, and the clip is int sign tests: no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import hypot, isfinite
 
 from . import hpoly
@@ -21,10 +20,9 @@ from .scalars import QQ
 
 
 def _fmt(v) -> str:
-    v = float(v)
     if not isfinite(v):
         raise OverflowError("an SVG number is not finite")
-    return f"{v:.12g}"
+    return "%.12g" % v
 
 
 class _Canvas:
@@ -65,20 +63,22 @@ def _point(x, y, z) -> tuple:
 def _clip_line(u, box):
     """Float endpoints of the segment inside the box of the line with int covector u, or None.
 
-    The meets with the sides x = x0, x1 and y = y0, y1 of the float box are
-    exact cross products of integer covectors; duplicates (a meet at a corner)
-    are dropped and the first two points kept in side order, so the endpoints
-    do not depend on the scale of u.
+    The meets (X : Y : Z), Z > 0, with the sides x = x0, x1 and y = y0, y1 of the
+    float box are exact cross products of integer covectors, tested against the box
+    by int cross-multiplications; duplicates (a meet at a corner) are dropped and the
+    first two points kept in side order, so the endpoints do not depend on the scale of u.
     """
     x0, y0, w, h = box
-    sides = [(d, 0, -n) for n, d in map(float.as_integer_ratio, (x0, x0 + w))]
-    sides += [(0, d, -n) for n, d in map(float.as_integer_ratio, (y0, y0 + h))]
-    pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in (cross(u, s) for s in sides) if Z]
-    x0, y0, x1, y1 = Fraction(x0), Fraction(y0), Fraction(x0 + w), Fraction(y0 + h)
-    inside = list(dict.fromkeys(pt for pt in pts if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1))
+    (n0, d0), (n1, d1), (m0, e0), (m1, e1) = map(float.as_integer_ratio, (x0, x0 + w, y0, y0 + h))
+    inside = []
+    for X, Y, Z in (cross(u, s) for s in ((d0, 0, -n0), (d1, 0, -n1), (0, e0, -m0), (0, e1, -m1))):
+        X, Y, Z = (X, Y, Z) if Z > 0 else (-X, -Y, -Z)
+        if (Z and n0 * Z <= X * d0 and X * d1 <= n1 * Z and m0 * Z <= Y * e0 and Y * e1 <= m1 * Z
+                and not any(X * z == x * Z and Y * z == y * Z for x, y, z in inside)):
+            inside.append((X, Y, Z))
     if len(inside) < 2:
         return None
-    return [(float(x), float(y)) for x, y in inside[:2]]
+    return [_point(*meet) for meet in inside[:2]]
 
 
 def _swept_centers(center_map, plane_map):
@@ -100,7 +100,7 @@ def _swept_centers(center_map, plane_map):
 
 
 def _polyline(points, style):
-    coords = " ".join([f"{float(x):.12g},{float(-y):.12g}" for x, y in points])
+    coords = " ".join(["%.12g,%.12g" % (x, -y) for x, y in points])
     if "n" in coords:  # "inf" or "nan": no finite number prints an "n"
         raise OverflowError("an SVG number is not finite")
     return f'<polyline fill="none" points="{coords}" {style}/>'

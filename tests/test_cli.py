@@ -96,6 +96,18 @@ class TestClassify:
         doc = run_json(capsys, "classify", "--input", path)
         assert doc["all_parallel"]["midline_shared"] is True
 
+    @pytest.mark.parametrize("command", ["classify", "locus"])
+    def test_all_parallel_midline_at_one_scale(self, tmp_path, capsys, command):
+        """The shared midline 0x + 2y = 0 of (A, C) = (2y = 2, 4y = -4) and (B, D) =
+        (6y = 12, y = -2) prints at the scale of every printed line, its last nonzero
+        coefficient 1, not at the scale of A's literals (0, 2, 0)."""
+        pairs = [[(0, 2, 2), (0, 4, -4)], [(0, 6, 12), (0, 1, -2)]]
+        path = write_config(tmp_path, "par.json", "rational", pairs)
+        doc = run_json(capsys, command, "--input", path)
+        report = doc["all_parallel"] if command == "classify" else doc
+        assert report["midline_shared"] is True
+        assert report["midline"] == {"a": "0", "b": "1", "c": "0"}
+
     def test_prime_field(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg1p.json", {"prime": 11}, CFG1_PAIRS)
         doc = run_json(capsys, "classify", "--input", path)
@@ -587,6 +599,22 @@ class TestRender:
         elif command == "render":
             assert not re.search(r"inf|nan", out.read_text(), re.IGNORECASE)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rect", "--slope=1/2"], ["path", "--samples", "2"], ["classify"]],
+        ids=["rect", "path", "classify"],
+    )
+    def test_report_value_past_the_digit_limit(self, tmp_path, capsys, argv):
+        """Lines with 2200-digit coefficients whose report values pass the int-to-str
+        digit limit: the command exits 2 with one line and prints nothing, whether the
+        text is written in the report (rect, path) or by json_text (classify)."""
+        threes, sevens = int("3" * 2200), int("7" * 2200)
+        pairs = [[(-2, threes, sevens), (0, 1, 0)], [(sevens, 1, 1), (-1, threes, 0)]]
+        path = write_config(tmp_path, "long.json", "rational", pairs)
+        code, stdout, err = run_cli(capsys, argv[0], "--input", path, *argv[1:])
+        assert (code, stdout) == (2, "")
+        assert err == "error: a report value past 4300 digits cannot be written\n"
+
     def test_prime_field_render_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "p.json", {"prime": 11}, CFG1_PAIRS)
         code, _, err = run_cli(
@@ -763,40 +791,59 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys):
     assert len(json.loads(in_process[3][1])["rectangles"]) == 8
 
 
+NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+
+
 def printed_values(value) -> int:
-    """The exact values a report prints: each Fraction and each Ratio (one value: its
-    affine value or 1/0)."""
+    """The exact values a report prints: each text leaf that is a number ("-3", "3/2",
+    "1/0"), not a label or a marker."""
     if isinstance(value, dict):
         return sum(map(printed_values, value.values()))
     if isinstance(value, list):
         return sum(map(printed_values, value))
-    return isinstance(value, (Fraction, Ratio))
+    return isinstance(value, str) and NUMBER.match(value) is not None
+
+
+def ratio_count(monkeypatch) -> list:
+    """A one-int list counting the Ratios built from here on."""
+    built, init = [0], Ratio.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Ratio, "__init__", counted)
+    return built
 
 
 CFG1 = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
 
 
 @pytest.mark.parametrize("ratio", ["1/0", "3/7", "0", "-1/2"])
-def test_rect_builds_only_the_fractions_it_prints(ratio):
-    """Past the parsing of its input, a rational rect report builds no Fraction: the
-    flag, the key, the plane map and the path are ints, and each printed value is
-    a Ratio of two ints."""
+def test_rect_builds_only_the_fractions_it_prints(monkeypatch, ratio):
+    """Past the parsing of its input, a rational rect report builds no Fraction and no
+    Ratio: the flag, the key, the plane map and the path are ints, and each of the 21
+    printed values is written as text straight from them."""
     cfg, pm = normalize(cli.load_config(CFG1))
+    flag = ratio_parse(ratio, QQ)
+    ratios = ratio_count(monkeypatch)
     for path_eval in (slope_path_eval, aspect_path_eval):
         with fraction_count() as built:
-            report = cli.rectangle_json(path_eval(cfg, ratio_parse(ratio, QQ)), pm)
-        assert built[0] == 0 < printed_values(report) == 21
+            report = cli.rectangle_json(path_eval(cfg, flag), pm)
+        assert built[0] == ratios[0] == 0 < printed_values(report) == 21
 
 
 @pytest.mark.parametrize("kind", ["slope", "aspect"])
 def test_path_builds_only_the_fractions_it_prints(monkeypatch, kind):
     """Past loading and normalizing, ``path --samples 8`` on cfg1.json builds no
-    Fraction: the sample walk runs on int pairs, and each printed value is a Ratio."""
+    Fraction and no Ratio: the sample walk runs on int pairs, and each printed value
+    is written as text from ints."""
     cfg_input = cli.load_config(CFG1)
     normalized = normalize(cfg_input)
     monkeypatch.setattr(cli, "load_config", lambda path: cfg_input)
     monkeypatch.setattr(cli, "normalize", lambda cfg_input: normalized)
+    ratios = ratio_count(monkeypatch)
     with fraction_count() as built:
         report = cli.cmd_path(argparse.Namespace(input=CFG1, kind=kind, samples=8))
     assert len(report["rectangles"]) == 8
-    assert built[0] == 0 < printed_values(report)
+    assert built[0] == ratios[0] == 0 < printed_values(report)

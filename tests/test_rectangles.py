@@ -27,6 +27,7 @@ from quadriline.rectangles import (
     slopes_at_infinity,
 )
 from quadriline.census import quadric_h
+from quadriline.cli import rectangle_json
 from quadriline.scalars import FpElement
 from conftest import (
     CFG1_INTS,
@@ -543,6 +544,7 @@ class TestRationalKey:
         if point.at_infinity:
             return
         assert center_of(point) == center_of(reference)
-        # original_points took the Fraction key cleared to ints, as membership.integer_forms clears it.
+        # The report of the Fraction key cleared to ints, as membership.integer_forms clears it.
         pm = PLANE_MAPS[name]
-        assert pm.original_points(point.key) == pm.original_points(cleared(reference.key))
+        rebuilt = ProjectiveRectangle(QQ, cleared(reference.key))
+        assert rectangle_json(point, pm) == rectangle_json(rebuilt, pm)

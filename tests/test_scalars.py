@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quadriline import PrimeField, QQ, Ratio
-from quadriline.errors import FieldError, ParseError
+from quadriline.errors import FieldError, ParseError, PreconditionError
 from quadriline.rectangles import ALL_RATIOS, projective_quadratic_roots
-from quadriline.scalars import ratio_parse
+from quadriline.scalars import ratio_parse, ratio_text
 from quadriline.scalars import _is_odd_prime
 
 PSI_11 = 3825123056546413051
@@ -370,6 +370,15 @@ class TestRatio:
         for field, s, t, s0, t0, text in cases:
             r = Ratio(field, s, t)
             assert (r.s, r.t, str(r)) == (s0, t0, text)
+
+    @pytest.mark.parametrize(
+        "p, s, t", [(0, 10**4400, 3), (0, 1, -(10**4400)), (0, 10**4400, 1)],
+        ids=["numerator", "denominator", "integer"],
+    )
+    def test_text_past_the_digit_limit(self, p, s, t):
+        """A value past the int-to-str digit limit raises the report error, not ValueError."""
+        with pytest.raises(PreconditionError, match="^a report value past 4300 digits cannot be written$"):
+            ratio_text(p, s, t)
 
     def test_parse_and_format(self):
         assert not ratio_parse("1/0", QQ).den

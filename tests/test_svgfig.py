@@ -1,6 +1,6 @@
-"""The integer locus sweep of ``render`` against the exact Fraction sweep, the
-outputs' blindness to the scale of the plane map's matrix and of a clipped line,
-and the Fractions a render builds."""
+"""The integer locus sweep and clip of ``render`` against exact Fraction references,
+the outputs' blindness to the scale of the plane map's matrix and of a clipped line,
+and the Fractions a render builds: none."""
 
 import math
 import os
@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quadriline import (
     QQ,
@@ -18,7 +19,8 @@ from quadriline import (
     normalize,
 )
 from quadriline import hpoly, svgfig
-from quadriline.cli import load_config
+from quadriline.configuration import cross
+from quadriline.cli import load_config, rectangle_json
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _clip_line, _swept_centers, render
@@ -92,8 +94,8 @@ def test_zero_coordinate_over_negative_denominator():
 
 @pytest.mark.parametrize("name", RATIONAL_CONFIGS + ["cfg1_f11.json", "vertical_f1009.json"])
 def test_matrix_scale_is_invisible(tmp_path, name):
-    """N is defined up to a nonzero factor: scaled by λ it maps the same keys to the same
-    points and the same lines back, and sweeps the same floats, so no output byte,
+    """N is defined up to a nonzero factor: scaled by λ it gives each rectangle the same
+    report and maps the same lines back, and sweeps the same floats, so no output byte,
     SVG included, depends on the scale normalize gives it."""
     cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
     cfg, pm = normalize(cfg_input)
@@ -103,18 +105,18 @@ def test_matrix_scale_is_invisible(tmp_path, name):
         for path_eval in (slope_path_eval, aspect_path_eval)
         for s in range(-3, 4)
     ]
-    keys = [rect.key for rect in rects if not rect.at_infinity]
+    affine = [rect for rect in rects if not rect.at_infinity]
     report = centers_paths(cfg)
     descs = (report.slope_centers, report.aspect_centers, report.single_line)
     lines = [covec(field, standing_line(cfg, role)) for role in "ABCD"]
     lines += [desc.normal for desc in descs if desc]
-    assert keys and lines
+    assert affine and lines
     if not p:
         render(cfg_input, cfg, pm, tmp_path / "n.svg", diagonals=True)
     for lam in (-3, 7, p + 2):
         scaled = type(pm)(**{**vars(pm), "matrix": tuple(tuple(lam * n for n in row) for row in pm.matrix)})
-        for key in keys:
-            assert scaled.original_points(key) == pm.original_points(key)
+        for rect in affine:
+            assert rectangle_json(rect, scaled) == rectangle_json(rect, pm)
         for line in lines:
             assert same_line(field, scaled.original_line(line), pm.original_line(line))
         if not p:
@@ -174,22 +176,71 @@ def test_polyline_prints_each_point_as_fmt_did():
 
 
 @pytest.mark.parametrize("name", RATIONAL_CONFIGS + ["square.json"])
-def test_render_builds_fractions_only_to_clip(tmp_path, monkeypatch, name):
-    """Past the parsing of its literals, a render with --diagonals builds a Fraction only
-    in ``_clip_line``'s exact box tests: the anchors, rectangles, locus lines and point
-    and diagonals are int points and covectors until each becomes a float."""
+def test_render_builds_fractions_only_to_clip(tmp_path, name):
+    """Past the parsing of its literals, a render with --diagonals builds no Fraction,
+    in ``_clip_line``'s box tests or anywhere else: the anchors, rectangles, locus lines
+    and point, diagonals and clipped segments are int points and covectors until each
+    becomes a float."""
     cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
     cfg, pm = normalize(cfg_input)
-    clipped = []
-
-    def clip(line, box):
-        before = built[0]
-        try:
-            return _clip_line(line, box)
-        finally:
-            clipped.append(built[0] - before)
-
-    monkeypatch.setattr(svgfig, "_clip_line", clip)
     with fraction_count() as built:
         render(cfg_input, cfg, pm, tmp_path / "out.svg", diagonals=True)
-    assert clipped and built[0] == sum(clipped)
+    assert built[0] == 0
+
+
+def fraction_clip(u, box):
+    """Reference: the clip of the line with int covector u on exact Fractions, each meet
+    with a side tested against the box corners, duplicates dropped in side order."""
+    x0, y0, w, h = box
+    sides = [(d, 0, -n) for n, d in map(float.as_integer_ratio, (x0, x0 + w))]
+    sides += [(0, d, -n) for n, d in map(float.as_integer_ratio, (y0, y0 + h))]
+    pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in (cross(u, s) for s in sides) if Z]
+    x0, y0, x1, y1 = Fraction(x0), Fraction(y0), Fraction(x0 + w), Fraction(y0 + h)
+    inside = list(dict.fromkeys(pt for pt in pts if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1))
+    if len(inside) < 2:
+        return None
+    return [(float(x), float(y)) for x, y in inside[:2]]
+
+
+COORDINATES = st.integers(-4, 4).map(float) | st.floats(-50, 50, allow_subnormal=False)
+SPANS = st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 100)
+
+
+def exact_point(x, y) -> tuple:
+    """The int point (X : Y : Z) of two floats."""
+    (n, d), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
+    return n * e, m * d, d * e
+
+
+@st.composite
+def lines_and_boxes(draw):
+    """A float box and an int covector: a random line, or the line through two points each
+    a box corner, a point on a side or any point, so meets fall on sides and corners and a
+    corner is met twice; the covector comes at a random nonzero scale."""
+    x0, y0, w, h = draw(COORDINATES), draw(COORDINATES), draw(SPANS), draw(SPANS)
+    xs, ys = (x0, x0 + w), (y0, y0 + h)
+    point = st.one_of(
+        st.tuples(st.sampled_from(xs), st.sampled_from(ys)),  # a corner
+        st.tuples(st.sampled_from(xs), COORDINATES),  # on a vertical side's line
+        st.tuples(COORDINATES, st.sampled_from(ys)),  # on a horizontal side's line
+        st.tuples(COORDINATES, COORDINATES),
+    )
+    if draw(st.booleans()):
+        u = cross(exact_point(*draw(point)), exact_point(*draw(point)))
+    else:
+        u = tuple(draw(st.integers(-30, 30)) for _ in range(3))
+    assume(u[0] or u[1])
+    lam = draw(st.sampled_from([1, -1, 7]) | st.integers(-10**6, 10**6).filter(bool))
+    return tuple(lam * c for c in u), (x0, y0, w, h)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lines_and_boxes())
+@example(((-1, 1, 0), (0.0, 0.0, 1.0, 1.0)))  # the diagonal: a corner at each end, met twice
+@example(((0, 1, 0), (0.0, 0.0, 1.0, 1.0)))  # along a side: two corners, one side never met
+@example(((1, 1, -2), (0.0, 0.0, 1.0, 1.0)))  # through the corner (1, 1) alone
+@example(((1, 1, -3), (0.0, 0.0, 1.0, 1.0)))  # missing the box
+def test_clip_matches_fraction_clip(drawn):
+    u, box = drawn
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(_clip_line(u, box)) == repr(fraction_clip(u, box))

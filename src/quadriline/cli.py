@@ -4,11 +4,12 @@
 
 The input file is JSON: {"field": "rational" | {"prime": p}, "pairs": [[lineA,
 lineC], [lineB, lineD]]} with each line {"a": ..., "b": ..., "c": ...} written
-in the exact literal grammar (integers, or "p/q" over the rationals).  A
-rectangle's values (:func:`rectangle_json`) and the ``classify`` constants are text
-written straight from ints (``scalars.ratio_text``); any other exact value (a ``Ratio``,
-or a ``Fraction`` or ``FpElement`` of the plane map) prints as its ``str``, a marker as
-its value, and :func:`json_text` alone writes the JSON.  Floats appear only in SVG output.
+in the exact literal grammar (integers, or "p/q" over the rationals), read straight
+into the ints of an ``InputLine``.  A rectangle's values (:func:`rectangle_json`), the
+``classify`` constants and the plane map are text written straight from ints
+(``scalars.ratio_text``); any other exact value, a ``Ratio``, prints as its ``str``, a
+marker as its value, and :func:`json_text` alone writes the JSON.  Floats appear only in
+SVG output.
 
 Exit codes: 0 success, 2 parse, usage or precondition error (one ``error:``
 line on stderr), 3 internal assertion failure (a theorem-backed check went
@@ -20,9 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from enum import Enum
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .census import quadric_point_count, verify_against_paths
@@ -31,7 +32,6 @@ from .configuration import (
     ConfigurationInput,
     InputLine,
     classify,
-    covector,
     diagonal_slopes,
     normalize,
 )
@@ -56,7 +56,7 @@ from .rectangles import (
     slopes_at_infinity,
 )
 from .scalars import (
-    _INT_RE, PSI_13, FpElement, PrimeField, QQ, Ratio, digit_limit_error, ratio_parse, ratio_text,
+    _INT_RE, PSI_13, PrimeField, QQ, Ratio, digit_limit_error, ratio_parse, ratio_text,
 )
 from .svgfig import render
 
@@ -88,6 +88,10 @@ def _prime_modulus(path: str, value) -> int:
 
 
 def load_config(path: str) -> ConfigurationInput:
+    """The configuration of a JSON file.  Each literal is read to its canonical ints
+    (n, d), (n mod p, 1) over F_p, and each line's three are cleared by one lcm to the
+    ints of its ``InputLine``.  Once every literal is read, a line whose (a, b) vanishes
+    in the field is reported at its slot."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_int=_json_int)
@@ -121,21 +125,27 @@ def load_config(path: str) -> ConfigurationInput:
                     coeffs.append(field.parse(str(entry[key])))
                 except ParseError as exc:
                     raise ParseError(f"{path}: pairs[{i}][{j}].{key}: {exc}") from None
-            try:
-                lines.append(InputLine(*coeffs))
-            except PreconditionError as exc:
-                raise ParseError(f"{path}: pairs[{i}][{j}]: {exc}") from None
+            (a, s), (b, t), (c, u) = coeffs
+            m = math.lcm(s, t, u)
+            lines.append(InputLine(a * (m // s), b * (m // t), c * (m // u)))
         parsed.append(tuple(lines))
-    return ConfigurationInput(field, parsed[0], parsed[1])
+    try:
+        return ConfigurationInput(field, parsed[0], parsed[1])
+    except PreconditionError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _plane_map_json(pm):
+    """The plane map's relabeling, translation (-X / Z, -Y / Z) off the last column
+    (X, Y, Z) of its matrix, reflection parameter and scale, as text from its ints."""
+    p = pm.field.char
+    (_, _, x), (_, _, y), (_, _, z) = pm.matrix
     return {
         "swaps": {"pair1": pm.swaps[0], "pair2": pm.swaps[1], "roles": pm.swaps[2]},
         "role_to_input": dict(pm.role_to_input),
-        "translation": list(pm.translation),
-        "reflection_t": pm.reflection_t,
-        "scale": pm.scale,
+        "translation": [ratio_text(p, -x, z), ratio_text(p, -y, z)],
+        "reflection_t": None if pm.t is None else ratio_text(p, pm.t, 1),
+        "scale": ratio_text(p, *pm.s),
     }
 
 
@@ -179,7 +189,7 @@ def _all_parallel_json(cfg_input) -> dict:
     report = all_parallel_analysis(field, [by_label[r] for r in ROLES])
     out = {**vars(report)}
     if report.midline:  # at the one scale of every printed line, as cmd_locus prints lines
-        n0, n1, n2 = covector(field, report.midline)
+        n0, n1, n2 = report.midline
         out["midline"] = dict(zip("abc", scaled(field, (n0, n1, -n2))))
     return out
 
@@ -289,19 +299,20 @@ def cmd_render(args) -> dict:
     return {"written": args.out}
 
 
-_STR_TYPES = frozenset({str, Fraction, FpElement, Ratio})
+_STR_TYPES = frozenset({str, Ratio})
 
 
 def json_text(value, indent: str = "\n") -> str:
     """The one writer of report text: ``json.dumps(value, indent=2)`` for dicts
-    with str keys, lists, strs, ints, bools and None; a ``Fraction``,
-    ``FpElement`` or ``Ratio`` as the JSON string of its ``str``, and an
-    ``Enum`` member as its value.  Any other type raises ``TypeError``, and a
-    number past the int-to-str digit limit ``PreconditionError``.
+    with str keys, lists, strs, ints, bools and None; a ``Ratio`` as the JSON
+    string of its ``str``, and an ``Enum`` member as its value.  Any other type
+    raises ``TypeError``, and a number past the int-to-str digit limit
+    ``PreconditionError``.
 
-    Containers are tested on the exact type: ``Fraction`` is an ABC, so an ``isinstance``
-    test would cost every int of a census tally an ABC check.  A dict writes its str and
-    int values itself, and a list of strs is one join.  The standard encoder runs in pure
+    Values are tested on their exact type, one set lookup or identity test each, so a
+    subclass of str, dict or list, which may override what this writer reads, is a
+    ``TypeError`` rather than written.  A dict writes its str and int values itself,
+    and a list of strs is one join.  The standard encoder runs in pure
     Python when ``indent`` is set, and leaves its nested closures in reference cycles for
     the cyclic garbage collector; this writer leaves none.
     """

@@ -34,24 +34,29 @@ ROLES = ("A", "B", "C", "D")
 
 
 class InputLine(Record):
-    """The line a*x + b*y = c with (a, b) != (0, 0)."""
+    """The line a*x + b*y = c for ints a, b and c (over F_p they stand for their
+    residues): its int covector is (a, b, -c)."""
 
-    a: object
-    b: object
-    c: object
-
-    def __init__(self, *fields):
-        super().__init__(*fields)
-        if not self.a and not self.b:
-            raise PreconditionError("line needs (a, b) != (0, 0)")
+    a: int
+    b: int
+    c: int
 
 
 class ConfigurationInput(Record):
-    """Four lines as ordered pairs (A, C) and (B, D) over a common field."""
+    """Four lines as ordered pairs (A, C) and (B, D) over a common field, each with
+    (a, b) != (0, 0) in the field."""
 
     field: object
     pair1: tuple  # roles (A, C)
     pair2: tuple  # roles (B, D)
+
+    def __init__(self, *fields, **kwargs):
+        super().__init__(*fields, **kwargs)
+        p = self.field.char
+        for i, pair in enumerate((self.pair1, self.pair2)):
+            for j, line in enumerate(pair):
+                if not (hpoly.mod(line.a, p) or hpoly.mod(line.b, p)):
+                    raise PreconditionError(f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)")
 
     def lines_by_label(self) -> dict:
         return {
@@ -80,15 +85,9 @@ def adjugate(m):
     return (cross(c1, c2), cross(c2, c0), cross(c0, c1))
 
 
-def covector(field, line: InputLine) -> tuple:
-    """The covector (a, b, -c) of the line a x + b y = c as three ints, up to a
-    nonzero factor: the residues over F_p, cleared by one lcm over the rationals."""
-    a, b, c = line.a, line.b, line.c
-    if field.char:
-        return a.value, b.value, -c.value
-    m = math.lcm(a.denominator, b.denominator, c.denominator)
-    return (a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
-            -c.numerator * (m // c.denominator))
+def covector(line: InputLine) -> tuple:
+    """The int covector (a, b, -c) of the line a x + b y = c."""
+    return line.a, line.b, -line.c
 
 
 def _times(v, m) -> tuple:
@@ -99,18 +98,19 @@ def _times(v, m) -> tuple:
 class PlaneMap(Record):
     """Exact similarity between the original plane and normalized coordinates.
 
-    Normalization relabels roles, translates by ``translation``, reflects about
-    y = t x for t = ``reflection_t`` (when set) and scales by s = ``scale``: field
-    values made when read from the ints it stores.  ``matrix`` is the one 3×3
-    matrix N of ints (residues over F_p) taking normalized points (x : y : w)
-    back, built by :func:`normalize` from the integer covectors of the input lines
-    and defined up to a nonzero factor, which no output depends on: with
-    d = 1 + t^2 and (tx, ty) = translation it is a multiple of [[1 - t^2, 2t,
-    -d s tx], [2t, t^2 - 1, -d s ty], [0, 0, d s]], and of [[1, 0, -s tx],
-    [0, 1, -s ty], [0, 0, s]] without a reflection.  The line a x + b y = c is the
-    covector (a, b, -c): it maps forward by (a, b, -c) N and back by (a, b, -c)
-    adj(N).  N is orthogonal up to scale, so parallelograms, the rectangle
-    condition and midpoints are preserved.
+    Normalization relabels roles, translates by (tx, ty), the negated meet of C
+    and D, reflects about y = t x for the int ``t`` (when set) and scales by
+    s = n / d for the int pair ``s`` = (n, d).  ``matrix`` is the one 3×3 matrix
+    N of ints (residues over F_p) taking normalized points (x : y : w) back,
+    built by :func:`normalize` from the integer covectors of the input lines and
+    defined up to a nonzero factor, which no output depends on: with
+    d = 1 + t^2 it is a multiple of [[1 - t^2, 2t, -d s tx], [2t, t^2 - 1,
+    -d s ty], [0, 0, d s]], and of [[1, 0, -s tx], [0, 1, -s ty], [0, 0, s]]
+    without a reflection, so its last column (X, Y, Z) gives (tx, ty) =
+    (-X / Z, -Y / Z).  The line a x + b y = c is the covector (a, b, -c): it
+    maps forward by (a, b, -c) N and back by (a, b, -c) adj(N).  N is
+    orthogonal up to scale, so parallelograms, the rectangle condition and
+    midpoints are preserved.
     """
 
     field: object
@@ -119,20 +119,6 @@ class PlaneMap(Record):
     matrix: tuple  # N, three rows of ints
     t: Optional[int]  # the reflection parameter, or None
     s: tuple  # the scale as an int pair (n, d), s = n / d
-
-    @property
-    def translation(self) -> tuple:
-        """(-X / Z, -Y / Z) for the last column (X, Y, Z) of N: the meet of C and D."""
-        (_, _, x), (_, _, y), (_, _, z) = self.matrix
-        return self.field.quotient(-x, z), self.field.quotient(-y, z)
-
-    @property
-    def reflection_t(self):
-        return None if self.t is None else self.field.from_int(self.t)
-
-    @property
-    def scale(self):
-        return self.field.quotient(*self.s)
 
     def original(self, points) -> list:
         """N (x, y, w) of each normalized int point (x : y : w): its original int point (X : Y : W)."""
@@ -160,7 +146,7 @@ class NormalizedConfig(Record):
     diagonal F through A∩D and B∩C: e1, e2, f2 = E1, E2, F2 / δ² and
     f1 = F1 / δ³, and whenever the slope is defined it equals e1/e2 (resp.
     f1/f2).  They can never all four vanish.  Every reader runs on these
-    ints; only the ``classify`` report makes the field values.
+    ints, and the ``classify`` report writes their quotients as text.
     """
 
     field: object
@@ -323,15 +309,15 @@ def normalize(cfg_input: ConfigurationInput):
     roles) and the first one with C not parallel to D and B avoiding C∩D (so
     B distinct from D) wins, which makes the output reproducible.
 
-    Each input line is cleared once to its integer covector, and the rest
-    runs on ints, reduced mod p over F_p: C ∦ D is det(C, D) != 0, B avoiding
+    Each input line is its integer covector (a, b, -c), and the rest runs on
+    ints, reduced mod p over F_p: C ∦ D is det(C, D) != 0, B avoiding
     C∩D is det(B, C, D) != 0, and C∩D is the point C × D = (X : Y : Z).  The
     four slopes and b_A are quotients of ints, cleared together to the
     standing ints over their lcm denominator δ.
     """
     field = cfg_input.field
     p = field.char
-    vectors = {label: covector(field, line) for label, line in cfg_input.lines_by_label().items()}
+    vectors = {label: covector(line) for label, line in cfg_input.lines_by_label().items()}
     a0, b0, _ = vectors["A"]
     if not any(hpoly.mod(a0 * b - b0 * a, p) for a, b, _ in vectors.values()):
         raise AllParallelError("all four lines are parallel")

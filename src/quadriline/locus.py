@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import hpoly
 from .configuration import (
-    InputLine, LocusShape, NormalizedConfig, adjugate, classify, covector, cross,
+    LocusShape, NormalizedConfig, adjugate, classify, covector, cross,
 )
 from .errors import (
     AtInfinityError,
@@ -46,11 +46,11 @@ def _center(p: ProjectiveRectangle) -> tuple:
     return xa + xc, ya + yc, 2 * w
 
 
-def center_of(p: ProjectiveRectangle):
-    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w), read off the
-    canonical key with the field's quotient."""
+def center_of(p: ProjectiveRectangle) -> tuple:
+    """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w) as two Ratios off the
+    canonical key."""
     x, y, w = _center(p)
-    return p.field.quotient(x, w), p.field.quotient(y, w)
+    return Ratio(p.field, x, w), Ratio(p.field, y, w)
 
 
 def scaled(field, v) -> tuple:
@@ -326,10 +326,11 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
 
 
 class AllParallelReport(Record):
-    """Outcome of the all-parallel analysis."""
+    """Outcome of the all-parallel analysis; the midline is an int covector, as a locus
+    line's normal."""
 
     midline_shared: bool
-    midline: Optional[InputLine]
+    midline: Optional[tuple]
     description: str
 
 
@@ -337,33 +338,32 @@ def all_parallel_analysis(field, lines) -> AllParallelReport:
     """Four parallel lines: rectangles exist exactly when the two pairs share
     a midline, and then the midline is the rectangle locus.
 
-    ``lines`` is the sequence (A, B, C, D).  When the midlines agree, every
-    choice of x_A != x_B gives a unique inscribed rectangle, so the family is
-    two-dimensional rather than a curve.
+    ``lines`` is the sequence (A, B, C, D).  On the int covectors L of the lines
+    (:func:`covector`), each line is L_k / A_k times A's normal (a, b) at A's
+    pivot coordinate k (a, or b when a = 0 in the field), so it is A's normal
+    with offset L_2 A_k / L_k.
+    The midlines of (A, C) and (B, D) agree exactly when A_2 + C_2 A_k / C_k =
+    (B_2 / B_k + D_2 / D_k) A_k, tested times B_k C_k D_k mod p, and the midline
+    of (A, C) is 2 C_k A + (0, 0, C_2 A_k - A_2 C_k).  When the midlines agree,
+    every choice of x_A != x_B gives a unique inscribed rectangle, so the family
+    is two-dimensional rather than a curve.
     """
-    a, b, c, d = lines
-    u = covector(field, a)
-    for other in (b, c, d):
-        if not _parallel(field.char, u, covector(field, other)):
+    p = field.char
+    A, B, C, D = map(covector, lines)
+    for other in (B, C, D):
+        if not _parallel(p, A, other):
             raise PreconditionError("all four lines must be parallel")
-    ref = a
-
-    def scaled_offset(line):
-        factor = line.a / ref.a if ref.a else line.b / ref.b
-        if not factor:
-            raise PreconditionError("degenerate line normal")
-        return line.c / factor
-
-    two = field.from_int(2)
-    mid_ac = (scaled_offset(a) + scaled_offset(c)) / two
-    mid_bd = (scaled_offset(b) + scaled_offset(d)) / two
-    if mid_ac == mid_bd:
+    k = 0 if hpoly.mod(A[0], p) else 1
+    a, b, c, d = A[k], B[k], C[k], D[k]
+    if not hpoly.mod(a * b * c * d, p):
+        raise PreconditionError("degenerate line normal")
+    if hpoly.mod((A[2] * c + C[2] * a) * b * d - (B[2] * d + D[2] * b) * a * c, p):
         return AllParallelReport(
-            True,
-            InputLine(ref.a, ref.b, mid_ac),
-            "midlines coincide: the midline is the rectangle locus and every "
-            "choice of x_A != x_B yields a unique inscribed rectangle",
+            False, None, "the pairs (A, C) and (B, D) have different midlines: no inscribed rectangles"
         )
     return AllParallelReport(
-        False, None, "the pairs (A, C) and (B, D) have different midlines: no inscribed rectangles"
+        True,
+        (2 * c * A[0], 2 * c * A[1], A[2] * c + C[2] * a),
+        "midlines coincide: the midline is the rectangle locus and every "
+        "choice of x_A != x_B yields a unique inscribed rectangle",
     )

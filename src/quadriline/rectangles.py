@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import PreconditionError
-from .scalars import FpElement, Ratio
+from .scalars import Ratio
 
 
 class Marker(Enum):
@@ -68,11 +67,9 @@ class ProjectiveRectangle:
     A point's identity is its canonical key: the nine canonical residues in
     [0, p) over F_p, the primitive integer vector over the rationals.  Points
     hash by key and compare by (characteristic, key), so points over different
-    fields are unequal.  Slope, aspect and center are read off the key
-    (:func:`slope_of`, :func:`aspect_of`, ``locus.center_of``).  Its
-    coordinates, vertex and w are field elements built from the key when read,
-    at the scale where the pivot is 1; a point that is only hashed and compared
-    builds none.
+    fields are unequal.  Slope, aspect, center and affine vertices are read off
+    the key as ``Ratio``s (:func:`slope_of`, :func:`aspect_of`,
+    ``locus.center_of``, :meth:`affine_vertices`).
     """
 
     __slots__ = ("field", "key")
@@ -97,32 +94,19 @@ class ProjectiveRectangle:
     def __repr__(self):
         return f"ProjectiveRectangle({self.field!r}, {self.key!r})"
 
-    def coordinates(self) -> list:
-        """The nine coordinates as field elements, at the scale where the pivot is 1."""
-        field, key = self.field, self.key
-        if field.char:
-            return [FpElement(c, field) for c in key]
-        pivot = next(c for c in reversed(key) if c)
-        return [Fraction(c, pivot) for c in key]
-
-    def vertex(self, role: str):
-        i = 2 * ROLES.index(role)
-        return tuple(self.coordinates()[i : i + 2])
-
-    @property
-    def w(self):
-        return self.coordinates()[8]
-
     @property
     def at_infinity(self) -> bool:
         return not self.key[8]
 
     def affine_vertices(self) -> dict:
-        """Vertices (x_L / w, y_L / w); requires w != 0."""
+        """Vertices (x_L / w, y_L / w) as Ratios off the key; requires w != 0."""
         if self.at_infinity:
             raise PreconditionError("rectangle at infinity has no affine vertices")
-        w = self.w
-        return {role: tuple(c / w for c in self.vertex(role)) for role in ROLES}
+        field, key = self.field, self.key
+        return {
+            role: (Ratio(field, key[2 * i], key[8]), Ratio(field, key[2 * i + 1], key[8]))
+            for i, role in enumerate(ROLES)
+        }
 
 
 def _slope_pair(key: tuple):

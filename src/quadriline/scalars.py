@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: unbounded rationals and odd prime fields.
+"""Exact scalars: unbounded rationals and odd prime fields, on ints.
 
-Rational values are plain :class:`fractions.Fraction`; prime-field values are
-:class:`FpElement`.  Both support ``+ - * / **``, exact equality and truthiness
-(zero is falsy), so every layer above this one is written once and runs over
-either field.  Characteristic 2 is rejected outright: midpoints and the
-reflection step of normalization both need division by 2.
+A value is an int, or a :class:`Ratio` of two ints, from the literal to the
+printed text: the layers above compute on ints over both fields, reducing mod p
+over F_p (``field.char`` is p, and 0 over the rationals), and no value is a
+field element.  A field parses literals to ints and takes int square roots.
+Characteristic 2 is rejected outright: midpoints and the reflection step of
+normalization both need division by 2.
 
 A :class:`Ratio` is a point of the projective line: a slope, an aspect ratio
 or any exact value a report prints, stored as two canonical ints, which makes
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import FieldError, ParseError, PreconditionError
@@ -26,8 +26,13 @@ _INT_RE = re.compile(r"([+-]?\d+)\Z", re.ASCII)
 _RATIO_RE = re.compile(r"([+-]?\d+)(?:/([+-]?\d+))?\Z", re.ASCII)
 
 
-def _ints(match) -> list:
-    """The int of each part of a matched literal, 1 for a missing denominator."""
+def _ints(regex, kind: str, text: str) -> list:
+    """The int of each part of the literal ``text.strip()``, 1 for a missing denominator;
+    "not {kind} literal" when ``regex`` does not match it."""
+    text = text.strip()
+    match = regex.match(text)
+    if not match:
+        raise ParseError(f"not {kind} literal: {text!r}")
     try:
         return [int(part) for part in match.groups("1")]
     except ValueError:
@@ -63,97 +68,6 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}{self._values()!r}"
-
-
-class FpElement:
-    """Canonical residue in [0, p), with field arithmetic via operators."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value, field):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.field.p != self.field.p:
-                raise FieldError("mixed moduli %d and %d" % (self.field.p, other.field.p))
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        v %= self.field.p
-        if v == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
-        return FpElement(self.value * pow(v, -1, self.field.p), self.field)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
-        inv = pow(self.value, -1, self.field.p)
-        return FpElement(v * inv, self.field)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        return FpElement(pow(self.value, exponent, self.field.p), self.field)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.field)
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value == v % self.field.p
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FpElement({self.value} mod {self.field.p})"
 
 
 # psi_k (OEIS A014233) is the least strong pseudoprime to the first k prime bases, so
@@ -192,30 +106,14 @@ class RationalField:
     """The field of arbitrary-precision rationals."""
 
     char = 0
-    _zero, _one = Fraction(0), Fraction(1)  # Fractions are immutable: one of each serves
 
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def quotient(self, n, d) -> Fraction:
-        """n / d for ints or Fractions n and d, d nonzero."""
-        return Fraction(n, d)
-
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        match = _RATIONAL_RE.match(text)
-        if not match:
-            raise ParseError(f"not a rational literal: {text!r}")
-        n, d = _ints(match)
+    def parse(self, text: str) -> tuple:
+        """The literal "n" or "n/d" as its canonical ints (n, d): coprime, with d > 0."""
+        n, d = _ints(_RATIONAL_RE, "a rational", text)
         if not d:
-            raise ParseError(f"zero denominator in literal {text!r}")
-        return Fraction(n, d)
+            raise ParseError(f"zero denominator in literal {text.strip()!r}")
+        g = math.gcd(n, d)
+        return n // g, d // g
 
     def sqrt(self, x: int) -> Optional[int]:
         """The square root of the int x, or None when x is not a square in the field."""
@@ -248,35 +146,15 @@ class PrimeField:
             raise FieldError(f"modulus {p} is not an odd prime")
         self.p = p
         self.char = p
-        # The least quadratic non-residue, for sqrt.  It is stored at
-        # construction: a field's attribute set stays fixed, which keeps the
-        # attribute loads of FpElement arithmetic on their fast path.
+        # The least quadratic non-residue, which sqrt needs, found once per field.
         n = 2
         while pow(n, (p - 1) // 2, p) != p - 1:
             n += 1
         self.non_residue = n
 
-    def zero(self):
-        return FpElement(0, self)
-
-    def one(self):
-        return FpElement(1, self)
-
-    def from_int(self, n: int) -> FpElement:
-        return FpElement(n, self)
-
-    def quotient(self, n: int, d: int) -> FpElement:
-        """n / d for ints n and d, with one inverse of d mod p; d = 0 mod p raises."""
-        if not d % self.p:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElement(n * pow(d, -1, self.p), self)
-
-    def parse(self, text: str) -> FpElement:
-        text = text.strip()
-        match = _INT_RE.match(text)
-        if not match:
-            raise ParseError(f"not an integer literal: {text!r}")
-        return FpElement(*_ints(match), self)
+    def parse(self, text: str) -> tuple:
+        """The integer literal n as (n mod p, 1), the pair that ``RationalField.parse`` gives."""
+        return _ints(_INT_RE, "an integer", text)[0] % self.p, 1
 
     def sqrt(self, x: int) -> Optional[int]:
         """The least square root r <= p // 2 of the int x mod p, or None when x is
@@ -323,10 +201,10 @@ QQ = RationalField()
 
 
 class Ratio:
-    """The point s : t of the projective line over ``field``, for two ints s and t, or
-    for field elements through :meth:`of`.  It keeps the canonical ints: coprime with
-    t > 0 over the rationals, (v, 1) for a residue v over F_p, and (1, 0).  ``num`` and
-    ``den`` are field elements; ``str`` is its :func:`ratio_text`."""
+    """The point s : t of the projective line over ``field``, for two ints s and t not
+    both zero in the field.  It keeps the canonical ints: coprime with t > 0 over the
+    rationals, (v, 1) for a residue v over F_p, and (1, 0).  ``str`` is its
+    :func:`ratio_text`."""
 
     __slots__ = ("field", "s", "t")
 
@@ -343,23 +221,6 @@ class Ratio:
             raise ParseError("0/0 is not a point of the projective line")
         self.field, self.s, self.t = field, s, t
 
-    @staticmethod
-    def of(num, den) -> "Ratio":
-        """num : den for field elements; ints raise TypeError (see ``Ratio(field, s, t)``)."""
-        if isinstance(num, int) or isinstance(den, int):
-            raise TypeError("Ratio.of takes field elements, not ints")
-        if isinstance(num, FpElement):
-            return Ratio(num.field, num.value, num._coerce(den))
-        return Ratio(QQ, num.numerator * den.denominator, den.numerator * num.denominator)
-
-    @property
-    def num(self):
-        return self.field.quotient(self.s, self.t) if self.t else self.field.one()
-
-    @property
-    def den(self):
-        return self.field.one() if self.t else self.field.zero()
-
     def __eq__(self, other):
         same_field = isinstance(other, Ratio) and self.field == other.field
         return same_field and (self.s, self.t) == (other.s, other.t)
@@ -371,7 +232,7 @@ class Ratio:
         return ratio_text(self.field.char, self.s, self.t)
 
     def __repr__(self):
-        return f"Ratio(num={self.num!r}, den={self.den!r})"
+        return f"Ratio({self.field!r}, {self.s}, {self.t})"
 
 
 def digit_limit_error() -> PreconditionError:
@@ -397,8 +258,4 @@ def ratio_text(p: int, s: int, t: int) -> str:
 
 def ratio_parse(text: str, field) -> Ratio:
     """Parse 's/t' (integer numerator and denominator) or a single integer s, as s : 1."""
-    text = text.strip()
-    match = _RATIO_RE.match(text)
-    if not match:
-        raise ParseError(f"not a ratio literal: {text!r}")
-    return Ratio(field, *_ints(match))
+    return Ratio(field, *_ints(_RATIO_RE, "a ratio", text))

@@ -112,7 +112,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     if cfg.field != QQ:
         raise PreconditionError("rendering requires the rational field")
     canvas = _Canvas()
-    original_lines = [covector(QQ, line) for line in cfg_input.all_lines()]
+    original_lines = [covector(line) for line in cfg_input.all_lines()]
 
     # Anchor the viewport on the pairwise intersections of the input lines.
     for i in range(4):

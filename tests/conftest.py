@@ -18,10 +18,21 @@ from quadriline import (
 from quadriline.cli import load_config
 from quadriline.configuration import adjugate, covector, cross, normalize
 from quadriline.errors import PreconditionError
-from quadriline.locus import AffineLineDescription
+from quadriline.locus import AffineLineDescription, center_of
 from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
-from membership import integer_forms, solve_quadratic
+import membership
+from membership import (
+    elements,
+    from_int,
+    integer_forms,
+    one_of,
+    quotient,
+    ratio_of,
+    solve_quadratic,
+    value,
+    zero_of,
+)
 
 CFG1_INTS = (2, 3, 0, 1, 1)  # non-degenerate
 CFG2_INTS = (-4, -1, 0, 2, 3)  # degenerate, no parallel lines
@@ -44,19 +55,14 @@ def cfg3():
 
 
 def rat(field, s, t):
-    return Ratio.of(field.from_int(s), field.from_int(t))
+    return ratio_of(from_int(field, s), from_int(field, t))
 
 
 def make_config(field, m_a, m_b, m_c, m_d, b_a) -> NormalizedConfig:
     """The configuration of five standing constants in field elements, cleared
     to the standing ints with ``membership.integer_forms``, one lcm as ``normalize`` takes."""
-    standing = (m_a, m_b, m_c, m_d, b_a, field.one())
+    standing = (m_a, m_b, m_c, m_d, b_a, one_of(field))
     return NormalizedConfig.make(field, integer_forms(field, [standing])[0])
-
-
-def elements(field):
-    """The p elements of the prime field F_p, in the order of their residues."""
-    return map(field.from_int, range(field.char))
 
 
 def line_slope(line: AffineLineDescription) -> Ratio:
@@ -67,13 +73,31 @@ def line_slope(line: AffineLineDescription) -> Ratio:
 
 def covec(field, line) -> tuple:
     """The int covector (a, b, -c) of a line a x + b y = c, up to a nonzero factor: a locus
-    line's normal, an InputLine's field elements cleared by ``configuration.covector``, or
-    an int covector as it is."""
+    line's normal, an InputLine's ints, a ``membership.Line`` of field elements cleared
+    by ``membership.covector``, or an int covector as it is."""
     if isinstance(line, AffineLineDescription):
         return line.normal
     if isinstance(line, InputLine):
-        return covector(field, line)
+        return covector(line)
+    if isinstance(line, membership.Line):
+        return membership.covector(field, line)
     return line
+
+
+def input_line(field, line) -> InputLine:
+    """The int InputLine of a ``membership.Line`` of field elements, cleared by
+    ``membership.covector``."""
+    a, b, c = membership.covector(field, line)
+    return InputLine(a, b, -c)
+
+
+def plane_map_values(pm) -> tuple:
+    """The translation, reflection parameter and scale of a plane map in field elements,
+    read off its matrix's last column, its t and its s with the reference quotient."""
+    field = pm.field
+    (_, _, x), (_, _, y), (_, _, z) = pm.matrix
+    t = None if pm.t is None else from_int(field, pm.t)
+    return (quotient(field, -x, z), quotient(field, -y, z)), t, quotient(field, *pm.s)
 
 
 def same_line(field, u, v) -> bool:
@@ -82,16 +106,21 @@ def same_line(field, u, v) -> bool:
 
 
 def contains(field, line, point) -> bool:
-    """Whether the affine point (x, y) of field elements (or ints) lies on the line."""
+    """Whether the affine point (x, y) of field elements, ints or Ratios lies on the line."""
     n0, n1, n2 = covec(field, line)
-    x, y = point
-    return not (field.zero() + n0 * x + n1 * y + n2)  # the field's zero first: a field element
+    x, y = (value(c) if isinstance(c, Ratio) else c for c in point)
+    return not (zero_of(field) + n0 * x + n1 * y + n2)  # the field's zero first: a field element
+
+
+def center_values(rect) -> tuple:
+    """The center of a rectangle, ``locus.center_of``'s two Ratios, as field elements."""
+    return tuple(map(value, center_of(rect)))
 
 
 def affine_point(field, point) -> tuple:
     """The point (X / Z, Y / Z) of the int point (X : Y : Z), Z nonzero, in field elements."""
     x, y, z = point
-    return field.quotient(x, z), field.quotient(y, z)
+    return quotient(field, x, z), quotient(field, y, z)
 
 
 def int_point(field, point) -> tuple:
@@ -111,9 +140,9 @@ def all_ratios(field):
 
     The order of ``paths.path_keys``.
     """
-    one = field.one()
-    out = [Ratio.of(v, one) for v in elements(field)]
-    out.append(Ratio.of(one, field.zero()))
+    one = one_of(field)
+    out = [ratio_of(v, one) for v in elements(field)]
+    out.append(ratio_of(one, zero_of(field)))
     return out
 
 
@@ -148,7 +177,7 @@ def random_normalized_config(field, rng):
     """
     rejections = 0
     while True:
-        values = [field.from_int(rng.randrange(field.char)) for _ in range(5)]
+        values = [from_int(field, rng.randrange(field.char)) for _ in range(5)]
         if values[2] == values[3]:
             rejections += 1
             continue
@@ -171,7 +200,7 @@ def degenerating_intercepts(field, m_a, m_b, m_c, m_d):
     """
     if m_c == m_d:
         raise PreconditionError("C and D must not be parallel")
-    one = field.one()
+    one = one_of(field)
     lead = (m_b - m_c) * (m_b * m_d + one)
     const = (m_a - m_d) * (m_a * m_c + one)
     delta = (m_a * m_c + one) * (m_b - m_d) + (m_b * m_d + one) * (m_a - m_c)
@@ -251,12 +280,12 @@ def center_at(cmap, st):
     d = hpoly.eval_at(cmap.den, s, t)
     if not hpoly.mod(d, cmap.field.char):
         return None
-    return tuple(cmap.field.quotient(hpoly.eval_at(f, s, t), d) for f in (cmap.x_num, cmap.y_num))
+    return tuple(quotient(cmap.field, hpoly.eval_at(f, s, t), d) for f in (cmap.x_num, cmap.y_num))
 
 
-def slope_intercept_line(field, m, k) -> InputLine:
-    """The line y = m x + k."""
-    return InputLine(-field.from_int(m), field.one(), field.from_int(k))
+def slope_intercept_line(m, k) -> InputLine:
+    """The line y = m x + k for ints m and k."""
+    return InputLine(-m, 1, k)
 
 
 def normalized_point(pm, point) -> tuple:
@@ -266,7 +295,7 @@ def normalized_point(pm, point) -> tuple:
 
 def standing_input(field, m_a, m_b, m_c, m_d, b_a) -> ConfigurationInput:
     """A ConfigurationInput already in standing form."""
-    mk = lambda m, k: slope_intercept_line(field, m, k)
+    mk = slope_intercept_line
     return ConfigurationInput(
         field, (mk(m_a, b_a), mk(m_c, 0)), (mk(m_b, 1), mk(m_d, 0))
     )

@@ -18,6 +18,15 @@ The standing lines and the roots of a binary quadratic form are here in field
 elements too, the references for the library's corners and at-infinity roots
 on ints.  Every reference reads the standing constants in field elements
 through :func:`constants`, the quotients of the library's standing ints.
+
+The field elements themselves are here: :class:`FpElement` and ``Fraction``,
+through :func:`zero_of`, :func:`one_of`, :func:`from_int`, :func:`quotient` and
+:func:`parse`, the reference literal reader, with :func:`covector`, whose one-lcm
+clearing of a :class:`Line` of them is the reference for the ints that
+``cli.load_config`` reads.  :func:`ratio_of`, :func:`num` and :func:`den` go
+between them and the library's ``Ratio`` of two ints, and :func:`vertex` and
+:func:`w_of` read a point's coordinates as field elements.  The library keeps
+no field element: every value it computes is an int or a ``Ratio``.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from quadriline import hpoly
 from quadriline.configuration import (
     ROLES,
     ConfigurationInput,
-    InputLine,
     NormalizedConfig,
     adjugate,
     cross,
@@ -42,13 +50,209 @@ from quadriline.errors import (
     AllParallelError,
     AtInfinityError,
     ConcurrentLinesError,
+    FieldError,
     InternalCheckError,
+    ParseError,
     PreconditionError,
     ReflectionUnavailableError,
 )
 from quadriline.paths import PathPolynomials
 from quadriline.rectangles import ALL_RATIOS, INDETERMINATE, ProjectiveRectangle
-from quadriline.scalars import Ratio
+from quadriline.scalars import _INT_RE, _RATIONAL_RE, QQ, _ints, Ratio
+
+
+class FpElement:
+    """Canonical residue in [0, p), with field arithmetic via operators."""
+
+    __slots__ = ("value", "field")
+
+    def __init__(self, value, field):
+        self.value = value % field.p
+        self.field = field
+
+    def _coerce(self, other):
+        if isinstance(other, FpElement):
+            if other.field.p != self.field.p:
+                raise FieldError("mixed moduli %d and %d" % (self.field.p, other.field.p))
+            return other.value
+        if isinstance(other, int):
+            return other
+        return None
+
+    def __add__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value + v, self.field)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value - v, self.field)
+
+    def __rsub__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return FpElement(v - self.value, self.field)
+
+    def __mul__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return FpElement(self.value * v, self.field)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        v %= self.field.p
+        if v == 0:
+            raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
+        return FpElement(self.value * pow(v, -1, self.field.p), self.field)
+
+    def __rtruediv__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        if self.value == 0:
+            raise ZeroDivisionError("division by zero in F_%d" % self.field.p)
+        return FpElement(v * pow(self.value, -1, self.field.p), self.field)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        return FpElement(pow(self.value, exponent, self.field.p), self.field)
+
+    def __neg__(self):
+        return FpElement(-self.value, self.field)
+
+    def __eq__(self, other):
+        v = self._coerce(other)
+        if v is None:
+            return NotImplemented
+        return self.value == v % self.field.p
+
+    def __hash__(self):
+        return hash((self.field.p, self.value))
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __str__(self):
+        return str(self.value)
+
+    def __repr__(self):
+        return f"FpElement({self.value} mod {self.field.p})"
+
+
+def from_int(field, n: int):
+    """The int n as a field element: a Fraction over the rationals, an FpElement over F_p."""
+    return FpElement(n, field) if field.char else Fraction(n)
+
+
+def elements(field):
+    """The p elements of the prime field F_p, in the order of their residues."""
+    return [FpElement(v, field) for v in range(field.char)]
+
+
+def zero_of(field):
+    return from_int(field, 0)
+
+
+def one_of(field):
+    return from_int(field, 1)
+
+
+def quotient(field, n, d):
+    """n / d in field elements for ints (or Fractions over the rationals) n and d; d = 0
+    in the field raises ZeroDivisionError."""
+    if field.char:
+        if not d % field.char:
+            raise ZeroDivisionError("division by zero in F_%d" % field.char)
+        return FpElement(n * pow(d, -1, field.char), field)
+    return Fraction(n, d)
+
+
+def parse(field, text: str):
+    """A literal as one field element, with the library's grammar and messages: "n" or
+    "n/d" over the rationals, "n" over F_p."""
+    if field.char:
+        return FpElement(*_ints(_INT_RE, "an integer", text), field)
+    n, d = _ints(_RATIONAL_RE, "a rational", text)
+    if not d:
+        raise ParseError(f"zero denominator in literal {text.strip()!r}")
+    return Fraction(n, d)
+
+
+class Line(NamedTuple):
+    """The line a x + b y = c with a, b and c field elements."""
+
+    a: object
+    b: object
+    c: object
+
+
+def covector(field, line: Line) -> tuple:
+    """The covector (a, b, -c) of a line of field elements as three ints, up to a
+    nonzero factor: the residues over F_p, cleared by one lcm over the rationals."""
+    a, b, c = line
+    if field.char:
+        return a.value, b.value, -c.value
+    m = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (m // a.denominator), b.numerator * (m // b.denominator),
+            -c.numerator * (m // c.denominator))
+
+
+def field_line(field, line) -> Line:
+    """An int ``InputLine`` as a line of field elements."""
+    return Line(from_int(field, line.a), from_int(field, line.b), from_int(field, line.c))
+
+
+def ratio_of(num, den) -> Ratio:
+    """num : den for field elements; ints raise TypeError (an int / int is a float)."""
+    if isinstance(num, int) or isinstance(den, int):
+        raise TypeError("ratio_of takes field elements, not ints")
+    if isinstance(num, FpElement):
+        return Ratio(num.field, num.value, num._coerce(den))
+    return Ratio(QQ, num.numerator * den.denominator, den.numerator * num.denominator)
+
+
+def num(r: Ratio):
+    """The numerator of r as a field element, at the scale where the denominator is 1 or 0."""
+    return quotient(r.field, r.s, r.t) if r.t else one_of(r.field)
+
+
+def den(r: Ratio):
+    return one_of(r.field) if r.t else zero_of(r.field)
+
+
+def value(r: Ratio):
+    """The affine Ratio r as one field element."""
+    return quotient(r.field, r.s, r.t)
+
+
+def coordinates(p: ProjectiveRectangle) -> list:
+    """The nine coordinates of p as field elements, at the scale where its pivot is 1."""
+    field, key = p.field, p.key
+    if field.char:
+        return [FpElement(c, field) for c in key]
+    pivot = next(c for c in reversed(key) if c)
+    return [Fraction(c, pivot) for c in key]
+
+
+def vertex(p: ProjectiveRectangle, role: str) -> tuple:
+    i = 2 * ROLES.index(role)
+    return tuple(coordinates(p)[i : i + 2])
+
+
+def w_of(p: ProjectiveRectangle):
+    return coordinates(p)[8]
 
 
 class Solution2(NamedTuple):
@@ -110,37 +314,38 @@ def constants(cfg: NormalizedConfig) -> Constants:
     """The field values of the standing ints (M_A, ..., B_A, δ, E1, E2, F1, F2):
     m_L and b_A over δ, e1, e2 and f2 over δ², f1 over δ³."""
     m_a, m_b, m_c, m_d, b_a, d, e1, e2, f1, f2 = cfg.standing
-    q = cfg.field.quotient
+    field = cfg.field
+    q = lambda n, d: quotient(field, n, d)
     return Constants(
         q(m_a, d), q(m_b, d), q(m_c, d), q(m_d, d), q(b_a, d),
         q(e1, d * d), q(e2, d * d), q(f1, d**3), q(f2, d * d),
     )
 
 
-def standing_line(cfg: NormalizedConfig, role: str) -> InputLine:
+def standing_line(cfg: NormalizedConfig, role: str) -> Line:
     """The line y = m_L x + b_L of a role in field elements, with b_B = 1 and
     b_C = b_D = 0: so m_L is -a and b_L is c."""
-    zero, one = cfg.field.zero(), cfg.field.one()
+    zero, one = zero_of(cfg.field), one_of(cfg.field)
     k = constants(cfg)
     m = {"A": k.m_a, "B": k.m_b, "C": k.m_c, "D": k.m_d}[role]
     b = {"A": k.b_a, "B": one, "C": zero, "D": zero}[role]
-    return InputLine(-m, one, b)
+    return Line(-m, one, b)
 
 
 def satisfies_membership(p: ProjectiveRectangle, cfg: NormalizedConfig) -> bool:
     for role in ROLES:
-        x, y = p.vertex(role)
+        x, y = vertex(p, role)
         line = standing_line(cfg, role)
-        if line.a * x + line.b * y != line.c * p.w:
+        if line.a * x + line.b * y != line.c * w_of(p):
             return False
     return True
 
 
 def is_parallelogram(p: ProjectiveRectangle) -> bool:
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
-    xd, yd = p.vertex("D")
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
+    xd, yd = vertex(p, "D")
     return xa - xb == xd - xc and ya - yb == yd - yc
 
 
@@ -163,7 +368,7 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
     """
     if not x_a and not x_b and not w:
         raise PreconditionError("(x_A, x_B, w) must be a nonzero triple")
-    one = cfg.field.one()
+    one = one_of(cfg.field)
     m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     x_c = ((m_a - m_d) * x_a + (m_d - m_b) * x_b + (b_a - one) * w) / (m_d - m_c)
     x_d = x_a - x_b + x_c
@@ -179,52 +384,52 @@ def complete_parallelogram(cfg: NormalizedConfig, x_a, x_b, w) -> ProjectiveRect
 
 def is_rectangle(p: ProjectiveRectangle) -> bool:
     """Exact test of (x_C - x_B)(x_B - x_A) + (y_C - y_B)(y_B - y_A) = 0."""
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
     return not ((xc - xb) * (xb - xa) + (yc - yb) * (yb - ya))
 
 
 def has_slope(p: ProjectiveRectangle, r: Ratio) -> bool:
     """Does (s, t) = r satisfy both defining slope equations of p?"""
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
-    s, t = r.num, r.den
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
+    s, t = num(r), den(r)
     return not ((xb - xa) * s - (yb - ya) * t) and not ((yc - yb) * s + (xc - xb) * t)
 
 
 def has_aspect(p: ProjectiveRectangle, r: Ratio) -> bool:
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
-    u, v = r.num, r.den
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
+    u, v = num(r), den(r)
     return not ((xb - xc) * u - (ya - yb) * v) and not ((yb - yc) * u + (xa - xb) * v)
 
 
 def slope_of(p: ProjectiveRectangle):
     """The slope [s : t] solving both slope equations, read through field
     elements; INDETERMINATE when all four coefficients vanish."""
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
     if xb - xa or yb - ya:
-        return Ratio.of(yb - ya, xb - xa)
+        return ratio_of(yb - ya, xb - xa)
     if yc - yb or xc - xb:
-        return Ratio.of(-(xc - xb), yc - yb)
+        return ratio_of(-(xc - xb), yc - yb)
     return INDETERMINATE
 
 
 def aspect_of(p: ProjectiveRectangle):
     """The aspect ratio [u : v] solving both aspect equations, read through
     field elements; INDETERMINATE when all four coefficients vanish."""
-    xa, ya = p.vertex("A")
-    xb, yb = p.vertex("B")
-    xc, yc = p.vertex("C")
+    xa, ya = vertex(p, "A")
+    xb, yb = vertex(p, "B")
+    xc, yc = vertex(p, "C")
     if xb - xc or ya - yb:
-        return Ratio.of(ya - yb, xb - xc)
+        return ratio_of(ya - yb, xb - xc)
     if yb - yc or xa - xb:
-        return Ratio.of(-(xa - xb), yb - yc)
+        return ratio_of(-(xa - xb), yb - yc)
     return INDETERMINATE
 
 
@@ -232,9 +437,9 @@ def center_of(p: ProjectiveRectangle):
     """The affine center ((x_A + x_C) / 2w, (y_A + y_C) / 2w) in field elements."""
     if p.at_infinity:
         raise AtInfinityError("rectangle at infinity has no center")
-    xa, ya = p.vertex("A")
-    xc, yc = p.vertex("C")
-    two_w = 2 * p.w
+    xa, ya = vertex(p, "A")
+    xc, yc = vertex(p, "C")
+    two_w = 2 * w_of(p)
     return (xa + xc) / two_w, (ya + yc) / two_w
 
 
@@ -243,8 +448,8 @@ def slope_system(cfg: NormalizedConfig, r: Ratio):
 
     det M equals the at-infinity slope form evaluated at r.
     """
-    s, t = r.num, r.den
-    one = cfg.field.one()
+    s, t = num(r), den(r)
+    one = one_of(cfg.field)
     m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     m = (
         s - m_a * t,
@@ -264,8 +469,8 @@ def aspect_system(cfg: NormalizedConfig, r: Ratio):
 
     det M equals m_CD times the at-infinity aspect form at r.
     """
-    u_, v_ = r.num, r.den
-    one = cfg.field.one()
+    u_, v_ = num(r), den(r)
+    one = one_of(cfg.field)
     m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     m_cd = m_c - m_d
     m_dc = -m_cd
@@ -306,7 +511,7 @@ def _build(cfg, x_a, x_b, w) -> ProjectiveRectangle:
 
 def _fiber_from_solution(cfg, sol, w) -> Fiber:
     field = cfg.field
-    zero, one = field.zero(), field.one()
+    zero, one = zero_of(field), one_of(field)
     if sol.kind == "none":
         return Fiber((), True)
     if sol.kind == "unique":
@@ -324,7 +529,7 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
             return Fiber((_build(cfg, d0, d1, w),), True)
         if field.char:
             rects = []
-            for k in map(field.from_int, range(field.char)):
+            for k in elements(field):
                 x0 = sol.particular[0] + k * sol.direction[0]
                 x1 = sol.particular[1] + k * sol.direction[1]
                 rects.append(_build(cfg, x0, x1, w))
@@ -338,7 +543,7 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
     # sol.kind == "all": every (x_A, x_B) works.
     if not w:
         if field.char:
-            rects = [_build(cfg, k, one, w) for k in map(field.from_int, range(field.char))]
+            rects = [_build(cfg, k, one, w) for k in elements(field)]
             rects.append(_build(cfg, one, zero, w))
             return Fiber(tuple(rects), True)
         reps = (
@@ -350,8 +555,8 @@ def _fiber_from_solution(cfg, sol, w) -> Fiber:
     if field.char:
         rects = [
             _build(cfg, x0, x1, w)
-            for x0 in map(field.from_int, range(field.char))
-            for x1 in map(field.from_int, range(field.char))
+            for x0 in elements(field)
+            for x1 in elements(field)
         ]
         return Fiber(tuple(rects), True)
     reps = (
@@ -382,34 +587,34 @@ def rectangle_from_aspect(cfg: NormalizedConfig, r: Ratio, w) -> Fiber:
     return _fiber_from_solution(cfg, sol, w)
 
 
-def _slope_intercept(line: InputLine):
+def _slope_intercept(line: Line):
     """(m, k) with y = m*x + k; requires a non-vertical line."""
     if not line.b:
         raise PreconditionError("vertical line has no slope-intercept form")
     return -line.a / line.b, line.c / line.b
 
 
-def _image(line: InputLine, m) -> InputLine:
+def _image(line: Line, m) -> Line:
     """The line with covector (a, b, -c) m, for the line a x + b y = c, in field elements."""
     a, b, c = (line.a * u + line.b * v - line.c * w for u, v, w in zip(*m))
-    return InputLine(a, b, -c)
+    return Line(a, b, -c)
 
 
-def _meet(line1: InputLine, line2: InputLine) -> tuple:
+def _meet(line1: Line, line2: Line) -> tuple:
     """The meet (X : Y : Z) of two lines in field elements: their covectors (a, b, -c) crossed."""
     return cross((line1.a, line1.b, -line1.c), (line2.a, line2.b, -line2.c))
 
 
-def intersection(line1: InputLine, line2: InputLine):
+def intersection(line1: Line, line2: Line):
     """The affine meet (X / Z, Y / Z) of two lines in field elements, or None for parallel lines."""
     x, y, z = _meet(line1, line2)
     return (x / z, y / z) if z else None
 
 
-def _labeling(cfg_input: ConfigurationInput, swaps):
+def _labeling(pair1, pair2, swaps):
     s1, s2, sr = swaps
-    p1 = tuple(reversed(cfg_input.pair1)) if s1 else tuple(cfg_input.pair1)
-    p2 = tuple(reversed(cfg_input.pair2)) if s2 else tuple(cfg_input.pair2)
+    p1 = tuple(reversed(pair1)) if s1 else tuple(pair1)
+    p2 = tuple(reversed(pair2)) if s2 else tuple(pair2)
     labels1 = ("C", "A") if s1 else ("A", "C")
     labels2 = ("D", "B") if s2 else ("B", "D")
     if sr:
@@ -429,9 +634,9 @@ def _labeling_valid(lines: dict) -> bool:
 
 def _pick_reflection(field, lines):
     """Smallest t in 1, 2, ... whose reflection about y = t x leaves no line vertical."""
-    one = field.one()
+    one = one_of(field)
     for i in range(1, field.char or 10):
-        t = field.from_int(i)
+        t = from_int(field, i)
         if not one + t * t:
             continue
         if all(2 * t * ln.a + (t * t - one) * ln.b for ln in lines.values()):
@@ -447,21 +652,23 @@ def normalize(cfg_input: ConfigurationInput):
     Labelings are tried in the library's order, each tested on the meet of C
     and D and on whether B contains it; the plane map's matrix is built in
     field elements and cleared to ints at the end, and the standing form is
-    read off each mapped line by slope-intercept division.
+    read off each mapped line by slope-intercept division.  The int input
+    lines are read as field elements first (:func:`field_line`).
     """
     field = cfg_input.field
-    first, *rest = cfg_input.all_lines()
+    pair1, pair2 = ([field_line(field, ln) for ln in pair] for pair in (cfg_input.pair1, cfg_input.pair2))
+    first, *rest = (*pair1, *pair2)
     if all(not _meet(first, ln)[2] for ln in rest):
         raise AllParallelError("all four lines are parallel")
     for swaps in itertools.product((False, True), repeat=3):
-        lines, role_to_input = _labeling(cfg_input, swaps)
+        lines, role_to_input = _labeling(pair1, pair2, swaps)
         if _labeling_valid(lines):
             break
     else:
         raise ConcurrentLinesError("all four lines pass through one point")
 
     origin = intersection(lines["C"], lines["D"])
-    one, zero = field.one(), field.zero()
+    one, zero = one_of(field), zero_of(field)
     tx, ty = translation = (-origin[0], -origin[1])
     t = None
     unscaled = ((one, zero, -tx), (zero, one, -ty), (zero, zero, one))
@@ -479,7 +686,7 @@ def normalize(cfg_input: ConfigurationInput):
         reflection_t=t, scale=scale, matrix=tuple(matrix),
     )
 
-    by_label = cfg_input.lines_by_label()
+    by_label = {"A": pair1[0], "C": pair1[1], "B": pair2[0], "D": pair2[1]}
     slopes, intercepts = {}, {}
     for role in ROLES:
         image = _image(by_label[role_to_input[role]], matrix)
@@ -491,12 +698,26 @@ def normalize(cfg_input: ConfigurationInput):
     return cfg, plane_map
 
 
+def all_parallel_midline(field, lines) -> tuple:
+    """``locus.all_parallel_analysis`` in field elements, for four parallel Lines A, B,
+    C, D: each line's offset c / k for its normal k times A's, the midlines of (A, C)
+    and (B, D) as the means of those, and (shared, the midline Line or None)."""
+    a, b, c, d = lines
+
+    def scaled_offset(line):
+        return line.c / (line.a / a.a if a.a else line.b / a.b)
+
+    mid_ac = (scaled_offset(a) + scaled_offset(c)) / 2
+    mid_bd = (scaled_offset(b) + scaled_offset(d)) / 2
+    return (True, Line(a.a, a.b, mid_ac)) if mid_ac == mid_bd else (False, None)
+
+
 def diagonal_constants(cfg: NormalizedConfig) -> tuple:
     """(e1, e2, f1, f2) in field elements, off the standing-form constants."""
     m_a, m_b, m_c, m_d, b_a = constants(cfg)[:5]
     return (
         b_a * m_b - m_a,
-        b_a - cfg.field.one(),
+        b_a - one_of(cfg.field),
         b_a * (m_b - m_c) * m_d + (m_d - m_a) * m_c,
         (m_d - m_a) + b_a * (m_b - m_c),
     )
@@ -507,7 +728,7 @@ def _sqrt(field, x):
     over the rationals of its numerator and denominator apart."""
     if field.char:
         r = field.sqrt(x.value)
-        return None if r is None else field.from_int(r)
+        return None if r is None else from_int(field, r)
     n, d = field.sqrt(x.numerator), field.sqrt(x.denominator)
     return None if n is None or d is None else Fraction(n, d)
 
@@ -539,17 +760,17 @@ def projective_quadratic_roots(field, form):
     if not c0 and not c1 and not c2:
         return ALL_RATIOS
     if c0:
-        return [Ratio.of(r, field.one()) for r in solve_quadratic(field, c0, c1, c2)]
-    roots = [Ratio.of(field.one(), field.zero())]
+        return [ratio_of(r, one_of(field)) for r in solve_quadratic(field, c0, c1, c2)]
+    roots = [ratio_of(one_of(field), zero_of(field))]
     if c1:
-        roots.append(Ratio.of(-c2, c1))
+        roots.append(ratio_of(-c2, c1))
     return roots
 
 
 def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
     """(m_A m_C - m_B m_D) S^2 - beta S T - (m_A m_C - m_B m_D) T^2 in field
     elements, with beta = (m_A m_C + 1)(m_B + m_D) - (m_B m_D + 1)(m_A + m_C)."""
-    one = cfg.field.one()
+    one = one_of(cfg.field)
     m_a, m_b, m_c, m_d = constants(cfg)[:4]
     lead = m_a * m_c - m_b * m_d
     beta = (m_a * m_c + one) * (m_b + m_d) - (m_b * m_d + one) * (m_a + m_c)
@@ -559,7 +780,7 @@ def slope_infinity_form(cfg: NormalizedConfig) -> tuple:
 def aspect_infinity_form(cfg: NormalizedConfig) -> tuple:
     """m_BC m_AD U^2 - gamma U V + m_AB m_CD V^2 in field elements, with
     gamma = (m_A m_C - 1)(m_B + m_D) - (m_B m_D - 1)(m_A + m_C)."""
-    one = cfg.field.one()
+    one = one_of(cfg.field)
     m_a, m_b, m_c, m_d = constants(cfg)[:4]
     lead = (m_b - m_c) * (m_a - m_d)
     gamma = (m_a * m_c - one) * (m_b + m_d) - (m_b * m_d - one) * (m_a + m_c)
@@ -585,7 +806,7 @@ def fraction_key(coords) -> tuple:
 
 
 def _slope_forms(cfg: NormalizedConfig):
-    zero, one = cfg.field.zero(), cfg.field.one()
+    zero, one = zero_of(cfg.field), one_of(cfg.field)
     e1, e2, f1, f2 = diagonal_constants(cfg)
     if not e1 and not e2:
         return (zero,), (one,)
@@ -597,7 +818,7 @@ def _slope_forms(cfg: NormalizedConfig):
 
 
 def _aspect_forms(cfg: NormalizedConfig):
-    zero, one = cfg.field.zero(), cfg.field.one()
+    zero, one = zero_of(cfg.field), one_of(cfg.field)
     e1, e2, f1, f2 = diagonal_constants(cfg)
     m_c, m_d = constants(cfg)[2:4]
     m_cd = m_c - m_d
@@ -621,7 +842,7 @@ def _path(cfg: NormalizedConfig, first, second, x, w) -> PathPolynomials:
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The slope path's forms in field elements: the reference for the library's int forms."""
     e_form, f_form = _slope_forms(cfg)
-    zero, one = cfg.field.zero(), cfg.field.one()
+    zero, one = zero_of(cfg.field), one_of(cfg.field)
     m_b, m_c, m_d = constants(cfg)[1:4]
     x = {
         "A": hpoly.add(hpoly.mul((-one, m_c), e_form), hpoly.mul((one, zero), f_form)),
@@ -639,7 +860,7 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
     """The aspect path's forms in field elements: the reference for the library's int forms."""
     m_form, n_form = _aspect_forms(cfg)
-    zero, one = cfg.field.zero(), cfg.field.one()
+    zero, one = zero_of(cfg.field), one_of(cfg.field)
     m_b, m_c, m_d = constants(cfg)[1:4]
     m_cd, m_bc = m_c - m_d, m_b - m_c
     u_only = (one, zero)
@@ -676,7 +897,7 @@ def one_multiple(field, forms, reference) -> bool:
     nonzero constant, coefficient by coefficient (so of the same degrees)."""
     if [len(f) for f in forms] != [len(f) for f in reference]:
         return False
-    got = [field.from_int(c) for f in forms for c in f]
+    got = [from_int(field, c) for f in forms for c in f]
     want = [c for f in reference for c in f]
     pivot = next((i for i, c in enumerate(want) if c), None)
     if pivot is None:
@@ -696,11 +917,11 @@ def locus_conic(cfg: NormalizedConfig):
     """
     pp = slope_path_polys(cfg)
     forms = (hpoly.add(pp.x["A"], pp.x["C"]), hpoly.add(pp.y["A"], pp.y["C"]),
-             hpoly.scale(cfg.field.from_int(2), pp.w))
+             hpoly.scale(from_int(cfg.field, 2), pp.w))
     if len(forms[0]) != 3:
         return None
     a, b, c = adj = adjugate(forms)
-    if not sum((n * m for n, m in zip(adj[0], (f[0] for f in forms))), cfg.field.zero()):
+    if not sum((n * m for n, m in zip(adj[0], (f[0] for f in forms))), zero_of(cfg.field)):
         return None
     coeffs = []
     for i, j in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)):

@@ -15,6 +15,7 @@ from quadriline import (
     InputLine,
     PrimeField,
     QQ,
+    Ratio,
     all_parallel_analysis,
     center_of,
     classify,
@@ -93,10 +94,10 @@ def test_criterion_3_degenerate_geometry(cfg2):
         report = centers_paths(cfg2)
         gn = gauss_newton_line(cfg2)
         assert same_line(QQ, report.aspect_centers, gn)
-        assert line_slope(gn).num == Fraction(4, 5) and line_slope(gn).den == 1
+        assert line_slope(gn) == Ratio(QQ, 4, 5)
         g = diagonal_g(cfg2)
         assert line_slope(report.slope_centers) == line_slope(g)
-        assert line_slope(g).num == Fraction(-8, 5) and line_slope(g).den == 1
+        assert line_slope(g) == Ratio(QQ, -8, 5)
         # Sampled centers really lie on those lines.
         for r in sample_ratios(QQ, 10):
             rect = aspect_path_eval(cfg2, r)
@@ -173,11 +174,11 @@ def test_criterion_6_twin_pair_behavior(cfg3):
 def test_criterion_7_all_parallel_handling():
     with criterion(7, "all-parallel handling"):
         def horizontal(field, k):
-            return InputLine(field.zero(), field.one(), field.from_int(k))
+            return InputLine(0, 1, k)
 
         shared = all_parallel_analysis(QQ, [horizontal(QQ, k) for k in (1, 2, -1, -2)])
         assert shared.midline_shared
-        assert same_line(QQ, shared.midline, InputLine(QQ.zero(), QQ.one(), QQ.zero()))
+        assert same_line(QQ, shared.midline, InputLine(0, 1, 0))
 
         missed = all_parallel_analysis(QQ, [horizontal(QQ, k) for k in (1, 3, -1, 0)])
         assert not missed.midline_shared and missed.midline is None
@@ -185,4 +186,4 @@ def test_criterion_7_all_parallel_handling():
         f7 = PrimeField(7)
         wrapped = all_parallel_analysis(f7, [horizontal(f7, k) for k in (1, 2, 6, 5)])
         assert wrapped.midline_shared
-        assert same_line(f7, wrapped.midline, InputLine(f7.zero(), f7.one(), f7.zero()))
+        assert same_line(f7, wrapped.midline, InputLine(0, 1, 0))

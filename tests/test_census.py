@@ -27,13 +27,16 @@ from conftest import all_ratios, elements, random_normalized_config
 from membership import (
     complete_parallelogram,
     evaluate,
+    from_int,
     has_aspect,
     has_slope,
     is_parallelogram,
     is_rectangle,
+    one_of,
     rectangle_from_aspect,
     rectangle_from_slope,
     satisfies_membership,
+    zero_of,
 )
 
 
@@ -43,7 +46,7 @@ def cfg_over(p, ints):
 
 def reference_parameter_points(field):
     """The parameter plane as FpElements: (x_A, x_B, 1), (x_A, 1, 0), then (1, 0, 0)."""
-    zero, one = field.zero(), field.one()
+    zero, one = zero_of(field), one_of(field)
     for x_a in elements(field):
         for x_b in elements(field):
             yield x_a, x_b, one
@@ -124,11 +127,11 @@ class TestRowBranches:
         # Twin pairs over F_7 (A parallel to D, B to C): the row x_A = 3 lies in the quadric.
         cfg = cfg_over(7, (0, 1, 1, 0, 4))
         field = cfg.field
-        x_a = field.from_int(3)
+        x_a = from_int(field, 3)
         assert not any(row_coefficients(cfg, x_a))
         census = enumerate_rectangles(cfg)
         for x_b in elements(field):
-            assert complete_parallelogram(cfg, x_a, x_b, field.one()) in census
+            assert complete_parallelogram(cfg, x_a, x_b, one_of(field)) in census
         assert_matches_reference(cfg)
 
     def test_linear_and_empty_rows(self):
@@ -303,7 +306,7 @@ class TestFiberAgainstCensus:
         rng = random.Random(173)
         for p in (5, 7, 11):
             field = PrimeField(p)
-            one = field.one()
+            one = one_of(field)
             for _ in range(4):
                 cfg, _ = random_normalized_config(field, rng)
                 census = enumerate_rectangles(cfg)
@@ -318,7 +321,7 @@ class TestFiberAgainstCensus:
     def test_aspect_fibers_match_census_filter(self):
         rng = random.Random(179)
         field = PrimeField(7)
-        one = field.one()
+        one = one_of(field)
         for _ in range(4):
             cfg, _ = random_normalized_config(field, rng)
             census = enumerate_rectangles(cfg)
@@ -334,7 +337,7 @@ class TestFiberAgainstCensus:
         field = PrimeField(11)
         cfg = NormalizedConfig.from_ints(field, -4, -1, 0, 2, 3)
         census = enumerate_rectangles(cfg)
-        zero = field.zero()
+        zero = zero_of(field)
         for r in all_ratios(field):
             fiber = rectangle_from_slope(cfg, r, zero)
             expected = {

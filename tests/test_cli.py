@@ -23,12 +23,12 @@ from quadriline.errors import InternalCheckError
 from quadriline.rectangles import ProjectiveRectangle
 from quadriline.scalars import ratio_parse
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, fraction_count, write_config
-from membership import integer_forms
+from membership import integer_forms, one_of, parse, zero_of
 
 
 def parse_rectangle_json(field, data) -> ProjectiveRectangle:
     """Round-trip: rebuild the canonical projective point from a report."""
-    coords = tuple(field.parse(text) for text in data["projective"])
+    coords = tuple(parse(field, text) for text in data["projective"])
     return ProjectiveRectangle.canonical(field, integer_forms(field, [coords])[0])
 
 
@@ -59,9 +59,9 @@ def assert_one_scale(doc):
 def normalized_frame(field, plane_map):
     """The point map of a classify report's plane map: translate, reflect about
     y = t x when t is set, then scale."""
-    tx, ty = (field.parse(v) for v in plane_map["translation"])
-    t = None if plane_map["reflection_t"] is None else field.parse(plane_map["reflection_t"])
-    s, one = field.parse(plane_map["scale"]), field.one()
+    tx, ty = (parse(field, v) for v in plane_map["translation"])
+    t = None if plane_map["reflection_t"] is None else parse(field, plane_map["reflection_t"])
+    s, one = parse(field, plane_map["scale"]), one_of(field)
 
     def point(x, y):
         x, y = x + tx, y + ty
@@ -249,27 +249,27 @@ class TestPathLocusCensus:
         classify = run_json(capsys, "classify", "--input", path)
         field = QQ if classify["field"] == "rational" else PrimeField(classify["field"]["prime"])
         to_normalized = normalized_frame(field, classify["plane_map"])
-        parse = lambda values: [field.parse(v) for v in values]
+        read = lambda values: [parse(field, v) for v in values]
         checked = 0
         for index, kind in enumerate(("slope", "aspect")):
             report = run_json(capsys, "path", "--input", path, "--kind", kind, "--samples", "12")
             for rect in report["rectangles"]:
                 if rect["center"] is None:
                     continue
-                x, y = to_normalized(*parse(rect["center"]))
+                x, y = to_normalized(*read(rect["center"]))
                 on = []
                 if locus["conic"] is not None:
-                    k = parse(locus["conic"])
-                    monomials = (x * x, x * y, y * y, x, y, field.one())
-                    on.append(not sum(map(operator.mul, k, monomials), field.zero()))
+                    k = read(locus["conic"])
+                    monomials = (x * x, x * y, y * y, x, y, one_of(field))
+                    on.append(not sum(map(operator.mul, k, monomials), zero_of(field)))
                 for key in (f"{kind}_centers", "single_line"):
                     if locus[key] is not None:
-                        a, b, c = parse(locus[key][k] for k in "abc")
+                        a, b, c = read(locus[key][k] for k in "abc")
                         on.append(a * x + b * y == c)
                 if locus["point"] is not None:
-                    on.append([x, y] == parse(locus["point"]))
+                    on.append([x, y] == read(locus["point"]))
                 if "points" in locus:
-                    on.append([x, y] == parse(locus["points"][index]))
+                    on.append([x, y] == read(locus["points"][index]))
                 assert on and all(on), (kind, rect["ratio"])
                 checked += 1
         assert checked
@@ -663,6 +663,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "rect", "--input", path, f"--slope={literal}/2")
         assert (code, out, err) == (2, "", f"error: not a ratio literal: {literal + '/2'!r}\n")
 
+    @pytest.mark.parametrize(
+        "field_tag, line, slot",
+        [({"prime": 5}, ("5", "10", "1"), (0, 0)), ({"prime": 5}, ("-5", "+0", "3"), (1, 1)),
+         ("rational", ("0/7", "-0", "1"), (0, 1))],
+        ids=["F5", "F5-last-slot", "QQ"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "locus", "census"])
+    def test_zero_normal_exits_2(self, tmp_path, capsys, field_tag, line, slot, command):
+        """A line whose (a, b) vanishes in the field exits 2 with the slot and no stdout:
+        over F_5 the literals 5 and 10 are nonzero ints that vanish mod 5."""
+        pairs = [list(pair) for pair in CFG1_PAIRS]
+        i, j = slot
+        pairs[i][j] = line
+        path = write_config(tmp_path, "zero.json", field_tag, pairs)
+        code, out, err = run_cli(capsys, command, "--input", path)
+        want = f"error: {path}: pairs[{i}][{j}]: line needs (a, b) != (0, 0)\n"
+        assert (code, out, err) == (2, "", want)
+
     def test_even_modulus_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "c2.json", {"prime": 2}, CFG1_PAIRS)
         code, _, err = run_cli(capsys, "classify", "--input", str(path))
@@ -821,29 +839,54 @@ CFG1 = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg1.json")
 
 @pytest.mark.parametrize("ratio", ["1/0", "3/7", "0", "-1/2"])
 def test_rect_builds_only_the_fractions_it_prints(monkeypatch, ratio):
-    """Past the parsing of its input, a rational rect report builds no Fraction and no
-    Ratio: the flag, the key, the plane map and the path are ints, and each of the 21
-    printed values is written as text straight from them."""
-    cfg, pm = normalize(cli.load_config(CFG1))
-    flag = ratio_parse(ratio, QQ)
-    ratios = ratio_count(monkeypatch)
-    for path_eval in (slope_path_eval, aspect_path_eval):
-        with fraction_count() as built:
+    """A rational rect builds no Fraction, the parsing of its input included, and past
+    its flag no Ratio: the literals, the key, the plane map and the path are ints, and
+    each of the 21 printed values is written as text straight from them."""
+    with fraction_count() as built:
+        cfg, pm = normalize(cli.load_config(CFG1))
+        flag = ratio_parse(ratio, QQ)
+        ratios = ratio_count(monkeypatch)
+        for path_eval in (slope_path_eval, aspect_path_eval):
             report = cli.rectangle_json(path_eval(cfg, flag), pm)
-        assert built[0] == ratios[0] == 0 < printed_values(report) == 21
+            assert ratios[0] == 0 < printed_values(report) == 21
+    assert built[0] == 0
 
 
 @pytest.mark.parametrize("kind", ["slope", "aspect"])
 def test_path_builds_only_the_fractions_it_prints(monkeypatch, kind):
-    """Past loading and normalizing, ``path --samples 8`` on cfg1.json builds no
-    Fraction and no Ratio: the sample walk runs on int pairs, and each printed value
-    is written as text from ints."""
-    cfg_input = cli.load_config(CFG1)
-    normalized = normalize(cfg_input)
-    monkeypatch.setattr(cli, "load_config", lambda path: cfg_input)
-    monkeypatch.setattr(cli, "normalize", lambda cfg_input: normalized)
-    ratios = ratio_count(monkeypatch)
+    """``path --samples 8`` on cfg1.json builds no Fraction, loading included, and past
+    loading and normalizing no Ratio: the sample walk runs on int pairs, and each
+    printed value is written as text from ints."""
     with fraction_count() as built:
+        cfg_input = cli.load_config(CFG1)
+        normalized = normalize(cfg_input)
+        monkeypatch.setattr(cli, "load_config", lambda path: cfg_input)
+        monkeypatch.setattr(cli, "normalize", lambda cfg_input: normalized)
+        ratios = ratio_count(monkeypatch)
         report = cli.cmd_path(argparse.Namespace(input=CFG1, kind=kind, samples=8))
     assert len(report["rectangles"]) == 8
     assert built[0] == ratios[0] == 0 < printed_values(report)
+
+
+EVERY_COMMAND = (
+    ["classify"], ["rect", "--slope", "3/7"], ["rect", "--aspect=-1/2"], ["path", "--kind", "slope"],
+    ["path", "--kind", "aspect", "--samples", "5"], ["locus"], ["census"], ["render", "--diagonals"],
+)
+
+
+@pytest.mark.parametrize("config", ["cfg1.json", "literals.json", "cfg1_f11.json", "literals_f101.json"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_no_command_builds_a_fraction(tmp_path, capsys, config, argv):
+    """A whole CLI call, the parsing of its literals included, builds no Fraction:
+    every value from the literal to the text is an int or a Ratio of two ints."""
+    argv = [*argv, "--input", os.path.join(CONFIGS, config)]
+    if argv[0] == "render":
+        argv += ["--out", str(tmp_path / "fig.svg")]
+    with fraction_count() as built:
+        code = main(argv)
+    out, err = capsys.readouterr()
+    over_q = "_f" not in config
+    # census needs a prime field and render the rationals: each exits 2 on the other field.
+    refused = (argv[0] == "census" and over_q) or (argv[0] == "render" and not over_q)
+    assert (code, bool(out), err.startswith("error: ")) == ((2, False, True) if refused else (0, True, False))
+    assert built[0] == 0

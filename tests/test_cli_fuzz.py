@@ -16,14 +16,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from quadriline import PrimeField, Ratio, cli, svgfig
+from quadriline import QQ, PrimeField, Ratio, cli, svgfig
 from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import json_text, load_config, main
 from quadriline.configuration import DiagonalMarker, LocusShape
-from quadriline.errors import QuadrilineError
+from quadriline.errors import ParseError, QuadrilineError
 from quadriline.rectangles import INDETERMINATE, Marker
-from quadriline.scalars import FpElement
 from conftest import CFG1_PAIRS, CFG2_PAIRS, bounded_ratio_samples, write_config
+from membership import Line, parse
+from membership import covector as reference_covector
 
 # 60013 is the least prime above the census bound; the last one is the largest
 # prime below psi_13, the largest accepted modulus.
@@ -356,8 +357,9 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [(1, 2), 0.5, {1: "a"}, {"a": [set()]}, b"x"])
+@pytest.mark.parametrize("value", [(1, 2), 0.5, {1: "a"}, {"a": [set()]}, b"x", Fraction(-3, 7)])
 def test_json_text_rejects_other_types(value):
+    """A Fraction too: no report value is one, so the writer has no case for it."""
     with pytest.raises(TypeError):
         json_text(value)
 
@@ -368,14 +370,10 @@ F11 = PrimeField(11)
 @pytest.mark.parametrize(
     "value, text",
     [
-        (Fraction(-3, 7), '"-3/7"'),
-        (Fraction(5), '"5"'),
-        (FpElement(7, F11), '"7"'),
-        (FpElement(-1, F11), '"10"'),
-        (Ratio.of(Fraction(-1), Fraction(2)), '"-1/2"'),
-        (Ratio.of(Fraction(1), Fraction(0)), '"1/0"'),
-        (Ratio.of(F11.from_int(3), F11.from_int(2)), '"7"'),
-        (Ratio.of(F11.one(), F11.zero()), '"1/0"'),
+        (Ratio(QQ, -1, 2), '"-1/2"'),
+        (Ratio(QQ, 1, 0), '"1/0"'),
+        (Ratio(F11, 3, 2), '"7"'),
+        (Ratio(F11, 1, 0), '"1/0"'),
     ],
     ids=repr,
 )
@@ -389,5 +387,95 @@ def test_json_text_writes_enum_members_as_their_value(member):
 
 
 def test_json_text_writes_nested_values():
-    report = {"ratios": [Ratio.of(Fraction(3), Fraction(2)), INDETERMINATE], "x": FpElement(4, F11)}
+    report = {"ratios": [Ratio(QQ, 3, 2), INDETERMINATE], "x": Ratio(F11, 4, 1)}
     assert json_text(report) == json.dumps({"ratios": ["3/2", "indeterminate"], "x": "4"}, indent=2)
+
+
+# Digits with up to three leading zeros: small, or 40 digits long.
+digit_strings = st.builds(
+    lambda zeros, n: "0" * zeros + str(n),
+    st.integers(0, 3),
+    st.integers(0, 10**6) | st.integers(10**39, 10**40 - 1),
+)
+spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \n "])
+
+
+@st.composite
+def literal_texts(draw, rational):
+    """A literal as a file writes it: a sign, digits with leading zeros, over ℚ an
+    optional denominator (up to 40 digits, now and then all zeros), and spaces around."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(["-0/5", "2/4", "-0012/0008", "+0007", "-12", "-0", "+000", "0"]))
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(digit_strings)
+    if rational and draw(st.booleans()):
+        zero = draw(st.integers(0, 19)) == 0
+        text += "/" + ("000" if zero else draw(digit_strings.filter(lambda d: d.strip("0"))))
+    return draw(spaces) + text + draw(spaces)
+
+
+def read_literals(p, literals) -> str:
+    """Check that ``load_config`` reads the literals to the ints of the reference reader
+    and clearing, or exits with the reference's message; the kind of outcome."""
+    field = QQ if p is None else PrimeField(p)
+    doc = {
+        "field": "rational" if p is None else {"prime": p},
+        "pairs": [[dict(zip("abc", line)) for line in pair] for pair in literals],
+    }
+    expected, error = [], None
+    for i, pair in enumerate(literals):
+        for j, line in enumerate(pair):
+            values = []
+            for key, text in zip("abc", line):
+                try:
+                    values.append(parse(field, text))
+                except ParseError as exc:
+                    error = error or f"pairs[{i}][{j}].{key}: {exc}"
+            if len(values) == 3:
+                zero_normal = not values[0] and not values[1]
+                expected.append(f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)" if zero_normal
+                                else reference_covector(field, Line(*values)))
+    # Every literal is read before the lines are checked, so a literal error comes first.
+    error = error or next((e for e in expected if isinstance(e, str)), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, doc)
+        if error is not None:
+            with pytest.raises(ParseError) as exc:
+                load_config(path)
+            assert str(exc.value) == f"{path}: {error}"
+            return "zero normal" if error.endswith("(0, 0)") else "literal error"
+        cfg_input = load_config(path)
+    assert [(ln.a, ln.b, -ln.c) for ln in (*cfg_input.pair1, *cfg_input.pair2)] == expected
+    return "read"
+
+
+def literal_quads(p):
+    return st.lists(
+        st.lists(st.lists(literal_texts(p is None), min_size=3, max_size=3), min_size=2, max_size=2),
+        min_size=2, max_size=2,
+    )
+
+
+FIELDS = [None, 5, 7, 1009, 10**9 + 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda p: st.tuples(st.just(p), literal_quads(p))))
+def test_load_config_reads_the_reference_ints(drawn):
+    """Each line ``load_config`` reads is exactly, not only up to scale, the int covector
+    that the reference reader and clearing give (``membership.parse`` to Fractions or
+    FpElements, then ``membership.covector``), and a literal the reference rejects, or a
+    line whose (a, b) vanishes, exits with the reference's message at its slot."""
+    read_literals(*drawn)
+
+
+def test_literal_strategy_reaches_every_outcome():
+    """Over ℚ and over F_p the drawn literals are read, rejected, and make a zero normal."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(FIELDS).flatmap(lambda p: st.tuples(st.just(p), literal_quads(p))))
+    def collect(drawn):
+        seen.add((drawn[0] is None, read_literals(*drawn)))
+
+    collect()
+    assert seen == {(q, kind) for q in (True, False) for kind in ("read", "literal error", "zero normal")}

@@ -13,7 +13,6 @@ from quadriline import (
     NormalizedConfig,
     PrimeField,
     QQ,
-    Ratio,
     classify,
     normalize,
 )
@@ -26,15 +25,17 @@ from conftest import (
     affine_point,
     covec,
     degenerating_intercepts,
+    input_line,
     make_config,
     int_point,
     normalized_point,
+    plane_map_values,
     random_rational_config,
     same_line,
     slope_intercept_line,
     standing_input,
 )
-from membership import constants, standing_line
+from membership import constants, from_int, ratio_of, standing_line
 
 
 def affine(point):
@@ -44,7 +45,7 @@ def affine(point):
 
 
 def _line(m, k):
-    return slope_intercept_line(QQ, m, k)
+    return slope_intercept_line(m, k)
 
 
 class TestNormalize:
@@ -63,16 +64,15 @@ class TestNormalize:
         )
         cfg, pm = normalize(ci)
         assert cfg.standing[:6] == (2, 3, 0, 1, 1, 1)
-        assert pm.translation == (0, -2)
-        assert pm.reflection_t is None
-        assert pm.scale == 1
+        assert plane_map_values(pm) == ((0, -2), None, 1)
+        assert pm.t is None and Fraction(*pm.s) == 1
 
     def test_vertical_line_forces_reflection(self):
-        vertical = InputLine(QQ.one(), QQ.zero(), QQ.zero())  # x = 0
+        vertical = InputLine(1, 0, 0)  # x = 0
         ci = ConfigurationInput(QQ, (vertical, _line(0, 0)), (_line(3, 1), _line(1, 0)))
         cfg, pm = normalize(ci)
-        assert pm.reflection_t is not None
-        assert pm.reflection_t != 0
+        assert pm.t is not None
+        assert pm.t != 0
         # No normalized line is vertical.
         for role in "ABCD":
             assert standing_line(cfg, role).b
@@ -99,10 +99,10 @@ class TestNormalize:
         from quadriline.errors import ReflectionUnavailableError
 
         f3 = PrimeField(3)
-        vertical = InputLine(f3.one(), f3.zero(), f3.zero())
-        horizontal = InputLine(f3.zero(), f3.one(), f3.zero())
-        b_line = InputLine(-f3.one(), f3.one(), f3.one())  # y = x + 1
-        d_line = InputLine(f3.one(), f3.one(), f3.zero())  # y = 2x
+        vertical = InputLine(1, 0, 0)
+        horizontal = InputLine(0, 1, 0)
+        b_line = InputLine(-1, 1, 1)  # y = x + 1
+        d_line = InputLine(1, 1, 0)  # y = 2x
         ci = ConfigurationInput(f3, (vertical, horizontal), (b_line, d_line))
         with pytest.raises(ReflectionUnavailableError):
             normalize(ci)
@@ -110,26 +110,26 @@ class TestNormalize:
     def test_tiny_field_reflection_can_succeed(self):
         # Without a horizontal line, F_3 still normalizes.
         f3 = PrimeField(3)
-        vertical = InputLine(f3.one(), f3.zero(), f3.zero())
+        vertical = InputLine(1, 0, 0)
         ci = ConfigurationInput(
             f3,
-            (vertical, InputLine(-f3.one(), f3.one(), f3.zero())),
+            (vertical, InputLine(-1, 1, 0)),
             (
-                InputLine(-f3.from_int(2), f3.one(), f3.one()),
-                InputLine(-f3.one(), f3.one(), f3.one()),
+                InputLine(-2, 1, 1),
+                InputLine(-1, 1, 1),
             ),
         )
         cfg, pm = normalize(ci)
-        assert pm.reflection_t is not None
+        assert pm.t is not None
         for role in "ABCD":
             assert standing_line(cfg, role).b
 
     def test_normalize_uses_no_line_methods(self):
-        """normalize runs on integer covectors: InputLine holds the parsed a, b, c and
-        has no method but its constructor, and every configs/*.json normalizes (the
-        all-parallel one to AllParallelError)."""
+        """normalize runs on integer covectors: InputLine holds the ints a, b, c and
+        has no method, and every configs/*.json normalizes (the all-parallel one to
+        AllParallelError)."""
         methods = [name for name, value in vars(InputLine).items() if callable(value)]
-        assert methods == ["__init__"]
+        assert methods == []
         paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
         assert len(paths) >= 9
         for path in paths:
@@ -156,11 +156,7 @@ class TestNormalize:
         while produced < 40:
             try:
                 lines = [
-                    InputLine(
-                        Fraction(rng.randint(-4, 4)),
-                        Fraction(rng.randint(-4, 4)),
-                        Fraction(rng.randint(-4, 4)),
-                    )
+                    InputLine(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
                     for _ in range(4)
                 ]
                 ci = ConfigurationInput(QQ, (lines[0], lines[1]), (lines[2], lines[3]))
@@ -179,7 +175,7 @@ class TestNormalize:
 
     def test_point_roundtrip(self):
         rng = random.Random(29)
-        vertical = InputLine(QQ.one(), QQ.zero(), QQ.from_int(2))
+        vertical = InputLine(1, 0, 2)
         ci = ConfigurationInput(QQ, (vertical, _line(1, 3)), (_line(0, 1), _line(2, 0)))
         cfg, pm = normalize(ci)
         for _ in range(25):
@@ -193,7 +189,7 @@ class TestNormalize:
         checked = 0
         while checked < 12:
             base = random_rational_config(rng)
-            lines = {role: standing_line(base, role) for role in "ABCD"}
+            lines = {role: input_line(QQ, standing_line(base, role)) for role in "ABCD"}
             arrangements = []
             for s1 in (False, True):
                 for s2 in (False, True):
@@ -217,17 +213,32 @@ def test_records_are_values():
     from quadriline.locus import SpecialRectangles
     from quadriline.paths import PathHomography
 
-    one, zero = QQ.one(), QQ.zero()
-    line = InputLine(one, zero, one)
-    assert line == InputLine(one, zero, one) and hash(line) == hash(InputLine(one, zero, one))
-    assert line != InputLine(one, zero, zero)
+    line = InputLine(1, 0, 1)
+    assert line == InputLine(1, 0, 1) and hash(line) == hash(InputLine(1, 0, 1))
+    assert line != InputLine(1, 0, 0)
     assert SpecialRectangles((1, 2), (3, 4)) != PathHomography((1, 2), (3, 4))
     assert PathHomography((1, 2), (3, 4)) == PathHomography((1, 2), (3, 4))
     assert list(vars(line)) == ["a", "b", "c"]
     with pytest.raises(AttributeError):
-        line.a = zero
-    with pytest.raises(PreconditionError):
-        InputLine(zero, zero, one)
+        line.a = 0
+
+
+ZERO_NORMAL_CASES = [(QQ, (0, 0, 1)), (PrimeField(5), (5, 10, 1)), (PrimeField(5), (-5, 0, 3))]
+
+
+@pytest.mark.parametrize("field, ints", ZERO_NORMAL_CASES, ids=["QQ", "F5", "F5-negative"])
+@pytest.mark.parametrize("slot", range(4))
+def test_zero_normal_is_a_precondition_error(field, ints, slot):
+    """A line whose (a, b) vanishes in the field is a PreconditionError that names its
+    slot, raised when the ConfigurationInput is built: never a report, never an
+    InternalCheckError.  Over F_5 the ints (5, 10) are nonzero but vanish mod 5."""
+    lines = [_line(2, 3), _line(0, 2), _line(3, 3), _line(1, 2)]
+    lines[slot] = InputLine(*ints)
+    i, j = divmod(slot, 2)
+    with pytest.raises(PreconditionError) as exc:
+        ConfigurationInput(field, tuple(lines[:2]), tuple(lines[2:]))
+    assert type(exc.value) is PreconditionError
+    assert str(exc.value) == f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)"
 
 
 class TestMake:
@@ -255,19 +266,19 @@ class TestMake:
 class TestDiagonals:
     def test_cfg1(self, cfg1):
         e, f = diagonal_slopes(cfg1)
-        assert e == Ratio.of(Fraction(1), Fraction(0))
-        assert f == Ratio.of(Fraction(3), Fraction(2))
+        assert e == ratio_of(Fraction(1), Fraction(0))
+        assert f == ratio_of(Fraction(3), Fraction(2))
 
     def test_cfg2_orthogonal(self, cfg2):
         e, f = diagonal_slopes(cfg2)
-        assert e == Ratio.of(Fraction(1), Fraction(2))
-        assert f == Ratio.of(Fraction(-2), Fraction(1))
+        assert e == ratio_of(Fraction(1), Fraction(2))
+        assert f == ratio_of(Fraction(-2), Fraction(1))
         # orthogonality: s1 s2 + t1 t2 = 0
-        assert e.num * f.num + e.den * f.den == 0
+        assert e.s * f.s + e.t * f.t == 0
 
     def test_cfg3_f_at_infinity(self, cfg3):
         e, f = diagonal_slopes(cfg3)
-        assert e == Ratio.of(Fraction(1), Fraction(0))
+        assert e == ratio_of(Fraction(1), Fraction(0))
         assert f is DiagonalMarker.AT_INFINITY
 
     def test_a_equals_b_marker(self):
@@ -293,14 +304,14 @@ class TestDiagonals:
             p_ab = affine(cfg.corner("A", "B"))
             p_cd = (Fraction(0), Fraction(0))
             if p_ab is not None and p_ab != p_cd:
-                slope = Ratio.of(p_ab[1] - p_cd[1], p_ab[0] - p_cd[0])
-                assert slope == Ratio.of(k.e1, k.e2)
+                slope = ratio_of(p_ab[1] - p_cd[1], p_ab[0] - p_cd[0])
+                assert slope == ratio_of(k.e1, k.e2)
                 checked_e += 1
             p_ad = affine(cfg.corner("A", "D"))
             p_bc = affine(cfg.corner("B", "C"))
             if p_ad is not None and p_bc is not None and p_ad != p_bc:
-                slope = Ratio.of(p_ad[1] - p_bc[1], p_ad[0] - p_bc[0])
-                assert slope == Ratio.of(k.f1, k.f2)
+                slope = ratio_of(p_ad[1] - p_bc[1], p_ad[0] - p_bc[0])
+                assert slope == ratio_of(k.f1, k.f2)
                 checked_f += 1
 
 
@@ -368,7 +379,7 @@ class TestDegeneratingIntercepts:
         # root list is empty; over F_13 it vanishes and yields a double root.
         assert degenerating_intercepts(QQ, *map(Fraction, (2, 3, 0, 1))) == []
         f13 = PrimeField(13)
-        ms = [f13.from_int(v) for v in (2, 3, 0, 1)]
+        ms = [from_int(f13, v) for v in (2, 3, 0, 1)]
         roots = degenerating_intercepts(f13, *ms)
         assert len(roots) == 1
         cfg = make_config(f13, *ms, roots[0])
@@ -379,12 +390,12 @@ class TestDegeneratingIntercepts:
         for p in (5, 7, 11, 13):
             field = PrimeField(p)
             for _ in range(20):
-                ms = [field.from_int(rng.randrange(p)) for _ in range(4)]
+                ms = [from_int(field, rng.randrange(p)) for _ in range(4)]
                 if ms[2] == ms[3]:
                     continue
                 roots = degenerating_intercepts(field, *ms)
                 if roots is ALL_INTERCEPTS:
-                    b = field.from_int(rng.randrange(p))
+                    b = from_int(field, rng.randrange(p))
                     assert not make_config(field, *ms, b).ef_sum
                     continue
                 for b in roots:

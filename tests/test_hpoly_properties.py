@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from quadriline import QQ, PrimeField, hpoly
+from membership import from_int
 
 FIELDS = [QQ, PrimeField(3), PrimeField(101), PrimeField(10**9 + 7)]
 
@@ -25,7 +26,7 @@ def power_sum(f, s, t):
 def scalars(field):
     if field is QQ:
         return st.fractions(max_denominator=50)
-    return st.integers(-(10**12), 10**12).map(field.from_int)
+    return st.integers(-(10**12), 10**12).map(lambda n: from_int(field, n))
 
 
 @st.composite

@@ -35,10 +35,20 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
-from membership import constants, intersection, rectangle_from_slope, standing_line
+from membership import (
+    constants,
+    intersection,
+    one_of,
+    ratio_of,
+    rectangle_from_slope,
+    standing_line,
+    value,
+    vertex,
+)
 from conftest import (
     affine_point,
     center_at,
+    center_values,
     contains,
     elements,
     fraction_count,
@@ -103,7 +113,7 @@ def reference_locus(cfg):
     for r in ratio_samples(cfg.field, 34):
         rect = eval_path(cfg, pp, r)
         if not rect.at_infinity:
-            centers.append(center_of(rect))
+            centers.append(center_values(rect))
         if len(centers) == 26:
             break
     distinct = []
@@ -114,7 +124,7 @@ def reference_locus(cfg):
         return None, None, distinct[0]
     if len(distinct) < 6:
         return None
-    one = cfg.field.one()
+    one = one_of(cfg.field)
     basis = nullspace([[x * x, x * y, y * y, x, y, one] for x, y in distinct[:6]])
     if len(basis) == 1:
         k = basis[0]
@@ -138,7 +148,7 @@ def printed(field, report) -> tuple:
     with its source, and the point's (x, y); None where the report has none."""
 
     def values(v):
-        return None if v is None else tuple(r.num for r in scaled(field, v))
+        return None if v is None else tuple(map(value, scaled(field, v)))
 
     line = point = None
     if report.single_line is not None:
@@ -193,17 +203,17 @@ def has_square_fiber(cmap, point) -> bool:
 class TestCenterOf:
     def test_worked_rectangle(self, cfg1):
         p = rectangle_from_slope(cfg1, rat(QQ, 1, 0), Fraction(3)).rectangles[0]
-        assert center_of(p) == (0, Fraction(1, 6))
+        assert center_of(p) == (Ratio(QQ, 0, 1), Ratio(QQ, 1, 6))
 
     def test_degenerate_rectangle(self, cfg1):
         p = rectangle_from_slope(cfg1, rat(QQ, 0, 1), Fraction(1)).rectangles[0]
-        assert center_of(p) == (0, Fraction(1, 2))
+        assert center_of(p) == (Ratio(QQ, 0, 1), Ratio(QQ, 1, 2))
 
     def test_at_infinity_rejected(self, cfg3):
         p = slope_path_eval(cfg3, rat(QQ, 1, 1))
         assert p.at_infinity
         with pytest.raises(AtInfinityError):
-            center_of(p)
+            center_values(p)
 
     def test_both_vertex_averages_agree(self):
         rng = random.Random(139)
@@ -213,10 +223,10 @@ class TestCenterOf:
                 rect = slope_path_eval(cfg, r)
                 if rect.at_infinity:
                     continue
-                xa, ya = rect.vertex("A")
-                xc, yc = rect.vertex("C")
-                xb, yb = rect.vertex("B")
-                xd, yd = rect.vertex("D")
+                xa, ya = vertex(rect, "A")
+                xc, yc = vertex(rect, "C")
+                xb, yb = vertex(rect, "B")
+                xd, yd = vertex(rect, "D")
                 assert (xa + xc, ya + yc) == (xb + xd, yb + yd)
 
 
@@ -229,7 +239,7 @@ class TestGaussNewton:
             (Fraction(13, 24), Fraction(1, 3)),
         ):
             assert contains(QQ, line, point)
-        assert line_slope(line) == Ratio.of(Fraction(4), Fraction(5))
+        assert line_slope(line) == ratio_of(Fraction(4), Fraction(5))
 
     def test_cfg1_collinearity_holds(self, cfg1):
         # Construction already verifies the third midpoint lies on the line.
@@ -258,7 +268,7 @@ class TestDiagonalG:
         g = diagonal_g(cfg2)
         assert contains(QQ, g, (Fraction(3, 4), Fraction(0)))
         assert contains(QQ, g, (Fraction(1, 3), Fraction(2, 3)))
-        assert line_slope(g) == Ratio.of(Fraction(-8), Fraction(5))
+        assert line_slope(g) == ratio_of(Fraction(-8), Fraction(5))
 
     def test_cfg1_vertical(self, cfg1):
         g = diagonal_g(cfg1)
@@ -285,7 +295,7 @@ class TestDiagonalG:
             num = m_c * b_a * (m_d - m_b) + m_d * (m_a - m_c)
             den = b_a * (m_d - m_b) + (m_a - m_c)
             if num or den:
-                assert line_slope(g) == Ratio.of(num, den)
+                assert line_slope(g) == ratio_of(num, den)
             done += 1
 
 
@@ -293,8 +303,8 @@ class TestCentersPaths:
     def test_cfg2_two_lines(self, cfg2):
         report = centers_paths(cfg2)
         assert report.shape is LocusShape.TWO_LINES
-        assert line_slope(report.aspect_centers) == Ratio.of(Fraction(4), Fraction(5))
-        assert line_slope(report.slope_centers) == Ratio.of(Fraction(-8), Fraction(5))
+        assert line_slope(report.aspect_centers) == ratio_of(Fraction(4), Fraction(5))
+        assert line_slope(report.slope_centers) == ratio_of(Fraction(-8), Fraction(5))
         assert line_slope(report.slope_centers) == line_slope(report.diagonal_g)
         assert same_line(QQ, report.aspect_centers, report.gauss_newton)
 
@@ -304,10 +314,10 @@ class TestCentersPaths:
         for r in ratio_samples(QQ, 12):
             rect = eval_path(cfg2, spp, r)
             if not rect.at_infinity:
-                assert contains(QQ, report.slope_centers, center_of(rect))
+                assert contains(QQ, report.slope_centers, center_values(rect))
             rect = eval_path(cfg2, app, r)
             if not rect.at_infinity:
-                assert contains(QQ, report.aspect_centers, center_of(rect))
+                assert contains(QQ, report.aspect_centers, center_values(rect))
 
     def test_cfg1_conic(self, cfg1):
         report = centers_paths(cfg1)
@@ -319,7 +329,7 @@ class TestCentersPaths:
             rect = slope_path_eval(cfg1, r)
             if rect.at_infinity:
                 continue
-            x, y = center_of(rect)
+            x, y = center_values(rect)
             assert c[0] * x * x + c[1] * x * y + c[2] * y * y + c[3] * x + c[4] * y + c[5] == 0
         # And the parametric map agrees with direct evaluation.
         assert center_at(report.center_map, (1, 0)) == (0, Fraction(1, 6))
@@ -343,7 +353,7 @@ class TestCentersPaths:
         for r in sample_ratios(QQ, 8):
             rect = slope_path_eval(cfg, r)
             if not rect.at_infinity:
-                assert center_of(rect) == affine_point(QQ, report.point)
+                assert center_values(rect) == affine_point(QQ, report.point)
 
     def test_point_locus_of_a_square_of_lines(self):
         # y = x + 1, y = -x + 1, y = x, y = -x: degenerate, and both center maps are constant.
@@ -356,7 +366,7 @@ class TestCentersPaths:
             for r in ratio_samples(QQ, 8):
                 rect = eval_path(cfg, pp, r)
                 if not rect.at_infinity:
-                    assert center_of(rect) == affine_point(QQ, report.point)
+                    assert center_values(rect) == affine_point(QQ, report.point)
 
     def test_matches_sampled_fit_on_random_configs(self):
         rng = random.Random(163)
@@ -386,7 +396,7 @@ class TestCentersPaths:
         for ints in configs:
             cfg = NormalizedConfig.from_ints(field, *ints)
             report = centers_paths(cfg)
-            census = {center_of(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
+            census = {center_values(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
             assert census == reported_centers(field, report), (p, ints)
             rank_two += report.shape is LocusShape.NONDEGENERATE_CONIC and bool(report.single_line)
         assert rank_two > 0
@@ -426,7 +436,7 @@ class TestCentersPaths:
             assert report.single_line is None and report.point is None
             points = {affine_point(field, point) for point in report.points}
             assert len(points) == 2
-            centers = {center_of(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
+            centers = {center_values(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
             assert points == centers, ints
         assert len(found) == expected
 
@@ -443,7 +453,7 @@ class TestSpecialRectangles:
     def test_cfg2(self, cfg2):
         report = centers_paths(cfg2)
         special = special_rectangles(cfg2, report)
-        center = center_of(special.center_rectangle)
+        center = center_values(special.center_rectangle)
         assert contains(QQ, report.slope_centers, center)
         assert contains(QQ, report.aspect_centers, center)
         corners = [
@@ -454,7 +464,7 @@ class TestSpecialRectangles:
             sum(p[0] for p in corners) / 4,
             sum(p[1] for p in corners) / 4,
         )
-        assert center_of(special.centroid_rectangle) == centroid
+        assert center_values(special.centroid_rectangle) == centroid
         # The centroid is on the Gauss-Newton line by construction.
         assert contains(QQ, report.gauss_newton, centroid)
 
@@ -472,7 +482,7 @@ class TestSpecialRectangles:
                 special = special_rectangles(cfg, report)
             except PreconditionError:  # parallel locus lines
                 continue
-            center = center_of(special.center_rectangle)
+            center = center_values(special.center_rectangle)
             assert contains(QQ, report.slope_centers, center)
             assert contains(QQ, report.aspect_centers, center)
             checked += 1
@@ -490,12 +500,12 @@ class TestSpecialRectangles:
         assert aspect_of(slope_inf) == aspect_of(special.center_rectangle)
         s1 = slope_of(slope_inf)
         s2 = slope_of(special.center_rectangle)
-        assert s1.num * s2.num + s1.den * s2.den == 0
+        assert s1.s * s2.s + s1.t * s2.t == 0
         # The aspect path's at-infinity rectangle: slope of the centroid
         # rectangle, aspect the negative of the centroid rectangle's.
         assert slope_of(aspect_inf) == slope_of(special.centroid_rectangle)
         a = aspect_of(special.centroid_rectangle)
-        assert aspect_of(aspect_inf) == Ratio.of(-a.num, a.den)
+        assert aspect_of(aspect_inf) == Ratio(QQ, -a.s, a.t)
 
     def test_cfg3_rejected(self, cfg3):
         with pytest.raises(PreconditionError):
@@ -508,13 +518,13 @@ class TestSpecialRectangles:
 
 class TestAllParallel:
     def _horizontal(self, field, k):
-        return InputLine(field.zero(), field.one(), field.from_int(k))
+        return InputLine(0, 1, k)
 
     def test_shared_midline(self):
         lines = [self._horizontal(QQ, k) for k in (1, 2, -1, -2)]  # A,B,C,D
         report = all_parallel_analysis(QQ, lines)
         assert report.midline_shared
-        assert same_line(QQ, report.midline, InputLine(QQ.zero(), QQ.one(), QQ.zero()))
+        assert same_line(QQ, report.midline, InputLine(0, 1, 0))
 
     def test_distinct_midlines(self):
         lines = [self._horizontal(QQ, k) for k in (1, 3, -1, 0)]
@@ -528,19 +538,19 @@ class TestAllParallel:
         lines = [self._horizontal(f7, k) for k in (1, 2, 6, 5)]
         report = all_parallel_analysis(f7, lines)
         assert report.midline_shared
-        assert same_line(f7, report.midline, InputLine(f7.zero(), f7.one(), f7.zero()))
+        assert same_line(f7, report.midline, InputLine(0, 1, 0))
 
     def test_vertical_family(self):
         # x = k lines: the analysis is orientation-free.
-        lines = [InputLine(QQ.one(), QQ.zero(), QQ.from_int(k)) for k in (0, 3, 4, 1)]
+        lines = [InputLine(1, 0, k) for k in (0, 3, 4, 1)]
         report = all_parallel_analysis(QQ, lines)
         assert report.midline_shared  # (0+4)/2 == (3+1)/2
-        assert same_line(QQ, report.midline, InputLine(QQ.one(), QQ.zero(), QQ.from_int(2)))
+        assert same_line(QQ, report.midline, InputLine(1, 0, 2))
 
     def test_non_parallel_rejected(self):
         lines = [
             self._horizontal(QQ, 0),
-            InputLine(QQ.one(), QQ.one(), QQ.zero()),
+            InputLine(1, 1, 0),
             self._horizontal(QQ, 1),
             self._horizontal(QQ, 2),
         ]

@@ -15,7 +15,6 @@ from quadriline import (
     QQ,
     NormalizedConfig,
     PrimeField,
-    Ratio,
     homography,
 )
 from quadriline import hpoly
@@ -46,7 +45,17 @@ from conftest import (
 from test_locus import printed
 from test_paths import reference_eval_path, reference_paths
 import membership
-from membership import one_multiple, path_case
+from membership import (
+    den,
+    from_int,
+    num,
+    one_multiple,
+    one_of,
+    path_case,
+    quotient,
+    ratio_of,
+    zero_of,
+)
 
 PRIMES = [3] + [n for n in range(5, 400) if all(n % d for d in range(2, n))] + [1_000_000_007]
 KINDS = ("random", "degenerate", "twin-pair", "slope-both-zero", "aspect-both-zero")
@@ -64,7 +73,7 @@ small_prime_fields = st.sampled_from(PRIMES[:-1]).map(PrimeField)
 def scalars(field):
     """Small rationals over QQ, any residue over F_p."""
     if field.char:
-        return st.integers(0, field.char - 1).map(field.from_int)
+        return st.integers(0, field.char - 1).map(lambda n: from_int(field, n))
     return st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
 
 
@@ -89,10 +98,10 @@ def configs(draw, field_strategy=fields()):
             assume(roots)
             b_a = roots[draw(st.integers(0, len(roots) - 1))]
     elif kind == "slope-both-zero":
-        m_b, b_a = m_a, field.one()
+        m_b, b_a = m_a, one_of(field)
     elif kind == "aspect-both-zero":
         assume(m_d)
-        m_b, b_a = m_a * m_c / m_d, field.one()
+        m_b, b_a = m_a * m_c / m_d, one_of(field)
     try:
         return make_config(field, m_a, m_b, m_c, m_d, b_a)
     except PreconditionError:
@@ -131,7 +140,7 @@ def test_infinity_forms_are_one_multiple_of_the_reference(cfg):
         if got is ALL_RATIOS:
             assert not any(want)
         else:
-            assert all(not hpoly.eval_at(want, r.num, r.den) for r in got)
+            assert all(not hpoly.eval_at(want, num(r), den(r)) for r in got)
 
 
 # The rationals, two small primes, where discriminants often vanish, and two large ones.
@@ -156,19 +165,19 @@ def test_int_roots_and_corners_match_the_field_reference(cfg):
         x, y, z = cfg.corner(r1, r2)
         lines = [membership.standing_line(cfg, role) for role in (r1, r2)]
         meet = membership.intersection(*lines)
-        assert meet == ((field.quotient(x, z), field.quotient(y, z)) if z else None)
+        assert meet == ((quotient(field, x, z), quotient(field, y, z)) if z else None)
 
 
 def ratios(field):
     """1/0, small ratios and, over QQ, ratios of large height."""
-    infinity = st.just(Ratio.of(field.one(), field.zero()))
+    infinity = st.just(ratio_of(one_of(field), zero_of(field)))
     if field.char:
         finite = st.integers(0, field.char - 1)
-        return infinity | finite.map(lambda n: Ratio.of(field.from_int(n), field.one()))
+        return infinity | finite.map(lambda n: ratio_of(from_int(field, n), one_of(field)))
     small = st.integers(-6, 6)
     large = st.integers(-(10**60), 10**60)
     height = st.builds(Fraction, small | large, st.integers(1, 6) | st.integers(1, 10**60))
-    return infinity | height.map(lambda q: Ratio.of(q, field.one()))
+    return infinity | height.map(lambda q: ratio_of(q, one_of(field)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,11 +11,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
-from quadriline import QQ, ConfigurationInput, InputLine, PrimeField, QuadrilineError, Ratio, normalize
+from quadriline import QQ, ConfigurationInput, PrimeField, QuadrilineError, Ratio, normalize
 from quadriline.cli import rectangle_json
 from quadriline.configuration import ROLES
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.rectangles import ProjectiveRectangle, aspect_of, slope_of
+from conftest import input_line
+from membership import Line, from_int, quotient, zero_of
 
 PRIMES = [3, 5, 7, 11, 13, 101, 1009, 10**9 + 7]
 
@@ -39,7 +41,7 @@ def reference_json(rect, pm) -> dict:
         points = [(xa, ya, w), (xb, yb, w), (xc, yc, w), (xd, yd, w), (xa + xc, ya + yc, 2 * w)]
         # Fraction(X, W) over the rationals, the FpElement X / W over F_p.
         *vertices, center = [
-            [str(field.quotient(X, W)), str(field.quotient(Y, W))] for X, Y, W in pm.original(points)
+            [str(quotient(field, X, W)), str(quotient(field, Y, W))] for X, Y, W in pm.original(points)
         ]
         out["vertices"] = {pm.role_to_input[r]: v for r, v in zip(ROLES, vertices)}
         out["center"] = center
@@ -53,7 +55,7 @@ def fields_and_scalars(draw):
     if p is None:
         return QQ, st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7]))
     field = PrimeField(p)
-    return field, (st.integers(-3, 3) | st.integers(0, p - 1)).map(field.from_int)
+    return field, (st.integers(-3, 3) | st.integers(0, p - 1)).map(lambda n: from_int(field, n))
 
 
 @st.composite
@@ -63,9 +65,9 @@ def plane_maps(draw):
     field, scalars = draw(fields_and_scalars())
     lines = []
     for _ in range(4):
-        a, b = draw(scalars), draw(st.just(field.zero()) | scalars)
+        a, b = draw(scalars), draw(st.just(zero_of(field)) | scalars)
         assume(a or b)
-        lines.append(InputLine(a, b, draw(scalars)))
+        lines.append(input_line(field, Line(a, b, draw(scalars))))
     try:
         cfg, pm = normalize(ConfigurationInput(field, tuple(lines[:2]), tuple(lines[2:])))
     except QuadrilineError:

@@ -10,9 +10,7 @@ from quadriline import (
     NormalizedConfig,
     PrimeField,
     QQ,
-    Ratio,
     aspect_of,
-    center_of,
     classify,
     slope_of,
 )
@@ -28,7 +26,7 @@ from quadriline.rectangles import (
 )
 from quadriline.census import quadric_h
 from quadriline.cli import rectangle_json
-from quadriline.scalars import FpElement
+from quadriline.configuration import ROLES
 from conftest import (
     CFG1_INTS,
     CFG3_INTS,
@@ -37,24 +35,34 @@ from conftest import (
     make_config,
     random_normalized_config,
     random_rational_config,
+    center_values,
     rat,
     shipped_plane_map,
 )
 import membership
 from membership import (
     aspect_system,
-    constants,
     complete_parallelogram,
+    constants,
+    den,
     evaluate,
+    from_int,
     has_aspect,
     has_slope,
     integer_forms,
     is_parallelogram,
     is_rectangle,
+    num,
+    one_of,
+    ratio_of,
     rectangle_from_aspect,
     rectangle_from_slope,
     satisfies_membership,
     slope_system,
+    value,
+    vertex,
+    w_of,
+    zero_of,
 )
 
 
@@ -74,11 +82,12 @@ def proj_eq(p, coords):
 class TestCompleteParallelogram:
     def test_degenerate_on_e(self, cfg1):
         p = complete_parallelogram(cfg1, Fraction(0), Fraction(0), Fraction(1))
+        zero, one = rat(QQ, 0, 1), rat(QQ, 1, 1)
         assert p.affine_vertices() == {
-            "A": (0, 1),
-            "B": (0, 1),
-            "C": (0, 0),
-            "D": (0, 0),
+            "A": (zero, one),
+            "B": (zero, one),
+            "C": (zero, zero),
+            "D": (zero, zero),
         }
 
     def test_at_infinity_parallelogram(self, cfg1):
@@ -118,7 +127,7 @@ class TestIsRectangle:
 
     def test_matches_quadric(self):
         cfg = NormalizedConfig.from_ints(F1009, *CFG1_INTS)
-        one, zero = F1009.one(), F1009.zero()
+        one, zero = one_of(F1009), zero_of(F1009)
         p = complete_parallelogram(cfg, one, zero, one)
         assert is_rectangle(p) == (not evaluate(quadric_h(cfg), one, zero, one))
 
@@ -136,7 +145,7 @@ class TestQuadricH:
             cfg, _ = random_normalized_config(F1009, rng)
             h = quadric_h(cfg)
             for _ in range(15):
-                x_a, x_b, w = (F1009.from_int(rng.randrange(-4, 5)) for _ in range(3))
+                x_a, x_b, w = (from_int(F1009, rng.randrange(-4, 5)) for _ in range(3))
                 if not x_a and not x_b and not w:
                     continue
                 p = complete_parallelogram(cfg, x_a, x_b, w)
@@ -161,7 +170,7 @@ class TestQuadricH:
 
     def test_worked_parameters_are_a_zero(self):
         h = quadric_h(NormalizedConfig.from_ints(F1009, *CFG1_INTS))
-        assert not evaluate(h, *map(F1009.from_int, (-1, -1, 3)))
+        assert not evaluate(h, *(from_int(F1009, n) for n in (-1, -1, 3)))
 
 
 class TestSlopeAspectOf:
@@ -180,7 +189,7 @@ class TestSlopeAspectOf:
         assert slope_of(p) == rat(QQ, 1, 0)
 
     def test_worked_rectangle_aspect(self, cfg1):
-        assert aspect_of(self._worked(cfg1)) == Ratio.of(Fraction(-1), Fraction(2))
+        assert aspect_of(self._worked(cfg1)) == ratio_of(Fraction(-1), Fraction(2))
 
     def test_degenerate_on_e_aspect(self, cfg1):
         p = complete_parallelogram(cfg1, Fraction(0), Fraction(0), Fraction(1))
@@ -192,8 +201,8 @@ class TestSlopeAspectOf:
         p = fiber.rectangles[0]
         assert aspect_of(p) == rat(QQ, 1, 0)
         # B and C vertices coincide at B∩C, A and D at A∩D.
-        assert p.vertex("B") == p.vertex("C")
-        assert p.vertex("A") == p.vertex("D")
+        assert vertex(p, "B") == vertex(p, "C")
+        assert vertex(p, "A") == vertex(p, "D")
 
 
 class TestAtInfinityForms:
@@ -212,14 +221,14 @@ class TestAtInfinityForms:
         roots = slopes_at_infinity(cfg)
         assert len(roots) == 1
         form = slope_infinity_form(cfg)
-        s, t = roots[0].num, roots[0].den
+        s, t = num(roots[0]), den(roots[0])
         assert not hpoly.eval_at(form, s, t)
         # Brute force over the whole projective line.
         brute = [
             r
-            for r in [Ratio.of(v, f13.one()) for v in elements(f13)]
-            + [Ratio.of(f13.one(), f13.zero())]
-            if not hpoly.eval_at(form, r.num, r.den)
+            for r in [ratio_of(v, one_of(f13)) for v in elements(f13)]
+            + [ratio_of(one_of(f13), zero_of(f13))]
+            if not hpoly.eval_at(form, num(r), den(r))
         ]
         assert brute == roots
 
@@ -227,10 +236,10 @@ class TestAtInfinityForms:
         rng = random.Random(61)
         for p in (5, 7, 11):
             field = PrimeField(p)
-            proj_line = [Ratio.of(v, field.one()) for v in elements(field)]
-            proj_line.append(Ratio.of(field.one(), field.zero()))
+            proj_line = [ratio_of(v, one_of(field)) for v in elements(field)]
+            proj_line.append(ratio_of(one_of(field), zero_of(field)))
             for _ in range(15):
-                vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
+                vals = [from_int(field, rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
                 cfg = make_config(field, *vals)
@@ -239,14 +248,14 @@ class TestAtInfinityForms:
                     (aspect_infinity_form(cfg), aspects_at_infinity(cfg)),
                 ):
                     brute = {
-                        (r.num, r.den)
+                        (num(r), den(r))
                         for r in proj_line
-                        if not hpoly.eval_at(form, r.num, r.den)
+                        if not hpoly.eval_at(form, num(r), den(r))
                     }
                     if roots is ALL_RATIOS:
                         assert len(brute) == p + 1
                     else:
-                        assert {(r.num, r.den) for r in roots} == brute
+                        assert {(num(r), den(r)) for r in roots} == brute
 
     def test_orthogonality_closure(self):
         # If s/t is a slope at infinity then so is -t/s.
@@ -254,22 +263,22 @@ class TestAtInfinityForms:
         for p in (11, 13):
             field = PrimeField(p)
             for _ in range(25):
-                vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
+                vals = [from_int(field, rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
                 cfg = make_config(field, *vals)
                 roots = slopes_at_infinity(cfg)
                 if roots is ALL_RATIOS:
                     continue
-                root_set = {(r.num, r.den) for r in roots}
+                root_set = {(num(r), den(r)) for r in roots}
                 for r in roots:
-                    o = Ratio.of(-r.den, r.num)
-                    assert (o.num, o.den) in root_set
+                    o = ratio_of(-den(r), num(r))
+                    assert (num(o), den(o)) in root_set
 
     def test_three_parallel_lines_give_zero_and_infinity_aspects(self):
         cfg = NormalizedConfig.from_ints(QQ, 2, 2, 2, 0, 5)
         roots = aspects_at_infinity(cfg)
-        assert {(r.num, r.den) for r in roots} == {(0, 1), (1, 0)}
+        assert {(num(r), den(r)) for r in roots} == {(0, 1), (1, 0)}
 
     def test_aspect_pairing(self):
         # If u/v occurs then so does (m_AB m_CD v) / (m_BC m_AD u).
@@ -279,10 +288,10 @@ class TestAtInfinityForms:
         assert len(roots) == 2
         m_a, m_b, m_c, m_d = constants(cfg)[:4]
         m_ab, m_cd, m_bc, m_ad = m_a - m_b, m_c - m_d, m_b - m_c, m_a - m_d
-        root_set = {(r.num, r.den) for r in roots}
+        root_set = {(num(r), den(r)) for r in roots}
         for r in roots:
-            partner = Ratio.of(m_ab * m_cd * r.den, m_bc * m_ad * r.num)
-            assert (partner.num, partner.den) in root_set
+            partner = ratio_of(m_ab * m_cd * den(r), m_bc * m_ad * num(r))
+            assert (num(partner), den(partner)) in root_set
 
     def test_cfg3_aspect_root_matches_kernel(self, cfg3):
         roots = aspects_at_infinity(cfg3)
@@ -297,7 +306,7 @@ class TestAtInfinityForms:
         for p in (5, 13):
             field = PrimeField(p)
             for _ in range(40):
-                vals = [field.from_int(rng.randrange(p)) for _ in range(5)]
+                vals = [from_int(field, rng.randrange(p)) for _ in range(5)]
                 if vals[2] == vals[3]:
                     continue
                 cfg = make_config(field, *vals)
@@ -311,16 +320,16 @@ class TestDeterminants:
         rng = random.Random(73)
         for _ in range(30):
             cfg = random_rational_config(rng)
-            r = Ratio.of(
+            r = ratio_of(
                 Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)) or Fraction(1)
             )
             m, _ = slope_system(cfg, r)
             det = m[0] * m[3] - m[1] * m[2]
-            assert det == hpoly.eval_at(membership.slope_infinity_form(cfg), r.num, r.den)
+            assert det == hpoly.eval_at(membership.slope_infinity_form(cfg), num(r), den(r))
             m, _ = aspect_system(cfg, r)
             det = m[0] * m[3] - m[1] * m[2]
             m_cd = constants(cfg).m_c - constants(cfg).m_d
-            assert det == m_cd * hpoly.eval_at(membership.aspect_infinity_form(cfg), r.num, r.den)
+            assert det == m_cd * hpoly.eval_at(membership.aspect_infinity_form(cfg), num(r), den(r))
 
 
 class TestFactorizationIdentity:
@@ -347,21 +356,23 @@ class TestRectangleFromSlope:
         fiber = rectangle_from_slope(cfg1, rat(QQ, 1, 0), Fraction(3))
         assert fiber.exhaustive and len(fiber.rectangles) == 1
         p = fiber.rectangles[0]
+        third, zero = rat(QQ, 1, 3), rat(QQ, 0, 1)
         assert p.affine_vertices() == {
-            "A": (Fraction(-1, 3), Fraction(1, 3)),
-            "B": (Fraction(-1, 3), 0),
-            "C": (Fraction(1, 3), 0),
-            "D": (Fraction(1, 3), Fraction(1, 3)),
+            "A": (rat(QQ, -1, 3), third),
+            "B": (rat(QQ, -1, 3), zero),
+            "C": (third, zero),
+            "D": (third, third),
         }
 
     def test_slope_zero_gives_degenerate_rectangle(self, cfg1):
         fiber = rectangle_from_slope(cfg1, rat(QQ, 0, 1), Fraction(1))
         (p,) = fiber.rectangles
+        zero, one = rat(QQ, 0, 1), rat(QQ, 1, 1)
         assert p.affine_vertices() == {
-            "A": (0, 1),
-            "B": (0, 1),
-            "C": (0, 0),
-            "D": (0, 0),
+            "A": (zero, one),
+            "B": (zero, one),
+            "C": (zero, zero),
+            "D": (zero, zero),
         }
 
     def test_twin_pairs_kernel_any_slope(self, cfg3):
@@ -370,7 +381,7 @@ class TestRectangleFromSlope:
             s, t = rng.randint(-5, 5), rng.randint(-5, 5)
             if not s and not t:
                 continue
-            r = Ratio.of(Fraction(s), Fraction(t))
+            r = ratio_of(Fraction(s), Fraction(t))
             fiber = rectangle_from_slope(cfg3, r, Fraction(0))
             assert fiber.rectangles
             for p in fiber.rectangles:
@@ -383,7 +394,7 @@ class TestRectangleFromSlope:
             s, t = rng.randint(-4, 4), rng.randint(-4, 4)
             if not s and not t:
                 continue
-            r = Ratio.of(Fraction(s), Fraction(t))
+            r = ratio_of(Fraction(s), Fraction(t))
             w = Fraction(rng.randint(0, 2))
             try:
                 fiber = rectangle_from_slope(cfg, r, w)
@@ -398,18 +409,18 @@ class TestRectangleFromSlope:
 
 class TestRectangleFromAspect:
     def test_worked_example_via_aspect(self, cfg1):
-        fiber = rectangle_from_aspect(cfg1, Ratio.of(Fraction(-1), Fraction(2)), Fraction(3))
+        fiber = rectangle_from_aspect(cfg1, ratio_of(Fraction(-1), Fraction(2)), Fraction(3))
         slope_route = rectangle_from_slope(cfg1, rat(QQ, 1, 0), Fraction(3))
         assert fiber.rectangles == slope_route.rectangles
 
     def test_aspect_zero_collapses_on_e(self, cfg1):
         fiber = rectangle_from_aspect(cfg1, rat(QQ, 0, 1), Fraction(1))
         (p,) = fiber.rectangles
-        assert p.vertex("A") == p.vertex("B")
-        assert p.vertex("C") == p.vertex("D")
+        assert vertex(p, "A") == vertex(p, "B")
+        assert vertex(p, "C") == vertex(p, "D")
         # vertices sit at A∩B and C∩D
         verts = p.affine_vertices()
-        assert verts["A"] == (0, 1) and verts["C"] == (0, 0)
+        assert verts["A"] == (rat(QQ, 0, 1), rat(QQ, 1, 1)) and verts["C"] == (rat(QQ, 0, 1),) * 2
 
     def test_results_satisfy_definitions(self):
         rng = random.Random(97)
@@ -418,7 +429,7 @@ class TestRectangleFromAspect:
             u, v = rng.randint(-4, 4), rng.randint(-4, 4)
             if not u and not v:
                 continue
-            r = Ratio.of(Fraction(u), Fraction(v))
+            r = ratio_of(Fraction(u), Fraction(v))
             w = Fraction(rng.randint(0, 2))
             try:
                 fiber = rectangle_from_aspect(cfg, r, w)
@@ -485,17 +496,20 @@ class TestRectangleIdentity:
         p = ProjectiveRectangle.canonical(field, coords)
         assert all(0 <= v < prime for v in p.key)
         assert next(v for v in p.key if v) == 1
-        pivot = field.from_int(next(c for c in coords if c % prime))
-        elements = tuple(field.from_int(c) / pivot for c in coords)
-        assert p.vertex("B") == elements[2:4] and p.w == elements[8]
+        pivot = from_int(field, next(c for c in coords if c % prime))
+        elements = tuple(from_int(field, c) / pivot for c in coords)
+        assert vertex(p, "B") == elements[2:4] and w_of(p) == elements[8]
         assert p.at_infinity == (not elements[8])
+        if elements[8]:
+            b = p.affine_vertices()["B"]
+            assert tuple(map(value, b)) == tuple(c / elements[8] for c in elements[2:4])
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(ODD_PRIMES))
     def test_all_ratios_are_canonical(self, prime):
         field = PrimeField(prime)
-        expected = [Ratio.of(v, field.one()) for v in elements(field)]
-        expected.append(Ratio.of(field.one(), field.zero()))
+        expected = [ratio_of(v, one_of(field)) for v in elements(field)]
+        expected.append(ratio_of(one_of(field), zero_of(field)))
         assert all_ratios(field) == expected
 
 
@@ -539,11 +553,15 @@ class TestRationalKey:
         reference = ProjectiveRectangle(QQ, membership.fraction_key(coords))
         assert slope_of(point) == membership.slope_of(reference)
         assert aspect_of(point) == membership.aspect_of(reference)
-        assert point.vertex("C") == reference.vertex("C") and point.w == reference.w
+        assert vertex(point, "C") == vertex(reference, "C") and w_of(point) == w_of(reference)
         assert point.at_infinity == reference.at_infinity
         if point.at_infinity:
             return
-        assert center_of(point) == center_of(reference)
+        assert center_values(point) == membership.center_of(reference)
+        w = w_of(reference)
+        assert {role: tuple(map(value, v)) for role, v in point.affine_vertices().items()} == {
+            role: tuple(c / w for c in vertex(reference, role)) for role in ROLES
+        }
         # The report of the Fraction key cleared to ints, as membership.integer_forms clears it.
         pm = PLANE_MAPS[name]
         rebuilt = ProjectiveRectangle(QQ, cleared(reference.key))

@@ -1,4 +1,7 @@
-"""Exact scalar layer: parsing, square roots, quadratics, projective ratios."""
+"""Exact scalar layer: parsing, square roots, quadratics, projective ratios.
+
+The field arithmetic tests exercise ``membership.FpElement`` and the reference
+``quotient``: the field elements the tests compare the library's ints against."""
 
 import math
 import random
@@ -11,6 +14,7 @@ from quadriline.errors import FieldError, ParseError, PreconditionError
 from quadriline.rectangles import ALL_RATIOS, projective_quadratic_roots
 from quadriline.scalars import ratio_parse, ratio_text
 from quadriline.scalars import _is_odd_prime
+from membership import from_int, one_of, parse, quotient, ratio_of, zero_of
 
 PSI_11 = 3825123056546413051
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
@@ -67,18 +71,18 @@ ODD_PRIMES_BELOW_300 = [n for n in range(300) if trial_division(n)]
 
 class TestParsing:
     def test_rational_reduces_to_lowest_terms(self):
-        assert QQ.parse("6/4") == Fraction(3, 2)
+        assert QQ.parse("6/4") == (3, 2)
 
     def test_zero(self):
-        assert QQ.parse("0") == 0
+        assert QQ.parse("0") == QQ.parse("-0/7") == (0, 1)
 
     def test_prime_field_residue(self):
         f11 = PrimeField(11)
-        assert f11.parse("14") == f11.from_int(3)
+        assert f11.parse("14") == (3, 1)
 
     def test_negative_literals(self):
-        assert QQ.parse("-7/2") == Fraction(-7, 2)
-        assert PrimeField(5).parse("-1").value == 4
+        assert QQ.parse("-7/2") == (-7, 2)
+        assert PrimeField(5).parse("-1") == (4, 1)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
@@ -108,10 +112,10 @@ class TestParsing:
 
     def test_literal_signs_zeros_and_spaces(self):
         assert [QQ.parse(t) for t in ("+3", "007", "-0/5", " 2/4 ", "-0012/0008\n")] == [
-            3, 7, 0, Fraction(1, 2), Fraction(-3, 2)
+            (3, 1), (7, 1), (0, 1), (1, 2), (-3, 2)
         ]
         f13 = PrimeField(13)
-        assert [f13.parse(t).value for t in ("-12", "+0007", " -0 ")] == [1, 7, 0]
+        assert [f13.parse(t) for t in ("-12", "+0007", " -0 ")] == [(1, 1), (7, 1), (0, 1)]
         assert ratio_parse(" +3/-6 ", QQ) == ratio_parse("-1/2", QQ)
         assert str(ratio_parse("-0/5", QQ)) == "0" and str(ratio_parse("+0007", f13)) == "7"
         with pytest.raises(ParseError, match="^zero denominator in literal '1/0'$"):
@@ -127,49 +131,51 @@ class TestParsing:
         rng = random.Random(7)
         for _ in range(200):
             x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-            assert QQ.parse(str(x)) == x
+            assert QQ.parse(str(x)) == (x.numerator, x.denominator)
+            assert parse(QQ, str(x)) == x
 
     def test_prime_roundtrip(self):
         f13 = PrimeField(13)
         for v in range(13):
-            x = f13.from_int(v)
-            assert f13.parse(str(x)) == x
+            x = from_int(f13, v)
+            assert f13.parse(str(x)) == (v, 1)
+            assert parse(f13, str(x)) == x
 
 
 class TestFieldArithmetic:
     def test_fp_operators(self):
         f7 = PrimeField(7)
-        a, b = f7.from_int(3), f7.from_int(5)
-        assert a + b == f7.from_int(1)
-        assert a - b == f7.from_int(5)
-        assert a * b == f7.from_int(1)
-        assert a / b == f7.from_int(2)  # 3 * 5^{-1} = 3 * 3 = 2
-        assert -a == f7.from_int(4)
-        assert a ** 2 == f7.from_int(2)
-        assert 2 * a == f7.from_int(6)
-        assert 1 - a == f7.from_int(5)
-        assert not f7.zero()
-        assert f7.one()
+        a, b = from_int(f7, 3), from_int(f7, 5)
+        assert a + b == from_int(f7, 1)
+        assert a - b == from_int(f7, 5)
+        assert a * b == from_int(f7, 1)
+        assert a / b == from_int(f7, 2)  # 3 * 5^{-1} = 3 * 3 = 2
+        assert -a == from_int(f7, 4)
+        assert a ** 2 == from_int(f7, 2)
+        assert 2 * a == from_int(f7, 6)
+        assert 1 - a == from_int(f7, 5)
+        assert not zero_of(f7)
+        assert one_of(f7)
 
     def test_fp_division_by_zero(self):
         f5 = PrimeField(5)
         with pytest.raises(ZeroDivisionError):
-            f5.one() / f5.zero()
+            one_of(f5) / zero_of(f5)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(1009), PrimeField(10**9 + 7)])
     def test_quotient_is_division(self, field):
         for n, d in [(0, 1), (1, 2), (-7, 8), (10, -4), (2**70 + 1, 17), (-5, 1012)]:
-            assert field.quotient(n, d) == field.from_int(n) / d
+            assert quotient(field, n, d) == from_int(field, n) / d
         for d in (0, field.char, -2 * field.char):
             with pytest.raises(ZeroDivisionError):
-                field.quotient(1, d)
+                quotient(field, 1, d)
 
     def test_quotient_of_fractions(self):
-        assert QQ.quotient(Fraction(3, 4), Fraction(-9, 2)) == Fraction(-1, 6)
+        assert quotient(QQ, Fraction(3, 4), Fraction(-9, 2)) == Fraction(-1, 6)
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(FieldError):
-            PrimeField(5).one() + PrimeField(7).one()
+            one_of(PrimeField(5)) + one_of(PrimeField(7))
 
     def test_sqrt_rational(self):
         assert QQ.sqrt(9) == 3 and QQ.sqrt(0) == 0
@@ -248,7 +254,7 @@ def roots_of(field, c0, c1, c2):
 
 
 def q_ratio(n, d=1):
-    return Ratio.of(Fraction(n, d), Fraction(1))
+    return ratio_of(Fraction(n, d), Fraction(1))
 
 
 class TestSolveQuadratic:
@@ -274,8 +280,8 @@ class TestSolveQuadratic:
 
     def test_linear_case(self):
         # c0 = 0: the root (1 : 0) first, then -c2 : c1.
-        assert roots_of(QQ, 0, 2, -5) == [Ratio.of(Fraction(1), Fraction(0)), q_ratio(5, 2)]
-        assert roots_of(QQ, 0, 0, 3) == [Ratio.of(Fraction(1), Fraction(0))]
+        assert roots_of(QQ, 0, 2, -5) == [ratio_of(Fraction(1), Fraction(0)), q_ratio(5, 2)]
+        assert roots_of(QQ, 0, 0, 3) == [ratio_of(Fraction(1), Fraction(0))]
 
     def test_all_zero_rejected(self):
         """The zero form has no finite root list: every ratio is a root."""
@@ -289,7 +295,7 @@ class TestSolveQuadratic:
             if not c0 and not c1 and not c2:
                 continue
             for r in roots_of(QQ, c0, c1, c2):
-                assert c0 * r.num * r.num + c1 * r.num * r.den + c2 * r.den * r.den == 0
+                assert c0 * r.s * r.s + c1 * r.s * r.t + c2 * r.t * r.t == 0
 
     def test_fp_root_order(self):
         # (-c1 + r) / 2 c0 comes first, with r the least square root.
@@ -304,9 +310,9 @@ class TestSolveQuadratic:
                 r = min((v for v in range(1, p // 2 + 1) if v * v % p == disc), default=None)
                 if r is None:
                     continue
-                a, b = field.from_int(c0), field.from_int(c1)
+                a, b = from_int(field, c0), from_int(field, c1)
                 want = [(-b + r) / (2 * a), (-b - r) / (2 * a)]
-                assert roots_of(field, c0, c1, c2) == [Ratio.of(x, field.one()) for x in want]
+                assert roots_of(field, c0, c1, c2) == [ratio_of(x, one_of(field)) for x in want]
 
     def test_fp_agrees_with_brute_force(self):
         """Every projective root, once, of forms whose ints are not reduced mod p."""
@@ -330,32 +336,36 @@ class TestSolveQuadratic:
 
 class TestRatio:
     def test_canonical_affine(self):
-        r = Ratio.of(Fraction(6), Fraction(4))
-        assert (r.num, r.den) == (Fraction(3, 2), Fraction(1))
+        r = Ratio(QQ, 6, 4)
+        assert (r.s, r.t) == (3, 2) and r == ratio_of(Fraction(6), Fraction(4))
+        assert repr(r) == "Ratio(RationalField(), 3, 2)"
+        assert repr(Ratio(PrimeField(7), 3, 2)) == "Ratio(PrimeField(7), 5, 1)"
 
     def test_canonical_infinite(self):
-        r = Ratio.of(Fraction(-5), Fraction(0))
-        assert (r.num, r.den) == (1, 0)
-        assert not r.den
+        r = Ratio(QQ, -5, 0)
+        assert (r.s, r.t) == (1, 0) and r == ratio_of(Fraction(-5), Fraction(0))
 
     def test_cross_multiplication_equality(self):
-        assert Ratio.of(Fraction(2), Fraction(4)) == Ratio.of(Fraction(-1), Fraction(-2))
-        assert Ratio.of(Fraction(1), Fraction(0)) == Ratio.of(Fraction(7), Fraction(0))
+        assert Ratio(QQ, 2, 4) == Ratio(QQ, -1, -2)
+        assert Ratio(QQ, 1, 0) == Ratio(QQ, 7, 0)
+        assert ratio_of(Fraction(2), Fraction(4)) == ratio_of(Fraction(-1), Fraction(-2))
 
     def test_zero_zero_rejected(self):
         with pytest.raises(ParseError):
-            Ratio.of(Fraction(0), Fraction(0))
+            Ratio(QQ, 0, 0)
+        with pytest.raises(ParseError):
+            ratio_of(Fraction(0), Fraction(0))
 
     @pytest.mark.parametrize("num, den", [(1, 2), (3, 0), (Fraction(1), 2), (2, Fraction(1)), (True, 1)])
     def test_ints_are_rejected(self, num, den):
-        """int / int is a float: Ratio.of(1, 2) would be Ratio(0.5, 1.0) and print 0.5."""
+        """int / int is a float: ratio_of(1, 2) would be Ratio(0.5, 1.0) and print 0.5."""
         with pytest.raises(TypeError):
-            Ratio.of(num, den)
+            ratio_of(num, den)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
     def test_from_ints_is_of_on_field_elements(self, field):
         for s, t in [(1, 2), (-6, 4), (3, 0), (-5, 0), (0, 9), (9, 7), (14, 3), (3, 14)]:
-            assert Ratio(field, s, t) == Ratio.of(field.from_int(s), field.from_int(t))
+            assert Ratio(field, s, t) == ratio_of(from_int(field, s), from_int(field, t))
         assert str(Ratio(QQ, 1, 2)) == "1/2" and str(Ratio(QQ, 3, 0)) == "1/0"
         for s, t in [(0, 0)] + ([(7, 14)] if field.char else []):
             with pytest.raises(ParseError):
@@ -381,12 +391,12 @@ class TestRatio:
             ratio_text(p, s, t)
 
     def test_parse_and_format(self):
-        assert not ratio_parse("1/0", QQ).den
-        assert ratio_parse("-1/2", QQ) == Ratio.of(Fraction(-1), Fraction(2))
-        assert ratio_parse("3/2", QQ) == Ratio.of(Fraction(3), Fraction(2))
+        assert (ratio_parse("1/0", QQ).s, ratio_parse("1/0", QQ).t) == (1, 0)
+        assert ratio_parse("-1/2", QQ) == ratio_of(Fraction(-1), Fraction(2))
+        assert ratio_parse("3/2", QQ) == ratio_of(Fraction(3), Fraction(2))
         assert str(ratio_parse("3/2", QQ)) == "3/2"
         assert str(ratio_parse("1/0", QQ)) == "1/0"
         f11 = PrimeField(11)
-        assert ratio_parse("7/2", f11) == Ratio.of(f11.from_int(7), f11.from_int(2))
+        assert ratio_parse("7/2", f11) == ratio_of(from_int(f11, 7), from_int(f11, 2))
         with pytest.raises(ParseError):
             ratio_parse("0/0", QQ)

@@ -8,10 +8,9 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import quadriline
-from quadriline import Ratio
+from quadriline import QQ, Ratio
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadriline"
@@ -40,17 +39,15 @@ API = [
 # The value each commented expression of the README library block stands for.
 LIBRARY_VALUES = {
     "rect.affine_vertices()": {
-        "A": (Fraction(-1, 3), Fraction(1, 3)),
-        "B": (Fraction(-1, 3), Fraction(0)),
-        "C": (Fraction(1, 3), Fraction(0)),
-        "D": (Fraction(1, 3), Fraction(1, 3)),
+        "A": (Ratio(QQ, -1, 3), Ratio(QQ, 1, 3)),
+        "B": (Ratio(QQ, -1, 3), Ratio(QQ, 0, 1)),
+        "C": (Ratio(QQ, 1, 3), Ratio(QQ, 0, 1)),
+        "D": (Ratio(QQ, 1, 3), Ratio(QQ, 1, 3)),
     },
-    "q.aspect_of(rect)": Ratio.of(Fraction(-1), Fraction(2)),
-    "q.center_of(rect)": (Fraction(0), Fraction(1, 6)),
+    "q.aspect_of(rect)": Ratio(QQ, -1, 2),
+    "q.center_of(rect)": (Ratio(QQ, 0, 1), Ratio(QQ, 1, 6)),
     "q.classify(cfg).degenerate": False,
-    "q.homography(cfg).slope_to_aspect(q.Ratio.of(Fraction(1), Fraction(0)))": Ratio.of(
-        Fraction(-1), Fraction(2)
-    ),
+    "q.homography(cfg).slope_to_aspect(q.Ratio(q.QQ, 1, 0))": Ratio(QQ, -1, 2),
     "report.union_covered": True,
 }
 
@@ -191,11 +188,21 @@ def test_every_member_is_read():
     assert unread == [], unread
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter (``-S``: no site hooks) that imports the CLI has not
-    loaded ``dataclasses`` or ``inspect``: no class of the package is generated
-    at import."""
-    code = "import sys, quadriline.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def modules_loaded_by_cli_import(names) -> tuple:
+    """(exit code, stdout, stderr) of a fresh interpreter (``-S``: no site hooks)
+    that imports the CLI and prints which of the given modules it has loaded."""
+    code = f"import sys, quadriline.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """No class of the package is generated at import."""
+    assert modules_loaded_by_cli_import({"dataclasses", "inspect"}) == (0, "[]\n", "")
+
+
+def test_cli_import_loads_no_fractions():
+    """No value of the package is a Fraction, so the CLI loads neither ``fractions``
+    nor the ``decimal`` and ``numbers`` that it imports."""
+    assert modules_loaded_by_cli_import({"fractions", "decimal", "numbers"}) == (0, "[]\n", "")

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quadriline import (
     QQ,
     ConfigurationInput,
-    InputLine,
     QuadrilineError,
     classify,
     normalize,
@@ -24,8 +23,8 @@ from quadriline.cli import load_config, rectangle_json
 from quadriline.locus import centers_paths
 from quadriline.paths import aspect_path_eval, slope_path_eval
 from quadriline.svgfig import _clip_line, _swept_centers, render
-from conftest import center_at, covec, fraction_count, rat, same_line
-from membership import standing_line
+from conftest import center_at, covec, fraction_count, input_line, rat, same_line
+from membership import Line, parse, standing_line
 
 # The ratios of the render's conic sweep: j/32 for |j| <= 512, then 1/0.
 SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
@@ -50,7 +49,7 @@ def fraction_sweep(center_map, plane_map):
 
 def center_map_of(lines):
     """(center map, plane map) of four lines A, C, B, D, or None when the locus is no conic."""
-    a, c, b, d = (InputLine(*(QQ.parse(str(v)) for v in line)) for line in lines)
+    a, c, b, d = (input_line(QQ, Line(*(parse(QQ, str(v)) for v in line))) for line in lines)
     try:
         cfg, pm = normalize(ConfigurationInput(QQ, (a, c), (b, d)))
     except QuadrilineError:
@@ -177,13 +176,13 @@ def test_polyline_prints_each_point_as_fmt_did():
 
 @pytest.mark.parametrize("name", RATIONAL_CONFIGS + ["square.json"])
 def test_render_builds_fractions_only_to_clip(tmp_path, name):
-    """Past the parsing of its literals, a render with --diagonals builds no Fraction,
-    in ``_clip_line``'s box tests or anywhere else: the anchors, rectangles, locus lines
-    and point, diagonals and clipped segments are int points and covectors until each
-    becomes a float."""
-    cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
-    cfg, pm = normalize(cfg_input)
+    """A render with --diagonals builds no Fraction, the parsing of its literals
+    included, in ``_clip_line``'s box tests or anywhere else: the literals, anchors,
+    rectangles, locus lines and point, diagonals and clipped segments are ints, int
+    points and covectors until each becomes a float."""
     with fraction_count() as built:
+        cfg_input = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+        cfg, pm = normalize(cfg_input)
         render(cfg_input, cfg, pm, tmp_path / "out.svg", diagonals=True)
     assert built[0] == 0
 

@@ -18,15 +18,8 @@ from collections import Counter
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
 from .paths import aspect_path_polys, path_keys, slope_path_polys
-from .rectangles import ProjectiveRectangle, _residue, aspect_residue, residue_text, slope_residue
-from .scalars import Record
-
-# Largest prime a census runs at.  Its time and the set of rectangles it holds
-# both grow about linearly in p.  At p = 59,999 one census, end to end, took
-# 2.9 s and 111 MB on the configs/cfg1.json lines and 3.7 s and 132 MB on the
-# degenerate configs/cfg2.json lines (2p + 1 rectangles), on a 2-vCPU x86-64
-# VM with Python 3.11.
-MAX_CENSUS_PRIME = 60_000
+from .rectangles import _residues, aspect_residues, canonical_keys, residue_text, slope_residues
+from .scalars import MAX_CENSUS_PRIME, Record
 
 
 def _completion(cfg: NormalizedConfig) -> tuple:
@@ -63,36 +56,39 @@ def quadric_h(cfg: NormalizedConfig) -> tuple:
     return tuple((u + v) % p for u, v in zip(dy, dx))
 
 
-def _row_roots(field, a: int, b: int, c: int):
-    """The x in F_p with a x^2 + b x + c = 0 (residues mod p); range(p) when
-    all three coefficients vanish."""
-    p = field.char
-    if a:
-        d = (b * b - 4 * a * c) % p
-        r = field.sqrt(d)
-        if r is None:
-            return ()
-        if (r * r - d) % p:
-            raise InternalCheckError(f"{r} is not a square root of {d} mod {p}")
-        inv = pow(2 * a, -1, p)
-        return {(r - b) * inv % p, (-r - b) * inv % p}
-    if b:
-        return (-c * pow(b, -1, p) % p,)
-    return () if c else range(p)
+def _zeros(field, a: int, bs, cs) -> list:
+    """(i, x) for every x in F_p with a x^2 + bs[i] x + cs[i] = 0, for residues
+    bs[i] and cs[i], read off ``field.tables``; a row whose three coefficients
+    vanish has every x."""
+    p, (inverses, roots) = field.char, field.tables
+    half, zeros = inverses[2 * a % p], []
+    for i, (b, c) in enumerate(zip(bs, cs)):
+        if a:
+            d = (b * b - 4 * a * c) % p
+            r = roots.get(d)
+            if r is not None:
+                if (r * r - d) % p:
+                    raise InternalCheckError(f"{r} is not a square root of {d} mod {p}")
+                zeros += {(i, (r - b) * half % p), (i, (-r - b) * half % p)}
+        elif b:
+            zeros.append((i, -c * inverses[b] % p))
+        elif not c:
+            zeros += [(i, x) for x in range(p)]
+    return zeros
 
 
-def enumerate_rectangles(cfg: NormalizedConfig):
-    """The set of all rectangles in the configuration space over F_p.
+def enumerate_rectangles(cfg: NormalizedConfig) -> set:
+    """The canonical keys of all rectangles in the configuration space over F_p.
 
     The rectangles are the zeros of h = :func:`quadric_h`, read once as six
     residues.  On the row (x_A, x_B, 1), h is the quadratic
-    bb x_B^2 + (ab x_A + bw) x_B + (aa x_A^2 + aw x_A + ww), solved by one
-    square root; a row where all three coefficients vanish lies in the
+    bb x_B^2 + (ab x_A + bw) x_B + (aa x_A^2 + aw x_A + ww), solved by
+    :func:`_zeros`; a row where all three coefficients vanish lies in the
     quadric.  On the line w = 0 the points (x_A, 1, 0) are the roots of
     aa x_A^2 + ab x_A + bb, and (1, 0, 0) is a zero exactly when aa = 0.
-    Each zero is completed to a parallelogram on ints mod p, with
-    x_C = k_A x_A + k_B x_B + k_w w from :func:`_completion`, and scaled to
-    its canonical form.
+    The zeros are completed to parallelograms a column at a time on ints mod
+    p, with x_C = k_A x_A + k_B x_B + k_w w from :func:`_completion`, and
+    scaled to their canonical keys by :func:`canonical_keys`.
     """
     field = cfg.field
     if not field.char:
@@ -103,22 +99,21 @@ def enumerate_rectangles(cfg: NormalizedConfig):
             f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
         )
     aa, ab, bb, aw, bw, ww = quadric_h(cfg)
-    hits = [(x_a, 1, 0) for x_a in _row_roots(field, aa, ab, bb)]
+    hits = [(x_a, 1, 0) for _, x_a in _zeros(field, aa, [ab], [bb])]
     if not aa:
         hits.append((1, 0, 0))
-    for x_a in range(p):
-        b, c = (ab * x_a + bw) % p, ((aa * x_a + aw) * x_a + ww) % p
-        hits.extend((x_a, x_b, 1) for x_b in _row_roots(field, bb, b, c))
+    bs = [(ab * x_a + bw) % p for x_a in range(p)]
+    cs = [((aa * x_a + aw) * x_a + ww) % p for x_a in range(p)]
+    hits += [(x_a, x_b, 1) for x_a, x_b in _zeros(field, bb, bs, cs)]
 
     m_a, m_b, m_c, m_d, b_a = cfg.standing[:5]
     k_a, k_b, k_w = _completion(cfg)
-    found = set()
-    for x_a, x_b, w in hits:
-        x_c = (k_a * x_a + k_b * x_b + k_w * w) % p
-        x_d = x_a - x_b + x_c
-        coords = (x_a, m_a * x_a + b_a * w, x_b, m_b * x_b + w, x_c, m_c * x_c, x_d, m_d * x_d, w)
-        found.add(ProjectiveRectangle.canonical(field, coords))
-    return found
+    x_a, x_b, w = ([hit[i] for hit in hits] for i in range(3))
+    x_c = [(k_a * a + k_b * b + k_w * c) % p for a, b, c in zip(x_a, x_b, w)]
+    x_d = [a - b + c for a, b, c in zip(x_a, x_b, x_c)]
+    y_a, y_b = [m_a * a + b_a * c for a, c in zip(x_a, w)], [m_b * b + c for b, c in zip(x_b, w)]
+    columns = (x_a, y_a, x_b, y_b, x_c, [m_c * c for c in x_c], x_d, [m_d * d for d in x_d], w)
+    return set(canonical_keys(field, columns))
 
 
 class CensusReport(Record):
@@ -135,14 +130,8 @@ class CensusReport(Record):
     failures: list
 
 
-def _pair_residue(p: int, s: int, t: int) -> int:
-    """The ratio s : t of two ints, not both zero mod p, as slope_residue gives it:
-    v for (v : 1), p for (1 : 0)."""
-    return _residue(p, (s % p, t % p))
-
-
 def _tally(p: int, values) -> dict:
-    """Counts of slope_residue / aspect_residue outcomes, keyed by their text
+    """Counts of slope_residues / aspect_residues outcomes, keyed by their text
     and sorted by it; each distinct outcome is written once."""
     return dict(sorted((residue_text(p, v), n) for v, n in Counter(values).items()))
 
@@ -151,12 +140,11 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     """Enumerate rectangles and check them against both paths.
 
     Past the enumeration every rectangle is its canonical key, and every
-    slope and aspect ratio one residue (:func:`slope_residue`), the shared
+    slope and aspect ratio one residue (:func:`slope_residues`), the shared
     ratios of a degenerate configuration too; a passing census builds no ratios.
     """
-    p = cfg.field.char
-    keys = [rect.key for rect in enumerate_rectangles(cfg)]
-    census = set(keys)
+    field, p = cfg.field, cfg.field.char
+    census = enumerate_rectangles(cfg)
     cls = classify(cfg)
     failures = []
 
@@ -173,7 +161,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
             side = "census-only" if witness in census else "path-only"
             failures.append(f"union mismatch ({side}): {witness}")
 
-    infinity_count = sum(1 for key in keys if key[8] == 0)
+    infinity_count = sum(1 for key in census if key[8] == 0)
     if cls.twin_pairs or cls.dual_pairs:
         bound_ok = True
     else:
@@ -181,41 +169,42 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         if not bound_ok:
             failures.append(f"{infinity_count} rectangles at infinity")
 
-    slopes = [slope_residue(p, key) for key in keys]
+    slopes = slope_residues(field, census)
     consistency_ok = True
     if cls.degenerate:
         m_c, m_d = cfg.standing[2:4]  # residues, over δ = 1
-        want = _pair_residue(p, (m_c - m_d) * spp.first[0], spp.second[0])
-        for i, key in enumerate(slope_keys):
-            if aspect_residue(p, key) != want:
+        [want] = _residues(field, [((m_c - m_d) * spp.first[0], spp.second[0])])
+        for i, (key, aspect) in enumerate(zip(slope_keys, aspect_residues(field, slope_keys))):
+            if aspect != want:
                 consistency_ok = False
                 failures.append(f"slope path aspect varies at {residue_text(p, i)}: {key}")
-        want = _pair_residue(p, app.first[0], app.second[0])
+        [want] = _residues(field, [(app.first[0], app.second[0])])
         f1, f2 = cfg.standing[8:]  # f1 : f2 = F1 : δ F2, over δ = 1
-        if (f1 or f2) and want != _pair_residue(p, f1, f2):
+        if (f1 or f2) and [want] != _residues(field, [(f1, f2)]):
             consistency_ok = False
             failures.append("aspect-path slope differs from the F diagonal")
-        for i, key in enumerate(aspect_keys):
-            if slope_residue(p, key) != want:
+        for i, (key, slope) in enumerate(zip(aspect_keys, slope_residues(field, aspect_keys))):
+            if slope != want:
                 consistency_ok = False
                 failures.append(f"aspect path slope varies at {residue_text(p, i)}: {key}")
     else:
         if slope_image != aspect_image:
             consistency_ok = False
             failures.append("slope and aspect path images differ")
-        seen = set()
-        for key, slope in zip(keys, slopes):
-            if slope in seen:
-                consistency_ok = False
-                failures.append(f"slope {residue_text(p, slope)} repeats: {key}")
-            seen.add(slope)
+        if len(set(slopes)) < len(slopes):
+            seen = set()
+            for key, slope in zip(census, slopes):
+                if slope in seen:
+                    consistency_ok = False
+                    failures.append(f"slope {residue_text(p, slope)} repeats: {key}")
+                seen.add(slope)
 
     return CensusReport(
         p=p,
         total=len(census),
         at_infinity=infinity_count,
         by_slope=_tally(p, slopes),
-        by_aspect=_tally(p, (aspect_residue(p, key) for key in keys)),
+        by_aspect=_tally(p, aspect_residues(field, census)),
         union_covered=union_covered,
         at_infinity_bound_ok=bound_ok,
         degenerate_consistency_ok=consistency_ok,

@@ -44,7 +44,7 @@ class InputLine(Record):
 
 class ConfigurationInput(Record):
     """Four lines as ordered pairs (A, C) and (B, D) over a common field, each with
-    (a, b) != (0, 0) in the field."""
+    int a, b and c and (a, b) != (0, 0) in the field."""
 
     field: object
     pair1: tuple  # roles (A, C)
@@ -55,6 +55,8 @@ class ConfigurationInput(Record):
         p = self.field.char
         for i, pair in enumerate((self.pair1, self.pair2)):
             for j, line in enumerate(pair):
+                if not all(isinstance(v, int) for v in (line.a, line.b, line.c)):
+                    raise PreconditionError(f"pairs[{i}][{j}]: a, b and c must be ints: {line}")
                 if not (hpoly.mod(line.a, p) or hpoly.mod(line.b, p)):
                     raise PreconditionError(f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)")
 

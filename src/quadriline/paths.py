@@ -17,7 +17,7 @@ import math
 from . import hpoly
 from .configuration import ROLES, NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
-from .rectangles import ProjectiveRectangle, Ratio, canonical_key
+from .rectangles import ProjectiveRectangle, Ratio, canonical_keys
 from .scalars import Record
 
 
@@ -144,17 +144,17 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
     projective line over F_p: at (v : 1) for v = 0, ..., p - 1, then at
     (1 : 0), in that order.
 
-    Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by
-    forward differences (:func:`hpoly.tabulate`), and each point is put in
-    canonical form; (1 : 0) goes through :func:`eval_path`.
+    Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by forward
+    differences (:func:`hpoly.tabulate`), and the columns are put in canonical
+    form (:func:`canonical_keys`); (1 : 0) goes through :func:`eval_path`.
     """
     field = cfg.field
     p = field.char
     if not p:
         raise PreconditionError("a path replay needs a prime field")
-    columns = [hpoly.tabulate(f, p) for f in pp.integer_forms]
+    columns = [list(hpoly.tabulate(f, p)) for f in pp.integer_forms]
     try:
-        keys = [canonical_key(field, coords) for coords in zip(*columns)]
+        keys = canonical_keys(field, columns)
     except PreconditionError:
         raise InternalCheckError("path polynomials share a projective zero") from None
     keys.append(eval_path(cfg, pp, (1, 0)).key)

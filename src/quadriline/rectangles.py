@@ -55,6 +55,19 @@ def canonical_key(field, coords) -> tuple:
     raise PreconditionError("projective point needs a nonzero coordinate")
 
 
+def canonical_keys(field, columns) -> list:
+    """:func:`canonical_key` of every row of the nine int columns over F_p, a column
+    at a time: each column is scaled by the inverse of the first column's residue
+    (``field.tables``).  A row whose first coordinate is 0 mod p goes through
+    :func:`canonical_key` itself, the only code that picks a pivot."""
+    p, inverses = field.char, field.tables[0]
+    scales = [inverses[c % p] for c in columns[0]]
+    keys = list(zip(*[[c * s % p for c, s in zip(column, scales)] for column in columns]))
+    for i in [i for i, s in enumerate(scales) if not s]:
+        keys[i] = canonical_key(field, [column[i] for column in columns])
+    return keys
+
+
 class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
@@ -139,13 +152,14 @@ def _aspect_pair(key: tuple):
     return None
 
 
-def _residue(p: int, pair):
-    """A (num, den) pair of residue differences as one residue: v in [0, p) for
-    (v : 1), p for (1 : 0), None for None."""
-    if pair is None:
-        return None
-    num, den = pair
-    return num * pow(den, -1, p) % p if den else p
+def _residues(field, pairs) -> list:
+    """Each (num, den) pair of ints as one residue, by ``field.tables``: v in [0, p)
+    for (v : 1), p for (1 : 0), None for None."""
+    p, inverses = field.char, field.tables[0]
+    return [
+        None if pair is None else pair[0] * inverses[pair[1] % p] % p if pair[1] % p else p
+        for pair in pairs
+    ]
 
 
 def _ratio(field, pair):
@@ -153,20 +167,20 @@ def _ratio(field, pair):
     return INDETERMINATE if pair is None else Ratio(field, *pair)
 
 
-def slope_residue(p: int, key: tuple):
-    """The slope of the F_p point with canonical key ``key``, as one residue
-    (:func:`_residue`)."""
-    return _residue(p, _slope_pair(key))
+def slope_residues(field, keys) -> list:
+    """The slope of each F_p point whose canonical key is in ``keys``, as one
+    residue (:func:`_residues`)."""
+    return _residues(field, map(_slope_pair, keys))
 
 
-def aspect_residue(p: int, key: tuple):
-    """The aspect ratio of the F_p point with canonical key ``key``, as one
-    residue (:func:`_residue`)."""
-    return _residue(p, _aspect_pair(key))
+def aspect_residues(field, keys) -> list:
+    """The aspect ratio of each F_p point whose canonical key is in ``keys``, as
+    one residue (:func:`_residues`)."""
+    return _residues(field, map(_aspect_pair, keys))
 
 
 def residue_text(p: int, value) -> str:
-    """A slope_residue / aspect_residue outcome as report text: the ``str`` of
+    """A slope_residues / aspect_residues outcome as report text: the ``str`` of
     the matching ratio, or the value of INDETERMINATE."""
     if value is None:
         return INDETERMINATE.value

@@ -5,14 +5,16 @@
 Each call runs ``quadriline.cli.main(argv)`` in-process from this checkout's
 ``src/`` and prints one line: its label, its exit code (or its ``SystemExit``
 code), and the sha256 digests of stdout, stderr and the SVG it wrote ("-" for
-none).  The calls are 13 commands on each ``configs/*.json``, then every op of
+none).  The calls are 13 commands on each ``configs/*.json``, ``classify`` on
+each of ``LOADER_INPUTS`` (the exits of the config loader), then every op of
 rounds 0-1 of each given seed of each workload of ``bench/workloads.py``
 (imported, never changed).  Run it once in each checkout with the same
 arguments and ``diff`` the two outputs.
 
 Every path a call sees is the same in both checkouts: the configs are copied
-to DIR/configs, and each (workload, seed) writes its inputs to a directory of
-its own under DIR, because round file names repeat across workloads.  The
+to DIR/configs and the loader inputs written there, and each (workload, seed)
+writes its inputs to a directory of its own under DIR, because round file
+names repeat across workloads.  The
 ``--out`` paths are fixed too: ``render`` prints its path, so a fresh temp
 directory would make every render differ.  Not collected by pytest (it is not
 a ``test_*.py`` file); standard library only.
@@ -25,6 +27,7 @@ import contextlib
 import glob
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -51,6 +54,35 @@ COMMANDS = (
     ["render", "--samples", "3"],
     ["render", "--diagonals"],
 )
+
+
+GOOD_PAIRS = [
+    [{"a": "-2", "b": "1", "c": "1"}, {"a": "0", "b": "1", "c": "0"}],
+    [{"a": "-3", "b": "1", "c": "1"}, {"a": "-1", "b": "1", "c": "0"}],
+]
+# Inputs that reach each exit of ``cli.load_config`` and its modulus reader past the
+# shipped configs, by name: all but one are errors.  ``classify`` runs on each.
+LOADER_INPUTS = {
+    "invalid_json": '{"field": "rational", "pairs": [',
+    "nested_json": "[" * 100_000 + "]" * 100_000,
+    "non_object": json.dumps([GOOD_PAIRS]),
+    "bad_field_tag": json.dumps({"field": "complex", "pairs": GOOD_PAIRS}),
+    "long_modulus": json.dumps({"field": {"prime": "1" + "0" * 40}, "pairs": GOOD_PAIRS}),
+    "non_prime_modulus": json.dumps({"field": {"prime": 15}, "pairs": GOOD_PAIRS}),
+    "float_modulus": json.dumps({"field": {"prime": 7.0}, "pairs": GOOD_PAIRS}),
+    "string_modulus": json.dumps({"field": {"prime": "0011"}, "pairs": GOOD_PAIRS}),  # exit 0
+    "three_pairs": json.dumps({"field": "rational", "pairs": GOOD_PAIRS * 3}),
+    "one_line_pair": json.dumps({"field": "rational", "pairs": [GOOD_PAIRS[0], GOOD_PAIRS[1][:1]]}),
+    "missing_key": json.dumps(
+        {"field": "rational", "pairs": [GOOD_PAIRS[0], [{"a": "1", "b": "1"}, GOOD_PAIRS[1][1]]]}
+    ),
+    "bad_literal": json.dumps(
+        {"field": {"prime": 7}, "pairs": [GOOD_PAIRS[0], [{"a": "1/2", "b": "1", "c": "0"}] * 2]}
+    ),
+    "zero_normal": json.dumps(
+        {"field": "rational", "pairs": [GOOD_PAIRS[0], [{"a": "0", "b": "0", "c": "1"}] * 2]}
+    ),
+}
 
 
 def _digest(data: bytes) -> str:
@@ -89,6 +121,11 @@ def calls(seeds, work):
             if command[0] == "render":
                 argv += ["--out", svg]
             yield f"configs/{name}:{'_'.join(command)}", argv, svg
+    for name, text in LOADER_INPUTS.items():
+        path = os.path.join(directory, f"loader_{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        yield f"loader/{name}:classify", ["classify", "--input", path], svg
     for seed in seeds:
         for workload in WORKLOADS:
             directory = os.path.join(work, f"{workload}-{seed}")

@@ -15,12 +15,14 @@ from quadriline import (
     QQ,
     Ratio,
 )
+from quadriline.census import enumerate_rectangles
 from quadriline.cli import load_config
 from quadriline.configuration import adjugate, covector, cross, normalize
 from quadriline.errors import PreconditionError
 from quadriline.locus import AffineLineDescription, center_of
 from quadriline import hpoly, paths
 from quadriline.paths import ratio_samples
+from quadriline.rectangles import ProjectiveRectangle
 import membership
 from membership import (
     elements,
@@ -110,6 +112,11 @@ def contains(field, line, point) -> bool:
     n0, n1, n2 = covec(field, line)
     x, y = (value(c) if isinstance(c, Ratio) else c for c in point)
     return not (zero_of(field) + n0 * x + n1 * y + n2)  # the field's zero first: a field element
+
+
+def census_rectangles(cfg) -> set:
+    """The rectangles whose canonical keys ``census.enumerate_rectangles`` finds."""
+    return {ProjectiveRectangle(cfg.field, key) for key in enumerate_rectangles(cfg)}
 
 
 def center_values(rect) -> tuple:

@@ -12,19 +12,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 import membership
 from quadriline import QQ, NormalizedConfig, PrimeField, Ratio, verify_against_paths
-from quadriline.census import enumerate_rectangles
+from quadriline.census import MAX_CENSUS_PRIME
 from quadriline.cli import json_text
-from quadriline.errors import AtInfinityError
+from quadriline.errors import AtInfinityError, PreconditionError
 from quadriline.locus import center_of
 from quadriline.rectangles import (
     INDETERMINATE,
     ProjectiveRectangle,
     aspect_of,
-    aspect_residue,
+    aspect_residues,
     residue_text,
     slope_of,
-    slope_residue,
+    slope_residues,
 )
+from conftest import census_rectangles
 from test_census import assert_matches_reference
 from membership import value
 
@@ -58,12 +59,14 @@ def center_or_at_infinity(center, rect):
 def assert_reads_match_reference(rect):
     """slope_of, aspect_of and center_of agree with the field-element reference,
     and the census's residue reads print as the reference ratio does."""
-    p = rect.field.char
+    field, p = rect.field, rect.field.char
     slope, aspect = membership.slope_of(rect), membership.aspect_of(rect)
     assert slope_of(rect) == slope, rect
     assert aspect_of(rect) == aspect, rect
-    assert json_text(residue_text(p, slope_residue(p, rect.key))) == json_text(slope), rect
-    assert json_text(residue_text(p, aspect_residue(p, rect.key))) == json_text(aspect), rect
+    [slope_residue] = slope_residues(field, [rect.key])
+    [aspect_residue] = aspect_residues(field, [rect.key])
+    assert json_text(residue_text(p, slope_residue)) == json_text(slope), rect
+    assert json_text(residue_text(p, aspect_residue)) == json_text(aspect), rect
     center = center_or_at_infinity(center_of, rect)
     if center != "at infinity":
         center = tuple(map(value, center))
@@ -73,7 +76,7 @@ def assert_reads_match_reference(rect):
 @settings(max_examples=40, deadline=None)
 @given(normalized_configs())
 def test_residue_reads_match_reference_on_census(cfg):
-    for rect in enumerate_rectangles(cfg):
+    for rect in census_rectangles(cfg):
         assert_reads_match_reference(rect)
 
 
@@ -120,7 +123,7 @@ def reduce_mod(p, q: Ratio):
 
 
 def residue_of(p, ratio):
-    """A ratio over F_p as slope_residue gives it; None for INDETERMINATE."""
+    """A ratio over F_p as slope_residues gives it; None for INDETERMINATE."""
     if ratio is INDETERMINATE:
         return None
     return ratio.s if ratio.t else p
@@ -150,13 +153,18 @@ def integer_points(draw):
 @given(integer_points())
 def test_rational_reads_reduce_to_prime_reads(point):
     """slope_of, aspect_of and center_of over the rationals reduce mod p to the same
-    readers over F_p, and slope_residue / aspect_residue agree with those."""
+    readers over F_p, and slope_residues / aspect_residues agree with those at the
+    census primes."""
     p, coords = point
     rational = ProjectiveRectangle.canonical(QQ, coords)
     prime = ProjectiveRectangle.canonical(PrimeField(p), coords)
-    for read, residue in ((slope_of, slope_residue), (aspect_of, aspect_residue)):
+    for read, residues in ((slope_of, slope_residues), (aspect_of, aspect_residues)):
         want = residue_of(p, read(prime))
-        assert residue(p, prime.key) == want
+        if p > MAX_CENSUS_PRIME:  # past the census primes the field builds no inverse table
+            with pytest.raises(PreconditionError):
+                residues(prime.field, [prime.key])
+        else:
+            assert residues(prime.field, [prime.key]) == [want]
         got = read(rational)
         if got is INDETERMINATE:
             assert want is None

@@ -241,6 +241,28 @@ def test_zero_normal_is_a_precondition_error(field, ints, slot):
     assert str(exc.value) == f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)"
 
 
+NON_INT_CASES = [(QQ, Fraction(1, 2)), (PrimeField(7), 1.5), (QQ, "1"), (PrimeField(7), Fraction(3))]
+NON_INT_IDS = ["QQ-Fraction", "F7-float", "QQ-str", "F7-whole-Fraction"]
+
+
+@pytest.mark.parametrize("field, bad", NON_INT_CASES, ids=NON_INT_IDS)
+@pytest.mark.parametrize("coefficient", range(3))
+@pytest.mark.parametrize("slot", range(4))
+def test_non_int_coefficient_is_a_precondition_error(field, bad, coefficient, slot):
+    """A library InputLine whose a, b or c is not an int is a PreconditionError that
+    names its slot, raised when the ConfigurationInput is built, not a TypeError from
+    the arithmetic past it; a whole Fraction is refused too."""
+    lines = [_line(2, 3), _line(0, 2), _line(3, 3), _line(1, 2)]
+    ints = list(vars(lines[slot]).values())
+    ints[coefficient] = bad
+    lines[slot] = InputLine(*ints)
+    i, j = divmod(slot, 2)
+    with pytest.raises(PreconditionError) as exc:
+        ConfigurationInput(field, tuple(lines[:2]), tuple(lines[2:]))
+    assert type(exc.value) is PreconditionError
+    assert str(exc.value) == f"pairs[{i}][{j}]: a, b and c must be ints: {lines[slot]}"
+
+
 class TestMake:
     """make takes the six standing ints, residues over F_p, and checks them mod p;
     from_ints reduces its arguments first."""

@@ -19,7 +19,6 @@ from quadriline import (
     slope_of,
     slope_path_eval,
 )
-from quadriline.census import enumerate_rectangles
 from quadriline.configuration import LocusShape
 from quadriline.errors import AtInfinityError, ParallelPairError, PreconditionError
 from quadriline.locus import (
@@ -47,6 +46,7 @@ from membership import (
 )
 from conftest import (
     affine_point,
+    census_rectangles,
     center_at,
     center_values,
     contains,
@@ -396,7 +396,7 @@ class TestCentersPaths:
         for ints in configs:
             cfg = NormalizedConfig.from_ints(field, *ints)
             report = centers_paths(cfg)
-            census = {center_values(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
+            census = {center_values(r) for r in census_rectangles(cfg) if not r.at_infinity}
             assert census == reported_centers(field, report), (p, ints)
             rank_two += report.shape is LocusShape.NONDEGENERATE_CONIC and bool(report.single_line)
         assert rank_two > 0
@@ -436,7 +436,7 @@ class TestCentersPaths:
             assert report.single_line is None and report.point is None
             points = {affine_point(field, point) for point in report.points}
             assert len(points) == 2
-            centers = {center_values(r) for r in enumerate_rectangles(cfg) if not r.at_infinity}
+            centers = {center_values(r) for r in census_rectangles(cfg) if not r.at_infinity}
             assert points == centers, ints
         assert len(found) == expected
 

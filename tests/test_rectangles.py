@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadriline import (
@@ -20,6 +21,7 @@ from quadriline.rectangles import (
     ProjectiveRectangle,
     aspect_infinity_form,
     canonical_key,
+    canonical_keys,
     aspects_at_infinity,
     slope_infinity_form,
     slopes_at_infinity,
@@ -27,6 +29,7 @@ from quadriline.rectangles import (
 from quadriline.census import quadric_h
 from quadriline.cli import rectangle_json
 from quadriline.configuration import ROLES
+from quadriline.errors import PreconditionError
 from conftest import (
     CFG1_INTS,
     CFG3_INTS,
@@ -511,6 +514,42 @@ class TestRectangleIdentity:
         expected = [ratio_of(v, one_of(field)) for v in elements(field)]
         expected.append(ratio_of(one_of(field), zero_of(field)))
         assert all_ratios(field) == expected
+
+
+@st.composite
+def key_rows(draw):
+    """A prime field and up to a dozen rows of nine ints, none of them zero mod p.  A
+    row is random, or has a first coordinate that is 0 mod p, or is 0 mod p up to a
+    late coordinate."""
+    p = draw(st.sampled_from((3, 5, 7)) | st.sampled_from(ODD_PRIMES))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(COORDS)
+        zeros = draw(st.sampled_from((0, 1)) | st.integers(0, 8))
+        row[:zeros] = [p * draw(st.integers(-3, 3)) for _ in range(zeros)]
+        assume(any(c % p for c in row))
+        rows.append(row)
+    return PrimeField(p), rows
+
+
+class TestCanonicalKeys:
+    """canonical_keys, the column form of the key rule that the census reads, gives
+    canonical_key row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_rows())
+    def test_rows_match_canonical_key(self, field_rows):
+        field, rows = field_rows
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(9)]
+        assert canonical_keys(field, columns) == [canonical_key(field, row) for row in rows]
+
+    def test_zero_row_is_a_precondition_error(self):
+        field = PrimeField(7)
+        rows = [[1] * 9, [7, 0, 0, 0, -14, 0, 0, 0, 0]]
+        with pytest.raises(PreconditionError):
+            canonical_key(field, rows[1])
+        with pytest.raises(PreconditionError):
+            canonical_keys(field, [list(column) for column in zip(*rows)])
 
 
 RATIONALS = INTS | st.builds(Fraction, INTS, st.integers(1, 10**6))

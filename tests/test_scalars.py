@@ -12,7 +12,7 @@ import pytest
 from quadriline import PrimeField, QQ, Ratio
 from quadriline.errors import FieldError, ParseError, PreconditionError
 from quadriline.rectangles import ALL_RATIOS, projective_quadratic_roots
-from quadriline.scalars import ratio_parse, ratio_text
+from quadriline.scalars import MAX_CENSUS_PRIME, ratio_parse, ratio_text
 from quadriline.scalars import _is_odd_prime
 from membership import from_int, one_of, parse, quotient, ratio_of, zero_of
 
@@ -203,6 +203,35 @@ class TestFieldArithmetic:
             squares = {v * v % p for v in range(p)}
             assert 1 < n < p and n not in squares, p
             assert all(k in squares for k in range(1, n)), p
+
+
+TABLE_PRIMES = [3, 5, 7, 17, 97, 257, 1009, 7681]  # 7681 - 1 = 2^9 * 15
+
+
+class TestTables:
+    """The inverse and square-root tables a PrimeField builds for the census."""
+
+    @pytest.mark.parametrize("p", TABLE_PRIMES)
+    def test_inverses_match_pow(self, p):
+        inverses, _ = PrimeField(p).tables
+        assert len(inverses) == p and inverses[0] == 0
+        assert all(inverses[x] == pow(x, -1, p) for x in range(1, p))
+
+    @pytest.mark.parametrize("p", TABLE_PRIMES)
+    def test_roots_match_sqrt(self, p):
+        field = PrimeField(p)
+        _, roots = field.tables
+        assert all(roots.get(x) == field.sqrt(x) for x in range(p))
+        assert len(roots) == (p + 1) // 2  # 0 and the (p - 1) / 2 nonzero squares
+
+    def test_built_once_up_to_the_census_bound(self):
+        field = PrimeField(13)
+        assert field.tables is field.tables
+        assert len(PrimeField(MAX_CENSUS_PRIME - 1).tables[0]) == MAX_CENSUS_PRIME - 1
+        with pytest.raises(PreconditionError):
+            PrimeField(60013).tables  # the least prime past MAX_CENSUS_PRIME
+        with pytest.raises(PreconditionError):
+            PrimeField(10**9 + 7).tables
 
 
 class TestPrimality:

@@ -4,8 +4,10 @@ The rectangles are the F_p-points of a plane quadric in the parallelogram
 parameters (x_A : x_B : w).  Each affine row (x_A, w = 1) meets it in the
 roots of a quadratic in x_B, and the line w = 0 in the roots of one more
 quadratic, all read off the six coefficients of :func:`quadric_h` as plain
-ints mod p.  Every hit is completed to a parallelogram without touching the
-path code it checks.  The census is then replayed against the
+ints mod p; every inverse and square root is a lookup in the field's tables
+(``PrimeField.tables``), built once per census.  The hits are completed to
+parallelograms and their canonical keys a column at a time, without
+touching the path code they check.  The census is then replayed against the
 slope and aspect paths: together the two paths must find every rectangle,
 degenerate configurations must show the constant-aspect / constant-slope
 split, and non-degenerate ones a single curve with injective slope.

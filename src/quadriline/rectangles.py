@@ -56,10 +56,9 @@ def canonical_key(field, coords) -> tuple:
 
 
 def canonical_keys(field, columns) -> list:
-    """:func:`canonical_key` of every row of the nine int columns over F_p, a column
-    at a time: each column is scaled by the inverse of the first column's residue
-    (``field.tables``).  A row whose first coordinate is 0 mod p goes through
-    :func:`canonical_key` itself, the only code that picks a pivot."""
+    """:func:`canonical_key` of each row of nine int columns over F_p: every column is
+    scaled by the table inverse of the first column's residue, and a row whose first
+    coordinate is 0 mod p goes through :func:`canonical_key`, the one pivot rule."""
     p, inverses = field.char, field.tables[0]
     scales = [inverses[c % p] for c in columns[0]]
     keys = list(zip(*[[c * s % p for c, s in zip(column, scales)] for column in columns]))

@@ -82,7 +82,7 @@ PSI_13 = _PSI[12]
 
 # Largest prime a census runs at, and whose tables a PrimeField builds.  At p = 59,999
 # one census, end to end, takes 0.92 s and 113 MB on the configs/cfg1.json lines and
-# 1.14 s and 140 MB on the degenerate configs/cfg2.json lines (2p + 1 rectangles), on
+# 1.2 s and 140 MB on the degenerate configs/cfg2.json lines (2p + 1 rectangles), on
 # a 2-vCPU x86-64 VM with Python 3.11: time and memory grow about linearly in p.
 MAX_CENSUS_PRIME = 60_000
 
@@ -196,16 +196,15 @@ class PrimeField:
 
     @cached_property
     def tables(self) -> tuple:
-        """(inverses, roots), built at the first read: the list of the inverse of each
-        residue x mod p (0 at x = 0), in p steps of x^-1 = -(p // x) (p mod x)^-1, and
-        the dict of :meth:`sqrt` of each square, r * r mod p written for r from p // 2
-        down to 0 so that the least root stays."""
+        """(inverses, roots), built at the first read: the inverse of each residue x (0 at
+        0), by x^-1 = -(p // x) (p mod x)^-1 in p steps, and the dict of :meth:`sqrt` of
+        each square, from r = 0, ..., p // 2, where each square has its one least root."""
         p, inverses = self.p, [0, 1]
         if p > MAX_CENSUS_PRIME:
             raise PreconditionError(f"no tables mod {p}: they are built up to {MAX_CENSUS_PRIME}")
         for x in range(2, p):
             inverses.append(-(p // x) * inverses[p % x] % p)
-        return inverses, {r * r % p: r for r in range(p // 2, -1, -1)}
+        return inverses, {r * r % p: r for r in range(p // 2 + 1)}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

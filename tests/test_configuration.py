@@ -241,7 +241,8 @@ def test_zero_normal_is_a_precondition_error(field, ints, slot):
     assert str(exc.value) == f"pairs[{i}][{j}]: line needs (a, b) != (0, 0)"
 
 
-NON_INT_CASES = [(QQ, Fraction(1, 2)), (PrimeField(7), 1.5), (QQ, "1"), (PrimeField(7), Fraction(3))]
+F7 = PrimeField(7)
+NON_INT_CASES = [(QQ, Fraction(1, 2)), (F7, 1.5), (QQ, "1"), (F7, Fraction(3))]
 NON_INT_IDS = ["QQ-Fraction", "F7-float", "QQ-str", "F7-whole-Fraction"]
 
 

@@ -71,10 +71,10 @@ class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
     coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  The
-    paths and the census scale their points through :func:`canonical_key`,
-    the only code that picks a pivot; each of them guarantees that the
-    vertices lie on their lines, form a parallelogram and satisfy the
-    rectangle condition.
+    paths scale their points through :func:`canonical_key`, the only code that
+    picks a pivot (the census keeps bare keys, :func:`canonical_keys`); each
+    guarantees that the vertices lie on their lines, form a parallelogram and
+    satisfy the rectangle condition.
 
     A point's identity is its canonical key: the nine canonical residues in
     [0, p) over F_p, the primitive integer vector over the rationals.  Points

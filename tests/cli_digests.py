@@ -14,10 +14,9 @@ arguments and ``diff`` the two outputs.
 Every path a call sees is the same in both checkouts: the configs are copied
 to DIR/configs and the loader inputs written there, and each (workload, seed)
 writes its inputs to a directory of its own under DIR, because round file
-names repeat across workloads.  The
-``--out`` paths are fixed too: ``render`` prints its path, so a fresh temp
-directory would make every render differ.  Not collected by pytest (it is not
-a ``test_*.py`` file); standard library only.
+names repeat across workloads.  The ``--out`` paths are fixed too: ``render``
+prints its path, so a fresh temp directory would make every render differ.
+Not collected by pytest (it is not a ``test_*.py`` file); standard library only.
 """
 
 from __future__ import annotations

@@ -145,20 +145,19 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
     (1 : 0), in that order.
 
     Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by forward
-    differences (:func:`hpoly.tabulate`), and the columns are put in canonical
-    form (:func:`canonical_keys`); (1 : 0) goes through :func:`eval_path`.
+    differences (:func:`hpoly.tabulate`) and closed by its value f(1, 0), its
+    leading coefficient; the p + 1 rows are put in canonical form at once
+    (:func:`canonical_keys`).
     """
     field = cfg.field
     p = field.char
     if not p:
         raise PreconditionError("a path replay needs a prime field")
-    columns = [list(hpoly.tabulate(f, p)) for f in pp.integer_forms]
+    columns = [[*hpoly.tabulate(f, p), f[0]] for f in pp.integer_forms]
     try:
-        keys = canonical_keys(field, columns)
+        return canonical_keys(field, columns)
     except PreconditionError:
         raise InternalCheckError("path polynomials share a projective zero") from None
-    keys.append(eval_path(cfg, pp, (1, 0)).key)
-    return keys
 
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:

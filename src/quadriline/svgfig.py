@@ -2,13 +2,19 @@
 
 Geometry stays exact until the final coordinate formatting; SVG path data is
 the one place decimal expansions (12 significant digits) are allowed.  Lines
-are int covectors and points int projective points (X : Y : Z) until then;
-each drawn point is one correctly rounded division X / Z (:func:`_point`), the locus
-conic is swept in integers the same way, and the clip is int sign tests: no ``Fraction``.
+are int covectors and points int projective points (X : Y : Z) until then.
+Each drawn point becomes floats once, in the input frame, by one correctly
+rounded division X / Z (:func:`_point`): the viewport anchors, the rectangle
+vertices, the locus dot, the swept centers of the locus conic and the clip
+endpoints.  The clip is int sign tests, and no ``Fraction`` is built.  The
+viewport is the box of the points other than the clip endpoints (:func:`_bbox`).
+The SVG's y axis points down, so every printed y is ``0.0 - y``: a zero y,
+0.0 or -0.0, prints ``0``, never ``-0``.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, islice
 from math import hypot, isfinite
 
 from . import hpoly
@@ -25,39 +31,27 @@ def _fmt(v) -> str:
     return "%.12g" % v
 
 
-class _Canvas:
-    def __init__(self):
-        self.min_x = self.max_x = self.min_y = self.max_y = None
-        self.elements = []
-
-    def require(self, x, y):
-        if self.min_x is None:
-            self.min_x = self.max_x = x
-            self.min_y = self.max_y = y
-        else:
-            self.min_x, self.max_x = min(self.min_x, x), max(self.max_x, x)
-            self.min_y, self.max_y = min(self.min_y, y), max(self.max_y, y)
-
-    def bbox(self, margin=0.10):
-        if self.min_x is None:
-            return (-1.0, -1.0, 2.0, 2.0)
-        w = self.max_x - self.min_x or 1.0
-        h = self.max_y - self.min_y or 1.0
-        return (
-            self.min_x - margin * w,
-            self.min_y - margin * h,
-            w * (1 + 2 * margin),
-            h * (1 + 2 * margin),
-        )
-
-
 def _point(x, y, z) -> tuple:
-    """The float point (x / z, y / z) of the int point (x : y : z), z != 0: each coordinate
-    one correctly rounded int division, as float(Fraction) rounds it.  The signs are
-    flipped first so that z > 0, as in a Fraction, so a zero coordinate is 0.0, never -0.0."""
+    """The float point (x / z, y / z) in the input frame of the int point (x : y : z),
+    z != 0: each coordinate one correctly rounded int division, as float(Fraction)
+    rounds it.  The signs are flipped first so that z > 0, as in a Fraction, so a zero
+    coordinate is 0.0, never -0.0.  Every point ``render`` draws goes through here once."""
     if z < 0:
         x, y, z = -x, -y, -z
     return x / z, y / z
+
+
+def _bbox(points, margin):
+    """(x, y, width, height) of the box of the float points, grown by margin times its
+    width and height on each side; a zero extent counts as 1, and no point gives the box
+    of (-1, -1) and (1, 1)."""
+    if not points:
+        return (-1.0, -1.0, 2.0, 2.0)
+    xs, ys = zip(*points)
+    x0, y0 = min(xs), min(ys)
+    w = max(xs) - x0 or 1.0
+    h = max(ys) - y0 or 1.0
+    return (x0 - margin * w, y0 - margin * h, w * (1 + 2 * margin), h * (1 + 2 * margin))
 
 
 def _clip_line(u, box):
@@ -100,7 +94,7 @@ def _swept_centers(center_map, plane_map):
 
 
 def _polyline(points, style):
-    coords = " ".join(["%.12g,%.12g" % (x, -y) for x, y in points])
+    coords = " ".join(["%.12g,%.12g" % (x, 0.0 - y) for x, y in points])
     if "n" in coords:  # "inf" or "nan": no finite number prints an "n"
         raise OverflowError("an SVG number is not finite")
     return f'<polyline fill="none" points="{coords}" {style}/>'
@@ -111,30 +105,17 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     past the float range raises OverflowError before the file is opened."""
     if cfg.field != QQ:
         raise PreconditionError("rendering requires the rational field")
-    canvas = _Canvas()
-    original_lines = [covector(line) for line in cfg_input.all_lines()]
+    lines = [covector(line) for line in cfg_input.all_lines()]
+    # The viewport is anchored on the pairwise meets of the input lines.
+    points = [_point(*meet) for meet in (cross(u, v) for u, v in combinations(lines, 2)) if meet[2]]
 
-    # Anchor the viewport on the pairwise intersections of the input lines.
-    for i in range(4):
-        for j in range(i + 1, 4):
-            meet = cross(original_lines[i], original_lines[j])
-            if meet[2]:
-                canvas.require(*_point(*meet))
-
-    rect_polys = []
-    collected = 0
     pp = slope_path_polys(cfg)
-    for st in ratio_samples(cfg.field, samples * 3 + 8):
-        if collected >= samples:
-            break
-        rect = eval_path(cfg, pp, st)
-        if rect.at_infinity:
-            continue
-        quad = plane_map.original([(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)])
-        for vertex in quad:
-            canvas.require(*_point(*vertex))
-        rect_polys.append(quad)
-        collected += 1
+    rects = (eval_path(cfg, pp, st) for st in ratio_samples(cfg.field, samples * 3 + 8))
+    quads = []
+    for rect in islice((rect for rect in rects if not rect.at_infinity), samples):
+        corners = [(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)]
+        quads.append([_point(*vertex) for vertex in plane_map.original(corners)])
+        points += quads[-1]
 
     report = centers_paths(cfg)
     locus_lines = [
@@ -142,43 +123,25 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         for desc in (report.slope_centers, report.aspect_centers, report.single_line)
         if desc is not None
     ]
-    locus_points = plane_map.original([report.point] if report.point is not None else [])
-    for point in locus_points:
-        canvas.require(*_point(*point))
-    conic_branches = []
+    dots = [_point(*plane_map.original([report.point])[0])] if report.point is not None else []
+    points += dots
+    branches = [[]]
     if report.conic is not None and report.center_map is not None:
-        # Keep the viewport anchored on the lines and rectangles; clip the
-        # locus sweep to a slightly larger window instead of letting far
-        # hyperbola branches blow up the drawing.
-        x0, y0, w0, h0 = canvas.bbox(margin=0.5)
-        window = (x0, y0, x0 + w0, y0 + h0)
-        jump = hypot(w0, h0) / 2
-        branch = []
-        prev = None
-        for fpt in _swept_centers(report.center_map, plane_map):
-            inside = (
-                fpt is not None
-                and window[0] <= fpt[0] <= window[2]
-                and window[1] <= fpt[1] <= window[3]
-            )
-            if not inside:
-                prev = None
-                if branch:
-                    conic_branches.append(branch)
-                    branch = []
-                continue
-            if prev is not None and hypot(fpt[0] - prev[0], fpt[1] - prev[1]) > jump:
-                if branch:
-                    conic_branches.append(branch)
-                branch = []
-            branch.append(fpt)
-            prev = fpt
-        if branch:
-            conic_branches.append(branch)
-        for branch in conic_branches:
-            xs, ys = zip(*branch)
-            canvas.require(min(xs), min(ys))
-            canvas.require(max(xs), max(ys))
+        # Sweep the conic only inside a window around the lines, rectangles and dot,
+        # so far hyperbola branches do not blow up the drawing; split a branch where
+        # consecutive centers jump.
+        x0, y0, w0, h0 = _bbox(points, 0.5)
+        x1, y1, jump = x0 + w0, y0 + h0, hypot(w0, h0) / 2
+        for pt in _swept_centers(report.center_map, plane_map):
+            last = branches[-1]
+            if pt is None or not (x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1):
+                if last:
+                    branches.append([])
+            elif last and hypot(pt[0] - last[-1][0], pt[1] - last[-1][1]) > jump:
+                branches.append([pt])
+            else:
+                last.append(pt)
+        points += [pt for branch in branches for pt in branch]
 
     diagonal_lines = []
     if diagonals:
@@ -196,45 +159,27 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         if p_ad[2]:  # then F != 0: B∩C = A∩D would make the four lines concurrent
             diagonal_lines.append(plane_map.original_line(cross(p_ad, cfg.corner("B", "C"))))
 
-    box = canvas.bbox()
+    x, y, w, h = box = _bbox(points, 0.10)
+    left, top, width, height = map(_fmt, (x, 0.0 - (y + h), w, h))
+    stroke_w = _fmt(w / 320)
+    dotted = f'stroke="#444444" stroke-width="{stroke_w}" stroke-dasharray="{_fmt(w / 80)},{_fmt(w / 80)}"'
+    solid = f'stroke="#000000" stroke-width="{stroke_w}"'
+    thin = f'stroke="#3b6ea5" stroke-width="{_fmt(w / 640)}"'
+    dashed = f'stroke="#999999" stroke-width="{_fmt(w / 640)}" stroke-dasharray="{_fmt(w / 40)},{_fmt(w / 160)}"'
+    polylines = [(_clip_line(u, box), solid) for u in lines]
+    polylines += [(_clip_line(u, box), dashed) for u in diagonal_lines]
+    polylines += [(quad + quad[:1], thin) for quad in quads]
+    polylines += [(_clip_line(u, box), dotted) for u in locus_lines]
+    polylines += [(branch, dotted) for branch in branches]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(box[0])} {_fmt(-(box[1] + box[3]))} {_fmt(box[2])} {_fmt(box[3])}" '
-        f'width="640" height="640">',
-        f'<rect x="{_fmt(box[0])}" y="{_fmt(-(box[1] + box[3]))}" '
-        f'width="{_fmt(box[2])}" height="{_fmt(box[3])}" fill="white"/>',
+        f'viewBox="{left} {top} {width} {height}" width="640" height="640">',
+        f'<rect x="{left}" y="{top}" width="{width}" height="{height}" fill="white"/>',
+        *[_polyline(pts, style) for pts, style in polylines if pts and len(pts) > 1],
+        *[f'<circle cx="{_fmt(dx)}" cy="{_fmt(0.0 - dy)}" r="{_fmt(w / 160)}" fill="#444444"/>'
+          for dx, dy in dots],
+        "</svg>",
     ]
-    stroke_w = _fmt(box[2] / 320)
-    dotted = f'stroke="#444444" stroke-width="{stroke_w}" stroke-dasharray="{_fmt(box[2] / 80)},{_fmt(box[2] / 80)}"'
-    solid = f'stroke="#000000" stroke-width="{stroke_w}"'
-    thin = f'stroke="#3b6ea5" stroke-width="{_fmt(box[2] / 640)}"'
-    dashed = f'stroke="#999999" stroke-width="{_fmt(box[2] / 640)}" stroke-dasharray="{_fmt(box[2] / 40)},{_fmt(box[2] / 160)}"'
-
-    for ln in original_lines:
-        seg = _clip_line(ln, box)
-        if seg:
-            parts.append(_polyline(seg, solid))
-    for ln in diagonal_lines:
-        seg = _clip_line(ln, box)
-        if seg:
-            parts.append(_polyline(seg, dashed))
-    for quad in rect_polys:
-        # _polyline prints -y: give it -((-Y) / W), so an exact zero prints 0, not -0.
-        drawn = [(x, -y) for x, y in (_point(X, -Y, W) for X, Y, W in quad)]
-        parts.append(_polyline(drawn + drawn[:1], thin))
-    for ln in locus_lines:
-        seg = _clip_line(ln, box)
-        if seg:
-            parts.append(_polyline(seg, dotted))
-    for branch in conic_branches:
-        if len(branch) >= 2:
-            parts.append(_polyline(branch, dotted))
-    for X, Y, W in locus_points:
-        x, y = _point(X, -Y, W)  # the exact -Y / W, as for the rectangles
-        parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(box[2] / 160)}" fill="#444444"/>'
-        )
-    parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

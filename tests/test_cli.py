@@ -530,7 +530,7 @@ class TestRender:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("cfg1.json", "4e163ab2ee61870e33f45e3e98f879432f8cab0515e0373e3f246d37a461b4ea"),
+            ("cfg1.json", "2dd4f3cbbad2e6ee4333730d678870032f1cae3eec00ceff7a5f37a2653e1696"),
             ("vertical.json", "28eabb486a669f6c20c9e85abfa9a350e1e3e3c8c023026b5632c2936acfa0cb"),
             ("relabeled.json", "dee5bdad933ebf7863df5daef4d8374281802187d75a147af046cc9cfa403ec8"),
             # A diagonal runs corner to corner of the viewport: both corners are

@@ -1,10 +1,11 @@
 """The integer locus sweep and clip of ``render`` against exact Fraction references,
 the outputs' blindness to the scale of the plane map's matrix and of a clipped line,
-and the Fractions a render builds: none."""
+the Fractions a render builds: none, and the SVG numbers that print -0: none."""
 
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,13 @@ SWEEP = [(j, 32) for j in range(-512, 513)] + [(1, 0)]
 
 RATIONAL_CONFIGS = ["cfg1.json", "cfg2.json", "cfg3.json", "vertical.json", "relabeled.json",
                     "corner.json"]
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+# Every shipped configuration over the rationals that draws: the four parallel lines of
+# parallel.json have no plane map, so they exit before render.
+RENDERED_JSON = sorted(
+    name for name in os.listdir(CONFIGS)
+    if name != "parallel.json" and load_config(os.path.join(CONFIGS, name)).field == QQ
+)
 
 
 def fraction_sweep(center_map, plane_map):
@@ -47,11 +55,16 @@ def fraction_sweep(center_map, plane_map):
     return points
 
 
+def config_input(lines) -> ConfigurationInput:
+    """The rational configuration of four lines (a, b, c), a x + b y = c, in the order A, C, B, D."""
+    a, c, b, d = (input_line(QQ, Line(*(parse(QQ, str(v)) for v in line))) for line in lines)
+    return ConfigurationInput(QQ, (a, c), (b, d))
+
+
 def center_map_of(lines):
     """(center map, plane map) of four lines A, C, B, D, or None when the locus is no conic."""
-    a, c, b, d = (input_line(QQ, Line(*(parse(QQ, str(v)) for v in line))) for line in lines)
     try:
-        cfg, pm = normalize(ConfigurationInput(QQ, (a, c), (b, d)))
+        cfg, pm = normalize(config_input(lines))
     except QuadrilineError:
         return None
     if classify(cfg).degenerate:
@@ -159,13 +172,13 @@ def test_clip_is_blind_to_the_line_scale(tmp_path, monkeypatch, name):
 
 
 def test_polyline_prints_each_point_as_fmt_did():
-    """A point prints as float(x), float(-y) to 12 significant digits: a float y of 0.0
-    prints -0, an exact 0 prints 0, and a number that is not finite raises OverflowError."""
-    points = [(0.5, 0.0), (Fraction(1, 3), Fraction(0)), (-2, Fraction(-7, 2))]
-    assert 'points="0.5,-0 0.333333333333,0 -2,3.5"' in svgfig._polyline(points, "")
+    """A point prints as x, 0.0 - y to 12 significant digits: a float y of 0.0 or -0.0
+    prints 0, and a number that is not finite raises OverflowError."""
+    points = [(0.5, 0.0), (1 / 3, -0.0), (-2.0, -3.5), (0.0, 7.25)]
+    assert 'points="0.5,0 0.333333333333,0 -2,3.5 0,-7.25"' in svgfig._polyline(points, "")
     assert svgfig._polyline(points, "") == (
         '<polyline fill="none" points="'
-        + " ".join(f"{svgfig._fmt(x)},{svgfig._fmt(-y)}" for x, y in points)
+        + " ".join(f"{svgfig._fmt(x)},{svgfig._fmt(0.0 - y)}" for x, y in points)
         + '" />'
     )
     for bad in (math.inf, -math.inf, math.nan):
@@ -243,3 +256,44 @@ def test_clip_matches_fraction_clip(drawn):
     u, box = drawn
     # repr tells -0.0 from 0.0, which == does not.
     assert repr(_clip_line(u, box)) == repr(fraction_clip(u, box))
+
+
+# A number in SVG text: the digits of a color such as "#3b6ea5" read as positive numbers.
+NUMBER = re.compile(r"-?\d[\d.]*(?:e[-+]?\d+)?")
+
+
+def negative_zeros(svg_path) -> list:
+    """The numbers of a written SVG that print as -0."""
+    return [n for n in NUMBER.findall(svg_path.read_text()) if n.startswith("-") and not float(n)]
+
+
+@pytest.mark.parametrize("diagonals", [False, True], ids=["plain", "diagonals"])
+@pytest.mark.parametrize("name", RENDERED_JSON)
+def test_no_svg_number_is_negative_zero(tmp_path, name, diagonals):
+    """Every printed y is 0.0 - y, so a y of zero prints 0 on a clipped line, a conic
+    branch, a vertex, the dot and the viewport alike."""
+    cfg_input = load_config(os.path.join(CONFIGS, name))
+    render(cfg_input, *normalize(cfg_input), tmp_path / "out.svg", diagonals=diagonals)
+    assert negative_zeros(tmp_path / "out.svg") == []
+
+
+def test_no_svg_number_is_negative_zero_with_horizontal_lines(tmp_path):
+    """Random rational configurations where each line is, with probability one half,
+    y = c with c often 0: a clipped line y = 0 and the zero ys it meets print 0."""
+    rng = random.Random(29)
+    rendered = 0
+    while rendered < 40:
+        lines = [
+            (0, rng.choice((1, 2, -3)), rng.choice((0, 0, 1, -2))) if rng.randrange(2)
+            else random_line(rng, False)
+            for _ in range(4)
+        ]
+        try:
+            cfg_input = config_input(lines)
+            cfg, pm = normalize(cfg_input)
+        except QuadrilineError:
+            continue
+        for diagonals in (False, True):
+            render(cfg_input, cfg, pm, tmp_path / "out.svg", samples=3, diagonals=diagonals)
+            assert negative_zeros(tmp_path / "out.svg") == [], lines
+        rendered += 1

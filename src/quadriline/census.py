@@ -174,8 +174,7 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     slopes = slope_residues(field, census)
     consistency_ok = True
     if cls.degenerate:
-        m_c, m_d = cfg.standing[2:4]  # residues, over δ = 1
-        [want] = _residues(field, [((m_c - m_d) * spp.first[0], spp.second[0])])
+        [want] = _residues(field, [(spp.first[0], spp.second[0])])
         for i, (key, aspect) in enumerate(zip(slope_keys, aspect_residues(field, slope_keys))):
             if aspect != want:
                 consistency_ok = False

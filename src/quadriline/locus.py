@@ -109,27 +109,11 @@ def diagonal_g(cfg: NormalizedConfig) -> AffineLineDescription:
     return AffineLineDescription(normal, "diagonal-g")
 
 
-class CenterMap(Record):
-    """The center of a path rectangle as a function of the ratio.
-
-    center(r) = (x_num(r) / den(r), y_num(r) / den(r)) with den twice the
-    path's homogenizing polynomial: int forms, at the scale of the path's.
-    """
-
-    field: object
-    x_num: tuple
-    y_num: tuple
-    den: tuple
-
-    @staticmethod
-    def of(cfg: NormalizedConfig, pp: PathPolynomials) -> "CenterMap":
-        """The midpoint of the A and C vertices along a path."""
-        return CenterMap(
-            field=cfg.field,
-            x_num=hpoly.add(pp.x["A"], pp.x["C"]),
-            y_num=hpoly.add(pp.y["A"], pp.y["C"]),
-            den=hpoly.scale(2, pp.w),
-        )
+def center_forms(pp: PathPolynomials) -> tuple:
+    """The center map (x_A + x_C, y_A + y_C, 2w) of a path: three int forms, at the
+    scale of the path's, whose ratio at r is the center of the path's rectangle at r."""
+    xa, ya, _, _, xc, yc, _, _, w = pp.forms
+    return hpoly.add(xa, xc), hpoly.add(ya, yc), hpoly.scale(2, w)
 
 
 class LocusReport(Record):
@@ -152,9 +136,6 @@ class LocusReport(Record):
     conic: Optional[tuple] = None  # int coefficients of x^2, xy, y^2, x, y, 1
     point: Optional[tuple] = None  # an int point (X : Y : Z), Z nonzero
     points: Optional[tuple] = None  # TwoLines over F_p: two constant center maps at distinct points
-    center_map: Optional[CenterMap] = None
-    slope_path: Optional[PathPolynomials] = None  # TwoLines: both paths, for special_rectangles
-    aspect_path: Optional[PathPolynomials] = None
 
 
 # The conic's monomials x^2, xy, y^2, x, y, 1 as index pairs into (x, y, 1).
@@ -166,41 +147,41 @@ def _require_zero(form, p: int, what: str):
         raise InternalCheckError(what)
 
 
-def _image_conic(cmap: CenterMap, adj) -> tuple:
+def _image_conic(forms, p: int, adj) -> tuple:
     """The int coefficients of b^2 - ac = 0 for (a, b, c) = adj(M)(x, y, 1).
 
     (x, y, 1) ~ M (s^2, st, t^2) gives adj(M)(x, y, 1) ~ (s^2, st, t^2).
-    Checked on ints as an identity of forms: D^2 q(X/D, Y/D) = 0.
+    Checked on ints as an identity of the center forms (X, Y, D): D^2 q(X/D, Y/D) = 0.
     """
     a, b, c = adj
     coeffs = []
     for i, j in _MONOMIALS:
         k = b[i] * b[j] - a[i] * c[j]
         coeffs.append(k if i == j else k + b[j] * b[i] - a[j] * c[i])
-    x, y, d = cmap.x_num, cmap.y_num, cmap.den
-    forms = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
-    total = functools.reduce(hpoly.add, map(hpoly.scale, coeffs, forms))
-    _require_zero(total, cmap.field.char, "the locus conic does not vanish on the center map")
+    x, y, d = forms
+    products = [hpoly.mul(f, g) for f, g in ((x, x), (x, y), (y, y), (x, d), (y, d), (d, d))]
+    total = functools.reduce(hpoly.add, map(hpoly.scale, coeffs, products))
+    _require_zero(total, p, "the locus conic does not vanish on the center map")
     return tuple(coeffs)
 
 
-def _image(cmap: CenterMap, source: str):
-    """The set of centers as (conic, line, point), exactly one of them set.
+def _image(pp: PathPolynomials, p: int, source: str):
+    """The centers of the path's rectangles as (conic, line, point), exactly one of them set.
 
-    The columns c_j = (x_num[j], y_num[j], den[j]) form the coefficient
-    matrix M of the map.  Degree 2: adj(M) has the rows c1 x c2, c2 x c0,
-    c0 x c1, so det M = c0 . (c1 x c2).  A nonzero det gives the conic; when
-    det M = 0 each row n of adj(M) has n M = 0, the equation of a line, and
-    with adj(M) = 0 (rank 1) the map is constant.  Degree 1: the single
-    normal c0 x c1 decides between the line and the point.  All on ints, mod p over F_p.
+    The columns c_j = (x_num[j], y_num[j], den[j]) of the path's center forms
+    (:func:`center_forms`) form the coefficient matrix M of the map.  Degree 2:
+    adj(M) has the rows c1 x c2, c2 x c0, c0 x c1, so det M = c0 . (c1 x c2).
+    A nonzero det gives the conic; when det M = 0 each row n of adj(M) has
+    n M = 0, the equation of a line, and with adj(M) = 0 (rank 1) the map is
+    constant.  Degree 1: the single normal c0 x c1 decides between the line and
+    the point.  All on ints, mod p over F_p.
     """
-    p = cmap.field.char
-    forms = (cmap.x_num, cmap.y_num, cmap.den)
+    forms = center_forms(pp)
     cols = tuple(zip(*forms))
     if len(cols) == 3:
         normals = adjugate(forms)
         if hpoly.mod(sum(n * c for n, c in zip(normals[0], cols[0])), p):
-            return _image_conic(cmap, normals), None, None
+            return _image_conic(forms, p, normals), None, None
     else:
         normals = (cross(cols[0], cols[1]),)
     normal = next((n for n in normals if not hpoly.is_zero(n, p)), None)
@@ -209,8 +190,9 @@ def _image(cmap: CenterMap, source: str):
         _require_zero(form, p, f"{source} left their line")
         return None, AffineLineDescription(normal, source), None
     x, y, d = next(c for c in cols if hpoly.mod(c[2], p))
-    for num, value in ((cmap.x_num, x), (cmap.y_num, y)):
-        constant = hpoly.sub(hpoly.scale(d, num), hpoly.scale(value, cmap.den))
+    x_num, y_num, den = forms
+    for num, value in ((x_num, x), (y_num, y)):
+        constant = hpoly.sub(hpoly.scale(d, num), hpoly.scale(value, den))
         _require_zero(constant, p, "center map is not constant")
     return None, None, (x, y, d)
 
@@ -226,18 +208,16 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
     otherwise the slope path's degree-2 map gives a conic, or, when its
     matrix is singular, a line or a point.
     """
-    cls = classify(cfg)
+    cls, p = classify(cfg), cfg.field.char
     if cls.locus_shape is LocusShape.LINE_PLUS_INFINITY:
         pp = aspect_path_polys(cfg) if cls.twin_pairs else slope_path_polys(cfg)
         source = "aspect-centers" if cls.twin_pairs else "slope-centers"
-        _, line, point = _image(CenterMap.of(cfg, pp), source)
+        _, line, point = _image(pp, p, source)
         return LocusReport(shape=cls.locus_shape, single_line=line, point=point)
 
     if cls.degenerate:
-        p = cfg.field.char
-        spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
-        _, slope_line, slope_point = _image(CenterMap.of(cfg, spp), "slope-centers")
-        _, aspect_line, aspect_point = _image(CenterMap.of(cfg, app), "aspect-centers")
+        _, slope_line, slope_point = _image(slope_path_polys(cfg), p, "slope-centers")
+        _, aspect_line, aspect_point = _image(aspect_path_polys(cfg), p, "aspect-centers")
         point = points = None
         if slope_point is not None and aspect_point is not None:
             # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
@@ -261,15 +241,10 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             diagonal_g=g,
             point=point,
             points=points,
-            slope_path=spp,
-            aspect_path=app,
         )
 
-    cmap = CenterMap.of(cfg, slope_path_polys(cfg))
-    conic, line, point = _image(cmap, "slope-centers")
-    return LocusReport(
-        shape=cls.locus_shape, conic=conic, single_line=line, point=point, center_map=cmap
-    )
+    conic, line, point = _image(slope_path_polys(cfg), p, "slope-centers")
+    return LocusReport(shape=cls.locus_shape, conic=conic, single_line=line, point=point)
 
 
 class SpecialRectangles(Record):
@@ -283,7 +258,8 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     """Center rectangle (centered on the locus-line intersection) and
     centroid rectangle (centered on the centroid of the four corner points).
 
-    ``report`` is ``centers_paths(cfg)``.  Requires a degenerate
+    ``report`` is ``centers_paths(cfg)``, read for its two locus lines; both
+    paths are built from ``cfg``.  Requires a degenerate
     configuration with no two lines parallel and at least one non-orthogonal
     pair: a TwoLines report, which then carries the Gauss-Newton line.  Over
     F_p the two locus lines can be parallel; there is then no center
@@ -299,18 +275,17 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
     meet = cross(sl.normal, al.normal)
 
-    spp, app = report.slope_path, report.aspect_path
-    _, _, m_c, m_d, _, d = cfg.standing[:6]
-    # The slope path's shared aspect m_CD first[0] : second[0], on the standing ints.
-    center_rect = eval_path(cfg, app, ((m_c - m_d) * spp.first[0], d * spp.second[0]))
+    spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
+    # The aspect ratio first[0] : second[0] that every rectangle of the slope path shares.
+    center_rect = eval_path(cfg, app, (spp.first[0], spp.second[0]))
     if not _same(p, _center(center_rect), meet):
         raise InternalCheckError("center rectangle misses the locus intersection")
 
     corners = [_corner(cfg, r1, r2) for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
     x, y, w = _mean(corners)
-    amap = CenterMap.of(cfg, app)
-    eq_x = hpoly.sub(hpoly.scale(w, amap.x_num), hpoly.scale(x, amap.den))
-    eq_y = hpoly.sub(hpoly.scale(w, amap.y_num), hpoly.scale(y, amap.den))
+    x_num, y_num, den = center_forms(app)
+    eq_x = hpoly.sub(hpoly.scale(w, x_num), hpoly.scale(x, den))
+    eq_y = hpoly.sub(hpoly.scale(w, y_num), hpoly.scale(y, den))
     if not hpoly.is_zero(eq_x, p):
         st = (-eq_x[1], eq_x[0])
         if hpoly.mod(hpoly.eval_at(eq_y, *st), p):

@@ -10,12 +10,11 @@ forms are constants and the paths are lines.  All are built on ints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 from . import hpoly
-from .configuration import ROLES, NormalizedConfig
+from .configuration import NormalizedConfig
 from .errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from .rectangles import ProjectiveRectangle, Ratio, canonical_keys
 from .scalars import Record
@@ -24,14 +23,13 @@ from .scalars import Record
 class PathPolynomials(Record):
     """Coordinate polynomials of one path, all homogeneous of equal degree.
 
-    ``first`` and ``second`` are the case-split forms: for the slope path a
-    rectangle at ratio r has aspect ratio m_CD * first(r) / second(r); for
-    the aspect path it has slope first(r) / second(r).  ``x`` and ``y`` map
-    roles to the vertex-coordinate forms and ``w`` is the homogenizing form
-    whose roots are the path's points at infinity.  The forms are int
-    forms on ``NormalizedConfig.standing`` (residues over F_p): the nine are
-    the field-element forms times one nonzero constant, ``first`` and
-    ``second`` times another (δ⁶ and δ³ in the generic slope case).  Their
+    ``forms`` are the nine forms x_A, y_A, ..., x_D, y_D, w; the roots of w are
+    the path's points at infinity.  ``first : second`` is the other ratio along
+    the path: the rectangle at ratio r has aspect ratio first(r) : second(r)
+    on the slope path and slope first(r) : second(r) on the aspect path.  The
+    forms are int forms on ``NormalizedConfig.standing`` (residues over F_p):
+    the nine are the field-element forms times one nonzero constant, ``first``
+    and ``second`` times another (δ⁶ and δ⁴ in the generic slope case).  Their
     shape is the case: ``first == (0,)`` when the leading pair of constants
     vanishes (A = B for the slope path, f1 = e2 = 0 for the aspect path);
     linear forms when e1 f1 + e2 f2 != 0, and the path is a conic; otherwise
@@ -40,14 +38,7 @@ class PathPolynomials(Record):
 
     first: tuple
     second: tuple
-    x: dict
-    y: dict
-    w: tuple
-
-    @functools.cached_property
-    def integer_forms(self) -> list:
-        """The nine forms x_A, y_A, ..., x_D, y_D, w, in that order."""
-        return [f for role in ROLES for f in (self.x[role], self.y[role])] + [self.w]
+    forms: tuple
 
 
 def _slope_forms(cfg: NormalizedConfig):
@@ -79,15 +70,13 @@ def _path(cfg: NormalizedConfig, first, second, xs, w) -> PathPolynomials:
     """The path from xs = X'_A, ..., X'_D and W', one multiple of x_A, ..., x_D and δ w:
     X_L = δ² X'_L, Y_L = δ M_L X'_L + B_L W' (B_B = δ, B_C = B_D = 0) and W = δ W'."""
     m_a, m_b, m_c, m_d, b_a, d = cfg.standing[:6]
-    x, y = {}, {}
-    for role, x_l, m_l, b_l in zip(ROLES, xs, (m_a, m_b, m_c, m_d), (b_a, d, 0, 0)):
-        x[role] = hpoly.scale(d * d, x_l)
-        y[role] = hpoly.add(hpoly.scale(d * m_l, x_l), hpoly.scale(b_l, w))
-    w = hpoly.scale(d, w)
+    forms = []
+    for x_l, m_l, b_l in zip(xs, (m_a, m_b, m_c, m_d), (b_a, d, 0, 0)):
+        forms += [hpoly.scale(d * d, x_l), hpoly.add(hpoly.scale(d * m_l, x_l), hpoly.scale(b_l, w))]
+    forms.append(hpoly.scale(d, w))
     if p := cfg.field.char:
-        first, second, w = (tuple(c % p for c in f) for f in (first, second, w))
-        x, y = ({r: tuple(c % p for c in f) for r, f in forms.items()} for forms in (x, y))
-    return PathPolynomials(first, second, x, y, w)
+        first, second, *forms = (tuple(c % p for c in f) for f in (first, second, *forms))
+    return PathPolynomials(first, second, tuple(forms))
 
 
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -104,7 +93,8 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul(hpoly.scale(m_b - m_c, (d, -m_d)), e_form),
         hpoly.mul((d * m_b, d * d), f_form),
     )
-    return _path(cfg, e_form, f_form, xs, w)
+    # The rectangle at slope r has aspect ratio M_CD e(r) : δ f(r).
+    return _path(cfg, hpoly.scale(m_c - m_d, e_form), hpoly.scale(d, f_form), xs, w)
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -128,11 +118,11 @@ def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
 def eval_path(cfg: NormalizedConfig, pp: PathPolynomials, st: tuple) -> ProjectiveRectangle:
     """The canonical rectangle of the path at the ratio s : t of the ints st = (s, t).
 
-    The point is projective, so the nine integer forms of ``pp`` are
-    evaluated at the ints themselves.
+    The point is projective, so the nine forms of ``pp`` are evaluated at the
+    ints themselves.
     """
     s, t = st
-    coords = [hpoly.eval_at(f, s, t) for f in pp.integer_forms]
+    coords = [hpoly.eval_at(f, s, t) for f in pp.forms]
     try:
         return ProjectiveRectangle.canonical(cfg.field, coords)
     except PreconditionError:
@@ -144,7 +134,7 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
     projective line over F_p: at (v : 1) for v = 0, ..., p - 1, then at
     (1 : 0), in that order.
 
-    Each of the nine integer forms of ``pp`` is tabulated at (v : 1) by forward
+    Each of the nine forms of ``pp`` is tabulated at (v : 1) by forward
     differences (:func:`hpoly.tabulate`) and closed by its value f(1, 0), its
     leading coefficient; the p + 1 rows are put in canonical form at once
     (:func:`canonical_keys`).
@@ -153,7 +143,7 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
     p = field.char
     if not p:
         raise PreconditionError("a path replay needs a prime field")
-    columns = [[*hpoly.tabulate(f, p), f[0]] for f in pp.integer_forms]
+    columns = [[*hpoly.tabulate(f, p), f[0]] for f in pp.forms]
     try:
         return canonical_keys(field, columns)
     except PreconditionError:
@@ -197,18 +187,16 @@ class PathHomography(Record):
 def homography(cfg: NormalizedConfig) -> PathHomography:
     """The slope/aspect reparameterization of a non-degenerate configuration.
 
-    Both matrices are the generic path forms: the slope-path rectangle at r has
-    aspect M_CD first(r) : δ second(r), and the aspect-path one slope
-    first(r) : second(r).
+    Both matrices are the generic paths' other-ratio forms: the slope-path
+    rectangle at r has aspect ratio first(r) : second(r), and the aspect-path
+    one slope first(r) : second(r).
     """
     if not cfg.ef_sum:
         raise DegenerateConfigError(
             "the slope and aspect paths of a degenerate configuration are distinct lines"
         )
-    _, _, m_c, m_d, _, d = cfg.standing[:6]
-    first, second = _slope_forms(cfg)
-    to_aspect = (*hpoly.scale(m_c - m_d, first), *hpoly.scale(d, second))
-    return PathHomography(to_aspect, sum(_aspect_forms(cfg), ()))
+    spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
+    return PathHomography((*spp.first, *spp.second), (*app.first, *app.second))
 
 
 def _coprime_pairs():

@@ -70,11 +70,11 @@ def canonical_keys(field, columns) -> list:
 class ProjectiveRectangle:
     """A canonicalized point of the configuration space in projective 8-space.
 
-    coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  The
-    paths scale their points through :func:`canonical_key`, the only code that
-    picks a pivot (the census keeps bare keys, :func:`canonical_keys`); each
-    guarantees that the vertices lie on their lines, form a parallelogram and
-    satisfy the rectangle condition.
+    coords is the 9-tuple (x_A, y_A, x_B, y_B, x_C, y_C, x_D, y_D, w).  The one
+    pivot rule is :func:`canonical_key`: ``paths.eval_path`` calls it, and the
+    bare keys of the census and ``paths.path_keys`` come from :func:`canonical_keys`,
+    which defers to it.  The paths and the census guarantee that the vertices lie
+    on their lines, form a parallelogram and satisfy the rectangle condition.
 
     A point's identity is its canonical key: the nine canonical residues in
     [0, p) over F_p, the primitive integer vector over the rationals.  Points

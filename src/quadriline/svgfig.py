@@ -20,7 +20,7 @@ from math import hypot, isfinite
 from . import hpoly
 from .configuration import covector, cross
 from .errors import ParallelPairError, PreconditionError
-from .locus import centers_paths, diagonal_g, gauss_newton_line
+from .locus import center_forms, centers_paths, diagonal_g, gauss_newton_line
 from .paths import eval_path, ratio_samples, slope_path_polys
 from .scalars import QQ
 
@@ -75,21 +75,22 @@ def _clip_line(u, box):
     return [_point(*meet) for meet in inside[:2]]
 
 
-def _swept_centers(center_map, plane_map):
+def _swept_centers(forms, plane_map):
     """The locus center at the ratios j/32 for |j| <= 512, then 1/0, as a float point in
     original coordinates, or None where the center map is undefined.
 
-    The plane map's matrix N takes the center map's int forms (x_num, y_num, den) to
-    three int forms (X, Y, D), tabulated at (j : 32) by forward differences and read at
-    (1 : 0) off their first coefficients; the point is :func:`_point` of (X : Y : D).
+    The plane map's matrix N takes the int center forms (x_num, y_num, den) of the slope
+    path (``locus.center_forms``) to three int forms (X, Y, D), tabulated at (j : 32) by
+    forward differences and read at (1 : 0) off their first coefficients; the point is
+    :func:`_point` of (X : Y : D).
     """
-    cm = center_map
-    forms = [
-        hpoly.add(hpoly.add(hpoly.scale(n0, cm.x_num), hpoly.scale(n1, cm.y_num)), hpoly.scale(n2, cm.den))
+    x_num, y_num, den = forms
+    images = [
+        hpoly.add(hpoly.add(hpoly.scale(n0, x_num), hpoly.scale(n1, y_num)), hpoly.scale(n2, den))
         for n0, n1, n2 in plane_map.matrix
     ]
-    columns = [hpoly.tabulate(f, 1025, -512, 32) for f in forms]
-    points = [*zip(*columns), tuple(f[0] for f in forms)]
+    columns = [hpoly.tabulate(f, 1025, -512, 32) for f in images]
+    points = [*zip(*columns), tuple(f[0] for f in images)]
     return [_point(x, y, d) if d else None for x, y, d in points]
 
 
@@ -126,13 +127,13 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     dots = [_point(*plane_map.original([report.point])[0])] if report.point is not None else []
     points += dots
     branches = [[]]
-    if report.conic is not None and report.center_map is not None:
+    if report.conic is not None:
         # Sweep the conic only inside a window around the lines, rectangles and dot,
         # so far hyperbola branches do not blow up the drawing; split a branch where
         # consecutive centers jump.
         x0, y0, w0, h0 = _bbox(points, 0.5)
         x1, y1, jump = x0 + w0, y0 + h0, hypot(w0, h0) / 2
-        for pt in _swept_centers(report.center_map, plane_map):
+        for pt in _swept_centers(center_forms(pp), plane_map):
             last = branches[-1]
             if pt is None or not (x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1):
                 if last:

@@ -17,7 +17,7 @@ from quadriline import (
 )
 from quadriline.census import enumerate_rectangles
 from quadriline.cli import load_config
-from quadriline.configuration import adjugate, covector, cross, normalize
+from quadriline.configuration import ROLES, adjugate, covector, cross, normalize
 from quadriline.errors import PreconditionError
 from quadriline.locus import AffineLineDescription, center_of
 from quadriline import hpoly, paths
@@ -280,14 +280,22 @@ def fraction_count():
         Fraction.__new__ = new
 
 
-def center_at(cmap, st):
-    """The center of a ``CenterMap`` at the ratio s : t of the ints st = (s, t), or
-    None at a root of its denominator."""
+def role_forms(pp):
+    """A role view (x, y, w) of a path's nine forms: x and y map each role to its
+    vertex-coordinate forms, and w is the homogenizing form."""
+    *vertex_forms, w = pp.forms
+    return dict(zip(ROLES, vertex_forms[::2])), dict(zip(ROLES, vertex_forms[1::2])), w
+
+
+def center_at(field, forms, st):
+    """The center at the ratio s : t of the ints st = (s, t) of the center forms
+    (x_num, y_num, den) of ``locus.center_forms``, or None at a root of den."""
     s, t = st
-    d = hpoly.eval_at(cmap.den, s, t)
-    if not hpoly.mod(d, cmap.field.char):
+    x_num, y_num, den = forms
+    d = hpoly.eval_at(den, s, t)
+    if not hpoly.mod(d, field.char):
         return None
-    return tuple(quotient(cmap.field, hpoly.eval_at(f, s, t), d) for f in (cmap.x_num, cmap.y_num))
+    return tuple(quotient(field, hpoly.eval_at(f, s, t), d) for f in (x_num, y_num))
 
 
 def slope_intercept_line(m, k) -> InputLine:

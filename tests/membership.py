@@ -832,11 +832,11 @@ def _aspect_forms(cfg: NormalizedConfig):
 
 
 def _path(cfg: NormalizedConfig, first, second, x, w) -> PathPolynomials:
-    y = {}
+    forms = []
     for role in ROLES:
         line = standing_line(cfg, role)
-        y[role] = hpoly.add(hpoly.scale(-line.a, x[role]), hpoly.scale(line.c, w))
-    return PathPolynomials(first, second, x, y, w)
+        forms += [x[role], hpoly.add(hpoly.scale(-line.a, x[role]), hpoly.scale(line.c, w))]
+    return PathPolynomials(first, second, (*forms, w))
 
 
 def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -854,7 +854,7 @@ def slope_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
         hpoly.mul(hpoly.scale(m_b - m_c, (one, -m_d)), e_form),
         hpoly.mul((m_b, one), f_form),
     )
-    return _path(cfg, e_form, f_form, x, w)
+    return _path(cfg, hpoly.scale(m_c - m_d, e_form), f_form, x, w)  # aspect m_CD e : f
 
 
 def aspect_path_polys(cfg: NormalizedConfig) -> PathPolynomials:
@@ -887,11 +887,6 @@ def path_case(pp: PathPolynomials) -> str:
     return "orthogonal" if pp.first[0] else "both-zero"
 
 
-def coordinate_forms(pp: PathPolynomials) -> list:
-    """The nine forms x_A, y_A, ..., x_D, y_D, w of a path."""
-    return [f for role in ROLES for f in (pp.x[role], pp.y[role])] + [pp.w]
-
-
 def one_multiple(field, forms, reference) -> bool:
     """Whether the int forms are the field-element reference forms times one
     nonzero constant, coefficient by coefficient (so of the same degrees)."""
@@ -916,8 +911,8 @@ def locus_conic(cfg: NormalizedConfig):
     (x, y, 1).
     """
     pp = slope_path_polys(cfg)
-    forms = (hpoly.add(pp.x["A"], pp.x["C"]), hpoly.add(pp.y["A"], pp.y["C"]),
-             hpoly.scale(from_int(cfg.field, 2), pp.w))
+    xa, ya, _, _, xc, yc, _, _, w = pp.forms
+    forms = (hpoly.add(xa, xc), hpoly.add(ya, yc), hpoly.scale(from_int(cfg.field, 2), w))
     if len(forms[0]) != 3:
         return None
     a, b, c = adj = adjugate(forms)

@@ -35,6 +35,7 @@ from conftest import (
     line_slope,
     random_normalized_config,
     random_rational_config,
+    role_forms,
     same_line,
     sample_ratios,
     write_config,
@@ -156,7 +157,8 @@ def test_criterion_6_twin_pair_behavior(cfg3):
         # The slope path is the line at infinity: its homogenizing polynomial
         # vanishes identically and every evaluation lands at w = 0.
         pp = slope_path_polys(cfg3)
-        assert hpoly.is_zero(pp.w)
+        _, _, w = role_forms(pp)
+        assert hpoly.is_zero(w)
         seen = set()
         for r in sample_ratios(QQ, 20):
             rect = slope_path_eval(cfg3, r)

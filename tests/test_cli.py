@@ -20,6 +20,7 @@ import quadriline
 from quadriline import QQ, PrimeField, Ratio, aspect_path_eval, cli, normalize, slope_path_eval
 from quadriline.cli import main
 from quadriline.errors import InternalCheckError
+from quadriline.locus import LocusReport
 from quadriline.rectangles import ProjectiveRectangle
 from quadriline.scalars import ratio_parse
 from conftest import CFG1_PAIRS, CFG2_PAIRS, CFG3_PAIRS, fraction_count, write_config
@@ -273,6 +274,14 @@ class TestPathLocusCensus:
                 assert on and all(on), (kind, rect["ratio"])
                 checked += 1
         assert checked
+
+    def test_locus_report_holds_only_what_locus_prints(self, capsys):
+        """Every field of ``LocusReport`` is a key that ``locus`` writes for some
+        shipped configuration: the report carries nothing for other readers."""
+        written = set()
+        for name in sorted(os.listdir(CONFIGS)):
+            written.update(run_json(capsys, "locus", "--input", os.path.join(CONFIGS, name)))
+        assert set(LocusReport._fields) <= written, set(LocusReport._fields) - written
 
     def test_locus_two_points_over_f5(self, tmp_path, capsys):
         """A = C is the isotropic line y = 2x: two centers, not a line of them."""

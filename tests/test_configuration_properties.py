@@ -1,6 +1,9 @@
 """Property tests of normalize: its PlaneMap matrix carries the input lines to the standing form and
-back, and it agrees with the field-element reference normalization."""
+back, it agrees with the field-element reference normalization, and the reports that do not
+depend on the frame are the same for lines and their image under a similarity."""
 
+import pathlib
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -12,14 +15,18 @@ from hypothesis import assume, given, settings, strategies as st
 from quadriline import (
     QQ,
     ConfigurationInput,
+    InputLine,
     PrimeField,
     QuadrilineError,
     normalize,
 )
+from quadriline.cli import build_parser
+from quadriline.errors import InternalCheckError
+from quadriline.rectangles import ALL_RATIOS
 import membership
 from conftest import (
     affine_point, contains, covec, input_line, int_point, normalized_point, plane_map_values,
-    same_line,
+    same_line, write_config,
 )
 from membership import Line, field_line, from_int, zero_of
 
@@ -87,12 +94,12 @@ REFERENCE_PRIMES = [3, 5, 7, 13, 1009, 10**9 + 7]  # t = 2 and t = 5 give 1 + t^
 
 
 @st.composite
-def line_quads(draw):
-    """Four input lines over ℚ or a prime of REFERENCE_PRIMES, in a random order of the
+def line_quads(draw, primes=REFERENCE_PRIMES):
+    """Four input lines over ℚ or a prime of ``primes``, in a random order of the
     input slots A, C, B, D, and the kind of configuration drawn: arbitrary lines
     (vertical ones frequent), B = D up to a factor, B through C∩D, all parallel,
     or all through one point."""
-    p = draw(st.none() | st.sampled_from(REFERENCE_PRIMES))
+    p = draw(st.none() | st.sampled_from(primes))
     if p is None:
         field, scalars = QQ, small_q
     else:
@@ -205,3 +212,80 @@ def test_reference_strategy_reaches_every_outcome():
         "relabeled",
         *(("normalized", kind) for kind in kinds),
     }
+
+
+@st.composite
+def similarities(draw, p):
+    """An exact similarity x ↦ λ R x + τ of the plane over ℚ (p = 0) or F_p, as the int
+    matrix q R of R, which is the rotation or the reflection of
+    (a, b) = ((1 - u²) / q, 2u / q), q = 1 + u², with q itself, λ != 0 and τ: ints."""
+    u = draw(st.integers(-6, 6) | st.integers(0, p - 1)) if p else draw(st.integers(-6, 6))
+    lam = draw(st.integers(-5, 5).filter(bool))
+    tau = (draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    q, a, b = 1 + u * u, 1 - u * u, 2 * u
+    assume(q % p and lam % p if p else True)
+    rotation = draw(st.booleans())
+    r = ((a, -b), (b, a)) if rotation else ((a, b), (b, -a))
+    return r, q, lam, tau
+
+
+def moved(line: InputLine, similarity, p) -> InputLine:
+    """The image of the line a x + b y = c under the similarity: its covector (n, -c) goes to
+    (q R n, q λ (-c) - (q R n) · τ), which is q times (R n, λ (-c) - (R n) · τ)."""
+    (r0, r1), q, lam, (tx, ty) = similarity
+    n = (line.a, line.b)
+    a, b = sum(map(int.__mul__, r0, n)), sum(map(int.__mul__, r1, n))
+    c = q * lam * line.c + a * tx + b * ty
+    return InputLine(*((v % p for v in (a, b, c)) if p else (a, b, c)))
+
+
+def outcome(directory, name, field, lines, command):
+    """The report of ``command`` on the lines A, C, B, D, as ``main`` runs it: (0, the
+    report), or (3 or 2, the class of the error raised)."""
+    pairs = [[(ln.a, ln.b, ln.c) for ln in pair] for pair in (lines[:2], lines[2:])]
+    tag = {"prime": field.char} if field.char else "rational"
+    path = write_config(pathlib.Path(directory), name, tag, pairs)
+    args = build_parser().parse_args([command, "--input", path])
+    try:
+        return 0, args.fn(args)
+    except InternalCheckError as exc:
+        return 3, type(exc)
+    except QuadrilineError as exc:
+        return 2, type(exc)
+
+
+def frame_free(command, result):
+    """The part of a command's outcome that no similarity moves: the exit and error class;
+    the class fields and the count of at-infinity slopes and aspects (or ``all``); the locus
+    shape; the census totals, coverage, failures and quadric points."""
+    code, report = result
+    if code:
+        return code, report
+    if "all_parallel" in report:
+        return report["all_parallel"]["midline_shared"]
+    if command == "classify":
+        counts = ("all" if v is ALL_RATIOS else len(v) for v in report["at_infinity"].values())
+        return report["class"], tuple(counts)
+    if command == "locus":
+        return report["shape"]
+    keys = ("total", "at_infinity", "union_covered", "quadric_points")
+    return tuple(report[k] for k in keys) + (report["failures"] == [],)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_quads(primes=[101, 1009, 10**9 + 7]), st.data())
+def test_frame_free_reports_are_blind_to_a_similarity(drawn, data):
+    """A similarity S maps inscribed rectangles to inscribed rectangles, so the reports that
+    see no frame are the same for the lines and for S(lines): ``classify`` and ``locus``
+    over ℚ and every prime, ``census`` where p <= 1009."""
+    _, cfg_input = drawn
+    field, p = cfg_input.field, cfg_input.field.char
+    similarity = data.draw(similarities(p))
+    lines = cfg_input.all_lines()
+    images = [moved(line, similarity, p) for line in lines]
+    commands = ["classify", "locus"] + (["census"] if p and p <= 1009 else [])
+    with tempfile.TemporaryDirectory() as directory:
+        for command in commands:
+            before = outcome(directory, "lines.json", field, lines, command)
+            after = outcome(directory, "images.json", field, images, command)
+            assert frame_free(command, after) == frame_free(command, before), command

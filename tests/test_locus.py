@@ -22,6 +22,7 @@ from quadriline import (
 from quadriline.configuration import LocusShape
 from quadriline.errors import AtInfinityError, ParallelPairError, PreconditionError
 from quadriline.locus import (
+    center_forms,
     centers_paths,
     diagonal_g,
     gauss_newton_line,
@@ -56,6 +57,7 @@ from conftest import (
     random_degenerate_config,
     random_rational_config,
     rat,
+    role_forms,
     same_line,
     sample_ratios,
     shipped_config,
@@ -159,7 +161,7 @@ def printed(field, report) -> tuple:
     return values(report.conic), line, point
 
 
-def reported_centers(field, report) -> set:
+def reported_centers(cfg, report) -> set:
     """The affine points of F_p^2 that a locus report claims as centers.
 
     The points of the conic, of each reported line and the reported point(s).
@@ -169,6 +171,7 @@ def reported_centers(field, report) -> set:
     y_num - y_P den when that one vanishes identically), has a square
     discriminant.
     """
+    field = cfg.field
     values = list(elements(field))
     plane = [(x, y) for x in values for y in values]
     out = set()
@@ -184,7 +187,8 @@ def reported_centers(field, report) -> set:
             continue
         on_line = [point for point in plane if contains(field, line, point)]
         if line is report.single_line and report.shape is LocusShape.NONDEGENERATE_CONIC:
-            on_line = [point for point in on_line if has_square_fiber(report.center_map, point)]
+            forms = center_forms(slope_path_polys(cfg))
+            on_line = [point for point in on_line if has_square_fiber(forms, point)]
         out.update(on_line)
     if report.point is not None:
         out.add(affine_point(field, report.point))
@@ -192,10 +196,11 @@ def reported_centers(field, report) -> set:
     return out
 
 
-def has_square_fiber(cmap, point) -> bool:
-    fiber = hpoly.sub(cmap.x_num, hpoly.scale(point[0], cmap.den))
+def has_square_fiber(forms, point) -> bool:
+    x_num, y_num, den = forms
+    fiber = hpoly.sub(x_num, hpoly.scale(point[0], den))
     if hpoly.is_zero(fiber):
-        fiber = hpoly.sub(cmap.y_num, hpoly.scale(point[1], cmap.den))
+        fiber = hpoly.sub(y_num, hpoly.scale(point[1], den))
     field = point[0].field
     return field.sqrt((fiber[1] * fiber[1] - 4 * fiber[0] * fiber[2]).value) is not None
 
@@ -332,7 +337,7 @@ class TestCentersPaths:
             x, y = center_values(rect)
             assert c[0] * x * x + c[1] * x * y + c[2] * y * y + c[3] * x + c[4] * y + c[5] == 0
         # And the parametric map agrees with direct evaluation.
-        assert center_at(report.center_map, (1, 0)) == (0, Fraction(1, 6))
+        assert center_at(QQ, center_forms(slope_path_polys(cfg1)), (1, 0)) == (0, Fraction(1, 6))
 
     def test_cfg3_single_line(self, cfg3):
         report = centers_paths(cfg3)
@@ -397,7 +402,7 @@ class TestCentersPaths:
             cfg = NormalizedConfig.from_ints(field, *ints)
             report = centers_paths(cfg)
             census = {center_values(r) for r in census_rectangles(cfg) if not r.at_infinity}
-            assert census == reported_centers(field, report), (p, ints)
+            assert census == reported_centers(cfg, report), (p, ints)
             rank_two += report.shape is LocusShape.NONDEGENERATE_CONIC and bool(report.single_line)
         assert rank_two > 0
 
@@ -492,9 +497,10 @@ class TestSpecialRectangles:
         spp, app = slope_path_polys(cfg2), aspect_path_polys(cfg2)
         # The slope path's rectangle at infinity: the root of its w-polynomial,
         # whose coefficients are ints.
-        slope_inf = eval_path(cfg2, spp, (-spp.w[1], spp.w[0]))
+        (_, _, sw), (_, _, aw) = role_forms(spp), role_forms(app)
+        slope_inf = eval_path(cfg2, spp, (-sw[1], sw[0]))
         assert slope_inf.at_infinity
-        aspect_inf = eval_path(cfg2, app, (-app.w[1], app.w[0]))
+        aspect_inf = eval_path(cfg2, app, (-aw[1], aw[0]))
         assert aspect_inf.at_infinity
         # It has the aspect ratio of the center rectangle and is orthogonal to it.
         assert aspect_of(slope_inf) == aspect_of(special.center_rectangle)

@@ -20,7 +20,6 @@ from quadriline import (
     slope_path_eval,
 )
 from quadriline import hpoly
-from quadriline.configuration import ROLES
 from quadriline.errors import DegenerateConfigError, InternalCheckError, PreconditionError
 from quadriline.paths import (
     PathPolynomials,
@@ -40,12 +39,12 @@ from conftest import (
     random_degenerate_config,
     random_rational_config,
     rat,
+    role_forms,
     sample_ratios,
 )
 import membership
 from membership import (
     constants,
-    coordinate_forms,
     den,
     from_int,
     has_aspect,
@@ -66,11 +65,7 @@ def reference_eval_path(cfg, pp, r):
     """The path rectangle at r from field-element arithmetic: evaluate the
     nine forms at (num(r), den(r)) in the field, then divide by the pivot."""
     s, t = num(r), den(r)
-    coords = []
-    for role in ROLES:
-        coords.append(hpoly.eval_at(pp.x[role], s, t))
-        coords.append(hpoly.eval_at(pp.y[role], s, t))
-    coords.append(hpoly.eval_at(pp.w, s, t))
+    coords = [hpoly.eval_at(f, s, t) for f in pp.forms]
     if all(not c for c in coords):
         raise InternalCheckError("path polynomials share a projective zero")
     return ProjectiveRectangle.canonical(cfg.field, integer_forms(cfg.field, [coords])[0])
@@ -80,20 +75,22 @@ class TestSlopePathPolynomials:
     def test_cfg1_exact_expansion(self, cfg1):
         pp = slope_path_polys(cfg1)
         assert path_case(pp) == "generic"
-        assert pp.first == (1, 0)  # e1 S + e2 T = S
-        assert pp.second == (2, -3)  # f2 S - f1 T = 2S - 3T
-        assert pp.x["A"] == (1, -3, 0)  # S^2 - 3 S T
-        assert pp.x["B"] == (1, -2, 0)
-        assert pp.x["C"] == (-1, 1, 0)
-        assert pp.x["D"] == (-1, 0, 0)
-        assert pp.w == (-3, 4, 3)
-        assert pp.w == slope_infinity_form(cfg1)
+        assert pp.first == (-1, 0)  # M_CD (e1 S + e2 T) = -S
+        assert pp.second == (2, -3)  # δ (f2 S - f1 T) = 2S - 3T
+        x, _, w = role_forms(pp)
+        assert x["A"] == (1, -3, 0)  # S^2 - 3 S T
+        assert x["B"] == (1, -2, 0)
+        assert x["C"] == (-1, 1, 0)
+        assert x["D"] == (-1, 0, 0)
+        assert w == (-3, 4, 3)
+        assert w == slope_infinity_form(cfg1)
 
     def test_cfg3_is_a_line_with_zero_w(self, cfg3):
         pp = slope_path_polys(cfg3)
         assert path_case(pp) == "orthogonal"
-        assert len(pp.w) - 1 == 1
-        assert hpoly.is_zero(pp.w)  # the whole path lies at infinity
+        _, _, w = role_forms(pp)
+        assert len(w) - 1 == 1
+        assert hpoly.is_zero(w)  # the whole path lies at infinity
 
     def test_a_equals_b_case(self):
         cfg = NormalizedConfig.from_ints(QQ, 3, 3, 0, 1, 1)
@@ -104,9 +101,9 @@ class TestSlopePathPolynomials:
     def test_degenerate_coordinates_have_degree_one(self, cfg2):
         pp = slope_path_polys(cfg2)
         assert path_case(pp) == "orthogonal"
-        assert len(pp.w) - 1 == 1
+        assert len(role_forms(pp)[2]) - 1 == 1
         ap = aspect_path_polys(cfg2)
-        assert len(ap.w) - 1 == 1
+        assert len(role_forms(ap)[2]) - 1 == 1
 
 
 def reference_paths(cfg):
@@ -119,7 +116,7 @@ def reference_paths(cfg):
         (aspect_path_polys, membership.aspect_path_polys),
     ):
         pp, ref = build(cfg), reference(cfg)
-        assert one_multiple(cfg.field, coordinate_forms(pp), coordinate_forms(ref))
+        assert one_multiple(cfg.field, pp.forms, ref.forms)
         assert one_multiple(cfg.field, [pp.first, pp.second], [ref.first, ref.second])
         out.append(ref)
     return out
@@ -134,27 +131,29 @@ def _identity_checks(cfg):
     s_only, t_only = (one, zero), (zero, one)
 
     pp, ap = reference_paths(cfg)
-    e_form, f_form = pp.first, pp.second
-    assert hpoly.sub(pp.y["A"], pp.y["B"]) == hpoly.mul(hpoly.scale(m_cd, s_only), e_form)
-    assert hpoly.sub(pp.x["A"], pp.x["B"]) == hpoly.mul(hpoly.scale(m_cd, t_only), e_form)
-    assert hpoly.sub(pp.y["B"], pp.y["C"]) == hpoly.mul(hpoly.scale(-one, t_only), f_form)
-    assert hpoly.sub(pp.x["B"], pp.x["C"]) == hpoly.mul(s_only, f_form)
+    x, y, _ = role_forms(pp)
+    # The slope path's first is M_CD e, so its displacements carry no m_CD of their own.
+    assert hpoly.sub(y["A"], y["B"]) == hpoly.mul(s_only, pp.first)
+    assert hpoly.sub(x["A"], x["B"]) == hpoly.mul(t_only, pp.first)
+    assert hpoly.sub(y["B"], y["C"]) == hpoly.mul(hpoly.scale(-one, t_only), pp.second)
+    assert hpoly.sub(x["B"], x["C"]) == hpoly.mul(s_only, pp.second)
     # parallelogram closure and the rectangle identity, coefficientwise
-    assert hpoly.add(pp.x["A"], pp.x["C"]) == hpoly.add(pp.x["B"], pp.x["D"])
-    assert hpoly.add(pp.y["A"], pp.y["C"]) == hpoly.add(pp.y["B"], pp.y["D"])
-    lhs = hpoly.mul(hpoly.sub(pp.x["A"], pp.x["B"]), hpoly.sub(pp.x["B"], pp.x["C"]))
-    rhs = hpoly.mul(hpoly.sub(pp.y["A"], pp.y["B"]), hpoly.sub(pp.y["B"], pp.y["C"]))
+    assert hpoly.add(x["A"], x["C"]) == hpoly.add(x["B"], x["D"])
+    assert hpoly.add(y["A"], y["C"]) == hpoly.add(y["B"], y["D"])
+    lhs = hpoly.mul(hpoly.sub(x["A"], x["B"]), hpoly.sub(x["B"], x["C"]))
+    rhs = hpoly.mul(hpoly.sub(y["A"], y["B"]), hpoly.sub(y["B"], y["C"]))
     assert lhs == hpoly.scale(-one, rhs)
 
     m_form, n_form = ap.first, ap.second
-    assert hpoly.sub(ap.x["A"], ap.x["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), n_form)
-    assert hpoly.sub(ap.y["A"], ap.y["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), m_form)
-    assert hpoly.sub(ap.y["B"], ap.y["C"]) == hpoly.mul(hpoly.scale(m_cd, t_only), n_form)
-    assert hpoly.sub(ap.x["B"], ap.x["C"]) == hpoly.mul(hpoly.scale(m_dc, t_only), m_form)
-    assert hpoly.add(ap.x["A"], ap.x["C"]) == hpoly.add(ap.x["B"], ap.x["D"])
-    assert hpoly.add(ap.y["A"], ap.y["C"]) == hpoly.add(ap.y["B"], ap.y["D"])
-    lhs = hpoly.mul(hpoly.sub(ap.x["A"], ap.x["B"]), hpoly.sub(ap.x["B"], ap.x["C"]))
-    rhs = hpoly.mul(hpoly.sub(ap.y["A"], ap.y["B"]), hpoly.sub(ap.y["B"], ap.y["C"]))
+    x, y, _ = role_forms(ap)
+    assert hpoly.sub(x["A"], x["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), n_form)
+    assert hpoly.sub(y["A"], y["B"]) == hpoly.mul(hpoly.scale(m_dc, s_only), m_form)
+    assert hpoly.sub(y["B"], y["C"]) == hpoly.mul(hpoly.scale(m_cd, t_only), n_form)
+    assert hpoly.sub(x["B"], x["C"]) == hpoly.mul(hpoly.scale(m_dc, t_only), m_form)
+    assert hpoly.add(x["A"], x["C"]) == hpoly.add(x["B"], x["D"])
+    assert hpoly.add(y["A"], y["C"]) == hpoly.add(y["B"], y["D"])
+    lhs = hpoly.mul(hpoly.sub(x["A"], x["B"]), hpoly.sub(x["B"], x["C"]))
+    rhs = hpoly.mul(hpoly.sub(y["A"], y["B"]), hpoly.sub(y["B"], y["C"]))
     assert lhs == hpoly.scale(-one, rhs)
 
 
@@ -185,28 +184,29 @@ def _divisibility_checks(cfg):
     """The w forms against the at-infinity forms, on the reference forms that
     the library's forms are one multiple of."""
     pp, ap = reference_paths(cfg)
+    pw, aw = role_forms(pp)[2], role_forms(ap)[2]
     sigma = membership.slope_infinity_form(cfg)
-    assert divides(pp.w, sigma)
+    assert divides(pw, sigma)
     alpha = membership.aspect_infinity_form(cfg)
     m_cd_alpha = hpoly.scale(constants(cfg).m_c - constants(cfg).m_d, alpha)
-    assert divides(ap.w, m_cd_alpha)
+    assert divides(aw, m_cd_alpha)
     if cfg.ef_sum:
-        assert pp.w == sigma
+        assert pw == sigma
         # The aspect-side equality holds after normalizing away the unit
         # factor m_CD: the homogenizing polynomial equals the aspect form
         # itself (checked coefficientwise).
-        assert ap.w == alpha
+        assert aw == alpha
     else:
         # Strictly smaller degree unless both sides vanish identically
         # (twin/dual pairs annihilate the quadratic too).
         if not hpoly.is_zero(sigma):
-            assert len(pp.w) < len(sigma)
+            assert len(pw) < len(sigma)
         else:
-            assert hpoly.is_zero(pp.w)
+            assert hpoly.is_zero(pw)
         if not hpoly.is_zero(m_cd_alpha):
-            assert len(ap.w) < len(m_cd_alpha)
+            assert len(aw) < len(m_cd_alpha)
         else:
-            assert hpoly.is_zero(ap.w)
+            assert hpoly.is_zero(aw)
 
 
 class TestPolynomialIdentities:
@@ -238,8 +238,9 @@ class TestPolynomialIdentities:
                     f2, mf1 = pp.second
                     assert e1 * mf1 - e2 * f2  # the two forms are independent
                 for s, t in ratio_samples(QQ, 20):
-                    values = [hpoly.eval_at(pp.x[role], s, t) for role in "ABCD"]
-                    values.append(hpoly.eval_at(pp.w, s, t))
+                    x, _, w = role_forms(pp)
+                    values = [hpoly.eval_at(x[role], s, t) for role in "ABCD"]
+                    values.append(hpoly.eval_at(w, s, t))
                     assert any(values)
 
 
@@ -266,16 +267,14 @@ class TestSlopePathEval:
         for _ in range(12):
             cfg = random_rational_config(rng)
             pp = slope_path_polys(cfg)
-            m_cd = constants(cfg).m_c - constants(cfg).m_d
             for st in ratio_samples(QQ, 12):
                 rect = eval_path(cfg, pp, st)
                 assert satisfies_membership(rect, cfg)
                 assert is_parallelogram(rect)
                 assert is_rectangle(rect)
                 assert has_slope(rect, Ratio(QQ, *st))
-                expected_aspect = ratio_of(
-                    m_cd * hpoly.eval_at(pp.first, *st),
-                    from_int(QQ, hpoly.eval_at(pp.second, *st)),
+                expected_aspect = Ratio(
+                    QQ, hpoly.eval_at(pp.first, *st), hpoly.eval_at(pp.second, *st)
                 )
                 assert has_aspect(rect, expected_aspect)
 
@@ -337,14 +336,9 @@ class TestIntegerKernel:
     def test_shared_root_raises(self, field):
         """Nine int forms that all vanish at 1/1: no point of P^8 there."""
         root = (1, -1)  # S - T
-        forms = {role: hpoly.scale(k, root) for k, role in enumerate(ROLES, 1)}
-        pp = PathPolynomials(
-            first=(1,),
-            second=(1,),
-            x=forms,
-            y={role: hpoly.scale(5, f) for role, f in forms.items()},
-            w=hpoly.scale(7, root),
-        )
+        xs = [hpoly.scale(k, root) for k in range(1, 5)]
+        forms = (*[f for x in xs for f in (x, hpoly.scale(5, x))], hpoly.scale(7, root))
+        pp = PathPolynomials(first=(1,), second=(1,), forms=forms)
         cfg = NormalizedConfig.from_ints(field, *CFG1_INTS)
         with pytest.raises(InternalCheckError, match="share a projective zero"):
             eval_path(cfg, pp, (1, 1))
@@ -429,8 +423,8 @@ class TestDegeneracyCharacterization:
         for cfg in configs:
             degenerate = not cfg.ef_sum
             pp, ap = slope_path_polys(cfg), aspect_path_polys(cfg)
-            assert (len(pp.w) - 1 == 1) == degenerate
-            assert (len(ap.w) - 1 == 1) == degenerate
+            assert (len(role_forms(pp)[2]) - 1 == 1) == degenerate
+            assert (len(role_forms(ap)[2]) - 1 == 1) == degenerate
             aspects = set()
             slopes = set()
             for r in ratio_samples(QQ, 20):

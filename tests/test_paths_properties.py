@@ -1,6 +1,7 @@
 """Property tests: the integer path forms, the integer path kernel and the
-forward-difference replay against field-element references, and the
-homography between the two paths."""
+forward-difference replay against field-element references, the other ratio
+that first : second gives along each path, and the homography between the two
+paths."""
 
 import itertools
 from fractions import Fraction
@@ -15,9 +16,14 @@ from quadriline import (
     QQ,
     NormalizedConfig,
     PrimeField,
+    Ratio,
+    aspect_of,
+    classify,
     homography,
+    slope_of,
 )
 from quadriline import hpoly
+from quadriline.configuration import LocusShape
 from quadriline.errors import PreconditionError
 from quadriline.locus import centers_paths
 from quadriline.rectangles import (
@@ -31,6 +37,7 @@ from quadriline.paths import (
     aspect_path_polys,
     eval_path,
     path_keys,
+    ratio_samples,
     slope_path_polys,
 )
 from conftest import (
@@ -213,6 +220,51 @@ def test_homography_round_trip(data):
     r = data.draw(ratios(cfg.field))
     assert h.aspect_to_slope(h.slope_to_aspect(r)) == r
     assert h.slope_to_aspect(h.aspect_to_slope(r)) == r
+
+
+# The rationals and the primes of the other-ratio property: 5 and 1009 have a square root of -1.
+other_ratio_fields = st.sampled_from([3, 5, 7, 1009]).map(PrimeField) | st.just(QQ)
+
+
+@st.composite
+def dual_configs(draw):
+    """A dual-pair configuration over F_5 or F_1009: m_A = m_B = i with i^2 = -1, shared
+    by C or D, which puts the aspect path at infinity."""
+    field = draw(st.sampled_from([5, 1009]).map(PrimeField))
+    i = from_int(field, field.sqrt(-1))
+    other, b_a = draw(scalars(field)), draw(scalars(field))
+    assume(other != i)
+    m_c, m_d = draw(st.permutations([i, other]))
+    return make_config(field, i, i, m_c, m_d, b_a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(other_ratio_fields) | dual_configs())
+def test_first_and_second_are_the_other_ratio(cfg):
+    """Along either path the rectangle at the ratio st has the other ratio
+    first(st) : second(st): its aspect ratio on the slope path and its slope on the
+    aspect path.  Skipped where first and second both vanish in the field."""
+    field, p = cfg.field, cfg.field.char
+    for pp, other in ((slope_path_polys(cfg), aspect_of), (aspect_path_polys(cfg), slope_of)):
+        for st in ratio_samples(field, 64):
+            first, second = (hpoly.eval_at(f, *st) for f in (pp.first, pp.second))
+            if hpoly.mod(first, p) or hpoly.mod(second, p):
+                assert other(eval_path(cfg, pp, st)) == Ratio(field, first, second), st
+
+
+def test_other_ratio_strategy_reaches_every_class():
+    """The drawn configurations of the other-ratio property are non-degenerate,
+    degenerate, twin-pair and dual-pair ones."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(configs(other_ratio_fields) | dual_configs())
+    def collect(cfg):
+        cls = classify(cfg)
+        seen.add("dual" if cls.dual_pairs else "twin" if cls.twin_pairs else cls.locus_shape)
+
+    collect()
+    assert seen == {"dual", "twin", LocusShape.TWO_LINES, LocusShape.NONDEGENERATE_CONIC}
 
 
 def replay_example(*ints):

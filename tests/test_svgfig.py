@@ -21,8 +21,8 @@ from quadriline import (
 from quadriline import hpoly, svgfig
 from quadriline.configuration import cross
 from quadriline.cli import load_config, rectangle_json
-from quadriline.locus import centers_paths
-from quadriline.paths import aspect_path_eval, slope_path_eval
+from quadriline.locus import center_forms, centers_paths
+from quadriline.paths import aspect_path_eval, slope_path_eval, slope_path_polys
 from quadriline.svgfig import _clip_line, _swept_centers, render
 from conftest import center_at, covec, fraction_count, input_line, rat, same_line
 from membership import Line, parse, standing_line
@@ -42,11 +42,11 @@ RENDERED_JSON = sorted(
 )
 
 
-def fraction_sweep(center_map, plane_map):
+def fraction_sweep(forms, plane_map):
     """Reference: each swept center in Fractions, mapped back exactly, then rounded."""
     points = []
     for st in SWEEP:
-        center = center_at(center_map, st)
+        center = center_at(QQ, forms, st)
         if center is None:
             points.append(None)
             continue
@@ -62,14 +62,15 @@ def config_input(lines) -> ConfigurationInput:
 
 
 def center_map_of(lines):
-    """(center map, plane map) of four lines A, C, B, D, or None when the locus is no conic."""
+    """(slope-path center forms, plane map) of four lines A, C, B, D, or None when the
+    locus is no conic."""
     try:
         cfg, pm = normalize(config_input(lines))
     except QuadrilineError:
         return None
     if classify(cfg).degenerate:
         return None
-    return centers_paths(cfg).center_map, pm
+    return center_forms(slope_path_polys(cfg)), pm
 
 
 def random_line(rng, vertical):
@@ -98,7 +99,7 @@ def test_zero_coordinate_over_negative_denominator():
     reference = fraction_sweep(cm, pm)
     # The case the sign normalization is for: an exact 0 reached as 0 / (negative).
     assert any(
-        pt is not None and 0.0 in pt and hpoly.eval_at(cm.den, Fraction(s), Fraction(t)) < 0
+        pt is not None and 0.0 in pt and hpoly.eval_at(cm[2], Fraction(s), Fraction(t)) < 0
         for (s, t), pt in zip(SWEEP, reference)
     )
     assert repr(_swept_centers(cm, pm)) == repr(reference)
@@ -134,10 +135,9 @@ def test_matrix_scale_is_invisible(tmp_path, name):
         if not p:
             render(cfg_input, cfg, scaled, tmp_path / "scaled.svg", diagonals=True)
             assert (tmp_path / "scaled.svg").read_bytes() == (tmp_path / "n.svg").read_bytes()
-            if report.center_map is not None:
-                assert repr(_swept_centers(report.center_map, scaled)) == repr(
-                    _swept_centers(report.center_map, pm)
-                )
+            if not classify(cfg).degenerate:
+                forms = center_forms(slope_path_polys(cfg))
+                assert repr(_swept_centers(forms, scaled)) == repr(_swept_centers(forms, pm))
 
 
 @pytest.mark.parametrize("name", RATIONAL_CONFIGS)

@@ -19,7 +19,7 @@ from collections import Counter
 
 from .configuration import NormalizedConfig, classify
 from .errors import InternalCheckError, PreconditionError
-from .paths import aspect_path_polys, path_keys, slope_path_polys
+from .paths import path_keys
 from .rectangles import _residues, aspect_residues, canonical_keys, residue_text, slope_residues
 from .scalars import MAX_CENSUS_PRIME, Record
 
@@ -150,10 +150,8 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
     cls = classify(cfg)
     failures = []
 
-    spp = slope_path_polys(cfg)
-    app = aspect_path_polys(cfg)
-    slope_keys = path_keys(cfg, spp)
-    aspect_keys = path_keys(cfg, app)
+    spp, app = cfg.slope_path, cfg.aspect_path
+    slope_keys, aspect_keys = path_keys(cfg, spp), path_keys(cfg, app)
     slope_image, aspect_image = set(slope_keys), set(aspect_keys)
 
     union = slope_image | aspect_image

@@ -43,14 +43,7 @@ from .errors import (
     QuadrilineError,
 )
 from .locus import all_parallel_analysis, centers_paths, scaled, special_rectangles
-from .paths import (
-    aspect_path_eval,
-    aspect_path_polys,
-    eval_path,
-    ratio_samples,
-    slope_path_eval,
-    slope_path_polys,
-)
+from .paths import aspect_path_eval, eval_path, ratio_samples, slope_path_eval
 from .rectangles import (
     INDETERMINATE, ProjectiveRectangle, _aspect_pair, _slope_pair, aspects_at_infinity,
     slopes_at_infinity,
@@ -238,7 +231,7 @@ def cmd_path(args) -> dict:
         raise PreconditionError("--samples must be at least 1")
     cfg_input = load_config(args.input)
     cfg, pm = normalize(cfg_input)
-    pp = slope_path_polys(cfg) if args.kind == "slope" else aspect_path_polys(cfg)
+    pp = cfg.slope_path if args.kind == "slope" else cfg.aspect_path
     rects = [
         {"ratio": ratio_text(cfg.field.char, *st), **rectangle_json(eval_path(cfg, pp, st), pm)}
         for st in ratio_samples(cfg.field, args.samples)
@@ -264,17 +257,15 @@ def cmd_locus(args) -> dict:
     out["point"] = list(scaled(field, report.point)[:2]) if report.point else None
     if report.points:
         out["points"] = [list(scaled(field, point)[:2]) for point in report.points]
+    out["special_rectangles"] = None
     try:
         special = special_rectangles(cfg, report)
     except PreconditionError:
-        special = None
-    if special is not None:
-        out["special_rectangles"] = {
-            "center": rectangle_json(special.center_rectangle, pm),
-            "centroid": rectangle_json(special.centroid_rectangle, pm),
-        }
-    else:
-        out["special_rectangles"] = None
+        return out
+    out["special_rectangles"] = {
+        "center": rectangle_json(special.center_rectangle, pm),
+        "centroid": rectangle_json(special.centroid_rectangle, pm),
+    }
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 from . import hpoly
@@ -67,9 +68,6 @@ class ConfigurationInput(Record):
             "B": self.pair2[0],
             "D": self.pair2[1],
         }
-
-    def all_lines(self):
-        return (self.pair1[0], self.pair1[1], self.pair2[0], self.pair2[1])
 
 
 def cross(u, v):
@@ -174,6 +172,19 @@ class NormalizedConfig(Record):
         """The configuration with the five int constants at δ = 1, reduced mod p over F_p."""
         ints = (m_a, m_b, m_c, m_d, b_a, 1)
         return NormalizedConfig.make(field, tuple(hpoly.mod(v, field.char) for v in ints))
+
+    # The builders are imported at the first read: the paths module imports this one.
+    @cached_property
+    def slope_path(self):
+        """The slope path (:func:`paths.slope_path_polys`), built at its first read."""
+        from .paths import slope_path_polys
+        return slope_path_polys(self)
+
+    @cached_property
+    def aspect_path(self):
+        """The aspect path (:func:`paths.aspect_path_polys`), built at its first read."""
+        from .paths import aspect_path_polys
+        return aspect_path_polys(self)
 
     @property
     def ef_sum(self) -> int:

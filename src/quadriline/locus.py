@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .rectangles import ProjectiveRectangle
-from .paths import PathPolynomials, aspect_path_polys, eval_path, slope_path_polys
+from .paths import PathPolynomials, eval_path
 from .scalars import Ratio, Record
 
 
@@ -210,14 +210,14 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
     """
     cls, p = classify(cfg), cfg.field.char
     if cls.locus_shape is LocusShape.LINE_PLUS_INFINITY:
-        pp = aspect_path_polys(cfg) if cls.twin_pairs else slope_path_polys(cfg)
+        pp = cfg.aspect_path if cls.twin_pairs else cfg.slope_path
         source = "aspect-centers" if cls.twin_pairs else "slope-centers"
         _, line, point = _image(pp, p, source)
         return LocusReport(shape=cls.locus_shape, single_line=line, point=point)
 
     if cls.degenerate:
-        _, slope_line, slope_point = _image(slope_path_polys(cfg), p, "slope-centers")
-        _, aspect_line, aspect_point = _image(aspect_path_polys(cfg), p, "aspect-centers")
+        _, slope_line, slope_point = _image(cfg.slope_path, p, "slope-centers")
+        _, aspect_line, aspect_point = _image(cfg.aspect_path, p, "aspect-centers")
         point = points = None
         if slope_point is not None and aspect_point is not None:
             # Each path keeps one center: a shared one, or two where -1 is a square in F_p.
@@ -243,7 +243,7 @@ def centers_paths(cfg: NormalizedConfig) -> LocusReport:
             points=points,
         )
 
-    conic, line, point = _image(slope_path_polys(cfg), p, "slope-centers")
+    conic, line, point = _image(cfg.slope_path, p, "slope-centers")
     return LocusReport(shape=cls.locus_shape, conic=conic, single_line=line, point=point)
 
 
@@ -258,12 +258,12 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     """Center rectangle (centered on the locus-line intersection) and
     centroid rectangle (centered on the centroid of the four corner points).
 
-    ``report`` is ``centers_paths(cfg)``, read for its two locus lines; both
-    paths are built from ``cfg``.  Requires a degenerate
-    configuration with no two lines parallel and at least one non-orthogonal
-    pair: a TwoLines report, which then carries the Gauss-Newton line.  Over
-    F_p the two locus lines can be parallel; there is then no center
-    rectangle, and that is a precondition failure too.
+    ``report`` is ``centers_paths(cfg)``, read for its two locus lines; the
+    paths are ``cfg.slope_path`` and ``cfg.aspect_path``, which it already
+    built.  Requires a degenerate configuration with no two lines parallel and
+    at least one non-orthogonal pair: a TwoLines report, which then carries
+    the Gauss-Newton line.  Over F_p the two locus lines can be parallel;
+    there is then no center rectangle, and that is a precondition failure too.
     """
     if report.shape is not LocusShape.TWO_LINES or report.gauss_newton is None:
         raise PreconditionError("special rectangles need two locus lines and no parallel lines")
@@ -275,7 +275,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
         raise PreconditionError("the two locus lines are parallel: no center rectangle")
     meet = cross(sl.normal, al.normal)
 
-    spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
+    spp, app = cfg.slope_path, cfg.aspect_path
     # The aspect ratio first[0] : second[0] that every rectangle of the slope path shares.
     center_rect = eval_path(cfg, app, (spp.first[0], spp.second[0]))
     if not _same(p, _center(center_rect), meet):

@@ -152,12 +152,12 @@ def path_keys(cfg: NormalizedConfig, pp: PathPolynomials) -> list:
 
 def slope_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the slope path with slope r."""
-    return eval_path(cfg, slope_path_polys(cfg), (r.s, r.t))
+    return eval_path(cfg, cfg.slope_path, (r.s, r.t))
 
 
 def aspect_path_eval(cfg: NormalizedConfig, r: Ratio) -> ProjectiveRectangle:
     """The rectangle on the aspect path with aspect ratio r."""
-    return eval_path(cfg, aspect_path_polys(cfg), (r.s, r.t))
+    return eval_path(cfg, cfg.aspect_path, (r.s, r.t))
 
 
 class PathHomography(Record):
@@ -195,7 +195,7 @@ def homography(cfg: NormalizedConfig) -> PathHomography:
         raise DegenerateConfigError(
             "the slope and aspect paths of a degenerate configuration are distinct lines"
         )
-    spp, app = slope_path_polys(cfg), aspect_path_polys(cfg)
+    spp, app = cfg.slope_path, cfg.aspect_path
     return PathHomography((*spp.first, *spp.second), (*app.first, *app.second))
 
 

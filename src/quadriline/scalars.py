@@ -45,7 +45,8 @@ def _ints(regex, kind: str, text: str) -> list:
 class Record:
     """A value: the annotated fields of its class and of its bases, set once by position
     or keyword (a field not given reads its class-level default) and compared and hashed
-    by type and field values; ``vars`` lists the fields given, in the order given."""
+    by type and field values; ``vars`` lists the fields given, in the order given, then
+    each ``cached_property`` of the class once it has been read."""
 
     _fields = ()
 

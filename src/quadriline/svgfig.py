@@ -21,7 +21,7 @@ from . import hpoly
 from .configuration import covector, cross
 from .errors import ParallelPairError, PreconditionError
 from .locus import center_forms, centers_paths, diagonal_g, gauss_newton_line
-from .paths import eval_path, ratio_samples, slope_path_polys
+from .paths import eval_path, ratio_samples
 from .scalars import QQ
 
 
@@ -106,12 +106,11 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
     past the float range raises OverflowError before the file is opened."""
     if cfg.field != QQ:
         raise PreconditionError("rendering requires the rational field")
-    lines = [covector(line) for line in cfg_input.all_lines()]
+    lines = [covector(line) for line in cfg_input.lines_by_label().values()]
     # The viewport is anchored on the pairwise meets of the input lines.
     points = [_point(*meet) for meet in (cross(u, v) for u, v in combinations(lines, 2)) if meet[2]]
 
-    pp = slope_path_polys(cfg)
-    rects = (eval_path(cfg, pp, st) for st in ratio_samples(cfg.field, samples * 3 + 8))
+    rects = (eval_path(cfg, cfg.slope_path, st) for st in ratio_samples(cfg.field, samples * 3 + 8))
     quads = []
     for rect in islice((rect for rect in rects if not rect.at_infinity), samples):
         corners = [(*rect.key[i : i + 2], rect.key[8]) for i in range(0, 8, 2)]
@@ -133,7 +132,7 @@ def render(cfg_input, cfg, plane_map, out_path, samples=12, diagonals=False):
         # consecutive centers jump.
         x0, y0, w0, h0 = _bbox(points, 0.5)
         x1, y1, jump = x0 + w0, y0 + h0, hypot(w0, h0) / 2
-        for pt in _swept_centers(center_forms(pp), plane_map):
+        for pt in _swept_centers(center_forms(cfg.slope_path), plane_map):
             last = branches[-1]
             if pt is None or not (x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1):
                 if last:

@@ -4,6 +4,7 @@ import contextlib
 import json
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,22 @@ def cfg2():
 @pytest.fixture
 def cfg3():
     return NormalizedConfig.from_ints(QQ, *CFG3_INTS)
+
+
+@pytest.fixture
+def path_builds(monkeypatch):
+    """Counts of the slope and aspect path builds while the test runs, keyed
+    "slope" and "aspect": both ``paths`` builders are wrapped."""
+    builds = Counter()
+    for kind in ("slope", "aspect"):
+        build = getattr(paths, f"{kind}_path_polys")
+
+        def counted(cfg, build=build, kind=kind):
+            builds[kind] += 1
+            return build(cfg)
+
+        monkeypatch.setattr(paths, f"{kind}_path_polys", counted)
+    return builds
 
 
 def rat(field, s, t):

@@ -107,10 +107,14 @@ class TestKernelAgainstReference:
                 assert_matches_reference(cfg)
 
     def test_kernel_uses_no_path_code(self, monkeypatch):
+        """Every route to a path goes through the ``paths`` builders, which a fresh cfg
+        has not read yet, so the kernel runs with them gone."""
         import quadriline.census as census_module
+        import quadriline.paths as paths_module
 
         for name in ("aspect_path_polys", "path_keys", "slope_path_polys"):
-            monkeypatch.setattr(census_module, name, None)
+            monkeypatch.setattr(paths_module, name, None)
+        monkeypatch.setattr(census_module, "path_keys", None)
         assert_matches_reference(cfg_over(11, (2, 3, 0, 1, 1)))
 
 

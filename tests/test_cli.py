@@ -219,6 +219,8 @@ class TestPathLocusCensus:
             ("double_root_f5.json", "bf73ed5e8e690d1d8ffafa6258a877dd0b3ba76d17dc76bfd815a3739ebfd8e4"),
             # A = C is the isotropic line y = 2x over F_5: the two "points".
             ("two_points_f5.json", "2b23e68851196c7fe4baaef90924f74d08afcc73bc33bea05ca51f8a6284cd10"),
+            # TwoLines over F_5 whose two locus lines are parallel: no special rectangles.
+            ("parallel_centers_f5.json", "188ca98a5feb698ef96b1182f038f7ee4aec49225aeee47c46031aa161f08900"),
             # A = B, and A = D over F_7: TwoLines with one diagonal a marker.
             ("a_equals_b.json", "d3ecfd884cf70ff19cc821325633a3f808c6c15ec03d0702f910546fb8d90283"),
             ("a_equals_d_f7.json", "4b45bfbcb69080691b7e2fa8f94af617258c17ddbd66fb33c37f7d02490217ad"),
@@ -480,6 +482,38 @@ class TestPathLocusCensus:
         assert code == 2 and not out
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(p) in err and str(MAX_CENSUS_PRIME) in err
+
+
+class TestPathBuilds:
+    """A call builds each path at most once, and only a path it reads."""
+
+    # The builds of locus and render on the three reference configurations.
+    EXPECTED = {
+        ("cfg1.json", "locus"): {"slope": 1},
+        ("cfg2.json", "locus"): {"slope": 1, "aspect": 1},
+        ("cfg3.json", "locus"): {"aspect": 1},
+        ("cfg1.json", "render"): {"slope": 1},
+        ("cfg2.json", "render"): {"slope": 1, "aspect": 1},
+        ("cfg3.json", "render"): {"slope": 1, "aspect": 1},
+    }
+
+    def test_each_digest_call_builds_each_path_at_most_once(self, tmp_path, path_builds):
+        """Every command of ``cli_digests.COMMANDS`` on every config, and ``classify`` on
+        each loader input; ``classify`` builds no path."""
+        import cli_digests
+
+        seen = set()
+        for label, argv, svg in cli_digests.calls([], str(tmp_path)):
+            path_builds.clear()
+            cli_digests.run(label, argv, svg)
+            assert max(path_builds.values(), default=0) <= 1, label
+            if argv[0] == "classify":
+                assert not path_builds, label
+            key = (os.path.basename(argv[2]), argv[0])
+            if key in self.EXPECTED:
+                assert path_builds == self.EXPECTED[key], label
+                seen.add(key)
+        assert seen == set(self.EXPECTED)
 
 
 class TestLargePrime:

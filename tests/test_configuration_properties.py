@@ -281,7 +281,7 @@ def test_frame_free_reports_are_blind_to_a_similarity(drawn, data):
     _, cfg_input = drawn
     field, p = cfg_input.field, cfg_input.field.char
     similarity = data.draw(similarities(p))
-    lines = cfg_input.all_lines()
+    lines = list(cfg_input.lines_by_label().values())
     images = [moved(line, similarity, p) for line in lines]
     commands = ["classify", "locus"] + (["census"] if p and p <= 1009 else [])
     with tempfile.TemporaryDirectory() as directory:

@@ -467,6 +467,39 @@ class TestHomography:
             homography(cfg2)
 
 
+class TestCachedPaths:
+    """``NormalizedConfig.slope_path`` and ``aspect_path`` build each path once, at the
+    first read, and leave the configuration's value alone."""
+
+    def test_each_path_is_its_builders(self, cfg2, path_builds):
+        for _ in range(3):
+            assert cfg2.slope_path == slope_path_polys(cfg2)
+            assert cfg2.aspect_path == aspect_path_polys(cfg2)
+        assert path_builds == {"slope": 1, "aspect": 1}
+
+    def test_twenty_evaluations_build_the_path_once(self, cfg1, path_builds):
+        for r in sample_ratios(QQ, 20):
+            slope_path_eval(cfg1, r)
+        assert path_builds == {"slope": 1}
+
+    def test_value_is_unchanged_by_reading_the_paths(self):
+        for field in (QQ, PrimeField(7)):
+            cfg = NormalizedConfig.from_ints(field, *CFG1_INTS)
+            fresh = NormalizedConfig(cfg.field, cfg.standing)
+            assert cfg.slope_path != cfg.aspect_path
+            assert list(vars(cfg)) == ["field", "standing", "slope_path", "aspect_path"]
+            assert cfg == fresh and fresh == cfg
+            assert hash(cfg) == hash(fresh)
+            assert repr(cfg) == repr(fresh)
+
+    def test_paths_cannot_be_assigned(self, cfg1):
+        pp = cfg1.slope_path
+        for name in ("slope_path", "aspect_path"):
+            with pytest.raises(AttributeError):
+                setattr(cfg1, name, pp)
+        assert cfg1.slope_path is pp
+
+
 class TestRatioSamples:
     def test_leading_sequence(self):
         assert ratio_samples(QQ, 5) == [(0, 1), (1, 0), (1, 1), (-1, 1), (2, 1)]

@@ -3,12 +3,13 @@
 The rectangles are the F_p-points of a plane quadric in the parallelogram
 parameters (x_A : x_B : w).  Each affine row (x_A, w = 1) meets it in the
 roots of a quadratic in x_B, and the line w = 0 in the roots of one more
-quadratic, all read off the six coefficients of :func:`quadric_h` as plain
-ints mod p; every inverse and square root is a lookup in the field's tables
-(``PrimeField.tables``), built once per census.  The hits are completed to
-parallelograms and their canonical keys a column at a time, without
-touching the path code they check.  The census is then replayed against the
-slope and aspect paths: together the two paths must find every rectangle,
+quadratic, all read off the six residues of :func:`quadric_h`, built once per
+census.  Every inverse and square root is a lookup in ``PrimeField.tables``,
+but in the rows that ``rectangles.canonical_key`` scales by a later pivot.  The
+hits, checked in number against the quadric's point count by theorem, are
+completed to parallelograms and their canonical keys a column at a time,
+without touching the path code they check.  The census is then replayed against
+the slope and aspect paths: together the two paths must find every rectangle,
 degenerate configurations must show the constant-aspect / constant-slope
 split, and non-degenerate ones a single curve with injective slope.
 """
@@ -26,11 +27,11 @@ from .scalars import MAX_CENSUS_PRIME, Record
 
 def _completion(cfg: NormalizedConfig) -> tuple:
     """(k_A, k_B, k_w), residues with x_C = k_A x_A + k_B x_B + k_w w for the
-    parallelogram over (x_A : x_B : w): one inverse of m_D - m_C, on the
+    parallelogram over (x_A : x_B : w): one table inverse of m_D - m_C, on the
     standing residues (δ = 1 over F_p)."""
     p = cfg.field.char
     m_a, m_b, m_c, m_d, b_a = cfg.standing[:5]
-    inv = pow(m_d - m_c, -1, p)
+    inv = cfg.field.tables[0][(m_d - m_c) % p]
     return (m_a - m_d) * inv % p, (m_d - m_b) * inv % p, (b_a - 1) * inv % p
 
 
@@ -79,28 +80,20 @@ def _zeros(field, a: int, bs, cs) -> list:
     return zeros
 
 
-def enumerate_rectangles(cfg: NormalizedConfig) -> set:
+def enumerate_rectangles(cfg: NormalizedConfig, h: tuple) -> set:
     """The canonical keys of all rectangles in the configuration space over F_p.
 
-    The rectangles are the zeros of h = :func:`quadric_h`, read once as six
-    residues.  On the row (x_A, x_B, 1), h is the quadratic
-    bb x_B^2 + (ab x_A + bw) x_B + (aa x_A^2 + aw x_A + ww), solved by
-    :func:`_zeros`; a row where all three coefficients vanish lies in the
-    quadric.  On the line w = 0 the points (x_A, 1, 0) are the roots of
-    aa x_A^2 + ab x_A + bb, and (1, 0, 0) is a zero exactly when aa = 0.
-    The zeros are completed to parallelograms a column at a time on ints mod
-    p, with x_C = k_A x_A + k_B x_B + k_w w from :func:`_completion`, and
-    scaled to their canonical keys by :func:`canonical_keys`.
+    The rectangles are the zeros of h, the six residues of :func:`quadric_h`.
+    On the row (x_A, x_B, 1), h is the quadratic bb x_B^2 + (ab x_A + bw) x_B +
+    (aa x_A^2 + aw x_A + ww), solved by :func:`_zeros`; a row where all three
+    coefficients vanish lies in the quadric.  On the line w = 0 the points
+    (x_A, 1, 0) are the roots of aa x_A^2 + ab x_A + bb, and (1, 0, 0) is a zero
+    exactly when aa = 0.  The zeros are completed to parallelograms a column at
+    a time on ints mod p, with x_C = k_A x_A + k_B x_B + k_w w from
+    :func:`_completion`, and scaled to their canonical keys by :func:`canonical_keys`.
     """
-    field = cfg.field
-    if not field.char:
-        raise PreconditionError("census enumeration needs a prime field")
-    p = field.char
-    if p > MAX_CENSUS_PRIME:
-        raise PreconditionError(
-            f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
-        )
-    aa, ab, bb, aw, bw, ww = quadric_h(cfg)
+    field, p = cfg.field, cfg.field.char
+    aa, ab, bb, aw, bw, ww = h
     hits = [(x_a, 1, 0) for _, x_a in _zeros(field, aa, [ab], [bb])]
     if not aa:
         hits.append((1, 0, 0))
@@ -130,6 +123,7 @@ class CensusReport(Record):
     at_infinity_bound_ok: bool
     degenerate_consistency_ok: bool
     failures: list
+    quadric_points: int
 
 
 def _tally(p: int, values) -> dict:
@@ -139,63 +133,63 @@ def _tally(p: int, values) -> dict:
 
 
 def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
-    """Enumerate rectangles and check them against both paths.
-
-    Past the enumeration every rectangle is its canonical key, and every
-    slope and aspect ratio one residue (:func:`slope_residues`), the shared
-    ratios of a degenerate configuration too; a passing census builds no ratios.
+    """The census report, at primes up to ``MAX_CENSUS_PRIME``: the rectangles of
+    one :func:`quadric_h`, its point count by theorem, and the checks against both
+    paths, each verdict true when its check lists no failure.  A total other than
+    ``quadric_points`` is a failure of no verdict.  Past the enumeration every
+    rectangle is its canonical key, and every slope and aspect ratio one residue
+    (:func:`slope_residues`), the shared ratios of a degenerate configuration
+    too; a passing census builds no ratios.
     """
     field, p = cfg.field, cfg.field.char
-    census = enumerate_rectangles(cfg)
+    if not p:
+        raise PreconditionError("census enumeration needs a prime field")
+    if p > MAX_CENSUS_PRIME:
+        raise PreconditionError(
+            f"census at p = {p} is too large: a census runs at primes up to {MAX_CENSUS_PRIME}"
+        )
+    h = quadric_h(cfg)
+    census = enumerate_rectangles(cfg, h)
     cls = classify(cfg)
-    failures = []
 
     spp, app = cfg.slope_path, cfg.aspect_path
     slope_keys, aspect_keys = path_keys(cfg, spp), path_keys(cfg, app)
     slope_image, aspect_image = set(slope_keys), set(aspect_keys)
 
-    union = slope_image | aspect_image
-    union_covered = census == union
-    if not union_covered:
-        for witness in sorted(census ^ union):
-            side = "census-only" if witness in census else "path-only"
-            failures.append(f"union mismatch ({side}): {witness}")
+    union_failures = [
+        f"union mismatch ({'census-only' if witness in census else 'path-only'}): {witness}"
+        for witness in sorted(census ^ (slope_image | aspect_image))
+    ]
 
     infinity_count = sum(1 for key in census if key[8] == 0)
-    if cls.twin_pairs or cls.dual_pairs:
-        bound_ok = True
-    else:
-        bound_ok = infinity_count <= 2
-        if not bound_ok:
-            failures.append(f"{infinity_count} rectangles at infinity")
+    bounded = cls.twin_pairs or cls.dual_pairs or infinity_count <= 2
+    bound_failures = [] if bounded else [f"{infinity_count} rectangles at infinity"]
+    quadric_points = quadric_point_count(field, h)
+    miscount = f"{len(census)} rectangles, but the quadric has {quadric_points} points"
+    count_failures = [miscount] if quadric_points != len(census) else []
 
     slopes = slope_residues(field, census)
-    consistency_ok = True
+    consistency = []
     if cls.degenerate:
         [want] = _residues(field, [(spp.first[0], spp.second[0])])
         for i, (key, aspect) in enumerate(zip(slope_keys, aspect_residues(field, slope_keys))):
             if aspect != want:
-                consistency_ok = False
-                failures.append(f"slope path aspect varies at {residue_text(p, i)}: {key}")
+                consistency.append(f"slope path aspect varies at {residue_text(p, i)}: {key}")
         [want] = _residues(field, [(app.first[0], app.second[0])])
         f1, f2 = cfg.standing[8:]  # f1 : f2 = F1 : δ F2, over δ = 1
         if (f1 or f2) and [want] != _residues(field, [(f1, f2)]):
-            consistency_ok = False
-            failures.append("aspect-path slope differs from the F diagonal")
+            consistency.append("aspect-path slope differs from the F diagonal")
         for i, (key, slope) in enumerate(zip(aspect_keys, slope_residues(field, aspect_keys))):
             if slope != want:
-                consistency_ok = False
-                failures.append(f"aspect path slope varies at {residue_text(p, i)}: {key}")
+                consistency.append(f"aspect path slope varies at {residue_text(p, i)}: {key}")
     else:
         if slope_image != aspect_image:
-            consistency_ok = False
-            failures.append("slope and aspect path images differ")
+            consistency.append("slope and aspect path images differ")
         if len(set(slopes)) < len(slopes):
             seen = set()
             for key, slope in zip(census, slopes):
                 if slope in seen:
-                    consistency_ok = False
-                    failures.append(f"slope {residue_text(p, slope)} repeats: {key}")
+                    consistency.append(f"slope {residue_text(p, slope)} repeats: {key}")
                 seen.add(slope)
 
     return CensusReport(
@@ -204,28 +198,26 @@ def verify_against_paths(cfg: NormalizedConfig) -> CensusReport:
         at_infinity=infinity_count,
         by_slope=_tally(p, slopes),
         by_aspect=_tally(p, aspect_residues(field, census)),
-        union_covered=union_covered,
-        at_infinity_bound_ok=bound_ok,
-        degenerate_consistency_ok=consistency_ok,
-        failures=failures,
+        union_covered=not union_failures,
+        at_infinity_bound_ok=not bound_failures,
+        degenerate_consistency_ok=not consistency,
+        failures=union_failures + bound_failures + count_failures + consistency,
+        quadric_points=quadric_points,
     )
 
 
-def quadric_point_count(cfg: NormalizedConfig) -> int:
-    """Zeros of the rectangle quadric on the parameter plane P^2(F_p), by theorem.
+def quadric_point_count(field, h: tuple) -> int:
+    """Zeros of the quadric h, six residues as :func:`quadric_h` gives them, on
+    the parameter plane P^2(F_p), by theorem.
 
-    For p odd a quadratic form on P^2(F_p) with symmetric matrix S has
-    p + 1 zeros at rank 3 or 1; at rank 2, 2p + 1 zeros (two lines) when it
-    splits over F_p and 1 otherwise; p^2 + p + 1 at rank 0 (Lidl and
-    Niederreiter, *Finite Fields*, section 6.2).  A rank-2 form splits iff -m
-    is a square, m any nonzero principal 2x2 minor of S.  The rank is read off
-    2S, which has integer entries and the same minors up to square factors.
+    For p odd a quadratic form on P^2(F_p) with symmetric matrix S has p + 1 zeros
+    at rank 3 or 1; at rank 2, 2p + 1 zeros (two lines) when it splits over F_p and
+    1 otherwise; p^2 + p + 1 at rank 0 (Lidl and Niederreiter, *Finite Fields*,
+    section 6.2).  A rank-2 form splits iff -m is a square (a key of
+    ``field.tables[1]``), m any nonzero principal 2x2 minor of S.  The rank is read
+    off 2S, which has integer entries and the same minors up to square factors.
     """
-    field = cfg.field
-    p = field.char
-    if not p:
-        raise PreconditionError("census enumeration needs a prime field")
-    aa, ab, bb, aw, bw, ww = quadric_h(cfg)
+    p, (aa, ab, bb, aw, bw, ww) = field.char, h
     s = ((2 * aa, ab, aw), (ab, 2 * bb, bw), (aw, bw, 2 * ww))
     # minors[i][j] = det(2S without row i and column j); the diagonal holds the principal ones.
     minors = [
@@ -241,7 +233,7 @@ def quadric_point_count(cfg: NormalizedConfig) -> int:
         m = next((minors[i][i] for i in range(3) if minors[i][i]), None)
         if m is None:
             raise InternalCheckError("a rank-2 symmetric matrix has no nonzero principal minor")
-        return 2 * p + 1 if field.sqrt(-m) is not None else 1
+        return 2 * p + 1 if -m % p in field.tables[1] else 1
     if any(v % p for row in s for v in row):
         return p + 1
     return p * p + p + 1

@@ -26,7 +26,7 @@ import sys
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 
-from .census import quadric_point_count, verify_against_paths
+from .census import verify_against_paths
 from .configuration import (
     ROLES,
     ConfigurationInput,
@@ -274,8 +274,7 @@ def cmd_census(args) -> dict:
     if not cfg_input.field.char:
         raise PreconditionError("census requires a prime field configuration")
     cfg, _pm = normalize(cfg_input)
-    report = verify_against_paths(cfg)
-    return {**vars(report), "quadric_points": quadric_point_count(cfg)}
+    return vars(verify_against_paths(cfg))
 
 
 def cmd_render(args) -> dict:

@@ -278,7 +278,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     spp, app = cfg.slope_path, cfg.aspect_path
     # The aspect ratio first[0] : second[0] that every rectangle of the slope path shares.
     center_rect = eval_path(cfg, app, (spp.first[0], spp.second[0]))
-    if not _same(p, _center(center_rect), meet):
+    if center_rect.at_infinity or not _same(p, _center(center_rect), meet):
         raise InternalCheckError("center rectangle misses the locus intersection")
 
     corners = [_corner(cfg, r1, r2) for r1, r2 in (("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))]
@@ -295,7 +295,7 @@ def special_rectangles(cfg: NormalizedConfig, report: LocusReport) -> SpecialRec
     else:
         raise InternalCheckError("centroid equations vanished identically")
     centroid_rect = eval_path(cfg, app, st)
-    if not _same(p, _center(centroid_rect), (x, y, w)):
+    if centroid_rect.at_infinity or not _same(p, _center(centroid_rect), (x, y, w)):
         raise InternalCheckError("centroid rectangle misses the centroid")
     return SpecialRectangles(center_rect, centroid_rect)
 

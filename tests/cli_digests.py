@@ -6,10 +6,10 @@ Each call runs ``quadriline.cli.main(argv)`` in-process from this checkout's
 ``src/`` and prints one line: its label, its exit code (or its ``SystemExit``
 code), and the sha256 digests of stdout, stderr and the SVG it wrote ("-" for
 none).  The calls are 13 commands on each ``configs/*.json``, ``classify`` on
-each of ``LOADER_INPUTS`` (the exits of the config loader), then every op of
-rounds 0-1 of each given seed of each workload of ``bench/workloads.py``
-(imported, never changed).  Run it once in each checkout with the same
-arguments and ``diff`` the two outputs.
+each of ``LOADER_INPUTS`` (the exits of the config loader), each of
+``USAGE_COMMANDS``, then every op of rounds 0-1 of each given seed of each
+workload of ``bench/workloads.py`` (imported, never changed).  Run it once in
+each checkout with the same arguments and ``diff`` the two outputs.
 
 Every path a call sees is the same in both checkouts: the configs are copied
 to DIR/configs and the loader inputs written there, and each (workload, seed)
@@ -52,6 +52,11 @@ COMMANDS = (
     ["census"],
     ["render", "--samples", "3"],
     ["render", "--diagonals"],
+)
+# Usage errors that a command raises before it reads its input: that file is never written.
+USAGE_COMMANDS = (
+    ["path", "--samples", "0"],
+    ["render", "--samples=-1"],
 )
 
 
@@ -106,6 +111,12 @@ def run(label: str, argv: list, svg: str) -> str:
     return " ".join([label, str(code), *streams, svg_digest])
 
 
+def _argv(command, path, svg) -> list:
+    """The argv of a command of COMMANDS on the input at path; ``render`` writes svg."""
+    argv = [command[0], "--input", path, *command[1:]]
+    return argv + ["--out", svg] if command[0] == "render" else argv
+
+
 def calls(seeds, work):
     """(label, argv, svg path) of every call, configs first."""
     directory = os.path.join(work, "configs")
@@ -116,15 +127,15 @@ def calls(seeds, work):
         path = os.path.join(directory, name)  # the same path in every checkout
         shutil.copyfile(source, path)
         for command in COMMANDS:
-            argv = [command[0], "--input", path, *command[1:]]
-            if command[0] == "render":
-                argv += ["--out", svg]
-            yield f"configs/{name}:{'_'.join(command)}", argv, svg
+            yield f"configs/{name}:{'_'.join(command)}", _argv(command, path, svg), svg
     for name, text in LOADER_INPUTS.items():
         path = os.path.join(directory, f"loader_{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         yield f"loader/{name}:classify", ["classify", "--input", path], svg
+    path = os.path.join(directory, "unread.json")
+    for command in USAGE_COMMANDS:
+        yield f"usage:{'_'.join(command)}", _argv(command, path, svg), svg
     for seed in seeds:
         for workload in WORKLOADS:
             directory = os.path.join(work, f"{workload}-{seed}")

@@ -16,7 +16,7 @@ from quadriline import (
     QQ,
     Ratio,
 )
-from quadriline.census import enumerate_rectangles
+from quadriline.census import enumerate_rectangles, quadric_h
 from quadriline.cli import load_config
 from quadriline.configuration import ROLES, adjugate, covector, cross, normalize
 from quadriline.errors import PreconditionError
@@ -133,7 +133,8 @@ def contains(field, line, point) -> bool:
 
 def census_rectangles(cfg) -> set:
     """The rectangles whose canonical keys ``census.enumerate_rectangles`` finds."""
-    return {ProjectiveRectangle(cfg.field, key) for key in enumerate_rectangles(cfg)}
+    keys = enumerate_rectangles(cfg, quadric_h(cfg))
+    return {ProjectiveRectangle(cfg.field, key) for key in keys}
 
 
 def center_values(rect) -> tuple:

@@ -15,7 +15,7 @@ from quadriline import (
     verify_against_paths,
 )
 from quadriline.census import enumerate_rectangles, quadric_h, quadric_point_count
-from quadriline.cli import main
+from quadriline.cli import load_config, main
 from quadriline.errors import PreconditionError
 from quadriline.paths import (
     aspect_path_polys,
@@ -76,9 +76,10 @@ def reference_quadric_count(cfg):
 
 
 def assert_matches_reference(cfg):
-    census = enumerate_rectangles(cfg)
+    h = quadric_h(cfg)
+    census = enumerate_rectangles(cfg, h)
     assert census == {rect.key for rect in reference_rectangles(cfg)}, cfg
-    assert quadric_point_count(cfg) == reference_quadric_count(cfg) == len(census), cfg
+    assert quadric_point_count(cfg.field, h) == reference_quadric_count(cfg) == len(census), cfg
 
 
 class TestKernelAgainstReference:
@@ -133,7 +134,7 @@ class TestRowBranches:
         field = cfg.field
         x_a = from_int(field, 3)
         assert not any(row_coefficients(cfg, x_a))
-        census = enumerate_rectangles(cfg)
+        census = enumerate_rectangles(cfg, quadric_h(cfg))
         for x_b in elements(field):
             assert complete_parallelogram(cfg, x_a, x_b, one_of(field)).key in census
         assert_matches_reference(cfg)
@@ -180,31 +181,30 @@ class TestQuadricCountByTheorem:
             ((0, 0, 0, 1, 3, 0), 15),  # w (x_A + 3 x_B): rank 2, no square term
         ],
     )
-    def test_hand_built_forms_over_f7(self, monkeypatch, coefficients, count):
-        import quadriline.census as census_module
-
-        monkeypatch.setattr(census_module, "quadric_h", lambda cfg: coefficients)
-        assert quadric_point_count(cfg_over(7, (2, 3, 0, 1, 1))) == count
+    def test_hand_built_forms_over_f7(self, coefficients, count):
+        assert quadric_point_count(PrimeField(7), coefficients) == count
         assert form_point_count(PrimeField(7), coefficients) == count
 
     def test_rank_three_configuration(self):
-        assert quadric_point_count(cfg_over(11, (2, 3, 0, 1, 1))) == 12
+        cfg = cfg_over(11, (2, 3, 0, 1, 1))
+        assert quadric_point_count(cfg.field, quadric_h(cfg)) == 12
 
     def test_rank_two_split_configuration(self):
         cfg = cfg_over(11, (-4, -1, 0, 2, 3))  # degenerate: two lines of rectangles
-        assert quadric_point_count(cfg) == 23 == reference_quadric_count(cfg)
+        assert quadric_point_count(cfg.field, quadric_h(cfg)) == 23 == reference_quadric_count(cfg)
 
 
 class TestEnumerate:
     def test_cfg1_f5_respects_degree_bound(self):
         cfg = cfg_over(5, (2, 3, 0, 1, 1))
-        census = enumerate_rectangles(cfg)
+        h = quadric_h(cfg)
+        census = enumerate_rectangles(cfg, h)
         assert len(census) <= 2 * 5 + 1  # degree-2 plane curve bound
-        assert len(census) == quadric_point_count(cfg)
+        assert len(census) == quadric_point_count(cfg.field, h)
 
     def test_cfg3_f7_contains_at_infinity_line(self):
         cfg = cfg_over(7, (1, 0, 0, 1, 1))
-        census = enumerate_rectangles(cfg)
+        census = enumerate_rectangles(cfg, quadric_h(cfg))
         at_inf = {key for key in census if not key[8]}
         assert len(at_inf) == 8  # the whole line at infinity
 
@@ -215,10 +215,8 @@ class TestEnumerate:
             assert is_parallelogram(p)
 
     def test_rational_field_rejected(self, cfg1):
-        with pytest.raises(PreconditionError):
-            enumerate_rectangles(cfg1)
-        with pytest.raises(PreconditionError):
-            quadric_point_count(cfg1)
+        with pytest.raises(PreconditionError, match="needs a prime field"):
+            verify_against_paths(cfg1)
 
     def test_cardinality_matches_quadric_everywhere(self):
         rng = random.Random(163)
@@ -226,7 +224,8 @@ class TestEnumerate:
             field = PrimeField(p)
             for _ in range(10):
                 cfg, _ = random_normalized_config(field, rng)
-                assert len(enumerate_rectangles(cfg)) == quadric_point_count(cfg)
+                h = quadric_h(cfg)
+                assert len(enumerate_rectangles(cfg, h)) == quadric_point_count(field, h)
 
 
 class TestVerify:
@@ -271,12 +270,33 @@ class TestVerify:
 
         cfg = cfg_over(7, (2, 3, 0, 1, 1))
         stray = canonical_key(cfg.field, (0, 0, 0, 0, 0, 0, 0, 0, 8))
-        found = enumerate_rectangles(cfg)
+        found = enumerate_rectangles(cfg, quadric_h(cfg))
         assert stray not in found
-        monkeypatch.setattr(census_module, "enumerate_rectangles", lambda cfg: found | {stray})
+        monkeypatch.setattr(census_module, "enumerate_rectangles", lambda cfg, h: found | {stray})
         report = verify_against_paths(cfg)
         assert not report.union_covered
         assert report.failures[0] == "union mismatch (census-only): (0, 0, 0, 0, 0, 0, 0, 0, 1)"
+
+    def test_a_miscount_is_a_failure_of_no_verdict(self, monkeypatch):
+        import quadriline.census as census_module
+
+        monkeypatch.setattr(census_module, "quadric_point_count", lambda field, h: 13)
+        report = verify_against_paths(cfg_over(11, (2, 3, 0, 1, 1)))
+        assert (report.total, report.quadric_points) == (12, 13)
+        assert report.failures == ["12 rectangles, but the quadric has 13 points"]
+        assert report.union_covered and report.at_infinity_bound_ok
+        assert report.degenerate_consistency_ok
+
+    def test_no_sqrt_on_a_rank_two_quadric(self, monkeypatch):
+        """Every square root of a census is a table lookup: the split test of a
+        rank-2 quadric included."""
+
+        def sqrt(self, x):
+            raise AssertionError("PrimeField.sqrt called")
+
+        monkeypatch.setattr(PrimeField, "sqrt", sqrt)
+        report = verify_against_paths(cfg_over(11, (-4, -1, 0, 2, 3)))
+        assert report.failures == [] and report.total == report.quadric_points == 23
 
     def test_degenerate_failures_name_their_ratio(self, monkeypatch):
         import quadriline.census as census_module
@@ -420,3 +440,28 @@ def test_census_bytes_at_p_1009(tmp_path, capsys, name, digest):
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_one_quadric_per_census(capsys, monkeypatch, name):
+    """A census builds the quadric once, for its enumeration and its point count,
+    and not at all when it exits before the enumeration: over the rationals and
+    past MAX_CENSUS_PRIME."""
+    import quadriline.census as census_module
+
+    calls = []
+
+    def counted(cfg):
+        calls.append(None)
+        return quadric_h(cfg)
+
+    monkeypatch.setattr(census_module, "quadric_h", counted)
+    path = os.path.join(CONFIGS, name)
+    code = main(["census", "--input", path])
+    capsys.readouterr()
+    p = load_config(path).field.char
+    runs = 0 < p <= census_module.MAX_CENSUS_PRIME
+    assert (code, len(calls)) == ((0, 1) if runs else (2, 0))

@@ -239,13 +239,13 @@ def moved(line: InputLine, similarity, p) -> InputLine:
     return InputLine(*((v % p for v in (a, b, c)) if p else (a, b, c)))
 
 
-def outcome(directory, name, field, lines, command):
-    """The report of ``command`` on the lines A, C, B, D, as ``main`` runs it: (0, the
-    report), or (3 or 2, the class of the error raised)."""
+def outcome(directory, name, field, lines, command, *flags):
+    """The report of ``command`` with ``flags`` on the lines A, C, B, D, as ``main`` runs it:
+    (0, the report), or (3 or 2, the class of the error raised)."""
     pairs = [[(ln.a, ln.b, ln.c) for ln in pair] for pair in (lines[:2], lines[2:])]
     tag = {"prime": field.char} if field.char else "rational"
     path = write_config(pathlib.Path(directory), name, tag, pairs)
-    args = build_parser().parse_args([command, "--input", path])
+    args = build_parser().parse_args([command, "--input", path, *flags])
     try:
         return 0, args.fn(args)
     except InternalCheckError as exc:
@@ -289,3 +289,93 @@ def test_frame_free_reports_are_blind_to_a_similarity(drawn, data):
             before = outcome(directory, "lines.json", field, lines, command)
             after = outcome(directory, "images.json", field, images, command)
             assert frame_free(command, after) == frame_free(command, before), command
+
+
+SMALL_PRIMES = [7, 11, 13, 17]
+TWO_LINES = (-4, -1, 0, 2, 3)  # m_A, m_B, m_C, m_D, b_A of a TwoLines standing form
+
+
+def standing_lines(ints) -> list:
+    """The lines A, C, B, D of the standing form (m_A, m_B, m_C, m_D, b_A) as InputLines."""
+    m_a, m_b, m_c, m_d, b_a = ints
+    return [InputLine(-m_a, 1, b_a), InputLine(-m_c, 1, 0), InputLine(-m_b, 1, 1),
+            InputLine(-m_d, 1, 0)]
+
+
+@st.composite
+def small_prime_lines(draw):
+    """A prime p of SMALL_PRIMES and four lines A, C, B, D over F_p: arbitrary ones, or the
+    TWO_LINES form moved by a similarity, so that special rectangles occur."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    if draw(st.booleans()):
+        similarity = draw(similarities(p))
+        return p, [moved(line, similarity, p) for line in standing_lines(TWO_LINES)]
+    residues = st.integers(0, p - 1)
+    normals = st.tuples(residues, residues).filter(any)
+    return p, [InputLine(*draw(normals), draw(residues)) for _ in range(4)]
+
+
+def affine_points(rect, p, similarity=None) -> tuple:
+    """The vertices of a rectangle report, in input-label order A, B, C, D, then its center,
+    as int pairs mod p; each moved by the similarity x ↦ λ (q R / q) x + τ when one is given."""
+    points = [tuple(map(int, rect["vertices"][label])) for label in "ABCD"]
+    points.append(tuple(map(int, rect["center"])))
+    if similarity is None:
+        return tuple(points)
+    (r0, r1), q, lam, (tx, ty) = similarity
+    k = lam * pow(q, -1, p)
+    return tuple(
+        ((k * (r0[0] * x + r0[1] * y) + tx) % p, (k * (r1[0] * x + r1[1] * y) + ty) % p)
+        for x, y in points
+    )
+
+
+def assert_outputs_map(p, lines, similarity) -> bool:
+    """The whole slope and aspect paths of S(lines) over F_p (``path --samples p+1``) are S
+    applied to those of the lines, as sets of affine points keyed by input label, with as
+    many rectangles at infinity; and the special rectangles of ``locus`` map by S whenever
+    both reports have them, which is returned."""
+    field = PrimeField(p)
+    images = [moved(line, similarity, p) for line in lines]
+    with tempfile.TemporaryDirectory() as directory:
+        def both(*argv):
+            return [
+                outcome(directory, name, field, quad, *argv)
+                for name, quad in (("lines.json", lines), ("images.json", images))
+            ]
+
+        for kind in ("slope", "aspect"):
+            before, after = both("path", "--kind", kind, "--samples", str(p + 1))
+            if before[0]:  # an error exit: the same for S(lines)
+                assert after == before, kind
+                continue
+            rects = before[1]["rectangles"], after[1]["rectangles"]
+            assert {affine_points(r, p) for r in rects[1] if r["vertices"]} == {
+                affine_points(r, p, similarity) for r in rects[0] if r["vertices"]
+            }, kind
+            at_infinity = [sum(r["vertices"] is None for r in rs) for rs in rects]
+            assert at_infinity[0] == at_infinity[1], kind
+        special = [report.get("special_rectangles") if not code else None
+                   for code, report in both("locus")]
+    if not all(special):
+        return False
+    for key in ("center", "centroid"):
+        moved_special = affine_points(special[0][key], p, similarity)
+        assert affine_points(special[1][key], p) == moved_special, key
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_prime_lines(), st.data())
+def test_prime_field_outputs_map_by_a_similarity(drawn, data):
+    """A similarity S maps inscribed rectangles to inscribed rectangles: over F_p at small p,
+    the full path sets and the special rectangles of S(lines) are those of the lines moved by S."""
+    p, lines = drawn
+    assert_outputs_map(p, lines, data.draw(similarities(p)))
+
+
+def test_two_lines_form_has_special_rectangles_that_map():
+    """The TWO_LINES form reaches the special rectangles of ``assert_outputs_map``."""
+    similarity = (((-3, -4), (4, -3)), 5, 3, (1, -2))  # u = 2, a rotation
+    lines = standing_lines(TWO_LINES)
+    assert [p for p in SMALL_PRIMES if assert_outputs_map(p, lines, similarity)]

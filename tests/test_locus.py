@@ -1,6 +1,7 @@
 """Centers, the Gauss-Newton line, diagonal G, loci, special rectangles."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from quadriline import (
     slope_of,
     slope_path_eval,
 )
+from quadriline.cli import main
 from quadriline.configuration import LocusShape
 from quadriline.errors import AtInfinityError, ParallelPairError, PreconditionError
 from quadriline.locus import (
@@ -35,6 +37,7 @@ from quadriline.paths import (
     ratio_samples,
     slope_path_polys,
 )
+from quadriline.rectangles import ProjectiveRectangle
 from membership import (
     constants,
     intersection,
@@ -512,6 +515,28 @@ class TestSpecialRectangles:
         assert slope_of(aspect_inf) == slope_of(special.centroid_rectangle)
         a = aspect_of(special.centroid_rectangle)
         assert aspect_of(aspect_inf) == Ratio(QQ, -a.s, a.t)
+
+    @pytest.mark.parametrize("which, message", [(0, "center rectangle"), (1, "centroid rectangle")])
+    def test_rectangle_at_infinity_is_a_failed_check(self, monkeypatch, capsys, which, message):
+        """A center or centroid rectangle at infinity breaks the theorem it checks:
+        ``locus`` exits 3 rather than print no special rectangles."""
+        import quadriline.locus as locus_module
+
+        built = []
+
+        def eval_path_at_infinity(cfg, pp, st):
+            rect = eval_path(cfg, pp, st)
+            built.append(rect)
+            if len(built) - 1 == which:  # the same point, moved to w = 0
+                rect = ProjectiveRectangle(cfg.field, (*rect.key[:8], 0))
+            return rect
+
+        monkeypatch.setattr(locus_module, "eval_path", eval_path_at_infinity)
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "cfg2.json")
+        assert main(["locus", "--input", path]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal assertion failed: " + message)
+        assert len(built) == which + 1
 
     def test_cfg3_rejected(self, cfg3):
         with pytest.raises(PreconditionError):
